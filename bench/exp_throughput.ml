@@ -12,7 +12,8 @@
      dune exec bench/exp_throughput.exe -- --json FILE # machine output
      dune exec bench/exp_throughput.exe -- --repeat 5  # best-of-5 per engine
      dune exec bench/exp_throughput.exe -- --check FILE --max-regress 0.30
-       # CI gate: exit 1 if pps drops >30% below FILE's committed numbers
+       # CI gate: exit 1 if pps drops >30% below FILE's committed numbers,
+       # or minor words/packet rise >2% above them
 
    Each engine is run [--repeat] times (default 3) and the fastest run
    is reported: wall-clock noise on a shared machine is one-sided, so
@@ -37,6 +38,11 @@ open Stripe_core
    point. *)
 let baseline_pps = 730780.0
 let baseline_minor_words_per_packet = 132.78
+
+(* [--check] tolerance on minor words per packet. Allocation is a count,
+   not a timing: it does not move with the machine's load, so its gate
+   can be tight where the pps gate cannot. *)
+let max_words_regress = 0.02
 
 type result = {
   engine : string;
@@ -278,19 +284,25 @@ let () =
       exit 1
     end;
     let fail = ref false in
+    (* A silently missing key would let the gate pass vacuously — e.g. a
+       full-run baseline committed without its embedded quick entries,
+       checked by a --quick CI job. *)
+    let committed ~tag field =
+      match scan_number ~engine:tag ~field file with
+      | None ->
+        Printf.eprintf
+          "  FAIL: no committed \"%s\" entry for engine \"%s\" in %s — \
+           regenerate the baseline with --json\n"
+          field tag file;
+        fail := true;
+        None
+      | some -> some
+    in
     List.iter
       (fun r ->
         let tag = if !quick then quick_tag r.engine else r.engine in
-        match scan_number ~engine:tag ~field:"pps" file with
-        | None ->
-          (* A silently missing key would let the gate pass vacuously —
-             e.g. a full-run baseline committed without its embedded
-             quick entries, checked by a --quick CI job. *)
-          Printf.eprintf
-            "  FAIL: no committed \"pps\" entry for engine \"%s\" in %s — \
-             regenerate the baseline with --json\n"
-            tag file;
-          fail := true
+        (match committed ~tag "pps" with
+        | None -> ()
         | Some committed ->
           let floor = committed *. (1.0 -. !max_regress) in
           Printf.printf
@@ -300,6 +312,23 @@ let () =
             Printf.eprintf
               "  FAIL: %s regressed more than %.0f%% (%.0f < %.0f pps)\n" tag
               (100.0 *. !max_regress) r.pps floor;
+            fail := true
+          end);
+        match committed ~tag "minor_words_per_packet" with
+        | None -> ()
+        | Some committed ->
+          let ceiling = committed *. (1.0 +. max_words_regress) in
+          Printf.printf
+            "  check %-14s %.2f minor words/pkt vs committed %.2f (ceiling \
+             %.2f)\n"
+            tag r.minor_words_per_packet committed ceiling;
+          if r.minor_words_per_packet > ceiling then begin
+            Printf.eprintf
+              "  FAIL: %s allocates more than %.0f%% above the committed \
+               figure (%.2f > %.2f minor words/pkt)\n"
+              tag
+              (100.0 *. max_words_regress)
+              r.minor_words_per_packet ceiling;
             fail := true
           end)
       results;

@@ -86,11 +86,12 @@ let refresh_perm t =
 (* Channel under the pointer. *)
 let chan t = t.perm.(t.ptr)
 
-(* Position of channel [c] in the current round's visit order. Linear:
-   only off the per-packet path (marker stamping), and [n] is small. *)
-let pos_of t c =
-  let rec go i = if t.perm.(i) = c then i else go (i + 1) in
-  go 0
+(* Position of channel [c] in the current round's visit order. Linear,
+   but [n] is small; a top-level recursion, because a local one would
+   allocate its closure on every marker stamp. *)
+let rec pos_from perm c i = if perm.(i) = c then i else pos_from perm c (i + 1)
+
+let pos_of t c = pos_from t.perm c 0
 
 let create ?(cost = Bytes) ?(overdraw = true) ?max_packet ?(order = Fixed)
     ~quanta () =
@@ -403,29 +404,46 @@ let consume t ~size =
       (Consume { channel = c; round = t.g; dc_before = before; dc_after = after });
   if after <= 0 then advance t
 
+(* The implicit number of channel [c]'s next packet. A channel whose
+   visit is under way stamps its current DC; any other is next visited
+   in [first_round], then skipped while its DC recovers — mirroring
+   [select]'s skipping of deeply negative channels. The comparison is in
+   visit-order positions, so it holds under a permuted order too; later
+   rounds visit every channel exactly once whatever their permutation,
+   so only this round's order matters. *)
+let[@inline] stamps_current t c = t.serving && c = chan t && t.dcs.(c) > 0
+
+let first_round t c =
+  let pos = pos_of t c in
+  if pos > t.ptr then t.g
+  else if pos = t.ptr && not t.serving then t.g
+  else t.g + 1
+
+(* Rounds skipped after [first_round]: the least [k] with
+   [dc + (k + 1) * q > 0]. *)
+let rec skipped_rounds dc q k =
+  let dc = dc + q in
+  if dc > 0 then k else skipped_rounds dc q (k + 1)
+
+let check_stamp_channel t c =
+  if c < 0 || c >= t.n then invalid_arg "Deficit.next_stamp: bad channel"
+
+(* The two fields of [next_stamp] as plain ints, so that marker emission
+   allocates only the marker. *)
+let next_stamp_round t c =
+  check_stamp_channel t c;
+  if stamps_current t c then t.g
+  else first_round t c + skipped_rounds t.dcs.(c) t.quanta.(c) 0
+
+let next_stamp_dc t c =
+  check_stamp_channel t c;
+  if stamps_current t c then t.dcs.(c)
+  else
+    let q = t.quanta.(c) in
+    t.dcs.(c) + ((skipped_rounds t.dcs.(c) q 0 + 1) * q)
+
 let next_stamp t c =
-  if c < 0 || c >= t.n then invalid_arg "Deficit.next_stamp: bad channel";
-  if t.serving && c = chan t && t.dcs.(c) > 0 then
-    { round = t.g; dc = t.dcs.(c) }
-  else begin
-    (* Determine the first round in which channel [c] will be visited
-       again, then simulate quantum additions until its DC is positive —
-       mirroring [select]'s skipping of deeply negative channels. The
-       comparison is in visit-order positions, so it holds under a
-       permuted order too; later rounds visit every channel exactly once
-       whatever their permutation, so only this round's order matters. *)
-    let pos = pos_of t c in
-    let first_round =
-      if pos > t.ptr then t.g
-      else if pos = t.ptr && not t.serving then t.g
-      else t.g + 1
-    in
-    let rec settle r dc_val =
-      let dc_val = dc_val + t.quanta.(c) in
-      if dc_val > 0 then { round = r; dc = dc_val } else settle (r + 1) dc_val
-    in
-    settle first_round t.dcs.(c)
-  end
+  { round = next_stamp_round t c; dc = next_stamp_dc t c }
 
 let pp_state fmt t =
   Format.fprintf fmt "ptr=%d ch=%d round=%d serving=%b dcs=[%s]" t.ptr (chan t)

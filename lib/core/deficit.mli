@@ -184,6 +184,11 @@ val next_stamp : t -> int -> stamp
     accounts for whether [c] has already been served in the current round
     and for any rounds [c] would be skipped while its DC recovers. *)
 
+val next_stamp_round : t -> int -> int
+val next_stamp_dc : t -> int -> int
+(** The two fields of {!next_stamp}, computed without allocating the
+    record (marker emission runs on the per-packet path). *)
+
 val at_round_boundary : t -> bool
 (** [true] iff the pointer is at channel 0 with no visit in progress —
     the only state in which a retune applies immediately. *)

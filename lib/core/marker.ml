@@ -15,8 +15,13 @@ let make ?credit_of ?(position = Round_end) ~every_rounds () =
 
 let default = make ~every_rounds:4 ()
 
-let packet_for ?(epoch = 0) ?(gen = 0) policy ~deficit ~channel ~now =
-  let stamp = Deficit.next_stamp deficit channel in
-  let credit = Option.map (fun f -> f channel) policy.credit_of in
-  Stripe_packet.Packet.marker ?credit ~epoch ~gen ~channel
-    ~round:stamp.Deficit.round ~dc:stamp.Deficit.dc ~born:now ()
+(* Allocates only the marker packet: no stamp record, no options for
+   arguments that are always present, no closure for the credit. *)
+let packet_for ~epoch ~gen policy ~deficit ~channel ~now =
+  let credit =
+    match policy.credit_of with None -> None | Some f -> Some (f channel)
+  in
+  Stripe_packet.Packet.marker_with ~credit ~reset:false ~epoch ~gen ~channel
+    ~round:(Deficit.next_stamp_round deficit channel)
+    ~dc:(Deficit.next_stamp_dc deficit channel)
+    ~born:now

@@ -40,11 +40,13 @@ val default : policy
 val make : ?credit_of:(int -> int) -> ?position:position -> every_rounds:int -> unit -> policy
 
 val packet_for :
-  ?epoch:int -> ?gen:int -> policy -> deficit:Deficit.t -> channel:int ->
+  epoch:int -> gen:int -> policy -> deficit:Deficit.t -> channel:int ->
   now:float -> Stripe_packet.Packet.t
 (** Build the marker packet for [channel] from the sender's current
     engine state: it carries [Deficit.next_stamp deficit channel] and the
-    channel's credit if the policy supplies one. [epoch] (default [0]) is
-    the sender's incarnation number (PROTOCOL.md §12); [gen] (default
-    [0]) its reset-barrier generation within the epoch
-    ({!Stripe_packet.Packet.marker.m_gen}). *)
+    channel's credit if the policy supplies one. [epoch] is the sender's
+    incarnation number (PROTOCOL.md §12), [0] until its first crash
+    restart; [gen] its reset-barrier generation within the epoch
+    ({!Stripe_packet.Packet.marker.m_gen}). Both are required rather
+    than optional because an optional argument is boxed at every call,
+    and markers are emitted on the per-packet path. *)

@@ -360,62 +360,64 @@ let check_dead t c =
          true
        end
 
+(* Watchdog bookkeeping for one arrival. Only the watchdog reads what
+   this records, and [wd] never changes, so without one there is nothing
+   to do — not even a clock read, which would box a float per packet. *)
 let note_arrival t c ~is_marker =
-  let now = t.now () in
-  t.last_rx.(c) <- now;
-  t.dead.(c) <- false;
-  if is_marker then begin
-    if t.last_marker_rx.(c) > neg_infinity then begin
-      let gap = now -. t.last_marker_rx.(c) in
-      let beyond_horizon =
-        (* A gap so large the watchdog's own horizon expired inside it
-           is either an outage that swallowed markers or a drastic
-           cadence stretch — indistinguishable from one sample. Feeding
-           an outage to the estimate would inflate every horizon
-           derived from it (dead declaration, barrier staleness) by the
-           outage length, so the sample is held back as a suspect and
-           adopted only if the next gap corroborates it: outages are
-           one-offs, cadence changes persist. Only a {e learned}
-           estimate gates this — before one exists ([marker_gap] = 0,
-           e.g. right after a barrier reseed) every sample is
-           admissible, else a true cadence slower than the fallback
-           horizon could never be learned at all. *)
-        match t.wd with
-        | Some w ->
+  match t.wd with
+  | None -> ()
+  | Some w ->
+    let now = t.now () in
+    t.last_rx.(c) <- now;
+    t.dead.(c) <- false;
+    if is_marker then begin
+      if t.last_marker_rx.(c) > neg_infinity then begin
+        let gap = now -. t.last_marker_rx.(c) in
+        (* A gap so large the watchdog's own horizon expired inside it is
+           either an outage that swallowed markers or a drastic cadence
+           stretch — indistinguishable from one sample. Feeding an outage
+           to the estimate would inflate every horizon derived from it
+           (dead declaration, barrier staleness) by the outage length, so
+           the sample is held back as a suspect and adopted only if the
+           next gap corroborates it: outages are one-offs, cadence changes
+           persist. Only a {e learned} estimate gates this — before one
+           exists ([marker_gap] = 0, e.g. right after a barrier reseed)
+           every sample is admissible, else a true cadence slower than the
+           fallback horizon could never be learned at all. *)
+        let beyond_horizon =
           t.marker_gap.(c) > 0.0
           && gap > float_of_int w.intervals *. t.marker_gap.(c)
-        | None -> false
-      in
-      if beyond_horizon then
-        if t.gap_suspect.(c) > 0.0 then begin
-          (* Corroborated: two consecutive beyond-horizon gaps. The
-             smaller bounds the true cadence (both gaps are at least
-             one real interval), so an outage in either inflates the
-             adopted value the least this way. *)
-          t.marker_gap.(c) <- Float.min gap t.gap_suspect.(c);
-          t.gap_suspect.(c) <- 0.0
+        in
+        if beyond_horizon then
+          if t.gap_suspect.(c) > 0.0 then begin
+            (* Corroborated: two consecutive beyond-horizon gaps. The
+               smaller bounds the true cadence (both gaps are at least
+               one real interval), so an outage in either inflates the
+               adopted value the least this way. *)
+            t.marker_gap.(c) <- Float.min gap t.gap_suspect.(c);
+            t.gap_suspect.(c) <- 0.0
+          end
+          else t.gap_suspect.(c) <- gap
+        else begin
+          t.gap_suspect.(c) <- 0.0;
+          t.marker_gap.(c) <-
+            (if t.marker_gap.(c) <= 0.0 then gap
+             else if gap > t.marker_gap.(c) then
+               (* A gap above the estimate (but inside the horizon) is
+                  adopted outright, bounding the EWMA's memory: after a
+                  deliberate cadence stretch (an adaptive policy
+                  lengthening the marker interval) a half-gain average
+                  would need log2(stretch) intervals to catch up,
+                  declaring the channel dead spuriously the whole while.
+                  Adopting up / averaging down makes the estimate
+                  one-sided-safe: the watchdog can only fire after
+                  genuine silence at the newest observed cadence. *)
+               gap
+             else (0.5 *. t.marker_gap.(c)) +. (0.5 *. gap))
         end
-        else t.gap_suspect.(c) <- gap
-      else begin
-        t.gap_suspect.(c) <- 0.0;
-        t.marker_gap.(c) <-
-          (if t.marker_gap.(c) <= 0.0 then gap
-           else if gap > t.marker_gap.(c) then
-             (* A gap above the estimate (but inside the horizon) is
-                adopted outright, bounding the EWMA's memory: after a
-                deliberate cadence stretch (an adaptive policy
-                lengthening the marker interval) a half-gain average
-                would need log2(stretch) intervals to catch up,
-                declaring the channel dead spuriously the whole while.
-                Adopting up / averaging down makes the estimate
-                one-sided-safe: the watchdog can only fire after
-                genuine silence at the newest observed cadence. *)
-             gap
-           else (0.5 *. t.marker_gap.(c)) +. (0.5 *. gap))
-      end
-    end;
-    t.last_marker_rx.(c) <- now
-  end
+      end;
+      t.last_marker_rx.(c) <- now
+    end
 
 (* The stamp is recorded for the channel whose buffer the marker was
    drawn from, not [m.m_channel]: the arrival port is ground truth (a

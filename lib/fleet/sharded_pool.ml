@@ -291,39 +291,38 @@ let replay t ~shard =
   let cur_ord = Array.make (max 1 !n_slots) (-1) in
   let gens = ref [] in
   let n_gens = ref 0 in
+  (* One reused event walks the tape: op [!i] fires at its time and
+     schedules op [!i + 1] as its last act. *)
   let i = ref 0 in
-  let rec pump () =
-    if !i < tp.len then begin
-      let k = !i in
-      Sim.schedule sim ~at:tp.at.(k) (fun () ->
-          let g = tp.slot.(k) in
-          let l = local_of_global.(g) in
-          (match Bytes.get_uint8 tp.kind k with
-          | 0 ->
-            ignore (Bundle_pool.acquire_slot pool l);
-            cur_ord.(l) <- tp.arg.(k)
-          | 1 ->
-            gens :=
-              {
-                ordinal = cur_ord.(l);
-                slot = g;
-                shard;
-                birth = Bundle_pool.birth_time pool l;
-                death = Sim.now sim;
-                pushed_packets = Bundle_pool.pushed_packets pool l;
-                pushed_bytes = Bundle_pool.pushed_bytes pool l;
-                delivered_packets = Bundle_pool.delivered_packets pool l;
-                delivered_bytes = Bundle_pool.delivered_bytes pool l;
-              }
-              :: !gens;
-            incr n_gens;
-            Bundle_pool.release pool l
-          | _ -> Bundle_pool.push pool l ~size:tp.arg.(k));
-          incr i;
-          pump ())
-    end
+  let rec fire () =
+    let k = !i in
+    let g = tp.slot.(k) in
+    let l = local_of_global.(g) in
+    (match Bytes.get_uint8 tp.kind k with
+    | 0 ->
+      ignore (Bundle_pool.acquire_slot pool l);
+      cur_ord.(l) <- tp.arg.(k)
+    | 1 ->
+      gens :=
+        {
+          ordinal = cur_ord.(l);
+          slot = g;
+          shard;
+          birth = Bundle_pool.birth_time pool l;
+          death = Sim.now sim;
+          pushed_packets = Bundle_pool.pushed_packets pool l;
+          pushed_bytes = Bundle_pool.pushed_bytes pool l;
+          delivered_packets = Bundle_pool.delivered_packets pool l;
+          delivered_bytes = Bundle_pool.delivered_bytes pool l;
+        }
+        :: !gens;
+      incr n_gens;
+      Bundle_pool.release pool l
+    | _ -> Bundle_pool.push pool l ~size:tp.arg.(k));
+    i := k + 1;
+    if k + 1 < tp.len then Sim.schedule sim ~at:tp.at.(k + 1) fire
   in
-  pump ();
+  if tp.len > 0 then Sim.schedule sim ~at:tp.at.(0) fire;
   Sim.run sim;
   let first_violation =
     match Bundle_pool.first_violation pool with

@@ -7,9 +7,16 @@ module Fifo_queue = Stripe_packet.Fifo_queue
    to rides in [ser_size]/[ser_payload] — only one packet serializes at
    a time), and [last_arrival] lives in a one-element float array
    because assigning a mutable float field of this mixed record would
-   box on every packet. Per packet, the only remaining allocation is the
-   arrival closure in [deliver_at], which genuinely needs its own
-   environment: several packets can be in flight at once. *)
+   box on every packet.
+
+   Arrivals reuse one closure too. Several packets can be in flight at
+   once, so they wait in a second ring, [inflight], in the order they
+   were scheduled. The [last_arrival] clamp makes their arrival times
+   non-decreasing, and the event queue fires equal times in insertion
+   order, so the k-th firing of [arrive] is the k-th push: it pops the
+   head. Only copies that leave that order keep a closure of their own —
+   impairment-reordered copies and CRC-discard notices. Steady-state
+   sends therefore allocate nothing here. *)
 
 type 'a t = {
   sim : Sim.t;
@@ -31,6 +38,10 @@ type 'a t = {
   mutable ser_done : unit -> unit;
   mutable ser_size : int;
   mutable ser_payload : 'a;
+  inflight : 'a Fifo_queue.t;
+      (* Clamped copies waiting for their arrival instant, oldest
+         first; [arrive] pops them. *)
+  mutable arrive : unit -> unit;
   last_arrival : float array;
   mutable up : bool;
   mutable carrier_watchers : (up:bool -> unit) list;
@@ -54,19 +65,42 @@ let obs_emit t kind ~size =
     Obs.Sink.emit t.sink
       (Obs.Event.v ~channel:t.obs_channel ~size ~time:(Sim.now t.sim) kind)
 
-let[@inline] deliver_at t ~size ~at payload =
-  Sim.schedule t.sim ~at (fun () ->
-      if not t.up then begin
-        (* Lost in flight: the link died under the packet. *)
-        t.n_down_drops <- t.n_down_drops + 1;
-        obs_emit t Obs.Event.Drop ~size
-      end
-      else begin
-        t.n_delivered <- t.n_delivered + 1;
-        t.b_delivered <- t.b_delivered + size;
-        obs_emit t Obs.Event.Arrival ~size;
-        t.deliver payload
-      end)
+(* A copy reaches the far end of the wire. *)
+let land_copy t ~size payload =
+  if not t.up then begin
+    (* Lost in flight: the link died under the packet. *)
+    t.n_down_drops <- t.n_down_drops + 1;
+    obs_emit t Obs.Event.Drop ~size
+  end
+  else begin
+    t.n_delivered <- t.n_delivered + 1;
+    t.b_delivered <- t.b_delivered + size;
+    obs_emit t Obs.Event.Arrival ~size;
+    t.deliver payload
+  end
+
+(* The link's reused arrival event. The copy is popped before [deliver]
+   runs, so a [deliver] that sends on this link again sees a consistent
+   ring. *)
+let arrive_next t =
+  let size = Fifo_queue.peek_size_unsafe t.inflight in
+  let payload = Fifo_queue.pop_exn t.inflight in
+  land_copy t ~size payload
+
+(* A reordered copy may overtake earlier ones, so it gets its own event. *)
+let schedule_reordered t ~size ~at payload =
+  Sim.schedule t.sim ~at (fun () -> land_copy t ~size payload)
+
+(* A clamped copy joins the in-flight ring behind every earlier clamped
+   copy. Inlined, so [at] is not boxed; that is also why the reordered
+   closure lives in a function of its own (a function that builds a
+   closure is never inlined). *)
+let[@inline] schedule_landing t ~reordered ~size ~at payload =
+  if reordered then schedule_reordered t ~size ~at payload
+  else begin
+    Fifo_queue.push t.inflight ~size payload;
+    Sim.schedule t.sim ~at t.arrive
+  end
 
 (* Schedule one arrival (propagation + jitter, clamped to preserve FIFO),
    applying the impairment profile: a reordered copy gets an extra
@@ -76,16 +110,27 @@ let[@inline] deliver_at t ~size ~at payload =
    or, when the [corrupt] hook chooses, delivered mangled. *)
 let schedule_copy t ~size payload =
   let imp = t.impair in
-  let extra = match t.jitter with None -> 0.0 | Some j -> max 0.0 (j t.rng) in
+  (* Explicit float comparisons: the polymorphic [max] boxes both
+     arguments on every call. *)
+  let extra =
+    match t.jitter with
+    | None -> 0.0
+    | Some j ->
+      let x = j t.rng in
+      if 0.0 >= x then 0.0 else x
+  in
   let base = Sim.now t.sim +. t.prop_delay +. extra in
+  let reordered =
+    imp.Impair.reorder_p > 0.0 && Rng.bernoulli t.rng ~p:imp.Impair.reorder_p
+  in
   let arrival =
-    if imp.Impair.reorder_p > 0.0 && Rng.bernoulli t.rng ~p:imp.Impair.reorder_p
-    then begin
+    if reordered then begin
       t.n_reordered <- t.n_reordered + 1;
       base +. Rng.float t.rng imp.Impair.reorder_window
     end
     else begin
-      let a = max base t.last_arrival.(0) in
+      let last = t.last_arrival.(0) in
+      let a = if base >= last then base else last in
       t.last_arrival.(0) <- a;
       a
     end
@@ -93,12 +138,13 @@ let schedule_copy t ~size payload =
   let corrupted =
     imp.Impair.corrupt_p > 0.0 && Rng.bernoulli t.rng ~p:imp.Impair.corrupt_p
   in
-  if not corrupted then deliver_at t ~size ~at:arrival payload
+  if not corrupted then schedule_landing t ~reordered ~size ~at:arrival payload
   else begin
     t.n_corrupted <- t.n_corrupted + 1;
     let damaged = match t.corrupt with None -> None | Some f -> f payload in
     match damaged with
-    | Some payload' -> deliver_at t ~size ~at:arrival payload'
+    | Some payload' ->
+      schedule_landing t ~reordered ~size ~at:arrival payload'
     | None ->
       (* The receiving interface's CRC catches the damage: the packet is
          discarded on arrival, indistinguishable from wire loss to the
@@ -178,6 +224,8 @@ let create sim ?(name = "link") ~rate_bps ~prop_delay ?jitter ?rng ?loss
       ser_done = ignore;
       ser_size = 0;
       ser_payload = dummy ();
+      inflight = Fifo_queue.create ();
+      arrive = ignore;
       last_arrival = [| 0.0 |];
       up = true;
       carrier_watchers = [];
@@ -195,6 +243,7 @@ let create sim ?(name = "link") ~rate_bps ~prop_delay ?jitter ?rng ?loss
     }
   in
   t.ser_done <- (fun () -> ser_complete t);
+  t.arrive <- (fun () -> arrive_next t);
   t
 
 let send t ~size payload =

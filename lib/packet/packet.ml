@@ -54,8 +54,7 @@ let data ?(flow = 0) ?(frame = -1) ?(off = -1) ?(born = 0.0) ~seq ~size () =
   if size <= 0 then invalid_arg "Packet.data: size must be positive";
   { seq; size; kind = Data; flow; frame; off; born }
 
-let marker ?credit ?(reset = false) ?(epoch = 0) ?(gen = 0) ~channel ~round
-    ~dc ~born () =
+let marker_with ~credit ~reset ~epoch ~gen ~channel ~round ~dc ~born =
   {
     seq = -1;
     size = marker_size;
@@ -77,6 +76,10 @@ let marker ?credit ?(reset = false) ?(epoch = 0) ?(gen = 0) ~channel ~round
     off = -1;
     born;
   }
+
+let marker ?credit ?(reset = false) ?(epoch = 0) ?(gen = 0) ~channel ~round
+    ~dc ~born () =
+  marker_with ~credit ~reset ~epoch ~gen ~channel ~round ~dc ~born
 
 (* Wire damage that the link CRC missed: perturb the (round, DC) stamp —
    the fields whose corruption is dangerous — while keeping the now-stale

@@ -107,6 +107,13 @@ val marker :
 (** Build a marker packet; [reset] defaults to [false], [epoch] and
     [gen] to [0]. Markers have [seq = -1]. *)
 
+val marker_with :
+  credit:int option -> reset:bool -> epoch:int -> gen:int -> channel:int ->
+  round:int -> dc:int -> born:float -> t
+(** {!marker} with every field explicit. For per-packet paths: each
+    optional argument passed to {!marker} is boxed in an option at the
+    call site. *)
+
 val is_marker : t -> bool
 
 val get_marker : t -> marker

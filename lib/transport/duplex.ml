@@ -56,7 +56,8 @@ let advertise e ~channel ~deficit ~now =
   e.advertised.(channel) <- Credit.Receiver.current_limit e.in_credits ~channel;
   e.n_standalone_markers <- e.n_standalone_markers + 1;
   let pkt =
-    Stripe_core.Marker.packet_for e.marker_policy ~deficit ~channel ~now
+    Stripe_core.Marker.packet_for ~epoch:0 ~gen:0 e.marker_policy ~deficit
+      ~channel ~now
   in
   ignore
     (Stripe_netsim.Link.send e.out_links.(channel) ~size:pkt.Packet.size pkt)

@@ -1,0 +1,122 @@
+(* Allocation regression tests for the per-packet path (DESIGN.md §8,
+   "Allocation budget"). Each measures [Gc.minor_words] over a warmed
+   steady state. The bounds are set for the default (dev) build, which
+   does not inline across modules and so boxes more floats than a
+   release build. Each sits between what the path costs now and what
+   one broken rule costs:
+   - Link: 12 words/packet in dev (0 in release); a closure per arrival
+     adds 10;
+   - Resequencer.receive without a watchdog: about 0 words/call; a clock
+     read per arrival adds 2;
+   - Sharded_pool.run: 15 words/push in dev (2 in release); a closure
+     per replayed op adds about 18. *)
+
+open Stripe_netsim
+open Stripe_packet
+open Stripe_core
+module Bundle_pool = Stripe_fleet.Bundle_pool
+module Sharded_pool = Stripe_fleet.Sharded_pool
+
+let words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let check_at_most what ~bound actual =
+  if actual > bound then
+    Alcotest.failf "%s: %.3f words, bound %.3f" what actual bound
+
+let test_link_send_and_run () =
+  let sim = Sim.create ~engine:Sim.Calendar () in
+  let delivered = ref 0 in
+  let link =
+    Link.create sim ~rate_bps:1e9 ~prop_delay:0.001
+      ~deliver:(fun (_ : int) -> incr delivered)
+      ()
+  in
+  let n = 100_000 in
+  let send_and_run () =
+    for i = 1 to n do
+      ignore (Link.send link ~size:100 i)
+    done;
+    Sim.run sim
+  in
+  (* The first pass grows the transmit and in-flight rings. *)
+  send_and_run ();
+  let words = words_during send_and_run in
+  Alcotest.(check int) "all delivered" (2 * n) !delivered;
+  check_at_most "Link send + arrival per packet" ~bound:16.0
+    (words /. float_of_int n)
+
+let test_resequencer_in_order () =
+  let quanta = [| 1500; 1500; 1500 |] in
+  let sender = Srr.create ~quanta () in
+  let n = 1100 in
+  let channels =
+    Array.init n (fun _ ->
+        let c = Deficit.select sender in
+        Deficit.consume sender ~size:500;
+        c)
+  in
+  let pkts = Array.init n (fun i -> Packet.data ~seq:i ~size:500 ()) in
+  (* A clock whose reading is a fresh float, as a simulator's is. *)
+  let sim = Sim.create () in
+  Sim.schedule sim ~at:1.5 ignore;
+  Sim.run sim;
+  let delivered = ref 0 in
+  let r =
+    Resequencer.create ~deficit:(Srr.create ~quanta ())
+      ~now:(fun () -> Sim.now sim)
+      ~deliver:(fun ~channel:_ _ -> incr delivered)
+      ()
+  in
+  let receive lo hi =
+    for i = lo to hi - 1 do
+      Resequencer.receive r ~channel:channels.(i) pkts.(i)
+    done
+  in
+  (* Warm up: the first arrivals size the per-channel buffers. *)
+  receive 0 100;
+  let words = words_during (fun () -> receive 100 n) in
+  Alcotest.(check int) "all delivered in order" n !delivered;
+  check_at_most "Resequencer.receive per call" ~bound:0.5
+    (words /. float_of_int (n - 100))
+
+let test_sharded_replay () =
+  let config =
+    {
+      Bundle_pool.rate_bps = [| 10e6; 10e6 |];
+      prop_delay = [| 0.001; 0.002 |];
+      quanta = [| 1500; 1500 |];
+      marker_every = 4;
+      guard = false;
+      discipline = Bundle_pool.Srr;
+    }
+  in
+  let pool = Sharded_pool.create ~domains:1 ~seed:1 config in
+  let ids = Array.init 8 (fun i -> Sharded_pool.acquire pool ~at:(float_of_int i *. 1e-3)) in
+  let pushes = 20_000 in
+  for k = 0 to pushes - 1 do
+    Sharded_pool.push pool
+      ~at:(0.01 +. (float_of_int k *. 1e-4))
+      ids.(k mod 8)
+      ~size:(if k mod 3 = 0 then 1000 else 200)
+  done;
+  Array.iter (fun id -> Sharded_pool.release pool ~at:3.0 id) ids;
+  let report = ref None in
+  let words = words_during (fun () -> report := Some (Sharded_pool.run pool)) in
+  Alcotest.(check int) "all delivered" pushes
+    (Option.get !report).Sharded_pool.delivered_packets;
+  check_at_most "Sharded_pool.run per push" ~bound:24.0
+    (words /. float_of_int pushes)
+
+let suites =
+  [
+    ( "alloc",
+      [
+        Alcotest.test_case "link send and run" `Quick test_link_send_and_run;
+        Alcotest.test_case "resequencer in-order receive" `Quick
+          test_resequencer_in_order;
+        Alcotest.test_case "sharded replay" `Quick test_sharded_replay;
+      ] );
+  ]

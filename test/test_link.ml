@@ -139,6 +139,91 @@ let test_invalid_create () =
       ignore
         (Link.create sim ~rate_bps:0.0 ~prop_delay:0.0 ~deliver:ignore ()))
 
+(* Everything that perturbs the arrival path at once — jitter, Bernoulli
+   loss, reordering, duplication, corruption (some copies caught by the
+   CRC, some delivered mangled), and a carrier flap with packets queued
+   and in flight — on an overloaded link. The counters and the digest of
+   the (arrival time, payload) sequence are pinned: a change to how
+   arrivals are scheduled must leave every arrival where it was. Both
+   event engines must agree on them. *)
+let impaired_run engine =
+  let sim = Sim.create ~engine () in
+  let arrivals = ref [] in
+  let link =
+    Link.create sim ~name:"pin" ~rate_bps:2e6 ~prop_delay:0.002
+      ~jitter:(fun r -> Rng.float r 0.003)
+      ~rng:(Rng.create 2024) ~loss:(Loss.bernoulli ~p:0.05)
+      ~impair:
+        (Impair.make ~reorder_p:0.1 ~reorder_window:0.01 ~dup_p:0.05
+           ~corrupt_p:0.05 ())
+      ~corrupt:(fun v -> if v mod 2 = 0 then Some (v + 100_000) else None)
+      ~deliver:(fun v -> arrivals := (Sim.now sim, v) :: !arrivals)
+      ()
+  in
+  let n = 400 in
+  let rec tick i () =
+    ignore (Link.send link ~size:(100 + (i mod 7 * 50)) i);
+    if i + 1 < n then Sim.schedule_after sim ~delay:0.0005 (tick (i + 1))
+  in
+  Sim.schedule sim ~at:0.0 (tick 0);
+  Sim.schedule sim ~at:0.05 (fun () -> Link.set_up link false);
+  Sim.schedule sim ~at:0.056 (fun () -> Link.set_up link true);
+  Sim.run sim;
+  let b = Buffer.create 8192 in
+  List.iter (fun (t, v) -> Printf.bprintf b "%h %d\n" t v) (List.rev !arrivals);
+  (link, List.length !arrivals, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_impaired_arrivals_pinned () =
+  List.iter
+    (fun engine ->
+      let link, n_arrivals, digest = impaired_run engine in
+      let check what expected actual =
+        Alcotest.(check int) (Sim.engine_name engine ^ ": " ^ what) expected actual
+      in
+      check "arrivals" 321 n_arrivals;
+      check "sent" 339 (Link.sent_packets link);
+      check "delivered" 321 (Link.delivered_packets link);
+      check "lost" 14 (Link.lost_packets link);
+      check "down drops" 66 (Link.down_drops link);
+      check "txq drops" 0 (Link.txq_drops link);
+      check "reordered" 34 (Link.reordered_packets link);
+      check "duplicated" 12 (Link.duplicated_packets link);
+      check "corrupted" 18 (Link.corrupted_packets link);
+      check "crc drops" 11 (Link.corrupt_drops link);
+      Alcotest.(check string)
+        (Sim.engine_name engine ^ ": arrival digest")
+        "2a258015362668a29874a492c3234835" digest)
+    [ Sim.Heap; Sim.Calendar ]
+
+(* A [deliver] that sends on its own link again runs while the link is
+   inside its arrival event: the arrival must already be off the
+   in-flight ring, and everything must still come out in send order. *)
+let test_reentrant_deliver_fifo () =
+  let sim = Sim.create () in
+  let sent = ref [] and arrived = ref [] in
+  let link = ref None in
+  let send v =
+    sent := v :: !sent;
+    ignore (Link.send (Option.get !link) ~size:(200 + (v mod 5 * 100)) v)
+  in
+  link :=
+    Some
+      (Link.create sim ~rate_bps:1e6 ~prop_delay:0.004
+         ~jitter:(fun r -> Rng.float r 0.002)
+         ~rng:(Rng.create 5)
+         ~deliver:(fun v ->
+           arrived := v :: !arrived;
+           if v < 1000 then send (v + 1000))
+         ());
+  for v = 1 to 60 do
+    send v
+  done;
+  Sim.run sim;
+  Alcotest.(check int) "every packet and its echo arrived" 120
+    (List.length !arrived);
+  Alcotest.(check (list int)) "arrival order is send order" (List.rev !sent)
+    (List.rev !arrived)
+
 let suites =
   [
     ( "link",
@@ -154,5 +239,9 @@ let suites =
         Alcotest.test_case "queue accounting" `Quick test_queue_accounting;
         Alcotest.test_case "byte counters" `Quick test_byte_counters;
         Alcotest.test_case "invalid create" `Quick test_invalid_create;
+        Alcotest.test_case "impaired arrivals pinned" `Quick
+          test_impaired_arrivals_pinned;
+        Alcotest.test_case "re-entrant deliver keeps fifo" `Quick
+          test_reentrant_deliver_fifo;
       ] );
   ]

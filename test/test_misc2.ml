@@ -16,7 +16,7 @@ let test_select_for_in_overdraw_mode () =
 let test_marker_packet_for () =
   let d = Srr.create ~quanta:[| 500; 300 |] () in
   let policy = Marker.make ~credit_of:(fun c -> 100 + c) ~every_rounds:2 () in
-  let pkt = Marker.packet_for policy ~deficit:d ~channel:1 ~now:3.5 in
+  let pkt = Marker.packet_for ~epoch:0 ~gen:0 policy ~deficit:d ~channel:1 ~now:3.5 in
   let m = Packet.get_marker pkt in
   Alcotest.(check int) "channel" 1 m.Packet.m_channel;
   Alcotest.(check int) "round from next_stamp" 0 m.Packet.m_round;
