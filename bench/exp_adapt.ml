@@ -314,70 +314,37 @@ let print_outcome o =
     (if o.bound_ok then "ok" else "VIOLATED")
     (if o.resync_ok then "ok" else "LATE")
 
-let json_of_outcome ?(tag = fun c -> c) o =
-  Printf.sprintf
-    "{\"case\":\"%s\",\"n_packets\":%d,\"delivered\":%d,\"goodput_mbps\":%.3f,\"retunes\":%d,\"share_error\":%.5f,\"bound_ok\":%b,\"ooo_total\":%d,\"ooo_outside\":%d,\"resync_probes\":%.2f,\"resync_ok\":%b}"
-    (tag o.case) o.n_packets o.delivered o.goodput_mbps o.retunes
-    o.share_error o.bound_ok o.ooo_total o.ooo_outside o.resync_probes
-    o.resync_ok
-
-(* Minimal scanner for the committed JSON (same approach as
-   exp_throughput): find "FIELD":NUMBER after a "case":"CASE" tag. *)
-let scan_number ~case ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"case\":\"%s\"" case) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
+let fields_of_outcome ~tag o =
+  Bench_gate.
+    [
+      ("case", Str (tag o.case));
+      ("n_packets", Int o.n_packets);
+      ("delivered", Int o.delivered);
+      ("goodput_mbps", Num (3, o.goodput_mbps));
+      ("retunes", Int o.retunes);
+      ("share_error", Num (5, o.share_error));
+      ("bound_ok", Bool o.bound_ok);
+      ("ooo_total", Int o.ooo_total);
+      ("ooo_outside", Int o.ooo_outside);
+      ("resync_probes", Num (2, o.resync_probes));
+      ("resync_ok", Bool o.resync_ok);
+    ]
 
 let quick_tag c = c ^ "-quick"
+
+let usage = "exp_adapt [--quick] [--json FILE] [--check FILE]"
 
 let () =
   let quick = ref false in
   let json_out = ref None in
   let check = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check := Some file;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_adapt [--quick] [--json FILE] [--check FILE] (got %s)\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Bench_gate.Flag.(
+    parse ~usage
+      [
+        ("--quick", Unit (fun () -> quick := true));
+        ("--json", String (fun file -> json_out := Some file));
+        ("--check", String (fun file -> check := Some file));
+      ]);
   let n_full = 20_000 and n_quick = 6_000 in
   let n_packets = if !quick then n_quick else n_full in
   Printf.printf
@@ -386,6 +353,7 @@ let () =
     marker_rounds n_packets;
   let results = run_all ~n_packets in
   List.iter print_outcome results;
+  let tag c = if !quick then quick_tag c else c in
   (match !json_out with
   | None -> ()
   | Some file ->
@@ -394,95 +362,60 @@ let () =
     let quick_entries =
       if !quick then []
       else
-        List.map (json_of_outcome ~tag:quick_tag) (run_all ~n_packets:n_quick)
+        List.map
+          (fields_of_outcome ~tag:quick_tag)
+          (run_all ~n_packets:n_quick)
     in
-    let entries =
-      List.map
-        (json_of_outcome ~tag:(if !quick then quick_tag else fun c -> c))
-        results
-      @ quick_entries
-    in
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"4ch 10Mbps SRR markers=4 resequencer bimodal; ch0 \
-       to 5Mbps mid-run\",\n\
-      \  \"cases\": [\n    %s\n  ]\n\
-       }\n"
-      (String.concat ",\n    " entries);
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
+    Bench_gate.(
+      write file
+        ~header:
+          [
+            ( "scenario",
+              Str
+                "4ch 10Mbps SRR markers=4 resequencer bimodal; ch0 to 5Mbps \
+                 mid-run" );
+          ]
+        ~array:"cases"
+        (List.map (fields_of_outcome ~tag) results @ quick_entries)));
   match !check with
   | None -> ()
   | Some file ->
-    if not (Sys.file_exists file) then begin
-      Printf.eprintf
-        "  FAIL: baseline file %s does not exist — regenerate it with \
-         --json %s and commit it\n"
-        file file;
-      exit 1
-    end;
-    let fail = ref false in
+    let gate = Bench_gate.load ~key:"case" file in
     (* Live invariants first: the scheduler bound and quasi-FIFO hold in
        every case; an adaptive run must also have resynchronized within
        its two-probe deadline and beat its non-adaptive twin. *)
     List.iter
       (fun o ->
-        if not o.bound_ok then begin
-          Printf.eprintf "  FAIL: %s violates the Thm 3.2 window bound\n"
-            o.case;
-          fail := true
-        end;
-        if o.ooo_outside > 0 then begin
-          Printf.eprintf
-            "  FAIL: %s delivered %d packets out of order outside the \
-             retune exclusion windows\n"
+        if not o.bound_ok then
+          Bench_gate.fail gate "%s violates the Thm 3.2 window bound" o.case;
+        if o.ooo_outside > 0 then
+          Bench_gate.fail gate
+            "%s delivered %d packets out of order outside the retune \
+             exclusion windows"
             o.case o.ooo_outside;
-          fail := true
-        end;
-        if not o.resync_ok then begin
-          Printf.eprintf
-            "  FAIL: %s did not finish retuning within 2 probe intervals \
-             of the rate change\n"
-            o.case;
-          fail := true
-        end)
+        if not o.resync_ok then
+          Bench_gate.fail gate
+            "%s did not finish retuning within 2 probe intervals of the rate \
+             change"
+            o.case)
       results;
     let err c = (List.find (fun o -> o.case = c) results).share_error in
     List.iter
       (fun sc ->
-        if err (sc ^ "-on") >= err (sc ^ "-off") then begin
-          Printf.eprintf
-            "  FAIL: %s adaptation did not improve the capacity-share \
-             error (%.4f on vs %.4f off)\n"
+        if err (sc ^ "-on") >= err (sc ^ "-off") then
+          Bench_gate.fail gate
+            "%s adaptation did not improve the capacity-share error (%.4f on \
+             vs %.4f off)"
             sc
             (err (sc ^ "-on"))
-            (err (sc ^ "-off"));
-          fail := true
-        end)
+            (err (sc ^ "-off")))
       [ "step"; "ramp" ];
     (* Regression vs the committed baseline: deterministic virtual-time
        numbers, so allow only float-formatting slack. *)
     List.iter
       (fun o ->
-        let tag = if !quick then quick_tag o.case else o.case in
-        match scan_number ~case:tag ~field:"share_error" file with
-        | None ->
-          Printf.eprintf
-            "  FAIL: no committed \"share_error\" entry for case \"%s\" in \
-             %s — regenerate the baseline with --json\n"
-            tag file;
-          fail := true
-        | Some committed ->
-          let ceiling = (committed *. 1.10) +. 0.005 in
-          Printf.printf
-            "  check %-15s share-err %.4f vs committed %.4f (ceiling %.4f)\n"
-            tag o.share_error committed ceiling;
-          if o.share_error > ceiling then begin
-            Printf.eprintf
-              "  FAIL: %s share error regressed (%.4f > %.4f)\n" tag
-              o.share_error ceiling;
-            fail := true
-          end)
+        Bench_gate.check gate ~tag:(tag o.case) ~field:"share_error"
+          (Ceiling { rel = 0.10; abs = 0.005 })
+          o.share_error)
       results;
-    if !fail then exit 1 else Printf.printf "  check passed\n%!"
+    Bench_gate.finish gate

@@ -579,13 +579,68 @@ let print_run r =
     r.avail_mean r.avail_min r.inversions r.wd_dead r.quarantines r.violations
     r.health_violations r.conservation_failures
 
-let json_of_run r =
-  Printf.sprintf
-    "{\"run\":\"%s\",\"seed\":%d,\"bundles\":%d,\"chaos_events\":%d,\"delivered\":%d,\"carrier_drops\":%d,\"crashes\":%d,\"restarts\":%d,\"crashed_endpoints\":%d,\"recovered\":%d,\"mttr_ms\":%.3f,\"avail_mean\":%.5f,\"avail_min\":%.5f,\"inversions\":%d,\"violations\":%d,\"conservation_failures\":%d,\"watchdog_dead\":%d,\"quarantines\":%d,\"health_violations\":%d}"
-    r.tag r.seed r.bundles r.chaos_events r.delivered r.carrier_drops r.crashes
-    r.restarts r.crashed_endpoints r.recovered r.mttr_ms r.avail_mean
-    r.avail_min r.inversions r.violations r.conservation_failures r.wd_dead
-    r.quarantines r.health_violations
+let fields_of_run r =
+  Bench_gate.
+    [
+      ("run", Str r.tag);
+      ("seed", Int r.seed);
+      ("bundles", Int r.bundles);
+      ("chaos_events", Int r.chaos_events);
+      ("delivered", Int r.delivered);
+      ("carrier_drops", Int r.carrier_drops);
+      ("crashes", Int r.crashes);
+      ("restarts", Int r.restarts);
+      ("crashed_endpoints", Int r.crashed_endpoints);
+      ("recovered", Int r.recovered);
+      ("mttr_ms", Num (3, r.mttr_ms));
+      ("avail_mean", Num (5, r.avail_mean));
+      ("avail_min", Num (5, r.avail_min));
+      ("inversions", Int r.inversions);
+      ("violations", Int r.violations);
+      ("conservation_failures", Int r.conservation_failures);
+      ("watchdog_dead", Int r.wd_dead);
+      ("quarantines", Int r.quarantines);
+      ("health_violations", Int r.health_violations);
+    ]
+
+let health_selftest () =
+  (* The liveness monitor must fire when quarantines zero the live
+     membership, and shadow reinstatements back out. No simulation:
+     drive the event stream directly. *)
+  let mon = Monitor.create ~live_channels:n_channels () in
+  let sink = Monitor.sink mon in
+  let ev kind c t =
+    Stripe_obs.Sink.emit sink
+      (Stripe_obs.Event.v ~channel:c ~size:0 ~seq:0 ~time:t kind)
+  in
+  for c = 0 to n_channels - 2 do
+    ev Stripe_obs.Event.Quarantine c (float_of_int c)
+  done;
+  if Monitor.violations mon <> 0 then begin
+    Printf.eprintf
+      "  FAIL: liveness monitor fired with one live channel left\n";
+    exit 1
+  end;
+  ev Stripe_obs.Event.Reinstate 0 10.0;
+  ev Stripe_obs.Event.Quarantine 0 11.0;
+  ev Stripe_obs.Event.Quarantine (n_channels - 1) 12.0;
+  if Monitor.violations mon <> 1 then begin
+    Printf.eprintf
+      "  FAIL: liveness monitor missed a membership-zeroing quarantine \
+       (saw %d violations)\n"
+      (Monitor.violations mon);
+    exit 1
+  end;
+  Printf.printf
+    "exp_chaos: health-monitor self-test passed — %d quarantines tolerated \
+     with a live member, the zeroing one caught\n"
+    n_channels;
+  exit 0
+
+let usage =
+  "exp_chaos [--quick] [--bundles N] [--seed S] [--profile \
+   storms|crashes|degrades|mixed] [--discipline srr|sprinklers|load-aware] \
+   [--domains N] [--json FILE] [--inject-violation] [--health-selftest]"
 
 let () =
   let quick = ref false in
@@ -596,83 +651,31 @@ let () =
   let profile_filter = ref None in
   let domains = ref 1 in
   let discipline = ref Bundle_pool.Srr in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--bundles" :: v :: rest ->
-      bundles := Some (int_of_string v);
-      parse rest
-    | "--domains" :: v :: rest ->
-      domains := Sharded_pool.resolve_domains (int_of_string v);
-      parse rest
-    | "--seed" :: v :: rest ->
-      seed := Some (int_of_string v);
-      parse rest
-    | "--profile" :: v :: rest ->
-      profile_filter := Some v;
-      parse rest
-    | "--discipline" :: v :: rest ->
-      (discipline :=
-         match v with
-         | "srr" -> Bundle_pool.Srr
-         | "sprinklers" -> Bundle_pool.Sprinklers 0x5eed
-         | "load-aware" -> Bundle_pool.Load_aware
-         | _ ->
-           Printf.eprintf
-             "unknown discipline %S (want srr|sprinklers|load-aware)\n" v;
-           exit 2);
-      parse rest
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--inject-violation" :: rest ->
-      inject := true;
-      parse rest
-    | "--health-selftest" :: _ ->
-      (* The liveness monitor must fire when quarantines zero the live
-         membership, and shadow reinstatements back out. No simulation:
-         drive the event stream directly. *)
-      let mon = Monitor.create ~live_channels:n_channels () in
-      let sink = Monitor.sink mon in
-      let ev kind c t =
-        Stripe_obs.Sink.emit sink
-          (Stripe_obs.Event.v ~channel:c ~size:0 ~seq:0 ~time:t kind)
-      in
-      for c = 0 to n_channels - 2 do
-        ev Stripe_obs.Event.Quarantine c (float_of_int c)
-      done;
-      if Monitor.violations mon <> 0 then begin
-        Printf.eprintf
-          "  FAIL: liveness monitor fired with one live channel left\n";
-        exit 1
-      end;
-      ev Stripe_obs.Event.Reinstate 0 10.0;
-      ev Stripe_obs.Event.Quarantine 0 11.0;
-      ev Stripe_obs.Event.Quarantine (n_channels - 1) 12.0;
-      if Monitor.violations mon <> 1 then begin
-        Printf.eprintf
-          "  FAIL: liveness monitor missed a membership-zeroing quarantine \
-           (saw %d violations)\n"
-          (Monitor.violations mon);
-        exit 1
-      end;
-      Printf.printf
-        "exp_chaos: health-monitor self-test passed — %d quarantines tolerated \
-         with a live member, the zeroing one caught\n"
-        n_channels;
-      exit 0
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_chaos [--quick] [--bundles N] [--seed S] [--profile \
-         storms|crashes|degrades|mixed] [--discipline \
-         srr|sprinklers|load-aware] [--domains N] [--json FILE] \
-         [--inject-violation] [--health-selftest] (got %s)\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Bench_gate.Flag.(
+    parse ~usage
+      [
+        ("--quick", Unit (fun () -> quick := true));
+        ("--bundles", Int (fun n -> bundles := Some n));
+        ("--domains", Int (fun n -> domains := Sharded_pool.resolve_domains n));
+        ("--seed", Int (fun n -> seed := Some n));
+        ("--profile", String (fun v -> profile_filter := Some v));
+        ( "--discipline",
+          String
+            (fun v ->
+              discipline :=
+                match v with
+                | "srr" -> Bundle_pool.Srr
+                | "sprinklers" -> Bundle_pool.Sprinklers 0x5eed
+                | "load-aware" -> Bundle_pool.Load_aware
+                | _ ->
+                  Printf.eprintf
+                    "unknown discipline %S (want srr|sprinklers|load-aware)\n"
+                    v;
+                  exit 2) );
+        ("--json", String (fun file -> json_out := Some file));
+        ("--inject-violation", Unit (fun () -> inject := true));
+        ("--health-selftest", Unit health_selftest);
+      ]);
   let seeds = match !seed with Some s -> [ s ] | None -> [ 11; 23; 42 ] in
   let profiles =
     match !profile_filter with
@@ -751,16 +754,17 @@ let () =
   (match !json_out with
   | None -> ()
   | Some file ->
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"chaos soak: 4ch SRR fleet, seeded storms + endpoint \
-       crashes, monitors on\",\n\
-      \  \"runs\": [\n    %s\n  ]\n\
-       }\n"
-      (String.concat ",\n    " (List.map json_of_run runs));
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
+    Bench_gate.(
+      write file
+        ~header:
+          [
+            ( "scenario",
+              Str
+                "chaos soak: 4ch SRR fleet, seeded storms + endpoint crashes, \
+                 monitors on" );
+          ]
+        ~array:"runs"
+        (List.map fields_of_run runs)));
   let failures = List.filter (fun r -> r.failure <> None) runs in
   if failures <> [] then begin
     List.iter

@@ -383,44 +383,18 @@ let print_table results =
     "wire busy (goodput) but surrenders ordering entirely - the depth and";
   print_endline "inversion columns price that trade.\n"
 
-let json_of_result r =
-  Printf.sprintf
-    "{\"config\":\"%s\",\"fairness\":%d,\"delivered\":%d,\"goodput_mbps\":%.4f,\"depth_max\":%d,\"depth_p99\":%d,\"inversions\":%d,\"resync_ms\":%.3f}"
-    r.slug r.fairness r.delivered r.goodput_mbps r.depth_max r.depth_p99
-    r.inversions r.resync_ms
-
-(* Minimal committed-JSON scanner (same as exp_impair): find
-   "FIELD":NUMBER after a "config":"SLUG" tag. *)
-let scan_number ~slug ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"config\":\"%s\"" slug) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
+let fields_of_result r =
+  Bench_gate.
+    [
+      ("config", Str r.slug);
+      ("fairness", Int r.fairness);
+      ("delivered", Int r.delivered);
+      ("goodput_mbps", Num (4, r.goodput_mbps));
+      ("depth_max", Int r.depth_max);
+      ("depth_p99", Int r.depth_p99);
+      ("inversions", Int r.inversions);
+      ("resync_ms", Num (3, r.resync_ms));
+    ]
 
 (* The Sprinklers acceptance bar, enforced on every run: on the bursty
    clean scenario it must beat SRR's arrival reorder depth strictly, at
@@ -443,86 +417,31 @@ let acceptance results =
   ok_depth && ok_goodput
 
 let check ~max_regress ~file results =
-  if not (Sys.file_exists file) then begin
-    Printf.eprintf
-      "  FAIL: baseline file %s does not exist — regenerate it with --json \
-       %s and commit it\n"
-      file file;
-    exit 1
-  end;
-  let fail = ref false in
-  let lookup slug field =
-    match scan_number ~slug ~field file with
-    | Some v -> v
-    | None ->
-      Printf.eprintf
-        "  FAIL: no committed \"%s\" entry for config \"%s\" in %s — \
-         regenerate the baseline with --json\n"
-        field slug file;
-      fail := true;
-      Float.nan
-  in
-  let check_lower slug what current committed =
-    if Float.is_nan committed then ()
-    else begin
-      let floor = committed *. (1.0 -. max_regress) in
-      Printf.printf
-        "  check %-24s %-12s %10.3f vs committed %10.3f (floor %.3f)\n" slug
-        what current committed floor;
-      if current < floor then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%.3f < %.3f)\n" slug what
-          current floor;
-        fail := true
-      end
-    end
-  in
-  let check_time slug what current committed =
-    if Float.is_nan committed then ()
-    else if committed < 0.0 then ()
-    else begin
-      let ceiling = (committed *. (1.0 +. max_regress)) +. 1.0 in
-      Printf.printf
-        "  check %-24s %-12s %10.3f vs committed %10.3f (ceiling %.3f)\n"
-        slug what current committed ceiling;
-      if current < 0.0 || current > ceiling then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%s > %.3f ms)\n" slug what
-          (fmt_ms current) ceiling;
-        fail := true
-      end
-    end
-  in
+  let gate = Bench_gate.load ~key:"config" file in
   List.iter
     (fun r ->
-      check_lower r.slug "delivered" (float_of_int r.delivered)
-        (lookup r.slug "delivered");
-      check_time r.slug "resync_ms" r.resync_ms (lookup r.slug "resync_ms"))
+      Bench_gate.check gate ~tag:r.slug ~field:"delivered" (Floor max_regress)
+        (float_of_int r.delivered);
+      Bench_gate.check gate ~tag:r.slug ~field:"resync_ms"
+        (Time_ceiling max_regress) r.resync_ms)
     results;
-  if not (acceptance results) then fail := true;
-  if !fail then exit 1
+  if not (acceptance results) then
+    Bench_gate.fail gate "sprinklers misses the acceptance bar against srr";
+  Bench_gate.finish gate
+
+let usage = "exp_disciplines [--json FILE] [--check FILE] [--max-regress F]"
 
 let () =
   let json_out = ref None in
   let check_file = ref None in
   let max_regress = ref 0.05 in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check_file := Some file;
-      parse rest
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_of_string v;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_disciplines [--json FILE] [--check FILE] [--max-regress \
-         F] (got %s)\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Bench_gate.Flag.(
+    parse ~usage
+      [
+        ("--json", String (fun file -> json_out := Some file));
+        ("--check", String (fun file -> check_file := Some file));
+        ("--max-regress", Float (( := ) max_regress));
+      ]);
   print_endline
     "Striping disciplines - 3 x 10 Mbps, delays 8/1/4 ms, bursty source (6 x \
      1000 B trains every 12 ms), scenarios clean/impair/failover/health";
@@ -538,16 +457,17 @@ let () =
   (match !json_out with
   | None -> ()
   | Some file ->
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"disciplines: 3x10Mbps delays 8/1/4ms, bursty 6x1000B \
-       trains every 12ms, scenarios clean/impair/failover/health\",\n\
-      \  \"configs\": [\n    %s\n  ]\n\
-       }\n"
-      (String.concat ",\n    " (List.map json_of_result results));
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
+    Bench_gate.(
+      write file
+        ~header:
+          [
+            ( "scenario",
+              Str
+                "disciplines: 3x10Mbps delays 8/1/4ms, bursty 6x1000B trains \
+                 every 12ms, scenarios clean/impair/failover/health" );
+          ]
+        ~array:"configs"
+        (List.map fields_of_result results)));
   match !check_file with
   | None -> ()
   | Some file -> check ~max_regress:!max_regress ~file results

@@ -206,136 +206,50 @@ let print_table results =
   print_endline "(quasi-FIFO). Combined, the survivors carry everything and delivery";
   print_endline "never reorders.\n"
 
-let json_of_result r =
-  Printf.sprintf
-    "{\"config\":\"%s\",\"delivered\":%d,\"ooo\":%d,\"wd_skips\":%d,\"longest_outage_ms\":%.3f,\"failback_ms\":%.3f,\"resync_ms\":%.3f,\"availability\":%.4f}"
-    r.slug r.delivered r.ooo r.wd_skips r.longest_outage_ms r.failback_ms
-    r.resync_ms r.availability
-
-(* Same minimal committed-JSON scanner as exp_fleet: find "FIELD":NUMBER
-   after a "config":"SLUG" tag. *)
-let scan_number ~slug ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"config\":\"%s\"" slug) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
+let fields_of_result r =
+  Bench_gate.
+    [
+      ("config", Str r.slug);
+      ("delivered", Int r.delivered);
+      ("ooo", Int r.ooo);
+      ("wd_skips", Int r.wd_skips);
+      ("longest_outage_ms", Num (3, r.longest_outage_ms));
+      ("failback_ms", Num (3, r.failback_ms));
+      ("resync_ms", Num (3, r.resync_ms));
+      ("availability", Num (4, r.availability));
+    ]
 
 (* The run is virtual-time deterministic, so a tight default tolerance
    holds; the slack absorbs deliberate small protocol changes without
    baseline churn. Recovery times get 1 ms absolute headroom on top so
    a 0 ms committed value does not demand exact zeros forever. *)
 let check ~max_regress ~file results =
-  if not (Sys.file_exists file) then begin
-    Printf.eprintf
-      "  FAIL: baseline file %s does not exist — regenerate it with --json %s \
-       and commit it\n"
-      file file;
-    exit 1
-  end;
-  let fail = ref false in
-  let lookup slug field =
-    match scan_number ~slug ~field file with
-    | Some v -> v
-    | None ->
-      Printf.eprintf
-        "  FAIL: no committed \"%s\" entry for config \"%s\" in %s — \
-         regenerate the baseline with --json\n"
-        field slug file;
-      fail := true;
-      Float.nan
-  in
-  let check_lower slug what current committed =
-    if Float.is_nan committed then ()
-    else begin
-      let floor = committed *. (1.0 -. max_regress) in
-      Printf.printf "  check %-13s %-12s %10.3f vs committed %10.3f (floor %.3f)\n"
-        slug what current committed floor;
-      if current < floor then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%.3f < %.3f)\n" slug what
-          current floor;
-        fail := true
-      end
-    end
-  in
-  let check_time slug what current committed =
-    if Float.is_nan committed then ()
-    else if committed < 0.0 then begin
-      (* Committed "never": coming back at all is an improvement. *)
-      Printf.printf "  check %-13s %-12s %10s vs committed never\n" slug what
-        (fmt_ms current)
-    end
-    else begin
-      let ceiling = (committed *. (1.0 +. max_regress)) +. 1.0 in
-      Printf.printf
-        "  check %-13s %-12s %10.3f vs committed %10.3f (ceiling %.3f)\n" slug
-        what current committed ceiling;
-      if current < 0.0 || current > ceiling then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%s > %.3f ms)\n" slug what
-          (fmt_ms current) ceiling;
-        fail := true
-      end
-    end
-  in
+  let gate = Bench_gate.load ~key:"config" file in
   List.iter
     (fun r ->
-      check_lower r.slug "availability" r.availability
-        (lookup r.slug "availability");
-      check_lower r.slug "delivered" (float_of_int r.delivered)
-        (lookup r.slug "delivered");
-      check_time r.slug "failback_ms" r.failback_ms
-        (lookup r.slug "failback_ms");
-      check_time r.slug "resync_ms" r.resync_ms (lookup r.slug "resync_ms"))
+      let check_field field rule v =
+        Bench_gate.check gate ~tag:r.slug ~field rule v
+      in
+      check_field "availability" (Floor max_regress) r.availability;
+      check_field "delivered" (Floor max_regress) (float_of_int r.delivered);
+      check_field "failback_ms" (Time_ceiling max_regress) r.failback_ms;
+      check_field "resync_ms" (Time_ceiling max_regress) r.resync_ms)
     results;
-  if !fail then exit 1
+  Bench_gate.finish gate
+
+let usage = "exp_failover [--json FILE] [--check FILE] [--max-regress F]"
 
 let () =
   let json_out = ref None in
   let check_file = ref None in
   let max_regress = ref 0.05 in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check_file := Some file;
-      parse rest
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_of_string v;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_failover [--json FILE] [--check FILE] [--max-regress F] \
-         (got %s)\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Bench_gate.Flag.(
+    parse ~usage
+      [
+        ("--json", String (fun file -> json_out := Some file));
+        ("--check", String (fun file -> check_file := Some file));
+        ("--max-regress", Float (( := ) max_regress));
+      ]);
   print_endline
     "Failover - member down at 1.0 s, back at 2.0 s (3 x 10 Mbps SRR, markers \
      every 4 rounds)";
@@ -344,16 +258,17 @@ let () =
   (match !json_out with
   | None -> ()
   | Some file ->
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"failover: 3x10Mbps SRR markers=4, member 1 down \
-       1.0-2.0s, 80%% offered load\",\n\
-      \  \"configs\": [\n    %s\n  ]\n\
-       }\n"
-      (String.concat ",\n    " (List.map json_of_result results));
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
+    Bench_gate.(
+      write file
+        ~header:
+          [
+            ( "scenario",
+              Str
+                "failover: 3x10Mbps SRR markers=4, member 1 down 1.0-2.0s, \
+                 80% offered load" );
+          ]
+        ~array:"configs"
+        (List.map fields_of_result results)));
   match !check_file with
   | None -> ()
   | Some file -> check ~max_regress:!max_regress ~file results

@@ -239,25 +239,45 @@ let run_once ~engine ~total_bundles ~domains () =
 let quick_tag engine = engine ^ "-quick"
 let domain_tag domains tag = Printf.sprintf "%s-d%d" tag domains
 
-let json_of_shard (s : Sharded_pool.shard_report) =
-  Printf.sprintf
-    "{\"shard\":%d,\"slots\":%d,\"generations\":%d,\"delivered\":%d,\"markers\":%d,\"wall_s\":%.4f}"
-    s.Sharded_pool.shard s.Sharded_pool.slots s.Sharded_pool.generations
-    s.Sharded_pool.delivered_packets s.Sharded_pool.markers_sent
-    s.Sharded_pool.wall_s
+let fields_of_shard (s : Sharded_pool.shard_report) =
+  Bench_gate.
+    [
+      ("shard", Int s.Sharded_pool.shard);
+      ("slots", Int s.Sharded_pool.slots);
+      ("generations", Int s.Sharded_pool.generations);
+      ("delivered", Int s.Sharded_pool.delivered_packets);
+      ("markers", Int s.Sharded_pool.markers_sent);
+      ("wall_s", Num (4, s.Sharded_pool.wall_s));
+    ]
 
-let json_of_result ?(tag = fun e -> e) r =
+let fields_of_result ~tag r =
   let shard_part =
-    if r.domains = 1 then ""
+    if r.domains = 1 then []
     else
-      Printf.sprintf ",\"efficiency\":%.3f,\"shards\":[%s]" r.efficiency
-        (String.concat ","
-           (Array.to_list (Array.map json_of_shard r.shards)))
+      Bench_gate.
+        [
+          ("efficiency", Num (3, r.efficiency));
+          ( "shards",
+            List
+              (Array.to_list
+                 (Array.map (fun s -> Obj (fields_of_shard s)) r.shards)) );
+        ]
   in
-  Printf.sprintf
-    "{\"engine\":\"%s\",\"domains\":%d,\"bundles\":%d,\"peak_live\":%d,\"delivered\":%d,\"markers\":%d,\"wall_s\":%.4f,\"pps\":%.1f,\"share_p50\":%.4f,\"share_p99\":%.4f,\"sim_seconds\":%.4f%s}"
-    (tag r.engine) r.domains r.bundles r.peak_live r.delivered r.markers
-    r.wall_s r.pps r.share_p50 r.share_p99 r.sim_seconds shard_part
+  Bench_gate.
+    [
+      ("engine", Str tag);
+      ("domains", Int r.domains);
+      ("bundles", Int r.bundles);
+      ("peak_live", Int r.peak_live);
+      ("delivered", Int r.delivered);
+      ("markers", Int r.markers);
+      ("wall_s", Num (4, r.wall_s));
+      ("pps", Num (1, r.pps));
+      ("share_p50", Num (4, r.share_p50));
+      ("share_p99", Num (4, r.share_p99));
+      ("sim_seconds", Num (4, r.sim_seconds));
+    ]
+  @ shard_part
 
 let print_result r =
   Printf.printf
@@ -281,39 +301,6 @@ let print_result r =
       (100.0 *. r.efficiency)
   end
 
-(* Same minimal committed-JSON scanner as exp_throughput: find
-   "FIELD":NUMBER after an "engine":"ENGINE" tag. *)
-let scan_number ~engine ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"engine\":\"%s\"" engine) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
-
 let best_of ~repeat ~engine ~total_bundles ~domains () =
   let best = ref (run_once ~engine ~total_bundles ~domains ()) in
   for _ = 2 to repeat do
@@ -325,6 +312,10 @@ let best_of ~repeat ~engine ~total_bundles ~domains () =
 let quick_bundles = 10_000
 let full_bundles = 25_000
 
+let usage =
+  "exp_fleet [--quick] [--bundles N] [--repeat N] [--domains N] [--json \
+   FILE] [--check FILE] [--max-regress F] [--engine heap|calendar]"
+
 let () =
   let quick = ref false in
   let bundles = ref None in
@@ -334,44 +325,23 @@ let () =
   let repeat = ref 3 in
   let domains = ref 1 in
   let engines = ref [ Sim.Heap; Sim.Calendar ] in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--bundles" :: v :: rest ->
-      bundles := Some (int_of_string v);
-      parse rest
-    | "--repeat" :: v :: rest ->
-      repeat := max 1 (int_of_string v);
-      parse rest
-    | "--domains" :: v :: rest ->
-      domains := Sharded_pool.resolve_domains (int_of_string v);
-      parse rest
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check := Some file;
-      parse rest
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_of_string v;
-      parse rest
-    | "--engine" :: "heap" :: rest ->
-      engines := [ Sim.Heap ];
-      parse rest
-    | "--engine" :: "calendar" :: rest ->
-      engines := [ Sim.Calendar ];
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_fleet [--quick] [--bundles N] [--repeat N] [--domains N] \
-         [--json FILE] [--check FILE] [--max-regress F] [--engine \
-         heap|calendar] (got %s)\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Bench_gate.Flag.(
+    parse ~usage
+      [
+        ("--quick", Unit (fun () -> quick := true));
+        ("--bundles", Int (fun n -> bundles := Some n));
+        ("--repeat", Int (fun n -> repeat := max 1 n));
+        ("--domains", Int (fun n -> domains := Sharded_pool.resolve_domains n));
+        ("--json", String (fun file -> json_out := Some file));
+        ("--check", String (fun file -> check := Some file));
+        ("--max-regress", Float (( := ) max_regress));
+        ( "--engine",
+          String
+            (function
+            | "heap" -> engines := [ Sim.Heap ]
+            | "calendar" -> engines := [ Sim.Calendar ]
+            | v -> Bench_gate.usage_error ~usage ("--engine " ^ v)) );
+      ]);
   let domains = !domains in
   let total_bundles =
     match !bundles with
@@ -415,99 +385,46 @@ let () =
               best_of ~repeat:!repeat ~engine:e ~total_bundles:quick_bundles
                 ~domains ()
             in
-            json_of_result
-              ~tag:(fun _ -> entry_tag { r with engine = quick_tag r.engine })
+            fields_of_result
+              ~tag:(entry_tag { r with engine = quick_tag r.engine })
               r)
           !engines
     in
-    let entries =
-      List.map (fun r -> json_of_result ~tag:(fun _ -> entry_tag r) r) results
-      @ quick_entries
-    in
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"bundle-pool fleet, 4ch SRR markers=4, poisson churn \
-       2000/s life 0.5s, 100k pps offered\",\n\
-      \  \"bundles\": %d,\n\
-      \  \"engines\": [\n    %s\n  ]\n\
-       }\n"
-      total_bundles
-      (String.concat ",\n    " entries);
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
+    Bench_gate.(
+      write file
+        ~header:
+          [
+            ( "scenario",
+              Str
+                "bundle-pool fleet, 4ch SRR markers=4, poisson churn 2000/s \
+                 life 0.5s, 100k pps offered" );
+            ("bundles", Int total_bundles);
+          ]
+        ~array:"engines"
+        (List.map (fun r -> fields_of_result ~tag:(entry_tag r) r) results
+        @ quick_entries)));
   match !check with
   | None -> ()
   | Some file ->
-    if not (Sys.file_exists file) then begin
-      Printf.eprintf
-        "  FAIL: baseline file %s does not exist — regenerate it with --json \
-         %s and commit it\n"
-        file file;
-      exit 1
-    end;
-    let fail = ref false in
+    let gate = Bench_gate.load ~key:"engine" file in
     List.iter
       (fun r ->
         let anchor = base_tag r in
         (* Wall-clock gate: single-domain only (CI runners may be
            single-core, so a sharded run's pps is not comparable). *)
-        (if r.domains = 1 then
-           match scan_number ~engine:anchor ~field:"pps" file with
-           | None ->
-             Printf.eprintf
-               "  FAIL: no committed \"pps\" entry for engine \"%s\" in %s — \
-                regenerate the baseline with --json\n"
-               anchor file;
-             fail := true
-           | Some committed ->
-             let floor = committed *. (1.0 -. !max_regress) in
-             Printf.printf
-               "  check %-16s %.0f pps vs committed %.0f (floor %.0f)\n" anchor
-               r.pps committed floor;
-             if r.pps < floor then begin
-               Printf.eprintf
-                 "  FAIL: %s regressed more than %.0f%% (%.0f < %.0f pps)\n"
-                 anchor
-                 (100.0 *. !max_regress)
-                 r.pps floor;
-               fail := true
-             end);
+        if r.domains = 1 then
+          Bench_gate.check gate ~tag:anchor ~field:"pps" (Floor !max_regress)
+            r.pps;
         (* Determinism gate: the protocol aggregates must equal the
-           committed single-domain anchor — for every domain count. *)
-        let eq_int field actual =
-          match scan_number ~engine:anchor ~field file with
-          | None -> ()
-          | Some committed ->
-            if float_of_int actual <> committed then begin
-              Printf.eprintf
-                "  FAIL: %s (domains=%d): \"%s\" %d differs from committed \
-                 anchor %.0f\n"
-                anchor r.domains field actual committed;
-              fail := true
-            end
-        in
-        let eq_float field actual =
-          match scan_number ~engine:anchor ~field file with
-          | None -> ()
-          | Some committed ->
-            (* The committed JSON rounds to 4 decimals. *)
-            if Float.abs (actual -. committed) > 5e-5 then begin
-              Printf.eprintf
-                "  FAIL: %s (domains=%d): \"%s\" %.4f differs from committed \
-                 anchor %.4f\n"
-                anchor r.domains field actual committed;
-              fail := true
-            end
-        in
-        eq_int "delivered" r.delivered;
-        eq_int "markers" r.markers;
-        eq_float "share_p50" r.share_p50;
-        eq_float "share_p99" r.share_p99;
-        if r.domains > 1 then
-          Printf.printf
-            "  check %-16s domains=%d aggregates match the single-domain \
-             anchor\n"
-            anchor r.domains)
+           committed single-domain anchor — for every domain count. The
+           committed JSON rounds the share errors to 4 decimals. *)
+        Bench_gate.check gate ~tag:anchor ~field:"delivered" Exact
+          (float_of_int r.delivered);
+        Bench_gate.check gate ~tag:anchor ~field:"markers" Exact
+          (float_of_int r.markers);
+        Bench_gate.check gate ~tag:anchor ~field:"share_p50" (Within 5e-5)
+          r.share_p50;
+        Bench_gate.check gate ~tag:anchor ~field:"share_p99" (Within 5e-5)
+          r.share_p99)
       results;
-    if !fail then exit 1
+    Bench_gate.finish gate

@@ -287,128 +287,47 @@ let print_table results =
     "quantum back. The last-live-channel guard and the liveness monitor";
   print_endline "agree throughout: the bundle never heals itself to death.\n"
 
-let json_of_result r =
-  Printf.sprintf
-    "{\"config\":\"%s\",\"delivered\":%d,\"retained\":%.4f,\"ooo\":%d,\"wd_skips\":%d,\"quarantines\":%d,\"flaps\":%d,\"detect_ms\":%.3f,\"deferred\":%d,\"violations\":%d}"
-    r.slug r.o.delivered r.retained r.o.ooo r.o.wd_skips r.o.quarantines
-    r.o.flaps r.o.detect_ms r.o.deferred r.o.violations
-
-(* Same minimal committed-JSON scanner as exp_failover: find
-   "FIELD":NUMBER after a "config":"SLUG" tag. *)
-let scan_number ~slug ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"config\":\"%s\"" slug) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
+let fields_of_result r =
+  Bench_gate.
+    [
+      ("config", Str r.slug);
+      ("delivered", Int r.o.delivered);
+      ("retained", Num (4, r.retained));
+      ("ooo", Int r.o.ooo);
+      ("wd_skips", Int r.o.wd_skips);
+      ("quarantines", Int r.o.quarantines);
+      ("flaps", Int r.o.flaps);
+      ("detect_ms", Num (3, r.o.detect_ms));
+      ("deferred", Int r.o.deferred);
+      ("violations", Int r.o.violations);
+    ]
 
 let check ~max_regress ~file results =
-  if not (Sys.file_exists file) then begin
-    Printf.eprintf
-      "  FAIL: baseline file %s does not exist — regenerate it with --json %s \
-       and commit it\n"
-      file file;
-    exit 1
-  end;
-  let fail = ref false in
-  let lookup slug field =
-    match scan_number ~slug ~field file with
-    | Some v -> v
-    | None ->
-      Printf.eprintf
-        "  FAIL: no committed \"%s\" entry for config \"%s\" in %s — \
-         regenerate the baseline with --json\n"
-        field slug file;
-      fail := true;
-      Float.nan
-  in
-  let check_lower slug what current committed =
-    if Float.is_nan committed then ()
-    else begin
-      let floor = committed *. (1.0 -. max_regress) in
-      Printf.printf
-        "  check %-10s %-12s %10.3f vs committed %10.3f (floor %.3f)\n" slug
-        what current committed floor;
-      if current < floor then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%.3f < %.3f)\n" slug what
-          current floor;
-        fail := true
-      end
-    end
-  in
-  let check_time slug what current committed =
-    if Float.is_nan committed then ()
-    else if committed < 0.0 then
-      Printf.printf "  check %-10s %-12s %10s vs committed never\n" slug what
-        (fmt_ms current)
-    else begin
-      let ceiling = (committed *. (1.0 +. max_regress)) +. 1.0 in
-      Printf.printf
-        "  check %-10s %-12s %10.3f vs committed %10.3f (ceiling %.3f)\n" slug
-        what current committed ceiling;
-      if current < 0.0 || current > ceiling then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%s > %.3f ms)\n" slug what
-          (fmt_ms current) ceiling;
-        fail := true
-      end
-    end
-  in
+  let gate = Bench_gate.load ~key:"config" file in
   List.iter
     (fun r ->
-      check_lower r.slug "delivered" (float_of_int r.o.delivered)
-        (lookup r.slug "delivered");
-      check_lower r.slug "retained" r.retained (lookup r.slug "retained");
-      check_time r.slug "detect_ms" r.o.detect_ms (lookup r.slug "detect_ms"))
+      let check_field field rule v =
+        Bench_gate.check gate ~tag:r.slug ~field rule v
+      in
+      check_field "delivered" (Floor max_regress) (float_of_int r.o.delivered);
+      check_field "retained" (Floor max_regress) r.retained;
+      check_field "detect_ms" (Time_ceiling max_regress) r.o.detect_ms)
     results;
-  if !fail then exit 1
+  Bench_gate.finish gate
+
+let usage = "exp_gray [--json FILE] [--check FILE] [--max-regress F]"
 
 let () =
   let json_out = ref None in
   let check_file = ref None in
   let max_regress = ref 0.05 in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check_file := Some file;
-      parse rest
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_of_string v;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_gray [--json FILE] [--check FILE] [--max-regress F] (got \
-         %s)\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Bench_gate.Flag.(
+    parse ~usage
+      [
+        ("--json", String (fun file -> json_out := Some file));
+        ("--check", String (fun file -> check_file := Some file));
+        ("--max-regress", Float (( := ) max_regress));
+      ]);
   print_endline
     "Gray failure - channel 1 at ~45% bursty loss 1.0-3.0 s, carrier up (3 x \
      10 Mbps SRR, markers every 4 rounds)";
@@ -450,16 +369,17 @@ let () =
   (match !json_out with
   | None -> ()
   | Some file ->
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"gray failure: 3x10Mbps SRR markers=4, channel 1 \
-       Gilbert ~45%% loss 1.0-3.0s carrier up, 53%% offered load\",\n\
-      \  \"configs\": [\n    %s\n  ]\n\
-       }\n"
-      (String.concat ",\n    " (List.map json_of_result results));
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
+    Bench_gate.(
+      write file
+        ~header:
+          [
+            ( "scenario",
+              Str
+                "gray failure: 3x10Mbps SRR markers=4, channel 1 Gilbert ~45% \
+                 loss 1.0-3.0s carrier up, 53% offered load" );
+          ]
+        ~array:"configs"
+        (List.map fields_of_result results)));
   match !check_file with
   | None -> ()
   | Some file -> check ~max_regress:!max_regress ~file results

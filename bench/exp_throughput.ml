@@ -133,49 +133,23 @@ let run_once ~engine ~n_packets () =
    [--quick] check reads the ["<engine>-quick"] entries. *)
 let quick_tag engine = engine ^ "-quick"
 
-let json_of_result ?(tag = fun e -> e) r =
-  Printf.sprintf
-    "{\"engine\":\"%s\",\"n_packets\":%d,\"delivered\":%d,\"wall_s\":%.4f,\"pps\":%.1f,\"minor_words\":%.0f,\"minor_words_per_packet\":%.2f,\"sim_seconds\":%.4f}"
-    (tag r.engine) r.n_packets r.delivered r.wall_s r.pps r.minor_words
-    r.minor_words_per_packet r.sim_seconds
+let fields_of_result ~tag r =
+  Bench_gate.
+    [
+      ("engine", Str (tag r.engine));
+      ("n_packets", Int r.n_packets);
+      ("delivered", Int r.delivered);
+      ("wall_s", Num (4, r.wall_s));
+      ("pps", Num (1, r.pps));
+      ("minor_words", Num (0, r.minor_words));
+      ("minor_words_per_packet", Num (2, r.minor_words_per_packet));
+      ("sim_seconds", Num (4, r.sim_seconds));
+    ]
 
 let print_result r =
   Printf.printf
     "  %-10s %9d pkts  %7.3f s wall  %10.0f pkts/s  %8.2f minor words/pkt\n%!"
     r.engine r.n_packets r.wall_s r.pps r.minor_words_per_packet
-
-(* Minimal scanner for the committed JSON: find "NAME":NUMBER after an
-   "engine":"ENGINE" tag. Good enough for the gate; no JSON dep. *)
-let scan_number ~engine ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"engine\":\"%s\"" engine) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
 
 let best_of ~repeat ~engine ~n_packets () =
   let best = ref (run_once ~engine ~n_packets ()) in
@@ -185,6 +159,10 @@ let best_of ~repeat ~engine ~n_packets () =
   done;
   !best
 
+let usage =
+  "exp_throughput [--quick] [--repeat N] [--json FILE] [--check FILE] \
+   [--max-regress F] [--engine heap|calendar]"
+
 let () =
   let quick = ref false in
   let json_out = ref None in
@@ -192,37 +170,21 @@ let () =
   let max_regress = ref 0.30 in
   let repeat = ref 3 in
   let engines = ref [ Sim.Heap; Sim.Calendar ] in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--repeat" :: v :: rest ->
-      repeat := max 1 (int_of_string v);
-      parse rest
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check := Some file;
-      parse rest
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_of_string v;
-      parse rest
-    | "--engine" :: "heap" :: rest ->
-      engines := [ Sim.Heap ];
-      parse rest
-    | "--engine" :: "calendar" :: rest ->
-      engines := [ Sim.Calendar ];
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_throughput [--quick] [--repeat N] [--json FILE] \
-         [--check FILE] [--max-regress F] [--engine heap|calendar] (got %s)\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  Bench_gate.Flag.(
+    parse ~usage
+      [
+        ("--quick", Unit (fun () -> quick := true));
+        ("--repeat", Int (fun n -> repeat := max 1 n));
+        ("--json", String (fun file -> json_out := Some file));
+        ("--check", String (fun file -> check := Some file));
+        ("--max-regress", Float (( := ) max_regress));
+        ( "--engine",
+          String
+            (function
+            | "heap" -> engines := [ Sim.Heap ]
+            | "calendar" -> engines := [ Sim.Calendar ]
+            | v -> Bench_gate.usage_error ~usage ("--engine " ^ v)) );
+      ]);
   let n_packets = if !quick then 100_000 else 1_000_000 in
   Printf.printf
     "exp_throughput: 4 channels x %.0f Mbps, SRR + markers(4) + resequencer, \
@@ -240,6 +202,7 @@ let () =
           r.engine (r.pps /. baseline_pps)
           (baseline_minor_words_per_packet /. r.minor_words_per_packet))
       results;
+  let tag engine = if !quick then quick_tag engine else engine in
   (match !json_out with
   | None -> ()
   | Some file ->
@@ -250,86 +213,37 @@ let () =
       else
         List.map
           (fun e ->
-            json_of_result ~tag:quick_tag
+            fields_of_result ~tag:quick_tag
               (best_of ~repeat:!repeat ~engine:e ~n_packets:100_000 ()))
           !engines
     in
-    let entries =
-      List.map
-        (json_of_result ~tag:(if !quick then quick_tag else fun e -> e))
-        results
-      @ quick_entries
-    in
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"4ch 10Mbps SRR markers=4 resequencer bimodal\",\n\
-      \  \"n_packets\": %d,\n\
-      \  \"baseline\": \
-       {\"engine\":\"boxed-heap@60b89d5\",\"pps\":%.1f,\"minor_words_per_packet\":%.2f},\n\
-      \  \"engines\": [\n    %s\n  ]\n\
-       }\n"
-      n_packets baseline_pps baseline_minor_words_per_packet
-      (String.concat ",\n    " entries);
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
+    Bench_gate.(
+      write file
+        ~header:
+          [
+            ("scenario", Str "4ch 10Mbps SRR markers=4 resequencer bimodal");
+            ("n_packets", Int n_packets);
+            ( "baseline",
+              Obj
+                [
+                  ("engine", Str "boxed-heap@60b89d5");
+                  ("pps", Num (1, baseline_pps));
+                  ( "minor_words_per_packet",
+                    Num (2, baseline_minor_words_per_packet) );
+                ] );
+          ]
+        ~array:"engines"
+        (List.map (fields_of_result ~tag) results @ quick_entries)));
   match !check with
   | None -> ()
   | Some file ->
-    if not (Sys.file_exists file) then begin
-      Printf.eprintf
-        "  FAIL: baseline file %s does not exist — regenerate it with \
-         --json %s and commit it\n"
-        file file;
-      exit 1
-    end;
-    let fail = ref false in
-    (* A silently missing key would let the gate pass vacuously — e.g. a
-       full-run baseline committed without its embedded quick entries,
-       checked by a --quick CI job. *)
-    let committed ~tag field =
-      match scan_number ~engine:tag ~field file with
-      | None ->
-        Printf.eprintf
-          "  FAIL: no committed \"%s\" entry for engine \"%s\" in %s — \
-           regenerate the baseline with --json\n"
-          field tag file;
-        fail := true;
-        None
-      | some -> some
-    in
+    let gate = Bench_gate.load ~key:"engine" file in
     List.iter
       (fun r ->
-        let tag = if !quick then quick_tag r.engine else r.engine in
-        (match committed ~tag "pps" with
-        | None -> ()
-        | Some committed ->
-          let floor = committed *. (1.0 -. !max_regress) in
-          Printf.printf
-            "  check %-14s %.0f pps vs committed %.0f (floor %.0f)\n" tag r.pps
-            committed floor;
-          if r.pps < floor then begin
-            Printf.eprintf
-              "  FAIL: %s regressed more than %.0f%% (%.0f < %.0f pps)\n" tag
-              (100.0 *. !max_regress) r.pps floor;
-            fail := true
-          end);
-        match committed ~tag "minor_words_per_packet" with
-        | None -> ()
-        | Some committed ->
-          let ceiling = committed *. (1.0 +. max_words_regress) in
-          Printf.printf
-            "  check %-14s %.2f minor words/pkt vs committed %.2f (ceiling \
-             %.2f)\n"
-            tag r.minor_words_per_packet committed ceiling;
-          if r.minor_words_per_packet > ceiling then begin
-            Printf.eprintf
-              "  FAIL: %s allocates more than %.0f%% above the committed \
-               figure (%.2f > %.2f minor words/pkt)\n"
-              tag
-              (100.0 *. max_words_regress)
-              r.minor_words_per_packet ceiling;
-            fail := true
-          end)
+        let tag = tag r.engine in
+        Bench_gate.check gate ~tag ~field:"pps" (Floor !max_regress) r.pps;
+        Bench_gate.check gate ~tag ~field:"minor_words_per_packet"
+          (Ceiling { rel = max_words_regress; abs = 0.0 })
+          r.minor_words_per_packet)
       results;
-    if !fail then exit 1
+    Bench_gate.finish gate
