@@ -535,8 +535,7 @@ let run_cell ~profile ~discipline ~bundles ~seed ~inject ~domains () =
     Printf.sprintf "%s%s-%d-s%d" profile.pname
       (match discipline with
       | Bundle_pool.Srr -> ""
-      | Bundle_pool.Sprinklers _ -> "-spr"
-      | Bundle_pool.Load_aware -> "-la")
+      | Bundle_pool.Sprinklers _ -> "-spr")
       bundles seed
   in
   ( {
@@ -639,7 +638,7 @@ let health_selftest () =
 
 let usage =
   "exp_chaos [--quick] [--bundles N] [--seed S] [--profile \
-   storms|crashes|degrades|mixed] [--discipline srr|sprinklers|load-aware] \
+   storms|crashes|degrades|mixed] [--discipline srr|sprinklers] \
    [--domains N] [--json FILE] [--inject-violation] [--health-selftest]"
 
 let () =
@@ -666,12 +665,7 @@ let () =
                 match v with
                 | "srr" -> Bundle_pool.Srr
                 | "sprinklers" -> Bundle_pool.Sprinklers 0x5eed
-                | "load-aware" -> Bundle_pool.Load_aware
-                | _ ->
-                  Printf.eprintf
-                    "unknown discipline %S (want srr|sprinklers|load-aware)\n"
-                    v;
-                  exit 2) );
+                | _ -> Bench_gate.usage_error ~usage ("--discipline " ^ v)) );
         ("--json", String (fun file -> json_out := Some file));
         ("--inject-violation", Unit (fun () -> inject := true));
         ("--health-selftest", Unit health_selftest);

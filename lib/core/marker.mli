@@ -50,3 +50,36 @@ val packet_for :
     ({!Stripe_packet.Packet.marker.m_gen}). Both are required rather
     than optional because an optional argument is boxed at every call,
     and markers are emitted on the per-packet path. *)
+
+(** {1 The sender step}
+
+    The two marker decisions every sender makes, shared by
+    {!Striper} and the fleet's slot engines so the cadence and the
+    barrier exist once. The caller keeps its counters and its epoch/gen
+    storage and hands in [send], its transmit function; [now] is read
+    only when markers go out. Neither function allocates beyond the
+    marker packets themselves. *)
+
+val batch :
+  policy -> Deficit.t -> next:int -> epoch:int -> gen:int ->
+  now:(unit -> float) ->
+  send:(channel:int -> Stripe_packet.Packet.t -> unit) -> int
+(** [batch policy d ~next ...] is the periodic marker batch (§5). [next]
+    is the first round that gets markers; if the engine's round is below
+    it, nothing is sent and [next] is returned. Otherwise one marker
+    ({!packet_for}) goes to every channel that is not suspended, in
+    channel order, and the result is the next marked round: the
+    following multiple of [policy.every_rounds]. Call it right after a
+    push wrapped the engine into a new round for [Round_end] markers, or
+    after the select for [Round_start] ones. *)
+
+val reset_barrier :
+  Deficit.t -> epoch:int -> gen:int -> now:(unit -> float) ->
+  send:(channel:int -> Stripe_packet.Packet.t -> unit) -> int
+(** [reset_barrier d ~epoch ~gen ...] is the §5 reset barrier:
+    {!Deficit.reinit} (which adopts a staged retune; suspensions
+    survive), then one reset marker to {e every} channel, in order from
+    channel 0, stamped with the fresh engine's next (round, DC) and with
+    [epoch] and [gen] — the caller bumps [gen] first. The result is the
+    first marked round of the restarted cadence, to store as the next
+    [~next] of {!batch}. *)

@@ -15,8 +15,7 @@ type t = {
   mutable per_chan_packets : int array;
   mutable per_chan_bytes : int array;
   mutable next_mark_round : int;
-      (* First round >= this value triggers the next marker batch
-         (Round_start / Round_end positions). *)
+      (* [~next] of [Marker.batch] (Round_start / Round_end positions). *)
   mutable mid_marked : bool array;
       (* Mid_round: which channels already got their marker in the current
          marked round. *)
@@ -30,7 +29,25 @@ type t = {
          barrier fragments by generation and discard duplicates from an
          already-adopted one (see [Packet.marker.m_gen]). Restarts at 0
          with each incarnation. *)
+  send_marker : channel:int -> Packet.t -> unit;
+      (* [marker_sent] on this striper: the [~send] of the [Marker] sender
+         step, built once here. *)
 }
+
+let marker_sent t ~channel pkt =
+  t.n_markers <- t.n_markers + 1;
+  if Obs.Sink.active t.sink then begin
+    let m = Packet.get_marker pkt in
+    let time = pkt.Packet.born in
+    (* A barrier's first reset marker opens it on the trace, after the
+       reinit (and any retune it adopted), before any marker leaves. *)
+    if m.Packet.m_reset && channel = 0 then
+      Obs.Sink.emit t.sink (Obs.Event.v ~time Obs.Event.Reset_barrier);
+    Obs.Sink.emit t.sink
+      (Obs.Event.v ~channel ~round:m.Packet.m_round ~dc:m.Packet.m_dc
+         ~size:pkt.Packet.size ~time Obs.Event.Marker_sent)
+  end;
+  t.emit ~channel pkt
 
 let create ~scheduler ?marker ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     ~emit () =
@@ -40,54 +57,34 @@ let create ~scheduler ?marker ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
       "Striper.create: marker policy requires a CFQ (deficit-based) scheduler"
   | _ -> ());
   let n = Scheduler.n_channels scheduler in
-  {
-    sched = scheduler;
-    marker;
-    now;
-    sink;
-    emit;
-    n_pushed = 0;
-    b_pushed = 0;
-    n_markers = 0;
-    n_no_channel = 0;
-    per_chan_packets = Array.make n 0;
-    per_chan_bytes = Array.make n 0;
-    next_mark_round = 0;
-    mid_marked = Array.make n false;
-    mid_round = -1;
-    epoch = 0;
-    gen = 0;
-  }
-
-let emit_marker t policy d channel =
-  let pkt =
-    Marker.packet_for ~epoch:t.epoch ~gen:t.gen policy ~deficit:d ~channel
-      ~now:(t.now ())
+  let rec t =
+    {
+      sched = scheduler;
+      marker;
+      now;
+      sink;
+      emit;
+      n_pushed = 0;
+      b_pushed = 0;
+      n_markers = 0;
+      n_no_channel = 0;
+      per_chan_packets = Array.make n 0;
+      per_chan_bytes = Array.make n 0;
+      next_mark_round = 0;
+      mid_marked = Array.make n false;
+      mid_round = -1;
+      epoch = 0;
+      gen = 0;
+      send_marker = (fun ~channel pkt -> marker_sent t ~channel pkt);
+    }
   in
-  t.n_markers <- t.n_markers + 1;
-  if Obs.Sink.active t.sink then begin
-    let m = Packet.get_marker pkt in
-    Obs.Sink.emit t.sink
-      (Obs.Event.v ~channel ~round:m.Packet.m_round ~dc:m.Packet.m_dc
-         ~size:pkt.Packet.size ~time:(t.now ()) Obs.Event.Marker_sent)
-  end;
-  t.emit ~channel pkt
-
-let emit_marker_batch t policy d =
-  for c = 0 to Scheduler.n_channels t.sched - 1 do
-    (* Suspended channels get no markers: they receive no quanta, so
-       [next_stamp] has nothing truthful to say about them, and the reset
-       barrier on resume resynchronizes the receiver anyway. *)
-    if not (Scheduler.suspended t.sched c) then emit_marker t policy d c
-  done
+  t
 
 (* Round-boundary marker batches: trigger once per marked round. *)
 let boundary_markers t policy d =
-  let r = Deficit.round d in
-  if r >= t.next_mark_round then begin
-    emit_marker_batch t policy d;
-    t.next_mark_round <- ((r / policy.Marker.every_rounds) + 1) * policy.Marker.every_rounds
-  end
+  t.next_mark_round <-
+    Marker.batch policy d ~next:t.next_mark_round ~epoch:t.epoch ~gen:t.gen
+      ~now:t.now ~send:t.send_marker
 
 let mid_round_markers t policy d ~served_channel ~round_of_service =
   if round_of_service mod policy.Marker.every_rounds = 0 then begin
@@ -97,7 +94,9 @@ let mid_round_markers t policy d ~served_channel ~round_of_service =
     end;
     if not t.mid_marked.(served_channel) then begin
       t.mid_marked.(served_channel) <- true;
-      emit_marker t policy d served_channel
+      t.send_marker ~channel:served_channel
+        (Marker.packet_for ~epoch:t.epoch ~gen:t.gen policy ~deficit:d
+           ~channel:served_channel ~now:(t.now ()))
     end
   end
 
@@ -162,28 +161,10 @@ let send_reset t =
   match Scheduler.deficit t.sched with
   | None -> invalid_arg "Striper.send_reset: requires a CFQ scheduler"
   | Some d ->
-    Deficit.reinit d;
     t.gen <- t.gen + 1;
-    (* Fresh-epoch stamps: every channel's next packet is (0, quantum). *)
-    let now = t.now () in
-    if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink (Obs.Event.v ~time:now Obs.Event.Reset_barrier);
-    for channel = 0 to Scheduler.n_channels t.sched - 1 do
-      let stamp = Deficit.next_stamp d channel in
-      let pkt =
-        Packet.marker ~reset:true ~epoch:t.epoch ~gen:t.gen ~channel
-          ~round:stamp.Deficit.round ~dc:stamp.Deficit.dc ~born:now ()
-      in
-      t.n_markers <- t.n_markers + 1;
-      if Obs.Sink.active t.sink then
-        Obs.Sink.emit t.sink
-          (Obs.Event.v ~channel ~round:stamp.Deficit.round
-             ~dc:stamp.Deficit.dc ~size:pkt.Packet.size ~time:now
-             Obs.Event.Marker_sent);
-      t.emit ~channel pkt
-    done;
-    (* Periodic-marker bookkeeping restarts with the epoch. *)
-    t.next_mark_round <- 0;
+    t.next_mark_round <-
+      Marker.reset_barrier d ~epoch:t.epoch ~gen:t.gen ~now:t.now
+        ~send:t.send_marker;
     t.mid_round <- -1;
     Array.fill t.mid_marked 0 (Array.length t.mid_marked) false
 

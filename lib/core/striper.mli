@@ -7,7 +7,9 @@
     at the policy's positions; markers ride the same channels but are
     invisible to the scheduler's accounting (they are control packets
     outside the data schedule, distinguished on the wire by their
-    codepoint).
+    codepoint). The periodic batches and the reset barrier are
+    {!Marker.batch} and {!Marker.reset_barrier}, the sender step the
+    fleet's slots run too.
 
     The striper never buffers: load sharing has no notion of empty input
     queues (§3.1) — state only advances when a packet is pushed, so any

@@ -5,11 +5,11 @@
    per-slot-channel state is flattened as [id * n_channels + c]. The
    components that are expensive to build — deficit engines,
    resequencers, guards, wire FIFOs, and the closures handed to the
-   simulator and the resequencer — are created once when a slot is
-   first built ([grow]) and thereafter recycled in place, never
-   reallocated. Closures capture the pool record and their slot index
-   and read the arrays at fire time, so growing the table (which
-   replaces the arrays) never strands them.
+   simulator, the resequencer and the marker step — are created once
+   when a slot is first built ([grow]) and thereafter recycled in
+   place, never reallocated. Closures capture the pool record and their
+   slot index and read the arrays at fire time, so growing the table
+   (which replaces the arrays) never strands them.
 
    Wire and stale-event discipline. Each slot-channel wire is a
    rate+delay pipe: [busy_until] serializes departures, so arrival
@@ -36,13 +36,8 @@ open Stripe_core
    same quanta and fairness bound but permutes the per-round visit order
    from [seed] (each slot decorrelates with its own derived seed) — the
    receiver replays the permutation from the cloned engine, so the whole
-   marker/resequencer machinery is unchanged. [Load_aware] is the
-   non-causal min-completion-time selector: each push goes to the
-   channel that would finish serving it soonest given current wire debt.
-   No receiver-side engine can replay that choice, so Load_aware slots
-   bypass the resequencer and deliver in arrival order — quasi-FIFO
-   metrics ([seq_inversions]) become diagnostic, not a violation. *)
-type discipline = Srr | Sprinklers of int | Load_aware
+   marker/resequencer machinery is unchanged. *)
+type discipline = Srr | Sprinklers of int
 
 type config = {
   rate_bps : float array;
@@ -65,7 +60,6 @@ type t = {
   stamp_seq : bool;
       (* Allocate a per-slot-sequenced data packet per push instead of the
          interned flyweight, so deliveries can be FIFO-checked. *)
-  sender_aware : bool;  (* do slot engines see pool carrier state? *)
   watchdog : Resequencer.watchdog option;
   policy : Marker.policy option;
   now_fn : unit -> float;  (* shared by every slot's resequencer *)
@@ -113,12 +107,10 @@ type t = {
   mutable live : bool array;
   mutable tx : Deficit.t array;
   mutable rx : Resequencer.t array;
-  mutable deliverf : (channel:int -> Packet.t -> unit) array;
-      (* The slot's delivery closure — what the resequencer calls, and
-         what [Load_aware] slots call directly (arrival order). *)
-  mutable gtx : Channel_guard.Tx.t array;  (* empty unless [use_guard] *)
   mutable grx : Channel_guard.t array;  (* empty unless [use_guard] *)
-  mutable next_mark : int array;  (* first round >= this gets markers *)
+  mutable send_marker : (channel:int -> Packet.t -> unit) array;
+      (* prebuilt, one per slot: the [~send] of the [Marker] sender step *)
+  mutable next_mark : int array;  (* [~next] of [Marker.batch] *)
   mutable birth : float array;
   mutable pushed_p : int array;
   mutable pushed_b : int array;
@@ -204,16 +196,7 @@ let rx_ingest t id c pkt =
     if not (Packet.is_marker pkt) then
       t.rx_down_dp.(id) <- t.rx_down_dp.(id) + 1
   end
-  else
-    match t.discipline with
-    | Load_aware ->
-      (* No receiver-side engine can replay a load-based choice (it
-         depends on wire state the receiver never sees), so there is no
-         resequencer to drive: data delivers in arrival order and
-         markers — which only exist to replay a sender engine — are
-         discarded. *)
-      if not (Packet.is_marker pkt) then t.deliverf.(id) ~channel:c pkt
-    | Srr | Sprinklers _ -> Resequencer.receive t.rx.(id) ~channel:c pkt
+  else Resequencer.receive t.rx.(id) ~channel:c pkt
 
 (* Feed one surviving arrival to the slot's receive side. With the
    guard on, the tag is reproduced from a per-slot-channel counter: the
@@ -257,11 +240,7 @@ let make_deliver t id =
       if s > 0 then begin
         if s < t.last_seq.(id) then begin
           t.ooo.(id) <- t.ooo.(id) + 1;
-          (* Arrival order is Load_aware's delivery contract — there is
-             no resequencer to repair wire skew, so an inversion is a
-             property of the channels, not a protocol violation.
-             [seq_inversions] still counts it as a diagnostic. *)
-          if now >= t.fifo_check_after && t.discipline <> Load_aware then begin
+          if now >= t.fifo_check_after then begin
             t.fifo_viol.(id) <- t.fifo_viol.(id) + 1;
             t.fifo_violations <- t.fifo_violations + 1;
             if t.first_violation = None then
@@ -272,6 +251,42 @@ let make_deliver t id =
       end
     end
 
+(* Put one packet (data or marker) on a slot-channel wire. A dark
+   carrier eats the packet at the NIC: data is counted against the slot
+   (conservation), markers vanish like everywhere else. *)
+let transmit t id c ~size pkt =
+  if not t.ch_up.(c) then begin
+    if not (Packet.is_marker pkt) then
+      t.carrier_dp.(id) <- t.carrier_dp.(id) + 1
+  end
+  else begin
+  let sc = (id * t.n_ch) + c in
+  let now = Sim.now t.sim in
+  let b = t.busy.(sc) in
+  let depart = if b > now then b else now in
+  (* [rate_scale] models a gray facility serving below nominal; the
+     packet still occupies the (slower) wire even if the loss process
+     then eats it in flight. *)
+  let rate = t.rate_bps.(c) *. t.rate_scale.(c) in
+  let free_at = depart +. (float_of_int (size * 8) /. rate) in
+  t.busy.(sc) <- free_at;
+  t.wtx_p.(c) <- t.wtx_p.(c) + 1;
+  t.wtx_b.(c) <- t.wtx_b.(c) + size;
+  if Loss.drop t.ch_loss.(c) t.rng then begin
+    t.wlost_p.(c) <- t.wlost_p.(c) + 1;
+    if not (Packet.is_marker pkt) then t.wire_dp.(id) <- t.wire_dp.(id) + 1
+  end
+  else begin
+    Fifo_queue.push t.wire.(sc) ~size pkt;
+    Sim.schedule t.sim ~at:(free_at +. t.prop_delay.(c)) t.arrive.(sc)
+  end
+  end
+
+let make_send_marker t id =
+  fun ~channel (m : Packet.t) ->
+    transmit t id channel ~size:m.Packet.size m;
+    t.markers <- t.markers + 1
+
 (* Visit order for slot [i]'s engine. Sprinklers slots each derive
    their own seed so the fleet's permutations decorrelate (every bundle
    rotating onto the same channel in the same round would synchronize
@@ -280,7 +295,7 @@ let make_deliver t id =
 let slot_order t i =
   match t.discipline with
   | Sprinklers seed -> Deficit.Permuted (seed + (i * 0x632be5ab))
-  | Srr | Load_aware -> Deficit.Fixed
+  | Srr -> Deficit.Fixed
 
 (* Build slots [t.cap, cap): every expensive component a bundle will
    ever need on this slot is created here, exactly once. *)
@@ -293,24 +308,22 @@ let grow_to t cap =
       (fun i ->
         Deficit.create ~order:(slot_order t i) ~quanta:(Array.copy t.quanta) ())
       t.tx;
-  t.deliverf <- extend (fun i -> make_deliver t i) t.deliverf;
   t.rx <-
     extend
       (fun i ->
         Resequencer.create
           ~deficit:(Deficit.clone_initial t.tx.(i))
-          ~now:t.now_fn ?watchdog:t.watchdog ~deliver:t.deliverf.(i) ())
+          ~now:t.now_fn ?watchdog:t.watchdog ~deliver:(make_deliver t i) ())
       t.rx;
-  if t.use_guard then begin
-    t.gtx <- extend (fun _ -> Channel_guard.Tx.create ~n:t.n_ch) t.gtx;
+  if t.use_guard then
     t.grx <-
       extend
         (fun i ->
           Channel_guard.create ~n:t.n_ch ~now:t.now_fn
             ~deliver:(fun ~channel pkt -> rx_ingest t i channel pkt)
             ())
-        t.grx
-  end;
+        t.grx;
+  t.send_marker <- extend (fun i -> make_send_marker t i) t.send_marker;
   t.next_mark <- extend (fun _ -> 0) t.next_mark;
   t.birth <- extend (fun _ -> 0.0) t.birth;
   t.pushed_p <- extend (fun _ -> 0) t.pushed_p;
@@ -351,8 +364,8 @@ let grow_to t cap =
   done;
   t.cap <- cap
 
-let create ?(initial_capacity = 64) ?(stamp_seq = false) ?(sender_aware = true)
-    ?watchdog ?rng ?health ?health_sink ~sim (config : config) =
+let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
+    ?health ?health_sink ~sim (config : config) =
   let n = Array.length config.rate_bps in
   if n = 0 then invalid_arg "Bundle_pool.create: no channels";
   if Array.length config.prop_delay <> n || Array.length config.quanta <> n
@@ -378,7 +391,6 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?(sender_aware = true)
       use_guard = config.guard;
       discipline = config.discipline;
       stamp_seq;
-      sender_aware;
       watchdog;
       policy =
         (if config.marker_every > 0 then
@@ -407,9 +419,8 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?(sender_aware = true)
       live = [||];
       tx = [||];
       rx = [||];
-      deliverf = [||];
-      gtx = [||];
       grx = [||];
+      send_marker = [||];
       next_mark = [||];
       birth = [||];
       pushed_p = [||];
@@ -488,11 +499,9 @@ let activate t id =
      any predecessor's suspensions (release's reconfigure cleared those):
      a bundle born mid-storm never stripes onto a channel that is already
      known to be dark — or already quarantined by the health engine. *)
-  if t.sender_aware then
-    for c = 0 to t.n_ch - 1 do
-      if not t.ch_up.(c) || t.ch_quarantined.(c) then
-        Deficit.suspend t.tx.(id) c
-    done;
+  for c = 0 to t.n_ch - 1 do
+    if not t.ch_up.(c) || t.ch_quarantined.(c) then Deficit.suspend t.tx.(id) c
+  done;
   t.n_live <- t.n_live + 1;
   t.n_acquired <- t.n_acquired + 1
 
@@ -536,10 +545,7 @@ let release t id =
   done;
   Resequencer.recycle t.rx.(id);
   Deficit.reconfigure t.tx.(id) ~quanta:t.quanta;
-  if t.use_guard then begin
-    Channel_guard.recycle t.grx.(id);
-    Channel_guard.Tx.reset t.gtx.(id)
-  end;
+  if t.use_guard then Channel_guard.recycle t.grx.(id);
   t.next_mark.(id) <- 0;
   t.live.(id) <- false;
   t.n_live <- t.n_live - 1;
@@ -560,67 +566,6 @@ let intern t size =
     Hashtbl.add t.interned size pkt;
     pkt
 
-(* Put one packet (data or marker) on a slot-channel wire. A dark
-   carrier eats the packet at the NIC: data is counted against the slot
-   (conservation), markers vanish like everywhere else. The guard tag is
-   only consumed for packets that actually make the wire — the receive
-   side synthesizes tags from arrivals, so transmit-time losses must not
-   advance the stamper past it. *)
-let transmit t id c ~size pkt =
-  if not t.ch_up.(c) then begin
-    if not (Packet.is_marker pkt) then
-      t.carrier_dp.(id) <- t.carrier_dp.(id) + 1
-  end
-  else begin
-  let sc = (id * t.n_ch) + c in
-  if t.use_guard then ignore (Channel_guard.Tx.next_tag t.gtx.(id) ~channel:c);
-  let now = Sim.now t.sim in
-  let b = t.busy.(sc) in
-  let depart = if b > now then b else now in
-  (* [rate_scale] models a gray facility serving below nominal; the
-     packet still occupies the (slower) wire even if the loss process
-     then eats it in flight. *)
-  let rate = t.rate_bps.(c) *. t.rate_scale.(c) in
-  let free_at = depart +. (float_of_int (size * 8) /. rate) in
-  t.busy.(sc) <- free_at;
-  t.wtx_p.(c) <- t.wtx_p.(c) + 1;
-  t.wtx_b.(c) <- t.wtx_b.(c) + size;
-  if Loss.drop t.ch_loss.(c) t.rng then begin
-    t.wlost_p.(c) <- t.wlost_p.(c) + 1;
-    if not (Packet.is_marker pkt) then t.wire_dp.(id) <- t.wire_dp.(id) + 1
-  end
-  else begin
-    Fifo_queue.push t.wire.(sc) ~size pkt;
-    Sim.schedule t.sim ~at:(free_at +. t.prop_delay.(c)) t.arrive.(sc)
-  end
-  end
-
-(* Min-completion-time selector (Load_aware): the channel that would
-   finish serving these bytes soonest, given its current wire debt
-   ([busy]) and effective service rate. Suspensions are still honored —
-   carrier state and quarantine verdicts flow through the engine's
-   suspend set whatever the discipline. Caller guarantees at least one
-   active channel. *)
-let pick_least_loaded t id ~size d =
-  let now = Sim.now t.sim in
-  let base = id * t.n_ch in
-  let best = ref (-1) and best_fin = ref infinity in
-  for c = 0 to t.n_ch - 1 do
-    if not (Deficit.suspended d c) then begin
-      let b = t.busy.(base + c) in
-      let depart = if b > now then b else now in
-      let fin =
-        depart
-        +. (float_of_int (size * 8) /. (t.rate_bps.(c) *. t.rate_scale.(c)))
-      in
-      if fin < !best_fin then begin
-        best_fin := fin;
-        best := c
-      end
-    end
-  done;
-  !best
-
 let push t id ~size =
   check_live t id "push";
   if size <= 0 then invalid_arg "Bundle_pool.push: size must be positive";
@@ -638,15 +583,8 @@ let push t id ~size =
       t.no_active_dp.(id) <- t.no_active_dp.(id) + 1
     else begin
       (* Select settles the round the packet belongs to (as in
-         [Striper.push]); the marker check below compares against it.
-         Load_aware never consults or advances the round machinery — the
-         engine is only its suspend set — so its round never wraps and
-         the marker branch below never fires. *)
-      let c =
-        match t.discipline with
-        | Load_aware -> pick_least_loaded t id ~size d
-        | Srr | Sprinklers _ -> Deficit.select d
-      in
+         [Striper.push]); the marker check below compares against it. *)
+      let c = Deficit.select d in
       let round_before = Deficit.round d in
       let pkt =
         if t.stamp_seq then begin
@@ -657,74 +595,40 @@ let push t id ~size =
         else intern t size
       in
       transmit t id c ~size pkt;
-      (match t.discipline with
-      | Load_aware -> ()
-      | Srr | Sprinklers _ -> Deficit.consume d ~size);
+      Deficit.consume d ~size;
       t.pushed_p.(id) <- t.pushed_p.(id) + 1;
       t.pushed_b.(id) <- t.pushed_b.(id) + size;
       match t.policy with
       | Some policy when Deficit.round d > round_before ->
         (* Round_end batches: the consume wrapped into a new round, so the
            markers follow all data of the completed round — the reference
-           striper's default position. Suspended channels get no markers
-           (their frozen DC has nothing truthful to say; the reset barrier
-           on resume resynchronizes), mirroring [Striper]. *)
-        let r = Deficit.round d in
-        if r >= t.next_mark.(id) then begin
-          let now = Sim.now t.sim in
-          for ch = 0 to t.n_ch - 1 do
-            if not (Deficit.suspended d ch) then begin
-              let m =
-                Marker.packet_for ~epoch:t.tx_epoch.(id) ~gen:t.tx_gen.(id)
-                  policy ~deficit:d
-                  ~channel:ch ~now
-              in
-              transmit t id ch ~size:m.Packet.size m;
-              t.markers <- t.markers + 1
-            end
-          done;
-          t.next_mark.(id) <-
-            ((r / policy.Marker.every_rounds) + 1) * policy.Marker.every_rounds
-        end
+           striper's default position. *)
+        t.next_mark.(id) <-
+          Marker.batch policy d ~next:t.next_mark.(id) ~epoch:t.tx_epoch.(id)
+            ~gen:t.tx_gen.(id) ~now:t.now_fn ~send:t.send_marker.(id)
       | Some _ | None -> ()
     end
   end
 
-(* §5 reset barrier for one slot, mirroring [Striper.send_reset]: the
-   engine reinitializes in place (suspensions survive — a reset does not
-   revive a dead channel) and every channel gets a reset marker stamped
-   with the slot's incarnation and its freshly bumped barrier
-   generation ([m_gen] — what lets the receiver pair markers of the
-   same barrier when storms interleave them). Reset markers go to ALL
-   channels — the barrier is incomplete without each one — so the
-   caller must not fire a barrier while carriers are still dark if it
-   can help it: a dark carrier eats its copy and the receiver must wait
-   out the staleness horizon for that barrier. Both carrier resumes
+(* §5 reset barrier for one slot ([Marker.reset_barrier], as in
+   [Striper.send_reset]): the engine reinitializes in place (suspensions
+   survive — a reset does not revive a dead channel) and every channel
+   gets a reset marker stamped with the slot's incarnation and its
+   freshly bumped barrier generation ([m_gen] — what lets the receiver
+   pair markers of the same barrier when storms interleave them). Reset
+   markers go to ALL channels — the barrier is incomplete without each
+   one — so the caller must not fire a barrier while carriers are still
+   dark if it can help it: a dark carrier eats its copy and the receiver
+   must wait out the staleness horizon for that barrier. Both carrier resumes
    ([set_channel_up]) and crash restarts ([restart_sender]) therefore
    defer the barrier to the full heal; in the interim the epoch stamp
    on ordinary periodic markers keeps a restarted sender's receiver
    re-anchoring channel by channel. *)
 let send_slot_reset t id =
-  (* Load_aware has no replayable engine to resynchronize and its
-     receiver discards markers: a barrier would only burn wire time. *)
-  if t.discipline = Load_aware then ()
-  else begin
-    let d = t.tx.(id) in
-    Deficit.reinit d;
-    t.tx_gen.(id) <- t.tx_gen.(id) + 1;
-    let now = Sim.now t.sim in
-    for ch = 0 to t.n_ch - 1 do
-      let stamp = Deficit.next_stamp d ch in
-      let m =
-        Packet.marker ~reset:true ~epoch:t.tx_epoch.(id) ~gen:t.tx_gen.(id)
-          ~channel:ch
-          ~round:stamp.Deficit.round ~dc:stamp.Deficit.dc ~born:now ()
-      in
-      transmit t id ch ~size:m.Packet.size m;
-      t.markers <- t.markers + 1
-    done;
-    t.next_mark.(id) <- 0
-  end
+  t.tx_gen.(id) <- t.tx_gen.(id) + 1;
+  t.next_mark.(id) <-
+    Marker.reset_barrier t.tx.(id) ~epoch:t.tx_epoch.(id) ~gen:t.tx_gen.(id)
+      ~now:t.now_fn ~send:t.send_marker.(id)
 
 let channel_up t c =
   if c < 0 || c >= t.n_ch then
@@ -764,36 +668,34 @@ let set_channel_up t c up =
     invalid_arg "Bundle_pool.set_channel_up: bad channel";
   if t.ch_up.(c) <> up then begin
     t.ch_up.(c) <- up;
-    if t.sender_aware then
-      (* One carrier transition touches channel [c] of every live bundle
-         at once — the shared-risk-group semantics. Crashed senders are
-         skipped: their engines are dead, and [restart_sender] re-derives
-         suspensions from the link state of the moment anyway. *)
-      for id = 0 to t.cap - 1 do
-        if t.live.(id) && not t.tx_down.(id) then
-          if up then begin
-            (* A healed carrier does not override the health engine: a
-               quarantined channel stays suspended until its timed
-               reinstatement. *)
-            if
-              Deficit.suspended t.tx.(id) c && not t.ch_quarantined.(c)
-            then begin
-              Deficit.resume t.tx.(id) c;
-              (* Fire the §5 barrier only once the slot is fully healed.
-                 A barrier per partial resume would stripe its reset
-                 markers into still-dark carriers, and the surviving
-                 fragments of successive barriers can mispair at the
-                 receiver (no generation tag on reset markers). Until
-                 the last channel returns, the resumed channel's
-                 ordinary markers re-pin the receiver quasi-FIFO, which
-                 is the legal degraded mode during a storm. *)
-              if Deficit.n_active t.tx.(id) = expected_active t then
-                send_slot_reset t id
-            end
+    (* One carrier transition touches channel [c] of every live bundle
+       at once — the shared-risk-group semantics. Crashed senders are
+       skipped: their engines are dead, and [restart_sender] re-derives
+       suspensions from the link state of the moment anyway. *)
+    for id = 0 to t.cap - 1 do
+      if t.live.(id) && not t.tx_down.(id) then
+        if up then begin
+          (* A healed carrier does not override the health engine: a
+             quarantined channel stays suspended until its timed
+             reinstatement. *)
+          if Deficit.suspended t.tx.(id) c && not t.ch_quarantined.(c)
+          then begin
+            Deficit.resume t.tx.(id) c;
+            (* Fire the §5 barrier only once the slot is fully healed.
+               A barrier per partial resume would stripe its reset
+               markers into still-dark carriers, which eat them, and the
+               receiver would wait out the staleness horizon for each
+               such barrier. Until the last channel returns, the resumed
+               channel's ordinary markers re-pin the receiver
+               quasi-FIFO, which is the legal degraded mode during a
+               storm. *)
+            if Deficit.n_active t.tx.(id) = expected_active t then
+              send_slot_reset t id
           end
-          else if not (Deficit.suspended t.tx.(id) c) then
-            Deficit.suspend t.tx.(id) c
-      done
+        end
+        else if not (Deficit.suspended t.tx.(id) c) then
+          Deficit.suspend t.tx.(id) c
+    done
   end
 
 let crash_sender t id =
@@ -817,16 +719,12 @@ let restart_sender t id =
      reconciler only compares the sender half against the target, the
      mismatch would never heal: one channel of the bundle then trails
      the stripe by a constant quasi-FIFO offset forever. Suspensions
-     come from the link state of the moment, the guard stamper
-     restarts, and the new incarnation announces itself with
-     epoch-stamped reset markers. *)
+     come from the link state of the moment, and the new incarnation
+     announces itself with epoch-stamped reset markers. *)
   Deficit.reconfigure t.tx.(id) ~quanta:(health_target t);
-  if t.sender_aware then
-    for c = 0 to t.n_ch - 1 do
-      if not t.ch_up.(c) || t.ch_quarantined.(c) then
-        Deficit.suspend t.tx.(id) c
-    done;
-  if t.use_guard then Channel_guard.Tx.reset t.gtx.(id);
+  for c = 0 to t.n_ch - 1 do
+    if not t.ch_up.(c) || t.ch_quarantined.(c) then Deficit.suspend t.tx.(id) c
+  done;
   t.tx_epoch.(id) <- t.tx_epoch.(id) + 1;
   t.tx_gen.(id) <- 0;
   (* Announce the new incarnation with a reset barrier only if every
@@ -934,13 +832,6 @@ let resync t =
    skipped and counted; the target is recomputed next tick, so deferral
    self-heals. *)
 let flush_health_quanta t =
-  (* Quanta do not govern a Load_aware pool — selection is pure wire
-     debt, and a probation's "smaller quantum" has no cadence to shrink.
-     (The quarantine/suspend half of the health verdict still applies
-     through the engines' suspend sets.) Retuning here would also stage
-     receiver transitions whose adopting barrier never arrives. *)
-  if t.discipline = Load_aware then ()
-  else begin
   let target = health_target t in
   for id = 0 to t.cap - 1 do
     if
@@ -961,7 +852,6 @@ let flush_health_quanta t =
           send_slot_reset t id
         end
   done
-  end
 
 let health_tick t ~now =
   match t.health with

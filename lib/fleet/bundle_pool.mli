@@ -54,15 +54,11 @@
       so the receiver's cloned engine replays it and the whole
       marker/reset machinery works unchanged. Pair with larger quanta
       (see {!Stripe_core.Sprinklers}) for variable-size stripes.
-    - [Load_aware]: non-causal min-completion-time selection — each
-      push goes to the channel that would finish serving it soonest
-      given current wire serialization debt and effective rate
-      (suspensions/quarantines still honored). No receiver engine can
-      replay wire state, so these slots deliver in {e arrival} order
-      (the resequencer is bypassed, markers are discarded, reset
-      barriers and health retunes are no-ops): {!seq_inversions} is a
-      diagnostic, not a violation, and FIFO checks do not apply. *)
-type discipline = Srr | Sprinklers of int | Load_aware
+
+    Both run the same sender step ({!Stripe_core.Marker.batch},
+    {!Stripe_core.Marker.reset_barrier}) and the same resequencer, so
+    every slot keeps the quasi-FIFO contract. *)
+type discipline = Srr | Sprinklers of int
 
 type config = {
   rate_bps : float array;  (** Per-channel wire rate (bits/s, > 0). *)
@@ -75,11 +71,12 @@ type config = {
           after a discard, so leave markers on for churned fleets. *)
   guard : bool;
       (** Route every arrival through a per-slot
-          {!Stripe_core.Channel_guard} (tag stamper on the send side,
-          reorder/duplicate filter on the receive side). The pool's
-          wires are perfect FIFOs, so the guard rides its in-order fast
-          path; enabling it measures the guard's fleet-scale cost and
-          recycles its state with the slot. *)
+          {!Stripe_core.Channel_guard} (the receive-side
+          reorder/duplicate filter). The pool's wires are perfect FIFOs,
+          so each arrival's tag is reproduced from a per-slot-channel
+          arrival counter and the guard rides its in-order fast path;
+          enabling it measures the guard's fleet-scale cost and recycles
+          its state with the slot. *)
   discipline : discipline;  (** Striping discipline, fleet-wide. *)
 }
 (** All arrays must have the same positive length (the channel count).
@@ -90,7 +87,6 @@ type t
 val create :
   ?initial_capacity:int ->
   ?stamp_seq:bool ->
-  ?sender_aware:bool ->
   ?watchdog:Stripe_core.Resequencer.watchdog ->
   ?rng:Stripe_netsim.Rng.t ->
   ?health:Stripe_core.Health.config ->
@@ -106,15 +102,10 @@ val create :
     a per-bundle sequence number instead of the interned flyweight, which
     arms the always-on FIFO monitor ({!fifo_violations},
     {!total_fifo_violations}) at the cost of one allocation per push.
-    [sender_aware] (default [true]) makes slot engines track the pool's
-    carrier state ({!set_channel_up}): a channel going dark is suspended
-    in every live bundle (load moves to the survivors) and resuming fires
-    the §5 reset barrier per bundle; with [false] senders stripe blindly
-    and down-channel packets are simply eaten at the NIC. [watchdog]
-    equips every slot resequencer with the marker-cadence dead-channel
-    watchdog ({!Stripe_core.Resequencer.watchdog}) — recommended for any
-    chaos run, since it is what keeps a storm from wedging receivers on
-    silent channels.
+    [watchdog] equips every slot resequencer with the marker-cadence
+    dead-channel watchdog ({!Stripe_core.Resequencer.watchdog}) —
+    recommended for any chaos run, since it is what keeps a storm from
+    wedging receivers on silent channels.
 
     [rng] drives the per-channel wire-loss processes
     ({!set_channel_loss}); default: a pool-private seeded generator.
@@ -192,10 +183,11 @@ val channel_up : t -> int -> bool
 val set_channel_up : t -> int -> bool -> unit
 (** Carrier transition for channel [c] fleet-wide. Down: packets
     transmitted on [c] are eaten at the NIC (data counted per slot,
-    {!carrier_drops}); with [sender_aware], [c] is also suspended in
-    every live bundle's engine. Up: with [sender_aware] every live
-    bundle resumes [c] and fires its §5 reset barrier (epoch-stamped
-    reset markers on all channels) to resynchronize its receiver.
+    {!carrier_drops}), and [c] is suspended in every live bundle's
+    engine, so load moves to the survivors. Up: every live bundle
+    resumes [c] (unless the health engine quarantined it) and, once it
+    is fully healed, fires its §5 reset barrier (epoch-stamped reset
+    markers on all channels) to resynchronize its receiver.
     Crashed senders are skipped — {!restart_sender} re-derives
     suspensions from the carrier state of its moment. Idempotent. *)
 
@@ -220,7 +212,7 @@ val crash_sender : t -> int -> unit
 val restart_sender : t -> int -> unit
 (** The sender reboots with no striping state: engine rebuilt on the
     configured quanta, suspensions re-derived from current carrier
-    state, guard stamper restarted, incarnation ({!sender_epoch})
+    state, incarnation ({!sender_epoch})
     incremented, and epoch-stamped reset markers announce the new epoch
     so the receiver discards pre-crash leftovers and resynchronizes
     (the epoch rule, PROTOCOL.md §12). *)

@@ -9,7 +9,10 @@
    - Resequencer.receive without a watchdog: about 0 words/call; a clock
      read per arrival adds 2;
    - Sharded_pool.run: 15 words/push in dev (2 in release); a closure
-     per replayed op adds about 18. *)
+     per replayed op adds about 18;
+   - Striper.push with Round_end markers every 4 rounds: about 2
+     words/push, all of it the marker packets (0.1 markers/push); one
+     boxed word or closure per push adds at least 2. *)
 
 open Stripe_netsim
 open Stripe_packet
@@ -82,6 +85,40 @@ let test_resequencer_in_order () =
   check_at_most "Resequencer.receive per call" ~bound:0.5
     (words /. float_of_int (n - 100))
 
+let test_striper_push () =
+  let quanta = [| 1500; 1500; 1500; 1500 |] in
+  (* A clock whose reading is a fresh float, as a simulator's is. *)
+  let sim = Sim.create () in
+  Sim.schedule sim ~at:1.5 ignore;
+  Sim.run sim;
+  let emitted = ref 0 in
+  let striper =
+    Striper.create ~scheduler:(Scheduler.srr ~quanta ())
+      ~marker:(Marker.make ~every_rounds:4 ())
+      ~now:(fun () -> Sim.now sim)
+      ~emit:(fun ~channel:_ _ -> incr emitted)
+      ()
+  in
+  let rng = Rng.create 11 in
+  let small = Packet.data ~seq:0 ~size:200 () in
+  let large = Packet.data ~seq:0 ~size:1000 () in
+  let n = 101_000 in
+  let pkts = Array.init n (fun _ -> if Rng.bool rng then small else large) in
+  let push lo hi =
+    for i = lo to hi - 1 do
+      Striper.push striper pkts.(i)
+    done
+  in
+  push 0 1000;
+  let markers0 = Striper.markers_sent striper in
+  let words = words_during (fun () -> push 1000 n) in
+  let per_push = words /. float_of_int (n - 1000) in
+  Alcotest.(check bool) "markers were sent" true
+    (Striper.markers_sent striper > markers0);
+  Alcotest.(check int) "every packet and marker emitted"
+    (Striper.pushed_packets striper + Striper.markers_sent striper) !emitted;
+  check_at_most "Striper.push per packet" ~bound:3.0 per_push
+
 let test_sharded_replay () =
   let config =
     {
@@ -118,5 +155,6 @@ let suites =
         Alcotest.test_case "resequencer in-order receive" `Quick
           test_resequencer_in_order;
         Alcotest.test_case "sharded replay" `Quick test_sharded_replay;
+        Alcotest.test_case "Striper.push per packet" `Quick test_striper_push;
       ] );
   ]

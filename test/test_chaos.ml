@@ -458,16 +458,18 @@ let push_n pool id n =
 let test_recycled_slot_fresh_watchdog () =
   let sim = Sim.create () in
   let pool =
-    Bundle_pool.create ~sender_aware:false
+    Bundle_pool.create
       ~watchdog:{ Resequencer.intervals = 2; fallback = 0.02 }
       ~sim ~initial_capacity:2 (config ())
   in
   let id = Bundle_pool.acquire pool in
   push_n pool id 200;
   Sim.run sim;
-  (* Channel 3 goes dark under a link-state-blind sender: its share is
-     eaten at the NIC and the receiver's watchdog declares it dead. *)
-  Bundle_pool.set_channel_up pool 3 false;
+  (* Channel 3 goes silent while its carrier stays up, so the sender
+     keeps striping onto it as a link-state-blind sender would: its
+     share dies in flight and the receiver's watchdog declares it
+     dead. *)
+  Bundle_pool.set_channel_loss pool 3 (Loss.bernoulli ~p:1.0);
   push_n pool id 400;
   Sim.run sim;
   check "watchdog declared the silent channel dead" true
@@ -477,7 +479,7 @@ let test_recycled_slot_fresh_watchdog () =
   (* Slot churn across the outage: the next tenant of the slot must not
      inherit its predecessor's dead-channel or cadence state. *)
   Bundle_pool.release pool id;
-  Bundle_pool.set_channel_up pool 3 true;
+  Bundle_pool.set_channel_loss pool 3 (Loss.none ());
   let id2 = Bundle_pool.acquire pool in
   check_int "slot was recycled" id id2;
   check "recycled slot does not inherit the dead channel" false

@@ -270,10 +270,8 @@ let test_rfq_suspension_replay_aligned () =
     Alcotest.(check bool) "suspended channel never chosen" true (c <> 1)
   done
 
-(* Fleet-level smoke for the two new disciplines: a Bundle_pool run
-   under each discipline delivers the traffic, Sprinklers through the
-   resequencer (FIFO), Load_aware in arrival order with markers
-   discarded. *)
+(* Fleet-level smoke: a Bundle_pool run under each pool discipline
+   delivers the traffic through the resequencer (FIFO). *)
 let fleet_config discipline =
   {
     Bundle_pool.rate_bps = rates;
@@ -307,9 +305,7 @@ let test_fleet_disciplines () =
           Alcotest.(check int) "no FIFO violations" 0
             (Bundle_pool.fifo_violations pool b))
         [ b0; b1 ])
-    [
-      Bundle_pool.Sprinklers 0x5eed; Bundle_pool.Load_aware; Bundle_pool.Srr;
-    ]
+    [ Bundle_pool.Sprinklers 0x5eed; Bundle_pool.Srr ]
 
 let suites =
   [

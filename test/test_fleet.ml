@@ -2,8 +2,9 @@
    must be indistinguishable from a fresh bundle), high-water isolation
    across generations (the pooled-reuse regression for
    Fifo_queue.recycle), stale in-flight discard across churn, growth
-   past the initial capacity, guard transparency, and heap/calendar
-   engine agreement on a churned fleet. *)
+   past the initial capacity, guard transparency, heap/calendar engine
+   agreement on a churned fleet, and agreement with [Striper] on the
+   sender step. *)
 
 open Stripe_netsim
 open Stripe_core
@@ -230,6 +231,41 @@ let test_engines_agree_on_churned_fleet () =
   check "fleet actually delivered" true (delivered > 1000);
   check "heap and calendar agree on every fleet total" true (h = c)
 
+(* --- One sender step: Striper and a pool slot agree ----------------- *)
+
+(* The same quanta and pushes through a [Striper] and one pool slot,
+   then one §5 reset on each side: both run [Marker]'s sender step, so
+   they send the same number of markers and put the same number of
+   packets on every channel. *)
+let prop_striper_matches_pool_slot =
+  QCheck.Test.make ~name:"striper and pool slot send alike" ~count:200
+    QCheck.(
+      pair (oneofl [ 1; 2; 4 ])
+        (list_of_size Gen.(1 -- 300) (int_range 1 1500)))
+    (fun (marker_every, sizes) ->
+      let config = { (config ()) with Bundle_pool.marker_every } in
+      let per_channel = Array.make (Array.length rates) 0 in
+      let striper =
+        Striper.create
+          ~scheduler:(Scheduler.srr ~quanta:config.Bundle_pool.quanta ())
+          ~marker:(Marker.make ~every_rounds:marker_every ())
+          ~emit:(fun ~channel _ ->
+            per_channel.(channel) <- per_channel.(channel) + 1)
+          ()
+      in
+      let pool = Bundle_pool.create ~sim:(Sim.create ()) config in
+      let id = Bundle_pool.acquire pool in
+      List.iter
+        (fun size ->
+          Striper.push striper (Stripe_packet.Packet.data ~seq:0 ~size ());
+          Bundle_pool.push pool id ~size)
+        sizes;
+      Striper.send_reset striper;
+      Bundle_pool.resync pool;
+      Striper.markers_sent striper = Bundle_pool.markers_sent pool
+      && per_channel
+         = Array.init (Array.length rates) (Bundle_pool.channel_wire_tx pool))
+
 let suites =
   [
     ( "fleet",
@@ -248,5 +284,6 @@ let suites =
           test_guard_is_transparent_on_clean_wires;
         Alcotest.test_case "engines agree on churned fleet" `Quick
           test_engines_agree_on_churned_fleet;
+        QCheck_alcotest.to_alcotest prop_striper_matches_pool_slot;
       ] );
   ]
