@@ -17,6 +17,9 @@ type staged =
   | S_add of int array  (* new quanta, width n (already grown) *)
   | S_remove of int * int array  (* leaving channel, new quanta *)
 
+(* [force_round] entry of a channel with no pending marker stamp. *)
+let no_stamp = min_int
+
 type t = {
   d : Deficit.t;
   mutable n : int;
@@ -34,9 +37,12 @@ type t = {
          quasi-FIFO delivery, so they are always accepted. *)
   overflow : overflow;
   on_pressure : (high:bool -> unit) option;
-  mutable force : Deficit.stamp option array;
+  mutable force_round : int array;
+  mutable force_dc : int array;
       (* Pending marker state per channel: the (round, DC) of the next
-         data packet, to be enforced when the scan reaches that round. *)
+         data packet, to be enforced when the scan reaches that round;
+         [force_round.(c) = no_stamp] when channel [c] has none. Two int
+         arrays, so applying a marker allocates nothing. *)
   deliver : channel:int -> Packet.t -> unit;
   on_credit : (int -> int -> unit) option;
   mutable reset_pending : bool array;
@@ -193,7 +199,8 @@ let create ~deficit ?on_credit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     budget = budget_bytes;
     overflow;
     on_pressure;
-    force = Array.make n None;
+    force_round = Array.make n no_stamp;
+    force_dc = Array.make n 0;
     deliver;
     on_credit;
     reset_pending = Array.make n false;
@@ -263,7 +270,8 @@ let recycle t =
     (* A staged add/remove died with the old bundle: rebuild the runtime
        arrays at the engine's width. *)
     t.buffers <- Array.init n (fun _ -> Fifo_queue.create ());
-    t.force <- Array.make n None;
+    t.force_round <- Array.make n no_stamp;
+    t.force_dc <- Array.make n 0;
     t.reset_pending <- Array.make n false;
     t.park_epoch <- Array.make n 0;
     t.park_gen <- Array.make n 0;
@@ -276,7 +284,7 @@ let recycle t =
   end
   else begin
     Array.iter Fifo_queue.recycle t.buffers;
-    Array.fill t.force 0 n None;
+    Array.fill t.force_round 0 n no_stamp;
     Array.fill t.reset_pending 0 n false;
     Array.fill t.park_epoch 0 n 0;
     Array.fill t.park_gen 0 n 0;
@@ -425,7 +433,8 @@ let note_arrival t c ~is_marker =
    payload field could in principle be damaged in flight. *)
 let apply_marker t c (m : Packet.marker) =
   t.n_markers <- t.n_markers + 1;
-  t.force.(c) <- Some { Deficit.round = m.m_round; dc = m.m_dc };
+  t.force_round.(c) <- m.m_round;
+  t.force_dc.(c) <- m.m_dc;
   if Obs.Sink.active t.sink then
     Obs.Sink.emit t.sink
       (Obs.Event.v ~channel:c ~round:m.m_round ~dc:m.m_dc ~time:(t.now ())
@@ -525,7 +534,7 @@ let crash_sync t c ~epoch ~gen =
         (Obs.Event.v ~channel:c ~size:!bytes ~seq:!pkts ~time:(t.now ())
            Obs.Event.Epoch_discard)
   end;
-  t.force.(c) <- None;
+  t.force_round.(c) <- no_stamp;
   note_reset_pending t c ~epoch ~gen;
   if t.waiting = c then t.waiting <- -1
 
@@ -598,7 +607,8 @@ let adopt_staged t =
           t.data_bytes <- t.data_bytes - size
         end);
     t.buffers <- splice t.buffers c;
-    t.force <- splice t.force c;
+    t.force_round <- splice t.force_round c;
+    t.force_dc <- splice t.force_dc c;
     t.reset_pending <- splice t.reset_pending c;
     t.park_epoch <- splice t.park_epoch c;
     t.park_gen <- splice t.park_gen c;
@@ -617,14 +627,14 @@ let adopt_staged t =
    below [G] after translation, the scan has over-advanced (forced or
    watchdog skips): re-anchor [round_lag] so this marker — and every
    later one, on any channel — pins at a consistent phase. *)
-let pin_marker t c (s : Deficit.stamp) =
-  let g = Deficit.round t.d in
-  if s.Deficit.round + t.round_lag < g then begin
-    t.round_lag <- g - s.Deficit.round;
+let pin_marker t c =
+  let g = Deficit.round t.d and round = t.force_round.(c) in
+  if round + t.round_lag < g then begin
+    t.round_lag <- g - round;
     t.n_realigns <- t.n_realigns + 1
   end;
-  Deficit.set_dc t.d c s.Deficit.dc;
-  t.force.(c) <- None
+  Deficit.set_dc t.d c t.force_dc.(c);
+  t.force_round.(c) <- no_stamp
 
 (* The receiver's scan: serve the current channel per the simulated
    sender algorithm; skip channels whose marker round is ahead of the
@@ -662,7 +672,7 @@ let rec progress t =
         then ag := t.park_gen.(i)
       done;
       adopt_staged t;
-      Array.fill t.force 0 t.n None;
+      Array.fill t.force_round 0 t.n no_stamp;
       let residual = ref false in
       for i = 0 to t.n - 1 do
         if t.reset_pending.(i) then
@@ -724,111 +734,102 @@ let rec progress t =
     end
   end
   else begin
-    (match t.force.(c) with
-    | Some s when t.realign_pending ->
+    let round = t.force_round.(c) in
+    if round <> no_stamp && t.realign_pending then begin
       (* First marker after a crash barrier: both round numberings are
          fresh starts, so any lead it shows is an epoch offset, not lost
          packets — anchor [round_lag] so it pins now. A marker at or
          behind [G] means the simulation is already consistent. *)
       t.realign_pending <- false;
-      if s.Deficit.round + t.round_lag > Deficit.round t.d then begin
-        t.round_lag <- Deficit.round t.d - s.Deficit.round;
+      if round + t.round_lag > Deficit.round t.d then begin
+        t.round_lag <- Deficit.round t.d - round;
         t.n_realigns <- t.n_realigns + 1
       end
-    | Some _ | None -> ());
-    match t.force.(c) with
-  | Some s when s.Deficit.round + t.round_lag > Deficit.round t.d ->
-    (* We lost packets on [c] and arrived "too early": skip it this round
-       and wait for our round number to catch up with the marker's. *)
-    t.n_skips <- t.n_skips + 1;
-    if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~channel:c ~round:(Deficit.round t.d) ~time:(t.now ())
-           Obs.Event.Skip);
-    Deficit.advance t.d;
-    progress t
-  | force_state ->
-    (if not (Deficit.in_service t.d) then begin
-       Deficit.begin_visit t.d;
-       match force_state with
-       | Some s ->
-         (* The marker gives the authoritative DC for serving the next
-            data packet, superseding our simulated value. *)
-         pin_marker t c s
-       | None -> ()
-     end
-     else
-       match force_state with
-       | Some s when s.Deficit.round + t.round_lag <= Deficit.round t.d ->
-         (* Mid-visit correction within the same round. *)
-         pin_marker t c s
-       | Some _ | None -> ());
-    if Deficit.dc t.d c <= 0 then begin
+    end;
+    if round <> no_stamp && round + t.round_lag > Deficit.round t.d then begin
+      (* We lost packets on [c] and arrived "too early": skip it this round
+         and wait for our round number to catch up with the marker's. *)
+      t.n_skips <- t.n_skips + 1;
+      if Obs.Sink.active t.sink then
+        Obs.Sink.emit t.sink
+          (Obs.Event.v ~channel:c ~round:(Deficit.round t.d) ~time:(t.now ())
+             Obs.Event.Skip);
       Deficit.advance t.d;
       progress t
     end
-    else if Fifo_queue.is_empty t.buffers.(c) then begin
-        let forced = t.force_need > 0 in
-        if
-          (forced || check_dead t c)
-          && t.n_data_buffered > 0
-          && t.wd_spin < t.n
-        then begin
-          (* The watchdog declared [c] dead and other channels hold data
-             — or a Force_flush eviction needs buffered data out {e now}:
-             pass the channel over instead of blocking. Delivery is
-             quasi-FIFO from here until a marker — or the sender's reset
-             barrier — resynchronizes the simulation. The
-             [n_data_buffered] guard keeps an all-quiet receiver blocked
-             rather than spinning the scan. *)
-          t.wd_spin <- t.wd_spin + 1;
-          if not forced then begin
-            t.n_wd_skips <- t.n_wd_skips + 1;
-            if Obs.Sink.active t.sink then
-              Obs.Sink.emit t.sink
-                (Obs.Event.v ~channel:c ~round:(Deficit.round t.d)
-                   ~time:(t.now ()) Obs.Event.Watchdog_skip)
-          end;
-          if t.waiting = c then begin
-            t.waiting <- -1;
-            if Obs.Sink.active t.sink then
-              Obs.Sink.emit t.sink
-                (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Unblock)
-          end;
-          Deficit.advance t.d;
-          progress t
-        end
-        else begin
-          if t.waiting <> c && Obs.Sink.active t.sink then
-            Obs.Sink.emit t.sink
-              (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Block);
-          t.waiting <- c (* Block: logical reception waits here. *)
-        end
-    end
     else begin
-        let pkt = Fifo_queue.pop_exn t.buffers.(c) in
-        if t.waiting = c && Obs.Sink.active t.sink then
-          Obs.Sink.emit t.sink
-            (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Unblock);
-        t.waiting <- -1;
-        t.wd_spin <- 0;
-        t.n_data_buffered <- t.n_data_buffered - 1;
-        t.data_bytes <- t.data_bytes - pkt.Packet.size;
-        (match t.budget with
-        | Some b when t.force_need > 0 && t.data_bytes + t.force_need <= b ->
-          (* The eviction freed enough room; resume normal blocking. *)
-          t.force_need <- 0
-        | Some _ | None -> ());
-        update_pressure t;
-        t.n_delivered <- t.n_delivered + 1;
-        if Obs.Sink.active t.sink then
-          Obs.Sink.emit t.sink
-            (Obs.Event.v ~channel:c ~round:(Deficit.round t.d)
-               ~dc:(Deficit.dc t.d c) ~size:pkt.Packet.size
-               ~seq:pkt.Packet.seq ~time:(t.now ()) Obs.Event.Deliver);
-        t.deliver ~channel:c pkt;
-        Deficit.consume t.d ~size:pkt.Packet.size;
+      if not (Deficit.in_service t.d) then Deficit.begin_visit t.d;
+      (* The marker gives the authoritative DC for serving the next data
+         packet, superseding our simulated value — at the start of a visit
+         or as a mid-visit correction within the same round. *)
+      if round <> no_stamp then pin_marker t c;
+      if Deficit.dc t.d c <= 0 then begin
+        Deficit.advance t.d;
         progress t
+      end
+      else if Fifo_queue.is_empty t.buffers.(c) then begin
+          let forced = t.force_need > 0 in
+          if
+            (forced || check_dead t c)
+            && t.n_data_buffered > 0
+            && t.wd_spin < t.n
+          then begin
+            (* The watchdog declared [c] dead and other channels hold data
+               — or a Force_flush eviction needs buffered data out {e now}:
+               pass the channel over instead of blocking. Delivery is
+               quasi-FIFO from here until a marker — or the sender's reset
+               barrier — resynchronizes the simulation. The
+               [n_data_buffered] guard keeps an all-quiet receiver blocked
+               rather than spinning the scan. *)
+            t.wd_spin <- t.wd_spin + 1;
+            if not forced then begin
+              t.n_wd_skips <- t.n_wd_skips + 1;
+              if Obs.Sink.active t.sink then
+                Obs.Sink.emit t.sink
+                  (Obs.Event.v ~channel:c ~round:(Deficit.round t.d)
+                     ~time:(t.now ()) Obs.Event.Watchdog_skip)
+            end;
+            if t.waiting = c then begin
+              t.waiting <- -1;
+              if Obs.Sink.active t.sink then
+                Obs.Sink.emit t.sink
+                  (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Unblock)
+            end;
+            Deficit.advance t.d;
+            progress t
+          end
+          else begin
+            if t.waiting <> c && Obs.Sink.active t.sink then
+              Obs.Sink.emit t.sink
+                (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Block);
+            t.waiting <- c (* Block: logical reception waits here. *)
+          end
+      end
+      else begin
+          let pkt = Fifo_queue.pop_exn t.buffers.(c) in
+          if t.waiting = c && Obs.Sink.active t.sink then
+            Obs.Sink.emit t.sink
+              (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Unblock);
+          t.waiting <- -1;
+          t.wd_spin <- 0;
+          t.n_data_buffered <- t.n_data_buffered - 1;
+          t.data_bytes <- t.data_bytes - pkt.Packet.size;
+          (match t.budget with
+          | Some b when t.force_need > 0 && t.data_bytes + t.force_need <= b ->
+            (* The eviction freed enough room; resume normal blocking. *)
+            t.force_need <- 0
+          | Some _ | None -> ());
+          update_pressure t;
+          t.n_delivered <- t.n_delivered + 1;
+          if Obs.Sink.active t.sink then
+            Obs.Sink.emit t.sink
+              (Obs.Event.v ~channel:c ~round:(Deficit.round t.d)
+                 ~dc:(Deficit.dc t.d c) ~size:pkt.Packet.size
+                 ~seq:pkt.Packet.seq ~time:(t.now ()) Obs.Event.Deliver);
+          t.deliver ~channel:c pkt;
+          Deficit.consume t.d ~size:pkt.Packet.size;
+          progress t
+      end
     end
   end
 
@@ -1049,7 +1050,8 @@ let crash_restart t =
     (* A staged add/remove died with the endpoint: rebuild the runtime
        arrays at the engine's width. *)
     t.buffers <- Array.init n (fun _ -> Fifo_queue.create ());
-    t.force <- Array.make n None;
+    t.force_round <- Array.make n no_stamp;
+    t.force_dc <- Array.make n 0;
     t.reset_pending <- Array.make n false;
     t.park_epoch <- Array.make n 0;
     t.park_gen <- Array.make n 0;
@@ -1064,7 +1066,7 @@ let crash_restart t =
     (* [clear], not [recycle]: the bundle identity survives the crash,
        so high-water maxima stay lifetime measurements. *)
     Array.iter Fifo_queue.clear t.buffers;
-    Array.fill t.force 0 n None;
+    Array.fill t.force_round 0 n no_stamp;
     Array.fill t.reset_pending 0 n false;
     Array.fill t.park_epoch 0 n 0;
     Array.fill t.park_gen 0 n 0;
@@ -1125,7 +1127,8 @@ let add_channel t ~quantum =
      staged vector. *)
   let q = Array.append (Deficit.quanta t.d) [| quantum |] in
   t.buffers <- Array.append t.buffers [| Fifo_queue.create () |];
-  t.force <- Array.append t.force [| None |];
+  t.force_round <- Array.append t.force_round [| no_stamp |];
+  t.force_dc <- Array.append t.force_dc [| 0 |];
   t.reset_pending <- Array.append t.reset_pending [| false |];
   t.park_epoch <- Array.append t.park_epoch [| 0 |];
   t.park_gen <- Array.append t.park_gen [| 0 |];
@@ -1241,5 +1244,5 @@ let drain t =
      marker stamp to describe — clear both so [blocked_on] and the next
      scan do not act on stale state. *)
   t.waiting <- -1;
-  Array.fill t.force 0 t.n None;
+  Array.fill t.force_round 0 t.n no_stamp;
   List.rev !out

@@ -11,7 +11,11 @@
    value is collectable the moment the caller drops it (the original
    kept the migrated root reachable at [heap.(size)], pinning delivered
    packets live). The dummy never escapes: every read is guarded by
-   [size]. *)
+   [size].
+
+   Pop order is exactly (time, insertion seq), so any correct heap pops
+   the same sequence: the hole sifts below changed the cost of a pop, not
+   its result. *)
 
 type 'a t = {
   mutable times : float array;
@@ -30,81 +34,92 @@ let is_empty q = q.size = 0
 
 let length q = q.size
 
-let precedes q i j =
-  q.times.(i) < q.times.(j)
-  || (q.times.(i) = q.times.(j) && q.seqs.(i) < q.seqs.(j))
+let[@inline never] grow q =
+  let cap = max 16 (2 * q.size) in
+  let times = Array.make cap 0.0 in
+  let seqs = Array.make cap 0 in
+  let vals = Array.make cap (dummy ()) in
+  Array.blit q.times 0 times 0 q.size;
+  Array.blit q.seqs 0 seqs 0 q.size;
+  Array.blit q.vals 0 vals 0 q.size;
+  q.times <- times;
+  q.seqs <- seqs;
+  q.vals <- vals
 
-let swap q i j =
-  let t = q.times.(i) in
-  q.times.(i) <- q.times.(j);
-  q.times.(j) <- t;
-  let s = q.seqs.(i) in
-  q.seqs.(i) <- q.seqs.(j);
-  q.seqs.(j) <- s;
-  let v = q.vals.(i) in
-  q.vals.(i) <- q.vals.(j);
-  q.vals.(j) <- v
-
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if precedes q i parent then begin
-      swap q i parent;
-      sift_up q parent
-    end
-  end
-
-let rec sift_down q i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < q.size && precedes q l !smallest then smallest := l;
-  if r < q.size && precedes q r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap q i !smallest;
-    sift_down q !smallest
-  end
-
-let grow q =
-  if q.size = Array.length q.vals then begin
-    let cap = max 16 (2 * q.size) in
-    let times = Array.make cap 0.0 in
-    let seqs = Array.make cap 0 in
-    let vals = Array.make cap (dummy ()) in
-    Array.blit q.times 0 times 0 q.size;
-    Array.blit q.seqs 0 seqs 0 q.size;
-    Array.blit q.vals 0 vals 0 q.size;
-    q.times <- times;
-    q.seqs <- seqs;
-    q.vals <- vals
-  end
+(* Both sifts move a hole, not an entry: the entry being placed stays in
+   locals while each entry it passes moves one level into the hole — one
+   store per array per level, against a three-array swap — and it is
+   written once, where the hole stops. *)
 
 let[@inline] add q ~time value =
-  grow q;
-  let i = q.size in
-  q.times.(i) <- time;
-  q.seqs.(i) <- q.next_seq;
-  q.vals.(i) <- value;
-  q.next_seq <- q.next_seq + 1;
-  q.size <- i + 1;
-  sift_up q i
+  if q.size = Array.length q.vals then grow q;
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  let times = q.times and seqs = q.seqs and vals = q.vals in
+  let i = ref q.size in
+  q.size <- !i + 1;
+  (* [seq] is the largest yet, so the new entry precedes a parent only
+     by time: a tie keeps it below. *)
+  while !i > 0 && time < times.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    times.(!i) <- times.(p);
+    seqs.(!i) <- seqs.(p);
+    vals.(!i) <- vals.(p);
+    i := p
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  vals.(!i) <- value
 
 let peek_time q = if q.size = 0 then None else Some q.times.(0)
 
 let[@inline] peek_time_unsafe q = q.times.(0)
 
-(* Remove the root: migrate the last entry into slot 0 and clear the
-   vacated slot so the moved value is not retained twice (and the root
-   of a now-empty heap is not retained at all). *)
+(* Remove the root: sift the last entry down from a hole at slot 0, then
+   clear the vacated last slot so the moved value is not retained twice
+   (and the root of a now-empty heap is not retained at all). *)
 let remove_root q =
   let last = q.size - 1 in
   q.size <- last;
+  let times = q.times and seqs = q.seqs and vals = q.vals in
   if last > 0 then begin
-    q.times.(0) <- q.times.(last);
-    q.seqs.(0) <- q.seqs.(last);
-    q.vals.(0) <- q.vals.(last)
+    let t = times.(last) and s = seqs.(last) and v = vals.(last) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= last then sifting := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < last
+            && (times.(r) < times.(l)
+               || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+          then r
+          else l
+        in
+        let ct = times.(c) in
+        if ct < t || (ct = t && seqs.(c) < s) then begin
+          times.(!i) <- ct;
+          seqs.(!i) <- seqs.(c);
+          vals.(!i) <- vals.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    times.(!i) <- t;
+    seqs.(!i) <- s;
+    vals.(!i) <- v
   end;
-  q.vals.(last) <- dummy ();
-  if last > 1 then sift_down q 0
+  vals.(last) <- dummy ()
+
+let take q clock =
+  if q.size = 0 then invalid_arg "Eventq.take: empty queue";
+  clock.(0) <- q.times.(0);
+  let v = q.vals.(0) in
+  remove_root q;
+  v
 
 let pop q =
   if q.size = 0 then None
@@ -113,12 +128,6 @@ let pop q =
     remove_root q;
     Some (time, v)
   end
-
-let[@inline] pop_exn q =
-  if q.size = 0 then invalid_arg "Eventq.pop_exn: empty queue";
-  let v = q.vals.(0) in
-  remove_root q;
-  v
 
 let clear q =
   q.size <- 0;

@@ -18,7 +18,8 @@ val length : 'a t -> int
 
 val add : 'a t -> time:float -> 'a -> unit
 (** [add q ~time v] inserts [v] to fire at [time]. Allocation-free except
-    when the backing arrays grow. *)
+    when the backing arrays grow. [time] must not be NaN (unchecked:
+    {!Sim.schedule} rejects it). *)
 
 val peek_time : 'a t -> float option
 (** Earliest scheduled time, if any. *)
@@ -30,10 +31,10 @@ val peek_time_unsafe : 'a t -> float
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event as [(time, value)]. *)
 
-val pop_exn : 'a t -> 'a
-(** Remove the earliest event and return its value without boxing a
-    tuple or option; read the time first with {!peek_time_unsafe}.
-    Raises [Invalid_argument] if the queue is empty. *)
+val take : 'a t -> float array -> 'a
+(** [take q clock] removes the earliest event, stores its time in
+    [clock.(0)] and returns its value without boxing a tuple, option or
+    float. Raises [Invalid_argument] if the queue is empty. *)
 
 val clear : 'a t -> unit
 (** Drop all events and release the backing arrays. *)

@@ -201,8 +201,10 @@ and ser_complete t =
 let create sim ?(name = "link") ~rate_bps ~prop_delay ?jitter ?rng ?loss
     ?(impair = Impair.none) ?corrupt ?txq_capacity_bytes ?mtu ?(channel = -1)
     ?(sink = Obs.Sink.null) ~deliver () =
-  if rate_bps <= 0.0 then invalid_arg "Link.create: rate_bps must be > 0";
-  if prop_delay < 0.0 then invalid_arg "Link.create: negative prop_delay";
+  (* Negated so that NaN fails too. *)
+  if not (rate_bps > 0.0) then invalid_arg "Link.create: rate_bps must be > 0";
+  if not (prop_delay >= 0.0) then
+    invalid_arg "Link.create: prop_delay must be >= 0";
   let t =
     {
       sim;
@@ -283,7 +285,7 @@ let mtu t = t.link_mtu
 let rate_bps t = t.rate
 
 let set_rate_bps t rate =
-  if rate <= 0.0 then invalid_arg "Link.set_rate_bps: rate must be > 0";
+  if not (rate > 0.0) then invalid_arg "Link.set_rate_bps: rate must be > 0";
   t.rate <- rate
 
 let is_up t = t.up

@@ -34,33 +34,45 @@ let engine t = match t.events with Qheap _ -> Heap | Qcal _ -> Calendar
 
 let[@inline] now t = t.clock.(0)
 
+let[@inline never] schedule_invalid at now =
+  invalid_arg
+    (if Float.is_nan at then "Sim.schedule: time is NaN"
+     else Printf.sprintf "Sim.schedule: time %g is before now (%g)" at now)
+
 let[@inline] schedule t ~at f =
-  if at < t.clock.(0) then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule: time %g is before now (%g)" at
-         t.clock.(0));
+  (* Written so that NaN fails the test too: [at < now] is false for
+     NaN, and a NaN event breaks the (time, seq) order of both queues. *)
+  if not (at >= t.clock.(0)) then schedule_invalid at t.clock.(0);
   match t.events with
   | Qheap q -> Eventq.add q ~time:at f
   | Qcal q -> Calendar_queue.add q ~time:at f
 
 let[@inline] schedule_after t ~delay f =
-  if delay < 0.0 then invalid_arg "Sim.schedule_after: negative delay";
+  if not (delay >= 0.0) then
+    invalid_arg
+      (if Float.is_nan delay then "Sim.schedule_after: delay is NaN"
+       else "Sim.schedule_after: negative delay");
   schedule t ~at:(t.clock.(0) +. delay) f
 
+(* One scan per event: [take] finds the earliest event, writes its time
+   into the clock cell and removes it. The event is bound before it is
+   called: [(take q clock) ()] compiles to one three-argument application,
+   which a caller that cannot see [take]'s arity (any dev build) performs
+   one argument at a time, allocating a partial application per event. *)
 let step t =
   match t.events with
   | Qheap q ->
     if Eventq.is_empty q then false
     else begin
-      t.clock.(0) <- Eventq.peek_time_unsafe q;
-      (Eventq.pop_exn q) ();
+      let f = Eventq.take q t.clock in
+      f ();
       true
     end
   | Qcal q ->
     if Calendar_queue.is_empty q then false
     else begin
-      t.clock.(0) <- Calendar_queue.peek_time_unsafe q;
-      (Calendar_queue.pop_exn q) ();
+      let f = Calendar_queue.take q t.clock in
+      f ();
       true
     end
 

@@ -29,12 +29,12 @@ val now : t -> float
 
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** [schedule sim ~at f] runs [f] when the clock reaches [at]. [at] must
-    not be in the past ([at >= now sim]); raises [Invalid_argument]
-    otherwise. *)
+    not be in the past ([at >= now sim], so not NaN either); raises
+    [Invalid_argument] otherwise, leaving the queue unchanged. *)
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule_after sim ~delay f] is [schedule sim ~at:(now sim +. delay)].
-    [delay] must be non-negative. *)
+    [delay] must be non-negative (and not NaN). *)
 
 val run : t -> unit
 (** Drain all events. Returns when the queue is empty. *)

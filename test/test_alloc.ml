@@ -4,10 +4,13 @@
    does not inline across modules and so boxes more floats than a
    release build. Each sits between what the path costs now and what
    one broken rule costs:
-   - Link: 12 words/packet in dev (0 in release); a closure per arrival
-     adds 10;
-   - Resequencer.receive without a watchdog: about 0 words/call; a clock
-     read per arrival adds 2;
+   - Link: 8 words/packet in dev (0 in release); a closure per arrival
+     adds 10. Sent in 100-packet bursts, the same 8: the calendar keeps
+     its ring across bursts, where rehashing on every swing of the
+     population cost 90 words/packet;
+   - Resequencer.receive without a watchdog: about 0 words/call, markers
+     included; a clock read per arrival adds 2, and a boxed marker stamp
+     ([Some {round; dc}]) 5 per marker;
    - Sharded_pool.run: 15 words/push in dev (2 in release); a closure
      per replayed op adds about 18;
    - Striper.push with Round_end markers every 4 rounds: about 2
@@ -51,6 +54,32 @@ let test_link_send_and_run () =
   check_at_most "Link send + arrival per packet" ~bound:16.0
     (words /. float_of_int n)
 
+(* The bursts swing the calendar's population between 0 and about 100
+   events, across two powers of two. *)
+let test_link_bursts () =
+  let sim = Sim.create ~engine:Sim.Calendar () in
+  let delivered = ref 0 in
+  let link =
+    Link.create sim ~rate_bps:1e9 ~prop_delay:0.001
+      ~deliver:(fun (_ : int) -> incr delivered)
+      ()
+  in
+  let bursts = 1000 and burst = 100 in
+  let send_bursts () =
+    for _ = 1 to bursts do
+      for i = 1 to burst do
+        ignore (Link.send link ~size:100 i)
+      done;
+      Sim.run sim
+    done
+  in
+  send_bursts ();
+  let words = words_during send_bursts in
+  Alcotest.(check int) "all delivered" (2 * bursts * burst) !delivered;
+  check_at_most "Link send + arrival per packet, 100-packet bursts"
+    ~bound:20.0
+    (words /. float_of_int (bursts * burst))
+
 let test_resequencer_in_order () =
   let quanta = [| 1500; 1500; 1500 |] in
   let sender = Srr.create ~quanta () in
@@ -84,6 +113,54 @@ let test_resequencer_in_order () =
   Alcotest.(check int) "all delivered in order" n !delivered;
   check_at_most "Resequencer.receive per call" ~bound:0.5
     (words /. float_of_int (n - 100))
+
+(* In-order arrivals from a striper with markers: 2 channels x quantum
+   2500 carry 10 packets of 500 B per round, and a marker on each channel
+   every other round makes one marker per 10 data packets. *)
+let test_resequencer_markers () =
+  let quanta = [| 2500; 2500 |] in
+  let n = 20_000 in
+  let sent = ref [] in
+  let striper =
+    Striper.create ~scheduler:(Scheduler.srr ~quanta ())
+      ~marker:(Marker.make ~every_rounds:2 ())
+      ~now:(fun () -> 0.0)
+      ~emit:(fun ~channel pkt -> sent := (channel, pkt) :: !sent)
+      ()
+  in
+  for i = 0 to n - 1 do
+    Striper.push striper (Packet.data ~seq:i ~size:500 ())
+  done;
+  let arrivals = Array.of_list (List.rev !sent) in
+  let markers = Striper.markers_sent striper in
+  Alcotest.(check bool) "one marker per 10 packets" true
+    (abs (markers - (n / 10)) <= 2);
+  (* A clock whose reading is a fresh float, as a simulator's is. *)
+  let sim = Sim.create () in
+  Sim.schedule sim ~at:1.5 ignore;
+  Sim.run sim;
+  let delivered = ref 0 in
+  let r =
+    Resequencer.create ~deficit:(Srr.create ~quanta ())
+      ~now:(fun () -> Sim.now sim)
+      ~deliver:(fun ~channel:_ _ -> incr delivered)
+      ()
+  in
+  let receive lo hi =
+    for i = lo to hi - 1 do
+      let channel, pkt = arrivals.(i) in
+      Resequencer.receive r ~channel pkt
+    done
+  in
+  let warm = 1100 in
+  receive 0 warm;
+  let words = words_during (fun () -> receive warm (Array.length arrivals)) in
+  Alcotest.(check int) "all delivered in order" n !delivered;
+  (* All but the trailing batch, which waits behind no data. *)
+  Alcotest.(check bool) "markers applied" true
+    (markers - Resequencer.markers_seen r <= Array.length quanta);
+  check_at_most "Resequencer.receive per call, markers included" ~bound:0.2
+    (words /. float_of_int (Array.length arrivals - warm))
 
 let test_striper_push () =
   let quanta = [| 1500; 1500; 1500; 1500 |] in
@@ -152,8 +229,11 @@ let suites =
     ( "alloc",
       [
         Alcotest.test_case "link send and run" `Quick test_link_send_and_run;
+        Alcotest.test_case "link send in bursts" `Quick test_link_bursts;
         Alcotest.test_case "resequencer in-order receive" `Quick
           test_resequencer_in_order;
+        Alcotest.test_case "resequencer receive with markers" `Quick
+          test_resequencer_markers;
         Alcotest.test_case "sharded replay" `Quick test_sharded_replay;
         Alcotest.test_case "Striper.push per packet" `Quick test_striper_push;
       ] );

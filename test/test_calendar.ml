@@ -90,6 +90,48 @@ let test_clear_and_reuse () =
   Calendar_queue.add q ~time:1.0 10;
   check "usable after clear" true (Calendar_queue.pop q = Some (1.0, 10))
 
+(* Resize hysteresis. Bursts that swing the population between 0 and
+   ~100 every time must stop rehashing once the ring has grown; a
+   lasting drop to a handful of sparse events must still shrink it, or
+   every pop would sweep a ring sized for the peak. *)
+let test_resize_hysteresis () =
+  let q = Calendar_queue.create () in
+  let clock = [| 0.0 |] in
+  let burst () =
+    let t0 = clock.(0) in
+    for i = 1 to 100 do
+      Calendar_queue.add q ~time:(t0 +. 0.001 +. (float_of_int i *. 1e-6)) i
+    done;
+    while not (Calendar_queue.is_empty q) do
+      ignore (Calendar_queue.take q clock)
+    done
+  in
+  burst ();
+  let grown = Calendar_queue.buckets q in
+  check "a burst leaves the ring grown" true (grown > 16);
+  for _ = 1 to 1000 do
+    burst ()
+  done;
+  check_int "steady bursts keep the ring" grown (Calendar_queue.buckets q);
+  (* Grow far past the burst size, then drop to 4 events a second apart
+     and keep them cycling. *)
+  for i = 1 to 100_000 do
+    Calendar_queue.add q ~time:(clock.(0) +. (float_of_int i *. 1e-6)) 0
+  done;
+  let peak = Calendar_queue.buckets q in
+  for _ = 1 to 100_000 - 4 do
+    ignore (Calendar_queue.take q clock)
+  done;
+  let pops = ref 0 in
+  while Calendar_queue.buckets q > 16 && !pops < 100_000 do
+    ignore (Calendar_queue.take q clock);
+    Calendar_queue.add q ~time:(clock.(0) +. 4.0) 0;
+    incr pops
+  done;
+  check "the ring had grown" true (peak >= 65_536);
+  check_int "a lasting drop shrinks the ring" 16 (Calendar_queue.buckets q);
+  check "within a few pops per halving" true (!pops < 1000)
+
 (* --- Equivalence against the heap ---------------------------------- *)
 
 (* Operations drawn for the property: add at one of a few times (small
@@ -223,6 +265,175 @@ let prop_calendar_churn_equals_heap =
       drain ();
       !ok && Eventq.is_empty heap && Calendar_queue.is_empty cal)
 
+(* --- Both engines against a sorted-list oracle ---------------------- *)
+
+(* The heap-vs-calendar properties above cannot catch a bug the two
+   share, so this one drives [Eventq], [Calendar_queue] and [Sim] (on
+   both engines, through [Sim.step]'s take path) against a sorted list.
+   Times are offsets from the oracle's clock — the time of the last pop
+   — so they are legal for [Sim.schedule] too. The op mix aims at the
+   calendar's corners: exact ties, reverse-order runs, far-future and
+   infinite times, sub-nanosecond gaps, laps around the initial
+   16-bucket ring (width 1), and append/pop slides that make a bucket
+   compact in place. *)
+type ref_op =
+  | Add of float  (* at now + offset *)
+  | Again  (* at the time of the previous add: an exact tie *)
+  | Desc of int * float  (* k adds at now + (k - i) * gap, i = 1..k *)
+  | Slide of int * float  (* k times: add at latest + gap, then pop *)
+  | Take
+  | Wipe
+
+let ref_op_gen =
+  QCheck.Gen.(
+    let offset =
+      frequency
+        [
+          (3, float_range 0.0 4.0);
+          (2, map (fun k -> float_of_int k *. 1e-10) (int_bound 50));
+          (1, return 0.0);
+          ( 2,
+            map2
+              (fun lap k -> (16.0 *. float_of_int lap) +. (0.25 *. float_of_int k))
+              (int_range 1 3) (int_bound 7) );
+          (1, map (fun k -> 1e5 *. float_of_int (k + 1)) (int_bound 9));
+          (1, return infinity);
+        ]
+    in
+    frequency
+      [
+        (8, map (fun d -> Add d) offset);
+        (2, return Again);
+        ( 1,
+          map2 (fun k gap -> Desc (k, gap)) (int_range 2 40)
+            (oneofl [ 1e-10; 1e-3; 0.3; 5.0 ]) );
+        ( 1,
+          map2 (fun k gap -> Slide (k, gap)) (int_range 2 80)
+            (oneofl [ 0.0; 1e-9; 1e-3; 0.6 ]) );
+        (6, return Take);
+        (1, return Wipe);
+      ])
+
+let ref_op_print = function
+  | Add d -> Printf.sprintf "Add %h" d
+  | Again -> "Again"
+  | Desc (k, g) -> Printf.sprintf "Desc (%d, %g)" k g
+  | Slide (k, g) -> Printf.sprintf "Slide (%d, %g)" k g
+  | Take -> "Take"
+  | Wipe -> "Wipe"
+
+let ref_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map ref_op_print ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 0 300) ref_op_gen)
+
+(* Seed of the property's random state, printed with any failure so the
+   run can be replayed with QCHECK_SEED. *)
+let ref_seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some s -> s
+  | None -> Random.State.bits (Random.State.make_self_init ())
+
+let prop_engines_match_oracle =
+  QCheck.Test.make ~name:"eventq, calendar and Sim.step = sorted-list oracle"
+    ~count:300 ref_ops_arb (fun ops ->
+      let fail fmt =
+        QCheck.Test.fail_reportf ("seed %d (QCHECK_SEED=%d replays it): " ^^ fmt)
+          ref_seed ref_seed
+      in
+      (* The oracle: pending (time, id) in pop order; equal times keep
+         insertion order. *)
+      let oracle = ref [] and now = ref 0.0 and last_add = ref 0.0 in
+      let heap = Eventq.create () and cal = Calendar_queue.create () in
+      let fired = ref (-1) in
+      let new_sims () =
+        ( Sim.create ~engine:Sim.Heap (),
+          Sim.create ~engine:Sim.Calendar () )
+      in
+      let sims = ref (new_sims ()) in
+      let next_id = ref 0 in
+      let cell = [| 0.0 |] in
+      let add t =
+        let id = !next_id in
+        incr next_id;
+        last_add := t;
+        let rec ins = function
+          | (t', _) as e :: rest when t' <= t -> e :: ins rest
+          | rest -> (t, id) :: rest
+        in
+        oracle := ins !oracle;
+        Eventq.add heap ~time:t id;
+        Calendar_queue.add cal ~time:t id;
+        let sh, sc = !sims in
+        Sim.schedule sh ~at:t (fun () -> fired := id);
+        Sim.schedule sc ~at:t (fun () -> fired := id)
+      in
+      let take () =
+        match !oracle with
+        | [] ->
+          if not (Eventq.is_empty heap && Calendar_queue.is_empty cal) then
+            fail "a queue holds events the oracle does not"
+        | (t, id) :: rest ->
+          oracle := rest;
+          now := t;
+          let check what t' id' =
+            if not (Float.equal t' t && id' = id) then
+              fail "%s popped (%h, %d), oracle (%h, %d)" what t' id' t id
+          in
+          let id' = Eventq.take heap cell in
+          check "eventq take" cell.(0) id';
+          let id' = Calendar_queue.take cal cell in
+          check "calendar take" cell.(0) id';
+          List.iter
+            (fun (name, sim) ->
+              fired := -1;
+              if not (Sim.step sim) then fail "%s: Sim.step found nothing" name;
+              check name (Sim.now sim) !fired)
+            [ ("Sim.step heap", fst !sims); ("Sim.step calendar", snd !sims) ]
+      in
+      let check_lengths i =
+        let n = List.length !oracle in
+        let sh, sc = !sims in
+        if
+          Eventq.length heap <> n
+          || Calendar_queue.length cal <> n
+          || Sim.pending sh <> n
+          || Sim.pending sc <> n
+        then fail "after op %d: lengths differ from the oracle's %d" i n
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Add d -> add (!now +. d)
+          | Again -> add (Float.max !now !last_add)
+          | Desc (k, gap) ->
+            for j = 1 to k do
+              add (!now +. (float_of_int (k - j) *. gap))
+            done
+          | Slide (k, gap) ->
+            for _ = 1 to k do
+              add (Float.max !now !last_add +. gap);
+              take ()
+            done
+          | Take -> take ()
+          | Wipe ->
+            oracle := [];
+            Eventq.clear heap;
+            Calendar_queue.clear cal;
+            sims := new_sims ());
+          check_lengths i)
+        ops;
+      (* Drain through the option-returning [pop] too. *)
+      List.iter
+        (fun (t, id) ->
+          let ok = Some (t, id) in
+          if Eventq.pop heap <> ok then fail "eventq drain differs at (%h, %d)" t id;
+          if Calendar_queue.pop cal <> ok then
+            fail "calendar drain differs at (%h, %d)" t id)
+        !oracle;
+      Eventq.is_empty heap && Calendar_queue.is_empty cal)
+
 (* --- Eventq popped-slot leak regression ---------------------------- *)
 
 let test_pop_releases_value () =
@@ -344,8 +555,12 @@ let suites =
           test_growth_across_resizes;
         Alcotest.test_case "wide time spread" `Quick test_wide_spread;
         Alcotest.test_case "clear and reuse" `Quick test_clear_and_reuse;
+        Alcotest.test_case "resize hysteresis" `Quick test_resize_hysteresis;
         QCheck_alcotest.to_alcotest prop_calendar_equals_heap;
         QCheck_alcotest.to_alcotest prop_calendar_churn_equals_heap;
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| ref_seed |])
+          prop_engines_match_oracle;
         Alcotest.test_case "eventq pop releases value" `Quick
           test_pop_releases_value;
         Alcotest.test_case "calendar pop releases value" `Quick

@@ -137,7 +137,22 @@ let test_invalid_create () =
   Alcotest.check_raises "zero rate rejected"
     (Invalid_argument "Link.create: rate_bps must be > 0") (fun () ->
       ignore
-        (Link.create sim ~rate_bps:0.0 ~prop_delay:0.0 ~deliver:ignore ()))
+        (Link.create sim ~rate_bps:0.0 ~prop_delay:0.0 ~deliver:ignore ()));
+  (* NaN fails every comparison, so each guard must be a negated
+     [>]/[>=]. *)
+  Alcotest.check_raises "NaN rate rejected"
+    (Invalid_argument "Link.create: rate_bps must be > 0") (fun () ->
+      ignore
+        (Link.create sim ~rate_bps:Float.nan ~prop_delay:0.0 ~deliver:ignore ()));
+  Alcotest.check_raises "NaN prop_delay rejected"
+    (Invalid_argument "Link.create: prop_delay must be >= 0") (fun () ->
+      ignore
+        (Link.create sim ~rate_bps:1e6 ~prop_delay:Float.nan ~deliver:ignore ()));
+  let link = Link.create sim ~rate_bps:1e6 ~prop_delay:0.0 ~deliver:ignore () in
+  Alcotest.check_raises "NaN rate change rejected"
+    (Invalid_argument "Link.set_rate_bps: rate must be > 0") (fun () ->
+      Link.set_rate_bps link Float.nan);
+  Alcotest.(check (float 0.0)) "rate unchanged" 1e6 (Link.rate_bps link)
 
 (* Everything that perturbs the arrival path at once — jitter, Bernoulli
    loss, reordering, duplication, corruption (some copies caught by the

@@ -98,6 +98,26 @@ let test_negative_delay_rejected () =
     (Invalid_argument "Sim.schedule_after: negative delay") (fun () ->
       Sim.schedule_after sim ~delay:(-1.0) (fun () -> ()))
 
+(* A NaN time fails [at >= now] but also [at < now], so a guard written
+   as the latter let it in, after which both queues fired out of order
+   (the heap ran 1, 2, 0.5: time went backwards). It must be rejected
+   with the queue left as it was; +inf is a legal, last time. *)
+let test_nan_rejected engine () =
+  let sim = Sim.create ~engine () in
+  let fired = ref [] in
+  let at t = Sim.schedule sim ~at:t (fun () -> fired := Sim.now sim :: !fired) in
+  at 1.0;
+  Alcotest.check_raises "NaN time" (Invalid_argument "Sim.schedule: time is NaN")
+    (fun () -> at Float.nan);
+  Alcotest.check_raises "NaN delay"
+    (Invalid_argument "Sim.schedule_after: delay is NaN") (fun () ->
+      Sim.schedule_after sim ~delay:Float.nan ignore);
+  Alcotest.(check int) "queue unchanged" 1 (Sim.pending sim);
+  List.iter at [ infinity; 0.5; 2.0 ];
+  Sim.run sim;
+  Alcotest.(check (list (float 0.0))) "time order, +inf last"
+    [ 0.5; 1.0; 2.0; infinity ] (List.rev !fired)
+
 let suites =
   [
     ( "sim",
@@ -114,5 +134,9 @@ let suites =
           test_stop_leaves_clock_at_stop_point;
         Alcotest.test_case "step" `Quick test_step;
         Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected;
+        Alcotest.test_case "NaN rejected (heap)" `Quick
+          (test_nan_rejected Sim.Heap);
+        Alcotest.test_case "NaN rejected (calendar)" `Quick
+          (test_nan_rejected Sim.Calendar);
       ] );
   ]
