@@ -20,6 +20,8 @@
    - aggregate pps: data packets delivered per wall-clock second across
      the fleet — the number the CI gate protects; with [--domains N],
      also per-shard pps and a scaling-efficiency line;
+   - minor words allocated per delivered packet during the replay: the
+     machine-independent cost gate;
    - per-bundle fairness: every bundle runs the same configuration and
      sees the same arrival statistics, so delivered goodput normalized
      by lifetime should be equal across bundles. The p50/p99 of the
@@ -37,10 +39,12 @@
      dune exec bench/exp_fleet.exe -- --json FILE      # machine output
      dune exec bench/exp_fleet.exe -- --check FILE --max-regress 0.30
        # CI gate: exit 1 if pps drops >30% below FILE's committed
-       # numbers, or if the protocol aggregates (delivered, markers,
-       # share p50/p99) drift from the committed single-domain anchor —
-       # the latter holds for every --domains N, so a multicore run is
-       # gated on aggregate equality, not wall-clock.
+       # numbers, if single-domain calendar runs allocate >2% more
+       # minor words per delivered packet than committed, or if the
+       # protocol aggregates (delivered, markers, share p50/p99) drift
+       # from the committed single-domain anchor — the latter holds for
+       # every --domains N, so a multicore run is gated on aggregate
+       # equality, not wall-clock.
 
    Like exp_throughput, each engine runs [--repeat] times and the
    fastest run is reported (wall-clock noise is one-sided); the
@@ -77,6 +81,7 @@ type result = {
   share_p50 : float;
   share_p99 : float;
   sim_seconds : float;
+  minor_words_per_pkt : float;
   efficiency : float;
   shards : Sharded_pool.shard_report array;
 }
@@ -184,7 +189,14 @@ let run_once ~engine ~total_bundles ~domains () =
   traffic_tick ();
   Sim.run gsim;
   Gc.compact ();
+  (* Allocation is machine-independent, so it is the fleet's speed gate
+     that any machine can check. The counters are read after a minor
+     collection, which flushes this domain's allocation into totals
+     that already hold what the joined shard domains allocated. *)
+  let minor0 = (Gc.quick_stat ()).Gc.minor_words in
   let report = Sharded_pool.run pool in
+  Gc.minor ();
+  let minor_words = (Gc.quick_stat ()).Gc.minor_words -. minor0 in
   (* Internal merge consistency: the aggregate the report carries must
      equal the sum of its per-shard entries — always on, every run. *)
   let shard_sum f =
@@ -232,6 +244,8 @@ let run_once ~engine ~total_bundles ~domains () =
     share_p50 = percentile errors 0.50;
     share_p99 = percentile errors 0.99;
     sim_seconds = report.Sharded_pool.end_time;
+    minor_words_per_pkt =
+      minor_words /. float_of_int (max 1 report.Sharded_pool.delivered_packets);
     efficiency = report.Sharded_pool.efficiency;
     shards = report.Sharded_pool.shards;
   }
@@ -276,16 +290,17 @@ let fields_of_result ~tag r =
       ("share_p50", Num (4, r.share_p50));
       ("share_p99", Num (4, r.share_p99));
       ("sim_seconds", Num (4, r.sim_seconds));
+      ("minor_words_per_pkt", Num (3, r.minor_words_per_pkt));
     ]
   @ shard_part
 
 let print_result r =
   Printf.printf
     "  %-10s %6d bundles (peak %4d live)  %8d pkts  %6.3f s wall  %9.0f \
-     pkts/s  share err p50 %.3f p99 %.3f\n\
+     pkts/s  %.3f minor_words_per_pkt  share err p50 %.3f p99 %.3f\n\
      %!"
-    r.engine r.bundles r.peak_live r.delivered r.wall_s r.pps r.share_p50
-    r.share_p99;
+    r.engine r.bundles r.peak_live r.delivered r.wall_s r.pps
+    r.minor_words_per_pkt r.share_p50 r.share_p99;
   if r.domains > 1 then begin
     let pps_of (s : Sharded_pool.shard_report) =
       if s.Sharded_pool.wall_s > 0.0 then
@@ -308,6 +323,10 @@ let best_of ~repeat ~engine ~total_bundles ~domains () =
     if r.pps > !best.pps then best := r
   done;
   !best
+
+(* Ceiling on minor words per delivered packet, relative to the
+   committed calendar entry. *)
+let max_words_regress = 0.02
 
 let quick_bundles = 10_000
 let full_bundles = 25_000
@@ -415,6 +434,12 @@ let () =
         if r.domains = 1 then
           Bench_gate.check gate ~tag:anchor ~field:"pps" (Floor !max_regress)
             r.pps;
+        (* Allocation gate: the calendar anchors, the engine the
+           benchmark runs; +2%, the rule exp_throughput applies. *)
+        if r.domains = 1 && r.engine = "calendar" then
+          Bench_gate.check gate ~tag:anchor ~field:"minor_words_per_pkt"
+            (Ceiling { rel = max_words_regress; abs = 0.0 })
+            r.minor_words_per_pkt;
         (* Determinism gate: the protocol aggregates must equal the
            committed single-domain anchor — for every domain count. The
            committed JSON rounds the share errors to 4 decimals. *)

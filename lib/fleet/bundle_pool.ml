@@ -84,6 +84,8 @@ type t = {
   ch_loss : Loss.t array;
   rate_scale : float array;
   ch_quarantined : bool array;
+  health_config : Health.config option;
+  health_sink : Stripe_obs.Sink.t option;
   mutable health : Health.t option;
   (* Pool-wide per-channel wire counters — the health engine's evidence.
      [wtx] counts packets offered to the wire (lost ones included),
@@ -297,6 +299,11 @@ let slot_order t i =
   | Sprinklers seed -> Deficit.Permuted (seed + (i * 0x632be5ab))
   | Srr -> Deficit.Fixed
 
+let make_rx t i =
+  Resequencer.create
+    ~deficit:(Deficit.clone_initial t.tx.(i))
+    ~now:t.now_fn ?watchdog:t.watchdog ~deliver:(make_deliver t i) ()
+
 (* Build slots [t.cap, cap): every expensive component a bundle will
    ever need on this slot is created here, exactly once. *)
 let grow_to t cap =
@@ -308,13 +315,7 @@ let grow_to t cap =
       (fun i ->
         Deficit.create ~order:(slot_order t i) ~quanta:(Array.copy t.quanta) ())
       t.tx;
-  t.rx <-
-    extend
-      (fun i ->
-        Resequencer.create
-          ~deficit:(Deficit.clone_initial t.tx.(i))
-          ~now:t.now_fn ?watchdog:t.watchdog ~deliver:(make_deliver t i) ())
-      t.rx;
+  t.rx <- extend (make_rx t) t.rx;
   if t.use_guard then
     t.grx <-
       extend
@@ -364,6 +365,14 @@ let grow_to t cap =
   done;
   t.cap <- cap
 
+let build_health t =
+  Option.map
+    (fun config ->
+      Health.create ~config
+        ~live:(fun c -> c >= 0 && c < t.n_ch && t.ch_up.(c))
+        ?sink:t.health_sink ~n:t.n_ch ())
+    t.health_config
+
 let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
     ?health ?health_sink ~sim (config : config) =
   let n = Array.length config.rate_bps in
@@ -403,6 +412,8 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
       ch_loss = Array.init n (fun _ -> Loss.none ());
       rate_scale = Array.make n 1.0;
       ch_quarantined = Array.make n false;
+      health_config = health;
+      health_sink;
       health = None;
       wtx_p = Array.make n 0;
       wlost_p = Array.make n 0;
@@ -462,20 +473,13 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
       n_restarts = 0;
     }
   in
-  (match health with
-  | Some config ->
-    t.health <-
-      Some
-        (Health.create ~config
-           ~live:(fun c -> c >= 0 && c < n && t.ch_up.(c))
-           ?sink:health_sink ~n ())
-  | None -> ());
+  t.health <- build_health t;
   grow_to t initial_capacity;
   t
 
-let activate t id =
-  t.live.(id) <- true;
-  t.birth.(id) <- Sim.now t.sim;
+(* The per-bundle counters and chaos state a new owner starts from:
+   [acquire] applies it to one slot, [reset] to all of them. *)
+let clear_slot t id =
   t.pushed_p.(id) <- 0;
   t.pushed_b.(id) <- 0;
   t.delivered_p.(id) <- 0;
@@ -494,7 +498,12 @@ let activate t id =
   t.rx_wiped_p.(id) <- 0;
   t.wire_dp.(id) <- 0;
   t.fifo_viol.(id) <- 0;
-  t.ooo.(id) <- 0;
+  t.ooo.(id) <- 0
+
+let activate t id =
+  t.live.(id) <- true;
+  t.birth.(id) <- Sim.now t.sim;
+  clear_slot t id;
   (* The slot engine starts from the link state of the moment, not from
      any predecessor's suspensions (release's reconfigure cleared those):
      a bundle born mid-storm never stripes onto a channel that is already
@@ -552,6 +561,54 @@ let release t id =
   t.n_recycled <- t.n_recycled + 1;
   t.free.(t.n_free) <- id;
   t.n_free <- t.n_free + 1
+
+(* Everything [create] set, back in place over the slots already built:
+   the per-slot components are recycled (a receiver that adopted a
+   health retune runs other quanta than [create] gave it, so it is
+   rebuilt instead), and the free stack is restacked lowest id first.
+   Empty wires are the precondition, not a step: a packet on a wire has
+   its arrival event queued, and [drop] never exceeds the wire's length,
+   so both are already what [create] built. *)
+let reset t =
+  if Array.exists (fun w -> not (Fifo_queue.is_empty w)) t.wire then
+    invalid_arg "Bundle_pool.reset: a packet is still on a wire";
+  Array.fill t.ch_up 0 t.n_ch true;
+  Array.fill t.ch_loss 0 t.n_ch (Loss.none ());
+  Array.fill t.rate_scale 0 t.n_ch 1.0;
+  Array.fill t.ch_quarantined 0 t.n_ch false;
+  t.health <- build_health t;
+  List.iter
+    (fun a -> Array.fill a 0 t.n_ch 0)
+    [ t.wtx_p; t.wlost_p; t.wtx_b; t.wdone_b; t.last_wtx_p; t.last_wlost_p;
+      t.last_wtx_b; t.last_wdone_b ];
+  t.max_push <- 0;
+  t.health_retunes <- 0;
+  t.health_deferred <- 0;
+  for id = 0 to t.cap - 1 do
+    t.live.(id) <- false;
+    t.birth.(id) <- 0.0;
+    clear_slot t id;
+    Deficit.reconfigure t.tx.(id) ~quanta:t.quanta;
+    if Resequencer.quanta t.rx.(id) = t.quanta then Resequencer.recycle t.rx.(id)
+    else t.rx.(id) <- make_rx t id;
+    if t.use_guard then Channel_guard.recycle t.grx.(id);
+    t.next_mark.(id) <- 0;
+    t.free.(id) <- t.cap - 1 - id
+  done;
+  Array.fill t.busy 0 (t.cap * t.n_ch) 0.0;
+  Array.fill t.rx_tag 0 (t.cap * t.n_ch) 0;
+  t.n_free <- t.cap;
+  t.n_live <- 0;
+  t.n_acquired <- 0;
+  t.n_recycled <- 0;
+  t.total_dp <- 0;
+  t.total_db <- 0;
+  t.markers <- 0;
+  t.fifo_check_after <- 0.0;
+  t.fifo_violations <- 0;
+  t.first_violation <- None;
+  t.n_crashes <- 0;
+  t.n_restarts <- 0
 
 let is_live t id = id >= 0 && id < t.cap && t.live.(id)
 let live_bundles t = t.n_live

@@ -143,6 +143,24 @@ val release : t -> int -> unit
     {!acquire}, so they remain readable after release for end-of-life
     harvesting. Raises [Invalid_argument] if [id] is not live. *)
 
+val reset : t -> unit
+(** Return the pool to exactly the state {!create} built, keeping the
+    slots already built: every slot free and restacked lowest id first,
+    every per-slot component recycled in place (wire timelines back to
+    0, engines and resequencers on the configured quanta, buffers
+    emptied, guards re-armed), and every pool-wide counter and chaos
+    lever — carrier state, loss processes, rate scales, quarantines,
+    health engine, FIFO quiet line — back to its initial value. A
+    script driven after [reset] therefore runs exactly as on a fresh
+    pool of {!capacity} slots. This is how {!Sharded_pool} replays one
+    domain's slots group by group on one pool.
+
+    Drain the simulation and {!Stripe_netsim.Sim.reset} it first:
+    recycled resequencers read the clock. Raises [Invalid_argument] if
+    a packet is still on a wire (its arrival event is pending). The
+    [rng] handed to {!create} is not rewound; the fleet replay never
+    draws from it, as it installs no wire loss. *)
+
 val is_live : t -> int -> bool
 val live_bundles : t -> int
 val capacity : t -> int

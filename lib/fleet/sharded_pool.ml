@@ -24,6 +24,13 @@
    [--domains 1] reproduces the legacy single-pool run byte-for-byte,
    and [--domains N] merges back to the same protocol aggregates.
 
+   The same argument lets one shard replay its slots in groups of
+   [group_slots], one group after another on one sim and one pool that
+   are reset in between. The recorder files each op under its slot's
+   group as it records, so a group's tape is contiguous and the replay
+   needs no index. A group's working set fits in cache where a whole
+   shard's does not, which is most of the replay's cost.
+
    What merges at the barrier: per-generation delivery records (ordered
    by global acquisition ordinal), pool counter totals (sums), marker
    counts (sums), FIFO-monitor verdicts (sum violations, min-time first
@@ -38,44 +45,51 @@ let op_acquire = 0
 let op_release = 1
 let op_push = 2
 
-type tape = {
-  mutable kind : Bytes.t;
+(* Slots per replay group, [1 lsl slot_bits]. A group's live state —
+   slot engines, resequencers, wires and the sim's pending events —
+   stays cache-sized however large the shard is. Picked from a sweep
+   over the 25k-bundle churned fleet (DESIGN.md §10, "Replay groups"). *)
+let slot_bits = 7
+let group_slots = 1 lsl slot_bits
+
+(* One replay group: up to [group_slots] slots of one shard and the tape
+   of every op on them, in recording order. An op is its time and one
+   word: [(arg lsl (slot_bits + 2)) lor (slot lsl 2) lor kind], where
+   [slot] is the group-local index and [arg] the push size or, for an
+   acquire, the global acquisition ordinal. *)
+type group = {
   mutable at : float array;
-  mutable slot : int array;
-  mutable arg : int array;
-      (* push size; for acquire ops the global acquisition ordinal *)
+  mutable op : int array;
   mutable len : int;
+  globals : int array;  (* global slot id of each group-local index *)
+  mutable n_slots : int;
 }
 
-let tape_create () =
+let group_create () =
   {
-    kind = Bytes.create 1024;
     at = Array.make 1024 0.0;
-    slot = Array.make 1024 0;
-    arg = Array.make 1024 0;
+    op = Array.make 1024 0;
     len = 0;
+    globals = Array.make group_slots (-1);
+    n_slots = 0;
   }
 
-let tape_push tp ~op ~at ~slot ~arg =
-  if tp.len = Bytes.length tp.kind then begin
-    let n = tp.len in
-    let kind = Bytes.create (2 * n) in
-    Bytes.blit tp.kind 0 kind 0 n;
-    tp.kind <- kind;
+(* Placeholder for slots not yet acquired; never written. *)
+let no_group = { at = [||]; op = [||]; len = 0; globals = [||]; n_slots = 0 }
+
+let tape_push g ~op ~at ~slot ~arg =
+  if g.len = Array.length g.op then begin
     let grow a zero =
-      let b = Array.make (2 * n) zero in
-      Array.blit a 0 b 0 n;
+      let b = Array.make (2 * g.len) zero in
+      Array.blit a 0 b 0 g.len;
       b
     in
-    tp.at <- grow tp.at 0.0;
-    tp.slot <- grow tp.slot 0;
-    tp.arg <- grow tp.arg 0
+    g.at <- grow g.at 0.0;
+    g.op <- grow g.op 0
   end;
-  Bytes.set_uint8 tp.kind tp.len op;
-  tp.at.(tp.len) <- at;
-  tp.slot.(tp.len) <- slot;
-  tp.arg.(tp.len) <- arg;
-  tp.len <- tp.len + 1
+  g.at.(g.len) <- at;
+  g.op.(g.len) <- (arg lsl (slot_bits + 2)) lor (slot lsl 2) lor op;
+  g.len <- g.len + 1
 
 type t = {
   domains : int;
@@ -84,7 +98,7 @@ type t = {
   seed : int;
   config : Bundle_pool.config;
   clock : unit -> float;
-  tapes : tape array;
+  groups : group array array;  (* per shard, in order of first acquire *)
   (* Shadow of Bundle_pool's slot allocator: LIFO free stack, doubling
      growth, new slots stacked lowest-id-first — bit-for-bit the
      assignment the legacy single pool would make. *)
@@ -92,6 +106,10 @@ type t = {
   mutable free : int array;
   mutable n_free : int;
   mutable live : bool array;
+  mutable group_of : group array;
+  mutable local_of : int array;
+      (* Per global slot: its replay group and its index in it, set at
+         its first acquire ([local_of] is -1 until then). *)
   mutable n_live : int;
   mutable peak_live : int;
   mutable n_acquired : int;
@@ -139,6 +157,8 @@ let grow_shadow t cap =
   in
   t.free <- extend 0 t.free;
   t.live <- extend false t.live;
+  t.group_of <- extend no_group t.group_of;
+  t.local_of <- extend (-1) t.local_of;
   (* Stack the new slots so the lowest id comes off first — mirrors
      Bundle_pool.grow_to. *)
   for id = cap - 1 downto t.cap do
@@ -160,10 +180,12 @@ let create ?(engine = Sim.Heap) ?(stamp_seq = false) ?(initial_capacity = 64)
       seed;
       config;
       clock;
-      tapes = Array.init domains (fun _ -> tape_create ());
+      groups = Array.make domains [||];
       cap = 0;
       free = [||];
       live = [||];
+      group_of = [||];
+      local_of = [||];
       n_free = 0;
       n_live = 0;
       peak_live = 0;
@@ -179,10 +201,32 @@ let total_acquired t = t.n_acquired
 let live_bundles t = t.n_live
 let peak_live t = t.peak_live
 
+(* Written so that NaN fails the test too: [at < last_at] is false for
+   NaN, and a NaN [last_at] would then let every later time through. *)
 let check_at t at op =
-  if at < t.last_at then
-    invalid_arg (Printf.sprintf "Sharded_pool.%s: time runs backwards" op);
+  if not (at >= t.last_at) then
+    invalid_arg
+      (Printf.sprintf "Sharded_pool.%s: %s" op
+         (if Float.is_nan at then "time is NaN" else "time runs backwards"));
   t.last_at <- at
+
+(* Append one op to the group tape of slot [id]. A slot's first op is
+   its first acquire, which files it in the last group of its shard: a
+   new group opens every [group_slots] slots. *)
+let record t ~op ~at id ~arg =
+  if t.local_of.(id) < 0 then begin
+    let shard = shard_of_bundle ~domains:t.domains id in
+    let groups = t.groups.(shard) in
+    let n = Array.length groups in
+    if n = 0 || groups.(n - 1).n_slots = group_slots then
+      t.groups.(shard) <- Array.append groups [| group_create () |];
+    let g = t.groups.(shard).(Array.length t.groups.(shard) - 1) in
+    t.group_of.(id) <- g;
+    t.local_of.(id) <- g.n_slots;
+    g.globals.(g.n_slots) <- id;
+    g.n_slots <- g.n_slots + 1
+  end;
+  tape_push t.group_of.(id) ~op ~at ~slot:t.local_of.(id) ~arg
 
 let acquire t ~at =
   check_at t at "acquire";
@@ -194,8 +238,7 @@ let acquire t ~at =
   if t.n_live > t.peak_live then t.peak_live <- t.n_live;
   let ordinal = t.n_acquired in
   t.n_acquired <- t.n_acquired + 1;
-  let shard = shard_of_bundle ~domains:t.domains id in
-  tape_push t.tapes.(shard) ~op:op_acquire ~at ~slot:id ~arg:ordinal;
+  record t ~op:op_acquire ~at id ~arg:ordinal;
   id
 
 let check_live t id op =
@@ -209,14 +252,12 @@ let release t ~at id =
   t.n_live <- t.n_live - 1;
   t.free.(t.n_free) <- id;
   t.n_free <- t.n_free + 1;
-  let shard = shard_of_bundle ~domains:t.domains id in
-  tape_push t.tapes.(shard) ~op:op_release ~at ~slot:id ~arg:0
+  record t ~op:op_release ~at id ~arg:0
 
 let push t ~at id ~size =
   check_at t at "push";
   check_live t id "push";
-  let shard = shard_of_bundle ~domains:t.domains id in
-  tape_push t.tapes.(shard) ~op:op_push ~at ~slot:id ~arg:size
+  record t ~op:op_push ~at id ~arg:size
 
 (* --- replay ----------------------------------------------------------- *)
 
@@ -262,92 +303,99 @@ type report = {
   efficiency : float;
 }
 
-let replay t ~shard =
-  let tp = t.tapes.(shard) in
-  let wall0 = t.clock () in
-  (* Dense local ids for the global slots this shard owns; a slot's
-     first op is necessarily its first acquire. *)
-  let local_of_global = Array.make (max 1 t.cap) (-1) in
-  let n_slots = ref 0 in
-  for i = 0 to tp.len - 1 do
-    if Bytes.get_uint8 tp.kind i = op_acquire then begin
-      let g = tp.slot.(i) in
-      if local_of_global.(g) < 0 then begin
-        local_of_global.(g) <- !n_slots;
-        incr n_slots
-      end
-    end
-  done;
-  let global_of_local = Array.make (max 1 !n_slots) (-1) in
-  Array.iteri
-    (fun g l -> if l >= 0 then global_of_local.(l) <- g)
-    local_of_global;
-  let sim = Sim.create ~engine:t.engine () in
-  let rng = Rng.stream ~seed:t.seed shard in
-  let pool =
-    Bundle_pool.create ~initial_capacity:(max 1 !n_slots)
-      ~stamp_seq:t.stamp_seq ~rng ~sim t.config
-  in
-  let cur_ord = Array.make (max 1 !n_slots) (-1) in
-  let gens = ref [] in
-  let n_gens = ref 0 in
-  (* One reused event walks the tape: op [!i] fires at its time and
-     schedules op [!i + 1] as its last act. *)
-  let i = ref 0 in
-  let rec fire () =
-    let k = !i in
-    let g = tp.slot.(k) in
-    let l = local_of_global.(g) in
-    (match Bytes.get_uint8 tp.kind k with
-    | 0 ->
-      ignore (Bundle_pool.acquire_slot pool l);
-      cur_ord.(l) <- tp.arg.(k)
-    | 1 ->
-      gens :=
-        {
-          ordinal = cur_ord.(l);
-          slot = g;
-          shard;
-          birth = Bundle_pool.birth_time pool l;
-          death = Sim.now sim;
-          pushed_packets = Bundle_pool.pushed_packets pool l;
-          pushed_bytes = Bundle_pool.pushed_bytes pool l;
-          delivered_packets = Bundle_pool.delivered_packets pool l;
-          delivered_bytes = Bundle_pool.delivered_bytes pool l;
-        }
-        :: !gens;
-      incr n_gens;
-      Bundle_pool.release pool l
-    | _ -> Bundle_pool.push pool l ~size:tp.arg.(k));
-    i := k + 1;
-    if k + 1 < tp.len then Sim.schedule sim ~at:tp.at.(k + 1) fire
-  in
-  if tp.len > 0 then Sim.schedule sim ~at:tp.at.(0) fire;
-  Sim.run sim;
-  let first_violation =
-    match Bundle_pool.first_violation pool with
-    | None -> None
-    | Some (time, l, seq) -> Some (time, global_of_local.(l), seq)
-  in
-  ( {
-      shard;
-      slots = !n_slots;
-      ops = tp.len;
-      generations = !n_gens;
-      delivered_packets = Bundle_pool.total_delivered_packets pool;
-      delivered_bytes = Bundle_pool.total_delivered_bytes pool;
-      markers_sent = Bundle_pool.markers_sent pool;
-      fifo_violations = Bundle_pool.total_fifo_violations pool;
-      first_violation;
-      wall_s = t.clock () -. wall0;
-      end_time = Sim.now sim;
-    },
-    !gens )
-
 let earlier a b =
   match (a, b) with
   | None, v | v, None -> v
   | Some (ta, _, _), Some (tb, _, _) -> if tb < ta then b else a
+
+(* One shard's groups, one after another, on one sim and one pool sized
+   for a group, both reset at the start of every group. Slots never
+   interact, so each slot runs the event sequence it would run sharing a
+   sim with every other slot (DESIGN.md §10). *)
+let replay t ~shard =
+  let groups = t.groups.(shard) in
+  let wall0 = t.clock () in
+  let cap = Array.fold_left (fun m g -> max m g.n_slots) 1 groups in
+  let sim = Sim.create ~engine:t.engine () in
+  let rng = Rng.stream ~seed:t.seed shard in
+  let pool =
+    Bundle_pool.create ~initial_capacity:cap ~stamp_seq:t.stamp_seq ~rng ~sim
+      t.config
+  in
+  let cur_ord = Array.make cap (-1) in
+  let gens = ref [] in
+  let n_gens = ref 0 in
+  let delivered_packets = ref 0 in
+  let delivered_bytes = ref 0 in
+  let markers_sent = ref 0 in
+  let fifo_violations = ref 0 in
+  let first_violation = ref None in
+  let end_time = ref 0.0 in
+  let replay_group (g : group) =
+    Sim.reset sim;
+    Bundle_pool.reset pool;
+    (* One reused event walks the tape: op [!i] fires at its time and
+       schedules op [!i + 1] as its last act. *)
+    let i = ref 0 in
+    let rec fire () =
+      let k = !i in
+      let w = g.op.(k) in
+      let l = (w lsr 2) land (group_slots - 1) in
+      let arg = w asr (slot_bits + 2) in
+      (match w land 3 with
+      | 0 ->
+        ignore (Bundle_pool.acquire_slot pool l);
+        cur_ord.(l) <- arg
+      | 1 ->
+        gens :=
+          {
+            ordinal = cur_ord.(l);
+            slot = g.globals.(l);
+            shard;
+            birth = Bundle_pool.birth_time pool l;
+            death = Sim.now sim;
+            pushed_packets = Bundle_pool.pushed_packets pool l;
+            pushed_bytes = Bundle_pool.pushed_bytes pool l;
+            delivered_packets = Bundle_pool.delivered_packets pool l;
+            delivered_bytes = Bundle_pool.delivered_bytes pool l;
+          }
+          :: !gens;
+        incr n_gens;
+        Bundle_pool.release pool l
+      | _ -> Bundle_pool.push pool l ~size:arg);
+      i := k + 1;
+      if k + 1 < g.len then Sim.schedule sim ~at:g.at.(k + 1) fire
+    in
+    if g.len > 0 then Sim.schedule sim ~at:g.at.(0) fire;
+    Sim.run sim;
+    delivered_packets :=
+      !delivered_packets + Bundle_pool.total_delivered_packets pool;
+    delivered_bytes := !delivered_bytes + Bundle_pool.total_delivered_bytes pool;
+    markers_sent := !markers_sent + Bundle_pool.markers_sent pool;
+    fifo_violations :=
+      !fifo_violations + Bundle_pool.total_fifo_violations pool;
+    (match Bundle_pool.first_violation pool with
+    | None -> ()
+    | Some (time, l, seq) ->
+      first_violation :=
+        earlier !first_violation (Some (time, g.globals.(l), seq)));
+    end_time := Float.max !end_time (Sim.now sim)
+  in
+  Array.iter replay_group groups;
+  ( {
+      shard;
+      slots = Array.fold_left (fun n (g : group) -> n + g.n_slots) 0 groups;
+      ops = Array.fold_left (fun n (g : group) -> n + g.len) 0 groups;
+      generations = !n_gens;
+      delivered_packets = !delivered_packets;
+      delivered_bytes = !delivered_bytes;
+      markers_sent = !markers_sent;
+      fifo_violations = !fifo_violations;
+      first_violation = !first_violation;
+      wall_s = t.clock () -. wall0;
+      end_time = !end_time;
+    },
+    !gens )
 
 let run t =
   let wall0 = t.clock () in

@@ -27,7 +27,17 @@
     The recorder shadows [Bundle_pool]'s slot allocator (LIFO free
     stack, doubling growth) so {!acquire} returns exactly the slot id
     the legacy single pool would have picked; the replay then drives
-    that assignment verbatim through [Bundle_pool.acquire_slot]. *)
+    that assignment verbatim through [Bundle_pool.acquire_slot].
+
+    {b Replay groups.} Within a shard, slots are numbered in order of
+    first acquire and cut into groups of {!group_slots}; the recorder
+    files each op on its slot's group tape. A shard replays its groups
+    one after another on one [Sim] and one [Bundle_pool] sized for a
+    single group, returning both to their initial state between groups
+    ([Sim.reset], [Bundle_pool.reset]). By the same argument as for
+    shards, every slot runs the event sequence it would run in the
+    whole fleet; a group's working set stays cache-sized, so the replay
+    costs less per packet than one shard-wide sim. *)
 
 type t
 
@@ -41,9 +51,11 @@ val create :
   Bundle_pool.config ->
   t
 (** A recorder for a fleet sharded [domains] ways ([0] means
-    {!auto_domains}). [engine], [stamp_seq], [initial_capacity] and
-    [config] are handed to each shard's [Bundle_pool.create]; shard [k]
-    receives the generator [Rng.stream ~seed k]. [clock] (e.g.
+    {!auto_domains}). [initial_capacity] (default 64) is that of the
+    legacy single pool whose slot assignment the recorder shadows.
+    [engine], [stamp_seq] and [config] are handed to each shard's
+    [Bundle_pool.create], which is sized for one replay group; shard
+    [k] receives the generator [Rng.stream ~seed k]. [clock] (e.g.
     [Unix.gettimeofday]) is sampled around each shard's replay for the
     {!type-report} timing fields; the default clock always reads 0. The
     library takes no Unix dependency, so callers inject the clock. *)
@@ -69,6 +81,12 @@ val release : t -> at:float -> int -> unit
 
 val push : t -> at:float -> int -> size:int -> unit
 (** Record a data packet offered to a live bundle. *)
+
+val group_slots : int
+(** Slots per replay group (128): each shard replays its slots this many
+    at a time, in order of first acquire (see {!run}). A code constant,
+    picked from a sweep over the 25k-bundle churned fleet (DESIGN.md
+    §10). *)
 
 val shard_of_bundle : domains:int -> int -> int
 (** [shard_of_bundle ~domains id] is the owning shard of pool slot [id]:
@@ -114,7 +132,8 @@ type shard_report = {
   first_violation : (float * int * int) option;
       (** [(time, slot, seq)] with the {e global} slot id. *)
   wall_s : float;
-  end_time : float;  (** The shard sim's clock when its replay drained. *)
+  end_time : float;
+      (** The latest time its sim reached: the max over its groups. *)
 }
 
 type report = {
@@ -137,7 +156,9 @@ type report = {
 
 val run : t -> report
 (** Replay the recorded tape: shard 0 on the calling domain, shards
-    [1 .. domains-1] on spawned domains, then merge. Bundles still live
-    at the end of the tape are not reported in [gens] (their deliveries
-    still count in the shard totals). The recorder is not reusable
-    after [run]. *)
+    [1 .. domains-1] on spawned domains, each group by group, then
+    merge. A shard's [slots], [ops], [generations] and counters sum
+    over its groups; its [end_time] is their maximum and its
+    [first_violation] the earliest. Bundles still live at the end of
+    the tape are not reported in [gens] (their deliveries still count
+    in the shard totals). The recorder is not reusable after [run]. *)

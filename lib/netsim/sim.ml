@@ -111,3 +111,8 @@ let pending t =
   | Qcal q -> Calendar_queue.length q
 
 let stop t = t.stopped <- true
+
+let reset t =
+  if pending t > 0 then invalid_arg "Sim.reset: events are pending";
+  t.clock.(0) <- 0.0;
+  t.stopped <- false

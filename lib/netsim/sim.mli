@@ -56,3 +56,10 @@ val pending : t -> int
 val stop : t -> unit
 (** Ask a running [run]/[run_until] to return after the current event.
     Queued events are kept. *)
+
+val reset : t -> unit
+(** Return a drained simulation to the state {!create} built: clock at
+    0, no stop pending. The engine and its queue storage are kept. Pop
+    order depends only on (time, insertion order), so a run after
+    [reset] fires exactly the sequence it would fire on a fresh
+    simulation. Raises [Invalid_argument] if events are pending. *)

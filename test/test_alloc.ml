@@ -11,8 +11,10 @@
    - Resequencer.receive without a watchdog: about 0 words/call, markers
      included; a clock read per arrival adds 2, and a boxed marker stamp
      ([Some {round; dc}]) 5 per marker;
-   - Sharded_pool.run: 15 words/push in dev (2 in release); a closure
-     per replayed op adds about 18;
+   - Sharded_pool.run: 10 words/push in dev; a closure per replayed op
+     adds about 18. With 500 slots, four replay groups on one reset
+     pool: 12.7 words/push; building a pool per group instead measured
+     16.8;
    - Striper.push with Round_end markers every 4 rounds: about 2
      words/push, all of it the marker packets (0.1 markers/push); one
      boxed word or closure per push adds at least 2. *)
@@ -196,7 +198,9 @@ let test_striper_push () =
     (Striper.pushed_packets striper + Striper.markers_sent striper) !emitted;
   check_at_most "Striper.push per packet" ~bound:3.0 per_push
 
-let test_sharded_replay () =
+(* Words per push of a one-domain replay: [bundles] slots acquired up
+   front, [pushes] packets spread round-robin over them. *)
+let replay_words_per_push ~bundles ~pushes =
   let config =
     {
       Bundle_pool.rate_bps = [| 10e6; 10e6 |];
@@ -208,21 +212,30 @@ let test_sharded_replay () =
     }
   in
   let pool = Sharded_pool.create ~domains:1 ~seed:1 config in
-  let ids = Array.init 8 (fun i -> Sharded_pool.acquire pool ~at:(float_of_int i *. 1e-3)) in
-  let pushes = 20_000 in
+  let ids =
+    Array.init bundles (fun i ->
+        Sharded_pool.acquire pool ~at:(float_of_int i *. 1e-5))
+  in
   for k = 0 to pushes - 1 do
     Sharded_pool.push pool
       ~at:(0.01 +. (float_of_int k *. 1e-4))
-      ids.(k mod 8)
+      ids.(k mod bundles)
       ~size:(if k mod 3 = 0 then 1000 else 200)
   done;
-  Array.iter (fun id -> Sharded_pool.release pool ~at:3.0 id) ids;
+  Array.iter (fun id -> Sharded_pool.release pool ~at:5.0 id) ids;
   let report = ref None in
   let words = words_during (fun () -> report := Some (Sharded_pool.run pool)) in
   Alcotest.(check int) "all delivered" pushes
     (Option.get !report).Sharded_pool.delivered_packets;
+  words /. float_of_int pushes
+
+let test_sharded_replay () =
   check_at_most "Sharded_pool.run per push" ~bound:24.0
-    (words /. float_of_int pushes)
+    (replay_words_per_push ~bundles:8 ~pushes:20_000)
+
+let test_sharded_replay_groups () =
+  check_at_most "Sharded_pool.run per push, several groups" ~bound:14.5
+    (replay_words_per_push ~bundles:500 ~pushes:40_000)
 
 let suites =
   [
@@ -235,6 +248,8 @@ let suites =
         Alcotest.test_case "resequencer receive with markers" `Quick
           test_resequencer_markers;
         Alcotest.test_case "sharded replay" `Quick test_sharded_replay;
+        Alcotest.test_case "sharded replay, several groups" `Quick
+          test_sharded_replay_groups;
         Alcotest.test_case "Striper.push per packet" `Quick test_striper_push;
       ] );
   ]

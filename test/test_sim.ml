@@ -118,6 +118,22 @@ let test_nan_rejected engine () =
   Alcotest.(check (list (float 0.0))) "time order, +inf last"
     [ 0.5; 1.0; 2.0; infinity ] (List.rev !fired)
 
+let test_reset () =
+  let sim = Sim.create ~engine:Sim.Calendar () in
+  let fired = ref [] in
+  Sim.schedule sim ~at:2.0 (fun () -> fired := Sim.now sim :: !fired);
+  Alcotest.check_raises "reset refuses pending events"
+    (Invalid_argument "Sim.reset: events are pending") (fun () -> Sim.reset sim);
+  Alcotest.(check int) "queue unchanged" 1 (Sim.pending sim);
+  Sim.run sim;
+  Sim.stop sim;
+  Sim.reset sim;
+  Alcotest.(check (float 0.0)) "clock back to zero" 0.0 (Sim.now sim);
+  Sim.schedule sim ~at:0.5 (fun () -> fired := Sim.now sim :: !fired);
+  Sim.run sim;
+  Alcotest.(check (list (float 0.0))) "runs again from zero" [ 2.0; 0.5 ]
+    (List.rev !fired)
+
 let suites =
   [
     ( "sim",
@@ -138,5 +154,6 @@ let suites =
           (test_nan_rejected Sim.Heap);
         Alcotest.test_case "NaN rejected (calendar)" `Quick
           (test_nan_rejected Sim.Calendar);
+        Alcotest.test_case "reset" `Quick test_reset;
       ] );
   ]
