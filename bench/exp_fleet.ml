@@ -22,6 +22,9 @@
      also per-shard pps and a scaling-efficiency line;
    - minor words allocated per delivered packet during the replay: the
      machine-independent cost gate;
+   - simulation events fired per delivered packet during the replay
+     ([Sim.events] summed over shards and groups): an exact count of
+     the work the event queue does;
    - per-bundle fairness: every bundle runs the same configuration and
      sees the same arrival statistics, so delivered goodput normalized
      by lifetime should be equal across bundles. The p50/p99 of the
@@ -41,7 +44,8 @@
        # CI gate: exit 1 if pps drops >30% below FILE's committed
        # numbers, if single-domain calendar runs allocate >2% more
        # minor words per delivered packet than committed, or if the
-       # protocol aggregates (delivered, markers, share p50/p99) drift
+       # protocol aggregates (delivered, markers, events, share
+       # p50/p99) drift
        # from the committed single-domain anchor — the latter holds for
        # every --domains N, so a multicore run is gated on aggregate
        # equality, not wall-clock.
@@ -82,6 +86,8 @@ type result = {
   share_p99 : float;
   sim_seconds : float;
   minor_words_per_pkt : float;
+  events : int;
+  events_per_pkt : float;
   efficiency : float;
   shards : Sharded_pool.shard_report array;
 }
@@ -207,6 +213,7 @@ let run_once ~engine ~total_bundles ~domains () =
     = shard_sum (fun s -> s.Sharded_pool.delivered_packets)
     && report.Sharded_pool.markers_sent
        = shard_sum (fun s -> s.Sharded_pool.markers_sent));
+  let events = shard_sum (fun s -> s.Sharded_pool.events) in
   let shares = ref (Array.make 4096 0.0) in
   let n_shares = ref 0 in
   Array.iter
@@ -246,6 +253,10 @@ let run_once ~engine ~total_bundles ~domains () =
     sim_seconds = report.Sharded_pool.end_time;
     minor_words_per_pkt =
       minor_words /. float_of_int (max 1 report.Sharded_pool.delivered_packets);
+    events;
+    events_per_pkt =
+      float_of_int events
+      /. float_of_int (max 1 report.Sharded_pool.delivered_packets);
     efficiency = report.Sharded_pool.efficiency;
     shards = report.Sharded_pool.shards;
   }
@@ -291,16 +302,19 @@ let fields_of_result ~tag r =
       ("share_p99", Num (4, r.share_p99));
       ("sim_seconds", Num (4, r.sim_seconds));
       ("minor_words_per_pkt", Num (3, r.minor_words_per_pkt));
+      ("events", Int r.events);
+      ("events_per_pkt", Num (4, r.events_per_pkt));
     ]
   @ shard_part
 
 let print_result r =
   Printf.printf
     "  %-10s %6d bundles (peak %4d live)  %8d pkts  %6.3f s wall  %9.0f \
-     pkts/s  %.3f minor_words_per_pkt  share err p50 %.3f p99 %.3f\n\
+     pkts/s  %.3f minor_words_per_pkt  %.4f events_per_pkt  share err p50 \
+     %.3f p99 %.3f\n\
      %!"
     r.engine r.bundles r.peak_live r.delivered r.wall_s r.pps
-    r.minor_words_per_pkt r.share_p50 r.share_p99;
+    r.minor_words_per_pkt r.events_per_pkt r.share_p50 r.share_p99;
   if r.domains > 1 then begin
     let pps_of (s : Sharded_pool.shard_report) =
       if s.Sharded_pool.wall_s > 0.0 then
@@ -447,6 +461,11 @@ let () =
           (float_of_int r.delivered);
         Bench_gate.check gate ~tag:anchor ~field:"markers" Exact
           (float_of_int r.markers);
+        (* Events per packet, held through its exact numerator: the
+           replay's event count is the same on both engines and at
+           every domain count. *)
+        Bench_gate.check gate ~tag:anchor ~field:"events" Exact
+          (float_of_int r.events);
         Bench_gate.check gate ~tag:anchor ~field:"share_p50" (Within 5e-5)
           r.share_p50;
         Bench_gate.check gate ~tag:anchor ~field:"share_p99" (Within 5e-5)

@@ -3,8 +3,9 @@
    Reference scenario: 4 channels at 10 Mbps with dissimilar one-way
    delays, SRR striping with markers every 4 rounds, quasi-FIFO logical
    reception through the resequencer, 1M bimodal packets (the paper's
-   sending program). Measures *simulated packets per wall-clock second*
-   and the allocation rate of the hot path (minor words per packet).
+   sending program). Measures *simulated packets per wall-clock second*,
+   the allocation rate of the hot path (minor words per packet) and the
+   simulation events fired per packet ([Sim.events], an exact count).
 
    Usage:
      dune exec bench/exp_throughput.exe --             # full run, table
@@ -13,7 +14,8 @@
      dune exec bench/exp_throughput.exe -- --repeat 5  # best-of-5 per engine
      dune exec bench/exp_throughput.exe -- --check FILE --max-regress 0.30
        # CI gate: exit 1 if pps drops >30% below FILE's committed numbers,
-       # or minor words/packet rise >2% above them
+       # if minor words/packet rise >2% above them, or if the event count
+       # differs from the committed one
 
    Each engine is run [--repeat] times (default 3) and the fastest run
    is reported: wall-clock noise on a shared machine is one-sided, so
@@ -52,6 +54,8 @@ type result = {
   pps : float;
   minor_words : float;
   minor_words_per_packet : float;
+  events : int;
+  events_per_pkt : float;
   sim_seconds : float;
 }
 
@@ -124,6 +128,8 @@ let run_once ~engine ~n_packets () =
     pps = float_of_int !delivered /. wall_s;
     minor_words;
     minor_words_per_packet = minor_words /. float_of_int n_packets;
+    events = Sim.events sim;
+    events_per_pkt = float_of_int (Sim.events sim) /. float_of_int n_packets;
     sim_seconds = Sim.now sim;
   }
 
@@ -143,13 +149,18 @@ let fields_of_result ~tag r =
       ("pps", Num (1, r.pps));
       ("minor_words", Num (0, r.minor_words));
       ("minor_words_per_packet", Num (2, r.minor_words_per_packet));
+      ("events", Int r.events);
+      ("events_per_pkt", Num (4, r.events_per_pkt));
       ("sim_seconds", Num (4, r.sim_seconds));
     ]
 
 let print_result r =
   Printf.printf
-    "  %-10s %9d pkts  %7.3f s wall  %10.0f pkts/s  %8.2f minor words/pkt\n%!"
+    "  %-10s %9d pkts  %7.3f s wall  %10.0f pkts/s  %8.2f minor words/pkt  \
+     %.4f events_per_pkt\n\
+     %!"
     r.engine r.n_packets r.wall_s r.pps r.minor_words_per_packet
+    r.events_per_pkt
 
 let best_of ~repeat ~engine ~n_packets () =
   let best = ref (run_once ~engine ~n_packets ()) in
@@ -244,6 +255,10 @@ let () =
         Bench_gate.check gate ~tag ~field:"pps" (Floor !max_regress) r.pps;
         Bench_gate.check gate ~tag ~field:"minor_words_per_packet"
           (Ceiling { rel = max_words_regress; abs = 0.0 })
-          r.minor_words_per_packet)
+          r.minor_words_per_packet;
+        (* Events per packet, held through its exact numerator (every
+           packet is delivered, so the denominator is fixed). *)
+        Bench_gate.check gate ~tag ~field:"events" Exact
+          (float_of_int r.events))
       results;
     Bench_gate.finish gate

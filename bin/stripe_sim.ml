@@ -134,7 +134,7 @@ let engine_arg =
     & opt (enum [ ("heap", Sim.Heap); ("calendar", Sim.Calendar) ]) Sim.Heap
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Event-queue engine: $(b,heap) (binary heap, the reference) or \
+          "Event-queue engine: $(b,heap) (4-ary heap, the reference) or \
            $(b,calendar) (calendar queue, O(1) amortized). Both produce \
            identical seeded runs; $(b,calendar) is faster at scale.")
 

@@ -283,6 +283,7 @@ type shard_report = {
   markers_sent : int;
   fifo_violations : int;
   first_violation : (float * int * int) option;
+  events : int;
   wall_s : float;
   end_time : float;
 }
@@ -330,6 +331,7 @@ let replay t ~shard =
   let markers_sent = ref 0 in
   let fifo_violations = ref 0 in
   let first_violation = ref None in
+  let events = ref 0 in
   let end_time = ref 0.0 in
   let replay_group (g : group) =
     Sim.reset sim;
@@ -379,6 +381,7 @@ let replay t ~shard =
     | Some (time, l, seq) ->
       first_violation :=
         earlier !first_violation (Some (time, g.globals.(l), seq)));
+    events := !events + Sim.events sim;
     end_time := Float.max !end_time (Sim.now sim)
   in
   Array.iter replay_group groups;
@@ -392,6 +395,7 @@ let replay t ~shard =
       markers_sent = !markers_sent;
       fifo_violations = !fifo_violations;
       first_violation = !first_violation;
+      events = !events;
       wall_s = t.clock () -. wall0;
       end_time = !end_time;
     },

@@ -131,6 +131,7 @@ type shard_report = {
   fifo_violations : int;
   first_violation : (float * int * int) option;
       (** [(time, slot, seq)] with the {e global} slot id. *)
+  events : int;  (** Sim events fired: [Sim.events] summed over groups. *)
   wall_s : float;
   end_time : float;
       (** The latest time its sim reached: the max over its groups. *)

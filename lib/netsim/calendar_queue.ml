@@ -15,15 +15,16 @@
    that repositions the scan — correctness never depends on the width
    heuristics.
 
-   Buckets are struct-of-arrays (unboxed float times, values) holding
-   one run in [head, len), ascending by time and, among equal times, by
-   insertion: the earliest entry pops off [head] by advancing it, and
-   the usual insert — the latest event of its bucket — appends at
-   [len]. Neither moves an entry. An insert that lands inside the run
+   Buckets are struct-of-arrays (unboxed float times, int payloads)
+   holding one run in [head, len), ascending by time and, among equal
+   times, by insertion: the earliest entry pops off [head] by advancing
+   it, and the usual insert — the latest event of its bucket — appends
+   at [len]. Neither moves an entry. An insert that lands inside the run
    shifts the shorter side by one slot. A bucket grows only when it is
    full from index 0; a full bucket with popped slots below [head] is
    compacted in place instead, and an emptied bucket restarts at index
-   0.
+   0. The payloads are ints, so no store of an entry pays the write
+   barrier and a popped slot needs no clearing.
 
    The calendar doubles when occupancy exceeds two entries per bucket,
    re-deriving the bucket width from the live event population. It
@@ -33,6 +34,16 @@
    ring, while a lasting drop still shrinks it before the pop scans get
    slow.
 
+   A rehash moves every entry into a new ring whose buckets all start
+   empty. Each old bucket, once drained, hands its two arrays to the
+   spare stack of their size, and a new bucket that needs room takes a
+   pair of the size it needs from there; a bucket that outgrows its
+   arrays leaves them there too. Bucket capacities are [4 * 2^c], so
+   the stacks are indexed by [c]. The ring's own four arrays are
+   double-buffered: the ring a resize retires is kept, emptied, and
+   reused by the next resize to its size. A population that cycles
+   through the same sizes then rehashes with few allocations.
+
    Determinism contract (checked against {!Eventq} and a sorted-list
    oracle by property tests): same-time events pop in insertion order.
    Equal times always hash to the same bucket, and an insert goes after
@@ -40,7 +51,7 @@
    rehash walks each old bucket in order, which keeps equal times in
    insertion order too. *)
 
-type 'a t = {
+type t = {
   mutable nbuckets : int;  (* power of two *)
   mutable mask : int;
   mutable width : float;
@@ -48,10 +59,10 @@ type 'a t = {
       (* [1 / width]: [vbucket] multiplies, since a division costs
          several times as much on the per-event path. *)
   mutable btimes : float array array;
-  mutable bvals : 'a array array;
+  mutable bvals : int array array;
   mutable bheads : int array;
       (* Index of each bucket's earliest live entry; slots below it are
-         popped and hold the dummy value. *)
+         popped. *)
   mutable blens : int array;  (* One past each bucket's latest entry. *)
   mutable size : int;
   mutable overload_stamp : int;
@@ -75,15 +86,32 @@ type 'a t = {
       (* Staging cell for [bucket_insert]'s time argument: a float passed
          to a non-inlined function boxes at the call boundary, a float
          array store does not. *)
+  sample : float array;
+      (* [resize]'s time sample, reused: at most [sample_size] times. *)
+  spare_times : float array array array;
+  spare_vals : int array array array;
+  spare_n : int array;
+      (* Free bucket array pairs: [spare_times.(c)] and [spare_vals.(c)]
+         hold [spare_n.(c)] pairs of capacity [4 * 2^c]. *)
+  mutable old_btimes : float array array;
+  mutable old_bvals : int array array;
+  mutable old_bheads : int array;
+  mutable old_blens : int array;
+      (* The ring the last resize retired, every bucket empty with no
+         arrays: the next resize to its size reuses it. *)
 }
-
-let dummy : unit -> 'a = fun () -> Obj.magic ()
 
 let initial_buckets = 16
 
 (* A shrink must be paid for by this many units of low-population scan
    work per bucket of the ring (see [note_pop]). *)
 let shrink_work_per_bucket = 16
+
+let sample_size = 256
+
+(* Bucket capacities [4 * 2^c] with [c < spare_classes] are recycled;
+   larger ones, which no realistic population reaches, are not. *)
+let spare_classes = 24
 
 let make_buckets n =
   (Array.make n [||], Array.make n [||], Array.make n 0, Array.make n 0)
@@ -105,6 +133,14 @@ let create () =
     gidx = 0;
     positioned = false;
     tmp_time = [| 0.0 |];
+    sample = Array.make sample_size 0.0;
+    spare_times = Array.make spare_classes [||];
+    spare_vals = Array.make spare_classes [||];
+    spare_n = Array.make spare_classes 0;
+    old_btimes = [||];
+    old_bvals = [||];
+    old_bheads = [||];
+    old_blens = [||];
   }
 
 let is_empty q = q.size = 0
@@ -132,8 +168,37 @@ let[@inline] vbucket q t =
    [take] are inlined into [Sim], and from there into every scheduling
    call site, so an inlined slow path would be copied into each. *)
 
+(* The spare class of bucket capacity [cap], or [-1] if it is not
+   recycled. *)
+let class_of cap =
+  let c = ref 0 and x = ref 4 in
+  while !x < cap do
+    x := 2 * !x;
+    incr c
+  done;
+  if !x = cap && !c < spare_classes then !c else -1
+
+let[@inline never] push_spare q times vals =
+  let c = class_of (Array.length times) in
+  if c >= 0 then begin
+    let n = q.spare_n.(c) in
+    if n = Array.length q.spare_times.(c) then begin
+      let cap = max 8 (2 * n) in
+      let st = Array.make cap [||] and sv = Array.make cap [||] in
+      Array.blit q.spare_times.(c) 0 st 0 n;
+      Array.blit q.spare_vals.(c) 0 sv 0 n;
+      q.spare_times.(c) <- st;
+      q.spare_vals.(c) <- sv
+    end;
+    q.spare_times.(c).(n) <- times;
+    q.spare_vals.(c).(n) <- vals;
+    q.spare_n.(c) <- n + 1
+  end
+
 (* Make room at the end of full bucket [b]: compact its live run down to
-   index 0 when slots below [head] are free, otherwise double it. *)
+   index 0 when slots below [head] are free, otherwise move it into
+   arrays twice as large — a spare pair if there is one, else new ones —
+   and leave the outgrown pair on its spare stack. *)
 let[@inline never] bucket_make_room q b =
   let times = q.btimes.(b) and vals = q.bvals.(b) in
   let head = q.bheads.(b) and len = q.blens.(b) in
@@ -141,16 +206,22 @@ let[@inline never] bucket_make_room q b =
   if head > 0 then begin
     Array.blit times head times 0 live;
     Array.blit vals head vals 0 live;
-    Array.fill vals live head (dummy ());
     q.bheads.(b) <- 0;
     q.blens.(b) <- live
   end
   else begin
-    let ncap = if len = 0 then 4 else 2 * len in
-    let times' = Array.make ncap 0.0 in
-    let vals' = Array.make ncap (dummy ()) in
+    let need = if len = 0 then 4 else 2 * len in
+    let c = class_of need in
+    let top = if c >= 0 then q.spare_n.(c) - 1 else -1 in
+    let reuse = top >= 0 in
+    let times' =
+      if reuse then q.spare_times.(c).(top) else Array.make need 0.0
+    in
+    let vals' = if reuse then q.spare_vals.(c).(top) else Array.make need 0 in
+    if reuse then q.spare_n.(c) <- top;
     Array.blit times 0 times' 0 len;
     Array.blit vals 0 vals' 0 len;
+    if len > 0 then push_spare q times vals;
     q.btimes.(b) <- times';
     q.bvals.(b) <- vals'
   end
@@ -237,6 +308,21 @@ let derive_width q ~tmin ~tmax ~sample ~n =
   (* 2^40 *) in
   Float.max w floor_w
 
+(* Insertion sort of [a.(0 .. n - 1)]. [Array.sort] reads a float array
+   through polymorphic code, which boxes every element it reads; this
+   loop keeps them unboxed. At most [sample_size] times, once per
+   resize. *)
+let sort_prefix (a : float array) n =
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let j = ref i in
+    while !j > 0 && a.(!j - 1) > x do
+      a.(!j) <- a.(!j - 1);
+      decr j
+    done;
+    a.(!j) <- x
+  done
+
 let[@inline never] resize q nbuckets' =
   let old_btimes = q.btimes
   and old_bvals = q.bvals
@@ -244,10 +330,10 @@ let[@inline never] resize q nbuckets' =
   and old_blens = q.blens
   and old_n = q.nbuckets in
   (* Bounds of the finite population plus a deterministic stride sample
-     (~256 times) for the quantile width derivation. *)
+     (at most [sample_size] times) for the quantile width derivation. *)
   let tmin = ref infinity and tmax = ref neg_infinity in
-  let stride = 1 + (q.size / 256) in
-  let sample = Array.make (if q.size = 0 then 1 else 1 + ((q.size - 1) / stride)) 0.0 in
+  let stride = 1 + (q.size / sample_size) in
+  let sample = q.sample in
   let si = ref 0 and seen = ref 0 in
   for b = 0 to old_n - 1 do
     for i = old_bheads.(b) to old_blens.(b) - 1 do
@@ -255,7 +341,7 @@ let[@inline never] resize q nbuckets' =
       if Float.is_finite t then begin
         if t < !tmin then tmin := t;
         if t > !tmax then tmax := t;
-        if !seen mod stride = 0 && !si < Array.length sample then begin
+        if !seen mod stride = 0 && !si < sample_size then begin
           sample.(!si) <- t;
           incr si
         end;
@@ -263,24 +349,43 @@ let[@inline never] resize q nbuckets' =
       end
     done
   done;
-  let sample = Array.sub sample 0 !si in
-  Array.sort Float.compare sample;
-  let btimes, bvals, bheads, blens = make_buckets nbuckets' in
+  sort_prefix sample !si;
+  if Array.length q.old_bheads = nbuckets' then begin
+    q.btimes <- q.old_btimes;
+    q.bvals <- q.old_bvals;
+    q.bheads <- q.old_bheads;
+    q.blens <- q.old_blens
+  end
+  else begin
+    let btimes, bvals, bheads, blens = make_buckets nbuckets' in
+    q.btimes <- btimes;
+    q.bvals <- bvals;
+    q.bheads <- bheads;
+    q.blens <- blens
+  end;
   q.nbuckets <- nbuckets';
   q.mask <- nbuckets' - 1;
   q.width <- derive_width q ~tmin:!tmin ~tmax:!tmax ~sample ~n:!si;
   q.inv_width <- 1.0 /. q.width;
-  q.btimes <- btimes;
-  q.bvals <- bvals;
-  q.bheads <- bheads;
-  q.blens <- blens;
   for b = 0 to old_n - 1 do
+    let times = old_btimes.(b) and vals = old_bvals.(b) in
     for i = old_bheads.(b) to old_blens.(b) - 1 do
-      let dst = vbucket q old_btimes.(b).(i) land q.mask in
-      q.tmp_time.(0) <- old_btimes.(b).(i);
-      bucket_insert q dst old_bvals.(b).(i)
-    done
+      let dst = vbucket q times.(i) land q.mask in
+      q.tmp_time.(0) <- times.(i);
+      bucket_insert q dst vals.(i)
+    done;
+    if Array.length times > 0 then begin
+      push_spare q times vals;
+      old_btimes.(b) <- [||];
+      old_bvals.(b) <- [||]
+    end;
+    old_bheads.(b) <- 0;
+    old_blens.(b) <- 0
   done;
+  q.old_btimes <- old_btimes;
+  q.old_bvals <- old_bvals;
+  q.old_bheads <- old_bheads;
+  q.old_blens <- old_blens;
   q.low_work <- 0;
   q.positioned <- false
 
@@ -404,9 +509,7 @@ let take q clock =
   let b = peek_loop q in
   let h = q.bheads.(b) in
   clock.(0) <- q.btimes.(b).(h);
-  let vals = q.bvals.(b) in
-  let v = vals.(h) in
-  vals.(h) <- dummy ();
+  let v = q.bvals.(b).(h) in
   if h + 1 = q.blens.(b) then begin
     q.bheads.(b) <- 0;
     q.blens.(b) <- 0
@@ -437,4 +540,11 @@ let clear q =
   q.size <- 0;
   q.low_work <- 0;
   q.gidx <- 0;
-  q.positioned <- false
+  q.positioned <- false;
+  Array.fill q.spare_times 0 spare_classes [||];
+  Array.fill q.spare_vals 0 spare_classes [||];
+  Array.fill q.spare_n 0 spare_classes 0;
+  q.old_btimes <- [||];
+  q.old_bvals <- [||];
+  q.old_bheads <- [||];
+  q.old_blens <- [||]

@@ -7,43 +7,50 @@
     a population drop has lasted, so bursty traffic does not rehash on
     every burst.
 
+    An entry is a float time and an int payload — in a simulation, the
+    slot of {!Sim}'s table that holds the event's closure — so adding,
+    popping or moving an entry stores no pointer. A rehash hands each
+    emptied bucket's arrays to the buckets of the new ring, and the
+    ring's own arrays are double-buffered, so resizing allocates little
+    once the population has cycled through its sizes.
+
     Drop-in ordering-compatible with {!Eventq}: pops ascend by time, and
     same-time events pop in insertion order (checked against the heap and
     a sorted-list oracle by qcheck properties over random add/pop/clear
     interleavings), so a simulation produces byte-identical seeded traces
     on either engine. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val length : 'a t -> int
+val length : t -> int
 
-val buckets : 'a t -> int
+val buckets : t -> int
 (** Current size of the bucket ring (a power of two, at least 16), for
     tests and diagnostics. *)
 
-val add : 'a t -> time:float -> 'a -> unit
+val add : t -> time:float -> int -> unit
 (** [add q ~time v] inserts [v] to fire at [time], which must not be
     NaN (unchecked: {!Sim.schedule} rejects it). Allocation-free except
     when a bucket or the calendar itself resizes. *)
 
-val peek_time : 'a t -> float option
+val peek_time : t -> float option
 (** Earliest scheduled time, if any. *)
 
-val peek_time_unsafe : 'a t -> float
+val peek_time_unsafe : t -> float
 (** Earliest scheduled time. The queue must be non-empty (unchecked):
     guard with {!is_empty}. *)
 
-val pop : 'a t -> (float * 'a) option
+val pop : t -> (float * int) option
 (** Remove and return the earliest event as [(time, value)]. *)
 
-val take : 'a t -> float array -> 'a
+val take : t -> float array -> int
 (** [take q clock] removes the earliest event, stores its time in
     [clock.(0)] and returns its value: one scan, no boxing. Raises
     [Invalid_argument] if the queue is empty. *)
 
-val clear : 'a t -> unit
+val clear : t -> unit
 (** Drop all events and reset the calendar to its initial geometry. *)

@@ -1,34 +1,32 @@
-(* Growable binary heap in struct-of-arrays layout.
+(* Growable 4-ary heap in struct-of-arrays layout.
 
-   The per-entry record of the original implementation boxed every
-   insertion (entry record + boxed time float); at millions of simulated
-   events that dominated the minor heap. Times now live in an unboxed
-   [float array], sequence numbers and values in parallel arrays, so the
-   steady-state add/pop cycle allocates nothing.
+   Times live in an unboxed [float array], insertion sequence numbers
+   and payloads in parallel [int array]s, so the steady-state add/pop
+   cycle allocates nothing and no add or pop pays the [caml_modify]
+   write barrier: the payload is an int (a [Sim] slot), not a closure.
 
-   The [vals] array is backed by a physical-equality dummy ([Obj.magic
-   ()]): slots outside [0, size) are always reset to it, so a popped
-   value is collectable the moment the caller drops it (the original
-   kept the migrated root reachable at [heap.(size)], pinning delivered
-   packets live). The dummy never escapes: every read is guarded by
-   [size].
+   Four children per node halve the depth of a binary heap. Each level
+   of a sift-down compares up to four adjacent children — 32 bytes of
+   times, mostly within one cache line — for half as many levels, and
+   a sift-up, which is what nearly every add does, crosses half as
+   many levels.
 
    Pop order is exactly (time, insertion seq), so any correct heap pops
-   the same sequence: the hole sifts below changed the cost of a pop, not
-   its result. *)
+   the same sequence: the arity and the hole sifts below change the
+   cost of a pop, not its result. *)
 
-type 'a t = {
+type t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable vals : 'a array;
+  mutable slots : int array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let dummy : unit -> 'a = fun () -> Obj.magic ()
+let arity = 4
 
 let create () =
-  { times = [||]; seqs = [||]; vals = [||]; size = 0; next_seq = 0 }
+  { times = [||]; seqs = [||]; slots = [||]; size = 0; next_seq = 0 }
 
 let is_empty q = q.size = 0
 
@@ -38,71 +36,71 @@ let[@inline never] grow q =
   let cap = max 16 (2 * q.size) in
   let times = Array.make cap 0.0 in
   let seqs = Array.make cap 0 in
-  let vals = Array.make cap (dummy ()) in
+  let slots = Array.make cap 0 in
   Array.blit q.times 0 times 0 q.size;
   Array.blit q.seqs 0 seqs 0 q.size;
-  Array.blit q.vals 0 vals 0 q.size;
+  Array.blit q.slots 0 slots 0 q.size;
   q.times <- times;
   q.seqs <- seqs;
-  q.vals <- vals
+  q.slots <- slots
 
 (* Both sifts move a hole, not an entry: the entry being placed stays in
    locals while each entry it passes moves one level into the hole — one
    store per array per level, against a three-array swap — and it is
    written once, where the hole stops. *)
 
-let[@inline] add q ~time value =
-  if q.size = Array.length q.vals then grow q;
+let[@inline] add q ~time slot =
+  if q.size = Array.length q.slots then grow q;
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
-  let times = q.times and seqs = q.seqs and vals = q.vals in
+  let times = q.times and seqs = q.seqs and slots = q.slots in
   let i = ref q.size in
   q.size <- !i + 1;
   (* [seq] is the largest yet, so the new entry precedes a parent only
      by time: a tie keeps it below. *)
-  while !i > 0 && time < times.((!i - 1) / 2) do
-    let p = (!i - 1) / 2 in
+  while !i > 0 && time < times.((!i - 1) / arity) do
+    let p = (!i - 1) / arity in
     times.(!i) <- times.(p);
     seqs.(!i) <- seqs.(p);
-    vals.(!i) <- vals.(p);
+    slots.(!i) <- slots.(p);
     i := p
   done;
   times.(!i) <- time;
   seqs.(!i) <- seq;
-  vals.(!i) <- value
+  slots.(!i) <- slot
 
 let peek_time q = if q.size = 0 then None else Some q.times.(0)
 
 let[@inline] peek_time_unsafe q = q.times.(0)
 
-(* Remove the root: sift the last entry down from a hole at slot 0, then
-   clear the vacated last slot so the moved value is not retained twice
-   (and the root of a now-empty heap is not retained at all). *)
+(* Remove the root: sift the last entry down from a hole at index 0.
+   The children of [i] are [arity * i + 1 .. arity * i + arity]; the
+   earliest of those inside the heap moves up while it precedes the
+   entry being placed. *)
 let remove_root q =
   let last = q.size - 1 in
   q.size <- last;
-  let times = q.times and seqs = q.seqs and vals = q.vals in
   if last > 0 then begin
-    let t = times.(last) and s = seqs.(last) and v = vals.(last) in
+    let times = q.times and seqs = q.seqs and slots = q.slots in
+    let t = times.(last) and s = seqs.(last) and v = slots.(last) in
     let i = ref 0 and sifting = ref true in
     while !sifting do
-      let l = (2 * !i) + 1 in
-      if l >= last then sifting := false
+      let first = (arity * !i) + 1 in
+      if first >= last then sifting := false
       else begin
-        let r = l + 1 in
-        let c =
+        let c = ref first in
+        for k = first + 1 to Int.min (first + arity) last - 1 do
           if
-            r < last
-            && (times.(r) < times.(l)
-               || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
-          then r
-          else l
-        in
+            times.(k) < times.(!c)
+            || (times.(k) = times.(!c) && seqs.(k) < seqs.(!c))
+          then c := k
+        done;
+        let c = !c in
         let ct = times.(c) in
         if ct < t || (ct = t && seqs.(c) < s) then begin
           times.(!i) <- ct;
           seqs.(!i) <- seqs.(c);
-          vals.(!i) <- vals.(c);
+          slots.(!i) <- slots.(c);
           i := c
         end
         else sifting := false
@@ -110,21 +108,20 @@ let remove_root q =
     done;
     times.(!i) <- t;
     seqs.(!i) <- s;
-    vals.(!i) <- v
-  end;
-  vals.(last) <- dummy ()
+    slots.(!i) <- v
+  end
 
 let take q clock =
   if q.size = 0 then invalid_arg "Eventq.take: empty queue";
   clock.(0) <- q.times.(0);
-  let v = q.vals.(0) in
+  let v = q.slots.(0) in
   remove_root q;
   v
 
 let pop q =
   if q.size = 0 then None
   else begin
-    let time = q.times.(0) and v = q.vals.(0) in
+    let time = q.times.(0) and v = q.slots.(0) in
     remove_root q;
     Some (time, v)
   end
@@ -133,4 +130,4 @@ let clear q =
   q.size <- 0;
   q.times <- [||];
   q.seqs <- [||];
-  q.vals <- [||]
+  q.slots <- [||]

@@ -1,40 +1,43 @@
 (** Priority queue of timed events, keyed by simulated time.
 
-    Ties are broken by insertion order so that events scheduled at the same
-    instant fire in the order they were scheduled — this keeps simulations
-    fully deterministic. Implemented as a growable binary heap in
-    struct-of-arrays layout: the steady-state add/pop cycle allocates
-    nothing, and popped slots are cleared so delivered values can be
-    collected. See {!Calendar_queue} for the O(1)-amortized alternative
-    with identical observable ordering. *)
+    An entry is a float time and an int payload — in a simulation, the
+    slot of {!Sim}'s table that holds the event's closure. Ties are
+    broken by insertion order so that events scheduled at the same
+    instant fire in the order they were scheduled — this keeps
+    simulations fully deterministic. Implemented as a growable 4-ary
+    heap over unboxed [times]/[seqs]/[slots] arrays: no add or pop
+    stores a pointer, so none pays the write barrier, and the
+    steady-state add/pop cycle allocates nothing. See {!Calendar_queue}
+    for the O(1)-amortized alternative with identical observable
+    ordering. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val length : 'a t -> int
+val length : t -> int
 
-val add : 'a t -> time:float -> 'a -> unit
+val add : t -> time:float -> int -> unit
 (** [add q ~time v] inserts [v] to fire at [time]. Allocation-free except
     when the backing arrays grow. [time] must not be NaN (unchecked:
     {!Sim.schedule} rejects it). *)
 
-val peek_time : 'a t -> float option
+val peek_time : t -> float option
 (** Earliest scheduled time, if any. *)
 
-val peek_time_unsafe : 'a t -> float
+val peek_time_unsafe : t -> float
 (** Earliest scheduled time. The queue must be non-empty (unchecked):
     guard with {!is_empty}. Used by the hot loop to avoid the option. *)
 
-val pop : 'a t -> (float * 'a) option
+val pop : t -> (float * int) option
 (** Remove and return the earliest event as [(time, value)]. *)
 
-val take : 'a t -> float array -> 'a
+val take : t -> float array -> int
 (** [take q clock] removes the earliest event, stores its time in
     [clock.(0)] and returns its value without boxing a tuple, option or
     float. Raises [Invalid_argument] if the queue is empty. *)
 
-val clear : 'a t -> unit
+val clear : t -> unit
 (** Drop all events and release the backing arrays. *)

@@ -7,45 +7,95 @@ let engine_of_name = function
   | "calendar" -> Some Calendar
   | _ -> None
 
-type events =
-  | Qheap of (unit -> unit) Eventq.t
-  | Qcal of (unit -> unit) Calendar_queue.t
+type queue = Qheap of Eventq.t | Qcal of Calendar_queue.t
 
+(* Every pending closure sits in one slot table, and both queues order
+   plain (time, slot) entries: no entry a queue adds, pops or moves in a
+   sift, shift or rehash is a pointer, so none pays the [caml_modify]
+   write barrier, and each event costs two pointer stores here — its
+   closure into the table, and the no-op over it when it fires. Slots
+   in [0, used) are pending or on the free stack
+   [free.(0 .. nfree - 1)]; a pending slot's closure is in [fns], every
+   other slot holds [nop], so a fired closure is collectable at once.
+   Pop order is (time, insertion), so which slot an event takes never
+   changes what fires when. *)
 type t = {
   clock : float array;
       (* Single-cell unboxed store: assigning a mutable float field of a
          mixed record boxes on every event, a float-array store does
          not. *)
   mutable stopped : bool;
-  events : events;
+  mutable events : int;
+  mutable fns : (unit -> unit) array;
+  mutable free : int array;
+  mutable nfree : int;
+  mutable used : int;
+  queue : queue;
 }
+
+let nop () = ()
 
 let create ?(engine = Heap) () =
   {
     clock = [| 0.0 |];
     stopped = false;
-    events =
+    events = 0;
+    fns = [||];
+    free = [||];
+    nfree = 0;
+    used = 0;
+    queue =
       (match engine with
       | Heap -> Qheap (Eventq.create ())
       | Calendar -> Qcal (Calendar_queue.create ()));
   }
 
-let engine t = match t.events with Qheap _ -> Heap | Qcal _ -> Calendar
+let engine t = match t.queue with Qheap _ -> Heap | Qcal _ -> Calendar
 
 let[@inline] now t = t.clock.(0)
+
+let events t = t.events
 
 let[@inline never] schedule_invalid at now =
   invalid_arg
     (if Float.is_nan at then "Sim.schedule: time is NaN"
      else Printf.sprintf "Sim.schedule: time %g is before now (%g)" at now)
 
+(* Every slot is in use: double the table. The free stack can then hold
+   every slot, so freeing never needs to grow it. *)
+let[@inline never] grow t =
+  let cap = max 16 (2 * t.used) in
+  let fns = Array.make cap nop in
+  Array.blit t.fns 0 fns 0 t.used;
+  t.fns <- fns;
+  t.free <- Array.make cap 0
+
+let[@inline] take_slot t f =
+  let slot =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+    else begin
+      if t.used = Array.length t.fns then grow t;
+      let s = t.used in
+      t.used <- s + 1;
+      s
+    end
+  in
+  t.fns.(slot) <- f;
+  slot
+
 let[@inline] schedule t ~at f =
   (* Written so that NaN fails the test too: [at < now] is false for
-     NaN, and a NaN event breaks the (time, seq) order of both queues. *)
+     NaN, and a NaN event breaks the (time, seq) order of both queues.
+     Checked before a slot is taken, so a rejected time changes
+     nothing. *)
   if not (at >= t.clock.(0)) then schedule_invalid at t.clock.(0);
-  match t.events with
-  | Qheap q -> Eventq.add q ~time:at f
-  | Qcal q -> Calendar_queue.add q ~time:at f
+  let slot = take_slot t f in
+  match t.queue with
+  | Qheap q -> Eventq.add q ~time:at slot
+  | Qcal q -> Calendar_queue.add q ~time:at slot
 
 let[@inline] schedule_after t ~delay f =
   if not (delay >= 0.0) then
@@ -54,25 +104,32 @@ let[@inline] schedule_after t ~delay f =
        else "Sim.schedule_after: negative delay");
   schedule t ~at:(t.clock.(0) +. delay) f
 
+(* Run the closure in [slot], whose event the queue has just removed.
+   The slot is cleared and freed before the call: a handler that raises
+   leaves the table consistent, and one that schedules may reuse the
+   slot at once. *)
+let[@inline] fire t slot =
+  let f = t.fns.(slot) in
+  t.fns.(slot) <- nop;
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1;
+  t.events <- t.events + 1;
+  f ()
+
 (* One scan per event: [take] finds the earliest event, writes its time
-   into the clock cell and removes it. The event is bound before it is
-   called: [(take q clock) ()] compiles to one three-argument application,
-   which a caller that cannot see [take]'s arity (any dev build) performs
-   one argument at a time, allocating a partial application per event. *)
+   into the clock cell and removes it. *)
 let step t =
-  match t.events with
+  match t.queue with
   | Qheap q ->
     if Eventq.is_empty q then false
     else begin
-      let f = Eventq.take q t.clock in
-      f ();
+      fire t (Eventq.take q t.clock);
       true
     end
   | Qcal q ->
     if Calendar_queue.is_empty q then false
     else begin
-      let f = Calendar_queue.take q t.clock in
-      f ();
+      fire t (Calendar_queue.take q t.clock);
       true
     end
 
@@ -87,7 +144,7 @@ let run_until t horizon =
   t.stopped <- false;
   let continue = ref true in
   let next_time () =
-    match t.events with
+    match t.queue with
     | Qheap q ->
       if Eventq.is_empty q then infinity else Eventq.peek_time_unsafe q
     | Qcal q ->
@@ -106,7 +163,7 @@ let run_until t horizon =
   if (not t.stopped) && t.clock.(0) < horizon then t.clock.(0) <- horizon
 
 let pending t =
-  match t.events with
+  match t.queue with
   | Qheap q -> Eventq.length q
   | Qcal q -> Calendar_queue.length q
 
@@ -115,4 +172,5 @@ let stop t = t.stopped <- true
 let reset t =
   if pending t > 0 then invalid_arg "Sim.reset: events are pending";
   t.clock.(0) <- 0.0;
+  t.events <- 0;
   t.stopped <- false

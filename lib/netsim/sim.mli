@@ -3,12 +3,18 @@
     A simulation is a virtual clock plus a queue of pending events. Model
     components schedule closures at future instants; [run] drains the queue
     in time order, advancing the clock. Time is in seconds of simulated
-    time. The engine is single-threaded and deterministic. *)
+    time. The engine is single-threaded and deterministic.
+
+    Pending closures live in one slot table; the event queue orders
+    plain (time, slot) entries. A firing event's slot is cleared and
+    freed before its closure runs, so a fired closure is collectable at
+    once, a handler that raises leaves the simulation consistent, and a
+    handler that schedules may reuse the slot. *)
 
 type t
 
 type engine =
-  | Heap  (** Growable binary heap: O(log n), the reference engine. *)
+  | Heap  (** Growable 4-ary heap: O(log n), the reference engine. *)
   | Calendar
       (** Calendar queue: O(1) amortized for the clustered near-future
           events links generate. Identical observable behavior. *)
@@ -53,13 +59,18 @@ val step : t -> bool
 val pending : t -> int
 (** Number of queued events. *)
 
+val events : t -> int
+(** Number of events fired since {!create} or the last {!reset}: one
+    per closure {!step} has called, including one that raised. *)
+
 val stop : t -> unit
 (** Ask a running [run]/[run_until] to return after the current event.
     Queued events are kept. *)
 
 val reset : t -> unit
 (** Return a drained simulation to the state {!create} built: clock at
-    0, no stop pending. The engine and its queue storage are kept. Pop
-    order depends only on (time, insertion order), so a run after
-    [reset] fires exactly the sequence it would fire on a fresh
-    simulation. Raises [Invalid_argument] if events are pending. *)
+    0, no events fired, no stop pending. The engine, its queue storage
+    and the slot table are kept. Pop order depends only on (time,
+    insertion order), so a run after [reset] fires exactly the sequence
+    it would fire on a fresh simulation. Raises [Invalid_argument] if
+    events are pending. *)

@@ -17,7 +17,10 @@
      16.8;
    - Striper.push with Round_end markers every 4 rounds: about 2
      words/push, all of it the marker packets (0.1 markers/push); one
-     boxed word or closure per push adds at least 2. *)
+     boxed word or closure per push adds at least 2;
+   - Sim.schedule plus step of one preallocated closure: 2 words/event
+     in dev on either engine (the event time, boxed as it crosses into
+     the queue; 0 in release); one more boxed word per event adds 2. *)
 
 open Stripe_netsim
 open Stripe_packet
@@ -237,6 +240,33 @@ let test_sharded_replay_groups () =
   check_at_most "Sharded_pool.run per push, several groups" ~bound:14.5
     (replay_words_per_push ~bundles:500 ~pushes:40_000)
 
+(* The event core alone: one preallocated closure rescheduled from
+   itself, so only [Sim.schedule], the queue and [Sim.step] allocate. *)
+let sim_words_per_event engine =
+  let sim = Sim.create ~engine () in
+  let left = ref 0 in
+  let rec tick () =
+    if !left > 0 then begin
+      decr left;
+      Sim.schedule_after sim ~delay:1e-6 tick
+    end
+  in
+  let run n =
+    left := n;
+    Sim.schedule sim ~at:(Sim.now sim) tick;
+    Sim.run sim
+  in
+  run 1000;
+  let n = 100_000 in
+  let words = words_during (fun () -> run n) in
+  words /. float_of_int n
+
+let test_sim_schedule_step engine () =
+  check_at_most
+    (Printf.sprintf "Sim.schedule + step per event (%s)"
+       (Sim.engine_name engine))
+    ~bound:3.0 (sim_words_per_event engine)
+
 let suites =
   [
     ( "alloc",
@@ -251,5 +281,9 @@ let suites =
         Alcotest.test_case "sharded replay, several groups" `Quick
           test_sharded_replay_groups;
         Alcotest.test_case "Striper.push per packet" `Quick test_striper_push;
+        Alcotest.test_case "Sim schedule and step (heap)" `Quick
+          (test_sim_schedule_step Sim.Heap);
+        Alcotest.test_case "Sim schedule and step (calendar)" `Quick
+          (test_sim_schedule_step Sim.Calendar);
       ] );
   ]

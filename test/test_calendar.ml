@@ -1,8 +1,8 @@
 (* Calendar queue tests: unit coverage, the qcheck equivalence property
-   against the binary heap (the reference model — including FIFO
+   against the heap (the reference model — including FIFO
    tie-breaking, so either engine drives byte-identical simulations),
-   the Eventq popped-slot leak regression, and a seeded end-to-end
-   trace-equality check between the two engines. *)
+   both queues and [Sim] against a sorted-list oracle, and a seeded
+   end-to-end trace-equality check between the two engines. *)
 
 open Stripe_netsim
 
@@ -275,12 +275,17 @@ let prop_calendar_churn_equals_heap =
    calendar's corners: exact ties, reverse-order runs, far-future and
    infinite times, sub-nanosecond gaps, laps around the initial
    16-bucket ring (width 1), and append/pop slides that make a bucket
-   compact in place. *)
+   compact in place. [Tied] aims at the heap's: at least 22 entries at
+   once, four levels of the 4-ary heap, in up to four interleaved tie
+   classes, so sibling entries tie and the seq tie-break decides. *)
 type ref_op =
   | Add of float  (* at now + offset *)
   | Again  (* at the time of the previous add: an exact tie *)
   | Desc of int * float  (* k adds at now + (k - i) * gap, i = 1..k *)
   | Slide of int * float  (* k times: add at latest + gap, then pop *)
+  | Tied of int * int
+      (* k adds at now + (j * 7 mod m), j = 1..k: one tie class per
+         offset, interleaved, so entries of a class are heap siblings *)
   | Take
   | Wipe
 
@@ -310,6 +315,7 @@ let ref_op_gen =
         ( 1,
           map2 (fun k gap -> Slide (k, gap)) (int_range 2 80)
             (oneofl [ 0.0; 1e-9; 1e-3; 0.6 ]) );
+        (1, map2 (fun k m -> Tied (k, m)) (int_range 22 90) (int_range 1 4));
         (6, return Take);
         (1, return Wipe);
       ])
@@ -319,6 +325,7 @@ let ref_op_print = function
   | Again -> "Again"
   | Desc (k, g) -> Printf.sprintf "Desc (%d, %g)" k g
   | Slide (k, g) -> Printf.sprintf "Slide (%d, %g)" k g
+  | Tied (k, m) -> Printf.sprintf "Tied (%d, %d)" k m
   | Take -> "Take"
   | Wipe -> "Wipe"
 
@@ -416,6 +423,10 @@ let prop_engines_match_oracle =
               add (Float.max !now !last_add +. gap);
               take ()
             done
+          | Tied (k, m) ->
+            for j = 1 to k do
+              add (!now +. float_of_int (j * 7 mod m))
+            done
           | Take -> take ()
           | Wipe ->
             oracle := [];
@@ -433,49 +444,6 @@ let prop_engines_match_oracle =
             fail "calendar drain differs at (%h, %d)" t id)
         !oracle;
       Eventq.is_empty heap && Calendar_queue.is_empty cal)
-
-(* --- Eventq popped-slot leak regression ---------------------------- *)
-
-let test_pop_releases_value () =
-  (* The heap used to keep popped values reachable in its vacated array
-     slots. Register popped values in a weak array and check the GC can
-     actually collect them once the only strong reference is dropped. *)
-  let q = Eventq.create () in
-  let w = Weak.create 8 in
-  for i = 0 to 7 do
-    Eventq.add q ~time:(float_of_int i) (ref i)
-  done;
-  for i = 0 to 7 do
-    match Eventq.pop q with
-    | Some (_, v) -> Weak.set w i (Some v)
-    | None -> Alcotest.fail "heap emptied early"
-  done;
-  Gc.full_major ();
-  Gc.full_major ();
-  let live = ref 0 in
-  for i = 0 to 7 do
-    if Weak.check w i then incr live
-  done;
-  check_int "popped values are collectable" 0 !live
-
-let test_calendar_pop_releases_value () =
-  let q = Calendar_queue.create () in
-  let w = Weak.create 8 in
-  for i = 0 to 7 do
-    Calendar_queue.add q ~time:(float_of_int i) (ref i)
-  done;
-  for i = 0 to 7 do
-    match Calendar_queue.pop q with
-    | Some (_, v) -> Weak.set w i (Some v)
-    | None -> Alcotest.fail "calendar emptied early"
-  done;
-  Gc.full_major ();
-  Gc.full_major ();
-  let live = ref 0 in
-  for i = 0 to 7 do
-    if Weak.check w i then incr live
-  done;
-  check_int "popped values are collectable" 0 !live
 
 (* --- Seeded end-to-end trace equality ------------------------------ *)
 
@@ -561,10 +529,6 @@ let suites =
         QCheck_alcotest.to_alcotest
           ~rand:(Random.State.make [| ref_seed |])
           prop_engines_match_oracle;
-        Alcotest.test_case "eventq pop releases value" `Quick
-          test_pop_releases_value;
-        Alcotest.test_case "calendar pop releases value" `Quick
-          test_calendar_pop_releases_value;
         Alcotest.test_case "engines trace identical" `Quick
           test_engines_trace_identical;
       ] );

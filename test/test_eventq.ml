@@ -30,18 +30,18 @@ let test_fifo_ties () =
 
 let test_interleaved_ties () =
   let q = Eventq.create () in
-  Eventq.add q ~time:2.0 "b1";
-  Eventq.add q ~time:1.0 "a1";
-  Eventq.add q ~time:2.0 "b2";
-  Eventq.add q ~time:1.0 "a2";
-  let pop () = match Eventq.pop q with Some (_, v) -> v | None -> "?" in
+  Eventq.add q ~time:2.0 21;
+  Eventq.add q ~time:1.0 11;
+  Eventq.add q ~time:2.0 22;
+  Eventq.add q ~time:1.0 12;
+  let pop () = match Eventq.pop q with Some (_, v) -> v | None -> -1 in
   let order = List.init 4 (fun _ -> pop ()) in
-  Alcotest.(check (list string)) "ties stable across interleaving"
-    [ "a1"; "a2"; "b1"; "b2" ] order
+  Alcotest.(check (list int)) "ties stable across interleaving"
+    [ 11; 12; 21; 22 ] order
 
 let test_peek_does_not_remove () =
   let q = Eventq.create () in
-  Eventq.add q ~time:7.5 ();
+  Eventq.add q ~time:7.5 0;
   check "peek sees earliest" true (Eventq.peek_time q = Some 7.5);
   check_int "peek leaves element" 1 (Eventq.length q)
 
@@ -65,25 +65,41 @@ let test_growth () =
 
 let test_clear () =
   let q = Eventq.create () in
-  Eventq.add q ~time:1.0 ();
-  Eventq.add q ~time:2.0 ();
+  Eventq.add q ~time:1.0 0;
+  Eventq.add q ~time:2.0 1;
   Eventq.clear q;
   check "cleared queue is empty" true (Eventq.is_empty q)
 
+(* Against a sorted-list oracle: (time, value) pairs in stable time
+   order. Every case holds at least 22 entries, four levels of the
+   4-ary heap, and half the times come from a palette of three, so
+   siblings tie and the seq tie-break decides. *)
 let prop_heap_sorts =
   QCheck.Test.make ~name:"eventq pops any insertion sequence in time order"
     ~count:200
-    QCheck.(list (float_range 0.0 1000.0))
+    QCheck.(
+      make
+        ~print:Print.(list float)
+        Gen.(
+          list_size (int_range 22 200)
+            (frequency
+               [
+                 (1, float_range 0.0 1000.0);
+                 (1, map float_of_int (int_bound 2));
+               ])))
     (fun times ->
       let q = Eventq.create () in
       List.iteri (fun i t -> Eventq.add q ~time:t i) times;
       let rec drain acc =
         match Eventq.pop q with
-        | Some (t, _) -> drain (t :: acc)
+        | Some e -> drain (e :: acc)
         | None -> List.rev acc
       in
       let popped = drain [] in
-      popped = List.sort compare times)
+      popped
+      = List.stable_sort
+          (fun (a, _) (b, _) -> Float.compare a b)
+          (List.mapi (fun i t -> (t, i)) times))
 
 let suites =
   [

@@ -134,6 +134,79 @@ let test_reset () =
   Alcotest.(check (list (float 0.0))) "runs again from zero" [ 2.0; 0.5 ]
     (List.rev !fired)
 
+(* A fired closure must not stay reachable from the sim: the slot table
+   clears a slot before it calls the closure. Each closure captures a
+   ref registered in a weak array, which the GC can then collect. *)
+let test_fired_collectable engine () =
+  let sim = Sim.create ~engine () in
+  let w = Weak.create 8 in
+  let hits = ref 0 in
+  for i = 0 to 7 do
+    let r = ref i in
+    Weak.set w i (Some r);
+    Sim.schedule sim ~at:(float_of_int i) (fun () -> hits := !hits + !r + 1)
+  done;
+  Sim.run sim;
+  Alcotest.(check int) "all fired" 36 !hits;
+  Gc.full_major ();
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to 7 do
+    if Weak.check w i then incr live
+  done;
+  Alcotest.(check int) "fired closures are collectable" 0 !live;
+  (* Used after the collections, so the sim itself stays reachable. *)
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending sim)
+
+exception Handler_failed
+
+(* A handler that raises: the exception reaches the caller, the event
+   counts as fired, [pending] still counts the rest, and the raised
+   event's slot is free again, so raising over and over does not grow
+   the table. *)
+let test_handler_raises engine () =
+  let sim = Sim.create ~engine () in
+  let fired = ref [] in
+  let at t = Sim.schedule sim ~at:t (fun () -> fired := t :: !fired) in
+  at 1.0;
+  Sim.schedule sim ~at:2.0 (fun () -> raise Handler_failed);
+  at 3.0;
+  Alcotest.check_raises "the handler's exception escapes run" Handler_failed
+    (fun () -> Sim.run sim);
+  Alcotest.(check int) "one event left" 1 (Sim.pending sim);
+  Alcotest.(check int) "two events fired" 2 (Sim.events sim);
+  Alcotest.(check (float 0.0)) "clock at the raising event" 2.0 (Sim.now sim);
+  let cycle () =
+    Sim.schedule sim ~at:(Sim.now sim) (fun () -> raise Handler_failed);
+    Alcotest.check_raises "raises" Handler_failed (fun () ->
+        ignore (Sim.step sim))
+  in
+  cycle ();
+  let size = Obj.reachable_words (Obj.repr sim) in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  Alcotest.(check int) "freed slots are reused" size
+    (Obj.reachable_words (Obj.repr sim));
+  Alcotest.(check int) "still one event left" 1 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check (list (float 0.0))) "the rest fire in order" [ 1.0; 3.0 ]
+    (List.rev !fired);
+  Alcotest.(check int) "every event counted" 104 (Sim.events sim)
+
+let test_events_counted () =
+  let sim = Sim.create () in
+  Alcotest.(check int) "none yet" 0 (Sim.events sim);
+  for i = 1 to 5 do
+    Sim.schedule sim ~at:(float_of_int i) ignore
+  done;
+  Sim.run_until sim 3.0;
+  Alcotest.(check int) "three fired" 3 (Sim.events sim);
+  Sim.run sim;
+  Alcotest.(check int) "five fired" 5 (Sim.events sim);
+  Sim.reset sim;
+  Alcotest.(check int) "reset zeroes the count" 0 (Sim.events sim)
+
 let suites =
   [
     ( "sim",
@@ -155,5 +228,14 @@ let suites =
         Alcotest.test_case "NaN rejected (calendar)" `Quick
           (test_nan_rejected Sim.Calendar);
         Alcotest.test_case "reset" `Quick test_reset;
+        Alcotest.test_case "events counted" `Quick test_events_counted;
+        Alcotest.test_case "fired collectable (heap)" `Quick
+          (test_fired_collectable Sim.Heap);
+        Alcotest.test_case "fired collectable (calendar)" `Quick
+          (test_fired_collectable Sim.Calendar);
+        Alcotest.test_case "handler raises (heap)" `Quick
+          (test_handler_raises Sim.Heap);
+        Alcotest.test_case "handler raises (calendar)" `Quick
+          (test_handler_raises Sim.Calendar);
       ] );
   ]
