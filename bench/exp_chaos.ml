@@ -38,7 +38,6 @@
 open Stripe_netsim
 open Stripe_core
 module Bundle_pool = Stripe_fleet.Bundle_pool
-module Sharded_pool = Stripe_fleet.Sharded_pool
 module Recovery = Stripe_metrics.Recovery
 module Monitor = Stripe_obs.Monitor
 
@@ -439,13 +438,15 @@ let run_shard ~profile ~discipline ~fleet ~locals ~traffic_rate ~chaos_rng
 
 (* A cell: the legacy single pool when [domains = 1] — bit-identical to
    the pre-sharding benchmark, same RNG split order and all — else the
-   fleet partitioned by bundle id across N domains. Every shard replays
-   the same seeded chaos plan (channel events everywhere, bundle events
-   filtered to its own bundles), drives its proportional slice of the
-   offered load from indexed RNG substreams, and runs its own sim,
-   pool, health engine and monitors. The merge sums counters, pools the
-   recovery stats (endpoint-weighted MTTR/availability, min
-   availability) and renders the fleet-wide FIFO/injection verdicts.
+   fleet dealt round-robin across N domains, bundle [b] to shard
+   [b mod N]: every bundle carries the same load, so shard sizes differ
+   by at most one bundle. Every shard replays the same seeded chaos plan
+   (channel events everywhere, bundle events filtered to its own
+   bundles), drives its proportional slice of the offered load, and
+   runs its own sim, pool, health engine and monitors. The merge sums
+   counters, pools the recovery stats (endpoint-weighted
+   MTTR/availability, min availability) and renders the fleet-wide
+   FIFO/injection verdicts.
 
    Unlike exp_fleet's recorded tape, the quiet line here adapts to each
    shard's own wire backlog and health-engine convergence, so cross-N
@@ -453,41 +454,30 @@ let run_shard ~profile ~discipline ~fleet ~locals ~traffic_rate ~chaos_rng
    invariants (zero violations, conservation, full recovery) are. *)
 let run_cell ~profile ~discipline ~bundles ~seed ~inject ~domains () =
   let shards =
-    if domains = 1 then
-      let rng = Rng.create seed in
-      let chaos_rng = Rng.split rng in
-      let traffic_rng = Rng.split rng in
-      let size_rng = Rng.split rng in
-      [|
-        run_shard ~profile ~discipline ~fleet:bundles
-          ~locals:(Array.init bundles (fun b -> b))
-          ~traffic_rate:packet_rate ~chaos_rng ~traffic_rng ~size_rng ~seed
-          ~inject ();
-      |]
-    else begin
-      let parts = Sharded_pool.split_fleet ~domains ~bundles in
-      let shard k () =
-        (* Each shard re-derives the identical plan from the seed's
-           first split; traffic and sizes come from indexed substreams
-           so the per-shard Poisson processes are independent. *)
+    Parallel.run domains (fun k ->
+        (* Every shard re-derives the identical plan from the seed's
+           first split. One shard draws traffic and sizes from the next
+           two splits, as the single pool always did; N shards draw them
+           from indexed substreams, so their Poisson processes are
+           independent. *)
         let rng = Rng.create seed in
         let chaos_rng = Rng.split rng in
-        let traffic_rng = Rng.stream ~seed ((2 * k) + 1) in
-        let size_rng = Rng.stream ~seed ((2 * k) + 2) in
-        let locals = parts.(k) in
+        let traffic_rng =
+          if domains = 1 then Rng.split rng else Rng.stream ~seed ((2 * k) + 1)
+        in
+        let size_rng =
+          if domains = 1 then Rng.split rng else Rng.stream ~seed ((2 * k) + 2)
+        in
+        let locals =
+          Array.init ((bundles - k + domains - 1) / domains) (fun i ->
+              k + (i * domains))
+        in
         run_shard ~profile ~discipline ~fleet:bundles ~locals
           ~traffic_rate:
             (packet_rate
             *. float_of_int (Array.length locals)
             /. float_of_int bundles)
-          ~chaos_rng ~traffic_rng ~size_rng ~seed ~inject ()
-      in
-      let joins =
-        Array.init (domains - 1) (fun i -> Domain.spawn (shard (i + 1)))
-      in
-      let first = shard 0 () in
-      Array.append [| first |] (Array.map Domain.join joins)
-    end
+          ~chaos_rng ~traffic_rng ~size_rng ~seed ~inject ())
   in
   let sum f = Array.fold_left (fun a s -> a + f s.sr) 0 shards in
   let violations = sum (fun r -> r.violations) in
@@ -655,7 +645,7 @@ let () =
       [
         ("--quick", Unit (fun () -> quick := true));
         ("--bundles", Int (fun n -> bundles := Some n));
-        ("--domains", Int (fun n -> domains := Sharded_pool.resolve_domains n));
+        ("--domains", Int (fun n -> domains := Parallel.resolve n));
         ("--seed", Int (fun n -> seed := Some n));
         ("--profile", String (fun v -> profile_filter := Some v));
         ( "--discipline",

@@ -10,16 +10,18 @@
    The workload is generated once (a cheap protocol-free pass) and
    recorded into a [Stripe_fleet.Sharded_pool], which replays it across
    [--domains N] OCaml 5 domains, each shard carrying its slice of the
-   fleet on its own Sim event loop (DESIGN.md §10). The partition is by
-   pool slot, so the replay is bit-deterministic in the shard count:
-   [--domains 1] reproduces the legacy single-pool run byte-identically
-   (the BENCH_fleet.json anchor), and any N merges to the same
-   delivered/markers/share numbers — only wall-clock changes.
+   fleet on its own Sim event loop (DESIGN.md §10). The unit of work is
+   a replay group of slots, cut once whatever N is and assigned to
+   domains largest first (LPT), so the replay is bit-deterministic in
+   the shard count: [--domains 1] reproduces the legacy single-pool run
+   byte-identically (the BENCH_fleet.json anchor), and any N merges to
+   the same delivered/markers/share numbers — only wall-clock changes.
 
    Reported:
    - aggregate pps: data packets delivered per wall-clock second across
      the fleet — the number the CI gate protects; with [--domains N],
-     also per-shard pps and a scaling-efficiency line;
+     also per-shard pps, a scaling-efficiency line and the assignment's
+     op imbalance (max over domains of replayed ops / mean);
    - minor words allocated per delivered packet during the replay: the
      machine-independent cost gate;
    - simulation events fired per delivered packet during the replay
@@ -48,7 +50,8 @@
        # p50/p99) drift
        # from the committed single-domain anchor — the latter holds for
        # every --domains N, so a multicore run is gated on aggregate
-       # equality, not wall-clock.
+       # equality, not wall-clock — or if a -dN run's op imbalance
+       # differs from its -dN entry.
 
    Like exp_throughput, each engine runs [--repeat] times and the
    fastest run is reported (wall-clock noise is one-sided); the
@@ -89,6 +92,7 @@ type result = {
   events : int;
   events_per_pkt : float;
   efficiency : float;
+  imbalance : float;
   shards : Sharded_pool.shard_report array;
 }
 
@@ -258,6 +262,7 @@ let run_once ~engine ~total_bundles ~domains () =
       float_of_int events
       /. float_of_int (max 1 report.Sharded_pool.delivered_packets);
     efficiency = report.Sharded_pool.efficiency;
+    imbalance = report.Sharded_pool.imbalance;
     shards = report.Sharded_pool.shards;
   }
 
@@ -269,6 +274,7 @@ let fields_of_shard (s : Sharded_pool.shard_report) =
     [
       ("shard", Int s.Sharded_pool.shard);
       ("slots", Int s.Sharded_pool.slots);
+      ("ops", Int s.Sharded_pool.ops);
       ("generations", Int s.Sharded_pool.generations);
       ("delivered", Int s.Sharded_pool.delivered_packets);
       ("markers", Int s.Sharded_pool.markers_sent);
@@ -282,6 +288,7 @@ let fields_of_result ~tag r =
       Bench_gate.
         [
           ("efficiency", Num (3, r.efficiency));
+          ("imbalance", Num (4, r.imbalance));
           ( "shards",
             List
               (Array.to_list
@@ -321,13 +328,16 @@ let print_result r =
         float_of_int s.Sharded_pool.delivered_packets /. s.Sharded_pool.wall_s
       else 0.0
     in
-    Printf.printf "  %-10s %d domains: shard pps [%s]  efficiency %.0f%%\n%!" ""
-      r.domains
+    Printf.printf
+      "  %-10s %d domains: shard pps [%s]  efficiency %.0f%%  imbalance \
+       %.4f\n\
+       %!"
+      "" r.domains
       (String.concat " "
          (Array.to_list
             (Array.map (fun s -> Printf.sprintf "%.0fk" (pps_of s /. 1e3))
                r.shards)))
-      (100.0 *. r.efficiency)
+      (100.0 *. r.efficiency) r.imbalance
   end
 
 let best_of ~repeat ~engine ~total_bundles ~domains () =
@@ -364,7 +374,7 @@ let () =
         ("--quick", Unit (fun () -> quick := true));
         ("--bundles", Int (fun n -> bundles := Some n));
         ("--repeat", Int (fun n -> repeat := max 1 n));
-        ("--domains", Int (fun n -> domains := Sharded_pool.resolve_domains n));
+        ("--domains", Int (fun n -> domains := Parallel.resolve n));
         ("--json", String (fun file -> json_out := Some file));
         ("--check", String (fun file -> check := Some file));
         ("--max-regress", Float (( := ) max_regress));
@@ -469,6 +479,14 @@ let () =
         Bench_gate.check gate ~tag:anchor ~field:"share_p50" (Within 5e-5)
           r.share_p50;
         Bench_gate.check gate ~tag:anchor ~field:"share_p99" (Within 5e-5)
-          r.share_p99)
+          r.share_p99;
+        (* Assignment gate: the op imbalance, a pure function of the
+           tape and N, stands in for [efficiency] on any machine. Held
+           to its 4 committed decimals where this N has an entry. *)
+        let tag = entry_tag r in
+        if r.domains > 1 && Bench_gate.lookup gate ~tag ~field:"domains" <> None
+        then
+          Bench_gate.check gate ~tag ~field:"imbalance" Exact
+            (float_of_string (Printf.sprintf "%.4f" r.imbalance)))
       results;
     Bench_gate.finish gate

@@ -235,11 +235,9 @@ module Flag = struct
       let value parse set =
         match rest with
         | v :: rest -> (
-          match parse v with
-          | Some x ->
-            set x;
-            parse_list specs rest
-          | None -> Error (arg ^ " " ^ v))
+          match Option.map set (parse v) with
+          | Some () -> parse_list specs rest
+          | None | (exception Invalid_argument _) -> Error (arg ^ " " ^ v))
         | [] -> Error arg
       in
       match List.assoc_opt arg specs with

@@ -100,8 +100,9 @@ module Flag : sig
 
   val parse_list : (string * spec) list -> string list -> (unit, string) result
   (** Apply the specs to the arguments in order. [Error] quotes the first
-      argument that is no known flag, or a flag whose value is missing or
-      malformed, with that value. *)
+      argument that is no known flag, or a flag whose value is missing,
+      malformed or refused (its setter raised [Invalid_argument]), with
+      that value. *)
 
   val parse : usage:string -> (string * spec) list -> unit
   (** {!parse_list} over the command line, or {!usage_error}. *)

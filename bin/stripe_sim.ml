@@ -358,9 +358,17 @@ let health_spec =
            $(b,every=0.05,frac=0.25,backoff=0.5). Quasi mode with a CFQ \
            scheduler only.")
 
+let domains_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected N >= 0, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let domains_arg =
   Arg.(
-    value & opt int 1
+    value & opt domains_conv 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Run $(docv) independent replicas of the scenario in parallel, one \
@@ -1246,32 +1254,28 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
       counters = obs_counters;
     }
     in
-    let domains = Stripe_fleet.Sharded_pool.resolve_domains domains in
+    (* N independent replicas of the scenario, one per domain: replica
+       0 keeps the master seed (and the --trace path), the others draw
+       their seeds from indexed substreams and write FILE.dK traces.
+       Past one, each replica's report prints whole, then a merged one. *)
+    let domains = Parallel.resolve domains in
+    let rseed k =
+      if k = 0 then seed else Rng.int (Rng.stream ~seed k) 0x3FFFFFFF
+    in
+    let trace_for k =
+      Option.map
+        (fun p -> if k = 0 then p else Printf.sprintf "%s.d%d" p k)
+        trace_out
+    in
+    let rs =
+      Parallel.run domains (fun k ->
+          run_replica ~replica:k ~seed:(rseed k) ~trace_out:(trace_for k) ())
+    in
     if domains = 1 then begin
-      let r = run_replica ~replica:0 ~seed ~trace_out () in
-      print_string r.text;
+      print_string rs.(0).text;
       `Ok ()
     end
     else begin
-      (* N independent replicas of the scenario, one per domain: replica
-         0 keeps the master seed (and the --trace path), the others draw
-         their seeds from indexed substreams and write FILE.dK traces.
-         Each replica's report prints whole, then a merged summary. *)
-      let rseed k =
-        if k = 0 then seed else Rng.int (Rng.stream ~seed k) 0x3FFFFFFF
-      in
-      let trace_for k =
-        Option.map
-          (fun p -> if k = 0 then p else Printf.sprintf "%s.d%d" p k)
-          trace_out
-      in
-      let replica k () =
-        run_replica ~replica:k ~seed:(rseed k) ~trace_out:(trace_for k) ()
-      in
-      let joins =
-        Array.init (domains - 1) (fun i -> Domain.spawn (replica (i + 1)))
-      in
-      let rs = Array.append [| replica 0 () |] (Array.map Domain.join joins) in
       Array.iteri
         (fun k r ->
           Printf.printf "=== replica %d (seed %d) ===\n%s" k (rseed k) r.text)

@@ -289,14 +289,14 @@ let make_send_marker t id =
     transmit t id channel ~size:m.Packet.size m;
     t.markers <- t.markers + 1
 
-(* Visit order for slot [i]'s engine. Sprinklers slots each derive
-   their own seed so the fleet's permutations decorrelate (every bundle
-   rotating onto the same channel in the same round would synchronize
-   bursts on one facility); the receiver's clone carries the order, so
-   both sides replay the same permutation stream. *)
-let slot_order t i =
+(* Visit order for the engine of slot [key] (in a replay, the recorded
+   slot id). Sprinklers slots each derive their own seed so the fleet's
+   permutations decorrelate (all bundles rotating onto one channel in
+   the same round would synchronize bursts on one facility); the
+   receiver's clone carries the order, so both sides deal the same. *)
+let slot_order t key =
   match t.discipline with
-  | Sprinklers seed -> Deficit.Permuted (seed + (i * 0x632be5ab))
+  | Sprinklers seed -> Deficit.Permuted (seed + (key * 0x632be5ab))
   | Srr -> Deficit.Fixed
 
 let make_rx t i =
@@ -521,7 +521,7 @@ let acquire t =
   activate t id;
   id
 
-let acquire_slot t id =
+let acquire_slot t ~key id =
   if id < 0 then invalid_arg "Bundle_pool.acquire_slot: negative id";
   while id >= t.cap do
     grow_to t (2 * t.cap)
@@ -538,6 +538,13 @@ let acquire_slot t id =
   if !i >= t.n_free then invalid_arg "Bundle_pool.acquire_slot: slot not free";
   t.n_free <- t.n_free - 1;
   t.free.(!i) <- t.free.(t.n_free);
+  (* A slot built for another key deals another Sprinklers order, so
+     its engine and receiver are rebuilt; under [Srr] they never are. *)
+  let order = slot_order t key in
+  if Deficit.order t.tx.(id) <> order then begin
+    t.tx.(id) <- Deficit.create ~order ~quanta:(Array.copy t.quanta) ();
+    t.rx.(id) <- make_rx t id
+  end;
   activate t id;
   id
 

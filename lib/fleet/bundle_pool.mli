@@ -125,15 +125,16 @@ val acquire : t -> int
     a fresh one otherwise). O(1) amortized; recycling allocates
     nothing. *)
 
-val acquire_slot : t -> int -> int
-(** [acquire_slot t id] starts a bundle on slot [id] specifically,
-    growing the pool if [id] is beyond capacity. This is the directed
-    acquire the sharded replay layer ({!Sharded_pool}) uses to
-    reproduce a recorded global slot assignment: a slot's whole
-    recycling chain — including the busy-wire tail one generation
-    bequeaths the next — replays identically whatever other slots share
-    the pool. O(free-list) rather than O(1); raises [Invalid_argument]
-    if the slot is live. Returns [id]. *)
+val acquire_slot : t -> key:int -> int -> int
+(** [acquire_slot t ~key id] starts a bundle on slot [id] specifically,
+    growing the pool if [id] is beyond capacity, and seeds its
+    [Sprinklers] visit order from [key] where {!acquire} uses the id.
+    This is the directed acquire the sharded replay layer
+    ({!Sharded_pool}) uses to reproduce slot [key] of a recorded fleet:
+    a slot's whole recycling chain — including the busy-wire tail one
+    generation bequeaths the next — replays identically whatever other
+    slots share the pool. O(free-list) rather than O(1); raises
+    [Invalid_argument] if the slot is live. Returns [id]. *)
 
 val release : t -> int -> unit
 (** End bundle [id]: its in-flight wire tail is marked for discard (see

@@ -1,45 +1,18 @@
 (* Sharded bundle-pool fleet: record once, replay in parallel domains.
 
-   The churn workloads that drive a Bundle_pool are protocol-independent
-   — which bundle starts when, how long it lives, which live bundle each
-   offered packet lands on are all drawn from workload RNG streams that
-   never read protocol state. That makes the fleet shardable by
-   *recording* the workload as a timestamped op tape (acquire / release
-   / push over pool slot ids) and *replaying* disjoint slices of the
-   tape in parallel, one OCaml 5 domain per shard, each with its own
-   [Netsim.Sim] loop, its own [Rng] stream ([Rng.stream] indexed by
-   shard), and its own [Bundle_pool] — no shared mutable protocol state,
-   communication only at the final merge barrier.
-
-   The partition is by pool slot id, not by acquisition order: slots are
-   the unit of state reuse (a recycled slot bequeaths its successor the
-   busy-wire tail the link is still serializing), so giving a shard
-   whole slots gives it whole recycling chains. The recorder shadows
-   Bundle_pool's allocator exactly (LIFO free stack, doubling growth) to
-   learn which slot each acquire would land on; the replay then drives
-   that assignment verbatim through [Bundle_pool.acquire_slot]. Because
-   slots never interact — wires, resequencers and schedulers are all
-   per-slot — each slot's event sequence is identical whatever other
-   slots share its sim, and therefore identical for every shard count:
-   [--domains 1] reproduces the legacy single-pool run byte-for-byte,
-   and [--domains N] merges back to the same protocol aggregates.
-
-   The same argument lets one shard replay its slots in groups of
-   [group_slots], one group after another on one sim and one pool that
-   are reset in between. The recorder files each op under its slot's
-   group as it records, so a group's tape is contiguous and the replay
-   needs no index. A group's working set fits in cache where a whole
-   shard's does not, which is most of the replay's cost.
-
-   What merges at the barrier: per-generation delivery records (ordered
-   by global acquisition ordinal), pool counter totals (sums), marker
-   counts (sums), FIFO-monitor verdicts (sum violations, min-time first
-   violation), and wall-clock (max + scaling efficiency). Cross-bundle
-   delivery ordering is *not* preserved across shards — bundles are
-   independent FIFO streams, so no protocol invariant spans them. *)
+   The recorder shadows Bundle_pool's slot allocator and files every op
+   on the tape of its slot's replay group, cut in order of first
+   acquire. [run] assigns whole groups to domains (LPT over their op
+   counts); each domain replays its groups one after another on one sim
+   and one pool reset in between, and the results merge at one barrier:
+   generations re-sorted by acquisition ordinal, counters summed, the
+   earliest FIFO violation kept. Slots never interact, so every group
+   replays the same events at every domain count (sharded_pool.mli,
+   DESIGN.md §10). *)
 
 module Sim = Stripe_netsim.Sim
 module Rng = Stripe_netsim.Rng
+module Parallel = Stripe_netsim.Parallel
 
 let op_acquire = 0
 let op_release = 1
@@ -47,12 +20,12 @@ let op_push = 2
 
 (* Slots per replay group, [1 lsl slot_bits]. A group's live state —
    slot engines, resequencers, wires and the sim's pending events —
-   stays cache-sized however large the shard is. Picked from a sweep
+   stays cache-sized however large the fleet is. Picked from a sweep
    over the 25k-bundle churned fleet (DESIGN.md §10, "Replay groups"). *)
 let slot_bits = 7
 let group_slots = 1 lsl slot_bits
 
-(* One replay group: up to [group_slots] slots of one shard and the tape
+(* One replay group: up to [group_slots] slots and the tape
    of every op on them, in recording order. An op is its time and one
    word: [(arg lsl (slot_bits + 2)) lor (slot lsl 2) lor kind], where
    [slot] is the group-local index and [arg] the push size or, for an
@@ -73,9 +46,6 @@ let group_create () =
     globals = Array.make group_slots (-1);
     n_slots = 0;
   }
-
-(* Placeholder for slots not yet acquired; never written. *)
-let no_group = { at = [||]; op = [||]; len = 0; globals = [||]; n_slots = 0 }
 
 let tape_push g ~op ~at ~slot ~arg =
   if g.len = Array.length g.op then begin
@@ -98,7 +68,7 @@ type t = {
   seed : int;
   config : Bundle_pool.config;
   clock : unit -> float;
-  groups : group array array;  (* per shard, in order of first acquire *)
+  mutable groups : group array;  (* in order of first acquire *)
   (* Shadow of Bundle_pool's slot allocator: LIFO free stack, doubling
      growth, new slots stacked lowest-id-first — bit-for-bit the
      assignment the legacy single pool would make. *)
@@ -106,48 +76,15 @@ type t = {
   mutable free : int array;
   mutable n_free : int;
   mutable live : bool array;
-  mutable group_of : group array;
-  mutable local_of : int array;
-      (* Per global slot: its replay group and its index in it, set at
-         its first acquire ([local_of] is -1 until then). *)
+  mutable rank : int array;
+      (* Per global slot: its place in first-acquire order, so its group
+         is [rank / group_slots] and its index there [rank mod
+         group_slots]; -1 until its first acquire. *)
   mutable n_live : int;
   mutable peak_live : int;
   mutable n_acquired : int;
   mutable last_at : float;
 }
-
-let mix64 z =
-  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-  Int64.(logxor z (shift_right_logical z 31))
-
-let shard_of_bundle ~domains id =
-  if domains <= 1 then 0
-  else
-    (* Mix the slot id before reducing: slot ids are dense small ints,
-       and a bare modulus would correlate the partition with allocation
-       order. The mixed form is still a pure function of (id, domains),
-       so a given seed always produces the same partition. *)
-    let z = mix64 (Int64.mul (Int64.of_int (id + 1)) 0x9E3779B97F4A7C15L) in
-    Int64.to_int (Int64.logand z 0x3FFFFFFFFFFFFFFFL) mod domains
-
-let auto_domains () = max 1 (Domain.recommended_domain_count ())
-let resolve_domains n = if n <= 0 then auto_domains () else n
-
-let split_fleet ~domains ~bundles =
-  let counts = Array.make domains 0 in
-  for b = 0 to bundles - 1 do
-    let s = shard_of_bundle ~domains b in
-    counts.(s) <- counts.(s) + 1
-  done;
-  let parts = Array.map (fun n -> Array.make n 0) counts in
-  let fill = Array.make domains 0 in
-  for b = 0 to bundles - 1 do
-    let s = shard_of_bundle ~domains b in
-    parts.(s).(fill.(s)) <- b;
-    fill.(s) <- fill.(s) + 1
-  done;
-  parts
 
 let grow_shadow t cap =
   let extend zero a =
@@ -157,8 +94,7 @@ let grow_shadow t cap =
   in
   t.free <- extend 0 t.free;
   t.live <- extend false t.live;
-  t.group_of <- extend no_group t.group_of;
-  t.local_of <- extend (-1) t.local_of;
+  t.rank <- extend (-1) t.rank;
   (* Stack the new slots so the lowest id comes off first — mirrors
      Bundle_pool.grow_to. *)
   for id = cap - 1 downto t.cap do
@@ -169,7 +105,7 @@ let grow_shadow t cap =
 
 let create ?(engine = Sim.Heap) ?(stamp_seq = false) ?(initial_capacity = 64)
     ?(clock = fun () -> 0.0) ~domains ~seed config =
-  let domains = resolve_domains domains in
+  let domains = Parallel.resolve domains in
   if initial_capacity <= 0 then
     invalid_arg "Sharded_pool.create: initial_capacity must be positive";
   let t =
@@ -180,12 +116,11 @@ let create ?(engine = Sim.Heap) ?(stamp_seq = false) ?(initial_capacity = 64)
       seed;
       config;
       clock;
-      groups = Array.make domains [||];
+      groups = [||];
       cap = 0;
       free = [||];
       live = [||];
-      group_of = [||];
-      local_of = [||];
+      rank = [||];
       n_free = 0;
       n_live = 0;
       peak_live = 0;
@@ -196,10 +131,7 @@ let create ?(engine = Sim.Heap) ?(stamp_seq = false) ?(initial_capacity = 64)
   grow_shadow t initial_capacity;
   t
 
-let domains t = t.domains
 let total_acquired t = t.n_acquired
-let live_bundles t = t.n_live
-let peak_live t = t.peak_live
 
 (* Written so that NaN fails the test too: [at < last_at] is false for
    NaN, and a NaN [last_at] would then let every later time through. *)
@@ -211,22 +143,21 @@ let check_at t at op =
   t.last_at <- at
 
 (* Append one op to the group tape of slot [id]. A slot's first op is
-   its first acquire, which files it in the last group of its shard: a
-   new group opens every [group_slots] slots. *)
+   its first acquire, which files it in the last group: a new group
+   opens every [group_slots] slots. *)
 let record t ~op ~at id ~arg =
-  if t.local_of.(id) < 0 then begin
-    let shard = shard_of_bundle ~domains:t.domains id in
-    let groups = t.groups.(shard) in
-    let n = Array.length groups in
-    if n = 0 || groups.(n - 1).n_slots = group_slots then
-      t.groups.(shard) <- Array.append groups [| group_create () |];
-    let g = t.groups.(shard).(Array.length t.groups.(shard) - 1) in
-    t.group_of.(id) <- g;
-    t.local_of.(id) <- g.n_slots;
+  if t.rank.(id) < 0 then begin
+    let n = Array.length t.groups in
+    if n = 0 || t.groups.(n - 1).n_slots = group_slots then
+      t.groups <- Array.append t.groups [| group_create () |];
+    let gi = Array.length t.groups - 1 in
+    let g = t.groups.(gi) in
+    t.rank.(id) <- (gi * group_slots) + g.n_slots;
     g.globals.(g.n_slots) <- id;
     g.n_slots <- g.n_slots + 1
   end;
-  tape_push t.group_of.(id) ~op ~at ~slot:t.local_of.(id) ~arg
+  let r = t.rank.(id) in
+  tape_push t.groups.(r / group_slots) ~op ~at ~slot:(r mod group_slots) ~arg
 
 let acquire t ~at =
   check_at t at "acquire";
@@ -275,6 +206,7 @@ type gen_report = {
 
 type shard_report = {
   shard : int;
+  groups : int array;
   slots : int;
   ops : int;
   generations : int;
@@ -302,6 +234,7 @@ type report = {
   wall_s : float;
   end_time : float;
   efficiency : float;
+  imbalance : float;
 }
 
 let earlier a b =
@@ -309,12 +242,36 @@ let earlier a b =
   | None, v | v, None -> v
   | Some (ta, _, _), Some (tb, _, _) -> if tb < ta then b else a
 
-(* One shard's groups, one after another, on one sim and one pool sized
-   for a group, both reset at the start of every group. Slots never
-   interact, so each slot runs the event sequence it would run sharing a
-   sim with every other slot (DESIGN.md §10). *)
-let replay t ~shard =
-  let groups = t.groups.(shard) in
+(* LPT over the groups' op counts: largest first (ties to the lower
+   group), each to the least-loaded domain (ties to the lower domain).
+   Returns each domain's group indices, ascending. *)
+let assign ~domains ops =
+  let n = Array.length ops in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> compare ops.(b) ops.(a)) order;
+  let load = Array.make domains 0 in
+  let owner = Array.make n 0 in
+  Array.iter
+    (fun g ->
+      let d = ref 0 in
+      for k = 1 to domains - 1 do
+        if load.(k) < load.(!d) then d := k
+      done;
+      owner.(g) <- !d;
+      load.(!d) <- load.(!d) + ops.(g))
+    order;
+  let plan = Array.make domains [] in
+  for g = n - 1 downto 0 do
+    plan.(owner.(g)) <- g :: plan.(owner.(g))
+  done;
+  Array.map Array.of_list plan
+
+(* One domain's groups [ids], one after another, on one sim and one pool
+   sized for a group, both reset at the start of every group. Slots
+   never interact, so each slot runs the event sequence it would run
+   sharing a sim with every other slot (DESIGN.md §10). *)
+let replay (t : t) ~shard ids =
+  let groups = Array.map (fun i -> t.groups.(i)) ids in
   let wall0 = t.clock () in
   let cap = Array.fold_left (fun m g -> max m g.n_slots) 1 groups in
   let sim = Sim.create ~engine:t.engine () in
@@ -346,7 +303,7 @@ let replay t ~shard =
       let arg = w asr (slot_bits + 2) in
       (match w land 3 with
       | 0 ->
-        ignore (Bundle_pool.acquire_slot pool l);
+        ignore (Bundle_pool.acquire_slot pool ~key:g.globals.(l) l);
         cur_ord.(l) <- arg
       | 1 ->
         gens :=
@@ -387,6 +344,7 @@ let replay t ~shard =
   Array.iter replay_group groups;
   ( {
       shard;
+      groups = ids;
       slots = Array.fold_left (fun n (g : group) -> n + g.n_slots) 0 groups;
       ops = Array.fold_left (fun n (g : group) -> n + g.len) 0 groups;
       generations = !n_gens;
@@ -401,18 +359,13 @@ let replay t ~shard =
     },
     !gens )
 
-let run t =
+let run (t : t) =
+  let plan =
+    assign ~domains:t.domains (Array.map (fun (g : group) -> g.len) t.groups)
+  in
   let wall0 = t.clock () in
   let results =
-    if t.domains = 1 then [| replay t ~shard:0 |]
-    else begin
-      let workers =
-        Array.init (t.domains - 1) (fun k ->
-            Domain.spawn (fun () -> replay t ~shard:(k + 1)))
-      in
-      let own = replay t ~shard:0 in
-      Array.append [| own |] (Array.map Domain.join workers)
-    end
+    Parallel.run t.domains (fun k -> replay t ~shard:k plan.(k))
   in
   let wall_s = t.clock () -. wall0 in
   let shards = Array.map fst results in
@@ -430,6 +383,10 @@ let run t =
       (fun acc (s : shard_report) -> earlier acc s.first_violation)
       None shards
   in
+  let ops = sum (fun s -> s.ops) in
+  let max_ops =
+    Array.fold_left (fun m (s : shard_report) -> max m s.ops) 0 shards
+  in
   {
     domains = t.domains;
     shards;
@@ -445,5 +402,9 @@ let run t =
     end_time = maxf (fun s -> s.end_time);
     efficiency =
       (if wall_s > 0.0 then sum_wall /. (float_of_int t.domains *. wall_s)
+       else 1.0);
+    imbalance =
+      (if ops > 0 then
+         float_of_int (t.domains * max_ops) /. float_of_int ops
        else 1.0);
   }

@@ -3,41 +3,35 @@
 
     The driving workload of a fleet benchmark is protocol-independent,
     so it is {e recorded} as a timestamped op tape — {!acquire},
-    {!release}, {!push} over pool slot ids — and then {e replayed} by
-    {!run}: one domain per shard, each with its own [Sim] loop, its own
-    [Rng.stream] (indexed by shard from the master seed), and its own
-    [Bundle_pool]. No protocol state is shared between shards;
-    communication happens only at the merge barrier that builds the
-    {!report}.
-
-    {b Partition.} Bundles are assigned to shards by pool slot id
-    ({!shard_of_bundle}): the slot is the unit of state reuse (a
-    recycled slot bequeaths the next generation whatever wire tail the
-    link is still serializing), so owning a slot means owning its whole
-    recycling chain. Slots never interact — wires, resequencers and
-    schedulers are per-slot — so each slot's replay is identical
-    whatever other slots share its sim. Consequently [domains = 1]
-    reproduces the legacy single-pool run byte-for-byte, and any
-    [domains = N] merges to the same protocol aggregates (delivered
-    packets/bytes, markers, per-generation shares); only wall-clock
-    changes. Cross-bundle delivery ordering is {e not} preserved across
-    shards — bundles are independent FIFO streams, and no protocol
-    invariant spans them.
-
+    {!release}, {!push} over pool slot ids — and {e replayed} by {!run}.
     The recorder shadows [Bundle_pool]'s slot allocator (LIFO free
-    stack, doubling growth) so {!acquire} returns exactly the slot id
-    the legacy single pool would have picked; the replay then drives
-    that assignment verbatim through [Bundle_pool.acquire_slot].
+    stack, doubling growth), so {!acquire} returns exactly the slot id
+    the legacy single pool would pick, and the replay drives that
+    assignment through [Bundle_pool.acquire_slot]. Slots never interact
+    — wires, resequencers and schedulers are per-slot, and a slot's
+    recycling chain (the wire tail one generation bequeaths the next)
+    stays on it — so each slot replays identically whatever other slots
+    share its sim. Domains share no protocol state; they meet only at
+    the merge barrier that builds the {!report}.
 
-    {b Replay groups.} Within a shard, slots are numbered in order of
-    first acquire and cut into groups of {!group_slots}; the recorder
-    files each op on its slot's group tape. A shard replays its groups
-    one after another on one [Sim] and one [Bundle_pool] sized for a
-    single group, returning both to their initial state between groups
-    ([Sim.reset], [Bundle_pool.reset]). By the same argument as for
-    shards, every slot runs the event sequence it would run in the
-    whole fleet; a group's working set stays cache-sized, so the replay
-    costs less per packet than one shard-wide sim. *)
+    {b Replay groups.} Slots are numbered in order of first acquire,
+    fleet-wide, and cut into groups of {!group_slots}; the recorder
+    files each op on its slot's group tape. The cut does not depend on
+    the domain count. A group is a self-contained replay on a reset
+    [Sim] and a reset [Bundle_pool] sized for one group, and its
+    working set stays cache-sized.
+
+    {b Partition.} Groups are the unit of parallel work. {!run} assigns
+    them to domains by LPT over their recorded op counts: largest group
+    first, each to the least-loaded domain, ties to the lower group
+    index and then the lower domain index — a pure function of the tape.
+    Each domain replays its groups in ascending index, so
+    [domains = 1] reproduces the legacy single-pool run byte-for-byte,
+    and any [domains = N] merges to the same protocol aggregates
+    (delivered packets/bytes, markers, per-generation shares); only
+    wall-clock changes. Cross-bundle delivery ordering is {e not}
+    preserved across domains — bundles are independent FIFO streams,
+    and no protocol invariant spans them. *)
 
 type t
 
@@ -50,26 +44,20 @@ val create :
   seed:int ->
   Bundle_pool.config ->
   t
-(** A recorder for a fleet sharded [domains] ways ([0] means
-    {!auto_domains}). [initial_capacity] (default 64) is that of the
-    legacy single pool whose slot assignment the recorder shadows.
-    [engine], [stamp_seq] and [config] are handed to each shard's
-    [Bundle_pool.create], which is sized for one replay group; shard
-    [k] receives the generator [Rng.stream ~seed k]. [clock] (e.g.
-    [Unix.gettimeofday]) is sampled around each shard's replay for the
-    {!type-report} timing fields; the default clock always reads 0. The
-    library takes no Unix dependency, so callers inject the clock. *)
-
-val domains : t -> int
+(** A recorder for a fleet sharded [domains] ways, as
+    [Stripe_netsim.Parallel.resolve] reads it ([0] is auto).
+    [initial_capacity] (default 64) is that of the legacy single pool
+    whose slot assignment the recorder shadows. [engine], [stamp_seq]
+    and [config] are handed to each domain's [Bundle_pool.create], sized
+    for one replay group; domain [k]'s pool gets [Rng.stream ~seed k],
+    from which no replay op draws (the replay installs no wire loss).
+    [clock] (e.g. [Unix.gettimeofday]) is sampled around each domain's
+    replay for the {!type-report} timing fields; the default clock
+    always reads 0. *)
 
 val total_acquired : t -> int
 (** Bundles recorded so far (matches [Bundle_pool.total_acquired] of the
     replayed pool at the same point in the op sequence). *)
-
-val live_bundles : t -> int
-
-val peak_live : t -> int
-(** High-water live-bundle population over the recording. *)
 
 val acquire : t -> at:float -> int
 (** Record a bundle start at simulated time [at]; returns the slot id
@@ -83,33 +71,14 @@ val push : t -> at:float -> int -> size:int -> unit
 (** Record a data packet offered to a live bundle. *)
 
 val group_slots : int
-(** Slots per replay group (128): each shard replays its slots this many
-    at a time, in order of first acquire (see {!run}). A code constant,
-    picked from a sweep over the 25k-bundle churned fleet (DESIGN.md
-    §10). *)
-
-val shard_of_bundle : domains:int -> int -> int
-(** [shard_of_bundle ~domains id] is the owning shard of pool slot [id]:
-    a pure mix-then-reduce of the id, so a given seed always produces
-    the same partition, independent of recording order. *)
-
-val auto_domains : unit -> int
-(** [Domain.recommended_domain_count ()], at least 1. *)
-
-val resolve_domains : int -> int
-(** [resolve_domains n] is [n], or {!auto_domains} when [n <= 0] — the
-    [--domains 0] = "auto" convention. *)
-
-val split_fleet : domains:int -> bundles:int -> int array array
-(** [split_fleet ~domains ~bundles] partitions the static fleet
-    [0 .. bundles-1] by {!shard_of_bundle}: element [k] lists the
-    bundle ids shard [k] owns, in increasing order. For static fleets
-    (no churn) bundle ids and slot ids coincide. *)
+(** Slots per replay group (128), in order of first acquire (see
+    {!run}). A code constant, picked from a sweep over the 25k-bundle
+    churned fleet (DESIGN.md §10). *)
 
 type gen_report = {
   ordinal : int;  (** Global acquisition order of this generation. *)
   slot : int;  (** Pool slot id (the recorded bundle id). *)
-  shard : int;
+  shard : int;  (** The domain that replayed it. *)
   birth : float;
   death : float;
   pushed_packets : int;
@@ -121,8 +90,9 @@ type gen_report = {
     the per-bundle record behind the churn gate's share metrics. *)
 
 type shard_report = {
-  shard : int;
-  slots : int;  (** Distinct pool slots this shard owns. *)
+  shard : int;  (** The domain. *)
+  groups : int array;  (** Indices of the groups it replayed, ascending. *)
+  slots : int;  (** Distinct pool slots in those groups. *)
   ops : int;  (** Tape length replayed. *)
   generations : int;  (** Released generations. *)
   delivered_packets : int;
@@ -153,13 +123,18 @@ type report = {
   efficiency : float;
       (** [sum of shard walls / (domains * wall_s)] — 1.0 is perfect
           scaling, [1/domains] is no speedup. *)
+  imbalance : float;
+      (** Max over domains of replayed ops, divided by the mean: the
+          assignment's balance, a pure function of the tape (1.0 when
+          there are no ops). *)
 }
 
 val run : t -> report
-(** Replay the recorded tape: shard 0 on the calling domain, shards
-    [1 .. domains-1] on spawned domains, each group by group, then
-    merge. A shard's [slots], [ops], [generations] and counters sum
-    over its groups; its [end_time] is their maximum and its
-    [first_violation] the earliest. Bundles still live at the end of
-    the tape are not reported in [gens] (their deliveries still count
-    in the shard totals). The recorder is not reusable after [run]. *)
+(** Replay the recorded tape: assign the groups to domains (see
+    Partition above), run domain 0 on the calling domain and domains
+    [1 .. domains-1] on spawned ones, each group by group, then merge.
+    A shard's [slots], [ops], [generations] and counters sum over its
+    groups; its [end_time] is their maximum and its [first_violation]
+    the earliest. Bundles still live at the end of the tape are not
+    reported in [gens] (their deliveries still count in the shard
+    totals). The recorder is not reusable after [run]. *)

@@ -192,6 +192,8 @@ let test_flags () =
         ("--repeat", Int (( := ) repeat));
         ("--max-regress", Float (( := ) regress));
         ("--quick", Unit (fun () -> quick := true));
+        ( "--domains",
+          Int (fun n -> ignore (Stripe_netsim.Parallel.resolve n)) );
       ]
   in
   let result = Alcotest.(result unit string) in
@@ -215,6 +217,7 @@ let test_flags () =
       ([ "--max-regress"; "0.3x" ], "--max-regress 0.3x");
       ([ "--quick"; "--repeat" ], "--repeat");
       ([ "--bogus" ], "--bogus");
+      ([ "--domains"; "-1" ], "--domains -1");
     ]
 
 let suites =

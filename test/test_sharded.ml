@@ -122,7 +122,7 @@ let test_verdict_merge () =
 
 (* ---- Sharded_pool end-to-end ---- *)
 
-let fleet_config () =
+let fleet_config ?(discipline = Bundle_pool.Srr) () =
   let rates = [| 10e6; 10e6; 5e6; 2.5e6 |] in
   let delays = [| 0.001; 0.002; 0.005; 0.010 |] in
   let quanta =
@@ -134,7 +134,7 @@ let fleet_config () =
     quanta;
     marker_every = 4;
     guard = false;
-    discipline = Bundle_pool.Srr;
+    discipline;
   }
 
 type op =
@@ -205,10 +205,11 @@ type direct = {
    single-pool run the sharded replay must reproduce. Checks on the way
    that the recorder's shadow allocator predicted every slot id, and
    harvests every generation at its release. *)
-let run_direct ~engine ops =
+let run_direct ~engine ~discipline ops =
   let sim = Sim.create ~engine () in
   let pool =
-    Bundle_pool.create ~rng:(Rng.stream ~seed:33 0) ~sim (fleet_config ())
+    Bundle_pool.create ~rng:(Rng.stream ~seed:33 0) ~sim
+      (fleet_config ~discipline ())
   in
   let ordinal = Hashtbl.create 64 in
   let gens = ref [] in
@@ -246,47 +247,61 @@ let run_direct ~engine ops =
 
 (* Records [script] at 1, 2 and 3 domains and checks every replay against
    the directly driven single pool: per-generation reports, aggregates
-   and end time. [min_slots] is a lower bound on every shard's slots. *)
+   and end time, under both disciplines ([Sprinklers] seeds each slot's
+   visit order from its recorded slot id, which a replay group must
+   carry over from the fleet). [min_slots] is a lower bound on every
+   shard's slots. *)
 let check_against_direct ~engine ~script ~min_slots =
-  let reports =
-    List.map
-      (fun domains ->
-        let sp =
-          Sharded_pool.create ~engine ~domains ~seed:33 (fleet_config ())
-        in
-        let ops = script sp in
-        (ops, Sharded_pool.run sp))
-      [ 1; 2; 3 ]
-  in
-  let ops1, _ = List.hd reports in
-  let direct = run_direct ~engine ops1 in
-  let d_packets, _, _ = direct.totals in
-  Alcotest.(check bool) "script delivered packets" true (d_packets > 0);
-  Alcotest.(check bool) "script released generations" true (direct.gens <> []);
   List.iter
-    (fun (ops, (r : Sharded_pool.report)) ->
-      let label what = Printf.sprintf "domains=%d: %s" r.domains what in
-      Alcotest.(check bool)
-        (label "recorder is shard-count independent")
-        true (ops = ops1);
-      Array.iter
-        (fun (s : Sharded_pool.shard_report) ->
-          if s.slots < min_slots then
-            Alcotest.failf "domains=%d: shard %d owns %d slots, want >= %d"
-              r.domains s.shard s.slots min_slots)
-        r.shards;
-      Alcotest.(check (triple int int int))
-        (label "aggregates equal the direct drive")
-        direct.totals
-        (r.delivered_packets, r.delivered_bytes, r.markers_sent);
-      Alcotest.(check bool)
-        (label "per-generation reports equal the direct drive")
-        true
-        (Array.to_list (Array.map gen_key r.gens) = direct.gens);
-      Alcotest.(check (float 0.0))
-        (label "end time equals the direct drive")
-        direct.end_time r.end_time)
-    reports
+    (fun discipline ->
+      let reports =
+        List.map
+          (fun domains ->
+            let sp =
+              Sharded_pool.create ~engine ~domains ~seed:33
+                (fleet_config ~discipline ())
+            in
+            let ops = script sp in
+            (ops, Sharded_pool.run sp))
+          [ 1; 2; 3 ]
+      in
+      let ops1, _ = List.hd reports in
+      let direct = run_direct ~engine ~discipline ops1 in
+      let d_packets, _, _ = direct.totals in
+      Alcotest.(check bool) "script delivered packets" true (d_packets > 0);
+      Alcotest.(check bool) "script released generations" true
+        (direct.gens <> []);
+      List.iter
+        (fun (ops, (r : Sharded_pool.report)) ->
+          let label what =
+            Printf.sprintf "%s domains=%d: %s"
+              (match discipline with
+              | Bundle_pool.Srr -> "srr"
+              | Sprinklers _ -> "sprinklers")
+              r.domains what
+          in
+          Alcotest.(check bool)
+            (label "recorder is shard-count independent")
+            true (ops = ops1);
+          Array.iter
+            (fun (s : Sharded_pool.shard_report) ->
+              if s.slots < min_slots then
+                Alcotest.failf "domains=%d: shard %d owns %d slots, want >= %d"
+                  r.domains s.shard s.slots min_slots)
+            r.shards;
+          Alcotest.(check (triple int int int))
+            (label "aggregates equal the direct drive")
+            direct.totals
+            (r.delivered_packets, r.delivered_bytes, r.markers_sent);
+          Alcotest.(check bool)
+            (label "per-generation reports equal the direct drive")
+            true
+            (Array.to_list (Array.map gen_key r.gens) = direct.gens);
+          Alcotest.(check (float 0.0))
+            (label "end time equals the direct drive")
+            direct.end_time r.end_time)
+        reports)
+    [ Bundle_pool.Srr; Bundle_pool.Sprinklers 17 ]
 
 let e2e ~engine () =
   check_against_direct ~engine ~script:record_script ~min_slots:0
@@ -294,6 +309,94 @@ let e2e ~engine () =
 let grouped ~engine () =
   check_against_direct ~engine ~script:record_many_slots
     ~min_slots:(Sharded_pool.group_slots + 1)
+
+(* Op count of each replay group, derived from the script itself: slots
+   ranked by first appearance, [group_slots] to a group. *)
+let group_ops script =
+  let rank = Hashtbl.create 1024 in
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun op ->
+      let id =
+        match op with Acquire (_, id) | Release (_, id) | Push (_, id, _) -> id
+      in
+      if not (Hashtbl.mem rank id) then
+        Hashtbl.add rank id (Hashtbl.length rank);
+      let g = Hashtbl.find rank id / Sharded_pool.group_slots in
+      let n = Option.value (Hashtbl.find_opt counts g) ~default:0 in
+      Hashtbl.replace counts g (n + 1))
+    script;
+  Array.init (Hashtbl.length counts) (Hashtbl.find counts)
+
+(* The LPT assignment on the 700-slot script: every group replayed by
+   exactly one domain, in ascending order there; the same assignment on
+   a second recording; each group, taken largest first (ties to the
+   lower index), on a domain that was least loaded at its turn; and the
+   reported imbalance is max over domains of replayed ops over the
+   mean. *)
+let test_lpt_assignment () =
+  List.iter
+    (fun domains ->
+      let replay () =
+        let sp = Sharded_pool.create ~domains ~seed:33 (fleet_config ()) in
+        let script = record_many_slots sp in
+        (script, Sharded_pool.run sp)
+      in
+      let script, r = replay () in
+      let ops = group_ops script in
+      let n = Array.length ops in
+      if n <= domains then
+        Alcotest.failf "domains=%d: only %d groups to assign" domains n;
+      let owner = Array.make n (-1) in
+      Array.iter
+        (fun (s : Sharded_pool.shard_report) ->
+          let groups = Array.to_list s.groups in
+          Alcotest.(check bool) "a domain replays its groups in order" true
+            (groups = List.sort compare groups);
+          Array.iter
+            (fun g ->
+              if owner.(g) >= 0 then
+                Alcotest.failf "domains=%d: group %d assigned twice" domains g;
+              owner.(g) <- s.shard)
+            s.groups;
+          Alcotest.(check int) "a domain replays its groups' ops"
+            (Array.fold_left (fun a g -> a + ops.(g)) 0 s.groups)
+            s.ops)
+        r.shards;
+      Array.iteri
+        (fun g d ->
+          if d < 0 then
+            Alcotest.failf "domains=%d: group %d unassigned" domains g)
+        owner;
+      let plan (r : Sharded_pool.report) =
+        List.map
+          (fun (s : Sharded_pool.shard_report) -> s.groups)
+          (Array.to_list r.shards)
+      in
+      Alcotest.(check (list (array int)))
+        "the assignment is a function of the tape" (plan r)
+        (plan (snd (replay ())));
+      let turn =
+        List.sort
+          (fun a b -> compare (ops.(b), a) (ops.(a), b))
+          (List.init n Fun.id)
+      in
+      let load = Array.make domains 0 in
+      List.iter
+        (fun g ->
+          let d = owner.(g) in
+          if Array.exists (fun l -> l < load.(d)) load then
+            Alcotest.failf
+              "domains=%d: group %d went to domain %d, not least loaded"
+              domains g d;
+          load.(d) <- load.(d) + ops.(g))
+        turn;
+      let total = Array.fold_left ( + ) 0 ops in
+      Alcotest.(check (float 1e-12)) "imbalance is max over mean"
+        (float_of_int (domains * Array.fold_left max 0 load)
+        /. float_of_int total)
+        r.imbalance)
+    [ 2; 3; 4 ]
 
 (* A NaN time must be refused where it is recorded: [at < last_at] is
    false for NaN, and a NaN [last_at] would let every later time
@@ -461,24 +564,6 @@ let test_calendar_bimodal_equivalence () =
     "calendar fires the heap's exact sequence on a bimodal population" true
     (run Sim.Heap = run Sim.Calendar)
 
-let test_shard_of_bundle () =
-  for domains = 1 to 5 do
-    for id = 0 to 100 do
-      let s = Sharded_pool.shard_of_bundle ~domains id in
-      Alcotest.(check bool) "shard in range" true (s >= 0 && s < domains);
-      Alcotest.(check int) "assignment is stable" s
-        (Sharded_pool.shard_of_bundle ~domains id)
-    done
-  done;
-  let parts = Sharded_pool.split_fleet ~domains:3 ~bundles:200 in
-  Alcotest.(check int) "split covers the fleet" 200
-    (Array.fold_left (fun a p -> a + Array.length p) 0 parts);
-  Array.iter
-    (fun p ->
-      Alcotest.(check bool) "shards are non-trivially loaded" true
-        (Array.length p > 20))
-    parts
-
 let suites =
   [
     ( "sharded",
@@ -486,7 +571,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_counters_partition_merge;
         QCheck_alcotest.to_alcotest prop_recovery_partition_merge;
         Alcotest.test_case "verdict merge" `Quick test_verdict_merge;
-        Alcotest.test_case "shard assignment" `Quick test_shard_of_bundle;
         Alcotest.test_case "e2e heap: domains 1/2/3" `Quick (e2e ~engine:Sim.Heap);
         Alcotest.test_case "e2e calendar: domains 1/2/3" `Quick
           (e2e ~engine:Sim.Calendar);
@@ -494,6 +578,8 @@ let suites =
           (grouped ~engine:Sim.Heap);
         Alcotest.test_case "grouped replay calendar: domains 1/2/3" `Quick
           (grouped ~engine:Sim.Calendar);
+        Alcotest.test_case "LPT assignment of replay groups" `Quick
+          test_lpt_assignment;
         Alcotest.test_case "recorder rejects NaN times" `Quick
           test_recorder_rejects_nan;
         Alcotest.test_case "pool reset replays like fresh" `Quick
