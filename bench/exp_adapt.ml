@@ -170,12 +170,6 @@ let run_case ~scenario ~adapt ~n_packets =
           | Some quanta ->
             incr retunes;
             retune_times := Sim.now sim :: !retune_times;
-            if Sys.getenv_opt "EXP_ADAPT_DEBUG" <> None then
-              Printf.eprintf "    [debug] %s retune at %.3f -> [%s]\n%!"
-                (match scenario with `Step -> "step" | `Ramp -> "ramp")
-                (Sim.now sim)
-                (String.concat " "
-                   (Array.to_list (Array.map string_of_int quanta)));
             Resequencer.retune reseq ~quanta;
             Striper.retune striper ~quanta ()
           | None -> ()

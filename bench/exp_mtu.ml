@@ -21,9 +21,8 @@ let member_mtu = 1500
 let make_rx sim ~n ~deliver =
   let cpu = Cpu.create sim () in
   let nics =
-    Array.init n (fun i ->
+    Array.init n (fun _ ->
         Nic.create sim ~cpu ~ring_capacity:512 ~max_batch:Exp_common.rx_max_batch
-          ~name:(Printf.sprintf "nic%d" i)
           ~intr_cost:Exp_common.rx_intr_cost
           ~per_packet_cost:Exp_common.rx_per_packet_cost
           ~deliver:(fun (channel, payload) -> deliver channel payload)

@@ -18,21 +18,51 @@ open Stripe_netsim
 open Stripe_packet
 open Stripe_core
 
+(* Numeric flag domains. Each converter rejects a value outside its
+   domain, so a bad value is a usage error (exit 124) naming the domain,
+   never an exception from deep inside the run. NaN fails every
+   comparison, so no domain admits it. *)
+let finite_positive x = Float.is_finite x && x > 0.0
+let finite_non_negative x = Float.is_finite x && x >= 0.0
+let probability x = x >= 0.0 && x <= 1.0
+
+(* [Ok v] when [s] parses to a [v] inside the domain [ok]; otherwise an
+   error naming the domain. *)
+let in_domain of_string ~what ok s =
+  match of_string s with
+  | Some v when ok v -> Ok v
+  | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+
+let checked of_string pp ~what ok = Arg.conv (in_domain of_string ~what ok, pp)
+let int_in = checked int_of_string_opt Format.pp_print_int
+let float_in = checked float_of_string_opt Format.pp_print_float
+let positive_int = int_in ~what:"an integer > 0" (fun n -> n > 0)
+let non_negative_int = int_in ~what:"an integer >= 0" (fun n -> n >= 0)
+let positive_float = float_in ~what:"a finite number > 0" finite_positive
+
+let non_negative_float =
+  float_in ~what:"a finite number >= 0" finite_non_negative
+
+let fraction = float_in ~what:"a fraction in [0, 1]" probability
+
 type channel_conf = { rate : float; delay : float; loss : float }
 
 let parse_channel s =
-  match String.split_on_char ':' s with
-  | [ rate; delay ] -> (
-    match (float_of_string_opt rate, float_of_string_opt delay) with
-    | Some rate, Some delay -> Ok { rate; delay; loss = 0.0 }
-    | _ -> Error (`Msg ("bad channel spec: " ^ s)))
-  | [ rate; delay; loss ] -> (
-    match
-      (float_of_string_opt rate, float_of_string_opt delay, float_of_string_opt loss)
-    with
-    | Some rate, Some delay, Some loss -> Ok { rate; delay; loss }
-    | _ -> Error (`Msg ("bad channel spec: " ^ s)))
-  | _ -> Error (`Msg ("channel spec must be RATE:DELAY[:LOSS], got " ^ s))
+  let ( let* ) = Result.bind in
+  let field = in_domain float_of_string_opt in
+  let fields =
+    match String.split_on_char ':' s with
+    | [ rate; delay ] -> Some (rate, delay, "0")
+    | [ rate; delay; loss ] -> Some (rate, delay, loss)
+    | _ -> None
+  in
+  match fields with
+  | None -> Error (`Msg ("channel spec must be RATE:DELAY[:LOSS], got " ^ s))
+  | Some (rate, delay, loss) ->
+    let* rate = field ~what:"a finite RATE > 0" finite_positive rate in
+    let* delay = field ~what:"a finite DELAY >= 0" finite_non_negative delay in
+    let* loss = field ~what:"a LOSS in [0, 1]" probability loss in
+    Ok { rate; delay; loss }
 
 let channel_conv =
   Arg.conv (parse_channel, fun fmt c ->
@@ -92,7 +122,7 @@ let mode_arg =
 
 let packets =
   Arg.(
-    value & opt int 10_000
+    value & opt non_negative_int 10_000
     & info [ "n"; "packets" ] ~docv:"N" ~doc:"Number of packets to stripe.")
 
 let workload =
@@ -113,13 +143,13 @@ let workload =
 
 let markers =
   Arg.(
-    value & opt int 4
+    value & opt non_negative_int 4
     & info [ "m"; "markers" ] ~docv:"K"
         ~doc:"Send resynchronization markers every K rounds; 0 disables them.")
 
 let loss_stop =
   Arg.(
-    value & opt (some float) None
+    value & opt (some fraction) None
     & info [ "loss-stop" ] ~docv:"FRACTION"
         ~doc:
           "Stop all channel loss after this fraction of the run, to measure \
@@ -239,7 +269,7 @@ let chaos_specs =
 let guard_window =
   Arg.(
     value
-    & opt ~vopt:(Some 32) (some int) None
+    & opt ~vopt:(Some 32) (some positive_int) None
     & info [ "guard" ] ~docv:"WINDOW"
         ~doc:
           "Enable the receiver channel guard: per-channel sequence tags \
@@ -251,7 +281,7 @@ let guard_window =
 let rx_buffer =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "rx-buffer" ] ~docv:"BYTES"
         ~doc:
           "Bound the resequencer's buffered data bytes across all \
@@ -278,7 +308,7 @@ let overflow_policy =
 let crash_at =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some non_negative_float) None
     & info [ "crash-at" ] ~docv:"T"
         ~doc:
           "Crash the sender at time $(docv): its striping state is \
@@ -289,7 +319,7 @@ let crash_at =
 let watchdog_k =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "watchdog" ] ~docv:"K"
         ~doc:
           "Receiver dead-channel watchdog: declare a channel dead after \
@@ -307,7 +337,7 @@ let no_auto_suspend =
 let adapt_interval =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive_float) None
     & info [ "adapt" ] ~docv:"SECONDS"
         ~doc:
           "Adaptive striping: every $(docv), fold each channel's delivered \
@@ -321,7 +351,7 @@ let adapt_interval =
 
 let adapt_band =
   Arg.(
-    value & opt float 0.25
+    value & opt non_negative_float 0.25
     & info [ "adapt-band" ] ~docv:"FRACTION"
         ~doc:
           "Relative hysteresis for $(b,--adapt): only retune when some \
@@ -358,17 +388,9 @@ let health_spec =
            $(b,every=0.05,frac=0.25,backoff=0.5). Quasi mode with a CFQ \
            scheduler only.")
 
-let domains_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected N >= 0, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let domains_arg =
   Arg.(
-    value & opt domains_conv 1
+    value & opt non_negative_int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Run $(docv) independent replicas of the scenario in parallel, one \
@@ -418,8 +440,17 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
     impair_specs chaos_specs guard_window rx_buffer overflow_policy crash_at
     watchdog_k no_auto_suspend adapt_interval adapt_band health_spec domains =
   let n = List.length channel_confs in
-  if n = 0 then `Error (false, "need at least one channel")
-  else begin
+  (* A malformed replay trace is a usage error, reported before any
+     replica starts. *)
+  let replay =
+    match Option.map Stripe_workload.Trace_file.load replay_file with
+    | entries -> Ok entries
+    | exception Failure msg -> Error msg
+  in
+  match replay with
+  | _ when n = 0 -> `Error (false, "need at least one channel")
+  | Error msg -> `Error (false, msg)
+  | Ok replay ->
     let confs = Array.of_list channel_confs in
     (* One self-contained scenario replica: its own sim, its own RNG
        chain seeded below, its own report text. Replica 0 with the
@@ -779,7 +810,7 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
            waiting when the barrier lands. *)
         let adapt_stats = ref (fun () -> []) in
         (match adapt_interval, mode, engine_opt with
-        | Some dt, `Quasi, Some e when dt > 0.0 ->
+        | Some dt, `Quasi, Some e ->
           let probe = Rate_probe.create ~n () in
           let last_bytes = Array.make n 0 in
           let retunes = ref 0 in
@@ -1147,9 +1178,8 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
         ~on_event:(fun ~index ~time:_ _ -> last_chaos_event := index)
         driver chaos_actions);
     let n_offered =
-      match replay_file with
-      | Some path ->
-        let entries = Stripe_workload.Trace_file.load path in
+      match replay with
+      | Some entries ->
         let n = List.length entries in
         List.iteri
           (fun i e ->
@@ -1305,7 +1335,6 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
              regs));
       `Ok ()
     end
-  end
 
 let cmd =
   let doc = "simulate reliable and scalable channel striping (SIGCOMM 1996)" in

@@ -11,7 +11,7 @@ open Stripe_packet
 open Stripe_ipstack
 
 (* A unidirectional wire between two interfaces. *)
-let wire sim ~rate_bps ~prop_delay ~mtu ~src ~dst =
+let wire sim ~rate_bps ~prop_delay ~mtu =
   let arp = Arp.create sim ~lookup:(fun _ -> Some 0x1) () in
   let rx_side = ref None in
   let link =
@@ -20,24 +20,22 @@ let wire sim ~rate_bps ~prop_delay ~mtu ~src ~dst =
         match !rx_side with Some iface -> Iface.rx iface frame | None -> ())
       ()
   in
-  let tx = Iface.create sim ~name:"tx" ~addr:(Ip.addr src) ~prefix:24 ~mtu ~arp ~link () in
-  let rx = Iface.create sim ~name:"rx" ~addr:(Ip.addr dst) ~prefix:24 ~mtu ~arp ~link () in
+  let tx = Iface.create sim ~name:"tx" ~mtu ~arp ~link () in
+  let rx = Iface.create sim ~name:"rx" ~mtu ~arp ~link () in
   rx_side := Some rx;
   (tx, rx)
 
 let () =
   let sim = Sim.create () in
-  let sender = Node.create ~name:"sender" () in
-  let receiver = Node.create ~name:"receiver" () in
+  let sender = Node.create () in
+  let receiver = Node.create () in
 
   (* Two physical paths: 10 Mbps Ethernet and a 16 Mbps ATM PVC. *)
   let eth_tx, eth_rx =
-    wire sim ~rate_bps:10e6 ~prop_delay:0.001 ~mtu:1500 ~src:"10.1.0.1"
-      ~dst:"10.1.0.9"
+    wire sim ~rate_bps:10e6 ~prop_delay:0.001 ~mtu:1500
   in
   let atm_tx, atm_rx =
-    wire sim ~rate_bps:16e6 ~prop_delay:0.004 ~mtu:1500 ~src:"10.2.0.1"
-      ~dst:"10.2.0.9"
+    wire sim ~rate_bps:16e6 ~prop_delay:0.004 ~mtu:1500
   in
 
   (* strIPe virtual interfaces on both hosts, weighted SRR matching the

@@ -11,7 +11,6 @@ type t = {
      starts are recognized as the first cell after an EOF (or ever). *)
   shedding : (int, bool) Hashtbl.t;
   mid_frame : (int, bool) Hashtbl.t;
-  mutable n_in : int;
   mutable n_dropped : int;
   mutable n_shed_frames : int;
 }
@@ -29,7 +28,6 @@ let create sim ~policy ~buffer_cells ~out_rate_bps ~deliver () =
         ~deliver ();
     shedding = Hashtbl.create 16;
     mid_frame = Hashtbl.create 16;
-    n_in = 0;
     n_dropped = 0;
     n_shed_frames = 0;
   }
@@ -41,7 +39,6 @@ let enqueue t cell =
     t.n_dropped <- t.n_dropped + 1
 
 let input t cell =
-  t.n_in <- t.n_in + 1;
   match t.policy with
   | Tail_drop -> enqueue t cell
   | Early_packet_discard { threshold } ->
@@ -61,6 +58,5 @@ let input t cell =
       else enqueue t cell
     end
 
-let cells_in t = t.n_in
 let cells_dropped t = t.n_dropped
 let frames_shed_early t = t.n_shed_frames

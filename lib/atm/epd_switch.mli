@@ -42,9 +42,6 @@ val create :
 val input : t -> Cell.t -> unit
 (** A cell arrives from some input VC. *)
 
-val cells_in : t -> int
 val cells_dropped : t -> int
 val frames_shed_early : t -> int
 (** Whole frames dropped by EPD before buffering anything. *)
-
-val occupancy : t -> int

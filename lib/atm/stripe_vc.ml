@@ -6,8 +6,6 @@ type t = {
   reseq : Stripe_core.Resequencer.t;
   reassemblers : Aal5.Reassembler.t array;
   send_cell : vc:int -> Cell.t -> unit;
-  mutable n_pushed : int;
-  mutable n_delivered : int;
 }
 
 let create ~n_vcs ~quanta ?marker ?now ~send_cell ~deliver () =
@@ -19,10 +17,7 @@ let create ~n_vcs ~quanta ?marker ?now ~send_cell ~deliver () =
   let reseq =
     Stripe_core.Resequencer.create
       ~deficit:(Stripe_core.Deficit.clone_initial engine)
-      ~deliver:(fun ~channel:_ pkt ->
-        let t = force_self () in
-        t.n_delivered <- t.n_delivered + 1;
-        deliver pkt)
+      ~deliver:(fun ~channel:_ pkt -> deliver pkt)
       ()
   in
   let striper =
@@ -56,8 +51,6 @@ let create ~n_vcs ~quanta ?marker ?now ~send_cell ~deliver () =
       reseq;
       reassemblers;
       send_cell;
-      n_pushed = 0;
-      n_delivered = 0;
     }
   in
   self := Some t;
@@ -70,7 +63,6 @@ let create ~n_vcs ~quanta ?marker ?now ~send_cell ~deliver () =
    wire-byte fairness up to one cell per packet. *)
 let push t pkt =
   if Packet.is_marker pkt then invalid_arg "Stripe_vc.push: marker";
-  t.n_pushed <- t.n_pushed + 1;
   Stripe_core.Striper.push t.striper pkt
 
 let receive_cell t ~vc cell =
@@ -83,9 +75,6 @@ let receive_cell t ~vc cell =
          ~channel:m.Packet.m_channel ~round:m.Packet.m_round ~dc:m.Packet.m_dc
          ~born:0.0 ())
   | Cell.Data _ -> Aal5.Reassembler.receive t.reassemblers.(vc) cell
-
-let pushed t = t.n_pushed
-let delivered t = t.n_delivered
 
 let corrupted_frames t =
   Array.fold_left

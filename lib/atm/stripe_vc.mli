@@ -36,8 +36,6 @@ val receive_cell : t -> vc:int -> Cell.t -> unit
 (** Far-end entry point: demultiplexes OAM cells to the resequencer as
     markers and data cells to the VC's AAL5 reassembler. *)
 
-val pushed : t -> int
-val delivered : t -> int
 val corrupted_frames : t -> int
 val markers_sent : t -> int
 val resequencer : t -> Stripe_core.Resequencer.t

@@ -38,7 +38,6 @@ type t = {
   mutable n_forwarded : int;
   mutable n_dups : int;
   mutable n_restores : int;
-  mutable n_late_releases : int;
   mutable n_corrupt : int;
   mutable n_held : int;
   mutable hw_held : int;
@@ -57,7 +56,6 @@ let create ~n ?(window = 32) ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     n_forwarded = 0;
     n_dups = 0;
     n_restores = 0;
-    n_late_releases = 0;
     n_corrupt = 0;
     n_held = 0;
     hw_held = 0;
@@ -96,8 +94,7 @@ let release_ready t ~restored ~channel ch =
           t.n_restores <- t.n_restores + 1;
           emit t Obs.Event.Reorder_restore ~channel ~size:pkt.Packet.size
             ~seq:pkt.Packet.seq
-        end
-        else t.n_late_releases <- t.n_late_releases + 1;
+        end;
         forward t ~channel pkt
       | None -> ())
   done
@@ -167,7 +164,6 @@ let recycle t =
   t.n_forwarded <- 0;
   t.n_dups <- 0;
   t.n_restores <- 0;
-  t.n_late_releases <- 0;
   t.n_corrupt <- 0;
   t.n_held <- 0;
   t.hw_held <- 0
@@ -187,7 +183,6 @@ let flush t =
 let forwarded t = t.n_forwarded
 let dup_discards t = t.n_dups
 let reorder_restores t = t.n_restores
-let late_releases t = t.n_late_releases
 let corrupt_discards t = t.n_corrupt
 let held_packets t = t.n_held
 let max_held_packets t = t.hw_held

@@ -90,15 +90,7 @@ val reorder_restores : t -> int
 (** Held packets whose gap {e filled}: an arrival completed the run and
     tag order was genuinely repaired before the stream position passed
     them. Releases forced by a window shed or {!flush} are {e not}
-    restores — see {!late_releases}. *)
-
-val late_releases : t -> int
-(** Held packets released because the guard {e abandoned} their gap
-    (window overflow or {!flush}): predecessors were declared lost and
-    the packets left in tag order but late. These are judged by the
-    downstream delivery-order gauges (a watchdog-skipped channel
-    delivers them out of final order), so they are deliberately excluded
-    from {!reorder_restores} — one packet, one column. *)
+    restores: the downstream delivery-order gauges judge them. *)
 
 val corrupt_discards : t -> int
 (** Markers discarded for a checksum mismatch. *)

@@ -185,7 +185,6 @@ let reinit t =
 
 let n_channels t = t.n
 let quanta t = Array.copy t.quanta
-let cost t = t.cost_mode
 let max_packet t = t.max_pkt
 let round t = t.g
 let current t = chan t

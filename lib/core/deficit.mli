@@ -113,7 +113,6 @@ val any_active : t -> bool
 
 val n_channels : t -> int
 val quanta : t -> int array
-val cost : t -> cost
 
 val max_packet : t -> int option
 (** The maximum packet size declared at {!create}, if any. *)
@@ -189,13 +188,10 @@ val next_stamp_dc : t -> int -> int
 (** The two fields of {!next_stamp}, computed without allocating the
     record (marker emission runs on the per-packet path). *)
 
-val at_round_boundary : t -> bool
-(** [true] iff the pointer is at channel 0 with no visit in progress —
-    the only state in which a retune applies immediately. *)
-
 val retune : t -> quanta:int array -> unit
 (** [retune t ~quanta] swaps the quantum vector (same width as the
-    engine). If the engine is {!at_round_boundary} the swap happens now;
+    engine). If the engine is at a round boundary (the pointer at
+    channel 0 with no visit in progress) the swap happens now;
     otherwise it is staged and adopted at the next pointer wrap (or at
     the next {!reinit}, whichever comes first). On adoption, outstanding
     DCs are rescaled proportionally ([dc * new_q / old_q]) so in-flight

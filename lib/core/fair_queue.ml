@@ -26,8 +26,6 @@ let create ~quanta () =
     served = Array.make n 0;
   }
 
-let n_flows t = t.n
-
 let enqueue t ~flow pkt =
   if flow < 0 || flow >= t.n then invalid_arg "Fair_queue.enqueue: bad flow";
   if Packet.is_marker pkt then invalid_arg "Fair_queue.enqueue: marker packet";

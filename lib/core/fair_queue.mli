@@ -26,8 +26,6 @@ type t
 val create : quanta:int array -> unit -> t
 (** One quantum per flow, in bytes; all positive. *)
 
-val n_flows : t -> int
-
 val enqueue : t -> flow:int -> Stripe_packet.Packet.t -> unit
 (** Append a packet to a flow's queue. Raises on marker packets or bad
     flow ids. *)

@@ -4,10 +4,9 @@
 
    The §5/§8 failure machinery handles channels that die — carrier
    loss, marker silence, crashes. This engine handles channels that
-   merely get worse: bursty loss, goodput collapse, corrupt-marker
-   storms, cadence jitter. Evidence the stack already emits (guard
-   discard counts, rate-probe goodput, watchdog cadence) is fed in
-   between ticks, fused into one score per channel, EWMA-smoothed, and
+   merely get worse: bursty loss and goodput collapse. The evidence the
+   drivers measure (wire loss, rate-probe goodput) is fed in between
+   ticks, fused into one score per channel, EWMA-smoothed, and
    pushed through a hysteresis state machine whose two operational
    states degrade gracefully: probation cuts the member's quantum (the
    caller rides [Deficit.retune] at a round boundary) but keeps probe
@@ -27,10 +26,7 @@ type state = Healthy | Suspect | Probation | Quarantined
 type config = {
   alpha : float;
   w_loss : float;
-  w_corrupt : float;
-  w_dup : float;
   w_goodput : float;
-  w_jitter : float;
   enter_suspect : float;
   enter_quarantine : float;
   exit_healthy : float;
@@ -46,10 +42,7 @@ let default_config =
   {
     alpha = 0.4;
     w_loss = 1.0;
-    w_corrupt = 0.8;
-    w_dup = 0.3;
     w_goodput = 0.8;
-    w_jitter = 0.5;
     enter_suspect = 0.25;
     enter_quarantine = 0.55;
     exit_healthy = 0.12;
@@ -95,10 +88,7 @@ type chan = {
   (* Current window's evidence. *)
   mutable sent : int;
   mutable lost : int;
-  mutable corrupt : int;
-  mutable dup : int;
   mutable goodput_ratio : float;  (* nan = no observation *)
-  mutable cadence_ratio : float;  (* nan = no observation *)
 }
 
 let fresh_chan () =
@@ -111,10 +101,7 @@ let fresh_chan () =
     until = 0.0;
     sent = 0;
     lost = 0;
-    corrupt = 0;
-    dup = 0;
     goodput_ratio = Float.nan;
-    cadence_ratio = Float.nan;
   }
 
 type t = {
@@ -175,72 +162,43 @@ let reset_channel t c =
   ch.until <- 0.0;
   ch.sent <- 0;
   ch.lost <- 0;
-  ch.corrupt <- 0;
-  ch.dup <- 0;
-  ch.goodput_ratio <- Float.nan;
-  ch.cadence_ratio <- Float.nan
+  ch.goodput_ratio <- Float.nan
 
-let observe t ~channel ?(sent = 0) ?(lost = 0) ?(corrupt = 0) ?(dup = 0)
-    ?goodput_ratio ?cadence_ratio () =
+let observe t ~channel ?(sent = 0) ?(lost = 0) ?goodput_ratio () =
   let ch = chan t channel "observe" in
-  if sent < 0 || lost < 0 || corrupt < 0 || dup < 0 then
-    invalid_arg "Health.observe: negative count";
+  if sent < 0 || lost < 0 then invalid_arg "Health.observe: negative count";
   ch.sent <- ch.sent + sent;
   ch.lost <- ch.lost + lost;
-  ch.corrupt <- ch.corrupt + corrupt;
-  ch.dup <- ch.dup + dup;
-  (match goodput_ratio with
+  match goodput_ratio with
   | Some r when r >= 0.0 ->
     (* Keep the worst (lowest) goodput observation of the window. *)
     if Float.is_nan ch.goodput_ratio || r < ch.goodput_ratio then
       ch.goodput_ratio <- r
   | Some r -> invalid_arg (Printf.sprintf "Health.observe: goodput_ratio %g" r)
-  | None -> ());
-  match cadence_ratio with
-  | Some r when r >= 0.0 ->
-    (* Keep the worst (highest) cadence stretch of the window. *)
-    if Float.is_nan ch.cadence_ratio || r > ch.cadence_ratio then
-      ch.cadence_ratio <- r
-  | Some r -> invalid_arg (Printf.sprintf "Health.observe: cadence_ratio %g" r)
   | None -> ()
 
 let clamp01 x = if x < 0.0 then 0.0 else if x > 1.0 then 1.0 else x
 
-(* Fuse one window's raw evidence into a [0,1] badness score. Count
-   rates are taken against the window's sent count (a loss report with
+(* Fuse one window's raw evidence into a [0,1] badness score. The loss
+   rate is taken against the window's sent count (a loss report with
    nothing sent is still fully bad); the goodput penalty is the
-   shortfall against expectation; the cadence penalty saturates at a
-   4x marker-gap stretch. *)
+   shortfall against expectation. *)
 let window_score cfg ch =
   let denom = float_of_int (max 1 (max ch.sent ch.lost)) in
   let loss = clamp01 (float_of_int ch.lost /. denom) in
-  let corrupt = clamp01 (float_of_int ch.corrupt /. denom) in
-  let dup = clamp01 (float_of_int ch.dup /. denom) in
   let goodput =
     if Float.is_nan ch.goodput_ratio then 0.0
     else clamp01 (1.0 -. ch.goodput_ratio)
   in
-  let jitter =
-    if Float.is_nan ch.cadence_ratio then 0.0
-    else clamp01 ((ch.cadence_ratio -. 1.0) /. 3.0)
-  in
-  clamp01
-    ((cfg.w_loss *. loss) +. (cfg.w_corrupt *. corrupt) +. (cfg.w_dup *. dup)
-    +. (cfg.w_goodput *. goodput)
-    +. (cfg.w_jitter *. jitter))
+  clamp01 ((cfg.w_loss *. loss) +. (cfg.w_goodput *. goodput))
 
 let had_evidence ch =
-  ch.sent > 0 || ch.lost > 0 || ch.corrupt > 0 || ch.dup > 0
-  || not (Float.is_nan ch.goodput_ratio)
-  || not (Float.is_nan ch.cadence_ratio)
+  ch.sent > 0 || ch.lost > 0 || not (Float.is_nan ch.goodput_ratio)
 
 let clear_window ch =
   ch.sent <- 0;
   ch.lost <- 0;
-  ch.corrupt <- 0;
-  ch.dup <- 0;
-  ch.goodput_ratio <- Float.nan;
-  ch.cadence_ratio <- Float.nan
+  ch.goodput_ratio <- Float.nan
 
 let emit t ~time kind ~channel ~size ~seq =
   if Stripe_obs.Sink.active t.sink then

@@ -5,11 +5,10 @@
 
     {v Healthy -> Suspect -> Probation -> Quarantined v}
 
-    Evidence the stack already emits — loss/corrupt/dup counts from the
-    channel guard and counters, goodput collapse from {!Rate_probe},
-    marker-cadence jitter from the resequencer watchdog — is fed in with
-    {!observe} between ticks. Each {!sample} closes one evidence window:
-    the window's signals fuse into one badness score in [[0,1]],
+    Two signals the drivers measure — wire loss against packets sent,
+    and goodput collapse from {!Rate_probe} — are fed in with {!observe}
+    between ticks. Each {!sample} closes one evidence window: the
+    window's signals fuse into one badness score in [[0,1]],
     smoothed by EWMA, and each channel's state machine advances with
     hysteresis (a score must stay above the enter line for
     [escalate_windows] consecutive windows to escalate, and below the
@@ -40,12 +39,7 @@ type state = Healthy | Suspect | Probation | Quarantined
 type config = {
   alpha : float;  (** EWMA weight of the newest window's score. *)
   w_loss : float;  (** Weight of the window loss rate. *)
-  w_corrupt : float;  (** Weight of the corrupt-discard rate. *)
-  w_dup : float;  (** Weight of the duplicate-discard rate. *)
   w_goodput : float;  (** Weight of the goodput shortfall (1 - ratio). *)
-  w_jitter : float;
-      (** Weight of the marker-cadence stretch ((ratio-1)/3, saturating
-          at a 4x gap). *)
   enter_suspect : float;  (** Score at/above which a channel worsens. *)
   enter_quarantine : float;
       (** Score a probation channel must reach to be quarantined. *)
@@ -59,7 +53,7 @@ type config = {
 }
 
 val default_config : config
-(** [alpha]=0.4, weights 1.0/0.8/0.3/0.8/0.5, thresholds
+(** [alpha]=0.4, weights 1.0 (loss) and 0.8 (goodput), thresholds
     0.25/0.55/0.12, escalate 2, recover 3, probation fraction 0.25,
     backoff 0.25 s doubling to a 4 s ceiling. *)
 
@@ -100,18 +94,14 @@ val observe :
   channel:int ->
   ?sent:int ->
   ?lost:int ->
-  ?corrupt:int ->
-  ?dup:int ->
   ?goodput_ratio:float ->
-  ?cadence_ratio:float ->
   unit ->
   unit
 (** Accumulate evidence into the current window. Counts add up;
     [goodput_ratio] (measured/expected, 1 = nominal, 0 = collapsed)
-    keeps the window's worst (lowest) observation; [cadence_ratio]
-    (observed/expected marker gap, 1 = on time) keeps the worst
-    (highest). Evidence against a quarantined channel is discarded at
-    the next {!sample} — quarantine exit is purely timed. *)
+    keeps the window's worst (lowest) observation. Evidence against a
+    quarantined channel is discarded at the next {!sample} — quarantine
+    exit is purely timed. *)
 
 val sample : t -> now:float -> transition list
 (** Close the evidence window: fuse, smooth, and advance every state

@@ -25,9 +25,6 @@
     MTU (via fragmentation), and pays header bytes per fragment plus the
     requirement that every link speak the modified format. *)
 
-val header_size : int
-(** 4 bytes: the RFC 1717 long sequence number format. *)
-
 type fragment = {
   mp_seq : int;  (** Global multilink sequence number, consecutive. *)
   mp_begin : bool;

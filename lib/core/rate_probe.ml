@@ -48,14 +48,6 @@ let observe t ~channel ~bytes =
   if bytes > 0 then
     t.window_bytes.(channel) <- t.window_bytes.(channel) + bytes
 
-let note_rate t ~channel ~bps =
-  if channel < 0 || channel >= t.n then
-    invalid_arg "Rate_probe.note_rate: bad channel";
-  if bps > 0.0 then
-    t.est_bps.(channel) <-
-      (if t.est_bps.(channel) <= 0.0 then bps
-       else ((1.0 -. t.alpha) *. t.est_bps.(channel)) +. (t.alpha *. bps))
-
 let sample t ~now =
   let dt = now -. t.last_sample in
   (if Float.is_nan t.last_sample || dt <= 0.0 then
@@ -97,17 +89,6 @@ let reset_channel t c =
   t.window_bytes.(c) <- 0;
   t.est_bps.(c) <- 0.0
 
-let reset t =
-  (* Endpoint crash (PROTOCOL.md §12): the probe's history dies with the
-     sender. Every channel returns to the unseeded state and the window
-     anchor is forgotten, so the restarted sender plans its first retune
-     only from post-restart measurements — exactly the cold-start
-     behavior of a fresh probe, without reallocating. *)
-  Array.fill t.window_bytes 0 t.n 0;
-  Array.fill t.est_bps 0 t.n 0.0;
-  t.last_sample <- Float.nan;
-  t.samples <- 0
-
 let add_channel t =
   t.window_bytes <- Array.append t.window_bytes [| 0 |];
   t.est_bps <- Array.append t.est_bps [| 0.0 |];
@@ -125,7 +106,7 @@ let remove_channel t c =
   t.est_bps <- splice t.est_bps;
   t.n <- t.n - 1
 
-let plan ?max_packet ?(band = 0.25) ?min_quantum ?max_quantum ~rates_bps
+let plan ?max_packet ?(band = 0.25) ?max_quantum ~rates_bps
     ~quanta ~quantum_unit () =
   let n = Array.length quanta in
   if Array.length rates_bps <> n then
@@ -140,8 +121,7 @@ let plan ?max_packet ?(band = 0.25) ?min_quantum ?max_quantum ~rates_bps
     let target =
       Srr.quanta_for_rates ?max_packet ~rates_bps ~quantum_unit ()
     in
-    let lo = match min_quantum with Some m -> m | None -> 1 in
-    let lo = match max_packet with Some m -> max lo m | None -> lo in
+    let lo = match max_packet with Some m -> max 1 m | None -> 1 in
     let target =
       Array.map
         (fun q ->

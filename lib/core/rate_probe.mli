@@ -29,10 +29,6 @@ val observe : t -> channel:int -> bytes:int -> unit
 (** Account [bytes] delivered on [channel] since the last {!sample}.
     Non-positive counts are ignored. *)
 
-val note_rate : t -> channel:int -> bps:float -> unit
-(** Fold a direct rate report (e.g. a NIC's link-speed feedback) into
-    the channel's EWMA, bypassing the byte-window path. *)
-
 val sample : t -> now:float -> unit
 (** Close the current window: convert each channel's accumulated bytes
     over the elapsed time into an instantaneous rate and fold it into
@@ -56,14 +52,6 @@ val reset_channel : t -> int -> unit
     pre-outage samples — and {!plan} would treat the stale blend as
     measured capacity. *)
 
-val reset : t -> unit
-(** Forget {e everything}: all channel estimates, the open window, its
-    time anchor, and the sample count — a fresh probe of the same width,
-    without reallocating. This is the sender crash-restart's cold state
-    (PROTOCOL.md §12, {!Striper.crash_restart}): the rebooted endpoint
-    has no memory of pre-crash capacity, so it restripes on configured
-    quanta until post-restart windows seed new estimates. *)
-
 val add_channel : t -> int
 (** Track one more channel (estimate starts empty); returns its index. *)
 
@@ -73,7 +61,6 @@ val remove_channel : t -> int -> unit
 val plan :
   ?max_packet:int ->
   ?band:float ->
-  ?min_quantum:int ->
   ?max_quantum:int ->
   rates_bps:float array ->
   quanta:int array ->
@@ -82,7 +69,7 @@ val plan :
   int array option
 (** Retune decision: the proportional quantum vector
     ({!Srr.quanta_for_rates}) for [rates_bps], clamped into
-    [[max min_quantum max_packet, max_quantum]], or [None] if every
+    [[max_packet, max_quantum]], or [None] if every
     channel's target is within [band] (relative, default 0.25) of its
     current quantum — the hysteresis that keeps estimate noise from
     thrashing the schedule — or if any estimate is still missing

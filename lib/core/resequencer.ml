@@ -160,24 +160,16 @@ type t = {
      the highest sequence already arrived it lands (0 = in order). This
      is the discipline-comparison metric — how much cross-channel
      interleave the resequencer is asked to repair — measured at
-     arrival, before any buffering decision. [rd_hist] is a bounded
-     histogram (last bucket = overflow) for percentiles; [rd_max] is
-     exact. Packets without a sequence (seq < 0) are not judged. *)
+     arrival, before any buffering decision. Packets without a
+     sequence (seq < 0) are not judged. *)
   mutable rd_max_seq : int;
   mutable rd_max : int;
-  mutable rd_samples : int;
-  rd_hist : int array;
   mutable on_adopt : unit -> unit;
       (* Fires after a staged retune/add/remove is adopted at its
          barrier. The demux layer above uses this to switch its
          channel-index mapping at exactly the point in each channel's
          FIFO where the sender's numbering changed. *)
 }
-
-(* Histogram width of the reorder-depth gauge: depths at or above the
-   last bucket clamp into it (the max stays exact). 128 keeps the array
-   at 1 KiB so the bundle pool can afford one per slot. *)
-let rd_buckets = 128
 
 let create ~deficit ?on_credit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     ?watchdog ?budget_bytes ?(overflow = Drop_newest) ?on_pressure ~deliver ()
@@ -245,8 +237,6 @@ let create ~deficit ?on_credit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     n_forced_barriers = 0;
     rd_max_seq = -1;
     rd_max = 0;
-    rd_samples = 0;
-    rd_hist = Array.make rd_buckets 0;
     on_adopt = (fun () -> ());
   }
 
@@ -325,9 +315,7 @@ let recycle t =
   t.barrier_start <- Float.nan;
   t.n_forced_barriers <- 0;
   t.rd_max_seq <- -1;
-  t.rd_max <- 0;
-  t.rd_samples <- 0;
-  Array.fill t.rd_hist 0 rd_buckets 0
+  t.rd_max <- 0
 
 (* Backpressure with hysteresis: raise above 3/4 of the budget, clear
    below 1/2, so a flow controller toggles once per congestion episode
@@ -929,9 +917,6 @@ let receive t ~channel pkt =
       if s >= 0 then begin
         let d = if s < t.rd_max_seq then t.rd_max_seq - s else 0 in
         if d > t.rd_max then t.rd_max <- d;
-        let b = if d >= rd_buckets then rd_buckets - 1 else d in
-        t.rd_hist.(b) <- t.rd_hist.(b) + 1;
-        t.rd_samples <- t.rd_samples + 1;
         if s > t.rd_max_seq then t.rd_max_seq <- s
       end
     end;
@@ -1200,27 +1185,6 @@ let epoch_discards t = t.n_epoch_discards
 let crash_syncs t = t.n_crash_syncs
 
 let reorder_depth_max t = t.rd_max
-let reorder_depth_samples t = t.rd_samples
-
-let reorder_depth_percentile t ~p =
-  if not (p > 0.0 && p <= 1.0) then
-    invalid_arg "Resequencer.reorder_depth_percentile: p must be in (0, 1]";
-  if t.rd_samples = 0 then 0
-  else begin
-    (* Smallest depth d with |samples <= d| >= ceil(p * samples). *)
-    let need =
-      let x = p *. float_of_int t.rd_samples in
-      let c = int_of_float (Float.ceil x) in
-      if c < 1 then 1 else c
-    in
-    let rec walk b acc =
-      if b >= rd_buckets - 1 then t.rd_max
-      else
-        let acc = acc + t.rd_hist.(b) in
-        if acc >= need then b else walk (b + 1) acc
-    in
-    walk 0 0
-  end
 
 let drain t =
   let out = ref [] in

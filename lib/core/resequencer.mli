@@ -331,16 +331,6 @@ val reorder_depth_max : t -> int
     buffering decisions. Reset by {!recycle}; survives
     {!crash_restart} (it models the operator's metrics store). *)
 
-val reorder_depth_samples : t -> int
-(** Data arrivals judged by the depth gauge (those with [seq >= 0]). *)
-
-val reorder_depth_percentile : t -> p:float -> int
-(** [reorder_depth_percentile t ~p] is the smallest depth [d] such that
-    at least a fraction [p] of judged arrivals had depth [<= d].
-    Depths are histogrammed exactly up to an internal bound (128);
-    deeper samples clamp to {!reorder_depth_max}. [p] must be in
-    [(0, 1]]; 0 when nothing has been judged yet. *)
-
 val drain : t -> Stripe_packet.Packet.t list
 (** Remove and return all still-buffered data packets, interleaved
     round-robin from the per-channel buffers. Also clears the blocked

@@ -193,11 +193,6 @@ let shortest_queue ~queue_bytes ~n =
   in
   make ~name:"SQF" ~causal:false ~n ~fresh ()
 
-let sprinklers ?max_packet ?stripe_scale ~seed ~rates_bps ~quantum_unit () =
-  of_deficit ~name:"Sprinklers"
-    (Sprinklers.for_rates ?max_packet ?stripe_scale ~seed ~rates_bps
-       ~quantum_unit ())
-
 (* §3.4's randomized fair queuing as a scheduler: every packet lands on
    a fresh seeded draw. Causal — the receiver can replay the stream from
    the shared seed — but engine-less, so the simulator's quasi-FIFO

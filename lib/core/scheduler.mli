@@ -44,15 +44,6 @@ val srr : ?max_packet:int -> quanta:int array -> unit -> t
 val rr : n:int -> unit -> t
 val grr : ratios:int array -> unit -> t
 
-val sprinklers :
-  ?max_packet:int -> ?stripe_scale:int -> seed:int ->
-  rates_bps:float array -> quantum_unit:int -> unit -> t
-(** Sprinklers-style randomized variable-size striping: an SRR engine
-    with rate-proportional quanta scaled to burst granularity and a
-    per-round permuted visit order dealt from [seed] (see
-    {!Sprinklers}). Causal — the embedded engine replays at the
-    receiver — so the full marker/resequencer machinery applies. *)
-
 val seeded_rfq : n:int -> seed:int -> t
 (** §3.4 randomized fair queuing: every packet lands on a fresh seeded
     draw. Causal in the paper's sense (the receiver shares the seed and

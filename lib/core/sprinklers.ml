@@ -1,33 +1,16 @@
 let default_stripe_scale = 4
 
-let create ?max_packet ~seed ~quanta () =
-  (match max_packet with
-  | None -> ()
-  | Some m ->
-    Array.iter
-      (fun q ->
-        if q < m then
-          invalid_arg
-            (Printf.sprintf
-               "Sprinklers.create: quantum %d below max packet size %d \
-                violates the marker-recovery precondition (Quantum_i >= Max)"
-               q m))
-      quanta);
+(* The SRR rate-proportional quanta, already scaled up to the Thm 5.1
+   floor [max_packet], times the burst factor: every quantum stays at or
+   above [max_packet]. *)
+let for_rates ?max_packet ~seed ~rates_bps ~quantum_unit () =
+  let quanta =
+    Array.map
+      (fun q -> q * default_stripe_scale)
+      (Srr.quanta_for_rates ?max_packet ~rates_bps ~quantum_unit ())
+  in
   Deficit.create ~cost:Deficit.Bytes ~overdraw:true ?max_packet
     ~order:(Deficit.Permuted seed) ~quanta ()
-
-let quanta_for_rates ?max_packet ?(stripe_scale = default_stripe_scale)
-    ~rates_bps ~quantum_unit () =
-  if stripe_scale <= 0 then
-    invalid_arg "Sprinklers.quanta_for_rates: stripe_scale must be positive";
-  let q = Srr.quanta_for_rates ?max_packet ~rates_bps ~quantum_unit () in
-  Array.map (fun x -> x * stripe_scale) q
-
-let for_rates ?max_packet ?stripe_scale ~seed ~rates_bps ~quantum_unit () =
-  create ?max_packet ~seed
-    ~quanta:(quanta_for_rates ?max_packet ?stripe_scale ~rates_bps
-               ~quantum_unit ())
-    ()
 
 (* Per-round service is identical to SRR over the same quanta — a round
    visits every channel exactly once whatever order it deals — so the

@@ -13,39 +13,25 @@
       sequence of selections and every piece of the implicit-numbering /
       marker / reset-barrier machinery works unchanged.
     - {b Variable-size stripes}: quanta are the SRR rate-proportional
-      vector scaled by [stripe_scale], so one visit emits a whole burst
+      vector scaled by {!default_stripe_scale}, so one visit emits a whole burst
       of consecutive packets on one channel. Within a burst packets ride
       one FIFO wire in order — intra-burst reordering is impossible by
       construction; only inter-burst interleaving needs resequencing.
 
     Fairness: a round visits every channel exactly once whatever order
     it deals, so Theorem 3.2 holds verbatim with the scaled quanta —
-    the bound is [Max + 2 * stripe_scale * Quantum], wider than SRR's by
+    the bound is [Max + 2 * default_stripe_scale * Quantum], wider than SRR's by
     exactly the burst factor. That is the Sprinklers trade: coarser
     placement variance in exchange for burst-local FIFO delivery. *)
 
 val default_stripe_scale : int
-(** Burst multiplier applied to the SRR quanta by {!for_rates} when
-    [stripe_scale] is not given (4). *)
-
-val create : ?max_packet:int -> seed:int -> quanta:int array -> unit -> Deficit.t
-(** [create ~seed ~quanta ()] builds the engine: byte cost, overdraw,
-    visit order [Permuted seed]. If [max_packet] is given, raises
-    [Invalid_argument] unless every quantum is at least [max_packet]
-    (the Thm 5.1 marker precondition). The receiver's replay engine is
-    {!Deficit.clone_initial}, which carries the seed. *)
-
-val quanta_for_rates :
-  ?max_packet:int -> ?stripe_scale:int -> rates_bps:float array ->
-  quantum_unit:int -> unit -> int array
-(** {!Srr.quanta_for_rates} scaled by [stripe_scale] (default
-    {!default_stripe_scale}): stripe quanta proportional to channel
-    rate, sized to burst granularity. *)
+(** Burst multiplier applied to the SRR quanta by {!for_rates} (4). *)
 
 val for_rates :
-  ?max_packet:int -> ?stripe_scale:int -> seed:int ->
+  ?max_packet:int -> seed:int ->
   rates_bps:float array -> quantum_unit:int -> unit -> Deficit.t
-(** Engine over {!quanta_for_rates}. *)
+(** Engine over {!Srr.quanta_for_rates} scaled by {!default_stripe_scale},
+    dealt in the seeded permuted order. *)
 
 val fairness_bound : Deficit.t -> int
 (** Same as {!Srr.fairness_bound}: [Max + 2 * Quantum] with the scaled

@@ -16,10 +16,6 @@ let create ?max_packet ~quanta () =
   check_max_packet ~max_packet quanta;
   Deficit.create ~cost:Bytes ~overdraw:true ?max_packet ~quanta ()
 
-let create_uniform ?max_packet ~n ~quantum () =
-  if n <= 0 then invalid_arg "Srr.create_uniform: n must be positive";
-  create ?max_packet ~quanta:(Array.make n quantum) ()
-
 (* Quanta large enough to overflow this have no physical meaning as byte
    budgets, and [int_of_float] on them is undefined behaviour territory —
    raise with a diagnosis instead of letting garbage through. *)

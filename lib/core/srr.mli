@@ -23,9 +23,6 @@ val create : ?max_packet:int -> quanta:int array -> unit -> Deficit.t
     every quantum is at least [max_packet] — the precondition of the
     marker recovery theorem. *)
 
-val create_uniform : ?max_packet:int -> n:int -> quantum:int -> unit -> Deficit.t
-(** All channels share one quantum — the equal-capacity case. *)
-
 val quanta_for_rates :
   ?max_packet:int -> rates_bps:float array -> quantum_unit:int -> unit ->
   int array

@@ -54,7 +54,6 @@ type t = {
   rate_bps : float array;
   prop_delay : float array;
   quanta : int array;
-  marker_every : int;
   use_guard : bool;
   discipline : discipline;
   stamp_seq : bool;
@@ -103,7 +102,6 @@ type t = {
   last_wdone_b : int array;
   mutable max_push : int;  (* largest data packet seen: probation floor *)
   mutable health_retunes : int;
-  mutable health_deferred : int;
   mutable cap : int;
   (* Per-slot (length = cap). *)
   mutable live : bool array;
@@ -136,7 +134,6 @@ type t = {
   mutable last_delivery : float array;  (* time of last delivery; nan before *)
   mutable carrier_dp : int array;  (* data dropped at transmit: carrier down *)
   mutable tx_down_dp : int array;  (* pushes refused: sender crashed *)
-  mutable no_active_dp : int array;  (* pushes dropped: all channels suspended *)
   mutable rx_down_dp : int array;  (* data arrivals dropped: receiver crashed *)
   mutable rx_wiped_p : int array;  (* buffered data wiped by receiver crash *)
   mutable wire_dp : int array;  (* data eaten in flight by wire loss *)
@@ -167,18 +164,6 @@ type t = {
   mutable n_crashes : int;
   mutable n_restarts : int;
 }
-
-let n_channels t = t.n_ch
-
-let config t =
-  {
-    rate_bps = Array.copy t.rate_bps;
-    prop_delay = Array.copy t.prop_delay;
-    quanta = Array.copy t.quanta;
-    marker_every = t.marker_every;
-    guard = t.use_guard;
-    discipline = t.discipline;
-  }
 
 let check_live t id what =
   if id < 0 || id >= t.cap || not t.live.(id) then
@@ -340,7 +325,6 @@ let grow_to t cap =
   t.last_delivery <- extend (fun _ -> Float.nan) t.last_delivery;
   t.carrier_dp <- extend (fun _ -> 0) t.carrier_dp;
   t.tx_down_dp <- extend (fun _ -> 0) t.tx_down_dp;
-  t.no_active_dp <- extend (fun _ -> 0) t.no_active_dp;
   t.rx_down_dp <- extend (fun _ -> 0) t.rx_down_dp;
   t.rx_wiped_p <- extend (fun _ -> 0) t.rx_wiped_p;
   t.wire_dp <- extend (fun _ -> 0) t.wire_dp;
@@ -396,7 +380,6 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
       rate_bps = Array.copy config.rate_bps;
       prop_delay = Array.copy config.prop_delay;
       quanta = Array.copy config.quanta;
-      marker_every = config.marker_every;
       use_guard = config.guard;
       discipline = config.discipline;
       stamp_seq;
@@ -425,7 +408,6 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
       last_wdone_b = Array.make n 0;
       max_push = 0;
       health_retunes = 0;
-      health_deferred = 0;
       cap = 0;
       live = [||];
       tx = [||];
@@ -447,7 +429,6 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
       last_delivery = [||];
       carrier_dp = [||];
       tx_down_dp = [||];
-      no_active_dp = [||];
       rx_down_dp = [||];
       rx_wiped_p = [||];
       wire_dp = [||];
@@ -493,7 +474,6 @@ let clear_slot t id =
   t.last_delivery.(id) <- Float.nan;
   t.carrier_dp.(id) <- 0;
   t.tx_down_dp.(id) <- 0;
-  t.no_active_dp.(id) <- 0;
   t.rx_down_dp.(id) <- 0;
   t.rx_wiped_p.(id) <- 0;
   t.wire_dp.(id) <- 0;
@@ -590,7 +570,6 @@ let reset t =
       t.last_wtx_b; t.last_wdone_b ];
   t.max_push <- 0;
   t.health_retunes <- 0;
-  t.health_deferred <- 0;
   for id = 0 to t.cap - 1 do
     t.live.(id) <- false;
     t.birth.(id) <- 0.0;
@@ -641,11 +620,9 @@ let push t id ~size =
     t.tx_down_dp.(id) <- t.tx_down_dp.(id) + 1
   else begin
     let d = t.tx.(id) in
-    if not (Deficit.any_active d) then
-      (* Every channel suspended (a storm covering the whole bundle):
-         drop like [Striper.push] does, counted, never an exception. *)
-      t.no_active_dp.(id) <- t.no_active_dp.(id) + 1
-    else begin
+    (* With every channel suspended (a storm covering the whole bundle)
+       the packet is dropped, never an exception. *)
+    if Deficit.any_active d then begin
       (* Select settles the round the packet belongs to (as in
          [Striper.push]); the marker check below compares against it. *)
       let c = Deficit.select d in
@@ -693,11 +670,6 @@ let send_slot_reset t id =
   t.next_mark.(id) <-
     Marker.reset_barrier t.tx.(id) ~epoch:t.tx_epoch.(id) ~gen:t.tx_gen.(id)
       ~now:t.now_fn ~send:t.send_marker.(id)
-
-let channel_up t c =
-  if c < 0 || c >= t.n_ch then
-    invalid_arg "Bundle_pool.channel_up: bad channel";
-  t.ch_up.(c)
 
 (* Channels a fully healed slot engine is expected to be striping on:
    everything except the health engine's quarantines. The §5 full-heal
@@ -836,13 +808,6 @@ let scale_channel_rate t c f =
 
 (* --- Fleet-wide gray-failure self-healing (PROTOCOL.md §13) --------- *)
 
-let health t = t.health
-
-let channel_quarantined t c =
-  if c < 0 || c >= t.n_ch then
-    invalid_arg "Bundle_pool.channel_quarantined: bad channel";
-  t.ch_quarantined.(c)
-
 (* One verdict, every bundle: policy-suspend channel [c] of each live
    slot engine. Suspends need no barrier; the reinstatement's retune
    below carries the §5 resynchronization. *)
@@ -893,7 +858,7 @@ let resync t =
    receiver still runs an earlier adopted retune — and an unrepaired
    split-cadence slot trails the stripe by a constant quasi-FIFO offset
    forever. A slot mid-transition (or with a crashed endpoint) is
-   skipped and counted; the target is recomputed next tick, so deferral
+   skipped; the target is recomputed next tick, so deferral
    self-heals. *)
 let flush_health_quanta t =
   let target = health_target t in
@@ -907,9 +872,7 @@ let flush_health_quanta t =
         Deficit.quanta t.tx.(id) <> target
         || Resequencer.quanta t.rx.(id) <> target
       then
-        if Resequencer.transition_pending t.rx.(id) then
-          t.health_deferred <- t.health_deferred + 1
-        else begin
+        if not (Resequencer.transition_pending t.rx.(id)) then begin
           t.health_retunes <- t.health_retunes + 1;
           Deficit.retune t.tx.(id) ~quanta:target;
           Resequencer.retune t.rx.(id) ~quanta:target;
@@ -954,17 +917,11 @@ let health_tick t ~now =
     transitions
 
 let health_retunes t = t.health_retunes
-let health_deferred_retunes t = t.health_deferred
 
 let channel_wire_tx t c =
   if c < 0 || c >= t.n_ch then
     invalid_arg "Bundle_pool.channel_wire_tx: bad channel";
   t.wtx_p.(c)
-
-let channel_wire_lost t c =
-  if c < 0 || c >= t.n_ch then
-    invalid_arg "Bundle_pool.channel_wire_lost: bad channel";
-  t.wlost_p.(c)
 
 let set_fifo_check_after t time = t.fifo_check_after <- time
 
@@ -1009,14 +966,6 @@ let rx_high_water_packets t id =
   check_slot t id "rx_high_water_packets";
   Resequencer.buffer_high_water_packets t.rx.(id)
 
-let sender_down t id =
-  check_slot t id "sender_down";
-  t.tx_down.(id)
-
-let receiver_down t id =
-  check_slot t id "receiver_down";
-  t.rx_down.(id)
-
 let sender_epoch t id =
   check_slot t id "sender_epoch";
   t.tx_epoch.(id)
@@ -1028,10 +977,6 @@ let carrier_drops t id =
 let sender_down_drops t id =
   check_slot t id "sender_down_drops";
   t.tx_down_dp.(id)
-
-let no_channel_drops t id =
-  check_slot t id "no_channel_drops";
-  t.no_active_dp.(id)
 
 let receiver_down_drops t id =
   check_slot t id "receiver_down_drops";
@@ -1050,18 +995,6 @@ let wire_busy_until t = Array.fold_left Float.max 0.0 t.busy
 let rx_epoch_discards t id =
   check_slot t id "rx_epoch_discards";
   Resequencer.epoch_discards t.rx.(id)
-
-let rx_crash_syncs t id =
-  check_slot t id "rx_crash_syncs";
-  Resequencer.crash_syncs t.rx.(id)
-
-let rx_resets t id =
-  check_slot t id "rx_resets";
-  Resequencer.resets t.rx.(id)
-
-let rx_forced_barriers t id =
-  check_slot t id "rx_forced_barriers";
-  Resequencer.forced_barriers t.rx.(id)
 
 let rx_pending_packets t id =
   check_slot t id "rx_pending_packets";

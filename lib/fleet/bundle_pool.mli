@@ -117,9 +117,6 @@ val create :
     [Health_suspect]/[Probation]/[Quarantine]/[Reinstate] events.
     Raises [Invalid_argument] on a malformed config. *)
 
-val n_channels : t -> int
-val config : t -> config
-
 val acquire : t -> int
 (** Start a bundle: returns its id (a recycled slot when one is free,
     a fresh one otherwise). O(1) amortized; recycling allocates
@@ -197,8 +194,6 @@ val push : t -> int -> size:int -> unit
     breaks the identity for that generation by design: its in-flight
     tail is discarded unattributed, exactly like the churn model. *)
 
-val channel_up : t -> int -> bool
-
 val set_channel_up : t -> int -> bool -> unit
 (** Carrier transition for channel [c] fleet-wide. Down: packets
     transmitted on [c] are eaten at the NIC (data counted per slot,
@@ -250,9 +245,6 @@ val restart_receiver : t -> int -> unit
     simulated engine — delivery resumes within about one marker
     interval. *)
 
-val sender_down : t -> int -> bool
-val receiver_down : t -> int -> bool
-
 val sender_epoch : t -> int -> int
 (** The slot's sender incarnation: 0 at {!acquire}, +1 per
     {!restart_sender}. *)
@@ -267,33 +259,23 @@ val sender_epoch : t -> int -> int
     [Deficit.retune] staged + receiver [Resequencer.retune], adopted
     together at that slot's §5 reset barrier, floored at the largest
     data packet ever pushed — the Thm 5.1 precondition); quarantine
-    policy-suspends the channel fleet-wide ({!channel_quarantined}),
+    policy-suspends the channel fleet-wide,
     survives carrier heals and sender restarts, and is honored by
     {!acquire} for bundles born during it. *)
-
-val health : t -> Stripe_core.Health.t option
 
 val health_tick : t -> now:float -> Stripe_core.Health.transition list
 (** Close one evidence window and apply the verdicts fleet-wide. Call
     periodically (the [every] cadence of a [--health] spec). Slots
     whose receiver is mid-transition, or with a crashed endpoint, defer
-    their retune ({!health_deferred_retunes}) and reconcile on a later
-    tick. No-op returning [[]] without [health]. *)
-
-val channel_quarantined : t -> int -> bool
+    their retune and reconcile on a later tick. No-op returning [[]]
+    without [health]. *)
 
 val health_retunes : t -> int
 (** Slot retunes applied by {!health_tick} (one per slot per vector
     change). *)
 
-val health_deferred_retunes : t -> int
-(** Slot retunes {!health_tick} deferred (transition pending). *)
-
 val channel_wire_tx : t -> int -> int
 (** Packets offered to channel [c]'s wires pool-wide (lost included). *)
-
-val channel_wire_lost : t -> int -> int
-(** Packets of channel [c] eaten in flight by the loss process. *)
 
 (** {2 Always-on invariant monitors} *)
 
@@ -363,9 +345,8 @@ val carrier_drops : t -> int -> int
     carrier was down. *)
 
 val sender_down_drops : t -> int -> int
-val no_channel_drops : t -> int -> int
-(** Pushes refused: sender crashed / every channel suspended. Not
-    counted as pushed. *)
+(** Pushes refused because the sender was crashed. Not counted as
+    pushed. *)
 
 val receiver_down_drops : t -> int -> int
 (** Data arrivals dropped because the receiver was crashed. *)
@@ -397,18 +378,6 @@ val resync : t -> unit
 val rx_epoch_discards : t -> int -> int
 (** Pre-crash-epoch data the slot's resequencer flushed at crash-sync
     ({!Stripe_core.Resequencer.epoch_discards}). *)
-
-val rx_crash_syncs : t -> int -> int
-(** Completed crash-epoch barriers on the slot's resequencer. *)
-
-val rx_resets : t -> int -> int
-(** Completed §5 reset barriers on the slot's resequencer (crash
-    barriers included). *)
-
-val rx_forced_barriers : t -> int -> int
-(** Stranded barriers the slot's resequencer force-adopted
-    ({!Stripe_core.Resequencer.forced_barriers}): non-zero only when
-    reset barriers overtook each other under chaos. *)
 
 val rx_channel_dead : t -> int -> int -> bool
 (** [rx_channel_dead t id c]: the slot watchdog's current verdict. *)

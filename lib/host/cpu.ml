@@ -14,8 +14,6 @@ let execute t ~cost k =
   t.consumed <- t.consumed +. cost;
   Stripe_netsim.Sim.schedule t.sim ~at:t.free_at k
 
-let busy_until t = t.free_at
-
 let backlog t = max 0.0 (t.free_at -. Stripe_netsim.Sim.now t.sim)
 
 let busy_seconds t = t.consumed

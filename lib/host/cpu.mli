@@ -17,12 +17,9 @@ val execute : t -> cost:float -> (unit -> unit) -> unit
 (** [execute t ~cost k] queues a work item taking [cost] seconds of CPU
     and calls [k] at its completion time. [cost] must be non-negative. *)
 
-val busy_until : t -> float
-(** Time at which all currently queued work completes. *)
-
 val backlog : t -> float
-(** Seconds of queued work not yet completed ([busy_until - now],
-    floored at 0). *)
+(** Seconds of queued work not yet completed (from now until all
+    queued work completes; 0 when idle). *)
 
 val busy_seconds : t -> float
 (** Cumulative CPU seconds consumed by completed-or-scheduled work. *)

@@ -1,7 +1,6 @@
 type 'a t = {
   sim : Stripe_netsim.Sim.t;
   cpu : Cpu.t;
-  nic_name : string;
   ring_capacity : int;
   max_batch : int option;
   intr_cost : float;
@@ -14,7 +13,7 @@ type 'a t = {
   mutable n_drops : int;
 }
 
-let create sim ~cpu ?(name = "nic") ?(ring_capacity = 256) ?max_batch
+let create sim ~cpu ?(ring_capacity = 256) ?max_batch
     ~intr_cost ~per_packet_cost ~deliver () =
   if ring_capacity <= 0 then invalid_arg "Nic.create: ring_capacity must be positive";
   (match max_batch with
@@ -23,7 +22,6 @@ let create sim ~cpu ?(name = "nic") ?(ring_capacity = 256) ?max_batch
   {
     sim;
     cpu;
-    nic_name = name;
     ring_capacity;
     max_batch;
     intr_cost;
@@ -69,7 +67,6 @@ let rx t pkt =
     if not t.intr_pending then post_interrupt t
   end
 
-let name t = t.nic_name
 let interrupts t = t.n_interrupts
 let packets t = t.n_packets
 let ring_drops t = t.n_drops

@@ -20,7 +20,6 @@ type 'a t
 val create :
   Stripe_netsim.Sim.t ->
   cpu:Cpu.t ->
-  ?name:string ->
   ?ring_capacity:int ->
   ?max_batch:int ->
   intr_cost:float ->
@@ -39,7 +38,6 @@ val create :
 val rx : 'a t -> 'a -> unit
 (** A packet arrives from the wire. *)
 
-val name : 'a t -> string
 val interrupts : 'a t -> int
 val packets : 'a t -> int
 val ring_drops : 'a t -> int

@@ -8,7 +8,7 @@ type frame =
   | Striped_frame of Ip.t
   | Marker_frame of Stripe_packet.Packet.t
 
-let frame_codepoint = function
+let codepoint_of = function
   | Ip_frame _ -> Cp_ip
   | Striped_frame _ -> Cp_striped_ip
   | Marker_frame _ -> Cp_marker
@@ -17,14 +17,9 @@ let frame_payload_size = function
   | Ip_frame ip | Striped_frame ip -> Ip.size ip
   | Marker_frame pkt -> pkt.Stripe_packet.Packet.size
 
-let frame_wire_size ~overhead frame = frame_payload_size frame + overhead
-
 type t = {
   iface_name : string;
-  ip_addr : Ip.addr;
-  net_prefix : int;
   iface_mtu : int;
-  link_overhead : int;
   arp : Arp.t;
   link : frame Stripe_netsim.Link.t;
   mutable handlers : (codepoint * (frame -> unit)) list;
@@ -35,20 +30,15 @@ type t = {
   mutable draining : bool;
   mutable n_tx : int;
   mutable n_rx : int;
-  mutable n_tx_failures : int;
   mutable n_arp_failures : int;
   mutable n_unclaimed : int;
 }
 
-let create _sim ~name ~addr ~prefix ~mtu
-    ?(link_overhead = Stripe_packet.Sizes.ethernet_overhead) ~arp ~link () =
+let create _sim ~name ~mtu ~arp ~link () =
   if mtu <= 0 then invalid_arg "Iface.create: mtu must be positive";
   {
     iface_name = name;
-    ip_addr = addr;
-    net_prefix = prefix;
     iface_mtu = mtu;
-    link_overhead;
     arp;
     link;
     handlers = [];
@@ -56,14 +46,11 @@ let create _sim ~name ~addr ~prefix ~mtu
     draining = false;
     n_tx = 0;
     n_rx = 0;
-    n_tx_failures = 0;
     n_arp_failures = 0;
     n_unclaimed = 0;
   }
 
 let name t = t.iface_name
-let addr t = t.ip_addr
-let prefix t = t.net_prefix
 let mtu t = t.iface_mtu
 
 let set_handler t cp f =
@@ -71,15 +58,14 @@ let set_handler t cp f =
 
 let rx t frame =
   t.n_rx <- t.n_rx + 1;
-  match List.assoc_opt (frame_codepoint frame) t.handlers with
+  match List.assoc_opt (codepoint_of frame) t.handlers with
   | Some f -> f frame
   | None -> t.n_unclaimed <- t.n_unclaimed + 1
 
 let transmit t frame =
   t.n_tx <- t.n_tx + 1;
-  let size = frame_wire_size ~overhead:t.link_overhead frame in
-  if not (Stripe_netsim.Link.send t.link ~size frame) then
-    t.n_tx_failures <- t.n_tx_failures + 1
+  let size = frame_payload_size frame + Stripe_packet.Sizes.ethernet_overhead in
+  ignore (Stripe_netsim.Link.send t.link ~size frame : bool)
 
 (* Drain the device queue head by head; a head awaiting ARP holds back
    everything behind it (head-of-line, as in a real transmit ring). *)
@@ -117,6 +103,5 @@ let link_up t = Stripe_netsim.Link.is_up t.link
 let on_carrier t f = Stripe_netsim.Link.on_carrier t.link f
 let tx_frames t = t.n_tx
 let rx_frames t = t.n_rx
-let tx_failures t = t.n_tx_failures
 let arp_failures t = t.n_arp_failures
 let unclaimed_frames t = t.n_unclaimed

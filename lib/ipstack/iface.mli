@@ -20,31 +20,21 @@ type frame =
   | Striped_frame of Ip.t
   | Marker_frame of Stripe_packet.Packet.t
 
-val frame_codepoint : frame -> codepoint
-
-val frame_wire_size : overhead:int -> frame -> int
-(** Size on the wire: payload size plus the per-frame link [overhead]. *)
-
 type t
 
 val create :
   Stripe_netsim.Sim.t ->
   name:string ->
-  addr:Ip.addr ->
-  prefix:int ->
   mtu:int ->
-  ?link_overhead:int ->
   arp:Arp.t ->
   link:frame Stripe_netsim.Link.t ->
   unit ->
   t
-(** [link_overhead] (default {!Stripe_packet.Sizes.ethernet_overhead}) is
-    charged per frame on the wire. The link's own MTU, if any, should
-    admit [mtu + link_overhead]. *)
+(** Each frame is charged {!Stripe_packet.Sizes.ethernet_overhead} bytes
+    on the wire on top of its payload. The link's own MTU, if any,
+    should admit [mtu] plus that overhead. *)
 
 val name : t -> string
-val addr : t -> Ip.addr
-val prefix : t -> int
 val mtu : t -> int
 
 val set_handler : t -> codepoint -> (frame -> unit) -> unit
@@ -76,10 +66,6 @@ val on_carrier : t -> (up:bool -> unit) -> unit
 
 val tx_frames : t -> int
 val rx_frames : t -> int
-
-val tx_failures : t -> int
-(** Frames handed to the link that it refused or dropped immediately
-    (transmit queue full, or carrier down). *)
 
 val arp_failures : t -> int
 val unclaimed_frames : t -> int

@@ -1,19 +1,13 @@
-type out_iface =
-  | Real of Iface.t
-  | Virtual of Stripe_layer.t
-
 type t = {
-  node_name : string;
   table : Routing.t;
-  mutable out_ifaces : (string * out_iface) list;
+  mutable out_ifaces : (string * Stripe_layer.t) list;
   mutable protocols : (int * (Ip.t -> unit)) list;
   mutable n_no_route : int;
   mutable n_local : int;
 }
 
-let create ~name () =
+let create () =
   {
-    node_name = name;
     table = Routing.create ();
     out_ifaces = [];
     protocols = [];
@@ -21,7 +15,6 @@ let create ~name () =
     n_local = 0;
   }
 
-let name t = t.node_name
 let routing t = t.table
 
 let ip_input t ip =
@@ -30,22 +23,15 @@ let ip_input t ip =
   | Some f -> f ip
   | None -> ()
 
-let add_iface t iface =
-  t.out_ifaces <- (Iface.name iface, Real iface) :: t.out_ifaces;
-  Iface.set_handler iface Iface.Cp_ip (function
-    | Iface.Ip_frame ip -> ip_input t ip
-    | Iface.Striped_frame _ | Iface.Marker_frame _ -> ())
-
 let add_stripe t layer =
-  t.out_ifaces <- (Stripe_layer.name layer, Virtual layer) :: t.out_ifaces
+  t.out_ifaces <- (Stripe_layer.name layer, layer) :: t.out_ifaces
 
 let send t ip =
   match Routing.lookup t.table ip.Ip.dst with
   | None -> t.n_no_route <- t.n_no_route + 1
   | Some target -> (
     match List.assoc_opt target t.out_ifaces with
-    | Some (Real iface) -> Iface.send iface (Iface.Ip_frame ip)
-    | Some (Virtual layer) -> Stripe_layer.send layer ip
+    | Some layer -> Stripe_layer.send layer ip
     | None -> t.n_no_route <- t.n_no_route + 1)
 
 let set_protocol_handler t ~proto f =

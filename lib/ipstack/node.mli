@@ -1,23 +1,17 @@
 (** An IP host: interfaces, a routing table, and local protocol demux.
 
     Ties the stack together the way §6.1 describes the sending host: the
-    routing table decides which interface (real or strIPe-virtual) an
-    outgoing datagram leaves through, host routes steering the receiver's
-    addresses onto the strIPe interface; incoming datagrams are handed to
-    the transport registered for their protocol number. Forwarding is out
+    routing table decides which strIPe virtual interface an outgoing
+    datagram leaves through, host routes steering the receiver's
+    addresses onto it; incoming datagrams are handed to the transport
+    registered for their protocol number. Forwarding is out
     of scope — nodes in the reproduced experiments are always endpoints. *)
 
 type t
 
-val create : name:string -> unit -> t
-
-val name : t -> string
+val create : unit -> t
 
 val routing : t -> Routing.t
-
-val add_iface : t -> Iface.t -> unit
-(** Attach a real interface; its [Cp_ip] frames are delivered to this
-    node's IP input. *)
 
 val add_stripe : t -> Stripe_layer.t -> unit
 (** Attach a strIPe virtual interface (create it with

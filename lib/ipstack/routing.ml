@@ -30,5 +30,3 @@ let lookup t a =
   match List.find_opt matches t.entries with
   | Some e -> Some e.target
   | None -> None
-
-let entries t = List.map (fun e -> (e.net, e.prefix, e.target)) t.entries

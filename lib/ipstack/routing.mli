@@ -27,6 +27,3 @@ val remove_host : t -> Ip.addr -> unit
 
 val lookup : t -> Ip.addr -> target option
 (** Longest-prefix match; ties broken by most recent insertion. *)
-
-val entries : t -> (Ip.addr * int * target) list
-(** (network, prefix, target), most specific first. *)

@@ -16,7 +16,6 @@ type t = {
      protocol logic itself. *)
   rx_envelopes : (int, Ip.t) Hashtbl.t;
   mutable tx_envelope : Ip.t option;
-  auto_suspend : bool;
   mutable n_sent : int;
   mutable n_delivered : int;
   (* While a member removal waits for its goodbye barrier, the send
@@ -28,20 +27,6 @@ type t = {
      point its buffer splice realigns everything and the two views
      converge (see [rx_channel_of]). *)
   mutable rx_pending_remove : (int * Iface.t) option;
-  (* Set by [detach]: the layer has been torn down (bundle churn) and
-     its closures still registered on the members — codepoint handlers
-     and carrier watchers, neither of which the link layer can
-     unregister — must go quiet instead of acting on a dead bundle. *)
-  mutable detached : bool;
-  (* Gray-failure self-healing (PROTOCOL.md §13): the health engine and
-     the full-rate quantum vector its probation scaling is relative to.
-     [health_tick] drives it; [nominal_quanta] tracks membership
-     changes, not adaptive retunes — combining --health with an external
-     adaptive retune policy on one layer is unsupported. *)
-  health : Stripe_core.Health.t option;
-  mutable nominal_quanta : int array;
-  mutable health_retunes : int;
-  mutable health_deferred : int;
 }
 
 let deliver_ip t ip =
@@ -85,14 +70,13 @@ let rx_channel_of t m =
    is between packets when the suspension lands), and the striped/marker
    codepoints demux into the resequencer. *)
 let attach_member t m =
-  if t.auto_suspend then
-    Iface.on_carrier m (fun ~up ->
-        let channel = if t.detached then -1 else channel_of t m in
-        if channel >= 0 then
-          if up then Stripe_core.Striper.resume_channel t.striper channel
-          else Stripe_core.Striper.suspend_channel t.striper channel);
+  Iface.on_carrier m (fun ~up ->
+      let channel = channel_of t m in
+      if channel >= 0 then
+        if up then Stripe_core.Striper.resume_channel t.striper channel
+        else Stripe_core.Striper.suspend_channel t.striper channel);
   let on_striped frame =
-    let channel = if t.detached then -1 else rx_channel_of t m in
+    let channel = rx_channel_of t m in
     if channel >= 0 then
       match frame with
       | Iface.Striped_frame ip -> (
@@ -110,9 +94,8 @@ let attach_member t m =
   Iface.set_handler m Iface.Cp_striped_ip on_striped;
   Iface.set_handler m Iface.Cp_marker on_striped
 
-let create ~name ~members ~scheduler ?marker ?now ?sink ?(resequence = true)
-    ?(auto_suspend = true) ?watchdog ?rx_buffer_bytes ?overflow_policy
-    ?on_pressure ?health ~deliver_up () =
+let create ~name ~members ~scheduler ?marker ?now ?(resequence = true)
+    ~deliver_up () =
   let n = Array.length members in
   if n = 0 then invalid_arg "Stripe_layer.create: no member interfaces";
   if Stripe_core.Scheduler.n_channels scheduler <> n then
@@ -131,7 +114,7 @@ let create ~name ~members ~scheduler ?marker ?now ?sink ?(resequence = true)
     | None -> assert false
   in
   let striper =
-    Stripe_core.Striper.create ~scheduler ?marker ?now ?sink
+    Stripe_core.Striper.create ~scheduler ?marker ?now
       ~emit:(fun ~channel pkt ->
         let layer = force_self () in
         let frame =
@@ -156,8 +139,7 @@ let create ~name ~members ~scheduler ?marker ?now ?sink ?(resequence = true)
         Some
           (Stripe_core.Resequencer.create
              ~deficit:(Stripe_core.Deficit.clone_initial d)
-             ?now ?sink ?watchdog ?budget_bytes:rx_buffer_bytes
-             ?overflow:overflow_policy ?on_pressure
+             ?now
              ~deliver:(fun ~channel:_ pkt ->
                let layer = force_self () in
                match Hashtbl.find_opt layer.rx_envelopes pkt.Packet.seq with
@@ -167,29 +149,6 @@ let create ~name ~members ~scheduler ?marker ?now ?sink ?(resequence = true)
                | None ->
                  invalid_arg "Stripe_layer: resequencer delivered unknown packet")
              ())
-  in
-  let health_engine =
-    match health with
-    | None -> None
-    | Some config -> (
-      match Stripe_core.Scheduler.deficit scheduler with
-      | None ->
-        invalid_arg
-          "Stripe_layer.create: channel health requires a CFQ scheduler"
-      | Some _ ->
-        Some
-          (Stripe_core.Health.create ~config
-             ~live:(fun c ->
-               let layer = force_self () in
-               c >= 0
-               && c < Array.length layer.members
-               && Iface.link_up layer.members.(c))
-             ?sink ~n ()))
-  in
-  let nominal_quanta =
-    match Stripe_core.Scheduler.deficit scheduler with
-    | Some d -> Stripe_core.Deficit.quanta d
-    | None -> [||]
   in
   let layer =
     {
@@ -202,15 +161,9 @@ let create ~name ~members ~scheduler ?marker ?now ?sink ?(resequence = true)
       reorder_stats;
       rx_envelopes;
       tx_envelope = None;
-      auto_suspend;
       n_sent = 0;
       n_delivered = 0;
       rx_pending_remove = None;
-      detached = false;
-      health = health_engine;
-      nominal_quanta;
-      health_retunes = 0;
-      health_deferred = 0;
     }
   in
   self := Some layer;
@@ -225,24 +178,7 @@ let create ~name ~members ~scheduler ?marker ?now ?sink ?(resequence = true)
 let name t = t.layer_name
 let mtu t = t.bundle_mtu
 
-(* Bundle-churn teardown. Link-layer carrier watchers cannot be
-   unregistered and codepoint handlers survive until someone replaces
-   them, so tearing a bundle down cannot physically remove the layer's
-   closures from its members — instead they all check [detached] at fire
-   time and go quiet. The members are immediately reusable: a new layer
-   over the same interfaces replaces the codepoint handlers via
-   [set_handler], and the old layer's watchers are inert. *)
-let detach t =
-  t.detached <- true;
-  t.rx_pending_remove <- None;
-  Hashtbl.reset t.rx_envelopes
-
-let detached t = t.detached
-
 let send t ip =
-  if t.detached then
-    invalid_arg
-      (Printf.sprintf "Stripe_layer.send(%s): layer is detached" t.layer_name);
   if Ip.size ip > t.bundle_mtu then
     invalid_arg
       (Printf.sprintf "Stripe_layer.send(%s): datagram %d exceeds bundle MTU %d"
@@ -255,39 +191,25 @@ let send t ip =
      already down before the carrier watcher was registered (or when the
      link layer cannot signal carrier). Runs after [push] returns so the
      scheduler is never mutated mid-dispatch. *)
-  if t.auto_suspend then
-    Array.iteri
-      (fun c m ->
-        if
-          (not (Iface.link_up m))
-          && not (Stripe_core.Striper.suspended_channel t.striper c)
-        then Stripe_core.Striper.suspend_channel t.striper c)
-      t.members
+  Array.iteri
+    (fun c m ->
+      if
+        (not (Iface.link_up m))
+        && not (Stripe_core.Striper.suspended_channel t.striper c)
+      then Stripe_core.Striper.suspend_channel t.striper c)
+    t.members
 
 let send_reset t = Stripe_core.Striper.send_reset t.striper
 
 let crash_restart_sender ?quanta t =
-  if t.detached then
-    invalid_arg
-      (Printf.sprintf "Stripe_layer.crash_restart_sender(%s): layer is detached"
-         t.layer_name);
   Stripe_core.Striper.crash_restart ?quanta t.striper;
-  (* The reboot forgot the administrative suspensions along with
-     everything else — including the health engine's verdicts, which
-     were endpoint policy state; channels restart healthy and must
-     re-earn their quarantines from fresh evidence. *)
-  (match t.health with
-  | Some h ->
-    for c = 0 to Stripe_core.Health.n_channels h - 1 do
-      Stripe_core.Health.reset_channel h c
-    done
-  | None -> ());
-  if t.auto_suspend then
-    Array.iteri
-      (fun c m ->
-        if not (Iface.link_up m) then
-          Stripe_core.Striper.suspend_channel t.striper c)
-      t.members
+  (* The reboot forgot the suspensions along with everything else; the
+     link state re-derives them. *)
+  Array.iteri
+    (fun c m ->
+      if not (Iface.link_up m) then
+        Stripe_core.Striper.suspend_channel t.striper c)
+    t.members
 
 let crash_restart_receiver t =
   match t.reseq with
@@ -326,13 +248,7 @@ let add_member t ~quantum m =
   recompute_mtu t;
   attach_member t m;
   let c = Stripe_core.Striper.add_channel t.striper ~quantum in
-  if t.auto_suspend && not (Iface.link_up m) then
-    Stripe_core.Striper.suspend_channel t.striper c;
-  (match t.health with
-  | Some h -> ignore (Stripe_core.Health.add_channel h)
-  | None -> ());
-  if t.nominal_quanta <> [||] then
-    t.nominal_quanta <- Array.append t.nominal_quanta [| quantum |];
+  if not (Iface.link_up m) then Stripe_core.Striper.suspend_channel t.striper c;
   c
 
 let remove_member t c =
@@ -356,106 +272,10 @@ let remove_member t c =
   t.members <-
     Array.init (n - 1) (fun i ->
         if i < c then t.members.(i) else t.members.(i + 1));
-  (match t.health with
-  | Some h -> Stripe_core.Health.remove_channel h c
-  | None -> ());
-  if t.nominal_quanta <> [||] then
-    t.nominal_quanta <-
-      Array.init (n - 1) (fun i ->
-          if i < c then t.nominal_quanta.(i) else t.nominal_quanta.(i + 1));
   recompute_mtu t
 
-(* --- Gray-failure self-healing (PROTOCOL.md §13) ------------------- *)
-
-let health t = t.health
-
-let health_observe t ~channel ?sent ?lost ?corrupt ?dup ?goodput_ratio
-    ?cadence_ratio () =
-  match t.health with
-  | None -> ()
-  | Some h ->
-    Stripe_core.Health.observe h ~channel ?sent ?lost ?corrupt ?dup
-      ?goodput_ratio ?cadence_ratio ()
-
-(* The quantum vector the health verdicts currently ask for: nominal,
-   scaled per channel by probation. Quarantined channels keep their
-   nominal quantum — they are suspended, so the value is dormant, and
-   the probation quantum is installed at reinstatement. The Thm 5.1
-   marker precondition (quantum >= max packet) caps how deep a
-   probation cut can go. *)
-let health_target_quanta t h =
-  let floor_q =
-    match Stripe_core.Scheduler.deficit (Stripe_core.Striper.scheduler t.striper) with
-    | Some d -> (
-      match Stripe_core.Deficit.max_packet d with Some mp -> mp | None -> 1)
-    | None -> 1
-  in
-  Array.mapi
-    (fun c nominal ->
-      let scale = Stripe_core.Health.quantum_scale h c in
-      if scale <= 0.0 || scale >= 1.0 then nominal
-      else max floor_q (int_of_float (float_of_int nominal *. scale)))
-    t.nominal_quanta
-
-let health_tick t ~now =
-  match t.health with
-  | None -> []
-  | Some h ->
-    if t.detached then []
-    else begin
-      let transitions = Stripe_core.Health.sample h ~now in
-      List.iter
-        (fun tr ->
-          match tr with
-          | Stripe_core.Health.To_quarantine { channel; _ } ->
-            if not (Stripe_core.Striper.suspended_channel t.striper channel)
-            then Stripe_core.Striper.suspend_channel t.striper channel
-          | Stripe_core.Health.To_probation
-              { channel; from_quarantine = true } ->
-            (* The timed reinstatement probe: resume fires the §5 reset
-               barrier; the probation quantum lands with the retune
-               below. *)
-            if Stripe_core.Striper.suspended_channel t.striper channel then
-              Stripe_core.Striper.resume_channel t.striper channel
-          | Stripe_core.Health.To_probation _
-          | Stripe_core.Health.To_suspect _
-          | Stripe_core.Health.To_healthy _ ->
-            ())
-        transitions;
-      (* Reconcile quanta with the verdicts — deferred, not dropped,
-         while a staged receiver transition is in flight (a retune
-         cannot overlap a pending add/remove/retune barrier). *)
-      (match
-         Stripe_core.Scheduler.deficit
-           (Stripe_core.Striper.scheduler t.striper)
-       with
-      | Some d when t.nominal_quanta <> [||] ->
-        let target = health_target_quanta t h in
-        if target <> Stripe_core.Deficit.quanta d then begin
-          let pending =
-            match t.reseq with
-            | Some r -> Stripe_core.Resequencer.transition_pending r
-            | None -> false
-          in
-          if pending then t.health_deferred <- t.health_deferred + 1
-          else begin
-            t.health_retunes <- t.health_retunes + 1;
-            (match t.reseq with
-            | Some r -> Stripe_core.Resequencer.retune r ~quanta:target
-            | None -> ());
-            Stripe_core.Striper.retune t.striper ~quanta:target ()
-          end
-        end
-      | Some _ | None -> ());
-      transitions
-    end
-
-let health_retunes t = t.health_retunes
-let health_deferred_retunes t = t.health_deferred
 let n_members t = Array.length t.members
 let member_queue_bytes t i = Iface.queue_bytes t.members.(i)
-let member_link_up t i = Iface.link_up t.members.(i)
-let dropped_no_member t = Stripe_core.Striper.undispatched_drops t.striper
 let sent_datagrams t = t.n_sent
 let delivered_datagrams t = t.n_delivered
 let markers_sent t = Stripe_core.Striper.markers_sent t.striper

@@ -22,14 +22,7 @@ val create :
   scheduler:Stripe_core.Scheduler.t ->
   ?marker:Stripe_core.Marker.policy ->
   ?now:(unit -> float) ->
-  ?sink:Stripe_obs.Sink.t ->
   ?resequence:bool ->
-  ?auto_suspend:bool ->
-  ?watchdog:Stripe_core.Resequencer.watchdog ->
-  ?rx_buffer_bytes:int ->
-  ?overflow_policy:Stripe_core.Resequencer.overflow ->
-  ?on_pressure:(high:bool -> unit) ->
-  ?health:Stripe_core.Health.config ->
   deliver_up:(Ip.t -> unit) ->
   unit ->
   t
@@ -39,30 +32,11 @@ val create :
     member count. [resequence] (default [true]) enables logical
     reception; with [false] arriving datagrams go straight up in physical
     arrival order — the "no logical reception" variants of Figure 15.
-    [sink] is handed to the embedded striper and resequencer, so one sink
-    observes the layer's whole send/deliver pipeline.
 
-    [auto_suspend] (default [true]) makes the layer watch every member's
-    carrier ({!Iface.on_carrier}): a member going down is suspended in
-    the striper (load moves to the survivors), a member coming back is
-    resumed, which fires the §5 reset barrier to resynchronize the peer.
-    Pass [false] to model a sender that cannot see link state — the
-    receiver-only recovery scenario. [watchdog] configures the
-    resequencer's marker-cadence dead-channel watchdog (see
-    {!Stripe_core.Resequencer.watchdog}). [rx_buffer_bytes],
-    [overflow_policy], and [on_pressure] bound the embedded resequencer's
-    memory and expose its backpressure signal (see
-    {!Stripe_core.Resequencer.create}'s [budget_bytes], [overflow], and
-    [on_pressure]).
-
-    [health] arms gray-failure self-healing (PROTOCOL.md §13): a
-    {!Stripe_core.Health} engine over the members, driven by
-    {!health_observe}/{!health_tick}. Requires a CFQ scheduler (the
-    probation quantum cut rides {!Stripe_core.Deficit.retune}). The
-    engine's liveness callback treats a member as live when its
-    physical carrier is up. Combining [health] with an external
-    adaptive-retune policy ([--adapt]-style) on the same layer is
-    unsupported — both would fight over the quantum vector. *)
+    The layer watches every member's carrier ({!Iface.on_carrier}): a
+    member going down is suspended in the striper (load moves to the
+    survivors), and a member coming back is resumed, which fires the §5
+    reset barrier to resynchronize the peer. *)
 
 val name : t -> string
 
@@ -72,8 +46,9 @@ val mtu : t -> int
 val send : t -> Ip.t -> unit
 (** Stripe one IP datagram. Raises [Invalid_argument] if it exceeds the
     bundle MTU. When {e every} member is down or suspended the datagram
-    is dropped and counted ({!dropped_no_member}) — the layer never
-    raises for link failures, like a real virtual interface. *)
+    is dropped and counted ({!Stripe_core.Striper.undispatched_drops})
+    — the layer never raises for link failures, like a real virtual
+    interface. *)
 
 val send_reset : t -> unit
 (** Emit the §5 crash-recovery reset barrier on every member (see
@@ -90,9 +65,8 @@ val crash_restart_sender : ?quanta:int array -> t -> unit
     vector; pass a cold {!Stripe_core.Rate_probe} plan to model
     capacity re-learning), the sender's epoch increments, and
     epoch-stamped reset markers announce the new incarnation. Members
-    whose physical carrier is down are re-suspended from the link state
-    (with [auto_suspend]), not from remembered suspensions. Raises
-    [Invalid_argument] on a detached layer. *)
+    whose physical carrier is down are re-suspended from the link state,
+    not from remembered suspensions. *)
 
 val crash_restart_receiver : t -> int
 (** Full receiver-endpoint crash + restart
@@ -103,17 +77,6 @@ val crash_restart_receiver : t -> int
     (about one marker interval); frames arriving before a channel's
     first post-restart marker are discarded by its crash-sync. No-op
     returning 0 when the layer was built with [~resequence:false]. *)
-
-val detach : t -> unit
-(** Tear the bundle down (churn): the layer's codepoint handlers and
-    carrier watchers on every member go permanently quiet, pending
-    receive-side state is dropped, and {!send} raises from now on. The
-    member interfaces are immediately reusable by a new bundle — its
-    [create] replaces the codepoint handlers, and the detached layer's
-    watchers (which the link layer cannot unregister) are inert.
-    Idempotent. *)
-
-val detached : t -> bool
 
 val add_member : t -> quantum:int -> Iface.t -> int
 (** [add_member t ~quantum m] grows the bundle live (PROTOCOL.md §11):
@@ -144,51 +107,11 @@ val remove_member : t -> int -> unit
     [Invalid_argument] for a bad index, when removing the last member,
     or while another transition is pending. *)
 
-val health : t -> Stripe_core.Health.t option
-(** The gray-failure health engine, when [health] was passed. *)
-
-val health_observe :
-  t ->
-  channel:int ->
-  ?sent:int ->
-  ?lost:int ->
-  ?corrupt:int ->
-  ?dup:int ->
-  ?goodput_ratio:float ->
-  ?cadence_ratio:float ->
-  unit ->
-  unit
-(** Feed per-channel evidence into the health engine's current window
-    ({!Stripe_core.Health.observe}); no-op without [health]. *)
-
-val health_tick : t -> now:float -> Stripe_core.Health.transition list
-(** Close a health evidence window and {e apply} the verdicts:
-    quarantines suspend the member (§5 barrier), timed reinstatements
-    resume it, and the quantum vector is reconciled — each channel at
-    nominal or its probation fraction, floored at the striper's max
-    packet size (Thm 5.1) — via a live retune at the next round
-    boundary. The retune is deferred (not dropped) while a staged
-    receiver transition is pending; the target is recomputed next tick.
-    Returns the engine's transitions. No-op returning [[]] without
-    [health] or on a detached layer. *)
-
-val health_retunes : t -> int
-(** Quantum retunes {!health_tick} has applied. *)
-
-val health_deferred_retunes : t -> int
-(** Retunes {!health_tick} deferred because a transition was pending. *)
-
 val n_members : t -> int
 
 val member_queue_bytes : t -> int -> int
 (** Transmit queue occupancy of member [i] — the oracle for an SQF
     scheduler over this bundle. *)
-
-val member_link_up : t -> int -> bool
-(** Carrier state of member [i]'s underlying link. *)
-
-val dropped_no_member : t -> int
-(** Datagrams dropped by {!send} because every member was suspended. *)
 
 val sent_datagrams : t -> int
 val delivered_datagrams : t -> int

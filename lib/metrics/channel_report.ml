@@ -52,12 +52,3 @@ let balance reg =
       (float_of_int (Obs.Counters.channel reg i).Obs.Counters.tx_bytes)
   done;
   s
-
-let buffer_high_water reg =
-  let s = Summary.create () in
-  for i = 0 to Obs.Counters.n_channels reg - 1 do
-    Summary.add s
-      (float_of_int
-         (Obs.Counters.channel reg i).Obs.Counters.hw_buffered_packets)
-  done;
-  s

@@ -24,6 +24,3 @@ val render : ?title:string -> Stripe_obs.Counters.t -> string
 val balance : Stripe_obs.Counters.t -> Summary.t
 (** Distribution of transmitted bytes across channels — mean/stddev/spread
     of the load sharing (§3.3's fairness, as a statistic). *)
-
-val buffer_high_water : Stripe_obs.Counters.t -> Summary.t
-(** Distribution of per-channel high-water buffer occupancy (packets). *)

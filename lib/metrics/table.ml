@@ -49,7 +49,6 @@ let print t =
 
 let fmt_mbps v = Printf.sprintf "%.2f" v
 let fmt_float v = Printf.sprintf "%.3g" v
-let fmt_pct v = Printf.sprintf "%.1f%%" (v *. 100.0)
 
 let series ~title ~x_label ~x ys =
   let columns = x_label :: List.map fst ys in

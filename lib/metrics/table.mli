@@ -28,7 +28,3 @@ val series :
     vector and one named column per series ("who wins, by what factor,
     where crossovers fall" is readable directly). All vectors must have
     the length of [x]. *)
-
-val fmt_mbps : float -> string
-val fmt_float : float -> string
-val fmt_pct : float -> string

@@ -115,6 +115,4 @@ val parse_spec : string -> (action list, string) result
     ["storm=0+2/0.5@1,degrade=1/gilbert/0.5/1.5@2,violate=0@4"].
     Errors are position-annotated ({!Spec.located}). *)
 
-val side_name : side -> string
-val degrade_name : degrade -> string
 val pp_action : Format.formatter -> action -> unit

@@ -50,16 +50,6 @@ let down_up sim link ~down_at ~up_at =
   inject sim link ~at:down_at Down;
   inject sim link ~at:up_at Up
 
-let flap sim link ~first_down ~period ~down_for ~until_ =
-  if period <= 0.0 then invalid_arg "Fault.flap: period must be > 0";
-  if down_for <= 0.0 || down_for >= period then
-    invalid_arg "Fault.flap: down_for must lie within the period";
-  let t = ref first_down in
-  while !t < until_ do
-    down_up sim link ~down_at:!t ~up_at:(!t +. down_for);
-    t := !t +. period
-  done
-
 let crash sim ~at reboot = Sim.schedule sim ~at reboot
 
 (* Alternating exponential up/down holding times per channel: the
@@ -87,48 +77,6 @@ let random_schedule ~rng ~n_channels ~horizon ~mtbf ~mttr =
        transient faults, and soak tests assert recovery after it ends. *)
     if not !up then actions := { at = horizon; channel; event = Up } :: !actions
   done;
-  List.sort (fun a b -> compare (a.at, a.channel) (b.at, b.channel)) !actions
-
-(* A shared-risk group: channels riding one physical facility (conduit,
-   wavelength, line card), so one failure takes them all down and one
-   repair brings them all back. *)
-
-let group_down_up sim ~links ~channels ~down_at ~up_at =
-  if up_at < down_at then
-    invalid_arg "Fault.group_down_up: up_at before down_at";
-  List.iter
-    (fun c ->
-      if c < 0 || c >= Array.length links then
-        invalid_arg
-          (Printf.sprintf "Fault.group_down_up: channel %d out of range" c);
-      down_up sim links.(c) ~down_at ~up_at)
-    channels
-
-let random_group_schedule ~rng ~channels ~horizon ~mtbf ~mttr =
-  if channels = [] then
-    invalid_arg "Fault.random_group_schedule: empty group";
-  if List.exists (fun c -> c < 0) channels then
-    invalid_arg "Fault.random_group_schedule: negative channel";
-  if horizon <= 0.0 then
-    invalid_arg "Fault.random_group_schedule: horizon must be positive";
-  if mtbf <= 0.0 || mttr <= 0.0 then
-    invalid_arg "Fault.random_group_schedule: mtbf and mttr must be positive";
-  (* One two-state availability process drives the whole group: every
-     member fails and recovers at the same instants — the correlation
-     that per-channel schedules cannot express. *)
-  let actions = ref [] in
-  let emit at event =
-    List.iter (fun channel -> actions := { at; channel; event } :: !actions)
-      channels
-  in
-  let t = ref (Rng.exponential rng ~mean:mtbf) in
-  let up = ref true in
-  while !t < horizon do
-    emit !t (if !up then Down else Up);
-    up := not !up;
-    t := !t +. Rng.exponential rng ~mean:(if !up then mtbf else mttr)
-  done;
-  if not !up then emit horizon Up;
   List.sort (fun a b -> compare (a.at, a.channel) (b.at, b.channel)) !actions
 
 (* Spec grammar (for --fault command-line flags):

@@ -34,11 +34,6 @@ val apply : Sim.t -> links:'a Link.t array -> action list -> unit
 val down_up : Sim.t -> 'a Link.t -> down_at:float -> up_at:float -> unit
 (** One outage: carrier loss at [down_at], recovery at [up_at]. *)
 
-val flap : Sim.t -> 'a Link.t -> first_down:float -> period:float ->
-  down_for:float -> until_:float -> unit
-(** Periodic flapping: starting at [first_down], the link goes down for
-    [down_for] seconds out of every [period], until [until_]. *)
-
 val crash : Sim.t -> at:float -> (unit -> unit) -> unit
 (** Sender crash/reboot injection: run the given reboot procedure at
     [at]. The caller supplies what rebooting means — for the striping
@@ -55,31 +50,6 @@ val random_schedule :
     down at the horizon is brought back up there, so runs always end with
     every channel alive. Returns the actions sorted by time. Equal seeds
     give equal schedules. *)
-
-val group_down_up :
-  Sim.t ->
-  links:'a Link.t array ->
-  channels:int list ->
-  down_at:float ->
-  up_at:float ->
-  unit
-(** One shared-risk-group outage: every channel in [channels] loses
-    carrier at [down_at] and recovers at [up_at] — the correlated
-    failure of links riding one physical facility (conduit, wavelength,
-    line card). Raises [Invalid_argument] on a bad channel or an
-    inverted interval. *)
-
-val random_group_schedule :
-  rng:Rng.t ->
-  channels:int list ->
-  horizon:float ->
-  mtbf:float ->
-  mttr:float ->
-  action list
-(** Like {!random_schedule}, but one two-state availability process
-    drives the whole group: every channel in [channels] fails and
-    recovers at the same instants. Any outage still open at [horizon]
-    is closed there. Equal seeds give equal schedules. *)
 
 val parse_spec : string -> (action list, string) result
 (** Parse a command-line fault spec: [CH:EVENT@T[,EVENT@T...]] where

@@ -280,8 +280,6 @@ let send t ~size payload =
     true
   end
 
-let name t = t.link_name
-let mtu t = t.link_mtu
 let rate_bps t = t.rate
 
 let set_rate_bps t rate =

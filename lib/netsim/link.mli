@@ -80,10 +80,6 @@ val send : 'a t -> size:int -> 'a -> bool
     flight). Raises [Invalid_argument] if [size] exceeds the MTU or is
     not positive. *)
 
-val name : 'a t -> string
-
-val mtu : 'a t -> int option
-
 val rate_bps : 'a t -> float
 
 val set_rate_bps : 'a t -> float -> unit

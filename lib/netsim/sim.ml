@@ -2,11 +2,6 @@ type engine = Heap | Calendar
 
 let engine_name = function Heap -> "heap" | Calendar -> "calendar"
 
-let engine_of_name = function
-  | "heap" -> Some Heap
-  | "calendar" -> Some Calendar
-  | _ -> None
-
 type queue = Qheap of Eventq.t | Qcal of Calendar_queue.t
 
 (* Every pending closure sits in one slot table, and both queues order
@@ -49,8 +44,6 @@ let create ?(engine = Heap) () =
       | Heap -> Qheap (Eventq.create ())
       | Calendar -> Qcal (Calendar_queue.create ()));
   }
-
-let engine t = match t.queue with Qheap _ -> Heap | Qcal _ -> Calendar
 
 let[@inline] now t = t.clock.(0)
 

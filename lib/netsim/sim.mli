@@ -20,15 +20,11 @@ type engine =
           events links generate. Identical observable behavior. *)
 
 val engine_name : engine -> string
-val engine_of_name : string -> engine option
 
 val create : ?engine:engine -> unit -> t
 (** Fresh simulation with the clock at 0. [engine] selects the event
     queue implementation (default [Heap]); both engines produce
     byte-identical seeded runs. *)
-
-val engine : t -> engine
-(** Which event-queue engine this simulation runs on. *)
 
 val now : t -> float
 (** Current simulated time. *)

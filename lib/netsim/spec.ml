@@ -57,8 +57,6 @@ let channel_prefix c =
     let* ch = channel (at c 0) ~what:"channel" (String.sub c.spec 0 i) in
     Ok (ch, String.sub c.spec (i + 1) (String.length c.spec - i - 1))
 
-let items rest = List.map String.trim (String.split_on_char ',' rest)
-
 (* Comma-split [rest] into items, each paired with a ctx positioned at
    the item's first non-blank character. [rest] must be a suffix of the
    ctx's spec (which is what {!channel_prefix} returns and what parsers

@@ -17,20 +17,13 @@ type ctx
 
 val ctx : kind:string -> string -> ctx
 
-val at : ctx -> int -> ctx
-(** The same ctx positioned at character offset [pos] of the source;
-    subsequent {!errf} messages carry [" at char POS"]. *)
-
 val ( let* ) :
   ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
 
 val errf : ctx -> ('a, unit, string, ('b, string) result) format4 -> 'a
 (** Build an [Error] whose message ends with [" in KIND spec SPEC"] —
     or [" at char POS in KIND spec SPEC"] when the ctx is positioned
-    ({!at}, {!located}). *)
-
-val float_ : ctx -> what:string -> string -> (float, string) result
-(** A finite float; [what] names the field in the error. *)
+    (by {!located}). *)
 
 val positive : ctx -> what:string -> string -> (float, string) result
 val non_negative : ctx -> what:string -> string -> (float, string) result
@@ -47,11 +40,8 @@ val channel_prefix : ctx -> (int * string, string) result
 (** Split the spec's leading [CH:] off: the channel number and the
     remainder after the colon. *)
 
-val items : string -> string list
-(** Comma-split and trim. *)
-
 val located : ctx -> string -> (ctx * string) list
-(** Like {!items}, but each trimmed item comes with a ctx positioned at
+(** Comma-split and trim, each trimmed item with a ctx positioned at
     the item's first non-blank character. The string must be a suffix
     of the ctx's source (the whole spec, or the remainder returned by
     {!channel_prefix}), so positions index the string the user typed. *)

@@ -166,9 +166,10 @@ let observe t (e : Event.t) =
 
 let sink t = Sink.of_fn (observe t)
 
+(* Fold [t]'s accumulated state into [into]: counts, byte totals and
+   occupancy gauges add, [rounds] takes the max. *)
 let merge_into ~into t =
-  if t.n <> into.n then
-    invalid_arg "Counters.merge_into: channel counts differ";
+  if t.n <> into.n then invalid_arg "Counters.merged: channel counts differ";
   let add dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src in
   add into.counts t.counts;
   add into.tx_bytes_ t.tx_bytes_;
@@ -211,33 +212,3 @@ let total_kind t k =
 let total_tx_bytes t = Array.fold_left ( + ) 0 t.tx_bytes_
 let total_delivered_packets t = total_kind t Event.Deliver
 let total_drops t = total_kind t Event.Drop + total_kind t Event.Txq_drop
-let total_skips t = total_kind t Event.Skip
-let total_watchdog_skips t = total_kind t Event.Watchdog_skip
-let total_downs t = total_kind t Event.Channel_down
-let total_dup_discards t = total_kind t Event.Dup_discard
-let total_reorder_restores t = total_kind t Event.Reorder_restore
-let max_reorder_depth t = Array.fold_left max 0 t.rdepth_
-let total_corrupt_discards t = total_kind t Event.Corrupt_discard
-let total_buffer_overflows t = total_kind t Event.Buffer_overflow
-let total_retunes t = total_kind t Event.Retune
-
-let total_member_changes t =
-  total_kind t Event.Member_add + total_kind t Event.Member_remove
-
-let total_health_suspects t = total_kind t Event.Health_suspect
-let total_probations t = total_kind t Event.Probation
-let total_quarantines t = total_kind t Event.Quarantine
-let total_reinstates t = total_kind t Event.Reinstate
-
-let pp fmt t =
-  for i = 0 to t.n - 1 do
-    let c = channel t i in
-    Format.fprintf fmt
-      "ch%d: tx=%d/%dB delivered=%d/%dB drops=%d+%d skips=%d markers=%d/%d \
-       buf-hw=%d@."
-      i c.tx_packets c.tx_bytes c.delivered_packets c.delivered_bytes c.drops
-      c.txq_drops c.skips c.markers_sent c.markers_applied
-      c.hw_buffered_packets
-  done;
-  Format.fprintf fmt "resets=%d rounds=%d events=%d" t.resets t.rounds
-    t.n_events

@@ -79,8 +79,8 @@ val observe : t -> Event.t -> unit
 val sink : t -> Sink.t
 (** A sink that feeds this registry. *)
 
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into t] folds [t]'s accumulated state into [into]:
+val merged : t list -> t
+(** [merged ts] is a fresh registry holding the merge of [ts]:
     occurrence counts, byte totals, occupancy gauges, [resets],
     [events_seen] and [no_channel_drops] add; [rounds] takes the max.
     Partitioning one event stream across registries and merging back
@@ -89,13 +89,9 @@ val merge_into : into:t -> t -> unit
     clamp at zero, so an orphaned [Deliver] under-counts) — occurrence
     counts and byte totals are exact under any partition. The high-water
     occupancy marks sum: exact when the registries saw disjoint
-    channels, an upper bound when shards alias the same channel indices.
-    Requires equal channel counts. *)
-
-val merged : t list -> t
-(** [merged ts] is a fresh registry holding the merge of [ts] (see
-    {!merge_into}). Requires a non-empty list of equal-width
-    registries. *)
+    channels, an upper bound when shards alias the same channel indices;
+    reorder depths take the elementwise max. Requires a non-empty list
+    of equal-width registries. *)
 
 val n_channels : t -> int
 
@@ -120,34 +116,3 @@ val no_channel_drops : t -> int
 val total_tx_bytes : t -> int
 val total_delivered_packets : t -> int
 val total_drops : t -> int
-val total_skips : t -> int
-val total_watchdog_skips : t -> int
-val total_downs : t -> int
-val total_dup_discards : t -> int
-val total_reorder_restores : t -> int
-
-val max_reorder_depth : t -> int
-(** Worst arrival reorder depth observed on any channel (see the
-    [reorder_depth] field of {!channel}). Merging registries takes the
-    elementwise max, so the merged value is the global worst case. *)
-
-val total_corrupt_discards : t -> int
-val total_buffer_overflows : t -> int
-
-val total_retunes : t -> int
-(** Per-channel quantum changes observed ([Retune] events; one retune of
-    an [n]-channel bundle counts [n]). *)
-
-val total_member_changes : t -> int
-(** Live bundle membership changes observed ([Member_add] +
-    [Member_remove]). *)
-
-val total_health_suspects : t -> int
-val total_probations : t -> int
-val total_quarantines : t -> int
-
-val total_reinstates : t -> int
-(** Health-engine transitions observed ([Health_suspect], [Probation],
-    [Quarantine], [Reinstate]) across all channels (PROTOCOL.md §13). *)
-
-val pp : Format.formatter -> t -> unit

@@ -147,9 +147,3 @@ let csv_header = "time,event,channel,round,dc,size,seq"
 let to_csv e =
   Printf.sprintf "%.9f,%s,%d,%d,%d,%d,%d" e.time (kind_name e.kind) e.channel
     e.round e.dc e.size e.seq
-
-let pp fmt e =
-  Format.fprintf fmt "%.6f %s ch=%d" e.time (kind_name e.kind) e.channel;
-  if e.round >= 0 then Format.fprintf fmt " round=%d dc=%d" e.round e.dc;
-  if e.size >= 0 then Format.fprintf fmt " size=%d" e.size;
-  if e.seq >= 0 then Format.fprintf fmt " seq=%d" e.seq

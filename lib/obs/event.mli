@@ -54,10 +54,10 @@
       {b Resequencer} also emits [Epoch_discard] (a buffered pre-crash
       packet discarded because a later-epoch marker proved it stale;
       [size] = bytes discarded on the channel). [Violation] is reserved
-      for the invariant monitors ({!Monitor}): it is emitted by the
-      monitor itself, never by protocol components, when an always-on
-      invariant (FIFO-after-quiet, budget, progress, conservation) is
-      observed broken ([seq] = monitor-specific detail).
+      for invariant monitors and never emitted by protocol components;
+      {!Monitor} records its violations itself and emits none, and the
+      kind stays so that trace files and counter columns keep their
+      shape.
     - {b Channel health} (PROTOCOL.md §13): the {!Stripe_core.Health}
       engine owns the gray-failure lifecycle events — [Health_suspect]
       (fused evidence score crossed the suspect threshold with
@@ -150,5 +150,3 @@ val csv_header : string
 
 val to_csv : t -> string
 (** One CSV row matching {!csv_header} (no trailing newline). *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,19 +7,20 @@
    inspects component internals, so a violation is a real contract
    breach at the observable boundary, not an implementation detail.
 
-   Monitors fail loudly but non-fatally: each violation is recorded
-   with its time and a one-line diagnosis, emitted as a [Violation]
-   event to the forward sink (if any), and counted; the driver decides
-   whether to abort. The FIFO monitor honors a "quiet line": chaos
+   Monitors fail loudly but non-fatally: each violation is counted and
+   the first is kept with its time and a one-line diagnosis; the driver
+   decides whether to abort. The FIFO monitor honors a "quiet line": chaos
    legally degrades delivery to quasi-FIFO while its effects drain
    (Thm 5.1), so sequence inversions are always counted but only become
    violations at/after the line. *)
 
+(* The progress monitor's K: marker intervals data may sit buffered
+   with no delivery before the receiver counts as wedged. *)
+let wedge_intervals = 8
+
 type t = {
   mutable quiet_after : float;
   budget_bytes : int option;
-  wedge_intervals : int;
-  forward : Sink.t;
   (* Liveness: shadow of which channels the health engine holds in
      quarantine ([Quarantine] sets, [Reinstate] clears). The health
      engine must never quarantine the whole membership (PROTOCOL.md
@@ -38,14 +39,11 @@ type t = {
   mutable delivered_since_marker : bool;
   mutable streak : int;
   mutable n_events : int;
-  mutable violations : (float * string) list;  (* newest first *)
+  mutable first : (float * string) option;
   mutable n_violations : int;
 }
 
-let create ?(quiet_after = 0.0) ?budget_bytes ?(wedge_intervals = 8)
-    ?live_channels ?(forward = Sink.null) () =
-  if wedge_intervals <= 0 then
-    invalid_arg "Monitor.create: wedge_intervals must be positive";
+let create ?budget_bytes ?live_channels () =
   (match budget_bytes with
   | Some b when b <= 0 ->
     invalid_arg "Monitor.create: budget_bytes must be positive"
@@ -55,10 +53,8 @@ let create ?(quiet_after = 0.0) ?budget_bytes ?(wedge_intervals = 8)
     invalid_arg "Monitor.create: live_channels must be positive"
   | _ -> ());
   {
-    quiet_after;
+    quiet_after = 0.0;
     budget_bytes;
-    wedge_intervals;
-    forward;
     quarantined =
       (match live_channels with Some n -> Array.make n false | None -> [||]);
     n_quarantined = 0;
@@ -68,7 +64,7 @@ let create ?(quiet_after = 0.0) ?budget_bytes ?(wedge_intervals = 8)
     delivered_since_marker = true;
     streak = 0;
     n_events = 0;
-    violations = [];
+    first = None;
     n_violations = 0;
   }
 
@@ -76,10 +72,7 @@ let violate t ~time fmt =
   Printf.ksprintf
     (fun msg ->
       t.n_violations <- t.n_violations + 1;
-      t.violations <- (time, msg) :: t.violations;
-      if Sink.active t.forward then
-        Sink.emit t.forward
-          (Event.v ~seq:t.n_events ~time Event.Violation))
+      if t.first = None then t.first <- Some (time, msg))
     fmt
 
 let on_event t (e : Event.t) =
@@ -115,11 +108,11 @@ let on_event t (e : Event.t) =
        buffered data survives at most a bounded number of intervals. *)
     if t.buffered > 0 && not t.delivered_since_marker then begin
       t.streak <- t.streak + 1;
-      if t.streak = t.wedge_intervals then
+      if t.streak = wedge_intervals then
         violate t ~time:e.time
           "progress: %d bytes buffered across %d marker intervals with no \
            delivery"
-          t.buffered t.wedge_intervals
+          t.buffered wedge_intervals
     end
     else t.streak <- 0;
     t.delivered_since_marker <- false
@@ -156,14 +149,8 @@ let on_event t (e : Event.t) =
 let sink t = Sink.of_fn (on_event t)
 let set_quiet_after t time = t.quiet_after <- time
 let violations t = t.n_violations
-
-let first_violation t =
-  match List.rev t.violations with [] -> None | v :: _ -> Some v
-
-let all_violations t = List.rev t.violations
+let first_violation t = t.first
 let seq_inversions t = t.inversions
-let quarantined_channels t = t.n_quarantined
-let buffered_bytes t = t.buffered
 let events_seen t = t.n_events
 
 type verdict = {
@@ -177,11 +164,14 @@ let verdict t =
   {
     violations = t.n_violations;
     seq_inversions = t.inversions;
-    first_violation = first_violation t;
+    first_violation = t.first;
     events_seen = t.n_events;
   }
 
-let merge_verdicts a b =
+(* Counts add; [first_violation] keeps the earliest by violation time,
+   ties keeping the left argument's, so folding over shards in shard
+   order is deterministic. *)
+let merge a b =
   {
     violations = a.violations + b.violations;
     seq_inversions = a.seq_inversions + b.seq_inversions;
@@ -195,7 +185,7 @@ let merge_verdicts a b =
 
 let merged_verdict = function
   | [] -> invalid_arg "Monitor.merged_verdict: empty list"
-  | v :: rest -> List.fold_left merge_verdicts v rest
+  | v :: rest -> List.fold_left merge v rest
 
 let conserved ~pushed ~delivered ~pending ~drops =
   pushed = delivered + pending + List.fold_left ( + ) 0 drops

@@ -11,15 +11,15 @@
     - {b buffer budget}: the resequencer's buffered data bytes (shadowed
       from [Enqueue]/[Deliver]/[Epoch_discard] events) never exceed the
       configured budget;
-    - {b progress}: data never sits buffered across [wedge_intervals]
-      marker intervals with no delivery — the wedged-receiver detector;
+    - {b progress}: data never sits buffered across 8 marker intervals
+      with no delivery — the wedged-receiver detector;
     - {b liveness} (PROTOCOL.md §13): the health engine never drives a
       bundle to zero active members — shadowed from
       [Quarantine]/[Reinstate] events, armed by [live_channels].
 
-    Violations are recorded with time and diagnosis, forwarded as
-    [Violation] events (when a forward sink is given), and never raise:
-    the driver decides whether a soak aborts. Conservation — pushed =
+    Violations are counted, the first is kept with its time and
+    diagnosis, and none raises: the driver decides whether a soak
+    aborts. Conservation — pushed =
     delivered + pending + counted drops — cannot be checked from events
     alone (drops happen at many layers with their own counters), so it
     is provided as the explicit checkers {!conserved} /
@@ -27,23 +27,13 @@
 
 type t
 
-val create :
-  ?quiet_after:float ->
-  ?budget_bytes:int ->
-  ?wedge_intervals:int ->
-  ?live_channels:int ->
-  ?forward:Sink.t ->
-  unit ->
-  t
-(** [quiet_after] (default 0.0 — strict from the start) is the FIFO
-    quiet line; chaos drivers move it past their last event plus a
-    drain grace ({!set_quiet_after}). [budget_bytes] arms the budget
-    monitor with the same bound handed to the resequencer.
-    [wedge_intervals] (default 8) is the progress monitor's K.
-    [live_channels] arms the liveness monitor with the bundle width:
-    a [Quarantine] event that leaves all of them quarantined at once
-    is a violation. [forward] receives a [Violation] event per
-    violation, with [seq] = the monitor's event ordinal at detection. *)
+val create : ?budget_bytes:int -> ?live_channels:int -> unit -> t
+(** The FIFO quiet line starts at 0.0 — strict from the start; chaos
+    drivers move it past their last event plus a drain grace
+    ({!set_quiet_after}). [budget_bytes] arms the budget monitor with
+    the same bound handed to the resequencer. [live_channels] arms the
+    liveness monitor with the bundle width: a [Quarantine] event that
+    leaves all of them quarantined at once is a violation. *)
 
 val sink : t -> Sink.t
 (** The monitor as an event sink. Tee it into the observed component's
@@ -57,16 +47,7 @@ val first_violation : t -> (float * string) option
 (** Time and diagnosis of the first violation — report it together with
     the run's seed and the chaos driver's last event index. *)
 
-val all_violations : t -> (float * string) list
 val seq_inversions : t -> int
-
-val quarantined_channels : t -> int
-(** The liveness monitor's current shadow of how many channels the
-    health engine holds in quarantine (0 when disarmed). *)
-
-val buffered_bytes : t -> int
-(** The budget monitor's current shadow of buffered data bytes. *)
-
 val events_seen : t -> int
 
 type verdict = {
@@ -81,13 +62,10 @@ type verdict = {
 val verdict : t -> verdict
 (** Snapshot this monitor's findings. *)
 
-val merge_verdicts : verdict -> verdict -> verdict
-(** Counts add; [first_violation] keeps the earliest by violation time
-    (ties keep the left argument's, so folding over shards in shard
-    order is deterministic). *)
-
 val merged_verdict : verdict list -> verdict
-(** Left fold of {!merge_verdicts} over a non-empty list. *)
+(** Merge a non-empty list, left to right: counts add, and
+    [first_violation] keeps the earliest by violation time (ties keep
+    the earlier shard's, so the merge is deterministic). *)
 
 val conserved :
   pushed:int -> delivered:int -> pending:int -> drops:int list -> bool

@@ -47,31 +47,25 @@ val iter : 'a t -> ('a -> size:int -> unit) -> unit
 
 val high_water_packets : 'a t -> int
 (** Maximum simultaneous occupancy (packets) observed since the last
-    {!reset_high_water} (or creation). *)
+    {!recycle} (or creation). *)
 
 val high_water_bytes : 'a t -> int
-
-val reset_high_water : 'a t -> unit
-(** Restart high-water tracking from the current occupancy: after this,
-    [high_water_packets]/[high_water_bytes] report the maxima seen since
-    this call. Lets long-running experiments measure phases (e.g. after
-    a warm-up) without recreating queues. *)
 
 val clear : 'a t -> unit
 (** Drop all elements and reset byte accounting to zero. High-water
     marks are deliberately {e kept} — they record the lifetime maximum
     for buffer-sizing reports, and surviving [clear] is what makes the
     end-of-run report meaningful after fault-recovery paths flush
-    queues. Call {!reset_high_water} explicitly to restart tracking. *)
+    queues. {!recycle} restarts tracking. *)
 
 val recycle : 'a t -> unit
-(** [clear] followed by {!reset_high_water}: the queue is ready to serve
-    a {e new} owner. Pools recycling queues across bundles must use this
-    rather than bare [clear] — [clear]'s surviving high-water marks are a
-    lifetime maximum by design, and carrying them into the next owner
-    would report cross-bundle maxima as if one bundle had seen them. The
-    backing arrays are kept, so a warmed-up queue re-enters service
-    without reallocation. *)
+(** [clear], then restart high-water tracking from empty: the queue is
+    ready to serve a {e new} owner. Pools recycling queues across
+    bundles must use this rather than bare [clear] — [clear]'s surviving
+    high-water marks are a lifetime maximum by design, and carrying them
+    into the next owner would report cross-bundle maxima as if one
+    bundle had seen them. The backing arrays are kept, so a warmed-up
+    queue re-enters service without reallocation. *)
 
 val to_list : 'a t -> 'a list
 (** Oldest first. O(n). *)

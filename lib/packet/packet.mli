@@ -82,12 +82,10 @@ val marker_size : int
 (** Wire size of a marker packet (bytes). Small — the paper's marker only
     carries a counter, plus this implementation's integrity checksum. *)
 
-val marker_checksum : marker -> int
-(** The checksum the marker's payload fields should carry. *)
-
 val marker_valid : marker -> bool
-(** Whether [m_cksum] matches {!marker_checksum} — false iff the marker
-    was damaged in flight. Constructor-built markers are always valid. *)
+(** Whether [m_cksum] matches the checksum of the payload fields — false
+    iff the marker was damaged in flight. Constructor-built markers are
+    always valid. *)
 
 val mangle_marker : salt:int -> t -> t
 (** Simulated wire damage that slipped past the link CRC: perturbs the

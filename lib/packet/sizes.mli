@@ -12,9 +12,6 @@ val ethernet_overhead : int
 (** Per-frame overhead on the wire: MAC header + FCS + preamble + IFG
     equivalent (38 bytes), charged per packet by the link model. *)
 
-val atm_cell : int
-(** 53 bytes per cell, 48 payload. *)
-
 val atm_overhead_for : int -> int
 (** [atm_overhead_for n] is the AAL5 wire cost of an [n]-byte IP packet:
     the padding + cell headers beyond the payload bytes, i.e.

@@ -25,11 +25,14 @@ type endpoint = {
   mutable n_standalone_markers : int;
 }
 
+(* While either side has stalled traffic, inbound limits are
+   re-advertised at this period. *)
+let refresh_period = 0.05
+
 type t = {
   a : endpoint;
   b : endpoint;
   sim : Stripe_netsim.Sim.t;
-  refresh_period : float;
   mutable timer_active : bool;
   (* Stall snapshots per endpoint per channel: (sent, effective limit)
      at the previous tick, for the loss-presumption rule. *)
@@ -161,7 +164,7 @@ let make_endpoint sim ~channels ~quanta ~buffer ~marker_every ~deliver
   e
 
 let create sim ~channels ~quanta ~buffer ?(marker_every = 4)
-    ?(credit_refresh = 0.05) ~deliver_to_a ~deliver_to_b () =
+    ~deliver_to_a ~deliver_to_b () =
   let n = Array.length channels in
   if n = 0 then invalid_arg "Duplex.create: no channels";
   if Array.length quanta <> n then invalid_arg "Duplex.create: quanta arity";
@@ -182,7 +185,6 @@ let create sim ~channels ~quanta ~buffer ?(marker_every = 4)
     a;
     b;
     sim;
-    refresh_period = credit_refresh;
     timer_active = false;
     stall_snap_a = Array.make n (-1, -1);
     stall_snap_b = Array.make n (-1, -1);
@@ -229,7 +231,7 @@ let rec refresh_tick t () =
     in
     readvertise t.a t.stall_snap_a;
     readvertise t.b t.stall_snap_b;
-    Stripe_netsim.Sim.schedule_after t.sim ~delay:t.refresh_period
+    Stripe_netsim.Sim.schedule_after t.sim ~delay:refresh_period
       (refresh_tick t)
   end
 
@@ -239,7 +241,7 @@ let ensure_timer t =
     && not (Queue.is_empty t.a.app_q && Queue.is_empty t.b.app_q)
   then begin
     t.timer_active <- true;
-    Stripe_netsim.Sim.schedule_after t.sim ~delay:t.refresh_period
+    Stripe_netsim.Sim.schedule_after t.sim ~delay:refresh_period
       (refresh_tick t)
   end
 

@@ -37,7 +37,6 @@ val create :
   quanta:int array ->
   buffer:int ->
   ?marker_every:int ->
-  ?credit_refresh:float ->
   deliver_to_a:(Stripe_packet.Packet.t -> unit) ->
   deliver_to_b:(Stripe_packet.Packet.t -> unit) ->
   unit ->
@@ -47,9 +46,9 @@ val create :
     direction gets its own links with the same specs). [buffer] is the
     per-channel receive-socket capacity in packets at each endpoint;
     [marker_every] (default 4) the periodic marker interval in rounds.
-    [credit_refresh] (default 50 ms) bounds stall time when credit
-    markers are lost: while either side has stalled traffic, inbound
-    limits are re-advertised at this period (idempotent — limits are
+    Stall time when credit markers are lost is bounded by a 50 ms
+    refresh: while either side has stalled traffic, inbound limits are
+    re-advertised at that period (idempotent — limits are
     cumulative). *)
 
 val send_from_a : t -> Stripe_packet.Packet.t -> unit

@@ -15,6 +15,9 @@ type flow_control =
   | No_flow_control
   | Credit_based of { buffer : int }
 
+(* Reverse-path latency of credit updates. *)
+let credit_delay = 0.005
+
 type t = {
   sim : Stripe_netsim.Sim.t;
   links : Packet.t Stripe_netsim.Link.t array;
@@ -23,7 +26,6 @@ type t = {
   reseq : Stripe_core.Resequencer.t;
   credit_sender : Credit.Sender.t option;
   credit_receiver : Credit.Receiver.t option;
-  credit_delay : float;
   advertised : int array;  (* last limit sent upstream, per channel *)
   app_queue : Packet.t Queue.t;
   mutable n_congestion_drops : int;
@@ -66,7 +68,7 @@ let on_arrival t ~channel pkt =
 
 let create sim ~channels ~scheduler ?marker
     ?(flow_control = No_flow_control) ?(socket_buffer = 10_000)
-    ?(credit_delay = 0.005) ?rng ~deliver () =
+    ?rng ~deliver () =
   let n = Array.length channels in
   if n = 0 then invalid_arg "Socket_stripe.create: no channels";
   if Stripe_core.Scheduler.n_channels scheduler <> n then
@@ -108,7 +110,7 @@ let create sim ~channels ~scheduler ?marker
             let limit = Credit.Receiver.current_limit cr ~channel in
             if limit - t.advertised.(channel) >= 1 then begin
               t.advertised.(channel) <- limit;
-              Stripe_netsim.Sim.schedule_after t.sim ~delay:t.credit_delay
+              Stripe_netsim.Sim.schedule_after t.sim ~delay:credit_delay
                 (fun () ->
                   Credit.Sender.update_limit cs ~channel ~limit;
                   pump t)
@@ -148,7 +150,6 @@ let create sim ~channels ~scheduler ?marker
       reseq;
       credit_sender;
       credit_receiver;
-      credit_delay;
       advertised =
         (match flow_control with
         | Credit_based { buffer } -> Array.make n buffer
@@ -178,4 +179,3 @@ let sender_stalls t =
 
 let markers_sent t = Stripe_core.Striper.markers_sent t.striper
 let resequencer t = t.reseq
-let striper t = t.striper

@@ -50,7 +50,6 @@ val create :
   ?marker:Stripe_core.Marker.policy ->
   ?flow_control:flow_control ->
   ?socket_buffer:int ->
-  ?credit_delay:float ->
   ?rng:Stripe_netsim.Rng.t ->
   deliver:(Stripe_packet.Packet.t -> unit) ->
   unit ->
@@ -59,8 +58,8 @@ val create :
     reception needs it. [socket_buffer] (default 10000 packets) is the
     per-channel receive-socket capacity used when flow control is off;
     with [Credit_based] the capacity comes from the policy.
-    [credit_delay] (default 5 ms) is the reverse-path latency of credit
-    updates. [deliver] receives the resequenced application stream. *)
+    Credit updates cross the reverse path in 5 ms. [deliver] receives
+    the resequenced application stream. *)
 
 val send : t -> Stripe_packet.Packet.t -> unit
 (** Offer a packet. It is transmitted immediately unless flow control
@@ -81,4 +80,3 @@ val channel_losses : t -> int
 val sender_stalls : t -> int
 val markers_sent : t -> int
 val resequencer : t -> Stripe_core.Resequencer.t
-val striper : t -> Stripe_core.Striper.t

@@ -60,11 +60,3 @@ let finalize t =
     arrived_packets = t.n_arrived;
     missing_packets = max 0 (!expected_total - t.n_arrived);
   }
-
-let pp_report fmt r =
-  Format.fprintf fmt
-    "frames=%d glitched=%d (%.1f%%) degraded=%d (%.1f%%) late=%d arrived=%d \
-     missing=%d"
-    r.frames r.glitched_frames (100.0 *. r.glitch_rate) r.degraded_frames
-    (100.0 *. r.degraded_rate) r.late_packets r.arrived_packets
-    r.missing_packets

@@ -42,5 +42,3 @@ val packet_arrived : t -> frame:int -> now:float -> unit
 
 val finalize : t -> report
 (** Judge every frame (call after the simulation drains). *)
-
-val pp_report : Format.formatter -> report -> unit

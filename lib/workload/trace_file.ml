@@ -20,6 +20,9 @@ let of_string s =
   let entries = ref [] in
   List.iteri
     (fun lineno line ->
+      let fail what =
+        failwith (Printf.sprintf "Trace_file: %s at line %d" what (lineno + 1))
+      in
       let line = String.trim line in
       if line <> "" && line.[0] <> '#' then begin
         match String.split_on_char ' ' line |> List.filter (fun x -> x <> "") with
@@ -31,6 +34,11 @@ let of_string s =
               int_of_string_opt flow,
               int_of_string_opt frame )
           with
+          | Some time, _, _, _, _
+            when not (Float.is_finite time && time >= 0.0) ->
+            fail (Printf.sprintf "time %g is not a finite time >= 0" time)
+          | _, _, Some size, _, _ when size <= 0 ->
+            fail (Printf.sprintf "size %d is not positive" size)
           | Some time, Some seq, Some size, Some flow, Some frame ->
             entries :=
               {
@@ -39,13 +47,8 @@ let of_string s =
                   Stripe_packet.Packet.data ~flow ~frame ~born:time ~seq ~size ();
               }
               :: !entries
-          | _ ->
-            failwith
-              (Printf.sprintf "Trace_file: malformed fields at line %d"
-                 (lineno + 1)))
-        | _ ->
-          failwith
-            (Printf.sprintf "Trace_file: expected 5 fields at line %d" (lineno + 1))
+          | _ -> fail "malformed fields")
+        | _ -> fail "expected 5 fields"
       end)
     (String.split_on_char '\n' s);
   List.rev !entries

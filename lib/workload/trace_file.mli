@@ -22,7 +22,9 @@ val save : string -> entry list -> unit
 
 val load : string -> entry list
 (** Parse a trace file. Raises [Failure] with the offending line number
-    on malformed input. *)
+    on malformed input: a line without five fields, a field that does
+    not parse, a time that is not finite and [>= 0], or a size that is
+    not positive. *)
 
 val of_video : Video.t -> entry list
 (** Convert a generated video trace into storable entries. *)

@@ -9,11 +9,14 @@ type t = {
   frames : frame array;
 }
 
-let generate ~rng ?(fps = 10.0) ?(packets_per_frame = 6) ?(packet_size = 1000)
-    ?(refresh_every = 30) ?(refresh_scale = 3) ~n_frames () =
+(* Mean packet size in bytes, before the ±25 % jitter. *)
+let packet_size = 1000
+
+let generate ~rng ?(fps = 10.0) ?(packets_per_frame = 6) ?(refresh_every = 30)
+    ?(refresh_scale = 3) ~n_frames () =
   if fps <= 0.0 then invalid_arg "Video.generate: fps must be positive";
   if n_frames <= 0 then invalid_arg "Video.generate: n_frames must be positive";
-  if packets_per_frame <= 0 || packet_size <= 0 then
+  if packets_per_frame <= 0 then
     invalid_arg "Video.generate: bad frame shape";
   let jittered () =
     let spread = packet_size / 4 in

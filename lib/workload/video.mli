@@ -23,7 +23,6 @@ val generate :
   rng:Stripe_netsim.Rng.t ->
   ?fps:float ->
   ?packets_per_frame:int ->
-  ?packet_size:int ->
   ?refresh_every:int ->
   ?refresh_scale:int ->
   n_frames:int ->

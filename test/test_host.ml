@@ -90,9 +90,8 @@ let test_nic_split_load_more_interrupts () =
     let sim = Sim.create () in
     let cpu = Cpu.create sim () in
     let nics =
-      Array.init n_nics (fun i ->
+      Array.init n_nics (fun _ ->
           Nic.create sim ~cpu
-            ~name:(Printf.sprintf "nic%d" i)
             ~intr_cost:0.0005 ~per_packet_cost:0.0001
             ~deliver:(fun _ -> ())
             ())

@@ -21,14 +21,14 @@ type world = {
    layer -> IP -> TCP, acks on a clean reverse wire. *)
 let build ?(resequence = true) () =
   let sim = Sim.create () in
-  let sender = Node.create ~name:"S" () in
-  let receiver = Node.create ~name:"R" () in
+  let sender = Node.create () in
+  let receiver = Node.create () in
   let rx_cpu = Stripe_host.Cpu.create sim () in
   let arp = Arp.create sim ~lookup:(fun _ -> Some 0x1) () in
-  let mk_wire ~rate ~delay ~src ~dst ~nic_name =
+  let mk_wire ~rate ~delay ~nic_name =
     let rx_iface = ref None in
     let nic =
-      Stripe_host.Nic.create sim ~cpu:rx_cpu ~name:nic_name ~intr_cost:40e-6
+      Stripe_host.Nic.create sim ~cpu:rx_cpu ~intr_cost:40e-6
         ~per_packet_cost:40e-6
         ~deliver:(fun frame ->
           match !rx_iface with Some i -> Iface.rx i frame | None -> ())
@@ -40,21 +40,21 @@ let build ?(resequence = true) () =
         ()
     in
     let tx_if =
-      Iface.create sim ~name:(nic_name ^ "-tx") ~addr:(Ip.addr src) ~prefix:24
+      Iface.create sim ~name:(nic_name ^ "-tx")
         ~mtu:1500 ~arp ~link ()
     in
     let rx_if =
-      Iface.create sim ~name:(nic_name ^ "-rx") ~addr:(Ip.addr dst) ~prefix:24
+      Iface.create sim ~name:(nic_name ^ "-rx")
         ~mtu:1500 ~arp ~link ()
     in
     rx_iface := Some rx_if;
     (tx_if, rx_if)
   in
   let eth_tx, eth_rx =
-    mk_wire ~rate:10e6 ~delay:0.001 ~src:"10.1.0.1" ~dst:"10.1.0.9" ~nic_name:"eth"
+    mk_wire ~rate:10e6 ~delay:0.001 ~nic_name:"eth"
   in
   let atm_tx, atm_rx =
-    mk_wire ~rate:16e6 ~delay:0.006 ~src:"10.2.0.1" ~dst:"10.2.0.9" ~nic_name:"atm"
+    mk_wire ~rate:16e6 ~delay:0.006 ~nic_name:"atm"
   in
   let rates = [| 10e6; 16e6 |] in
   let engine = Stripe_core.Srr.for_rates ~rates_bps:rates ~quantum_unit:1500 () in

@@ -99,8 +99,9 @@ let test_arp_expiry () =
   Alcotest.(check (option int)) "expired" None (Arp.cached arp (Ip.addr "10.0.0.5"))
 
 (* Build a unidirectional wire: a sender-side iface whose link delivers
-   into a receiver-side iface's rx. *)
-let make_wire sim ~rate_bps ~mtu ~src_addr ~dst_addr =
+   into a receiver-side iface's rx. Returns the link too, for carrier
+   control. *)
+let make_wire_link sim ~rate_bps ~mtu =
   let arp = Arp.create sim ~lookup:(fun _ -> Some 0xAA) () in
   let rx_iface = ref None in
   let link =
@@ -110,19 +111,22 @@ let make_wire sim ~rate_bps ~mtu ~src_addr ~dst_addr =
       ()
   in
   let tx =
-    Iface.create sim ~name:"tx" ~addr:src_addr ~prefix:24 ~mtu ~arp ~link ()
+    Iface.create sim ~name:"tx" ~mtu ~arp ~link ()
   in
   let rx =
-    Iface.create sim ~name:"rx" ~addr:dst_addr ~prefix:24 ~mtu ~arp ~link ()
+    Iface.create sim ~name:"rx" ~mtu ~arp ~link ()
   in
   rx_iface := Some rx;
+  (tx, rx, link)
+
+let make_wire sim ~rate_bps ~mtu =
+  let tx, rx, _ = make_wire_link sim ~rate_bps ~mtu in
   (tx, rx)
 
 let test_iface_demux_by_codepoint () =
   let sim = Sim.create () in
   let tx, rx =
-    make_wire sim ~rate_bps:1e7 ~mtu:1500 ~src_addr:(Ip.addr "10.0.0.1")
-      ~dst_addr:(Ip.addr "10.0.0.2")
+    make_wire sim ~rate_bps:1e7 ~mtu:1500
   in
   let got_ip = ref 0 and got_striped = ref 0 and got_marker = ref 0 in
   Iface.set_handler rx Iface.Cp_ip (fun _ -> incr got_ip);
@@ -145,8 +149,7 @@ let test_iface_demux_by_codepoint () =
 let test_iface_unclaimed () =
   let sim = Sim.create () in
   let tx, rx =
-    make_wire sim ~rate_bps:1e7 ~mtu:1500 ~src_addr:(Ip.addr "10.0.0.1")
-      ~dst_addr:(Ip.addr "10.0.0.2")
+    make_wire sim ~rate_bps:1e7 ~mtu:1500
   in
   let ip =
     Ip.make ~src:(Ip.addr "10.0.0.1") ~dst:(Ip.addr "10.0.0.2")
@@ -159,8 +162,7 @@ let test_iface_unclaimed () =
 let test_iface_mtu_enforced () =
   let sim = Sim.create () in
   let tx, _ =
-    make_wire sim ~rate_bps:1e7 ~mtu:576 ~src_addr:(Ip.addr "10.0.0.1")
-      ~dst_addr:(Ip.addr "10.0.0.2")
+    make_wire sim ~rate_bps:1e7 ~mtu:576
   in
   let ip =
     Ip.make ~src:(Ip.addr "10.0.0.1") ~dst:(Ip.addr "10.0.0.2")
@@ -177,7 +179,7 @@ let test_arp_failure_counted () =
     Link.create sim ~rate_bps:1e7 ~prop_delay:0.001 ~deliver:(fun _ -> ()) ()
   in
   let tx =
-    Iface.create sim ~name:"tx" ~addr:(Ip.addr "10.0.0.1") ~prefix:24 ~mtu:1500
+    Iface.create sim ~name:"tx" ~mtu:1500
       ~arp ~link ()
   in
   let ip =
@@ -193,13 +195,11 @@ let test_arp_failure_counted () =
    host routes steering the flow through it. *)
 let build_stripe_pair sim ~rates =
   let n = Array.length rates in
-  let sender = Node.create ~name:"S" () in
-  let receiver = Node.create ~name:"R" () in
+  let sender = Node.create () in
+  let receiver = Node.create () in
   let wires =
     Array.init n (fun i ->
-        make_wire sim ~rate_bps:rates.(i) ~mtu:1500
-          ~src_addr:(Ip.addr (Printf.sprintf "10.%d.0.1" (i + 1)))
-          ~dst_addr:(Ip.addr (Printf.sprintf "10.%d.0.9" (i + 1))))
+        make_wire sim ~rate_bps:rates.(i) ~mtu:1500)
   in
   let tx_members = Array.map fst wires in
   let rx_members = Array.map snd wires in
@@ -290,8 +290,7 @@ let test_stripe_layer_hot_add_remove () =
   in
   send_burst 0 199;
   let tx3, rx3 =
-    make_wire sim ~rate_bps:10e6 ~mtu:1500 ~src_addr:(Ip.addr "10.3.0.1")
-      ~dst_addr:(Ip.addr "10.3.0.9")
+    make_wire sim ~rate_bps:10e6 ~mtu:1500
   in
   Alcotest.(check int) "new member index (rx)" 2
     (Stripe_layer.add_member rx_layer ~quantum:1500 rx3);
@@ -315,11 +314,9 @@ let test_stripe_layer_hot_add_remove () =
 let test_stripe_layer_mtu_is_min () =
   let sim = Sim.create () in
   let w1_tx, _ =
-    make_wire sim ~rate_bps:1e7 ~mtu:1500 ~src_addr:(Ip.addr "10.1.0.1")
-      ~dst_addr:(Ip.addr "10.1.0.9")
+    make_wire sim ~rate_bps:1e7 ~mtu:1500
   and w2_tx, _ =
-    make_wire sim ~rate_bps:1e7 ~mtu:576 ~src_addr:(Ip.addr "10.2.0.1")
-      ~dst_addr:(Ip.addr "10.2.0.9")
+    make_wire sim ~rate_bps:1e7 ~mtu:576
   in
   let sched = Stripe_core.Scheduler.srr ~quanta:[| 1500; 1500 |] () in
   let layer =
@@ -340,11 +337,9 @@ let test_stripe_layer_no_resequence_variant () =
   (* Fast and slow member: without logical reception, arrival order leaks
      through to IP. *)
   let w1_tx, w1_rx =
-    make_wire sim ~rate_bps:50e6 ~mtu:1500 ~src_addr:(Ip.addr "10.1.0.1")
-      ~dst_addr:(Ip.addr "10.1.0.9")
+    make_wire sim ~rate_bps:50e6 ~mtu:1500
   and w2_tx, w2_rx =
-    make_wire sim ~rate_bps:1e6 ~mtu:1500 ~src_addr:(Ip.addr "10.2.0.1")
-      ~dst_addr:(Ip.addr "10.2.0.9")
+    make_wire sim ~rate_bps:1e6 ~mtu:1500
   in
   let tx_layer =
     Stripe_layer.create ~name:"stripe0" ~members:[| w1_tx; w2_tx |]
@@ -375,8 +370,83 @@ let test_stripe_layer_no_resequence_variant () =
     (Printf.sprintf "skew reorders %d datagrams without logical reception" !reorder)
     true (!reorder > 0)
 
+(* Carrier handling: the layer watches every member's link. A member
+   going down is suspended in the striper and its load moves to the
+   survivors; a member coming back is resumed, which fires the §5 reset
+   barrier, and delivery stays FIFO. With every member down a datagram
+   is dropped and counted, never raised. *)
+let test_stripe_layer_carrier () =
+  let sim = Sim.create () in
+  let wires =
+    Array.init 3 (fun _ -> make_wire_link sim ~rate_bps:10e6 ~mtu:1500)
+  in
+  let link i = let _, _, l = wires.(i) in l in
+  let quanta = [| 1500; 1500; 1500 |] in
+  let tx_layer =
+    Stripe_layer.create ~name:"stripe0"
+      ~members:(Array.map (fun (tx, _, _) -> tx) wires)
+      ~scheduler:(Stripe_core.Scheduler.srr ~quanta ())
+      ~marker:(Stripe_core.Marker.make ~every_rounds:4 ())
+      ~now:(fun () -> Sim.now sim)
+      ~resequence:false ~deliver_up:(fun _ -> ()) ()
+  in
+  let seqs = ref [] in
+  let rx_layer =
+    Stripe_layer.create ~name:"stripe0"
+      ~members:(Array.map (fun (_, rx, _) -> rx) wires)
+      ~scheduler:(Stripe_core.Scheduler.srr ~quanta ())
+      ~now:(fun () -> Sim.now sim)
+      ~deliver_up:(fun ip -> seqs := ip.Ip.body.Packet.seq :: !seqs)
+      ()
+  in
+  let striper = Stripe_layer.striper tx_layer in
+  let reseq = Option.get (Stripe_layer.resequencer rx_layer) in
+  let send lo hi =
+    for seq = lo to hi do
+      Stripe_layer.send tx_layer
+        (Ip.make ~src:(Ip.addr "10.1.0.1") ~dst:(Ip.addr "10.1.0.9")
+           (Packet.data ~seq ~size:1000 ()))
+    done;
+    Sim.run sim
+  in
+  let carried c = Stripe_core.Striper.channel_packets striper c in
+  send 0 99;
+  Alcotest.(check bool) "member 1 carries load while up" true (carried 1 > 0);
+  (* Member 1's carrier drops: suspended, survivors take its load. *)
+  Link.set_up (link 1) false;
+  Alcotest.(check bool) "down member suspended" true
+    (Stripe_core.Striper.suspended_channel striper 1);
+  let before = Array.init 3 carried in
+  send 100 199;
+  Alcotest.(check int) "nothing striped onto the down member" before.(1)
+    (carried 1);
+  Alcotest.(check int) "survivors carry all 100" 100
+    (carried 0 - before.(0) + (carried 2 - before.(2)));
+  (* Carrier back: resumed, and the resume's reset barrier lands. *)
+  let resets = Stripe_core.Resequencer.resets reseq in
+  Link.set_up (link 1) true;
+  Alcotest.(check bool) "recovered member resumed" false
+    (Stripe_core.Striper.suspended_channel striper 1);
+  let before = carried 1 in
+  send 200 299;
+  Alcotest.(check int) "reset barrier completed at the receiver" (resets + 1)
+    (Stripe_core.Resequencer.resets reseq);
+  Alcotest.(check bool) "resumed member carries load again" true
+    (carried 1 > before);
+  Alcotest.(check (list int)) "FIFO through the outage and the resume"
+    (List.init 300 Fun.id) (List.rev !seqs);
+  (* Every member down: datagrams are dropped and counted. *)
+  Array.iteri (fun i _ -> Link.set_up (link i) false) wires;
+  send 300 309;
+  Alcotest.(check int) "all-down datagrams counted as undispatched" 10
+    (Stripe_core.Striper.undispatched_drops striper);
+  Alcotest.(check int) "all 310 offered to the layer" 310
+    (Stripe_layer.sent_datagrams tx_layer);
+  Alcotest.(check int) "none delivered while all are down" 300
+    (Stripe_layer.delivered_datagrams rx_layer)
+
 let test_node_no_route () =
-  let node = Node.create ~name:"S" () in
+  let node = Node.create () in
   Node.send node
     (Ip.make ~src:(Ip.addr "10.0.0.1") ~dst:(Ip.addr "10.0.0.2")
        (Packet.data ~seq:0 ~size:100 ()));
@@ -404,6 +474,7 @@ let suites =
         Alcotest.test_case "stripe hot add/remove" `Quick
           test_stripe_layer_hot_add_remove;
         Alcotest.test_case "stripe mtu min" `Quick test_stripe_layer_mtu_is_min;
+        Alcotest.test_case "stripe carrier" `Quick test_stripe_layer_carrier;
         Alcotest.test_case "stripe no-reseq variant" `Quick
           test_stripe_layer_no_resequence_variant;
         Alcotest.test_case "node no route" `Quick test_node_no_route;

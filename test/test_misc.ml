@@ -24,11 +24,11 @@ let test_iface_fifo_across_arp_miss () =
       ()
   in
   let tx =
-    Iface.create sim ~name:"tx" ~addr:(Ip.addr "10.0.0.1") ~prefix:24 ~mtu:1500
+    Iface.create sim ~name:"tx" ~mtu:1500
       ~arp ~link ()
   in
   let rx =
-    Iface.create sim ~name:"rx" ~addr:(Ip.addr "10.0.0.2") ~prefix:24 ~mtu:1500
+    Iface.create sim ~name:"rx" ~mtu:1500
       ~arp ~link ()
   in
   rx_ref := Some rx;
@@ -56,7 +56,7 @@ let test_iface_fifo_across_arp_miss () =
     (List.rev !arrivals)
 
 let test_node_protocol_demux () =
-  let node = Node.create ~name:"R" () in
+  let node = Node.create () in
   let tcp = ref 0 and udp = ref 0 in
   Node.set_protocol_handler node ~proto:6 (fun _ -> incr tcp);
   Node.set_protocol_handler node ~proto:17 (fun _ -> incr udp);
@@ -73,7 +73,7 @@ let test_node_protocol_demux () =
   Alcotest.(check int) "all counted as local" 4 (Node.delivered_local node)
 
 let test_node_handler_replacement () =
-  let node = Node.create ~name:"R" () in
+  let node = Node.create () in
   let first = ref 0 and second = ref 0 in
   Node.set_protocol_handler node ~proto:6 (fun _ -> incr first);
   Node.set_protocol_handler node ~proto:6 (fun _ -> incr second);
@@ -131,11 +131,11 @@ let test_stripe_layer_marker_counter () =
       ()
   in
   let tx_if =
-    Iface.create sim ~name:"tx" ~addr:(Ip.addr "10.1.0.1") ~prefix:24 ~mtu:1500
+    Iface.create sim ~name:"tx" ~mtu:1500
       ~arp ~link ()
   in
   let rx_if =
-    Iface.create sim ~name:"rx" ~addr:(Ip.addr "10.1.0.9") ~prefix:24 ~mtu:1500
+    Iface.create sim ~name:"rx" ~mtu:1500
       ~arp ~link ()
   in
   rx_ref := Some rx_if;

@@ -149,11 +149,8 @@ let test_stripe_layer_reset () =
         | None -> ())
       ()
   in
-  let mk name addr =
-    Stripe_ipstack.Iface.create sim ~name ~addr:(Stripe_ipstack.Ip.addr addr)
-      ~prefix:24 ~mtu:1500 ~arp ~link ()
-  in
-  let tx_if = mk "tx" "10.1.0.1" and rx_if = mk "rx" "10.1.0.9" in
+  let mk name = Stripe_ipstack.Iface.create sim ~name ~mtu:1500 ~arp ~link () in
+  let tx_if = mk "tx" and rx_if = mk "rx" in
   rx_ref := Some rx_if;
   let mk_layer members deliver_up =
     Stripe_ipstack.Stripe_layer.create ~name:"s0" ~members

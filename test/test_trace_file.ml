@@ -43,6 +43,28 @@ let test_malformed_reports_line () =
     (Failure "Trace_file: malformed fields at line 1") (fun () ->
       ignore (Trace_file.of_string "zero 7 100 0 -1\n"))
 
+(* Lines that parse but could not be replayed: a non-positive size
+   (Packet.data rejects it) or a time that is NaN, infinite or before
+   the start of the run (Sim.schedule rejects it). Each is a [Failure]
+   naming its line, like any other malformed line. *)
+let test_unreplayable_values () =
+  let rejects name text msg =
+    Alcotest.check_raises name (Failure msg) (fun () ->
+        ignore (Trace_file.of_string text))
+  in
+  rejects "zero size" "0.0 1 0 0 0\n"
+    "Trace_file: size 0 is not positive at line 1";
+  rejects "negative size" "0.5 7 100 0 -1\n0.6 8 -3 0 -1\n"
+    "Trace_file: size -3 is not positive at line 2";
+  rejects "nan time" "# header\nnan 1 100 0 0\n"
+    "Trace_file: time nan is not a finite time >= 0 at line 2";
+  rejects "infinite time" "inf 1 100 0 0\n"
+    "Trace_file: time inf is not a finite time >= 0 at line 1";
+  rejects "negative time" "-1.0 1 100 0 0\n"
+    "Trace_file: time -1 is not a finite time >= 0 at line 1";
+  Alcotest.(check int) "time 0 and size 1 are fine" 1
+    (List.length (Trace_file.of_string "0.0 1 1 0 0\n"))
+
 let test_of_video () =
   let rng = Stripe_netsim.Rng.create 3 in
   let video = Video.generate ~rng ~n_frames:10 () in
@@ -106,6 +128,8 @@ let suites =
         Alcotest.test_case "roundtrip file" `Quick test_roundtrip_file;
         Alcotest.test_case "comments/blanks" `Quick test_comments_and_blanks;
         Alcotest.test_case "malformed lines" `Quick test_malformed_reports_line;
+        Alcotest.test_case "unreplayable values" `Quick
+          test_unreplayable_values;
         Alcotest.test_case "of_video" `Quick test_of_video;
         Alcotest.test_case "replay fidelity" `Quick test_replay_preserves_experiment;
       ] );
