@@ -64,8 +64,10 @@ type t = {
   now_fn : unit -> float;  (* shared by every slot's resequencer *)
   (* Data packets are immutable and the protocol never reads their
      measurement metadata, so one packet per distinct size serves every
-     bundle in the fleet. *)
-  interned : (int, Packet.t) Hashtbl.t;
+     bundle of the pool: [interned.(size)], grown on demand, where
+     [no_packet] marks a size not yet seen. An array read, not a
+     hash lookup, on every push; and per pool, so domains share none. *)
+  mutable interned : Packet.t array;
   (* Pool-wide carrier state: channel [c] of EVERY bundle rides the same
      physical facility class, so one flag takes the whole fleet's channel
      [c] down at once — the shared-risk-group model the chaos engine
@@ -389,7 +391,7 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
            Some (Marker.make ~every_rounds:config.marker_every ())
          else None);
       now_fn = (fun () -> Sim.now sim);
-      interned = Hashtbl.create 64;
+      interned = [||];
       ch_up = Array.make n true;
       rng = (match rng with Some r -> r | None -> Rng.create 0x5712e);
       ch_loss = Array.init n (fun _ -> Loss.none ());
@@ -602,12 +604,34 @@ let capacity t = t.cap
 let total_acquired t = t.n_acquired
 let recycles t = t.n_recycled
 
-let intern t size =
-  try Hashtbl.find t.interned size
-  with Not_found ->
-    let pkt = Packet.data ~seq:0 ~size () in
-    Hashtbl.add t.interned size pkt;
-    pkt
+(* Size 0 matches no push, whose size is positive. *)
+let no_packet = { (Packet.data ~seq:0 ~size:1 ()) with Packet.size = 0 }
+
+(* Sizes up to this are interned; a larger one, which no real link
+   carries, gets a fresh packet per push rather than a table that
+   large. *)
+let max_interned = 65_535
+
+let[@inline never] intern_new t size =
+  let pkt = Packet.data ~seq:0 ~size () in
+  if size <= max_interned then begin
+    let n = Array.length t.interned in
+    if size >= n then begin
+      let cap = min (max_interned + 1) (max (size + 1) (2 * n)) in
+      let a = Array.make cap no_packet in
+      Array.blit t.interned 0 a 0 n;
+      t.interned <- a
+    end;
+    t.interned.(size) <- pkt
+  end;
+  pkt
+
+let[@inline] intern t size =
+  if size < Array.length t.interned then begin
+    let pkt = t.interned.(size) in
+    if pkt.Packet.size = size then pkt else intern_new t size
+  end
+  else intern_new t size
 
 let push t id ~size =
   check_live t id "push";

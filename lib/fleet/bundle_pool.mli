@@ -20,9 +20,9 @@
     {!Stripe_core.Resequencer.recycle},
     {!Stripe_packet.Fifo_queue.recycle}), so churning a bundle through
     a warmed-up slot allocates almost nothing. Data packets are interned
-    by size (they are immutable and the protocol never reads their
-    measurement metadata), so the steady-state push path allocates only
-    the simulator's event cell.
+    by size in a per-pool array (they are immutable and the protocol
+    never reads their measurement metadata), so the steady-state push
+    path allocates only the simulator's event cell.
 
     {b The wire model.} Each slot-channel is a rate+delay pipe: a packet
     departs when the channel is free ([max now busy_until]), occupies it

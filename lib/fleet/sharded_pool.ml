@@ -6,9 +6,10 @@
    counts); each domain replays its groups one after another on one sim
    and one pool reset in between, and the results merge at one barrier:
    generations re-sorted by acquisition ordinal, counters summed, the
-   earliest FIFO violation kept. Slots never interact, so every group
-   replays the same events at every domain count (sharded_pool.mli,
-   DESIGN.md §10). *)
+   earliest FIFO violation kept. A group's tape is walked by a plain
+   loop that runs the sim up to each op's time, so the only events are
+   wire arrivals. Slots never interact, so every group replays the same
+   events at every domain count (sharded_pool.mli, DESIGN.md §10). *)
 
 module Sim = Stripe_netsim.Sim
 module Rng = Stripe_netsim.Rng
@@ -47,16 +48,17 @@ let group_create () =
     n_slots = 0;
   }
 
-let tape_push g ~op ~at ~slot ~arg =
-  if g.len = Array.length g.op then begin
-    let grow a zero =
-      let b = Array.make (2 * g.len) zero in
-      Array.blit a 0 b 0 g.len;
-      b
-    in
-    g.at <- grow g.at 0.0;
-    g.op <- grow g.op 0
-  end;
+let[@inline never] grow_tape g =
+  let grow a zero =
+    let b = Array.make (2 * g.len) zero in
+    Array.blit a 0 b 0 g.len;
+    b
+  in
+  g.at <- grow g.at 0.0;
+  g.op <- grow g.op 0
+
+let[@inline] tape_push g ~op ~at ~slot ~arg =
+  if g.len = Array.length g.op then grow_tape g;
   g.at.(g.len) <- at;
   g.op.(g.len) <- (arg lsl (slot_bits + 2)) lor (slot lsl 2) lor op;
   g.len <- g.len + 1
@@ -83,7 +85,9 @@ type t = {
   mutable n_live : int;
   mutable peak_live : int;
   mutable n_acquired : int;
-  mutable last_at : float;
+  last_at : float array;
+      (* One cell: a float field of this mixed record would box on every
+         store, a float-array store does not (as [Sim]'s clock). *)
 }
 
 let grow_shadow t cap =
@@ -125,7 +129,7 @@ let create ?(engine = Sim.Heap) ?(stamp_seq = false) ?(initial_capacity = 64)
       n_live = 0;
       peak_live = 0;
       n_acquired = 0;
-      last_at = neg_infinity;
+      last_at = [| neg_infinity |];
     }
   in
   grow_shadow t initial_capacity;
@@ -133,33 +137,38 @@ let create ?(engine = Sim.Heap) ?(stamp_seq = false) ?(initial_capacity = 64)
 
 let total_acquired t = t.n_acquired
 
+(* The error paths are out of line so that the recording calls inline
+   and [at] stays unboxed through them. *)
+let[@inline never] bad_time op ~nan =
+  invalid_arg
+    (Printf.sprintf "Sharded_pool.%s: %s" op
+       (if nan then "time is NaN" else "time runs backwards"))
+
 (* Written so that NaN fails the test too: [at < last_at] is false for
    NaN, and a NaN [last_at] would then let every later time through. *)
-let check_at t at op =
-  if not (at >= t.last_at) then
-    invalid_arg
-      (Printf.sprintf "Sharded_pool.%s: %s" op
-         (if Float.is_nan at then "time is NaN" else "time runs backwards"));
-  t.last_at <- at
+let[@inline] check_at t at op =
+  if not (at >= t.last_at.(0)) then bad_time op ~nan:(Float.is_nan at);
+  t.last_at.(0) <- at
 
-(* Append one op to the group tape of slot [id]. A slot's first op is
-   its first acquire, which files it in the last group: a new group
-   opens every [group_slots] slots. *)
-let record t ~op ~at id ~arg =
-  if t.rank.(id) < 0 then begin
-    let n = Array.length t.groups in
-    if n = 0 || t.groups.(n - 1).n_slots = group_slots then
-      t.groups <- Array.append t.groups [| group_create () |];
-    let gi = Array.length t.groups - 1 in
-    let g = t.groups.(gi) in
-    t.rank.(id) <- (gi * group_slots) + g.n_slots;
-    g.globals.(g.n_slots) <- id;
-    g.n_slots <- g.n_slots + 1
-  end;
+(* A slot's first op is its first acquire, which files it in the last
+   group: a new group opens every [group_slots] slots. *)
+let[@inline never] rank_slot t id =
+  let n = Array.length t.groups in
+  if n = 0 || t.groups.(n - 1).n_slots = group_slots then
+    t.groups <- Array.append t.groups [| group_create () |];
+  let gi = Array.length t.groups - 1 in
+  let g = t.groups.(gi) in
+  t.rank.(id) <- (gi * group_slots) + g.n_slots;
+  g.globals.(g.n_slots) <- id;
+  g.n_slots <- g.n_slots + 1
+
+(* Append one op to the group tape of slot [id]. *)
+let[@inline] record t ~op ~at id ~arg =
+  if t.rank.(id) < 0 then rank_slot t id;
   let r = t.rank.(id) in
   tape_push t.groups.(r / group_slots) ~op ~at ~slot:(r mod group_slots) ~arg
 
-let acquire t ~at =
+let[@inline] acquire t ~at =
   check_at t at "acquire";
   if t.n_free = 0 then grow_shadow t (2 * t.cap);
   t.n_free <- t.n_free - 1;
@@ -172,11 +181,13 @@ let acquire t ~at =
   record t ~op:op_acquire ~at id ~arg:ordinal;
   id
 
-let check_live t id op =
-  if id < 0 || id >= t.cap || not t.live.(id) then
-    invalid_arg (Printf.sprintf "Sharded_pool.%s: bundle %d is not live" op id)
+let[@inline never] not_live op id =
+  invalid_arg (Printf.sprintf "Sharded_pool.%s: bundle %d is not live" op id)
 
-let release t ~at id =
+let[@inline] check_live t id op =
+  if id < 0 || id >= t.cap || not t.live.(id) then not_live op id
+
+let[@inline] release t ~at id =
   check_at t at "release";
   check_live t id "release";
   t.live.(id) <- false;
@@ -185,7 +196,7 @@ let release t ~at id =
   t.n_free <- t.n_free + 1;
   record t ~op:op_release ~at id ~arg:0
 
-let push t ~at id ~size =
+let[@inline] push t ~at id ~size =
   check_at t at "push";
   check_live t id "push";
   record t ~op:op_push ~at id ~arg:size
@@ -269,7 +280,15 @@ let assign ~domains ops =
 (* One domain's groups [ids], one after another, on one sim and one pool
    sized for a group, both reset at the start of every group. Slots
    never interact, so each slot runs the event sequence it would run
-   sharing a sim with every other slot (DESIGN.md §10). *)
+   sharing a sim with every other slot (DESIGN.md §10).
+
+   Replay needs no tape event. A replay sim holds only wire arrivals:
+   ops schedule them ([Bundle_pool.transmit], data and markers alike),
+   and an arrival schedules nothing — it feeds a resequencer, which
+   delivers; a replay runs no watchdog, health engine or chaos. So
+   every event due at or before op [k]'s time was inserted before op
+   [k] would be, and [Sim.run_until] (ties included) fires exactly the
+   events an op event inserted at op [k - 1]'s firing would follow. *)
 let replay (t : t) ~shard ids =
   let groups = Array.map (fun i -> t.groups.(i)) ids in
   let wall0 = t.clock () in
@@ -293,15 +312,14 @@ let replay (t : t) ~shard ids =
   let replay_group (g : group) =
     Sim.reset sim;
     Bundle_pool.reset pool;
-    (* One reused event walks the tape: op [!i] fires at its time and
-       schedules op [!i + 1] as its last act. *)
-    let i = ref 0 in
-    let rec fire () =
-      let k = !i in
+    (* Every event due at or before op [k]'s time fires, then op [k]
+       runs (see "Replay needs no tape event" above). *)
+    for k = 0 to g.len - 1 do
+      Sim.run_until sim g.at.(k);
       let w = g.op.(k) in
       let l = (w lsr 2) land (group_slots - 1) in
       let arg = w asr (slot_bits + 2) in
-      (match w land 3 with
+      match w land 3 with
       | 0 ->
         ignore (Bundle_pool.acquire_slot pool ~key:g.globals.(l) l);
         cur_ord.(l) <- arg
@@ -321,11 +339,8 @@ let replay (t : t) ~shard ids =
           :: !gens;
         incr n_gens;
         Bundle_pool.release pool l
-      | _ -> Bundle_pool.push pool l ~size:arg);
-      i := k + 1;
-      if k + 1 < g.len then Sim.schedule sim ~at:g.at.(k + 1) fire
-    in
-    if g.len > 0 then Sim.schedule sim ~at:g.at.(0) fire;
+      | _ -> Bundle_pool.push pool l ~size:arg
+    done;
     Sim.run sim;
     delivered_packets :=
       !delivered_packets + Bundle_pool.total_delivered_packets pool;

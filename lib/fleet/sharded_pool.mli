@@ -19,7 +19,14 @@
     files each op on its slot's group tape. The cut does not depend on
     the domain count. A group is a self-contained replay on a reset
     [Sim] and a reset [Bundle_pool] sized for one group, and its
-    working set stays cache-sized.
+    working set stays cache-sized. Its tape is walked by a loop: each
+    op runs once [Sim.run_until] has fired every event due at or before
+    its time, ties included. That is exactly the order
+    an op event inserted by its predecessor would fire in, because a
+    replay sim holds only wire arrivals, which ops insert and which
+    insert nothing themselves (no watchdog, health engine or chaos runs
+    in a replay). So the sim fires one event per wire arrival and none
+    per op.
 
     {b Partition.} Groups are the unit of parallel work. {!run} assigns
     them to domains by LPT over their recorded op counts: largest group
@@ -101,7 +108,9 @@ type shard_report = {
   fifo_violations : int;
   first_violation : (float * int * int) option;
       (** [(time, slot, seq)] with the {e global} slot id. *)
-  events : int;  (** Sim events fired: [Sim.events] summed over groups. *)
+  events : int;
+      (** Sim events fired: [Sim.events] summed over groups. These are
+          the wire arrivals; an op is not an event. *)
   wall_s : float;
   end_time : float;
       (** The latest time its sim reached: the max over its groups. *)

@@ -42,7 +42,12 @@
    the stacks are indexed by [c]. The ring's own four arrays are
    double-buffered: the ring a resize retires is kept, emptied, and
    reused by the next resize to its size. A population that cycles
-   through the same sizes then rehashes with few allocations.
+   through the same sizes then rehashes with few allocations. Outside
+   a rehash, a pop that empties a bucket of a sparse ring — more than
+   four buckets per queued event — hands its arrays to the spare stack
+   as well: such a ring is mostly empty buckets, and the insert that
+   next lands on one takes a pair back instead of allocating. In a
+   denser ring an emptied bucket keeps its arrays for the next lap.
 
    Determinism contract (checked against {!Eventq} and a sorted-list
    oracle by property tests): same-time events pop in insertion order.
@@ -108,6 +113,9 @@ let initial_buckets = 16
 let shrink_work_per_bucket = 16
 
 let sample_size = 256
+
+(* See [release_bucket]. *)
+let sparse_buckets_per_event = 4
 
 (* Bucket capacities [4 * 2^c] with [c < spare_classes] are recycled;
    larger ones, which no realistic population reaches, are not. *)
@@ -483,10 +491,6 @@ let peek_time q =
     let b = peek_loop q in
     Some q.btimes.(b).(q.bheads.(b))
 
-let[@inline] peek_time_unsafe q =
-  let b = peek_loop q in
-  q.btimes.(b).(q.bheads.(b))
-
 (* After a pop: halve the ring once the population has stayed below one
    entry per two buckets for [shrink_work_per_bucket] units of scan work
    per bucket, counting each pop, each bucket step and each
@@ -504,20 +508,44 @@ let note_pop q =
     && q.low_work >= shrink_work_per_bucket * q.nbuckets
   then resize q (q.nbuckets / 2)
 
-let take q clock =
-  if q.size = 0 then invalid_arg "Calendar_queue.take: empty queue";
-  let b = peek_loop q in
+(* A pop emptied bucket [b] of a sparse ring, more than
+   [sparse_buckets_per_event] buckets per queued event: hand its arrays
+   to the spare stack. A ring that sparse holds mostly empty buckets,
+   and the next insert that lands on one takes a pair back from the
+   stack instead of allocating. In a dense ring an emptied bucket keeps
+   its arrays, since it is refilled on the next lap. *)
+let[@inline never] release_bucket q b =
+  push_spare q q.btimes.(b) q.bvals.(b);
+  q.btimes.(b) <- [||];
+  q.bvals.(b) <- [||]
+
+(* Remove the head of bucket [b], where [peek_loop] stopped, and
+   store its time in [clock.(0)]. *)
+let[@inline] take_head q b clock =
   let h = q.bheads.(b) in
   clock.(0) <- q.btimes.(b).(h);
   let v = q.bvals.(b).(h) in
+  q.size <- q.size - 1;
   if h + 1 = q.blens.(b) then begin
     q.bheads.(b) <- 0;
-    q.blens.(b) <- 0
+    q.blens.(b) <- 0;
+    if q.nbuckets > sparse_buckets_per_event * q.size then release_bucket q b
   end
   else q.bheads.(b) <- h + 1;
-  q.size <- q.size - 1;
   note_pop q;
   v
+
+let take q clock =
+  if q.size = 0 then invalid_arg "Calendar_queue.take: empty queue";
+  take_head q (peek_loop q) clock
+
+let take_until q clock horizon =
+  if q.size = 0 then -1
+  else begin
+    let b = peek_loop q in
+    if not (q.btimes.(b).(q.bheads.(b)) <= horizon) then -1
+    else take_head q b clock
+  end
 
 let pop q =
   if q.size = 0 then None

@@ -40,10 +40,6 @@ val add : t -> time:float -> int -> unit
 val peek_time : t -> float option
 (** Earliest scheduled time, if any. *)
 
-val peek_time_unsafe : t -> float
-(** Earliest scheduled time. The queue must be non-empty (unchecked):
-    guard with {!is_empty}. *)
-
 val pop : t -> (float * int) option
 (** Remove and return the earliest event as [(time, value)]. *)
 
@@ -51,6 +47,12 @@ val take : t -> float array -> int
 (** [take q clock] removes the earliest event, stores its time in
     [clock.(0)] and returns its value: one scan, no boxing. Raises
     [Invalid_argument] if the queue is empty. *)
+
+val take_until : t -> float array -> float -> int
+(** [take_until q clock horizon] is {!take} if the earliest event's time
+    is at most [horizon], and [-1] if it is later or the queue is empty:
+    one scan either way. Values must be non-negative, as {!Sim}'s slots
+    are, so [-1] is never a value. *)
 
 val clear : t -> unit
 (** Drop all events and reset the calendar to its initial geometry. *)

@@ -71,8 +71,6 @@ let[@inline] add q ~time slot =
 
 let peek_time q = if q.size = 0 then None else Some q.times.(0)
 
-let[@inline] peek_time_unsafe q = q.times.(0)
-
 (* Remove the root: sift the last entry down from a hole at index 0.
    The children of [i] are [arity * i + 1 .. arity * i + arity]; the
    earliest of those inside the heap moves up while it precedes the
@@ -111,12 +109,22 @@ let remove_root q =
     slots.(!i) <- v
   end
 
-let take q clock =
-  if q.size = 0 then invalid_arg "Eventq.take: empty queue";
+let[@inline] take_root q clock =
   clock.(0) <- q.times.(0);
   let v = q.slots.(0) in
   remove_root q;
   v
+
+let take q clock =
+  if q.size = 0 then invalid_arg "Eventq.take: empty queue";
+  take_root q clock
+
+(* [take] bounded by [horizon]: one look at the root decides, so a
+   caller stepping up to a time neither peeks twice nor returns a float
+   to compare. Written so that a NaN horizon takes nothing. *)
+let take_until q clock horizon =
+  if q.size = 0 || not (q.times.(0) <= horizon) then -1
+  else take_root q clock
 
 let pop q =
   if q.size = 0 then None

@@ -27,10 +27,6 @@ val add : t -> time:float -> int -> unit
 val peek_time : t -> float option
 (** Earliest scheduled time, if any. *)
 
-val peek_time_unsafe : t -> float
-(** Earliest scheduled time. The queue must be non-empty (unchecked):
-    guard with {!is_empty}. Used by the hot loop to avoid the option. *)
-
 val pop : t -> (float * int) option
 (** Remove and return the earliest event as [(time, value)]. *)
 
@@ -38,6 +34,12 @@ val take : t -> float array -> int
 (** [take q clock] removes the earliest event, stores its time in
     [clock.(0)] and returns its value without boxing a tuple, option or
     float. Raises [Invalid_argument] if the queue is empty. *)
+
+val take_until : t -> float array -> float -> int
+(** [take_until q clock horizon] is {!take} if the earliest event's time
+    is at most [horizon], and [-1] (the queue unchanged) if it is later
+    or the queue is empty. Values must be non-negative, as {!Sim}'s slots
+    are, so [-1] is never a value. *)
 
 val clear : t -> unit
 (** Drop all events and release the backing arrays. *)

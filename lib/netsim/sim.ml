@@ -133,21 +133,22 @@ let run t =
     if t.stopped then continue := false else continue := step t
   done
 
+(* As [run], but each pop is bounded by [horizon]: the queue decides
+   with one scan whether its earliest event is due, and a due one is
+   popped in the same scan. *)
 let run_until t horizon =
   t.stopped <- false;
   let continue = ref true in
-  let next_time () =
-    match t.queue with
-    | Qheap q ->
-      if Eventq.is_empty q then infinity else Eventq.peek_time_unsafe q
-    | Qcal q ->
-      if Calendar_queue.is_empty q then infinity
-      else Calendar_queue.peek_time_unsafe q
-  in
   while !continue do
     if t.stopped then continue := false
-    else if next_time () <= horizon then ignore (step t)
-    else continue := false
+    else begin
+      let slot =
+        match t.queue with
+        | Qheap q -> Eventq.take_until q t.clock horizon
+        | Qcal q -> Calendar_queue.take_until q t.clock horizon
+      in
+      if slot < 0 then continue := false else fire t slot
+    end
   done;
   (* Fast-forward to the horizon only when the run actually reached it: a
      [stop] mid-run leaves the clock at the stop point, so the caller can

@@ -11,16 +11,23 @@
    - Resequencer.receive without a watchdog: about 0 words/call, markers
      included; a clock read per arrival adds 2, and a boxed marker stamp
      ([Some {round; dc}]) 5 per marker;
-   - Sharded_pool.run: 10 words/push in dev; a closure per replayed op
-     adds about 18. With 500 slots, four replay groups on one reset
-     pool: 12.7 words/push; building a pool per group instead measured
-     16.8;
+   - Sharded_pool.run: 10 words/push in dev; a closure allocated per
+     replayed op adds about 18. With 500 slots, four replay groups on
+     one reset pool: 12.3 words/push; building a pool per group instead
+     measured 16.8;
+   - Sharded_pool.acquire/push/release: 2 words per recorded op in dev,
+     the op's time boxed as it crosses into the recorder (0 in release,
+     where the calls inline); a float field of the recorder's record
+     storing the time, and non-inlined calls taking it, measured 4 words
+     per op in release;
    - Striper.push with Round_end markers every 4 rounds: about 2
      words/push, all of it the marker packets (0.1 markers/push); one
      boxed word or closure per push adds at least 2;
    - Sim.schedule plus step of one preallocated closure: 2 words/event
      in dev on either engine (the event time, boxed as it crosses into
-     the queue; 0 in release); one more boxed word per event adds 2. *)
+     the queue; 0 in release); one more boxed word per event adds 2.
+     [Sim.run_until] in place of [step]: the same; a closure per call
+     and a boxed peeked time per event added 2.02. *)
 
 open Stripe_netsim
 open Stripe_packet
@@ -261,6 +268,86 @@ let sim_words_per_event engine =
   let words = words_during (fun () -> run n) in
   words /. float_of_int n
 
+(* The same core driven by [Sim.run_until] over 1000 horizons, 100
+   events apart, against [Sim.step]: words per fired event. The
+   horizons are boxed up front, so passing one allocates nothing; the
+   slack covers the one closure [List.iter] is given. *)
+let run_until_and_step_words engine =
+  let sim = Sim.create ~engine () in
+  let left = ref 0 in
+  let rec tick () =
+    if !left > 0 then begin
+      decr left;
+      Sim.schedule_after sim ~delay:1e-6 tick
+    end
+  in
+  let start n =
+    left := n;
+    Sim.schedule sim ~at:(Sim.now sim) tick
+  in
+  let n = 100_000 in
+  start 1000;
+  Sim.run sim;
+  let by_step =
+    words_during (fun () ->
+        start n;
+        while Sim.step sim do
+          ()
+        done)
+  in
+  let horizons =
+    List.init 1000 (fun k -> Sim.now sim +. (float_of_int (k + 1) *. 1e-4))
+  in
+  let by_run_until =
+    words_during (fun () ->
+        start n;
+        List.iter (Sim.run_until sim) horizons;
+        Sim.run sim)
+  in
+  (by_run_until /. float_of_int n, by_step /. float_of_int n)
+
+let test_run_until engine () =
+  let by_run_until, by_step = run_until_and_step_words engine in
+  check_at_most
+    (Printf.sprintf "Sim.run_until per event (%s), step's %.3f"
+       (Sim.engine_name engine) by_step)
+    ~bound:(by_step +. 0.001) by_run_until
+
+(* Recording a fleet: [bundles] acquired, [pushes] pushes spread
+   round-robin over them, all released, then the same again on the
+   recycled slots; the second round is measured. Each time is computed
+   in the loop, unboxed, as a recording simulation reads its clock. *)
+let recorder_words_per_op ~bundles ~pushes =
+  let config =
+    {
+      Bundle_pool.rate_bps = [| 10e6; 10e6 |];
+      prop_delay = [| 0.001; 0.002 |];
+      quanta = [| 1500; 1500 |];
+      marker_every = 4;
+      guard = false;
+      discipline = Bundle_pool.Srr;
+    }
+  in
+  let sp = Sharded_pool.create ~domains:1 ~seed:1 config in
+  let ops = bundles + pushes + bundles in
+  let ids = Array.make bundles 0 in
+  let round r =
+    for k = 0 to ops - 1 do
+      let at = float_of_int ((r * ops) + k) *. 1e-5 in
+      if k < bundles then ids.(k) <- Sharded_pool.acquire sp ~at
+      else if k < bundles + pushes then
+        Sharded_pool.push sp ~at ids.(k mod bundles) ~size:500
+      else Sharded_pool.release sp ~at ids.(k - bundles - pushes)
+    done
+  in
+  round 0;
+  words_during (fun () -> round 1) /. float_of_int ops
+
+let test_recorder () =
+  check_at_most "Sharded_pool.acquire/push/release per recorded op"
+    ~bound:2.5
+    (recorder_words_per_op ~bundles:200 ~pushes:100_000)
+
 let test_sim_schedule_step engine () =
   check_at_most
     (Printf.sprintf "Sim.schedule + step per event (%s)"
@@ -285,5 +372,10 @@ let suites =
           (test_sim_schedule_step Sim.Heap);
         Alcotest.test_case "Sim schedule and step (calendar)" `Quick
           (test_sim_schedule_step Sim.Calendar);
+        Alcotest.test_case "Sim run_until (heap)" `Quick
+          (test_run_until Sim.Heap);
+        Alcotest.test_case "Sim run_until (calendar)" `Quick
+          (test_run_until Sim.Calendar);
+        Alcotest.test_case "sharded recorder" `Quick test_recorder;
       ] );
   ]

@@ -204,7 +204,11 @@ type direct = {
 (* The same script driven straight into one Bundle_pool — the legacy
    single-pool run the sharded replay must reproduce. Checks on the way
    that the recorder's shadow allocator predicted every slot id, and
-   harvests every generation at its release. *)
+   harvests every generation at its release. Every op is scheduled up
+   front, ahead of every arrival, so an op at the instant of an arrival
+   would run first here and after it in the replay; the churn scripts
+   never put an op on an arrival's instant ([test_op_ties_arrival]
+   pins the tie against a pump drive instead). *)
 let run_direct ~engine ~discipline ops =
   let sim = Sim.create ~engine () in
   let pool =
@@ -398,6 +402,66 @@ let test_lpt_assignment () =
         r.imbalance)
     [ 2; 3; 4 ]
 
+(* The drive the replay reproduces at a tie: op [k + 1] is scheduled
+   when op [k] fires, so every event already due at op [k + 1]'s
+   instant fires before it. Returns the delivered packets of each
+   released generation, in release order. *)
+let run_pump ~engine config ops =
+  let op_at = function Acquire (at, _) | Release (at, _) | Push (at, _, _) -> at in
+  let sim = Sim.create ~engine () in
+  let pool = Bundle_pool.create ~rng:(Rng.stream ~seed:33 0) ~sim config in
+  let delivered = ref [] in
+  let ops = Array.of_list ops in
+  let rec pump k () =
+    (match ops.(k) with
+    | Acquire (_, id) ->
+      Alcotest.(check int) "pump acquires the recorded slot" id
+        (Bundle_pool.acquire pool)
+    | Release (_, id) ->
+      delivered := Bundle_pool.delivered_packets pool id :: !delivered;
+      Bundle_pool.release pool id
+    | Push (_, id, size) -> Bundle_pool.push pool id ~size);
+    if k + 1 < Array.length ops then
+      Sim.schedule sim ~at:(op_at ops.(k + 1)) (pump (k + 1))
+  in
+  if Array.length ops > 0 then Sim.schedule sim ~at:(op_at ops.(0)) (pump 0);
+  Sim.run sim;
+  List.rev !delivered
+
+(* An op at the exact instant of an arrival: 1000 B at 8 Mb/s takes
+   1 ms to send and 1 ms to cross, so the packet pushed at 0 lands at
+   0.002, the instant its bundle is released. The arrival was queued
+   first, so it fires first and the generation reports it delivered; a
+   replay that ran the release first would report 0. *)
+let test_op_ties_arrival () =
+  let config =
+    {
+      Bundle_pool.rate_bps = [| 8e6; 8e6 |];
+      prop_delay = [| 0.001; 0.001 |];
+      quanta = [| 1500; 1500 |];
+      marker_every = 0;
+      guard = false;
+      discipline = Bundle_pool.Srr;
+    }
+  in
+  Alcotest.(check bool) "the arrival lands on the release" true
+    ((1000.0 *. 8.0 /. 8e6) +. 0.001 = 0.002);
+  List.iter
+    (fun engine ->
+      let sp = Sharded_pool.create ~engine ~domains:1 ~seed:33 config in
+      let id = Sharded_pool.acquire sp ~at:0.0 in
+      Sharded_pool.push sp ~at:0.0 id ~size:1000;
+      Sharded_pool.release sp ~at:0.002 id;
+      let ops = [ Acquire (0.0, id); Push (0.0, id, 1000); Release (0.002, id) ] in
+      let r = Sharded_pool.run sp in
+      Alcotest.(check (list int)) "the pump drive delivers it first" [ 1 ]
+        (run_pump ~engine config ops);
+      Alcotest.(check (list int)) "the replay delivers it first" [ 1 ]
+        (Array.to_list
+           (Array.map (fun (g : Sharded_pool.gen_report) -> g.delivered_packets)
+              r.gens)))
+    [ Sim.Heap; Sim.Calendar ]
+
 (* A NaN time must be refused where it is recorded: [at < last_at] is
    false for NaN, and a NaN [last_at] would let every later time
    through. *)
@@ -580,6 +644,8 @@ let suites =
           (grouped ~engine:Sim.Calendar);
         Alcotest.test_case "LPT assignment of replay groups" `Quick
           test_lpt_assignment;
+        Alcotest.test_case "op at the instant of an arrival" `Quick
+          test_op_ties_arrival;
         Alcotest.test_case "recorder rejects NaN times" `Quick
           test_recorder_rejects_nan;
         Alcotest.test_case "pool reset replays like fresh" `Quick

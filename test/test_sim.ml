@@ -207,6 +207,94 @@ let test_events_counted () =
   Sim.reset sim;
   Alcotest.(check int) "reset zeroes the count" 0 (Sim.events sim)
 
+(* [run_until h] then [run] against [run] alone, on random schedules.
+   Times and child delays are multiples of 0.5, so many events share an
+   instant, the horizon [h] among them, and children land at exactly
+   [h] from earlier parents or from parents at [h]. An event with [stop]
+   set calls [Sim.stop]; either run is resumed until the queue drains.
+   [run_until h] must fire exactly the prefix of [run]'s sequence up to
+   [h] — ties at [h] included — and leave the clock at [h], or, if a
+   stop fired, at the stopping event's time. *)
+type ev = { at : int; children : int list; stop : bool }
+
+let ev_gen =
+  QCheck.Gen.(
+    map3
+      (fun at children stop -> { at; children; stop })
+      (int_range 0 10)
+      (list_size (int_range 0 3) (int_range 0 4))
+      (map (fun k -> k = 0) (int_range 0 15)))
+
+let half k = float_of_int k *. 0.5
+
+(* Schedules [evs] on a fresh sim of [engine]; [log] gets (time, label)
+   of each fired event, the labels being (event, -1) and (event,
+   child). *)
+let schedule_all engine evs =
+  let sim = Sim.create ~engine () in
+  let log = ref [] and stopped = ref false in
+  List.iteri
+    (fun i e ->
+      Sim.schedule sim ~at:(half e.at) (fun () ->
+          log := (Sim.now sim, (i, -1)) :: !log;
+          List.iteri
+            (fun j d ->
+              Sim.schedule_after sim ~delay:(half d) (fun () ->
+                  log := (Sim.now sim, (i, j)) :: !log))
+            e.children;
+          if e.stop then begin
+            stopped := true;
+            Sim.stop sim
+          end))
+    evs;
+  (sim, log, stopped)
+
+let rec drain sim = if Sim.pending sim > 0 then (Sim.run sim; drain sim)
+
+let prop_run_until engine =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "run_until h then run = run (%s)"
+         (Sim.engine_name engine))
+    ~count:300
+    QCheck.(
+      pair (int_range 0 12)
+        (make
+           ~print:(fun evs ->
+             String.concat "; "
+               (List.map
+                  (fun e ->
+                    Printf.sprintf "%d:[%s]%s" e.at
+                      (String.concat "," (List.map string_of_int e.children))
+                      (if e.stop then "!" else ""))
+                  evs))
+           QCheck.Gen.(list_size (int_range 0 12) ev_gen)))
+    (fun (hk, evs) ->
+      let h = half hk in
+      let ref_sim, ref_log, _ = schedule_all engine evs in
+      drain ref_sim;
+      let reference = List.rev !ref_log in
+      let sim, log, stopped = schedule_all engine evs in
+      Sim.run_until sim h;
+      let upto = List.rev !log in
+      let clock = Sim.now sim in
+      let stopped_early = !stopped in
+      drain sim;
+      let rec is_prefix a b =
+        match (a, b) with
+        | [], _ -> true
+        | x :: a', y :: b' -> x = y && is_prefix a' b'
+        | _ :: _, [] -> false
+      in
+      List.rev !log = reference
+      && is_prefix upto reference
+      &&
+      if stopped_early then
+        upto <> [] && clock = fst (List.nth upto (List.length upto - 1))
+      else
+        clock = h
+        && upto = List.filter (fun (t, _) -> t <= h) reference)
+
 let suites =
   [
     ( "sim",
@@ -237,5 +325,7 @@ let suites =
           (test_handler_raises Sim.Heap);
         Alcotest.test_case "handler raises (calendar)" `Quick
           (test_handler_raises Sim.Calendar);
+        QCheck_alcotest.to_alcotest (prop_run_until Sim.Heap);
+        QCheck_alcotest.to_alcotest (prop_run_until Sim.Calendar);
       ] );
   ]
