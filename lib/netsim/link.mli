@@ -18,6 +18,17 @@
     queue are dropped at the sender (tail drop), which is how congestion
     loss arises in the flow-control experiments.
 
+    Departures are computed in closed form, as in the fleet's wires: a
+    packet sent at [now] finishes serializing at
+    [fin = max(now, busy_until) + size·8/rate] and lands at
+    [fin + prop_delay]. The queue is the tail of the link's wire ring,
+    and a packet costs one simulation event, at its landing instant, when
+    nothing perturbs its arrival (no jitter, impairment or sink). The
+    packet's fate (carrier, loss and impairment draws) is decided under
+    the state the link was in at [fin]; every setter and accessor first
+    decides each packet whose serialization ended by now, so no caller
+    can tell the decision was deferred.
+
     A link also models {e carrier}: it starts up, and {!set_up} (driven by
     the {!Fault} injector) pulls or restores the cable. While down the
     link drops everything silently — fresh sends, the transmit queue, the
@@ -53,6 +64,12 @@ val create :
     - [prop_delay]: base one-way propagation delay in seconds.
     - [jitter]: extra per-packet delay drawn at each transmission
       (default: none). Arrivals remain FIFO regardless.
+    - [rng]: the stream every loss, jitter and impairment draw is taken
+      from (default: a fresh stream seeded 0). It must be the link's
+      own: the link draws in packet order when it decides each packet,
+      not in global event order, so a stream shared with another link
+      or with the caller would hand out its draws in a different order
+      than events fire. The same holds for a stateful [loss] process.
     - [loss]: loss process applied per packet (default: lossless).
     - [impair]: intra-channel impairment profile (default: {!Impair.none})
       — reordering {e breaks} the FIFO clamp (unlike [jitter]),
@@ -71,31 +88,42 @@ val create :
       [Dequeue] when a packet starts serializing, [Drop] when the loss
       process takes it, [Txq_drop] on transmit-queue overflow, [Arrival]
       at delivery. [channel] tags the events (default [-1]); the payload
-      is opaque here so they carry size but no sequence number. *)
+      is opaque here so they carry size but no sequence number. A
+      watched link also schedules an event at each packet's [fin], so
+      that [Dequeue] and [Drop] carry their true times in time order;
+      the landing events are scheduled the same way with or without a
+      sink, so a sink never changes what is delivered when. *)
 
 val send : 'a t -> size:int -> 'a -> bool
-(** [send t ~size payload] queues a packet for transmission. Returns
-    [false] if the transmit queue was full and the packet was dropped at
-    the sender; [true] if it was accepted (it may still be lost in
-    flight). Raises [Invalid_argument] if [size] exceeds the MTU or is
-    not positive. *)
+(** [send t ~size payload] queues a packet for transmission: it
+    finishes serializing at [fin = max(now, busy_until) + size·8/rate]
+    and lands at [fin + prop_delay], where [busy_until] is when the
+    packets queued ahead of it finish. Returns [false] if the transmit
+    queue was full and the packet was dropped at the sender; [true] if
+    it was accepted (it may still be lost in flight). Raises
+    [Invalid_argument] if [size] exceeds the MTU or is not positive. *)
 
 val rate_bps : 'a t -> float
 
 val set_rate_bps : 'a t -> float -> unit
-(** Change the service rate for subsequently transmitted packets (models
-    the paper's variable-rate ATM PVC). *)
+(** Change the service rate (models the paper's variable-rate ATM PVC).
+    The packet serializing keeps the departure time it started with;
+    every packet queued behind it is re-timed to start when its
+    predecessor ends and to serialize at the new rate, as are packets
+    sent later. *)
 
 val is_up : 'a t -> bool
 (** Whether the link currently has carrier. Links are created up. *)
 
 val set_up : 'a t -> bool -> unit
 (** [set_up t up] changes the carrier state. Going down flushes the
-    transmit queue (every queued packet is counted in {!down_drops} and
-    reported as a [Drop] event), and packets serializing or in flight are
-    dropped when their completion instant arrives. Transitions emit
-    [Channel_down]/[Channel_up] on the sink and invoke every
-    {!on_carrier} watcher; setting the current state is a no-op. *)
+    transmit queue: every packet queued behind the one serializing is
+    counted in {!down_drops} and reported as a [Drop] event at once. The
+    packet serializing is dropped at the end of its serialization if the
+    carrier is still down then, and a copy in flight at its arrival
+    instant. Transitions emit [Channel_down]/[Channel_up] on the sink
+    and invoke every {!on_carrier} watcher; setting the current state is
+    a no-op. *)
 
 val on_carrier : 'a t -> (up:bool -> unit) -> unit
 (** Register a carrier watcher, called after every {!set_up} transition

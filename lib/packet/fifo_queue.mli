@@ -1,7 +1,7 @@
 (** FIFO packet buffer with byte accounting.
 
-    Used for the per-channel receive buffers of logical reception (§4) and
-    for transmit queues. Tracks current and high-water occupancy in both
+    Used for the per-channel receive buffers of logical reception (§4),
+    for fair-queuing flow queues and for the copies in flight on a wire. Tracks current and high-water occupancy in both
     packets and bytes, which the benchmarks report to size real buffers
     against channel skew. The size of each element is supplied at [push]
     so the queue stays generic.

@@ -239,6 +239,158 @@ let test_reentrant_deliver_fifo () =
   Alcotest.(check (list int)) "arrival order is send order" (List.rev !sent)
     (List.rev !arrived)
 
+(* The closed-form wire: a link with no jitter, impairment or sink
+   lands each packet in the event that decides it, one event per
+   packet. *)
+let test_one_event_per_packet () =
+  let sim, link, arrivals = make_link ~rate_bps:8e6 ~prop_delay:0.002 () in
+  for i = 1 to 50 do
+    ignore (Link.send link ~size:(100 + (i mod 4 * 300)) i)
+  done;
+  Sim.run sim;
+  (* A second burst onto an idle link. *)
+  for i = 51 to 80 do
+    ignore (Link.send link ~size:500 i)
+  done;
+  Sim.run sim;
+  Alcotest.(check int) "all delivered" 80 (List.length (arrivals ()));
+  Alcotest.(check int) "one event per packet" 80 (Sim.events sim)
+
+(* A rate change with one packet serializing and two queued: the packet
+   on the wire keeps its departure, each queued one starts when its
+   predecessor ends, at the new rate. By hand, 1000 B packets, 1 ms
+   propagation: at 8 Mbps each takes 1 ms, at 16 Mbps 0.5 ms and at
+   4 Mbps 2 ms, so the change at 0.5 ms moves the second and third
+   arrivals from 3 and 4 ms to 2.5 and 3 ms (16 Mbps) or to 4 and 6 ms
+   (4 Mbps). *)
+let test_rate_change_mid_queue () =
+  List.iter
+    (fun (rate, expected) ->
+      let sim, link, arrivals = make_link ~rate_bps:8e6 ~prop_delay:0.001 () in
+      for i = 1 to 3 do
+        ignore (Link.send link ~size:1000 i)
+      done;
+      Sim.schedule sim ~at:0.0005 (fun () ->
+          Link.set_rate_bps link rate;
+          Alcotest.(check bool) "still serializing" true (Link.busy link);
+          Alcotest.(check int) "two queued" 2 (Link.queue_packets link);
+          Alcotest.(check int) "queued bytes" 2000 (Link.queue_bytes link));
+      Sim.run sim;
+      let got = arrivals () in
+      Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.map snd got);
+      List.iter2
+        (fun e (t, i) ->
+          Alcotest.(check (float 1e-12))
+            (Printf.sprintf "rate %g: packet %d arrival" rate i)
+            e t)
+        expected got;
+      Alcotest.(check int) "sent" 3 (Link.sent_packets link))
+    [ (16e6, [ 0.002; 0.0025; 0.003 ]); (4e6, [ 0.002; 0.004; 0.006 ]) ]
+
+(* A loss process swapped in and out while packets wait: each packet
+   meets the process in force when its serialization ends. 1000 B at
+   8 Mbps end at 1, 2, 3 and 4 ms; drop-all is in force from 2.5 to
+   3.5 ms, so only the third is lost, though all four are on the ring
+   when the swaps happen (10 ms propagation). *)
+let test_loss_change_mid_queue () =
+  let sim, link, arrivals = make_link ~rate_bps:8e6 ~prop_delay:0.010 () in
+  for i = 1 to 4 do
+    ignore (Link.send link ~size:1000 i)
+  done;
+  Sim.schedule sim ~at:0.0025 (fun () ->
+      Link.set_loss link (Loss.deterministic_every 1));
+  Sim.schedule sim ~at:0.0035 (fun () ->
+      Alcotest.(check int) "lost by 3.5 ms" 1 (Link.lost_packets link);
+      Link.set_loss link (Loss.none ()));
+  Sim.run sim;
+  let got = arrivals () in
+  Alcotest.(check (list int)) "third lost" [ 1; 2; 4 ] (List.map snd got);
+  List.iter2
+    (fun e (t, _) -> Alcotest.(check (float 1e-12)) "arrival" e t)
+    [ 0.011; 0.012; 0.014 ] got;
+  Alcotest.(check int) "sent" 4 (Link.sent_packets link);
+  Alcotest.(check int) "lost" 1 (Link.lost_packets link)
+
+(* A watched link reports [Dequeue] and [Drop] when serialization
+   starts and ends, not when the packet would land, in time order, also
+   across a rate change. Six 1000 B packets at 8 Mbps, 16 Mbps from
+   0.5 ms: serializations end at 1, 1.5, 2, 2.5, 3 and 3.5 ms; every
+   second packet is lost; the rest land 10 ms after they end. *)
+let test_sink_event_times () =
+  let sim = Sim.create () in
+  let sink = Stripe_obs.Sink.collector () in
+  let link =
+    Link.create sim ~rate_bps:8e6 ~prop_delay:0.010
+      ~loss:(Loss.deterministic_every 2) ~sink ~deliver:ignore ()
+  in
+  for i = 1 to 6 do
+    ignore (Link.send link ~size:1000 i)
+  done;
+  Sim.schedule sim ~at:0.0005 (fun () -> Link.set_rate_bps link 16e6);
+  Sim.run sim;
+  let open Stripe_obs.Event in
+  let expected =
+    [
+      (Dequeue, 0.0); (Dequeue, 0.001); (Drop, 0.0015); (Dequeue, 0.0015);
+      (Dequeue, 0.002); (Drop, 0.0025); (Dequeue, 0.0025); (Dequeue, 0.003);
+      (Drop, 0.0035); (Arrival, 0.011); (Arrival, 0.012); (Arrival, 0.013);
+    ]
+  in
+  let got = Stripe_obs.Sink.events sink in
+  Alcotest.(check int) "event count" (List.length expected) (List.length got);
+  List.iter2
+    (fun (kind, time) (e : Stripe_obs.Event.t) ->
+      Alcotest.(check string) "kind" (kind_name kind) (kind_name e.kind);
+      Alcotest.(check (float 1e-12)) (kind_name kind ^ " time") time e.time)
+    expected got
+
+(* Table 1's address-hashing setup: 2 x 8 Mbps, 1 and 20 ms, alternating
+   large and small packets hashed to a channel, everything sent at t = 0,
+   so arrivals on the two links share instants. A sink observes; it must
+   not move a delivery, not even within an instant. *)
+let hashed_run engine sink =
+  let sim = Sim.create ~engine () in
+  let got = ref [] in
+  let links =
+    Array.init 2 (fun i ->
+        Link.create sim ~rate_bps:8e6
+          ~prop_delay:(if i = 0 then 0.001 else 0.020)
+          ~rng:(Rng.create (1000 + i))
+          ~loss:(if i = 1 then Loss.bernoulli ~p:0.005 else Loss.none ())
+          ~channel:i ~sink
+          ~deliver:(fun seq -> got := (Sim.now sim, i, seq) :: !got)
+          ())
+  in
+  for seq = 0 to 3999 do
+    let size =
+      if seq mod 2 = 0 then Stripe_packet.Sizes.large_packet
+      else Stripe_packet.Sizes.small_packet
+    in
+    ignore (Link.send links.(Hashtbl.hash (seq mod 3) mod 2) ~size seq)
+  done;
+  Sim.run sim;
+  List.rev !got
+
+let test_sink_keeps_deliveries () =
+  List.iter
+    (fun engine ->
+      let plain = hashed_run engine Stripe_obs.Sink.null in
+      let sink = Stripe_obs.Sink.collector () in
+      let watched = hashed_run engine sink in
+      let rec shared_instants = function
+        | (t1, c1, _) :: ((t2, c2, _) :: _ as rest) ->
+          (if t1 = t2 && c1 <> c2 then 1 else 0) + shared_instants rest
+        | [ _ ] | [] -> 0
+      in
+      Alcotest.(check bool) "arrivals share instants across links" true
+        (shared_instants plain > 0);
+      Alcotest.(check bool) "the sink saw the run" true
+        (List.length (Stripe_obs.Sink.events sink) > List.length plain);
+      Alcotest.(check bool)
+        (Sim.engine_name engine ^ ": same deliveries, same order")
+        true (plain = watched))
+    [ Sim.Heap; Sim.Calendar ]
+
 let suites =
   [
     ( "link",
@@ -258,5 +410,14 @@ let suites =
           test_impaired_arrivals_pinned;
         Alcotest.test_case "re-entrant deliver keeps fifo" `Quick
           test_reentrant_deliver_fifo;
+        Alcotest.test_case "one event per packet" `Quick
+          test_one_event_per_packet;
+        Alcotest.test_case "rate change mid-queue" `Quick
+          test_rate_change_mid_queue;
+        Alcotest.test_case "loss change mid-queue" `Quick
+          test_loss_change_mid_queue;
+        Alcotest.test_case "sink event times" `Quick test_sink_event_times;
+        Alcotest.test_case "sink keeps deliveries" `Quick
+          test_sink_keeps_deliveries;
       ] );
   ]
