@@ -139,7 +139,7 @@ let run_case ~scenario ~adapt ~n_packets =
       done;
       !last
   in
-  (* The adaptive policy: identical wiring to stripe_sim --adapt. *)
+  (* The adaptive policy, probing 16 times per run. *)
   let dt_probe = duration /. 16.0 in
   let offer_done = ref false in
   let retunes = ref 0 in
@@ -148,32 +148,21 @@ let run_case ~scenario ~adapt ~n_packets =
     (* High EWMA gain: each probe window already averages thousands of
        packets, so the smoothing can lean on the newest window and meet
        the two-probe-interval resync deadline. *)
-    let probe = Rate_probe.create ~alpha:0.7 ~n () in
-    let last_bytes = Array.make n 0 in
+    let _, step =
+      Bundle_control.adapt_loop
+        (Rate_probe.create ~alpha:0.7 ~n ())
+        ~striper ~reseq ~links ~band:0.25 ~max_packet:max_pkt
+    in
     let rec probe_tick () =
       (* Stop probing once the offered load ends: during the drain the
          fast channels go idle while the backlogged one keeps
          delivering, which inverts the goodput estimates. *)
       if not !offer_done then begin
-        for c = 0 to n - 1 do
-          let total = Link.delivered_bytes links.(c) in
-          Rate_probe.observe probe ~channel:c ~bytes:(total - last_bytes.(c));
-          last_bytes.(c) <- total
-        done;
-        Rate_probe.sample probe ~now:(Sim.now sim);
-        if not (Resequencer.transition_pending reseq) then begin
-          match
-            Rate_probe.plan ~max_packet:max_pkt ~band:0.25
-              ~rates_bps:(Rate_probe.rates probe)
-              ~quanta:(Deficit.quanta engine) ~quantum_unit ()
-          with
-          | Some quanta ->
-            incr retunes;
-            retune_times := Sim.now sim :: !retune_times;
-            Resequencer.retune reseq ~quanta;
-            Striper.retune striper ~quanta ()
-          | None -> ()
-        end;
+        (match step ~now:(Sim.now sim) with
+        | Some _ ->
+          incr retunes;
+          retune_times := Sim.now sim :: !retune_times
+        | None -> ());
         Sim.schedule_after sim ~delay:dt_probe probe_tick
       end
     in

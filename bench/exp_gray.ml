@@ -127,68 +127,22 @@ let run_config ~gray ~watchdog ~with_health () =
           ~sink:(Stripe_obs.Monitor.sink monitor)
           ~n ()
       in
-      let nominal = Array.make n nominal_quantum in
-      let last_sent = Array.make n 0 in
-      let last_lost = Array.make n 0 in
-      let last_sb = Array.make n 0 in
-      let last_db = Array.make n 0 in
-      let staged = ref (Array.copy nominal) in
+      let _, step =
+        Bundle_control.health_loop h ~striper ~reseq ~links ~floor:max_packet
+      in
       let rec tick () =
-        (* Harvest the window's per-channel evidence: wire loss rate and
-           the goodput ratio (delivered/sent bytes — in-flight packets
-           cost a few percent, well under the suspect line). *)
-        for c = 0 to n - 1 do
-          let ds = Link.sent_packets links.(c) - last_sent.(c) in
-          let dl = Link.lost_packets links.(c) - last_lost.(c) in
-          let dsb = Link.sent_bytes links.(c) - last_sb.(c) in
-          let ddb = Link.delivered_bytes links.(c) - last_db.(c) in
-          last_sent.(c) <- Link.sent_packets links.(c);
-          last_lost.(c) <- Link.lost_packets links.(c);
-          last_sb.(c) <- Link.sent_bytes links.(c);
-          last_db.(c) <- Link.delivered_bytes links.(c);
-          if ds > 0 || dl > 0 then
-            Health.observe h ~channel:c ~sent:ds ~lost:dl
-              ~goodput_ratio:
-                (if dsb > 0 then
-                   Float.min 1.0 (float_of_int ddb /. float_of_int dsb)
-                 else 1.0)
-              ()
-        done;
         let now = Sim.now sim in
-        let trs = Health.sample h ~now in
+        let trs = (step ~now).transitions in
         if trs <> [] && !detect_at < 0.0 && now >= gray_at then
           detect_at := now;
         List.iter
           (function
             | Health.To_quarantine { channel; _ } ->
               incr quarantines;
-              if Health.flaps h channel > !max_flaps then
-                max_flaps := Health.flaps h channel;
-              Striper.suspend_channel striper channel
-            | Health.To_probation { channel; from_quarantine = true } ->
-              (* Timed reinstatement probe: resume rides the §5 reset
-                 barrier (default [?reset]). *)
-              Striper.resume_channel striper channel
+              max_flaps := max !max_flaps (Health.flaps h channel)
             | Health.To_suspect _ | Health.To_probation _ | Health.To_healthy _
               -> ())
           trs;
-        (* Apply the states' quantum demands at a round boundary, floored
-           at the max packet so probation keeps the Thm 5.1 marker
-           precondition. A pending transition defers to the next tick. *)
-        let target =
-          Array.mapi
-            (fun c q ->
-              let s = Health.quantum_scale h c in
-              if s <= 0.0 || s >= 1.0 then q
-              else max max_packet (int_of_float (float_of_int q *. s)))
-            nominal
-        in
-        if target <> !staged && not (Resequencer.transition_pending reseq)
-        then begin
-          staged := target;
-          Resequencer.retune reseq ~quanta:target;
-          Striper.retune striper ~quanta:target ()
-        end;
         if now < run_end then Sim.schedule_after sim ~delay:tick_every tick
       in
       Sim.schedule sim ~at:tick_every tick;

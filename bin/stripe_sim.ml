@@ -346,7 +346,7 @@ let adapt_interval =
            quantum vector live through the §5 reset barrier (sender \
            retune + staged receiver retune). Recovers bandwidth \
            proportionality after mid-run rate changes (e.g. \
-           $(b,--fault 0:rate=5e6\\@1)). Quasi mode with a CFQ scheduler \
+           $(b,--fault 0:rate=5e6@1)). Quasi mode with a CFQ scheduler \
            only.")
 
 let adapt_band =
@@ -553,6 +553,30 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
     let tx_crash_drops = ref 0 in
     let rx_crash_drops = ref 0 in
     let last_chaos_event = ref (-1) in
+    (* The FIFO monitor's quiet line: chaos legally degrades delivery to
+       quasi-FIFO while its effects drain (Thm 5.1), so strict FIFO
+       resumes a grace after the last planned event. A health tick moves
+       it past the wire backlog when it acted (its §5 barrier's reset
+       markers queue behind that backlog) or, before the line, whenever
+       real backlog remains. *)
+    let grace = Float.max 0.25 (100.0 *. interval) in
+    let max_prop = Array.fold_left (fun a c -> Float.max a c.delay) 0.0 confs in
+    let quiet_line = ref neg_infinity in
+    let push_quiet q =
+      if q > !quiet_line then begin
+        quiet_line := q;
+        Option.iter (fun m -> Obs.Monitor.set_quiet_after m q) monitor
+      end
+    in
+    let track_quiet ~acted ~now links =
+      let drain_end a l =
+        Float.max a
+          (now +. (float_of_int (Link.queue_bytes l * 8) /. Link.rate_bps l))
+      in
+      let drained = Array.fold_left drain_end now links in
+      if acted || (now < !quiet_line && drained -. now > 0.05) then
+        push_quiet (drained +. max_prop +. grace)
+    in
     let impairs = impair_specs in
     List.iter
       (fun (c, _) ->
@@ -802,58 +826,18 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
                   if up then Striper.resume_channel striper i
                   else Striper.suspend_channel striper i))
             links;
-        (* Adaptive striping (PROTOCOL.md §11): a recurring probe folds
-           each link's delivered bytes into an EWMA goodput estimate and
-           retunes the quantum vector through the reset barrier when the
-           estimates leave the hysteresis band. Receiver staging happens
-           before the sender's retune so the staged vector is already
-           waiting when the barrier lands. *)
+        (* Adaptive striping (PROTOCOL.md §11) and the gray-failure
+           health engine (§13): recurring ticks until the offer ends. *)
         let adapt_stats = ref (fun () -> []) in
-        (match adapt_interval, mode, engine_opt with
-        | Some dt, `Quasi, Some e ->
+        (match adapt_interval, !reseq_cell, engine_opt with
+        | Some dt, Some reseq, Some e ->
           let probe = Rate_probe.create ~n () in
-          let last_bytes = Array.make n 0 in
-          let retunes = ref 0 in
-          let deferred = ref 0 in
-          (* A channel coming back from an outage must not blend its
-             pre-outage EWMA (decayed by the zero-rate windows observed
-             while it was down) into the first post-resume estimate:
-             clear it so the next window seeds the estimate fresh. *)
-          Array.iteri
-            (fun c link ->
-              Link.on_carrier link (fun ~up ->
-                  if up then begin
-                    last_bytes.(c) <- Link.delivered_bytes link;
-                    Rate_probe.reset_channel probe c
-                  end))
-            links;
+          let counts, step =
+            Bundle_control.adapt_loop probe ~striper ~reseq ~links
+              ~band:adapt_band ~max_packet:1500
+          in
           let rec probe_tick () =
-            for c = 0 to n - 1 do
-              let total = Link.delivered_bytes links.(c) in
-              Rate_probe.observe probe ~channel:c ~bytes:(total - last_bytes.(c));
-              last_bytes.(c) <- total
-            done;
-            Rate_probe.sample probe ~now:(Sim.now sim);
-            let pending =
-              match !reseq_cell with
-              | Some r -> Resequencer.transition_pending r
-              | None -> false
-            in
-            if pending then incr deferred
-            else begin
-              match
-                Rate_probe.plan ~max_packet:1500 ~band:adapt_band
-                  ~rates_bps:(Rate_probe.rates probe)
-                  ~quanta:(Deficit.quanta e) ~quantum_unit:1500 ()
-              with
-              | Some quanta ->
-                incr retunes;
-                (match !reseq_cell with
-                | Some r -> Resequencer.retune r ~quanta
-                | None -> ());
-                Striper.retune striper ~quanta ()
-              | None -> ()
-            end;
+            ignore (step ~now:(Sim.now sim));
             if not !offer_done then Sim.schedule_after sim ~delay:dt probe_tick
           in
           Sim.schedule_after sim ~delay:dt probe_tick;
@@ -865,7 +849,7 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
               [
                 Printf.sprintf "adaptive: probes=%d retunes=%d deferred=%d"
                   (Rate_probe.samples probe)
-                  !retunes !deferred;
+                  counts.retunes counts.deferred;
                 Printf.sprintf "  goodput-est: [%s] Mbps  quanta: [%s]"
                   (join
                      (fun r -> Printf.sprintf "%.2f" (r /. 1e6))
@@ -875,88 +859,22 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
         | Some _, _, _ ->
           warn "warning: --adapt needs quasi mode with a CFQ scheduler"
         | None, _, _ -> ());
-        (* Gray-failure health engine (PROTOCOL.md §13): a recurring tick
-           harvests each link's wire counters as evidence, fuses them into
-           a per-channel badness score, and maps the state machine's
-           transitions onto the striper — quarantine suspends the channel
-           through the §5 reset barrier, a timed reinstatement resumes it
-           as a probation probe — while each state's quantum demand lands
-           as a staged retune at a round boundary, floored at the max
-           packet so Thm 5.1 keeps holding. *)
         let health_stats = ref (fun () -> []) in
-        (match health_spec, mode, engine_opt with
-        | Some (hconfig, every), `Quasi, Some e ->
+        (match health_spec, !reseq_cell with
+        | Some (hconfig, every), Some reseq ->
           let tick_every = Option.value every ~default:0.05 in
           let h =
             Health.create ~config:hconfig
               ~live:(fun c -> c >= 0 && c < n && Link.is_up links.(c))
               ~sink:obs_sink ~n ()
           in
-          let nominal = Array.copy (Deficit.quanta e) in
-          let last_sent = Array.make n 0 in
-          let last_lost = Array.make n 0 in
-          let last_sb = Array.make n 0 in
-          let last_db = Array.make n 0 in
-          let staged = ref (Array.copy nominal) in
-          let quarantines = ref 0 in
-          let reinstates = ref 0 in
-          let retunes = ref 0 in
-          let deferred = ref 0 in
+          let counts, step =
+            Bundle_control.health_loop h ~striper ~reseq ~links ~floor:1500
+          in
           let rec health_tick () =
-            (* The window's per-channel evidence: wire loss rate and the
-               goodput ratio (delivered/sent bytes). *)
-            for c = 0 to n - 1 do
-              let ds = Link.sent_packets links.(c) - last_sent.(c) in
-              let dl = Link.lost_packets links.(c) - last_lost.(c) in
-              let dsb = Link.sent_bytes links.(c) - last_sb.(c) in
-              let ddb = Link.delivered_bytes links.(c) - last_db.(c) in
-              last_sent.(c) <- Link.sent_packets links.(c);
-              last_lost.(c) <- Link.lost_packets links.(c);
-              last_sb.(c) <- Link.sent_bytes links.(c);
-              last_db.(c) <- Link.delivered_bytes links.(c);
-              if ds > 0 || dl > 0 then
-                Health.observe h ~channel:c ~sent:ds ~lost:dl
-                  ~goodput_ratio:
-                    (if dsb > 0 then
-                       Float.min 1.0 (float_of_int ddb /. float_of_int dsb)
-                     else 1.0)
-                  ()
-            done;
-            List.iter
-              (function
-                | Health.To_quarantine { channel; _ } ->
-                  incr quarantines;
-                  Striper.suspend_channel striper channel
-                | Health.To_probation { channel; from_quarantine = true } ->
-                  incr reinstates;
-                  Striper.resume_channel striper channel
-                | Health.To_suspect _ | Health.To_probation _
-                | Health.To_healthy _ -> ())
-              (Health.sample h ~now:(Sim.now sim));
-            let target =
-              Array.mapi
-                (fun c q ->
-                  let s = Health.quantum_scale h c in
-                  if s <= 0.0 || s >= 1.0 then q
-                  else max 1500 (int_of_float (float_of_int q *. s)))
-                nominal
-            in
-            if target <> !staged then begin
-              let pending =
-                match !reseq_cell with
-                | Some r -> Resequencer.transition_pending r
-                | None -> false
-              in
-              if pending then incr deferred
-              else begin
-                incr retunes;
-                staged := target;
-                (match !reseq_cell with
-                | Some r -> Resequencer.retune r ~quanta:target
-                | None -> ());
-                Striper.retune striper ~quanta:target ()
-              end
-            end;
+            let now = Sim.now sim in
+            let { Bundle_control.transitions; retuned } = step ~now in
+            track_quiet ~acted:(transitions <> [] || retuned) ~now links;
             if not !offer_done then
               Sim.schedule_after sim ~delay:tick_every health_tick
           in
@@ -970,15 +888,16 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
                 Printf.sprintf
                   "health: quarantines=%d reinstates=%d retunes=%d \
                    deferred=%d guard-deferrals=%d"
-                  !quarantines !reinstates !retunes !deferred
+                  counts.quarantines counts.reinstates counts.retunes
+                  counts.deferred
                   (Health.deferred_quarantines h);
                 Printf.sprintf "  states: [%s]  scores: [%s]"
                   (per (fun c -> Health.state_name (Health.state h c)))
                   (per (fun c -> Printf.sprintf "%.2f" (Health.score h c)));
               ])
-        | Some _, _, _ ->
+        | Some _, _ ->
           warn "warning: --health needs quasi mode with a CFQ scheduler"
-        | None, _, _ -> ());
+        | None, _ -> ());
         (match mode, engine_opt with
         | `Quasi, Some e ->
           crash_ref :=
@@ -1027,6 +946,8 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
                   (fun _ ->
                     match monitor with
                     | Some m ->
+                      (* No later push may hide the poisoned delivery. *)
+                      quiet_line := infinity;
                       Obs.Monitor.set_quiet_after m (Sim.now sim);
                       Obs.Sink.emit (Obs.Monitor.sink m)
                         (Obs.Event.v ~time:(Sim.now sim) ~size:0 ~seq:max_int
@@ -1166,14 +1087,7 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
         warn
           "warning: --chaos names a bundle other than 0; those actions do \
            nothing here";
-      (* Quiet line: chaos legally degrades delivery to quasi-FIFO while
-         its effects drain (Thm 5.1); strict FIFO resumes a drain grace
-         after the last planned event. *)
-      (match monitor with
-      | Some m ->
-        Obs.Monitor.set_quiet_after m
-          (Chaos.horizon chaos_actions +. Float.max 0.25 (100.0 *. interval))
-      | None -> ());
+      push_quiet (Chaos.horizon chaos_actions +. grace);
       Chaos.apply sim
         ~on_event:(fun ~index ~time:_ _ -> last_chaos_event := index)
         driver chaos_actions);

@@ -136,6 +136,14 @@ let quantum_scale t c =
   | Probation -> t.config.probation_frac
   | Quarantined -> 0.0
 
+let target_quanta t ~nominal ~floor =
+  Array.mapi
+    (fun c q ->
+      let s = quantum_scale t c in
+      if s <= 0.0 || s >= 1.0 then q
+      else max floor (int_of_float (float_of_int q *. s)))
+    nominal
+
 let quarantine_until t c =
   let ch = chan t c "quarantine_until" in
   match ch.state with Quarantined -> Some ch.until | _ -> None
@@ -252,7 +260,12 @@ let sample t ~now =
         if ch.score >= enter then begin
           ch.good_streak <- 0;
           ch.bad_streak <- ch.bad_streak + 1;
-          if ch.bad_streak >= cfg.escalate_windows then
+          (* A reinstated probe carries the score it was quarantined
+             with: a one-window streak needs that window's own evidence. *)
+          let memory_only =
+            st = Probation && ch.flaps > 0 && ch.bad_streak = 1 && raw < enter
+          in
+          if ch.bad_streak >= cfg.escalate_windows && not memory_only then
             match st with
             | Healthy ->
               ch.state <- Suspect;

@@ -24,7 +24,10 @@
     purely on a timer: after [backoff] seconds the channel returns to
     probation probing, and each flap (re-quarantine before a full
     recovery) multiplies the next backoff by [backoff_factor] up to
-    [max_backoff]. A full recovery to healthy resets the schedule.
+    [max_backoff]. A full recovery to healthy resets the schedule. A
+    reinstated probe keeps the score it was quarantined with, so a
+    one-window streak re-quarantines it only on that window's own
+    evidence, not on the smoothed score alone.
 
     The engine decides; the caller applies the returned transitions.
     The one decision the engine refuses is the fatal one: a quarantine
@@ -116,6 +119,11 @@ val score : t -> int -> float
 val quantum_scale : t -> int -> float
 (** The quantum multiplier the channel's state asks for: 1 when
     healthy/suspect, [probation_frac] in probation, 0 quarantined. *)
+
+val target_quanta : t -> nominal:int array -> floor:int -> int array
+(** [nominal] scaled by {!quantum_scale} and floored at [floor] (the max
+    packet, so Thm 5.1 keeps holding); a quarantined channel keeps its
+    nominal quantum, as suspension takes it out. *)
 
 val flaps : t -> int -> int
 (** Quarantine entries since the channel's last full recovery. *)

@@ -10,9 +10,6 @@ type t = {
   susp : bool array;
       (* Suspension flags for engine-less schedulers; engine-backed ones
          delegate to the deficit engine, which skips natively. *)
-  set_weights_fn : (float array -> unit) option;
-      (* Live migration hook: only load-aware selection has per-channel
-         weights that can be swapped mid-run. *)
   remake : unit -> t;
 }
 
@@ -70,24 +67,6 @@ let account t pkt c = t.account_fn pkt c
 let deficit t = t.engine
 let reset t = t.remake ()
 
-let supports_weights t = t.set_weights_fn <> None
-
-let set_weights t weights =
-  match t.set_weights_fn with
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Scheduler.set_weights: %s has no channel weights"
-         t.sched_name)
-  | Some f ->
-    if Array.length weights <> n_channels t then
-      invalid_arg "Scheduler.set_weights: weight vector width mismatch";
-    Array.iter
-      (fun w ->
-        if (not (Float.is_finite w)) || w <= 0.0 then
-          invalid_arg "Scheduler.set_weights: weights must be positive")
-      weights;
-    f weights
-
 let observe t ?(now = fun () -> 0.0) sink =
   match t.engine with
   | None -> ()
@@ -115,7 +94,7 @@ let observe t ?(now = fun () -> 0.0) sink =
              ->
              ()))
 
-let rec make ?set_weights:sw ~name ~causal ~n ~fresh () =
+let rec make ~name ~causal ~n ~fresh () =
   let choose_fn, account_fn, engine = fresh () in
   {
     sched_name = name;
@@ -125,8 +104,7 @@ let rec make ?set_weights:sw ~name ~causal ~n ~fresh () =
     account_fn;
     engine;
     susp = Array.make n false;
-    set_weights_fn = sw;
-    remake = (fun () -> make ?set_weights:sw ~name ~causal ~n ~fresh ());
+    remake = (fun () -> make ~name ~causal ~n ~fresh ());
   }
 
 let of_deficit ~name d =
@@ -220,9 +198,8 @@ let seeded_rfq ~n ~seed =
    the channel with the least outstanding serialization debt, normalized
    by a per-channel weight (its relative rate). [debt] is the caller's
    oracle — queued bytes, wire busy time, whatever the layer can see.
-   Weights are mutable via [set_weights] so a retune migrates load live
-   instead of rebuilding the scheduler. Non-causal: the selection reads
-   link state the receiver cannot reconstruct. *)
+   Non-causal: the selection reads link state the receiver cannot
+   reconstruct. *)
 let load_aware ?weights ~debt ~n () =
   if n <= 0 then invalid_arg "Scheduler.load_aware: n must be positive";
   let w =
@@ -253,9 +230,7 @@ let load_aware ?weights ~debt ~n () =
     let account_fn (_ : Packet.t) (_ : int) = () in
     (choose_fn, account_fn, None)
   in
-  make
-    ~set_weights:(fun weights -> Array.blit weights 0 w 0 n)
-    ~name:"Load-aware" ~causal:false ~n ~fresh ()
+  make ~name:"Load-aware" ~causal:false ~n ~fresh ()
 
 let address_hashing ~n =
   if n <= 0 then invalid_arg "Scheduler.address_hashing: n must be positive";

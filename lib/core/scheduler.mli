@@ -57,18 +57,8 @@ val load_aware : ?weights:float array -> debt:(int -> float) -> n:int -> unit ->
     transmit-queue bytes, wire busy horizon ({!Stripe_fleet} exposes
     [wire_busy_until]), or any other load signal the layer can see.
     [weights] (default all 1.0, must be positive) express relative
-    channel capacity; swap them live with {!set_weights} when rates are
-    retuned. Non-causal: the receiver cannot reconstruct link state. *)
-
-val set_weights : t -> float array -> unit
-(** Replace the channel weight vector of a {!load_aware} scheduler in
-    place — live load migration on retune, no rebuild, takes effect from
-    the next selection. Raises [Invalid_argument] for schedulers without
-    weights ({!supports_weights} is [false]), on width mismatch, or on
-    non-positive weights. *)
-
-val supports_weights : t -> bool
-(** Whether {!set_weights} is available (only {!load_aware}). *)
+    channel capacity. Non-causal: the receiver cannot reconstruct link
+    state. *)
 
 val random_selection : n:int -> seed:int -> t
 (** Random channel per packet (the [Bay95] Random Selection scheme).

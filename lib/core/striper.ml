@@ -196,20 +196,15 @@ let crash_restart ?quanta t =
 
 let epoch t = t.epoch
 
-let retune t ?(reset = true) ~quanta () =
+let retune t ~quanta =
   match Scheduler.deficit t.sched with
   | None -> invalid_arg "Striper.retune: requires a CFQ scheduler"
   | Some d ->
+    (* [reinit] adopts the staged quanta, and the reset markers carry
+       fresh-epoch stamps computed from them, so the receiver rebuilds
+       directly into the new schedule. *)
     Deficit.retune d ~quanta;
-    (* With [reset] the new vector takes effect through the §5 reset
-       barrier: [reinit] adopts the staged quanta, and the reset markers
-       below carry fresh-epoch stamps computed from them, so the
-       receiver rebuilds directly into the new schedule and Thm 5.1
-       bounds the disturbance. Without [reset] the swap happens at the
-       next round boundary with proportional DC carry-over, and the
-       receiver must be retuned identically ([Resequencer.retune]) to
-       keep simulating the sender. *)
-    if reset then send_reset t
+    send_reset t
 
 let add_channel t ~quantum =
   match Scheduler.deficit t.sched with
@@ -266,7 +261,7 @@ let suspend_channel t c =
         (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Suspend)
   end
 
-let resume_channel t ?(reset = true) c =
+let resume_channel t c =
   if Scheduler.suspended t.sched c then begin
     Scheduler.resume_channel t.sched c;
     if Obs.Sink.active t.sink then
@@ -276,7 +271,7 @@ let resume_channel t ?(reset = true) c =
        quanta to the suspended channel — its state is unreconstructible
        from what was delivered. Rebuild both ends from scratch with the
        §5 reset barrier. *)
-    if reset && Scheduler.deficit t.sched <> None then send_reset t
+    if Scheduler.deficit t.sched <> None then send_reset t
   end
 
 let suspended_channel t c = Scheduler.suspended t.sched c

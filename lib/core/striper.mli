@@ -48,29 +48,23 @@ val suspend_channel : t -> int -> unit
     down): the scheduler skips it and redistributes its load, marker
     batches omit it, and a [Suspend] event is emitted. Idempotent. *)
 
-val resume_channel : t -> ?reset:bool -> int -> unit
+val resume_channel : t -> int -> unit
 (** Return a suspended channel to striping, emitting a [Resume] event.
-    With [reset] (the default) a CFQ striper then runs {!send_reset}:
-    suspension is invisible to the receiver's simulation, so DC/round
-    state must be rebuilt via the §5 reset barrier for FIFO delivery to
-    resume. Pass [~reset:false] only when batching several resumptions
-    before one explicit {!send_reset}. Idempotent. *)
+    A CFQ striper then runs {!send_reset}: suspension is invisible to
+    the receiver's simulation, so DC/round state must be rebuilt via the
+    §5 reset barrier for FIFO delivery to resume. Idempotent. *)
 
 val suspended_channel : t -> int -> bool
 
-val retune : t -> ?reset:bool -> quanta:int array -> unit -> unit
+val retune : t -> quanta:int array -> unit
 (** Swap the CFQ engine's quantum vector (same width) — the adaptive
-    response to drifting channel capacity (PROTOCOL.md §11). With
-    [reset] (the default) the change rides the §5 reset barrier:
-    {!Deficit.retune} stages the vector, {!send_reset} adopts it for the
-    fresh epoch, and the reset markers carry stamps computed from the
-    new quanta, so the peer resynchronizes into the new schedule with
-    the Thm 5.1 disturbance bound and needs no other coordination. With
-    [~reset:false] the swap happens silently at the sender's next round
-    boundary (proportional DC carry-over, no barrier) — only valid when
-    the receiver's simulation is retuned identically
-    ({!Resequencer.retune}). Raises [Invalid_argument] for a non-CFQ
-    scheduler or an invalid vector. *)
+    response to drifting channel capacity (PROTOCOL.md §11) — through
+    the §5 reset barrier: {!Deficit.retune} stages the vector,
+    {!send_reset} adopts it for the fresh epoch, and the reset markers
+    carry stamps computed from the new quanta, so a receiver that staged
+    the same vector ({!Resequencer.retune}) resynchronizes into the new
+    schedule with the Thm 5.1 disturbance bound. Raises
+    [Invalid_argument] for a non-CFQ scheduler or an invalid vector. *)
 
 val add_channel : t -> quantum:int -> int
 (** Grow the bundle by one channel (returned index = old width). The

@@ -715,13 +715,7 @@ let health_target t =
   match t.health with
   | None -> t.quanta
   | Some h ->
-    let floor_q = max 1 t.max_push in
-    Array.mapi
-      (fun c nominal ->
-        let scale = Health.quantum_scale h c in
-        if scale <= 0.0 || scale >= 1.0 then nominal
-        else max floor_q (int_of_float (float_of_int nominal *. scale)))
-      t.quanta
+    Health.target_quanta h ~nominal:t.quanta ~floor:(max 1 t.max_push)
 
 let set_channel_up t c up =
   if c < 0 || c >= t.n_ch then

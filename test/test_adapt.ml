@@ -524,8 +524,11 @@ let test_retune_rides_barrier_end_to_end () =
   let pre1 = Striper.channel_bytes striper 1 in
   (* Receiver first, then the sender fires the barrier the staged
      vector rides on. *)
-  Resequencer.retune reseq ~quanta:[| 3000; 1000 |];
-  Striper.retune striper ~quanta:[| 3000; 1000 |] ();
+  Alcotest.(check bool) "retune applied" true
+    (Bundle_control.retune striper reseq ~quanta:[| 3000; 1000 |]);
+  Alcotest.(check bool) "a second retune defers behind the staged one"
+    false
+    (Bundle_control.retune striper reseq ~quanta:[| 1000; 1000 |]);
   for seq = 40 to 119 do
     Striper.push striper (Packet.data ~seq ~size:900 ())
   done;

@@ -1,37 +1,37 @@
 (* Allocation regression tests for the per-packet path (DESIGN.md §8,
    "Allocation budget"). Each measures [Gc.minor_words] over a warmed
-   steady state. The bounds are set for the default (dev) build, which
-   does not inline across modules and so boxes more floats than a
-   release build. Each sits between what the path costs now and what
-   one broken rule costs:
+   steady state. The dev build does not inline across modules and so
+   boxes more floats than a release build; a case whose cost differs
+   between the two has a dev bound and a tighter release bound, checked
+   when the suite is built with [--profile release]. Each release bound
+   is the release measurement plus a margin of 0.5 words, so one boxed
+   float per packet (2 words), which a dev bound may let through, fails
+   it. Each dev bound sits between what the path costs now and what one
+   broken rule costs:
    - Link: 8.6 words/packet in dev, where the closed-form departure
      time and the clock reads box as they cross into [Sim]; a closure
      per arrival adds 10. Sent in 100-packet bursts, 6.0: the calendar
      keeps its ring across bursts, where rehashing on every swing of the
-     population cost 90 words/packet. These two also have a release
-     bound, checked when the suite is built with [--profile release]:
-     the dev bound lets one boxed float per packet (2 words) through,
-     and a release build of the link itself allocates nothing. In
-     release the bursts cost 0 words/packet and the 100,000-packet pass
-     2.586, all of it the calendar's: every landing event of the pass
-     is queued at once, and the calendar allocates as its population
-     swings from 0 to 100,000 and back (the heap engine: 0). Each
-     release bound is that measurement plus a margin of 0.5 words;
+     population cost 90 words/packet. In release the bursts cost 0
+     words/packet and the 100,000-packet pass 2.586, all of it the
+     calendar's: every landing event of the pass is queued at once, and
+     the calendar allocates as its population swings from 0 to 100,000
+     and back (the heap engine: 0);
    - Resequencer.receive without a watchdog: about 0 words/call, markers
      included; a clock read per arrival adds 2, and a boxed marker stamp
      ([Some {round; dc}]) 5 per marker;
-   - Sharded_pool.run: 10 words/push in dev; a closure allocated per
-     replayed op adds about 18. With 500 slots, four replay groups on
-     one reset pool: 12.3 words/push; building a pool per group instead
-     measured 16.8;
+   - Sharded_pool.run: 10 words/push in dev, 1.78 in release; a closure
+     allocated per replayed op adds about 18. With 500 slots, four
+     replay groups on one reset pool: 12.3 words/push in dev, 3.77 in
+     release; building a pool per group instead measured 16.8 in dev;
    - Sharded_pool.acquire/push/release: 2 words per recorded op in dev,
      the op's time boxed as it crosses into the recorder (0 in release,
      where the calls inline); a float field of the recorder's record
      storing the time, and non-inlined calls taking it, measured 4 words
      per op in release;
-   - Striper.push with Round_end markers every 4 rounds: about 2
-     words/push, all of it the marker packets (0.1 markers/push); one
-     boxed word or closure per push adds at least 2;
+   - Striper.push with Round_end markers every 4 rounds: 1.95
+     words/push in either build, all of it the marker packets (0.1
+     markers/push); one boxed word or closure per push adds at least 2;
    - Sim.schedule plus step of one preallocated closure: 2 words/event
      in dev on either engine (the event time, boxed as it crosses into
      the queue; 0 in release); one more boxed word per event adds 2.
@@ -221,7 +221,7 @@ let test_striper_push () =
     (Striper.markers_sent striper > markers0);
   Alcotest.(check int) "every packet and marker emitted"
     (Striper.pushed_packets striper + Striper.markers_sent striper) !emitted;
-  check_at_most "Striper.push per packet" ~bound:3.0 per_push
+  check_profiled "Striper.push per packet" ~dev:3.0 ~release:2.45 per_push
 
 (* Words per push of a one-domain replay: [bundles] slots acquired up
    front, [pushes] packets spread round-robin over them. *)
@@ -255,11 +255,12 @@ let replay_words_per_push ~bundles ~pushes =
   words /. float_of_int pushes
 
 let test_sharded_replay () =
-  check_at_most "Sharded_pool.run per push" ~bound:24.0
+  check_profiled "Sharded_pool.run per push" ~dev:24.0 ~release:2.283
     (replay_words_per_push ~bundles:8 ~pushes:20_000)
 
 let test_sharded_replay_groups () =
-  check_at_most "Sharded_pool.run per push, several groups" ~bound:14.5
+  check_profiled "Sharded_pool.run per push, several groups" ~dev:14.5
+    ~release:4.265
     (replay_words_per_push ~bundles:500 ~pushes:40_000)
 
 (* The event core alone: one preallocated closure rescheduled from
@@ -359,15 +360,15 @@ let recorder_words_per_op ~bundles ~pushes =
   words_during (fun () -> round 1) /. float_of_int ops
 
 let test_recorder () =
-  check_at_most "Sharded_pool.acquire/push/release per recorded op"
-    ~bound:2.5
+  check_profiled "Sharded_pool.acquire/push/release per recorded op"
+    ~dev:2.5 ~release:0.5
     (recorder_words_per_op ~bundles:200 ~pushes:100_000)
 
 let test_sim_schedule_step engine () =
-  check_at_most
+  check_profiled
     (Printf.sprintf "Sim.schedule + step per event (%s)"
        (Sim.engine_name engine))
-    ~bound:3.0 (sim_words_per_event engine)
+    ~dev:3.0 ~release:0.5 (sim_words_per_event engine)
 
 let suites =
   [

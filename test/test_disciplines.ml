@@ -203,31 +203,35 @@ let test_load_aware_spread_pin () =
       Alcotest.failf "spread %d B exceeds one max packet" (mx - mn)
   done
 
-(* Live migration: swapping the weight vector of a load-aware scheduler
-   redirects selection from the next packet, no rebuild. *)
-let test_load_aware_set_weights_migrates () =
+(* Selection minimizes debt over weight: equal debt ties to the lowest
+   index, and a channel of ten times the capacity carries the same debt
+   as the least normalized load. *)
+let test_load_aware_weights_steer () =
   let debt = [| 100.0; 100.0; 100.0 |] in
-  let s = Scheduler.load_aware ~debt:(fun c -> debt.(c)) ~n () in
-  Alcotest.(check bool) "supports weights" true (Scheduler.supports_weights s);
-  Alcotest.(check bool) "no deficit engine" true (Scheduler.deficit s = None);
   let pkt = Packet.data ~seq:0 ~born:0.0 ~size:100 () in
-  (* Equal debt, equal weights: ties to the lowest index. *)
-  Alcotest.(check int) "tie to channel 0" 0 (Scheduler.choose s pkt);
-  Scheduler.account s pkt 0;
-  (* Retune: channel 2 is now 10x the capacity, so the same debt is the
-     least normalized load there. *)
-  Scheduler.set_weights s [| 1.0; 1.0; 10.0 |];
-  Alcotest.(check int) "retuned weights migrate selection" 2
-    (Scheduler.choose s pkt);
+  let equal = Scheduler.load_aware ~debt:(fun c -> debt.(c)) ~n () in
+  Alcotest.(check bool) "no deficit engine" true
+    (Scheduler.deficit equal = None);
+  Alcotest.(check int) "tie to channel 0" 0 (Scheduler.choose equal pkt);
+  let weighted =
+    Scheduler.load_aware ~weights:[| 1.0; 1.0; 10.0 |]
+      ~debt:(fun c -> debt.(c))
+      ~n ()
+  in
+  Alcotest.(check int) "weights steer selection" 2
+    (Scheduler.choose weighted pkt);
   Alcotest.(check_raises) "width mismatch rejected"
-    (Invalid_argument "Scheduler.set_weights: weight vector width mismatch")
-    (fun () -> Scheduler.set_weights s [| 1.0 |]);
+    (Invalid_argument "Scheduler.load_aware: weight vector width mismatch")
+    (fun () ->
+      ignore
+        (Scheduler.load_aware ~weights:[| 1.0 |] ~debt:(fun _ -> 0.0) ~n ()));
   Alcotest.(check_raises) "non-positive weight rejected"
-    (Invalid_argument "Scheduler.set_weights: weights must be positive")
-    (fun () -> Scheduler.set_weights s [| 1.0; 0.0; 1.0 |]);
-  let srr = Scheduler.srr ~quanta:[| 1500; 1500 |] () in
-  Alcotest.(check bool) "srr has no weights" false
-    (Scheduler.supports_weights srr)
+    (Invalid_argument "Scheduler.load_aware: weights must be positive")
+    (fun () ->
+      ignore
+        (Scheduler.load_aware ~weights:[| 1.0; 0.0; 1.0 |]
+           ~debt:(fun _ -> 0.0)
+           ~n ()))
 
 (* The all-but-one-suspended degenerate membership for the seeded RFQ
    scheduler: a receiver replica that shares the seed and learns the
@@ -329,8 +333,8 @@ let suites =
             test_sprinklers_fairness_empirical;
           Alcotest.test_case "load-aware spread pin" `Quick
             test_load_aware_spread_pin;
-          Alcotest.test_case "load-aware set_weights migrates" `Quick
-            test_load_aware_set_weights_migrates;
+          Alcotest.test_case "load-aware weights steer" `Quick
+            test_load_aware_weights_steer;
           Alcotest.test_case "rfq suspension replay aligned" `Quick
             test_rfq_suspension_replay_aligned;
           Alcotest.test_case "fleet disciplines deliver" `Quick

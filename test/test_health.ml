@@ -6,7 +6,8 @@
    dialects. Two properties close the file: random evidence streams
    never zero the live membership, and a full gray storm over every
    member of a striped bundle neither deadlocks the reset barrier nor
-   stops delivery for good. *)
+   stops delivery for good; then one run of the single-bundle health
+   loop ([Bundle_control.health_loop]) checks what it applies. *)
 
 open Stripe_netsim
 open Stripe_packet
@@ -114,6 +115,24 @@ let test_recovery_needs_consecutive_clean_windows () =
   check "recovered from probation" true (!recovered = Some Health.Probation);
   Alcotest.(check (float 1e-9)) "full quantum restored" 1.0
     (Health.quantum_scale h 0)
+
+(* Probation scales the nominal quantum, floored at the max packet; a
+   quarantined channel keeps its nominal quantum (suspension takes it
+   out, not a zero quantum). *)
+let test_target_quanta () =
+  let h = Health.create ~n:3 () in
+  for i = 1 to 6 do
+    if i <= 4 then bad h 0;
+    bad h 1;
+    clean h 2;
+    ignore (Health.sample h ~now:(0.05 *. float_of_int i))
+  done;
+  check "0 in probation" true (Health.state h 0 = Health.Probation);
+  check "1 quarantined" true (Health.state h 1 = Health.Quarantined);
+  Alcotest.(check (array int)) "floored probation cut" [| 1500; 4000; 4000 |]
+    (Health.target_quanta h ~nominal:[| 4000; 4000; 4000 |] ~floor:1500);
+  Alcotest.(check (array int)) "scaled probation cut" [| 2000; 8000; 8000 |]
+    (Health.target_quanta h ~nominal:[| 8000; 8000; 8000 |] ~floor:1500)
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine: timed exit, backoff doubling, flap forgiveness          *)
@@ -240,6 +259,39 @@ let test_last_live_guard_defers () =
   bad h 0;
   check "quarantine lands once another channel is live" true
     (match Health.sample h ~now:1.0 with
+    | [ Health.To_quarantine { channel = 0; _ } ] -> true
+    | _ -> false)
+
+(* A probe reinstated with a high score is judged on fresh evidence:
+   with single-window escalation, one clean window must not re-quarantine
+   it, though the smoothed score is still over the line after it. *)
+let test_reinstated_probe_survives_clean_window () =
+  let other_live = ref false in
+  let h =
+    Health.create ~config:fast ~live:(fun c -> c = 0 || !other_live) ~n:2 ()
+  in
+  (* The guard holds channel 0 in probation while its score climbs. *)
+  for i = 1 to 6 do
+    bad h 0;
+    ignore (Health.sample h ~now:(0.05 *. float_of_int i))
+  done;
+  other_live := true;
+  bad h 0;
+  ignore (Health.sample h ~now:0.35);
+  check "quarantined" true (Health.state h 0 = Health.Quarantined);
+  let s = Health.score h 0 in
+  check "score high enough that one clean window keeps it over the line"
+    true
+    ((1.0 -. fast.Health.alpha) *. s >= fast.Health.enter_quarantine);
+  ignore (Health.sample h ~now:0.65);
+  check "reinstated" true (Health.state h 0 = Health.Probation);
+  clean h 0;
+  check "no re-quarantine on a clean window" true
+    (Health.sample h ~now:0.7 = []);
+  check "still probing" true (Health.state h 0 = Health.Probation);
+  bad h 0;
+  check "a bad window re-quarantines" true
+    (match Health.sample h ~now:0.75 with
     | [ Health.To_quarantine { channel = 0; _ } ] -> true
     | _ -> false)
 
@@ -483,44 +535,16 @@ let prop_full_gray_storm_recovers =
           ~live:(fun c -> c >= 0 && c < n && Link.is_up links.(c))
           ~n ()
       in
-      let last_sent = Array.make n 0 in
-      let last_lost = Array.make n 0 in
-      let staged = ref (Array.copy nominal) in
+      let _, step =
+        Bundle_control.health_loop h ~striper ~reseq ~links ~floor:1000
+      in
       let rec tick () =
-        for c = 0 to n - 1 do
-          let ds = Link.sent_packets links.(c) - last_sent.(c) in
-          let dl = Link.lost_packets links.(c) - last_lost.(c) in
-          last_sent.(c) <- Link.sent_packets links.(c);
-          last_lost.(c) <- Link.lost_packets links.(c);
-          if ds > 0 || dl > 0 then Health.observe h ~channel:c ~sent:ds ~lost:dl ()
-        done;
-        List.iter
-          (function
-            | Health.To_quarantine { channel; _ } ->
-              Striper.suspend_channel striper channel
-            | Health.To_probation { channel; from_quarantine = true } ->
-              Striper.resume_channel striper channel
-            | _ -> ())
-          (Health.sample h ~now:(Sim.now sim));
+        ignore (step ~now:(Sim.now sim));
         let live = ref 0 in
         for c = 0 to n - 1 do
           if Health.state h c <> Health.Quarantined then incr live
         done;
         if !live = 0 then QCheck.Test.fail_report "no live member mid-storm";
-        let target =
-          Array.mapi
-            (fun c q ->
-              let s = Health.quantum_scale h c in
-              if s <= 0.0 || s >= 1.0 then q
-              else max 1000 (int_of_float (float_of_int q *. s)))
-            nominal
-        in
-        if target <> !staged && not (Resequencer.transition_pending reseq)
-        then begin
-          staged := target;
-          Resequencer.retune reseq ~quanta:target;
-          Striper.retune striper ~quanta:target ()
-        end;
         if Sim.now sim < 3.9 then Sim.schedule_after sim ~delay:0.05 tick
       in
       Sim.schedule sim ~at:0.05 tick;
@@ -545,6 +569,90 @@ let prop_full_gray_storm_recovers =
       done;
       true)
 
+(* The single-bundle health loop over a 2 x 10 Mbps stripe whose
+   channel 1 loses everything from 0.2 s to 1.2 s: the loop's counters
+   agree with the transitions and retune flags it returned, a
+   quarantine suspends the channel in the striper, and the channel is
+   back at full quantum once the loss has cleared. *)
+let test_health_loop_applies_decisions () =
+  let n = 2 in
+  let sim = Sim.create () in
+  let master = Rng.create 5 in
+  let engine = Srr.create ~max_packet:1000 ~quanta:[| 4000; 4000 |] () in
+  let reseq =
+    Resequencer.create
+      ~deficit:(Deficit.clone_initial engine)
+      ~now:(fun () -> Sim.now sim)
+      ~deliver:(fun ~channel:_ _ -> ())
+      ()
+  in
+  let links =
+    Array.init n (fun i ->
+        Link.create sim ~rate_bps:10e6 ~prop_delay:0.002
+          ~rng:(Rng.split master)
+          ~deliver:(fun pkt -> Resequencer.receive reseq ~channel:i pkt)
+          ())
+  in
+  let striper =
+    Striper.create
+      ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
+      ~marker:(Marker.make ~every_rounds:4 ())
+      ~now:(fun () -> Sim.now sim)
+      ~emit:(fun ~channel pkt ->
+        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
+      ()
+  in
+  Sim.schedule sim ~at:0.2 (fun () ->
+      Link.set_loss links.(1) (Loss.bernoulli ~p:1.0));
+  Sim.schedule sim ~at:1.2 (fun () -> Link.set_loss links.(1) (Loss.none ()));
+  let h =
+    Health.create
+      ~live:(fun c -> Link.is_up links.(c))
+      ~n ()
+  in
+  let counts, step =
+    Bundle_control.health_loop h ~striper ~reseq ~links ~floor:1000
+  in
+  let quarantines = ref 0 and reinstates = ref 0 and retuned = ref 0 in
+  let suspended_at_quarantine = ref true in
+  let rec tick () =
+    let step = step ~now:(Sim.now sim) in
+    if step.retuned then incr retuned;
+    List.iter
+      (function
+        | Health.To_quarantine { channel; _ } ->
+          incr quarantines;
+          if not (Striper.suspended_channel striper channel) then
+            suspended_at_quarantine := false
+        | Health.To_probation { from_quarantine = true; _ } -> incr reinstates
+        | Health.To_suspect _ | Health.To_probation _ | Health.To_healthy _
+          -> ())
+      step.transitions;
+    if Sim.now sim < 3.0 then Sim.schedule_after sim ~delay:0.05 tick
+  in
+  Sim.schedule sim ~at:0.05 tick;
+  let seq = ref 0 in
+  let rec drive () =
+    if Sim.now sim < 3.0 then begin
+      Striper.push striper
+        (Packet.data ~seq:!seq ~born:(Sim.now sim) ~size:800 ());
+      incr seq;
+      Sim.schedule_after sim ~delay:0.001 drive
+    end
+  in
+  drive ();
+  Sim.run sim;
+  check "quarantined at least once" true (!quarantines > 0);
+  check "quarantine suspends the channel" true !suspended_at_quarantine;
+  check_int "quarantines counted" !quarantines counts.quarantines;
+  check_int "reinstates counted" !reinstates counts.reinstates;
+  check "probation retuned" true (!retuned > 0);
+  check_int "retunes counted" !retuned counts.retunes;
+  check "recovered" true (Health.state h 1 = Health.Healthy);
+  check "resumed" false (Striper.suspended_channel striper 1);
+  Alcotest.(check (array int)) "full quantum again" [| 4000; 4000 |]
+    (Resequencer.quanta reseq)
+
 let suites =
   [
     ( "health",
@@ -558,9 +666,12 @@ let suites =
           test_backoff_doubles_and_caps;
         Alcotest.test_case "full recovery forgives flaps" `Quick
           test_full_recovery_forgives_flaps;
+        Alcotest.test_case "target quanta" `Quick test_target_quanta;
         Alcotest.test_case "quarantine_until" `Quick test_quarantine_until;
         Alcotest.test_case "last-live guard defers" `Quick
           test_last_live_guard_defers;
+        Alcotest.test_case "reinstated probe, clean window" `Quick
+          test_reinstated_probe_survives_clean_window;
         Alcotest.test_case "add/remove/reset channel" `Quick
           test_add_remove_reset_channel;
         Alcotest.test_case "observe validation" `Quick test_observe_validation;
@@ -569,6 +680,8 @@ let suites =
           test_parse_spec_defaults_and_validation;
         Alcotest.test_case "spec errors carry positions" `Quick
           test_spec_errors_carry_positions;
+        Alcotest.test_case "health loop applies decisions" `Quick
+          test_health_loop_applies_decisions;
         QCheck_alcotest.to_alcotest prop_guard_never_zeroes_membership;
         QCheck_alcotest.to_alcotest prop_full_gray_storm_recovers;
       ] );
