@@ -66,17 +66,7 @@ let run_case ~scenario ~adapt ~n_packets =
       ~rates_bps:(Array.make n base_rate)
       ~quantum_unit ()
   in
-  let scheduler = Scheduler.of_deficit ~name:"SRR" engine in
-  let receive_cell = ref (fun _ _ -> ()) in
   let cap = Array.make n base_rate in
-  let links =
-    Array.init n (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
-          ~rate_bps:base_rate ~prop_delay ~channel:i
-          ~deliver:(fun pkt -> !receive_cell i pkt)
-          ())
-  in
   let max_seen = ref (-1) in
   let ooo_total = ref 0 in
   let ooo_times = ref [] in
@@ -92,22 +82,15 @@ let run_case ~scenario ~adapt ~n_packets =
     end
     else max_seen := pkt.Packet.seq
   in
-  let reseq =
-    Resequencer.create
-      ~deficit:(Deficit.clone_initial engine)
-      ~now:(fun () -> Sim.now sim)
-      ~deliver:(fun ~channel:_ pkt -> deliver pkt)
-      ()
-  in
-  receive_cell := (fun i pkt -> Resequencer.receive reseq ~channel:i pkt);
-  let striper =
-    Striper.create ~scheduler
+  let b =
+    Bundle.create sim
+      ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
+      ~channels:(Array.make n (base_rate, prop_delay))
+      ~wire:Plain ~receiver:Logical
       ~marker:(Marker.make ~every_rounds:marker_rounds ())
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-      ()
+      ~deliver ()
   in
+  let links = Bundle.links b and striper = Bundle.striper b in
   (* Offered load: ~90% of the pre-change aggregate, which is ~103% of
      the post-change aggregate — the whole bundle stays backlogged, so
      goodput estimates see real capacity on every channel. *)
@@ -141,7 +124,10 @@ let run_case ~scenario ~adapt ~n_packets =
   in
   (* The adaptive policy, probing 16 times per run. *)
   let dt_probe = duration /. 16.0 in
-  let offer_done = ref false in
+  let source =
+    Bundle.pace b ~every:interval ~count:n_packets
+      (Stripe_workload.Genpkt.bimodal ~rng ~small:200 ~large:1000 ())
+  in
   let retunes = ref 0 in
   let retune_times = ref [] in
   if adapt then begin
@@ -151,13 +137,13 @@ let run_case ~scenario ~adapt ~n_packets =
     let _, step =
       Bundle_control.adapt_loop
         (Rate_probe.create ~alpha:0.7 ~n ())
-        ~striper ~reseq ~links ~band:0.25 ~max_packet:max_pkt
+        b ~band:0.25 ~max_packet:max_pkt
     in
     let rec probe_tick () =
       (* Stop probing once the offered load ends: during the drain the
          fast channels go idle while the backlogged one keeps
          delivering, which inverts the goodput estimates. *)
-      if not !offer_done then begin
+      if not source.finished then begin
         (match step ~now:(Sim.now sim) with
         | Some _ ->
           incr retunes;
@@ -176,21 +162,9 @@ let run_case ~scenario ~adapt ~n_packets =
     snaps :=
       (Sim.now sim, Array.init n (fun c -> Striper.channel_bytes striper c))
       :: !snaps;
-    if not !offer_done then Sim.schedule_after sim ~delay:dt_probe snap_tick
+    if not source.finished then Sim.schedule_after sim ~delay:dt_probe snap_tick
   in
   Sim.schedule_after sim ~delay:dt_probe snap_tick;
-  let gen = Stripe_workload.Genpkt.bimodal ~rng ~small:200 ~large:1000 () in
-  let seq = ref 0 in
-  let rec tick () =
-    if !seq < n_packets then begin
-      Striper.push striper
-        (Packet.data ~seq:!seq ~born:(Sim.now sim) ~size:(gen ()) ());
-      incr seq;
-      Sim.schedule_after sim ~delay:interval tick
-    end
-    else offer_done := true
-  in
-  tick ();
   Sim.run sim;
   let last_retune = List.fold_left Float.max neg_infinity !retune_times in
   (* Oldest snapshot at or after both deadlines (snaps is newest-first,

@@ -160,155 +160,104 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
     | None, _ ->
       Scheduler.load_aware ~weights:rates ~debt:(fun c -> !la_debt c) ~n ()
   in
-  let deliver ~channel:_ (pkt : Packet.t) =
+  let deliver (pkt : Packet.t) =
     Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
       ~seq:pkt.Packet.seq;
     Reorder.observe reorder ~seq:pkt.Packet.seq;
     delivered_bytes := !delivered_bytes + pkt.Packet.size
   in
-  let reseq =
-    match engine_opt with
-    | Some e ->
-      Some
-        (Resequencer.create ~deficit:(Deficit.clone_initial e)
-           ~now:(fun () -> Sim.now sim)
-           ~watchdog:{ Resequencer.intervals = 3; fallback = 0.02 }
-           ~deliver ())
-    | None -> None
-  in
-  (* Arrival path: depth gauge first (uniform measurement point), then
-     guard (impair scenario only), then resequencer or arrival-order
-     delivery. *)
-  let ingest c pkt =
-    match reseq with
-    | Some r -> Resequencer.receive r ~channel:c pkt
-    | None -> if not (Packet.is_marker pkt) then deliver ~channel:c pkt
-  in
-  let guard =
-    match scen with
-    | Impair_s ->
-      Some
-        (Channel_guard.create ~n ~window:guard_window
-           ~now:(fun () -> Sim.now sim)
-           ~deliver:(fun ~channel pkt -> ingest channel pkt)
-           ())
-    | _ -> None
-  in
-  let mangle_rng = Rng.split master in
+  let corrupt_rng = Rng.split master in
   let impairment =
     Impair.make ~reorder_p:0.2 ~reorder_window:0.01 ~dup_p:0.05
       ~corrupt_p:0.02 ()
   in
-  let links =
-    Array.init n (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
-          ~rate_bps:rates.(i) ~prop_delay:delays.(i) ~rng:(Rng.split master)
-          ~impair:
-            (if scen = Impair_s && i = 1 then impairment else Impair.none)
-          ~corrupt:(fun (tag, pkt) ->
-            if Packet.is_marker pkt then
-              Some
-                ( tag,
-                  Packet.mangle_marker
-                    ~salt:(Rng.int mangle_rng 0x3fffffff)
-                    pkt )
-            else None)
-          ~deliver:(fun (tag, pkt) ->
-            if not (Packet.is_marker pkt) then
-              Depth.observe depth ~seq:pkt.Packet.seq;
-            match guard with
-            | Some g -> Channel_guard.receive g ~channel:i ~tag pkt
-            | None -> ingest i pkt)
-          ())
+  let cell (type w) (wire : w Bundle.wire) =
+    let b =
+      Bundle.create sim ~scheduler
+        ~channels:(Array.mapi (fun i r -> (r, delays.(i))) rates)
+        ~wire
+        ~receiver:(if engine_opt = None then Unordered else Logical)
+        ?marker:(Option.map (fun _ -> Marker.make ~every_rounds:4 ()) engine_opt)
+        ~rng:master
+        ~impair:(fun i ->
+          if scen = Impair_s && i = 1 then impairment else Impair.none)
+        ~corrupt_rng
+          (* The depth gauge sees every arrival first (a uniform
+             measurement point), then the guard (impair scenario only),
+             then the resequencer or arrival-order delivery. *)
+        ~drop:(fun ~channel:_ pkt ->
+          if not (Packet.is_marker pkt) then
+            Depth.observe depth ~seq:pkt.Packet.seq;
+          false)
+        ~watchdog:{ Resequencer.intervals = 3; fallback = 0.02 }
+        ~deliver ()
+    in
+    let links = Bundle.links b and striper = Bundle.striper b in
+    la_debt := (fun c -> float_of_int (Link.queue_bytes links.(c)));
+    (* Scenario events. *)
+    (match scen with
+    | Clean -> ()
+    | Impair_s ->
+      Sim.schedule sim ~at:errors_stop (fun () ->
+          Array.iter (fun l -> Link.set_impairments l Impair.none) links)
+    | Failover ->
+      Sim.schedule sim ~at:fail_at (fun () ->
+          Link.set_up links.(2) false;
+          Striper.suspend_channel striper 2);
+      Sim.schedule sim ~at:heal_at (fun () ->
+          Link.set_up links.(2) true;
+          Striper.resume_channel striper 2)
+    | Health_s ->
+      let gray =
+        Loss.gilbert ~p_good_to_bad:0.1 ~p_bad_to_good:0.1 ~loss_good:0.02
+          ~loss_bad:0.9
+      in
+      Sim.schedule sim ~at:gray_at (fun () -> Link.set_loss links.(1) gray);
+      Sim.schedule sim ~at:errors_stop (fun () ->
+          Link.set_loss links.(1) (Loss.none ()));
+      let h =
+        Health.create
+          ~live:(fun c -> c >= 0 && c < n && Link.is_up links.(c))
+          ~n ()
+      in
+      let last_sent = Array.make n 0 in
+      let last_lost = Array.make n 0 in
+      let rec tick () =
+        for c = 0 to n - 1 do
+          let ds = Link.sent_packets links.(c) - last_sent.(c) in
+          let dl = Link.lost_packets links.(c) - last_lost.(c) in
+          last_sent.(c) <- Link.sent_packets links.(c);
+          last_lost.(c) <- Link.lost_packets links.(c);
+          if ds > 0 || dl > 0 then
+            Health.observe h ~channel:c ~sent:ds ~lost:dl ~goodput_ratio:1.0 ()
+        done;
+        List.iter
+          (function
+            | Health.To_quarantine { channel; _ } ->
+              Striper.suspend_channel striper channel
+            | Health.To_probation { channel; from_quarantine = true } ->
+              Striper.resume_channel striper channel
+            | Health.To_suspect _ | Health.To_probation _
+            | Health.To_healthy _ -> ())
+          (Health.sample h ~now:(Sim.now sim));
+        if Sim.now sim < run_until then Sim.schedule_after sim ~delay:0.05 tick
+      in
+      Sim.schedule sim ~at:0.05 tick);
+    (* Bursty source: a train of 6 consecutive 1000 B packets every 12
+       ms — long enough for each train to serialize and propagate
+       before the next, so what the depth gauge sees is pure placement,
+       not queueing. One train is exactly one Sprinklers stripe (6000
+       B); burst locality is the whole experiment — see the header
+       comment. *)
+    ignore
+      (Bundle.pace b ~burst:6 ~every:0.012 ~until:run_until (fun () -> 1000));
+    Sim.schedule sim ~at:drain_until (fun () ->
+        Option.iter Channel_guard.flush (Bundle.guard b));
+    Sim.run sim
   in
-  la_debt := (fun c -> float_of_int (Link.queue_bytes links.(c)));
-  let tx_tags = Channel_guard.Tx.create ~n in
-  let striper =
-    Striper.create ~scheduler
-      ?marker:
-        (match engine_opt with
-        | Some _ -> Some (Marker.make ~every_rounds:4 ())
-        | None -> None)
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        let tag =
-          match guard with
-          | Some _ -> Channel_guard.Tx.next_tag tx_tags ~channel
-          | None -> -1
-        in
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size (tag, pkt)))
-      ()
-  in
-  (* Scenario events. *)
   (match scen with
-  | Clean -> ()
-  | Impair_s ->
-    Sim.schedule sim ~at:errors_stop (fun () ->
-        Array.iter (fun l -> Link.set_impairments l Impair.none) links)
-  | Failover ->
-    Sim.schedule sim ~at:fail_at (fun () ->
-        Link.set_up links.(2) false;
-        Striper.suspend_channel striper 2);
-    Sim.schedule sim ~at:heal_at (fun () ->
-        Link.set_up links.(2) true;
-        Striper.resume_channel striper 2)
-  | Health_s ->
-    let gray =
-      Loss.gilbert ~p_good_to_bad:0.1 ~p_bad_to_good:0.1 ~loss_good:0.02
-        ~loss_bad:0.9
-    in
-    Sim.schedule sim ~at:gray_at (fun () -> Link.set_loss links.(1) gray);
-    Sim.schedule sim ~at:errors_stop (fun () ->
-        Link.set_loss links.(1) (Loss.none ()));
-    let h =
-      Health.create
-        ~live:(fun c -> c >= 0 && c < n && Link.is_up links.(c))
-        ~n ()
-    in
-    let last_sent = Array.make n 0 in
-    let last_lost = Array.make n 0 in
-    let rec tick () =
-      for c = 0 to n - 1 do
-        let ds = Link.sent_packets links.(c) - last_sent.(c) in
-        let dl = Link.lost_packets links.(c) - last_lost.(c) in
-        last_sent.(c) <- Link.sent_packets links.(c);
-        last_lost.(c) <- Link.lost_packets links.(c);
-        if ds > 0 || dl > 0 then
-          Health.observe h ~channel:c ~sent:ds ~lost:dl ~goodput_ratio:1.0 ()
-      done;
-      List.iter
-        (function
-          | Health.To_quarantine { channel; _ } ->
-            Striper.suspend_channel striper channel
-          | Health.To_probation { channel; from_quarantine = true } ->
-            Striper.resume_channel striper channel
-          | Health.To_suspect _ | Health.To_probation _ | Health.To_healthy _
-            -> ())
-        (Health.sample h ~now:(Sim.now sim));
-      if Sim.now sim < run_until then Sim.schedule_after sim ~delay:0.05 tick
-    in
-    Sim.schedule sim ~at:0.05 tick);
-  (* Bursty source: a train of 6 consecutive 1000 B packets every 12 ms
-     — long enough for each train to serialize and propagate before the
-     next, so what the depth gauge sees is pure placement, not queueing.
-     One train is exactly one Sprinklers stripe (6000 B); burst
-     locality is the whole experiment — see the header comment. *)
-  let seq = ref 0 in
-  let rec burst () =
-    if Sim.now sim < run_until then begin
-      for _ = 1 to 6 do
-        Striper.push striper
-          (Packet.data ~seq:!seq ~born:(Sim.now sim) ~size:1000 ());
-        incr seq
-      done;
-      Sim.schedule_after sim ~delay:0.012 burst
-    end
-  in
-  burst ();
-  Sim.schedule sim ~at:drain_until (fun () ->
-      match guard with Some g -> Channel_guard.flush g | None -> ());
-  Sim.run sim;
+  | Impair_s -> cell (Bundle.Guarded guard_window)
+  | Clean | Failover | Health_s -> cell Bundle.Plain);
   let delivered = Stripe_metrics.Recovery.deliveries recovery in
   let resync_ms =
     match engine_opt with

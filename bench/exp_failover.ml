@@ -38,11 +38,9 @@ let run_until = 3.0
 
 type rig = {
   sim : Sim.t;
-  striper : Striper.t;
-  reseq : Resequencer.t;
+  bundle : Packet.t Bundle.t;
   recovery : Stripe_metrics.Recovery.t;
   reorder : Reorder.t;
-  links : Packet.t Link.t array;
 }
 
 let make_rig ~sender_aware ~watchdog () =
@@ -50,61 +48,27 @@ let make_rig ~sender_aware ~watchdog () =
   let recovery = Stripe_metrics.Recovery.create () in
   let reorder = Reorder.create () in
   let engine = Srr.create ~quanta:(Array.make n 1500) () in
-  let reseq =
-    Resequencer.create ~deficit:(Deficit.clone_initial engine)
-      ~now:(fun () -> Sim.now sim)
-      ?watchdog
-      ~deliver:(fun ~channel:_ pkt ->
+  let bundle =
+    Bundle.create sim
+      ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
+      ~channels:(Array.make n (10e6, 0.002))
+      ~wire:Plain ~receiver:Logical
+      ~marker:(Marker.make ~every_rounds:4 ())
+      ?watchdog ~auto_suspend:sender_aware
+      ~deliver:(fun pkt ->
         Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
           ~seq:pkt.Packet.seq;
         Reorder.observe reorder ~seq:pkt.Packet.seq)
       ()
   in
-  let links =
-    Array.init n (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
-          ~rate_bps:10e6 ~prop_delay:0.002
-          ~deliver:(fun pkt -> Resequencer.receive reseq ~channel:i pkt)
-          ())
-  in
-  let sched = Scheduler.of_deficit ~name:"SRR" engine in
-  let striper =
-    Striper.create ~scheduler:sched
-      ~marker:(Marker.make ~every_rounds:4 ())
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-      ()
-  in
-  if sender_aware then
-    Array.iteri
-      (fun i link ->
-        Link.on_carrier link (fun ~up ->
-            if up then Striper.resume_channel striper i
-            else Striper.suspend_channel striper i))
-      links;
-  { sim; striper; reseq; recovery; reorder; links }
+  { sim; bundle; recovery; reorder }
 
 (* Paced bimodal source at ~80% of the healthy aggregate. *)
 let drive rig =
-  let rng = Rng.create 77 in
-  let gen =
-    Stripe_workload.Genpkt.bimodal ~rng ~small:Sizes.small_packet
-      ~large:Sizes.large_packet ()
-  in
-  let seq = ref 0 in
-  let rec tick () =
-    if Sim.now rig.sim < run_until then begin
-      for _ = 1 to 2 do
-        Striper.push rig.striper
-          (Packet.data ~seq:!seq ~born:(Sim.now rig.sim) ~size:(gen ()) ());
-        incr seq
-      done;
-      Sim.schedule_after rig.sim ~delay:0.0006 tick
-    end
-  in
-  tick ()
+  ignore
+    (Bundle.pace rig.bundle ~burst:2 ~every:0.0006 ~until:run_until
+       (Stripe_workload.Genpkt.bimodal ~rng:(Rng.create 77)
+          ~small:Sizes.small_packet ~large:Sizes.large_packet ()))
 
 type result = {
   slug : string;
@@ -133,7 +97,7 @@ let run_config (slug, label, sender_aware, with_wd) =
   in
   let rig = make_rig ~sender_aware ~watchdog () in
   drive rig;
-  Fault.down_up rig.sim rig.links.(1) ~down_at ~up_at;
+  Fault.down_up rig.sim (Bundle.links rig.bundle).(1) ~down_at ~up_at;
   Sim.run rig.sim;
   let failback_ms =
     match Stripe_metrics.Recovery.first_after rig.recovery ~time:up_at with
@@ -153,7 +117,7 @@ let run_config (slug, label, sender_aware, with_wd) =
     label;
     delivered = Stripe_metrics.Recovery.deliveries rig.recovery;
     ooo = Reorder.out_of_order rig.reorder;
-    wd_skips = Resequencer.watchdog_skips rig.reseq;
+    wd_skips = Resequencer.watchdog_skips (Bundle.resequencer rig.bundle);
     longest_outage_ms =
       1000.0
       *. Stripe_metrics.Recovery.max_gap rig.recovery ~from_:down_at

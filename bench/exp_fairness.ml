@@ -116,37 +116,16 @@ let run () =
     (fun skew ->
       let sim = Sim.create () in
       let engine = Srr.create ~quanta:[| 1500; 1500 |] () in
-      let reseq =
-        Resequencer.create ~deficit:(Deficit.clone_initial engine)
-          ~deliver:(fun ~channel:_ _ -> ())
-          ()
-      in
-      let links =
-        Array.init 2 (fun i ->
-            Link.create sim
-              ~name:(Printf.sprintf "ch%d" i)
-              ~rate_bps:10e6
-              ~prop_delay:(if i = 0 then 0.001 else 0.001 +. skew)
-              ~deliver:(fun pkt -> Resequencer.receive reseq ~channel:i pkt)
-              ())
-      in
-      let striper =
-        Striper.create
+      let b =
+        Bundle.create sim
           ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
-          ~emit:(fun ~channel pkt ->
-            ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-          ()
+          ~channels:[| (10e6, 0.001); (10e6, 0.001 +. skew) |]
+          ~wire:Plain ~receiver:Logical ~deliver:ignore ()
       in
-      let gen = Stripe_workload.Genpkt.bimodal ~rng ~small:200 ~large:1000 () in
-      let seq = ref 0 in
-      let rec tick () =
-        if Sim.now sim < 2.0 then begin
-          Striper.push striper (Packet.data ~seq:!seq ~size:(gen ()) ());
-          incr seq;
-          Sim.schedule_after sim ~delay:0.0006 tick
-        end
-      in
-      tick ();
+      let reseq = Bundle.resequencer b in
+      ignore
+        (Bundle.pace b ~every:0.0006 ~until:2.0
+           (Stripe_workload.Genpkt.bimodal ~rng ~small:200 ~large:1000 ()));
       Sim.run sim;
       Stripe_metrics.Table.add_row tbl2
         [

@@ -80,34 +80,21 @@ let run_config ~gray ~watchdog ~with_health () =
     if watchdog then Some { Resequencer.intervals = 3; fallback = 0.01 }
     else None
   in
-  let reseq =
-    Resequencer.create ~deficit:(Deficit.clone_initial engine)
-      ~now:(fun () -> Sim.now sim)
-      ?watchdog:wd
-      ~deliver:(fun ~channel:_ pkt ->
+  let b =
+    Bundle.create sim
+      ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
+      ~channels:(Array.make n (10e6, 0.002))
+      ~wire:Plain ~receiver:Logical
+      ~marker:(Marker.make ~every_rounds:4 ())
+      ~rng:master ?watchdog:wd
+      ~deliver:(fun pkt ->
         Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
           ~seq:pkt.Packet.seq;
         Reorder.observe reorder ~seq:pkt.Packet.seq;
         delivered_bytes := !delivered_bytes + pkt.Packet.size)
       ()
   in
-  let links =
-    Array.init n (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
-          ~rate_bps:10e6 ~prop_delay:0.002 ~rng:(Rng.split master)
-          ~deliver:(fun pkt -> Resequencer.receive reseq ~channel:i pkt)
-          ())
-  in
-  let striper =
-    Striper.create
-      ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
-      ~marker:(Marker.make ~every_rounds:4 ())
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-      ()
-  in
+  let links = Bundle.links b in
   if gray then begin
     Sim.schedule sim ~at:gray_at (fun () ->
         Link.set_loss links.(1) (gray_loss ()));
@@ -128,7 +115,7 @@ let run_config ~gray ~watchdog ~with_health () =
           ~n ()
       in
       let _, step =
-        Bundle_control.health_loop h ~striper ~reseq ~links ~floor:max_packet
+        Bundle_control.health_loop h b ~floor:max_packet
       in
       let rec tick () =
         let now = Sim.now sim in
@@ -151,29 +138,17 @@ let run_config ~gray ~watchdog ~with_health () =
   in
   (* Paced bimodal source at ~53% of the healthy aggregate — the two
      survivors can carry all of it when the gray member is out. *)
-  let rng = Rng.create 77 in
   let gen =
-    Stripe_workload.Genpkt.bimodal ~rng ~small:Sizes.small_packet
-      ~large:Sizes.large_packet ()
+    Stripe_workload.Genpkt.bimodal ~rng:(Rng.create 77)
+      ~small:Sizes.small_packet ~large:Sizes.large_packet ()
   in
-  let seq = ref 0 in
-  let rec drive () =
-    if Sim.now sim < src_stop then begin
-      for _ = 1 to 2 do
-        Striper.push striper
-          (Packet.data ~seq:!seq ~born:(Sim.now sim) ~size:(gen ()) ());
-        incr seq
-      done;
-      Sim.schedule_after sim ~delay:0.0006 drive
-    end
-  in
-  drive ();
+  ignore (Bundle.pace b ~burst:2 ~every:0.0006 ~until:src_stop gen);
   Sim.run sim;
   {
     delivered = Stripe_metrics.Recovery.deliveries recovery;
     bytes = !delivered_bytes;
     ooo = Reorder.out_of_order reorder;
-    wd_skips = Resequencer.watchdog_skips reseq;
+    wd_skips = Resequencer.watchdog_skips (Bundle.resequencer b);
     quarantines = !quarantines;
     flaps = !max_flaps;
     detect_ms =

@@ -17,34 +17,18 @@ let run_case ~scheme_name ~engine ~alternating () =
   let rng = Rng.create 7 in
   let goodput = Stripe_metrics.Throughput.create () in
   Stripe_metrics.Throughput.start_at goodput 0.0;
-  let reseq = ref None in
-  let links =
-    Array.init 2 (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "if%d" i)
-          ~rate_bps:6e6 ~prop_delay:0.002
-          ~deliver:(fun pkt ->
-            match !reseq with
-            | Some r -> Resequencer.receive r ~channel:i pkt
-            | None -> ())
-          ())
-  in
-  reseq :=
-    Some
-      (Resequencer.create ~deficit:(Deficit.clone_initial engine)
-         ~deliver:(fun ~channel:_ pkt ->
-           Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim)
-             ~bytes:pkt.Packet.size)
-         ());
-  let sched = Scheduler.of_deficit ~name:scheme_name engine in
-  let striper =
-    Striper.create ~scheduler:sched
+  let b =
+    Bundle.create sim
+      ~scheduler:(Scheduler.of_deficit ~name:scheme_name engine)
+      ~channels:(Array.make 2 (6e6, 0.002))
+      ~wire:Plain ~receiver:Logical
       ~marker:(Marker.make ~every_rounds:8 ())
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
+      ~deliver:(fun pkt ->
+        Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim)
+          ~bytes:pkt.Packet.size)
       ()
   in
+  let links = Bundle.links b and striper = Bundle.striper b in
   let gen =
     if alternating then
       Stripe_workload.Genpkt.alternating ~small:Sizes.small_packet

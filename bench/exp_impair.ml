@@ -39,6 +39,7 @@ type rig = {
   guard : Channel_guard.t option;
   recovery : Stripe_metrics.Recovery.t;
   reorder : Reorder.t;
+  source : Bundle.source;
 }
 
 let make_rig ~impair ~guarded () =
@@ -47,84 +48,41 @@ let make_rig ~impair ~guarded () =
   let recovery = Stripe_metrics.Recovery.create () in
   let reorder = Reorder.create () in
   let engine = Srr.create ~quanta:(Array.make n 1500) () in
-  let reseq =
-    Resequencer.create ~deficit:(Deficit.clone_initial engine)
-      ~now:(fun () -> Sim.now sim)
-      ~budget_bytes:budget ~overflow:Resequencer.Drop_newest
-      ~deliver:(fun ~channel:_ pkt ->
-        Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
-          ~seq:pkt.Packet.seq;
-        Reorder.observe reorder ~seq:pkt.Packet.seq)
-      ()
+  let corrupt_rng = Rng.split master in
+  let rig (type w) (wire : w Bundle.wire) =
+    let b =
+      Bundle.create sim
+        ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
+        ~channels:(Array.init n (fun i -> (10e6, 0.002 +. (0.001 *. float_of_int i))))
+        ~wire ~receiver:Logical
+        ~marker:(Marker.make ~every_rounds:4 ())
+        ~rng:master
+        ~impair:(fun i -> if i = 1 then impair else Impair.none)
+        ~corrupt_rng ~budget_bytes:budget ~overflow:Resequencer.Drop_newest
+        ~deliver:(fun pkt ->
+          Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
+            ~seq:pkt.Packet.seq;
+          Reorder.observe reorder ~seq:pkt.Packet.seq)
+        ()
+    in
+    Sim.schedule sim ~at:impair_stop (fun () ->
+        Array.iter (fun l -> Link.set_impairments l Impair.none) (Bundle.links b));
+    (* Paced bimodal source at ~80% of the aggregate. *)
+    let gen =
+      Stripe_workload.Genpkt.bimodal ~rng:(Rng.create 77)
+        ~small:Sizes.small_packet ~large:Sizes.large_packet ()
+    in
+    {
+      sim;
+      striper = Bundle.striper b;
+      reseq = Bundle.resequencer b;
+      guard = Bundle.guard b;
+      recovery;
+      reorder;
+      source = Bundle.pace b ~burst:2 ~every:0.0006 ~until:run_until gen;
+    }
   in
-  let guard =
-    if guarded then
-      Some
-        (Channel_guard.create ~n ~window:guard_window
-           ~now:(fun () -> Sim.now sim)
-           ~deliver:(fun ~channel pkt -> Resequencer.receive reseq ~channel pkt)
-           ())
-    else None
-  in
-  let mangle_rng = Rng.split master in
-  let links =
-    Array.init n (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
-          ~rate_bps:10e6
-          ~prop_delay:(0.002 +. (0.001 *. float_of_int i))
-          ~rng:(Rng.split master)
-          ~impair:(if i = 1 then impair else Impair.none)
-          ~corrupt:(fun (tag, pkt) ->
-            (* Only marker damage slips past the simulated CRC; corrupted
-               data is dropped like loss. *)
-            if Packet.is_marker pkt then
-              Some
-                (tag, Packet.mangle_marker ~salt:(Rng.int mangle_rng 0x3fffffff) pkt)
-            else None)
-          ~deliver:(fun (tag, pkt) ->
-            match guard with
-            | Some g -> Channel_guard.receive g ~channel:i ~tag pkt
-            | None -> Resequencer.receive reseq ~channel:i pkt)
-          ())
-  in
-  let tx_tags = Channel_guard.Tx.create ~n in
-  let sched = Scheduler.of_deficit ~name:"SRR" engine in
-  let striper =
-    Striper.create ~scheduler:sched
-      ~marker:(Marker.make ~every_rounds:4 ())
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        let tag =
-          if guarded then Channel_guard.Tx.next_tag tx_tags ~channel else -1
-        in
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size (tag, pkt)))
-      ()
-  in
-  Sim.schedule sim ~at:impair_stop (fun () ->
-      Array.iter (fun l -> Link.set_impairments l Impair.none) links);
-  { sim; striper; reseq; guard; recovery; reorder }
-
-(* Paced bimodal source at ~80% of the aggregate. *)
-let drive rig =
-  let rng = Rng.create 77 in
-  let gen =
-    Stripe_workload.Genpkt.bimodal ~rng ~small:Sizes.small_packet
-      ~large:Sizes.large_packet ()
-  in
-  let seq = ref 0 in
-  let rec tick () =
-    if Sim.now rig.sim < run_until then begin
-      for _ = 1 to 2 do
-        Striper.push rig.striper
-          (Packet.data ~seq:!seq ~born:(Sim.now rig.sim) ~size:(gen ()) ());
-        incr seq
-      done;
-      Sim.schedule_after rig.sim ~delay:0.0006 tick
-    end
-  in
-  tick ();
-  fun () -> !seq
+  if guarded then rig (Bundle.Guarded guard_window) else rig Bundle.Plain
 
 let profiles =
   [
@@ -155,10 +113,9 @@ type result = {
 
 let run_config (profile_slug, label, impair) guarded =
   let rig = make_rig ~impair ~guarded () in
-  let offered = drive rig in
   Sim.run rig.sim;
   (match rig.guard with Some g -> Channel_guard.flush g | None -> ());
-  let offered = offered () in
+  let offered = rig.source.offered in
   let delivered = Stripe_metrics.Recovery.deliveries rig.recovery in
   let resync_ms =
     match

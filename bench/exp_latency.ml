@@ -22,51 +22,24 @@ let run_one ~mode ~skew =
     Reorder.observe reorder ~seq:pkt.Packet.seq
   in
   let engine = Srr.create ~quanta:[| 1400; 1400 |] () in
-  let receive =
-    match mode with
-    | Logical_reception ->
-      let r =
-        Resequencer.create ~deficit:(Deficit.clone_initial engine)
-          ~deliver:(fun ~channel:_ pkt -> observe pkt)
-          ()
-      in
-      fun ~channel pkt -> Resequencer.receive r ~channel pkt
-    | No_resequencing ->
-      fun ~channel:_ pkt -> if not (Packet.is_marker pkt) then observe pkt
-  in
-  let links =
-    Array.init 2 (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
-          ~rate_bps:10e6
-          ~prop_delay:(0.002 +. (if i = 1 then skew else 0.0))
-          ~deliver:(fun pkt -> receive ~channel:i pkt)
-          ())
-  in
-  let striper =
-    Striper.create
+  let b =
+    Bundle.create sim
       ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
+      ~channels:[| (10e6, 0.002); (10e6, 0.002 +. skew) |]
+      ~wire:Plain
+      ~receiver:
+        (match mode with
+        | Logical_reception -> Logical
+        | No_resequencing -> Unordered)
       ?marker:
         (match mode with
         | Logical_reception -> Some (Marker.make ~every_rounds:8 ())
         | No_resequencing -> None)
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-      ()
+      ~deliver:observe ()
   in
-  let seq = ref 0 in
-  let rec tick () =
-    if !seq < 4000 then begin
-      Striper.push striper
-        (Packet.data ~seq:!seq ~born:(Sim.now sim)
-           ~size:(if Rng.bool rng then 200 else 1000)
-           ());
-      incr seq;
-      Sim.schedule_after sim ~delay:0.0006 tick
-    end
-  in
-  tick ();
+  ignore
+    (Bundle.pace b ~every:0.0006 ~count:4000 (fun () ->
+         if Rng.bool rng then 200 else 1000));
   Sim.run sim;
   (lat, Reorder.out_of_order reorder)
 

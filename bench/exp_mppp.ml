@@ -17,12 +17,15 @@ type outcome = {
   resync_note : string;
 }
 
+(* Channel [i]'s (rate, delay), the same for both protocols. *)
+let channel i = (8e6, 0.003 +. (0.006 *. float_of_int i))
+
 let channels sim ~loss_rng ~loss_p ~lossy ~receive =
   Array.init 2 (fun i ->
+      let rate_bps, prop_delay = channel i in
       Link.create sim
         ~name:(Printf.sprintf "ch%d" i)
-        ~rate_bps:8e6
-        ~prop_delay:(0.003 +. (0.006 *. float_of_int i))
+        ~rate_bps ~prop_delay
         ~deliver:(fun pkt ->
           let drop = !lossy && Rng.bernoulli loss_rng ~p:loss_p in
           if not drop then receive i pkt)
@@ -48,34 +51,27 @@ let run_stripe ~loss_p =
   let lossy = ref true in
   let reorder = Reorder.create () in
   let engine = Srr.create ~quanta:[| 1400; 1400 |] () in
-  let reseq =
-    Resequencer.create ~deficit:(Deficit.clone_initial engine)
-      ~deliver:(fun ~channel:_ pkt -> Reorder.observe reorder ~seq:pkt.Packet.seq)
-      ()
-  in
-  let links =
-    channels sim ~loss_rng ~loss_p ~lossy ~receive:(fun i pkt ->
-        Resequencer.receive reseq ~channel:i pkt)
-  in
-  let marker_bytes = ref 0 in
-  let striper =
-    Striper.create
+  let b =
+    Bundle.create sim
       ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
+      ~channels:(Array.init 2 channel)
+      ~wire:Plain ~receiver:Logical
       ~marker:(Marker.make ~every_rounds:4 ())
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        if Packet.is_marker pkt then marker_bytes := !marker_bytes + pkt.Packet.size;
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
+      ~drop:(fun ~channel:_ _ -> !lossy && Rng.bernoulli loss_rng ~p:loss_p)
+      ~deliver:(fun pkt -> Reorder.observe reorder ~seq:pkt.Packet.seq)
       ()
   in
+  let striper = Bundle.striper b in
   drive sim (Striper.push striper) ~n:n_packets;
   Sim.schedule sim ~at:5.0 (fun () -> lossy := false);
   Sim.run sim;
   {
     delivered = Reorder.observed reorder;
     ooo = Reorder.out_of_order reorder;
-    overhead_bytes = !marker_bytes;
-    discarded = n_packets - Reorder.observed reorder - Resequencer.pending reseq;
+    overhead_bytes = Striper.markers_sent striper * Packet.marker_size;
+    discarded =
+      n_packets - Reorder.observed reorder
+      - Resequencer.pending (Bundle.resequencer b);
     resync_note = "quasi-FIFO; markers resync after loss";
   }
 

@@ -10,12 +10,10 @@ open Stripe_core
 
 type rig = {
   sim : Sim.t;
-  striper : Striper.t;
-  reseq : Resequencer.t;
+  bundle : Packet.t Bundle.t;
   recovery : Stripe_metrics.Recovery.t;
   reorder : Reorder.t;
   lossy : bool ref;
-  loss_rng : Rng.t;
 }
 
 let make_rig ?(n = 2) ?(lose_markers = false) ~loss_p ~marker () =
@@ -24,63 +22,36 @@ let make_rig ?(n = 2) ?(lose_markers = false) ~loss_p ~marker () =
   let loss_rng = Rng.create 1234 in
   let recovery = Stripe_metrics.Recovery.create () in
   let reorder = Reorder.create () in
-  let engine = Srr.create ~quanta:(Array.make n 1500) () in
-  let reseq =
-    Resequencer.create ~deficit:(Deficit.clone_initial engine)
-      ~deliver:(fun ~channel:_ pkt ->
+  let bundle =
+    Bundle.create sim
+      ~scheduler:
+        (Scheduler.of_deficit ~name:"SRR"
+           (Srr.create ~quanta:(Array.make n 1500) ()))
+      ~channels:
+        (Array.init n (fun i -> (10e6, 0.004 +. (0.002 *. float_of_int i))))
+      ~wire:Plain ~receiver:Logical ~marker
+        (* Controlled loss while the lossy phase lasts. Recovery only
+           needs some marker to get through after errors stop, which the
+           periodic emission guarantees, so markers may share the data
+           packets' fate. *)
+      ~drop:(fun ~channel:_ pkt ->
+        !lossy
+        && (lose_markers || not (Packet.is_marker pkt))
+        && Rng.bernoulli loss_rng ~p:loss_p)
+      ~deliver:(fun pkt ->
         Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
           ~seq:pkt.Packet.seq;
         Reorder.observe reorder ~seq:pkt.Packet.seq)
       ()
   in
-  let links =
-    Array.init n (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
-          ~rate_bps:10e6
-          ~prop_delay:(0.004 +. (0.002 *. float_of_int i))
-          ~deliver:(fun pkt ->
-            (* Controlled loss while the lossy phase lasts. Recovery only
-               needs some marker to get through after errors stop, which
-               the periodic emission guarantees, so markers may share the
-               data packets' fate. *)
-            let dropped =
-              !lossy
-              && (lose_markers || not (Packet.is_marker pkt))
-              && Rng.bernoulli loss_rng ~p:loss_p
-            in
-            if not dropped then Resequencer.receive reseq ~channel:i pkt)
-          ())
-  in
-  let sched = Scheduler.of_deficit ~name:"SRR" engine in
-  let striper =
-    Striper.create ~scheduler:sched ~marker
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-      ()
-  in
-  { sim; striper; reseq; recovery; reorder; lossy; loss_rng }
+  { sim; bundle; recovery; reorder; lossy }
 
 (* Paced source: bimodal mix at ~80% of aggregate capacity. *)
 let drive rig ~until =
-  let rng = Rng.create 77 in
-  let gen =
-    Stripe_workload.Genpkt.bimodal ~rng ~small:Sizes.small_packet
-      ~large:Sizes.large_packet ()
-  in
-  let seq = ref 0 in
-  let rec tick () =
-    if Sim.now rig.sim < until then begin
-      for _ = 1 to 2 do
-        Striper.push rig.striper
-          (Packet.data ~seq:!seq ~born:(Sim.now rig.sim) ~size:(gen ()) ());
-        incr seq
-      done;
-      Sim.schedule_after rig.sim ~delay:0.0006 tick
-    end
-  in
-  tick ()
+  ignore
+    (Bundle.pace rig.bundle ~burst:2 ~every:0.0006 ~until
+       (Stripe_workload.Genpkt.bimodal ~rng:(Rng.create 77)
+          ~small:Sizes.small_packet ~large:Sizes.large_packet ()))
 
 let run_e1 () =
   Exp_common.section

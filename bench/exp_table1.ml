@@ -27,56 +27,33 @@ let run_scheme ~label ~scheduler ~mode ~sizes () =
   let sim = Sim.create () in
   let reorder = Reorder.create () in
   let deliver pkt = Reorder.observe reorder ~seq:pkt.Packet.seq in
-  let receive =
-    match mode, Scheduler.deficit scheduler with
-    | Logical_reception, Some d ->
-      let r =
-        Resequencer.create ~deficit:(Deficit.clone_initial d)
-          ~deliver:(fun ~channel:_ pkt -> deliver pkt)
-          ()
-      in
-      fun ~channel pkt -> Resequencer.receive r ~channel pkt
-    | Sequence_numbers, deficit ->
-      let r =
-        Seq_resequencer.create
-          ?deficit:(Option.map Deficit.clone_initial deficit)
-          ~n_channels:(Scheduler.n_channels scheduler) ~deliver ()
-      in
-      fun ~channel pkt -> Seq_resequencer.receive r ~channel pkt
-    | (No_resequencing | Logical_reception), _ ->
-      fun ~channel:_ pkt -> if not (Packet.is_marker pkt) then deliver pkt
-  in
   (* Channel 1 has both more skew and a little loss, so quasi-FIFO (FIFO
      except during loss recovery) is distinguishable from guaranteed
      FIFO. *)
-  let links =
-    Array.init 2 (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
-          ~rate_bps:8e6
-          ~prop_delay:(if i = 0 then 0.001 else 0.020)
-          ~rng:(Rng.create (1000 + i))
-          ~loss:(if i = 1 then Loss.bernoulli ~p:0.005 else Loss.none ())
-          ~deliver:(fun pkt -> receive ~channel:i pkt)
-          ())
-  in
-  let bytes = Array.make 2 0 in
-  let striper =
-    Striper.create ~scheduler
+  let loss_rng = Rng.create 1001 in
+  let b =
+    Bundle.create sim ~scheduler
+      ~channels:[| (8e6, 0.001); (8e6, 0.020) |]
+      ~wire:Plain
+      ~receiver:
+        (match mode with
+        | Logical_reception -> Logical
+        | Sequence_numbers -> Seq
+        | No_resequencing -> Unordered)
       ?marker:
-        (match mode, Scheduler.deficit scheduler with
-        | Logical_reception, Some _ -> Some (Marker.make ~every_rounds:4 ())
-        | _ -> None)
-      ~emit:(fun ~channel pkt ->
-        if not (Packet.is_marker pkt) then
-          bytes.(channel) <- bytes.(channel) + pkt.Packet.size;
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-      ()
+        (match mode with
+        | Logical_reception -> Some (Marker.make ~every_rounds:4 ())
+        | Sequence_numbers | No_resequencing -> None)
+      ~drop:(fun ~channel _ ->
+        channel = 1 && Rng.bernoulli loss_rng ~p:0.005)
+      ~deliver ()
   in
+  let striper = Bundle.striper b in
   List.iteri
     (fun seq size -> Striper.push striper (Packet.data ~flow:(seq mod 3) ~seq ~size ()))
     sizes;
   Sim.run sim;
+  let bytes = Array.init 2 (Striper.channel_bytes striper) in
   let total = float_of_int (bytes.(0) + bytes.(1)) in
   {
     label;

@@ -30,7 +30,6 @@
    stands. *)
 
 open Stripe_netsim
-open Stripe_packet
 open Stripe_core
 
 (* The pre-optimization baseline, measured on this scenario (full size,
@@ -69,45 +68,21 @@ let run_once ~engine ~n_packets () =
   let n = Array.length reference_delays in
   let rates = Array.make n reference_rate in
   let srr = Srr.for_rates ~rates_bps:rates ~quantum_unit:1500 () in
-  let scheduler = Scheduler.of_deficit ~name:"SRR" srr in
   let delivered = ref 0 in
-  let reseq =
-    Resequencer.create
-      ~deficit:(Deficit.clone_initial srr)
-      ~now:(fun () -> Sim.now sim)
-      ~deliver:(fun ~channel:_ _ -> incr delivered)
-      ()
-  in
-  let links =
-    Array.init n (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
-          ~rate_bps:rates.(i) ~prop_delay:reference_delays.(i)
-          ~rng:(Rng.split rng)
-          ~deliver:(fun pkt -> Resequencer.receive reseq ~channel:i pkt)
-          ())
-  in
-  let striper =
-    Striper.create ~scheduler
+  let b =
+    Bundle.create sim
+      ~scheduler:(Scheduler.of_deficit ~name:"SRR" srr)
+      ~channels:(Array.mapi (fun i r -> (r, reference_delays.(i))) rates)
+      ~wire:Plain ~receiver:Logical
       ~marker:(Marker.make ~every_rounds:4 ())
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
+      ~rng
+      ~deliver:(fun _ -> incr delivered)
       ()
   in
   let gen = Stripe_workload.Genpkt.bimodal ~rng ~small:200 ~large:1000 () in
   let aggregate = Array.fold_left ( +. ) 0.0 rates in
   let interval = 700.0 *. 8.0 /. (aggregate *. 0.9) in
-  let seq = ref 0 in
-  let rec tick () =
-    if !seq < n_packets then begin
-      Striper.push striper
-        (Packet.data ~seq:!seq ~born:(Sim.now sim) ~size:(gen ()) ());
-      incr seq;
-      Sim.schedule_after sim ~delay:interval tick
-    end
-  in
-  tick ();
+  ignore (Bundle.pace b ~every:interval ~count:n_packets gen);
   (* Compact so each engine starts from the same flat major heap rather
      than inheriting the previous run's fragmentation. *)
   Gc.compact ();

@@ -600,41 +600,44 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
        policy timers (the --adapt probe) stop rescheduling so the
        simulation can drain and terminate. *)
     let offer_done = ref false in
-    (* The wire: mode-specific payloads share polymorphic links via a
-       variant. Each link draws from its own split of the master RNG, so
-       the whole run — loss, jitter, impairments — reproduces from one
-       --seed. *)
-    let make_links ?corrupt receive =
+    (* Channel loss is applied at the receive edge, past the link model,
+       while the run is lossy; markers are spared. The wire's own Drop
+       instrumentation never sees it, so it is recorded here. Loss is
+       drawn from the master RNG, each link's other draws from its own
+       split of it, so the whole run reproduces from one --seed. *)
+    let lost_at_edge i ~marker =
+      let loss = confs.(i).loss in
+      let dropped =
+        !lossy && loss > 0.0 && (not marker) && Rng.bernoulli rng ~p:loss
+      in
+      if dropped && Obs.Sink.active obs_sink then
+        Obs.Sink.emit obs_sink
+          (Obs.Event.v ~time:(Sim.now sim) ~channel:i Obs.Event.Drop);
+      dropped
+    in
+    let use_links links =
+      la_debt := (fun c -> float_of_int (Link.queue_bytes links.(c)));
+      fault_ref := (fun schedule -> Fault.apply sim ~links schedule);
+      clear_impair :=
+        (fun () ->
+          Array.iter (fun l -> Link.set_impairments l Impair.none) links)
+    in
+    (* The hand-wired links of the mppp and fragment modes, whose
+       payloads are fragments rather than packets. *)
+    let make_links receive =
       let links =
         Array.mapi
           (fun i conf ->
             Link.create sim
               ~name:(Printf.sprintf "ch%d" i)
               ~rate_bps:conf.rate ~prop_delay:conf.delay ~channel:i
-              ~rng:(Rng.split rng) ~impair:(impair_for i) ?corrupt
-              ~sink:obs_sink
-              ~deliver:(fun (is_marker, payload) ->
-                let dropped =
-                  !lossy && conf.loss > 0.0 && (not is_marker)
-                  && Rng.bernoulli rng ~p:conf.loss
-                in
-                if dropped then begin
-                  (* Loss is applied here, past the link model, so the wire's
-                     own Drop instrumentation never sees it — record it. *)
-                  if Obs.Sink.active obs_sink then
-                    Obs.Sink.emit obs_sink
-                      (Obs.Event.v ~time:(Sim.now sim) ~channel:i
-                         Obs.Event.Drop)
-                end
-                else receive i payload)
+              ~rng:(Rng.split rng) ~impair:(impair_for i) ~sink:obs_sink
+              ~deliver:(fun payload ->
+                if not (lost_at_edge i ~marker:false) then receive i payload)
               ())
           confs
       in
-      la_debt := (fun c -> float_of_int (Link.queue_bytes links.(c)));
-      fault_ref := (fun schedule -> Fault.apply sim ~links schedule);
-      clear_impair :=
-        (fun () ->
-          Array.iter (fun l -> Link.set_impairments l Impair.none) links);
+      use_links links;
       links
     in
     (* Per-mode plumbing returns: push, describe (extra stats lines). *)
@@ -644,94 +647,73 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
         let scheduler = make_scheduler () in
         if Obs.Sink.active obs_sink then
           Scheduler.observe scheduler ~now:(fun () -> Sim.now sim) obs_sink;
-        let receive_cell = ref (fun _ _ -> ()) in
-        (* The wire payload carries the guard's out-of-band tag next to
-           the packet (-1 when the guard is off). The corrupt hook models
-           damage the link CRC missed: only marker payloads are mangled —
-           that is the damage the protocol-level checksum exists to
-           catch; corrupted data is CRC-dropped like loss. *)
-        let mangle_rng = Rng.split rng in
-        let corrupt =
-          if List.exists (fun (_, imp) -> imp.Impair.corrupt_p > 0.0) impairs
-          then
-            Some
-              (fun (is_m, (tag, pkt)) ->
-                if is_m then
-                  Some
-                    ( is_m,
-                      ( tag,
-                        Packet.mangle_marker
-                          ~salt:(Rng.int mangle_rng 0x3fffffff)
-                          pkt ) )
-                else None)
-          else None
+        (* Wire damage the link CRC missed mangles markers only: that is
+           the damage the protocol-level checksum exists to catch;
+           corrupted data is CRC-dropped like loss. *)
+        let corrupt_rng = Rng.split rng in
+        let logical = mode = `Quasi && engine_opt <> None in
+        let watchdog =
+          Option.map
+            (fun k ->
+              (* Fallback cadence estimate for the start-up window, before
+                 the channel's own inter-marker gap has been observed: a
+                 round moves ~n quanta of wire, markers come every
+                 [marker_rounds] rounds. *)
+              let round_time = float_of_int n *. 1500.0 *. 8.0 /. (aggregate *. 0.9) in
+              {
+                Resequencer.intervals = k;
+                fallback = float_of_int (max 1 marker_rounds) *. round_time;
+              })
+            watchdog_k
         in
-        let links = make_links ?corrupt (fun i pkt -> !receive_cell i pkt) in
-        let deliver pkt = sink_deliver sink sim pkt in
-        let reseq_stats = ref (fun () -> []) in
-        (* The adaptive policy below needs the resequencer to stage the
-           receiver half of each retune. *)
-        let reseq_cell = ref None in
-        let guard_tx =
-          match mode, engine_opt, guard_window with
-          | `Quasi, Some _, Some _ -> Some (Channel_guard.Tx.create ~n)
-          | _, _, Some _ ->
-            warn "warning: --guard needs quasi mode with a CFQ scheduler";
-            None
-          | _, _, None -> None
-        in
-        (match mode, engine_opt with
-        | `Quasi, Some e ->
-          let watchdog =
-            Option.map
-              (fun k ->
-                (* Fallback cadence estimate for the start-up window, before
-                   the channel's own inter-marker gap has been observed: a
-                   round moves ~n quanta of wire, markers come every
-                   [marker_rounds] rounds. *)
-                let round_time = float_of_int n *. 1500.0 *. 8.0 /. (aggregate *. 0.9) in
-                {
-                  Resequencer.intervals = k;
-                  fallback = float_of_int (max 1 marker_rounds) *. round_time;
-                })
-              watchdog_k
-          in
-          let pressure_episodes = ref 0 in
-          let r =
-            Resequencer.create ~deficit:(Deficit.clone_initial e)
-              ~now:(fun () -> Sim.now sim)
-              ~sink:obs_sink ?watchdog ?budget_bytes:rx_buffer
-              ~overflow:overflow_policy
-              ~on_pressure:(fun ~high ->
-                if high then incr pressure_episodes)
-              ~deliver:(fun ~channel:_ pkt -> deliver pkt)
+        let pressure_episodes = ref 0 in
+        (* The rest of the set-up, for either wire: the plain one, or the
+           channel guard's tagged one. *)
+        let wire_up : type w.
+            w Bundle.wire -> (Packet.t -> unit) * (unit -> string list) =
+         fun wire ->
+          let b =
+            Bundle.create sim ~scheduler
+              ~channels:(Array.map (fun c -> (c.rate, c.delay)) confs)
+              ~wire
+              ~receiver:
+                (match mode with
+                | `Seq -> Bundle.Seq
+                | _ -> if logical then Bundle.Logical else Bundle.Unordered)
+              ?marker:
+                (if logical && marker_rounds > 0 then
+                   Some (Marker.make ~every_rounds:marker_rounds ())
+                 else None)
+              ~rng ~impair:impair_for ~corrupt_rng
+              ~drop:(fun ~channel pkt ->
+                lost_at_edge channel ~marker:(Packet.is_marker pkt)
+                || !rx_crashed
+                   && begin
+                     incr rx_crash_drops;
+                     true
+                   end)
+              ?watchdog ?budget_bytes:rx_buffer ~overflow:overflow_policy
+              ~on_pressure:(fun ~high -> if high then incr pressure_episodes)
+              ~auto_suspend:(not no_auto_suspend)
+              ~sink:obs_sink
+              ~deliver:(fun pkt -> sink_deliver sink sim pkt)
               ()
           in
-          reseq_cell := Some r;
-          let guard =
-            match guard_tx with
-            | Some _ ->
-              let w = Option.value guard_window ~default:32 in
-              Some
-                (Channel_guard.create ~n ~window:w
-                   ~now:(fun () -> Sim.now sim)
-                   ~sink:obs_sink
-                   ~deliver:(fun ~channel pkt ->
-                     Resequencer.receive r ~channel pkt)
-                   ())
-            | None -> None
-          in
-          (match guard with
-          | Some g ->
-            receive_cell :=
-              (fun i (tag, pkt) ->
-                Channel_guard.receive g ~channel:i ~tag pkt);
-            finish_ref := (fun () -> Channel_guard.flush g)
-          | None ->
-            receive_cell :=
-              (fun i (_tag, pkt) -> Resequencer.receive r ~channel:i pkt));
-          reseq_stats :=
-            (fun () ->
+          let links = Bundle.links b and striper = Bundle.striper b in
+          use_links links;
+          let reseq_stats () =
+            match mode with
+            | `Seq ->
+              let r = Bundle.seq_resequencer b in
+              [
+                Printf.sprintf
+                  "seq mode: fast-path=%d detected-losses=%d (guaranteed FIFO)"
+                  (Seq_resequencer.fast_deliveries r)
+                  (Seq_resequencer.detected_losses r);
+              ]
+            | _ when not logical -> []
+            | _ ->
+              let r = Bundle.resequencer b in
               [
                 Printf.sprintf
                   "resequencer: skips=%d wd-skips=%d dead-declared=%d \
@@ -762,7 +744,7 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
                        (Resequencer.corrupt_marker_discards r);
                    ]
                  else [])
-              @ (match guard with
+              @ (match Bundle.guard b with
                 | Some g ->
                   [
                     Printf.sprintf
@@ -773,230 +755,181 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
                       (Channel_guard.corrupt_discards g)
                       (Channel_guard.max_held_packets g);
                   ]
-                | None -> []))
-        | `Seq, _ ->
-          let r =
-            Seq_resequencer.create
-              ?deficit:(Option.map Deficit.clone_initial engine_opt)
-              ~n_channels:n ~deliver ()
+                | None -> [])
           in
-          receive_cell :=
-            (fun i (_tag, pkt) -> Seq_resequencer.receive r ~channel:i pkt);
-          reseq_stats :=
-            (fun () ->
-              [
-                Printf.sprintf
-                  "seq mode: fast-path=%d detected-losses=%d (guaranteed FIFO)"
-                  (Seq_resequencer.fast_deliveries r)
-                  (Seq_resequencer.detected_losses r);
-              ])
-        | (`Quasi | `None), _ ->
-          receive_cell :=
-            (fun _ (_tag, pkt) ->
-              if not (Packet.is_marker pkt) then deliver pkt)
-        | (`Mppp | `Fragment), _ -> assert false (* handled below *));
-        let striper =
-          Striper.create ~scheduler
-            ?marker:
-              (match mode, engine_opt with
-              | `Quasi, Some _ when marker_rounds > 0 ->
-                Some (Marker.make ~every_rounds:marker_rounds ())
-              | _ -> None)
-            ~now:(fun () -> Sim.now sim)
-            ~sink:obs_sink
-            ~emit:(fun ~channel pkt ->
-              let tag =
-                match guard_tx with
-                | Some tx -> Channel_guard.Tx.next_tag tx ~channel
-                | None -> -1
-              in
-              ignore
-                (Link.send links.(channel) ~size:pkt.Packet.size
-                   (Packet.is_marker pkt, (tag, pkt))))
-            ()
-        in
-        (* Sender-side failure detection: carrier transitions suspend /
-           resume the channel in the striper (resume fires the §5 reset
-           barrier), unless the user asked for a link-state-blind
-           sender. *)
-        if not no_auto_suspend then
-          Array.iteri
-            (fun i link ->
-              Link.on_carrier link (fun ~up ->
-                  if up then Striper.resume_channel striper i
-                  else Striper.suspend_channel striper i))
-            links;
-        (* Adaptive striping (PROTOCOL.md §11) and the gray-failure
-           health engine (§13): recurring ticks until the offer ends. *)
-        let adapt_stats = ref (fun () -> []) in
-        (match adapt_interval, !reseq_cell, engine_opt with
-        | Some dt, Some reseq, Some e ->
-          let probe = Rate_probe.create ~n () in
-          let counts, step =
-            Bundle_control.adapt_loop probe ~striper ~reseq ~links
-              ~band:adapt_band ~max_packet:1500
-          in
-          let rec probe_tick () =
-            ignore (step ~now:(Sim.now sim));
-            if not !offer_done then Sim.schedule_after sim ~delay:dt probe_tick
-          in
-          Sim.schedule_after sim ~delay:dt probe_tick;
-          adapt_stats :=
-            (fun () ->
-              let join f a =
-                String.concat " " (Array.to_list (Array.map f a))
-              in
-              [
-                Printf.sprintf "adaptive: probes=%d retunes=%d deferred=%d"
-                  (Rate_probe.samples probe)
-                  counts.retunes counts.deferred;
-                Printf.sprintf "  goodput-est: [%s] Mbps  quanta: [%s]"
-                  (join
-                     (fun r -> Printf.sprintf "%.2f" (r /. 1e6))
-                     (Rate_probe.rates probe))
-                  (join string_of_int (Deficit.quanta e));
-              ])
-        | Some _, _, _ ->
-          warn "warning: --adapt needs quasi mode with a CFQ scheduler"
-        | None, _, _ -> ());
-        let health_stats = ref (fun () -> []) in
-        (match health_spec, !reseq_cell with
-        | Some (hconfig, every), Some reseq ->
-          let tick_every = Option.value every ~default:0.05 in
-          let h =
-            Health.create ~config:hconfig
-              ~live:(fun c -> c >= 0 && c < n && Link.is_up links.(c))
-              ~sink:obs_sink ~n ()
-          in
-          let counts, step =
-            Bundle_control.health_loop h ~striper ~reseq ~links ~floor:1500
-          in
-          let rec health_tick () =
-            let now = Sim.now sim in
-            let { Bundle_control.transitions; retuned } = step ~now in
-            track_quiet ~acted:(transitions <> [] || retuned) ~now links;
-            if not !offer_done then
-              Sim.schedule_after sim ~delay:tick_every health_tick
-          in
-          Sim.schedule_after sim ~delay:tick_every health_tick;
-          health_stats :=
-            (fun () ->
-              let per f =
-                String.concat " " (List.init n f)
-              in
-              [
-                Printf.sprintf
-                  "health: quarantines=%d reinstates=%d retunes=%d \
-                   deferred=%d guard-deferrals=%d"
-                  counts.quarantines counts.reinstates counts.retunes
-                  counts.deferred
-                  (Health.deferred_quarantines h);
-                Printf.sprintf "  states: [%s]  scores: [%s]"
-                  (per (fun c -> Health.state_name (Health.state h c)))
-                  (per (fun c -> Printf.sprintf "%.2f" (Health.score h c)));
-              ])
-        | Some _, _ ->
-          warn "warning: --health needs quasi mode with a CFQ scheduler"
-        | None, _ -> ());
-        (match mode, engine_opt with
-        | `Quasi, Some e ->
-          crash_ref :=
-            Some
+          Option.iter
+            (fun g -> finish_ref := fun () -> Channel_guard.flush g)
+            (Bundle.guard b);
+          (* Adaptive striping (PROTOCOL.md §11) and the gray-failure
+             health engine (§13): recurring ticks until the offer ends. *)
+          let adapt_stats = ref (fun () -> []) in
+          (match adapt_interval, engine_opt with
+          | Some dt, Some e when logical ->
+            let probe = Rate_probe.create ~n () in
+            let counts, step =
+              Bundle_control.adapt_loop probe b ~band:adapt_band
+                ~max_packet:1500
+            in
+            let rec probe_tick () =
+              ignore (step ~now:(Sim.now sim));
+              if not !offer_done then Sim.schedule_after sim ~delay:dt probe_tick
+            in
+            Sim.schedule_after sim ~delay:dt probe_tick;
+            adapt_stats :=
               (fun () ->
-                (* State loss first (the receiver starts drifting), reboot
-                   with the reset barrier 20 ms later. *)
-                Deficit.set_round e (Deficit.round e + 7);
-                Sim.schedule_after sim ~delay:0.02 (fun () ->
-                    Striper.send_reset striper));
-          (* Chaos driver: storms toggle link carrier (the carrier
-             watchers above do sender-side suspend/resume), crashes map
-             onto the PROTOCOL.md §12 endpoint crash/restart entry
-             points, and violate poisons the FIFO monitor's high-water
-             so the very next delivery registers — proving the
-             detection path fires. *)
-          let inner_receive = !receive_cell in
-          receive_cell :=
-            (fun i payload ->
-              if !rx_crashed then incr rx_crash_drops
-              else inner_receive i payload);
-          chaos_ref :=
-            Some
-              {
-                Chaos.set_channel_up =
-                  (fun c up -> if c >= 0 && c < n then Link.set_up links.(c) up);
-                crash =
-                  (fun side b ->
-                    if b = 0 then
-                      match side with
-                      | Chaos.Tx -> tx_crashed := true
-                      | Chaos.Rx -> (
-                        rx_crashed := true;
-                        match !reseq_cell with
-                        | Some r -> ignore (Resequencer.crash_restart r)
-                        | None -> ()));
-                restart =
-                  (fun side b ->
-                    if b = 0 then
-                      match side with
-                      | Chaos.Tx ->
-                        tx_crashed := false;
-                        Striper.crash_restart striper
-                      | Chaos.Rx -> rx_crashed := false);
-                violate =
-                  (fun _ ->
-                    match monitor with
-                    | Some m ->
-                      (* No later push may hide the poisoned delivery. *)
-                      quiet_line := infinity;
-                      Obs.Monitor.set_quiet_after m (Sim.now sim);
-                      Obs.Sink.emit (Obs.Monitor.sink m)
-                        (Obs.Event.v ~time:(Sim.now sim) ~size:0 ~seq:max_int
-                           Obs.Event.Deliver)
-                    | None -> ());
-                set_loss =
-                  (fun c l -> if c >= 0 && c < n then Link.set_loss links.(c) l);
-                scale_rate =
-                  (fun c f ->
-                    if c >= 0 && c < n then
-                      Link.set_rate_bps links.(c) (confs.(c).rate *. f));
-              }
-        | _ -> ());
-        ( (fun pkt ->
-            if !tx_crashed then incr tx_crash_drops else Striper.push striper pkt),
-          fun () ->
-            List.concat
-              [
-                Array.to_list
-                  (Array.mapi
-                     (fun i _ ->
-                       Printf.sprintf "  ch%d: %7d pkts %9d bytes" i
-                         (Striper.channel_packets striper i)
-                         (Striper.channel_bytes striper i))
-                     links);
-                [ Printf.sprintf "markers: %d" (Striper.markers_sent striper) ];
-                (if Striper.undispatched_drops striper > 0 then
-                   [
-                     Printf.sprintf "dropped with no live channel: %d"
-                       (Striper.undispatched_drops striper);
-                   ]
-                 else []);
-                (if impairs <> [] then begin
-                   let sum f = Array.fold_left (fun a l -> a + f l) 0 links in
-                   [
-                     Printf.sprintf
-                       "impairments: reordered=%d duplicated=%d corrupted=%d \
-                        crc-dropped=%d"
-                       (sum Link.reordered_packets)
-                       (sum Link.duplicated_packets)
-                       (sum Link.corrupted_packets)
-                       (sum Link.corrupt_drops);
-                   ]
-                 end
-                 else []);
-                !reseq_stats ();
-                !adapt_stats ();
-                !health_stats ();
-              ] )
+                let join f a =
+                  String.concat " " (Array.to_list (Array.map f a))
+                in
+                [
+                  Printf.sprintf "adaptive: probes=%d retunes=%d deferred=%d"
+                    (Rate_probe.samples probe)
+                    counts.retunes counts.deferred;
+                  Printf.sprintf "  goodput-est: [%s] Mbps  quanta: [%s]"
+                    (join
+                       (fun r -> Printf.sprintf "%.2f" (r /. 1e6))
+                       (Rate_probe.rates probe))
+                    (join string_of_int (Deficit.quanta e));
+                ])
+          | Some _, _ ->
+            warn "warning: --adapt needs quasi mode with a CFQ scheduler"
+          | None, _ -> ());
+          let health_stats = ref (fun () -> []) in
+          (match health_spec with
+          | Some (hconfig, every) when logical ->
+            let tick_every = Option.value every ~default:0.05 in
+            let h =
+              Health.create ~config:hconfig
+                ~live:(fun c -> c >= 0 && c < n && Link.is_up links.(c))
+                ~sink:obs_sink ~n ()
+            in
+            let counts, step = Bundle_control.health_loop h b ~floor:1500 in
+            let rec health_tick () =
+              let now = Sim.now sim in
+              let { Bundle_control.transitions; retuned } = step ~now in
+              track_quiet ~acted:(transitions <> [] || retuned) ~now links;
+              if not !offer_done then
+                Sim.schedule_after sim ~delay:tick_every health_tick
+            in
+            Sim.schedule_after sim ~delay:tick_every health_tick;
+            health_stats :=
+              (fun () ->
+                let per f =
+                  String.concat " " (List.init n f)
+                in
+                [
+                  Printf.sprintf
+                    "health: quarantines=%d reinstates=%d retunes=%d \
+                     deferred=%d guard-deferrals=%d"
+                    counts.quarantines counts.reinstates counts.retunes
+                    counts.deferred
+                    (Health.deferred_quarantines h);
+                  Printf.sprintf "  states: [%s]  scores: [%s]"
+                    (per (fun c -> Health.state_name (Health.state h c)))
+                    (per (fun c -> Printf.sprintf "%.2f" (Health.score h c)));
+                ])
+          | Some _ ->
+            warn "warning: --health needs quasi mode with a CFQ scheduler"
+          | None -> ());
+          (match engine_opt with
+          | Some e when logical ->
+            crash_ref :=
+              Some
+                (fun () ->
+                  (* State loss first (the receiver starts drifting), reboot
+                     with the reset barrier 20 ms later. *)
+                  Deficit.set_round e (Deficit.round e + 7);
+                  Sim.schedule_after sim ~delay:0.02 (fun () ->
+                      Striper.send_reset striper));
+            (* Chaos driver: storms toggle link carrier (the carrier
+               watchers above do sender-side suspend/resume), crashes map
+               onto the PROTOCOL.md §12 endpoint crash/restart entry
+               points (a crashed receiver's arrivals are dropped at the
+               receive edge), and violate poisons the FIFO monitor's
+               high-water so the very next delivery registers — proving
+               the detection path fires. *)
+            chaos_ref :=
+              Some
+                {
+                  Chaos.set_channel_up =
+                    (fun c up -> if c >= 0 && c < n then Link.set_up links.(c) up);
+                  crash =
+                    (fun side b' ->
+                      if b' = 0 then
+                        match side with
+                        | Chaos.Tx -> tx_crashed := true
+                        | Chaos.Rx ->
+                          rx_crashed := true;
+                          ignore (Resequencer.crash_restart (Bundle.resequencer b)));
+                  restart =
+                    (fun side b' ->
+                      if b' = 0 then
+                        match side with
+                        | Chaos.Tx ->
+                          tx_crashed := false;
+                          Striper.crash_restart striper
+                        | Chaos.Rx -> rx_crashed := false);
+                  violate =
+                    (fun _ ->
+                      match monitor with
+                      | Some m ->
+                        (* No later push may hide the poisoned delivery. *)
+                        quiet_line := infinity;
+                        Obs.Monitor.set_quiet_after m (Sim.now sim);
+                        Obs.Sink.emit (Obs.Monitor.sink m)
+                          (Obs.Event.v ~time:(Sim.now sim) ~size:0 ~seq:max_int
+                             Obs.Event.Deliver)
+                      | None -> ());
+                  set_loss =
+                    (fun c l -> if c >= 0 && c < n then Link.set_loss links.(c) l);
+                  scale_rate =
+                    (fun c f ->
+                      if c >= 0 && c < n then
+                        Link.set_rate_bps links.(c) (confs.(c).rate *. f));
+                }
+          | _ -> ());
+          ( (fun pkt ->
+              if !tx_crashed then incr tx_crash_drops else Striper.push striper pkt),
+            fun () ->
+              List.concat
+                [
+                  Array.to_list
+                    (Array.mapi
+                       (fun i _ ->
+                         Printf.sprintf "  ch%d: %7d pkts %9d bytes" i
+                           (Striper.channel_packets striper i)
+                           (Striper.channel_bytes striper i))
+                       links);
+                  [ Printf.sprintf "markers: %d" (Striper.markers_sent striper) ];
+                  (if Striper.undispatched_drops striper > 0 then
+                     [
+                       Printf.sprintf "dropped with no live channel: %d"
+                         (Striper.undispatched_drops striper);
+                     ]
+                   else []);
+                  (if impairs <> [] then begin
+                     let sum f = Array.fold_left (fun a l -> a + f l) 0 links in
+                     [
+                       Printf.sprintf
+                         "impairments: reordered=%d duplicated=%d corrupted=%d \
+                          crc-dropped=%d"
+                         (sum Link.reordered_packets)
+                         (sum Link.duplicated_packets)
+                         (sum Link.corrupted_packets)
+                         (sum Link.corrupt_drops);
+                     ]
+                   end
+                   else []);
+                  reseq_stats ();
+                  !adapt_stats ();
+                  !health_stats ();
+                ] )
+        in
+        (match guard_window with
+        | Some w when logical -> wire_up (Bundle.Guarded w)
+        | Some _ ->
+          warn "warning: --guard needs quasi mode with a CFQ scheduler";
+          wire_up Bundle.Plain
+        | None -> wire_up Bundle.Plain)
       | `Mppp ->
         let receiver = ref None in
         let links =
@@ -1014,7 +947,7 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
         let sender =
           Mppp.Sender.create ~scheduler:(make_scheduler ())
             ~emit:(fun ~link f ->
-              ignore (Link.send links.(link) ~size:(Mppp.wire_size f) (false, f)))
+              ignore (Link.send links.(link) ~size:(Mppp.wire_size f) f))
             ()
         in
         ( Mppp.Sender.push sender,
@@ -1044,8 +977,7 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
           Fragmenter.Sender.create ~shares:rates
             ~emit:(fun ~channel f ->
               ignore
-                (Link.send links.(channel) ~size:(Fragmenter.wire_size f)
-                   (false, f)))
+                (Link.send links.(channel) ~size:(Fragmenter.wire_size f) f))
             ()
         in
         ( Fragmenter.Sender.push sender,

@@ -15,52 +15,27 @@ let () =
   let recovery = Stripe_metrics.Recovery.create () in
   let reorder = Reorder.create () in
 
-  let engine = Srr.create ~quanta:[| 1500; 1500 |] () in
-  let resequencer =
-    Resequencer.create
-      ~deficit:(Deficit.clone_initial engine)
-      ~deliver:(fun ~channel:_ pkt ->
+  let bundle =
+    Bundle.create sim
+      ~scheduler:
+        (Scheduler.of_deficit ~name:"SRR" (Srr.create ~quanta:[| 1500; 1500 |] ()))
+      ~channels:[| (10e6, 0.005); (10e6, 0.005) |]
+      ~wire:Plain ~receiver:Logical
+      ~marker:(Marker.make ~every_rounds:4 ())
+      ~drop:(fun ~channel:_ pkt ->
+        !lossy && (not (Packet.is_marker pkt)) && Rng.bernoulli loss_rng ~p:0.4)
+      ~deliver:(fun pkt ->
         Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
           ~seq:pkt.Packet.seq;
         Reorder.observe reorder ~seq:pkt.Packet.seq)
       ()
   in
-  let links =
-    Array.init 2 (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
-          ~rate_bps:10e6 ~prop_delay:0.005
-          ~deliver:(fun pkt ->
-            let drop =
-              !lossy
-              && (not (Packet.is_marker pkt))
-              && Rng.bernoulli loss_rng ~p:0.4
-            in
-            if not drop then Resequencer.receive resequencer ~channel:i pkt)
-          ())
-  in
-  let striper =
-    Striper.create
-      ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
-      ~marker:(Marker.make ~every_rounds:4 ())
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-      ()
-  in
 
   (* Paced mixed-size stream for 3 s; 40% loss between t=1s and t=2s. *)
   let rng = Rng.create 4 in
-  let seq = ref 0 in
-  let rec tick () =
-    if Sim.now sim < 3.0 then begin
-      Striper.push striper
-        (Packet.data ~seq:!seq ~size:(if Rng.bool rng then 200 else 1000) ());
-      incr seq;
-      Sim.schedule_after sim ~delay:0.0008 tick
-    end
-  in
-  tick ();
+  ignore
+    (Bundle.pace bundle ~every:0.0008 ~until:3.0 (fun () ->
+         if Rng.bool rng then 200 else 1000));
   Sim.schedule sim ~at:1.0 (fun () -> lossy := true);
   Sim.schedule sim ~at:2.0 (fun () -> lossy := false);
   Sim.run sim;
@@ -69,7 +44,7 @@ let () =
   Printf.printf "  delivered: %d  out-of-order deliveries: %d (all during the burst)\n"
     (Reorder.observed reorder) (Reorder.out_of_order reorder);
   Printf.printf "  channel visits skipped by the marker rule: %d\n"
-    (Resequencer.skips resequencer);
+    (Resequencer.skips (Bundle.resequencer bundle));
   (match Stripe_metrics.Recovery.resync_time recovery ~errors_stop:2.0 with
   | Some dt ->
     Printf.printf "  FIFO delivery restored %.1f ms after the burst ended\n"

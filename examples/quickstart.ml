@@ -15,40 +15,25 @@ let () =
         simulates a clone of it (logical reception, §4 of the paper). *)
   let engine = Srr.create ~quanta:[| 1500; 1500; 1500 |] () in
 
-  let delivered = ref [] in
-  let resequencer =
-    Resequencer.create
-      ~deficit:(Deficit.clone_initial engine)
-      ~deliver:(fun ~channel:_ pkt -> delivered := pkt.Packet.seq :: !delivered)
-      ()
-  in
-
   (* 2. Three channels with very different latencies and rates. Each is
         FIFO on its own, as the protocol requires; nothing else is
-        assumed. *)
-  let channel_specs = [| (40e6, 0.001); (10e6, 0.015); (4e6, 0.040) |] in
-  let links =
-    Array.mapi
-      (fun i (rate_bps, prop_delay) ->
-        Link.create sim
-          ~name:(Printf.sprintf "channel-%d" i)
-          ~rate_bps ~prop_delay
-          ~deliver:(fun pkt -> Resequencer.receive resequencer ~channel:i pkt)
-          ())
-      channel_specs
-  in
-
-  (* 3. The sender: SRR striping with periodic resynchronization
-        markers. *)
-  let striper =
-    Striper.create
+        assumed.
+     3. The sender: SRR striping with periodic resynchronization
+        markers, over a plain wire (the packet alone) into logical
+        reception. *)
+  let delivered = ref [] in
+  let bundle =
+    Bundle.create sim
       ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
+      ~channels:[| (40e6, 0.001); (10e6, 0.015); (4e6, 0.040) |]
+      ~wire:Plain ~receiver:Logical
       ~marker:(Marker.make ~every_rounds:4 ())
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
+      ~deliver:(fun pkt -> delivered := pkt.Packet.seq :: !delivered)
       ()
   in
+  let striper = Bundle.striper bundle in
+  let links = Bundle.links bundle in
+  let resequencer = Bundle.resequencer bundle in
 
   (* 4. Push a mixed-size stream. *)
   let rng = Rng.create 2024 in

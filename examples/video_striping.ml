@@ -22,36 +22,22 @@ let () =
     let loss_rng = Rng.create 5 in
     let playback = Playback.create ~trace ~playout_delay:0.4 () in
     let reorder = Reorder.create () in
-    let engine = Srr.create ~quanta:[| 1500; 1500 |] () in
-    let resequencer =
-      Resequencer.create
-        ~deficit:(Deficit.clone_initial engine)
-        ~deliver:(fun ~channel:_ pkt ->
+    let bundle =
+      Bundle.create sim
+        ~scheduler:
+          (Scheduler.of_deficit ~name:"SRR" (Srr.create ~quanta:[| 1500; 1500 |] ()))
+        ~channels:(Array.init 2 (fun i -> (2e6, 0.01 +. (0.02 *. float_of_int i))))
+        ~wire:Plain ~receiver:Logical
+        ~marker:(Marker.make ~every_rounds:4 ())
+        ~drop:(fun ~channel:_ pkt ->
+          (not (Packet.is_marker pkt)) && Rng.bernoulli loss_rng ~p:loss_p)
+        ~deliver:(fun pkt ->
           Reorder.observe reorder ~seq:pkt.Packet.seq;
           Playback.packet_arrived playback ~frame:pkt.Packet.frame
             ~now:(Sim.now sim))
         ()
     in
-    let links =
-      Array.init 2 (fun i ->
-          Link.create sim
-            ~name:(Printf.sprintf "udp%d" i)
-            ~rate_bps:2e6
-            ~prop_delay:(0.01 +. (0.02 *. float_of_int i))
-            ~deliver:(fun pkt ->
-              if Packet.is_marker pkt || not (Rng.bernoulli loss_rng ~p:loss_p)
-              then Resequencer.receive resequencer ~channel:i pkt)
-            ())
-    in
-    let striper =
-      Striper.create
-        ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
-        ~marker:(Marker.make ~every_rounds:4 ())
-        ~now:(fun () -> Sim.now sim)
-        ~emit:(fun ~channel pkt ->
-          ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-        ()
-    in
+    let striper = Bundle.striper bundle in
     List.iter
       (fun (t, pkt) -> Sim.schedule sim ~at:t (fun () -> Striper.push striper pkt))
       (Video.packets trace);

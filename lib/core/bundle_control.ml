@@ -1,5 +1,5 @@
 (* The single-bundle control plane: the health and adapt loops over one
-   striper, its resequencer and its links (PROTOCOL.md §11, §13). Both
+   {!Bundle}'s striper, resequencer and links (PROTOCOL.md §11, §13). Both
    read cumulative link counters as per-window deltas and land every
    quantum change through the paired retune. *)
 
@@ -42,7 +42,10 @@ let quanta_of striper =
   | Some d -> Deficit.quanta d
   | None -> invalid_arg "Bundle_control: requires a CFQ scheduler"
 
-let health_loop health ~striper ~reseq ~links ~floor =
+let health_loop health bundle ~floor =
+  let striper = Bundle.striper bundle in
+  let reseq = Bundle.resequencer bundle in
+  let links = Bundle.links bundle in
   let k = { quarantines = 0; reinstates = 0; retunes = 0; deferred = 0 } in
   let nominal = Array.copy (quanta_of striper) in
   let staged = ref nominal in
@@ -85,7 +88,10 @@ let health_loop health ~striper ~reseq ~links ~floor =
   in
   (k, step)
 
-let adapt_loop probe ~striper ~reseq ~links ~band ~max_packet =
+let adapt_loop probe bundle ~band ~max_packet =
+  let striper = Bundle.striper bundle in
+  let reseq = Bundle.resequencer bundle in
+  let links = Bundle.links bundle in
   let k = { quarantines = 0; reinstates = 0; retunes = 0; deferred = 0 } in
   let delivered = meter links Link.delivered_bytes in
   (* A channel back from an outage starts a fresh estimate, not one

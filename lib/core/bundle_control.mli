@@ -1,7 +1,7 @@
 (** The single-bundle control plane (PROTOCOL.md §11, §13): the one copy
-    of the loops that feed {!Health} and {!Rate_probe} from a bundle's
+    of the loops that feed {!Health} and {!Rate_probe} from a {!Bundle}'s
     link counters and apply their decisions to its striper (CFQ only)
-    and resequencer. The caller calls a loop's step from its own tick
+    and resequencer (a [Logical] receiver). The caller calls a loop's step from its own tick
     and decides when the tick stops. *)
 
 val retune : Striper.t -> Resequencer.t -> quanta:int array -> bool
@@ -22,9 +22,7 @@ type step = { transitions : Health.transition list; retuned : bool }
 
 val health_loop :
   Health.t ->
-  striper:Striper.t ->
-  reseq:Resequencer.t ->
-  links:'a Stripe_netsim.Link.t array ->
+  _ Bundle.t ->
   floor:int ->
   counts * (now:float -> step)
 (** Each step observes the window's per-link loss against packets sent
@@ -36,9 +34,7 @@ val health_loop :
 
 val adapt_loop :
   Rate_probe.t ->
-  striper:Striper.t ->
-  reseq:Resequencer.t ->
-  links:'a Stripe_netsim.Link.t array ->
+  _ Bundle.t ->
   band:float ->
   max_packet:int ->
   counts * (now:float -> int array option)

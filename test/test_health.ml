@@ -10,7 +10,6 @@
    loop ([Bundle_control.health_loop]) checks what it applies. *)
 
 open Stripe_netsim
-open Stripe_packet
 open Stripe_core
 
 let check = Alcotest.(check bool)
@@ -495,33 +494,20 @@ let prop_full_gray_storm_recovers =
       let engine = Srr.create ~max_packet:1000 ~quanta:nominal () in
       let delivered = ref 0 in
       let delivered_late = ref 0 in
-      let reseq =
-        Resequencer.create
-          ~deficit:(Deficit.clone_initial engine)
-          ~now:(fun () -> Sim.now sim)
+      let b =
+        Bundle.create sim
+          ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
+          ~channels:(Array.make n (10e6, 0.002))
+          ~wire:Plain ~receiver:Logical
+          ~marker:(Marker.make ~every_rounds:4 ())
+          ~rng:master
           ~watchdog:{ Resequencer.intervals = 3; fallback = 0.01 }
-          ~deliver:(fun ~channel:_ _ ->
+          ~deliver:(fun _ ->
             incr delivered;
             if Sim.now sim > 2.5 then incr delivered_late)
           ()
       in
-      let links =
-        Array.init n (fun i ->
-            Link.create sim
-              ~name:(Printf.sprintf "ch%d" i)
-              ~rate_bps:10e6 ~prop_delay:0.002 ~rng:(Rng.split master)
-              ~deliver:(fun pkt -> Resequencer.receive reseq ~channel:i pkt)
-              ())
-      in
-      let striper =
-        Striper.create
-          ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
-          ~marker:(Marker.make ~every_rounds:4 ())
-          ~now:(fun () -> Sim.now sim)
-          ~emit:(fun ~channel pkt ->
-            ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-          ()
-      in
+      let links = Bundle.links b in
       let gray () =
         Loss.gilbert ~p_good_to_bad:0.1 ~p_bad_to_good:0.1 ~loss_good:0.02
           ~loss_bad:0.9
@@ -535,9 +521,7 @@ let prop_full_gray_storm_recovers =
           ~live:(fun c -> c >= 0 && c < n && Link.is_up links.(c))
           ~n ()
       in
-      let _, step =
-        Bundle_control.health_loop h ~striper ~reseq ~links ~floor:1000
-      in
+      let _, step = Bundle_control.health_loop h b ~floor:1000 in
       let rec tick () =
         ignore (step ~now:(Sim.now sim));
         let live = ref 0 in
@@ -548,16 +532,7 @@ let prop_full_gray_storm_recovers =
         if Sim.now sim < 3.9 then Sim.schedule_after sim ~delay:0.05 tick
       in
       Sim.schedule sim ~at:0.05 tick;
-      let seq = ref 0 in
-      let rec drive () =
-        if Sim.now sim < 3.5 then begin
-          Striper.push striper
-            (Packet.data ~seq:!seq ~born:(Sim.now sim) ~size:800 ());
-          incr seq;
-          Sim.schedule_after sim ~delay:0.0008 drive
-        end
-      in
-      drive ();
+      ignore (Bundle.pace b ~every:0.0008 ~until:3.5 (fun () -> 800));
       Sim.run sim;
       if !delivered_late = 0 then
         QCheck.Test.fail_report "delivery never resumed after the storm";
@@ -579,29 +554,15 @@ let test_health_loop_applies_decisions () =
   let sim = Sim.create () in
   let master = Rng.create 5 in
   let engine = Srr.create ~max_packet:1000 ~quanta:[| 4000; 4000 |] () in
-  let reseq =
-    Resequencer.create
-      ~deficit:(Deficit.clone_initial engine)
-      ~now:(fun () -> Sim.now sim)
-      ~deliver:(fun ~channel:_ _ -> ())
-      ()
-  in
-  let links =
-    Array.init n (fun i ->
-        Link.create sim ~rate_bps:10e6 ~prop_delay:0.002
-          ~rng:(Rng.split master)
-          ~deliver:(fun pkt -> Resequencer.receive reseq ~channel:i pkt)
-          ())
-  in
-  let striper =
-    Striper.create
+  let b =
+    Bundle.create sim
       ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
+      ~channels:(Array.make n (10e6, 0.002))
+      ~wire:Plain ~receiver:Logical
       ~marker:(Marker.make ~every_rounds:4 ())
-      ~now:(fun () -> Sim.now sim)
-      ~emit:(fun ~channel pkt ->
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-      ()
+      ~rng:master ~deliver:ignore ()
   in
+  let links = Bundle.links b and striper = Bundle.striper b in
   Sim.schedule sim ~at:0.2 (fun () ->
       Link.set_loss links.(1) (Loss.bernoulli ~p:1.0));
   Sim.schedule sim ~at:1.2 (fun () -> Link.set_loss links.(1) (Loss.none ()));
@@ -611,7 +572,7 @@ let test_health_loop_applies_decisions () =
       ~n ()
   in
   let counts, step =
-    Bundle_control.health_loop h ~striper ~reseq ~links ~floor:1000
+    Bundle_control.health_loop h b ~floor:1000
   in
   let quarantines = ref 0 and reinstates = ref 0 and retuned = ref 0 in
   let suspended_at_quarantine = ref true in
@@ -631,16 +592,7 @@ let test_health_loop_applies_decisions () =
     if Sim.now sim < 3.0 then Sim.schedule_after sim ~delay:0.05 tick
   in
   Sim.schedule sim ~at:0.05 tick;
-  let seq = ref 0 in
-  let rec drive () =
-    if Sim.now sim < 3.0 then begin
-      Striper.push striper
-        (Packet.data ~seq:!seq ~born:(Sim.now sim) ~size:800 ());
-      incr seq;
-      Sim.schedule_after sim ~delay:0.001 drive
-    end
-  in
-  drive ();
+  ignore (Bundle.pace b ~every:0.001 ~until:3.0 (fun () -> 800));
   Sim.run sim;
   check "quarantined at least once" true (!quarantines > 0);
   check "quarantine suspends the channel" true !suspended_at_quarantine;
@@ -651,7 +603,7 @@ let test_health_loop_applies_decisions () =
   check "recovered" true (Health.state h 1 = Health.Healthy);
   check "resumed" false (Striper.suspended_channel striper 1);
   Alcotest.(check (array int)) "full quantum again" [| 4000; 4000 |]
-    (Resequencer.quanta reseq)
+    (Resequencer.quanta (Bundle.resequencer b))
 
 let suites =
   [
