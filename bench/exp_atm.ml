@@ -21,14 +21,9 @@ type striping =
 module Merge_reassembler = struct
   type entry = { mutable got : int; mutable cells : int; mutable size : int }
 
-  type t = {
-    table : (int, entry) Hashtbl.t;
-    mutable delivered_bytes : int;
-    mutable delivered_frames : int;
-  }
+  type t = { table : (int, entry) Hashtbl.t; deliver : bytes:int -> unit }
 
-  let create () =
-    { table = Hashtbl.create 512; delivered_bytes = 0; delivered_frames = 0 }
+  let create ~deliver () = { table = Hashtbl.create 512; deliver }
 
   let receive t cell =
     match cell.Cell.kind with
@@ -45,17 +40,22 @@ module Merge_reassembler = struct
       e.got <- e.got + 1;
       if e.got = e.cells then begin
         Hashtbl.remove t.table d.dg_seq;
-        t.delivered_frames <- t.delivered_frames + 1;
-        t.delivered_bytes <- t.delivered_bytes + e.size
+        t.deliver ~bytes:e.size
       end
 end
 
 let run_case ~striping ~policy ~duration =
   let sim = Sim.create () in
   let rng = Rng.create 77 in
-  let reasm = Merge_reassembler.create () in
+  let out_rate_bps = 20e6 in
+  let goodput = Exp_common.window ~until:duration ~capacity_bps:out_rate_bps in
+  let reasm =
+    Merge_reassembler.create
+      ~deliver:(fun ~bytes -> Exp_common.count goodput ~now:(Sim.now sim) ~bytes)
+      ()
+  in
   let switch =
-    Epd_switch.create sim ~policy ~buffer_cells:200 ~out_rate_bps:20e6
+    Epd_switch.create sim ~policy ~buffer_cells:200 ~out_rate_bps
       ~deliver:(fun cell -> Merge_reassembler.receive reasm cell)
       ()
   in
@@ -112,10 +112,7 @@ let run_case ~striping ~policy ~duration =
   in
   tick ();
   Sim.run sim;
-  let goodput =
-    float_of_int (reasm.Merge_reassembler.delivered_bytes * 8) /. duration /. 1e6
-  in
-  (goodput, Epd_switch.frames_shed_early switch, Epd_switch.cells_dropped switch)
+  (Exp_common.window_mbps goodput, Epd_switch.frames_shed_early switch, Epd_switch.cells_dropped switch)
 
 let run () =
   Exp_common.section

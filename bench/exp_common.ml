@@ -40,6 +40,28 @@ let app_capacity kind ~mean_datagram =
   rate_of kind *. float_of_int mean_datagram
   /. float_of_int (wire_size kind mean_datagram)
 
+(* --- Goodput over a fixed window ----------------------------------- *)
+
+(* Application bytes delivered within [0, until]. What a run drains after
+   [until] is not counted: a rate is taken over the window its bytes were
+   delivered in. *)
+type window = { until : float; capacity_bps : float; mutable bytes : int }
+
+let window ~until ~capacity_bps = { until; capacity_bps; bytes = 0 }
+
+let count w ~now ~bytes = if now <= w.until then w.bytes <- w.bytes + bytes
+
+(* The window's goodput in Mbps. No goodput can exceed the capacity of
+   the links it crossed, so one that does is a measurement bug, and
+   fails the run. *)
+let window_mbps w =
+  let bps = float_of_int (w.bytes * 8) /. w.until in
+  if bps > w.capacity_bps then
+    failwith
+      (Printf.sprintf "goodput %.2f Mbps exceeds the links' %.2f Mbps"
+         (bps /. 1e6) (w.capacity_bps /. 1e6));
+  bps /. 1e6
+
 (* --- Receiver host model ---------------------------------------------- *)
 
 (* Per-packet protocol processing and per-interrupt overhead on the
@@ -177,13 +199,14 @@ let run_striped_tcp ?(duration = 4.0) ?(seed = 1) ~links ~scheme
         match !tcp_tx with Some s -> Tcp_lite.Sender.on_ack s ack | None -> ())
       ()
   in
-  let goodput = Stripe_metrics.Throughput.create () in
-  Stripe_metrics.Throughput.start_at goodput 0.0;
+  let goodput =
+    window ~until:duration
+      ~capacity_bps:(Array.fold_left (fun a k -> a +. rate_of k) 0.0 links)
+  in
   let rx =
     Tcp_lite.Receiver.create
       ~send_ack:(fun a -> ignore (Link.send ack_wire ~size:40 a))
-      ~deliver:(fun ~bytes ->
-        Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim) ~bytes)
+      ~deliver:(fun ~bytes -> count goodput ~now:(Sim.now sim) ~bytes)
       ()
   in
   tcp_rx := Some rx;
@@ -215,10 +238,7 @@ let run_striped_tcp ?(duration = 4.0) ?(seed = 1) ~links ~scheme
   Tcp_lite.Sender.shutdown tx;
   Sim.run sim;
   {
-    goodput_mbps =
-      (* Rate over the fixed measurement window. *)
-      float_of_int (Stripe_metrics.Throughput.bytes goodput * 8)
-      /. duration /. 1e6;
+    goodput_mbps = window_mbps goodput;
     ooo_segments = !ooo;
     retransmissions = Tcp_lite.Sender.retransmissions tx;
     ring_drops = Array.fold_left (fun acc nic -> acc + Nic.ring_drops nic) 0 nics;

@@ -15,8 +15,8 @@ open Stripe_core
 let run_case ~scheme_name ~engine ~alternating () =
   let sim = Sim.create () in
   let rng = Rng.create 7 in
-  let goodput = Stripe_metrics.Throughput.create () in
-  Stripe_metrics.Throughput.start_at goodput 0.0;
+  let duration = 4.0 in
+  let goodput = Exp_common.window ~until:duration ~capacity_bps:12e6 in
   let b =
     Bundle.create sim
       ~scheduler:(Scheduler.of_deficit ~name:scheme_name engine)
@@ -24,8 +24,7 @@ let run_case ~scheme_name ~engine ~alternating () =
       ~wire:Plain ~receiver:Logical
       ~marker:(Marker.make ~every_rounds:8 ())
       ~deliver:(fun pkt ->
-        Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim)
-          ~bytes:pkt.Packet.size)
+        Exp_common.count goodput ~now:(Sim.now sim) ~bytes:pkt.Packet.size)
       ()
   in
   let links = Bundle.links b and striper = Bundle.striper b in
@@ -39,7 +38,6 @@ let run_case ~scheme_name ~engine ~alternating () =
   in
   (* Backlogged sender paced just above aggregate capacity: feed packets
      whenever any transmit queue has room. *)
-  let duration = 4.0 in
   let seq = ref 0 in
   let rec feed () =
     if Sim.now sim < duration then begin
@@ -55,7 +53,7 @@ let run_case ~scheme_name ~engine ~alternating () =
   in
   feed ();
   Sim.run sim;
-  float_of_int (Stripe_metrics.Throughput.bytes goodput * 8) /. duration /. 1e6
+  Exp_common.window_mbps goodput
 
 let run () =
   Exp_common.section

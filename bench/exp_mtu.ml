@@ -15,6 +15,7 @@ open Stripe_host
 
 let rates = [| 60e6; 100e6 |]
 let member_mtu = 1500
+let capacity_bps = Array.fold_left ( +. ) 0.0 rates
 
 (* Common receive path: NICs feed a CPU; goodput counts datagram bytes
    handed to the application in order. *)
@@ -35,7 +36,7 @@ let make_rx sim ~n ~deliver =
 let run_whole ~datagram ~loss_p ~duration =
   let sim = Sim.create () in
   let rng = Rng.create 21 in
-  let app_bytes = ref 0 in
+  let goodput = Exp_common.window ~until:duration ~capacity_bps in
   let engine = Srr.for_rates ~rates_bps:rates ~quantum_unit:member_mtu () in
   let reseq = ref None in
   let nics =
@@ -47,7 +48,8 @@ let run_whole ~datagram ~loss_p ~duration =
   reseq :=
     Some
       (Resequencer.create ~deficit:(Deficit.clone_initial engine)
-         ~deliver:(fun ~channel:_ pkt -> app_bytes := !app_bytes + pkt.Packet.size)
+         ~deliver:(fun ~channel:_ pkt ->
+           Exp_common.count goodput ~now:(Sim.now sim) ~bytes:pkt.Packet.size)
          ());
   let links =
     Array.init 2 (fun i ->
@@ -88,13 +90,13 @@ let run_whole ~datagram ~loss_p ~duration =
   in
   offer ();
   Sim.run sim;
-  float_of_int (!app_bytes * 8) /. duration /. 1e6
+  Exp_common.window_mbps goodput
 
 (* Fragmenting striping: whole datagrams, one minipacket per channel. *)
 let run_fragmenting ~datagram ~loss_p ~duration =
   let sim = Sim.create () in
   let rng = Rng.create 22 in
-  let app_bytes = ref 0 in
+  let goodput = Exp_common.window ~until:duration ~capacity_bps in
   let reasm = ref None in
   let nics =
     make_rx sim ~n:2 ~deliver:(fun channel frag ->
@@ -105,7 +107,8 @@ let run_fragmenting ~datagram ~loss_p ~duration =
   reasm :=
     Some
       (Fragmenter.Reassembler.create ~n_channels:2
-         ~deliver:(fun pkt -> app_bytes := !app_bytes + pkt.Packet.size)
+         ~deliver:(fun pkt ->
+           Exp_common.count goodput ~now:(Sim.now sim) ~bytes:pkt.Packet.size)
          ());
   let links =
     Array.init 2 (fun i ->
@@ -138,7 +141,7 @@ let run_fragmenting ~datagram ~loss_p ~duration =
   in
   offer ();
   Sim.run sim;
-  float_of_int (!app_bytes * 8) /. duration /. 1e6
+  Exp_common.window_mbps goodput
 
 let run () =
   Exp_common.section
