@@ -341,12 +341,8 @@ let print_result r =
   end
 
 let best_of ~repeat ~engine ~total_bundles ~domains () =
-  let best = ref (run_once ~engine ~total_bundles ~domains ()) in
-  for _ = 2 to repeat do
-    let r = run_once ~engine ~total_bundles ~domains () in
-    if r.pps > !best.pps then best := r
-  done;
-  !best
+  Bench_gate.best_of ~repeat ~by:(fun r -> r.pps)
+    (run_once ~engine ~total_bundles ~domains)
 
 (* Ceiling on minor words per delivered packet, relative to the
    committed calendar entry. *)

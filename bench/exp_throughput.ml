@@ -138,12 +138,7 @@ let print_result r =
     r.events_per_pkt
 
 let best_of ~repeat ~engine ~n_packets () =
-  let best = ref (run_once ~engine ~n_packets ()) in
-  for _ = 2 to repeat do
-    let r = run_once ~engine ~n_packets () in
-    if r.pps > !best.pps then best := r
-  done;
-  !best
+  Bench_gate.best_of ~repeat ~by:(fun r -> r.pps) (run_once ~engine ~n_packets)
 
 let usage =
   "exp_throughput [--quick] [--repeat N] [--json FILE] [--check FILE] \

@@ -218,6 +218,14 @@ let write file ~header ~array entries =
            (List.map (fun e -> to_json (Obj e)) entries)));
   Printf.printf "  wrote %s\n%!" file
 
+let best_of ~repeat ~by run =
+  let best = ref (run ()) in
+  for _ = 2 to repeat do
+    let r = run () in
+    if by r > by !best then best := r
+  done;
+  !best
+
 let usage_error ~usage arg =
   Printf.eprintf "usage: %s (got %s)\n%!" usage arg;
   exit 2

@@ -86,6 +86,14 @@ val write :
     one header field per line, then [array] with one compact entry per
     line — and prints [wrote FILE]. *)
 
+(** {1 Repeating} *)
+
+val best_of : repeat:int -> by:('a -> float) -> (unit -> 'a) -> 'a
+(** [best_of ~repeat ~by run] calls [run] [max 1 repeat] times and keeps
+    the result scoring highest [by], the first of equals. Wall-clock
+    noise on a shared machine is one-sided, so the best of N runs
+    converges on the machine's true speed. *)
+
 (** {1 Command lines} *)
 
 val usage_error : usage:string -> string -> 'a

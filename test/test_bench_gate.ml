@@ -184,6 +184,20 @@ let test_write_read_back () =
           (lookup t "heap-quick" "pps");
         Alcotest.check num "header object" (Some 7.0) (lookup t "old" "pps"))
 
+let test_best_of () =
+  let runs = ref 0 in
+  let scores = [| 3.0; 7.0; 7.0; 1.0 |] in
+  let run () =
+    incr runs;
+    (!runs, scores.(!runs - 1))
+  in
+  let best = Bench_gate.best_of ~repeat:4 ~by:snd run in
+  Alcotest.(check int) "every repeat runs" 4 !runs;
+  Alcotest.(check int) "highest score, first of equals" 2 (fst best);
+  runs := 0;
+  ignore (Bench_gate.best_of ~repeat:0 ~by:snd run);
+  Alcotest.(check int) "at least one run" 1 !runs
+
 let test_flags () =
   let repeat = ref 0 and regress = ref 0.0 and quick = ref false in
   let specs =
@@ -237,5 +251,6 @@ let suites =
         Alcotest.test_case "rule boundaries" `Quick test_rules;
         Alcotest.test_case "write read back" `Quick test_write_read_back;
         Alcotest.test_case "flags" `Quick test_flags;
+        Alcotest.test_case "best of" `Quick test_best_of;
       ] );
   ]
