@@ -75,11 +75,12 @@ let create (type w) sim ~scheduler ~channels ~(wire : w wire) ~receiver
         (fun rng pkt -> if Packet.is_marker pkt then Some (mangle rng pkt) else None)
         corrupt_rng
     in
-    let deliver =
-      match drop with
-      | None -> fun i pkt -> receive ~channel:i pkt
-      | Some _ ->
-        fun i pkt -> if not (dropped ~channel:i pkt) then receive ~channel:i pkt
+    (* One closure per link; without a hook, a logical receiver is
+       called directly. *)
+    let deliver i =
+      match drop, rx with
+      | None, Rx_logical r -> fun pkt -> Resequencer.receive r ~channel:i pkt
+      | _ -> fun pkt -> if not (dropped ~channel:i pkt) then receive ~channel:i pkt
     in
     let links = Array.mapi (link ?corrupt ~deliver) channels in
     let emit ~channel pkt =
