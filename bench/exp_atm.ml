@@ -48,10 +48,10 @@ let run_case ~striping ~policy ~duration =
   let sim = Sim.create () in
   let rng = Rng.create 77 in
   let out_rate_bps = 20e6 in
-  let goodput = Exp_common.window ~until:duration ~capacity_bps:out_rate_bps in
+  let goodput = Exp_common.goodput ~duration ~capacity_bps:out_rate_bps in
   let reasm =
     Merge_reassembler.create
-      ~deliver:(fun ~bytes -> Exp_common.count goodput ~now:(Sim.now sim) ~bytes)
+      ~deliver:(fun ~bytes -> Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim) ~bytes)
       ()
   in
   let switch =
@@ -112,7 +112,7 @@ let run_case ~striping ~policy ~duration =
   in
   tick ();
   Sim.run sim;
-  (Exp_common.window_mbps goodput, Epd_switch.frames_shed_early switch, Epd_switch.cells_dropped switch)
+  (Stripe_metrics.Throughput.mbps goodput, Epd_switch.frames_shed_early switch, Epd_switch.cells_dropped switch)
 
 let run () =
   Exp_common.section

@@ -40,27 +40,14 @@ let app_capacity kind ~mean_datagram =
   rate_of kind *. float_of_int mean_datagram
   /. float_of_int (wire_size kind mean_datagram)
 
-(* --- Goodput over a fixed window ----------------------------------- *)
-
-(* Application bytes delivered within [0, until]. What a run drains after
-   [until] is not counted: a rate is taken over the window its bytes were
-   delivered in. *)
-type window = { until : float; capacity_bps : float; mutable bytes : int }
-
-let window ~until ~capacity_bps = { until; capacity_bps; bytes = 0 }
-
-let count w ~now ~bytes = if now <= w.until then w.bytes <- w.bytes + bytes
-
-(* The window's goodput in Mbps. No goodput can exceed the capacity of
-   the links it crossed, so one that does is a measurement bug, and
-   fails the run. *)
-let window_mbps w =
-  let bps = float_of_int (w.bytes * 8) /. w.until in
-  if bps > w.capacity_bps then
-    failwith
-      (Printf.sprintf "goodput %.2f Mbps exceeds the links' %.2f Mbps"
-         (bps /. 1e6) (w.capacity_bps /. 1e6));
-  bps /. 1e6
+(* A goodput meter over [0, duration]: a backlog drained after
+   [duration] is not counted, and a rate above the links' capacity fails
+   the run. *)
+let goodput ~duration ~capacity_bps =
+  let t = Stripe_metrics.Throughput.create ~capacity_bps () in
+  Stripe_metrics.Throughput.start_at t 0.0;
+  Stripe_metrics.Throughput.stop_at t duration;
+  t
 
 (* --- Receiver host model ---------------------------------------------- *)
 
@@ -200,13 +187,14 @@ let run_striped_tcp ?(duration = 4.0) ?(seed = 1) ~links ~scheme
       ()
   in
   let goodput =
-    window ~until:duration
+    goodput ~duration
       ~capacity_bps:(Array.fold_left (fun a k -> a +. rate_of k) 0.0 links)
   in
   let rx =
     Tcp_lite.Receiver.create
       ~send_ack:(fun a -> ignore (Link.send ack_wire ~size:40 a))
-      ~deliver:(fun ~bytes -> count goodput ~now:(Sim.now sim) ~bytes)
+      ~deliver:(fun ~bytes ->
+        Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim) ~bytes)
       ()
   in
   tcp_rx := Some rx;
@@ -238,7 +226,7 @@ let run_striped_tcp ?(duration = 4.0) ?(seed = 1) ~links ~scheme
   Tcp_lite.Sender.shutdown tx;
   Sim.run sim;
   {
-    goodput_mbps = window_mbps goodput;
+    goodput_mbps = Stripe_metrics.Throughput.mbps goodput;
     ooo_segments = !ooo;
     retransmissions = Tcp_lite.Sender.retransmissions tx;
     ring_drops = Array.fold_left (fun acc nic -> acc + Nic.ring_drops nic) 0 nics;

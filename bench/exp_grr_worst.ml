@@ -16,7 +16,7 @@ let run_case ~scheme_name ~engine ~alternating () =
   let sim = Sim.create () in
   let rng = Rng.create 7 in
   let duration = 4.0 in
-  let goodput = Exp_common.window ~until:duration ~capacity_bps:12e6 in
+  let goodput = Exp_common.goodput ~duration ~capacity_bps:12e6 in
   let b =
     Bundle.create sim
       ~scheduler:(Scheduler.of_deficit ~name:scheme_name engine)
@@ -24,7 +24,7 @@ let run_case ~scheme_name ~engine ~alternating () =
       ~wire:Plain ~receiver:Logical
       ~marker:(Marker.make ~every_rounds:8 ())
       ~deliver:(fun pkt ->
-        Exp_common.count goodput ~now:(Sim.now sim) ~bytes:pkt.Packet.size)
+        Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim) ~bytes:pkt.Packet.size)
       ()
   in
   let links = Bundle.links b and striper = Bundle.striper b in
@@ -53,7 +53,7 @@ let run_case ~scheme_name ~engine ~alternating () =
   in
   feed ();
   Sim.run sim;
-  Exp_common.window_mbps goodput
+  Stripe_metrics.Throughput.mbps goodput
 
 let run () =
   Exp_common.section

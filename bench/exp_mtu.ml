@@ -36,7 +36,7 @@ let make_rx sim ~n ~deliver =
 let run_whole ~datagram ~loss_p ~duration =
   let sim = Sim.create () in
   let rng = Rng.create 21 in
-  let goodput = Exp_common.window ~until:duration ~capacity_bps in
+  let goodput = Exp_common.goodput ~duration ~capacity_bps in
   let engine = Srr.for_rates ~rates_bps:rates ~quantum_unit:member_mtu () in
   let reseq = ref None in
   let nics =
@@ -49,7 +49,7 @@ let run_whole ~datagram ~loss_p ~duration =
     Some
       (Resequencer.create ~deficit:(Deficit.clone_initial engine)
          ~deliver:(fun ~channel:_ pkt ->
-           Exp_common.count goodput ~now:(Sim.now sim) ~bytes:pkt.Packet.size)
+           Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim) ~bytes:pkt.Packet.size)
          ());
   let links =
     Array.init 2 (fun i ->
@@ -90,13 +90,13 @@ let run_whole ~datagram ~loss_p ~duration =
   in
   offer ();
   Sim.run sim;
-  Exp_common.window_mbps goodput
+  Stripe_metrics.Throughput.mbps goodput
 
 (* Fragmenting striping: whole datagrams, one minipacket per channel. *)
 let run_fragmenting ~datagram ~loss_p ~duration =
   let sim = Sim.create () in
   let rng = Rng.create 22 in
-  let goodput = Exp_common.window ~until:duration ~capacity_bps in
+  let goodput = Exp_common.goodput ~duration ~capacity_bps in
   let reasm = ref None in
   let nics =
     make_rx sim ~n:2 ~deliver:(fun channel frag ->
@@ -108,7 +108,7 @@ let run_fragmenting ~datagram ~loss_p ~duration =
     Some
       (Fragmenter.Reassembler.create ~n_channels:2
          ~deliver:(fun pkt ->
-           Exp_common.count goodput ~now:(Sim.now sim) ~bytes:pkt.Packet.size)
+           Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim) ~bytes:pkt.Packet.size)
          ());
   let links =
     Array.init 2 (fun i ->
@@ -141,7 +141,7 @@ let run_fragmenting ~datagram ~loss_p ~duration =
   in
   offer ();
   Sim.run sim;
-  Exp_common.window_mbps goodput
+  Stripe_metrics.Throughput.mbps goodput
 
 let run () =
   Exp_common.section

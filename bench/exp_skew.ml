@@ -17,30 +17,49 @@ let run_one ~mode ~jitter =
   let reorder = Reorder.create () in
   let deliver pkt = Reorder.observe reorder ~seq:pkt.Packet.seq in
   let skews = [| 0.002; 0.030 |] in
-  (* Compensation takes every arrival out of the bundle's receive path
-     into the delay equalizer. *)
-  let compensate =
+  let engine = Srr.create ~quanta:[| 1000; 1000 |] () in
+  let receive =
     match mode with
     | Compensation ->
       let comp = Skew_comp.create sim ~skews ~deliver () in
-      Some
-        (fun ~channel pkt ->
-          Skew_comp.receive comp ~channel pkt;
-          true)
-    | Logical -> None
+      fun ~channel pkt -> Skew_comp.receive comp ~channel pkt
+    | Logical ->
+      let r =
+        Resequencer.create ~deficit:(Deficit.clone_initial engine)
+          ~deliver:(fun ~channel:_ pkt -> deliver pkt)
+          ()
+      in
+      fun ~channel pkt -> Resequencer.receive r ~channel pkt
   in
-  let b =
-    Bundle.create sim
-      ~scheduler:
-        (Scheduler.of_deficit ~name:"SRR" (Srr.create ~quanta:[| 1000; 1000 |] ()))
-      ~channels:(Array.map (fun skew -> (10e6, skew)) skews)
-      ~wire:Plain ~receiver:Logical ~rng ?drop:compensate ~deliver ()
+  let links =
+    Array.mapi
+      (fun i skew ->
+        Link.create sim
+          ~name:(Printf.sprintf "ch%d" i)
+          ~rate_bps:10e6 ~prop_delay:skew
+          ?jitter:
+            (if jitter > 0.0 then Some (fun r -> Rng.float r jitter) else None)
+          ~rng:(Rng.split rng)
+          ~deliver:(fun pkt -> receive ~channel:i pkt)
+          ())
+      skews
   in
-  if jitter > 0.0 then
-    Array.iter
-      (fun l -> Link.set_jitter l (fun r -> Rng.float r jitter))
-      (Bundle.links b);
-  ignore (Bundle.pace b ~every:0.0008 ~count:3000 (fun () -> 1000));
+  let striper =
+    Striper.create
+      ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
+      ~emit:(fun ~channel pkt ->
+        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
+      ()
+  in
+  let seq = ref 0 in
+  let rec tick () =
+    if !seq < 3000 then begin
+      Striper.push striper (Packet.data ~seq:!seq ~size:1000 ());
+      incr seq;
+      Sim.schedule_after sim ~delay:0.0008 tick
+    end
+  in
+  tick ();
   Sim.run sim;
   (Reorder.observed reorder, Reorder.out_of_order reorder)
 

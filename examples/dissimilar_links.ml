@@ -50,8 +50,17 @@ let () =
       ~deliver_up:(fun _ -> ())
       ()
   in
-  let goodput = Stripe_metrics.Throughput.create () in
+  (* A backlogged application: keep ~60 KB in flight for 2 simulated
+     seconds of mixed-size datagrams. Goodput counts what arrives within
+     those 2 s, not the backlog drained after. *)
+  let duration = 2.0 in
+  let goodput =
+    Stripe_metrics.Throughput.create
+      ~capacity_bps:(Array.fold_left ( +. ) 0.0 rates)
+      ()
+  in
   Stripe_metrics.Throughput.start_at goodput 0.0;
+  Stripe_metrics.Throughput.stop_at goodput duration;
   let rx_layer =
     Stripe_layer.create ~name:"stripe0" ~members:[| eth_rx; atm_rx |]
       ~scheduler:
@@ -72,11 +81,8 @@ let () =
       Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim)
         ~bytes:(Ip.size ip));
 
-  (* A backlogged application: keep ~60 KB in flight for 2 simulated
-     seconds of mixed-size datagrams. *)
   let rng = Rng.create 7 in
   let seq = ref 0 in
-  let duration = 2.0 in
   let rec offer () =
     if Sim.now sim < duration then begin
       let queued =
@@ -97,9 +103,7 @@ let () =
   offer ();
   Sim.run sim;
 
-  let mbps =
-    float_of_int (Stripe_metrics.Throughput.bytes goodput * 8) /. duration /. 1e6
-  in
+  let mbps = Stripe_metrics.Throughput.mbps goodput in
   Printf.printf "strIPe over 10 Mbps Ethernet + 16 Mbps ATM PVC\n";
   Printf.printf "  datagrams striped: %d, delivered in order: %d (reordered: %d)\n"
     (Stripe_layer.sent_datagrams tx_layer)

@@ -72,15 +72,12 @@ let create (type w) sim ~scheduler ~channels ~(wire : w wire) ~receiver
   let plain () =
     let corrupt =
       Option.map
-        (fun rng pkt -> if Packet.is_marker pkt then Some (mangle rng pkt) else None)
+        (fun rng pkt ->
+          if Packet.is_marker pkt then Some (mangle rng pkt) else None)
         corrupt_rng
     in
-    (* One closure per link; without a hook, a logical receiver is
-       called directly. *)
-    let deliver i =
-      match drop, rx with
-      | None, Rx_logical r -> fun pkt -> Resequencer.receive r ~channel:i pkt
-      | _ -> fun pkt -> if not (dropped ~channel:i pkt) then receive ~channel:i pkt
+    let deliver i pkt =
+      if not (dropped ~channel:i pkt) then receive ~channel:i pkt
     in
     let links = Array.mapi (link ?corrupt ~deliver) channels in
     let emit ~channel pkt =

@@ -50,7 +50,7 @@ type 'a t = {
   link_name : string;
   mutable rate : float;
   prop_delay : float;
-  mutable jitter : (Rng.t -> float) option;
+  jitter : (Rng.t -> float) option;
   rng : Rng.t;
   mutable loss : Loss.t;
   mutable impair : Impair.t;
@@ -508,10 +508,6 @@ let impairments t = t.impair
 let set_impairments t impair =
   catch_up t;
   t.impair <- impair
-
-let set_jitter t jitter =
-  catch_up t;
-  t.jitter <- Some jitter
 
 let queue_bytes t =
   catch_up t;

@@ -144,11 +144,6 @@ val set_impairments : 'a t -> Impair.t -> unit
 (** Replace the impairment profile (e.g. [--impair-stop] clearing every
     profile mid-run to let the receiver resynchronize). *)
 
-val set_jitter : 'a t -> (Rng.t -> float) -> unit
-(** Draw each later packet's extra delay from [jitter], as the
-    [create] argument does (on a link built elsewhere, e.g. by a
-    bundle builder). *)
-
 val queue_bytes : 'a t -> int
 (** Bytes currently waiting in the transmit queue (excluding the packet
     being serialized). Used by the shortest-queue-first baseline. *)

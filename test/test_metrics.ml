@@ -57,6 +57,28 @@ let test_throughput_epoch () =
   Alcotest.(check (float 1e-9)) "explicit epoch" 2.0 (Throughput.duration t);
   Alcotest.(check (float 1e-6)) "rate over epoch window" 4000.0 (Throughput.bps t)
 
+let test_throughput_window () =
+  let t = Throughput.create ~capacity_bps:8000.0 () in
+  Throughput.start_at t 0.0;
+  Throughput.stop_at t 2.0;
+  Throughput.account t ~now:1.0 ~bytes:1000;
+  Throughput.account t ~now:2.0 ~bytes:1000;
+  (* Drained after the window: neither counted nor stretching it. *)
+  Throughput.account t ~now:3.0 ~bytes:1000;
+  Alcotest.(check int) "bytes within window" 2000 (Throughput.bytes t);
+  Alcotest.(check int) "packets within window" 2 (Throughput.packets t);
+  Alcotest.(check (float 1e-9)) "duration is the window" 2.0
+    (Throughput.duration t);
+  Alcotest.(check (float 1e-6)) "rate over the window" 8000.0
+    (Throughput.bps t);
+  let over = Throughput.create ~capacity_bps:7999.0 () in
+  Throughput.start_at over 0.0;
+  Throughput.stop_at over 1.0;
+  Throughput.account over ~now:1.0 ~bytes:1000;
+  Alcotest.check_raises "rate above capacity"
+    (Failure "goodput 0.01 Mbps exceeds the links' 0.01 Mbps") (fun () ->
+      ignore (Throughput.mbps over))
+
 let test_recovery_immediate () =
   let r = Recovery.create () in
   List.iteri (fun i seq -> Recovery.observe r ~now:(float_of_int i) ~seq)
@@ -127,6 +149,7 @@ let suites =
           test_summary_percentile_requires_samples;
         Alcotest.test_case "throughput" `Quick test_throughput;
         Alcotest.test_case "throughput epoch" `Quick test_throughput_epoch;
+        Alcotest.test_case "throughput window" `Quick test_throughput_window;
         Alcotest.test_case "recovery immediate" `Quick test_recovery_immediate;
         Alcotest.test_case "recovery after disorder" `Quick
           test_recovery_after_disorder;
