@@ -134,7 +134,7 @@ let run_striped_tcp ?(duration = 4.0) ?(seed = 1) ~links ~scheme
   in
   let nics =
     Array.init n (fun _ ->
-        Nic.create sim ~cpu:rx_cpu ~ring_capacity:512 ~max_batch:rx_max_batch
+        Nic.create ~cpu:rx_cpu ~ring_capacity:512 ~max_batch:rx_max_batch
           ~intr_cost:rx_intr_cost ~per_packet_cost:rx_per_packet_cost
           ~deliver:(fun (channel, pkt) -> after_nic channel pkt)
           ())

@@ -139,7 +139,14 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
   let recovery = Stripe_metrics.Recovery.create () in
   let reorder = Reorder.create () in
   let depth = Depth.create () in
-  let delivered_bytes = ref 0 in
+  (* Goodput over the offered window [0, run_until]: the backlog drained
+     up to [drain_until] is not counted. *)
+  let goodput =
+    Stripe_metrics.Throughput.create
+      ~capacity_bps:(Array.fold_left ( +. ) 0.0 rates) ()
+  in
+  Stripe_metrics.Throughput.start_at goodput 0.0;
+  Stripe_metrics.Throughput.stop_at goodput run_until;
   let engine_opt =
     match disc with
     | Srr_d ->
@@ -164,7 +171,8 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
     Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
       ~seq:pkt.Packet.seq;
     Reorder.observe reorder ~seq:pkt.Packet.seq;
-    delivered_bytes := !delivered_bytes + pkt.Packet.size
+    Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim)
+      ~bytes:pkt.Packet.size
   in
   let corrupt_rng = Rng.split master in
   let impairment =
@@ -278,8 +286,7 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
       | Some e -> Srr.fairness_bound e
       | None -> -1);
     delivered;
-    goodput_mbps =
-      8.0 *. float_of_int !delivered_bytes /. run_until /. 1e6;
+    goodput_mbps = Stripe_metrics.Throughput.mbps goodput;
     depth_max = Depth.max_depth depth;
     depth_p99 = Depth.percentile depth ~p:0.99;
     inversions = Reorder.out_of_order reorder;

@@ -12,16 +12,16 @@ let paper_packets =
 let run_fig2_3 () =
   Exp_common.section
     "Figures 2 & 3 - fair queuing vs load sharing duality (quantum 500)";
-  let cfq = Cfq.of_deficit ~name:"SRR" (fun () -> Srr.create ~quanta:[| 500; 500 |] ()) in
-  let dispatch = Cfq.load_share cfq paper_packets in
+  let srr = Scheduler.srr ~quanta:[| 500; 500 |] () in
+  let dispatch = Scheduler.load_share srr paper_packets in
   Printf.printf "Load sharing (Fig 3): input a d e b c f ->\n";
   List.iter
     (fun (ch, (size, id)) ->
       Printf.printf "  packet %s (%4d B) -> channel %d\n" id size (ch + 1))
     dispatch;
-  let queues = Cfq.outputs_by_channel ~n:2 dispatch in
+  let queues = Scheduler.outputs_by_channel ~n:2 dispatch in
   Printf.printf "Fair queuing (Fig 2): serving those channel queues back:\n  ";
-  (match Cfq.fair_queue cfq queues with
+  (match Scheduler.fair_queue srr queues with
   | Some order ->
     List.iter (fun (_, (_, id)) -> Printf.printf "%s " id) order;
     print_newline ();

@@ -23,7 +23,7 @@ let make_rx sim ~n ~deliver =
   let cpu = Cpu.create sim () in
   let nics =
     Array.init n (fun _ ->
-        Nic.create sim ~cpu ~ring_capacity:512 ~max_batch:Exp_common.rx_max_batch
+        Nic.create ~cpu ~ring_capacity:512 ~max_batch:Exp_common.rx_max_batch
           ~intr_cost:Exp_common.rx_intr_cost
           ~per_packet_cost:Exp_common.rx_per_packet_cost
           ~deliver:(fun (channel, payload) -> deliver channel payload)

@@ -25,9 +25,9 @@ let () =
     (String.concat " " (List.filteri (fun i _ -> i < 8) (List.map snd input)));
 
   (* Forward direction: stripe it (Figure 3). *)
-  let cfq = Cfq.of_deficit ~name:"SRR" (fun () -> Srr.create ~quanta ()) in
-  let dispatch = Cfq.load_share cfq input in
-  let per_channel = Cfq.outputs_by_channel ~n:3 dispatch in
+  let srr = Scheduler.srr ~quanta () in
+  let dispatch = Scheduler.load_share srr input in
+  let per_channel = Scheduler.outputs_by_channel ~n:3 dispatch in
   Array.iteri
     (fun c q ->
       Printf.printf "channel %d carries: %s%s\n" c
@@ -36,7 +36,7 @@ let () =
     per_channel;
 
   (* Reverse direction: fair-queue the channels back (Figure 2). *)
-  (match Cfq.fair_queue cfq per_channel with
+  (match Scheduler.fair_queue srr per_channel with
   | Some order ->
     let restored = List.map snd order in
     Printf.printf "fair-queuing the channels restores the stream: %b\n"
@@ -75,7 +75,7 @@ let () =
     Scheduler.shortest_queue ~queue_bytes:(fun c -> !(depths.(c))) ~n:3
   in
   Printf.printf "SRR is causal: %b; shortest-queue-first is causal: %b\n"
-    (Scheduler.causal (Scheduler.srr ~quanta ()))
+    (Scheduler.causal srr)
     (Scheduler.causal sqf);
   print_endline
     "=> only the causal family supports receiver simulation, which is why";

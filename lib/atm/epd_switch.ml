@@ -3,9 +3,7 @@ type policy =
   | Early_packet_discard of { threshold : int }
 
 type t = {
-  sim : Stripe_netsim.Sim.t;
   policy : policy;
-  buffer_cells : int;
   out_link : Cell.t Stripe_netsim.Link.t;
   (* EPD per-VC state: are we currently shedding this VC's frame? Frame
      starts are recognized as the first cell after an EOF (or ever). *)
@@ -18,9 +16,7 @@ type t = {
 let create sim ~policy ~buffer_cells ~out_rate_bps ~deliver () =
   if buffer_cells <= 0 then invalid_arg "Epd_switch.create: buffer must be positive";
   {
-    sim;
     policy;
-    buffer_cells;
     out_link =
       Stripe_netsim.Link.create sim ~name:"atm-out" ~rate_bps:out_rate_bps
         ~prop_delay:0.001

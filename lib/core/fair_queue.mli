@@ -2,14 +2,15 @@
 
     This is the {e untransformed} direction of §3 — the algorithm family
     the striping scheme is derived from, implemented as a real queueing
-    discipline rather than the backlogged abstraction {!Cfq} uses for the
-    duality proof. It follows DRR [SV94] with the SRR surplus
+    discipline rather than the backlogged execution
+    {!Scheduler.fair_queue} runs for the duality proof. It follows DRR [SV94] with the SRR surplus
     modification: each flow has a quantum and a deficit counter; a
     round-robin scan serves the {e active} flows, granting the quantum at
     each visit and letting the counter go negative by at most one packet
     (the overdraw that makes the load-sharing transformation causal).
 
-    The non-backlogged case is where this differs from {!Cfq}: an empty
+    The non-backlogged case is where this differs from
+    {!Scheduler.fair_queue}: an empty
     queue is skipped via an active list (O(1) per packet, the DRR
     headline), and a flow that goes idle forfeits its deficit — the
     classic rule that stops an idle flow from hoarding service. It is

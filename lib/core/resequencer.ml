@@ -44,7 +44,6 @@ type t = {
          [force_round.(c) = no_stamp] when channel [c] has none. Two int
          arrays, so applying a marker allocates nothing. *)
   deliver : channel:int -> Packet.t -> unit;
-  on_credit : (int -> int -> unit) option;
   mutable reset_pending : bool array;
       (* Channels whose stream has reached a reset marker; when all have,
          the receiver reinitializes (crash-recovery barrier, §5). *)
@@ -171,7 +170,7 @@ type t = {
          FIFO where the sender's numbering changed. *)
 }
 
-let create ~deficit ?on_credit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
+let create ~deficit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     ?watchdog ?budget_bytes ?(overflow = Drop_newest) ?on_pressure ~deliver ()
     =
   (match watchdog with
@@ -194,7 +193,6 @@ let create ~deficit ?on_credit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     force_round = Array.make n no_stamp;
     force_dc = Array.make n 0;
     deliver;
-    on_credit;
     reset_pending = Array.make n false;
     park_epoch = Array.make n 0;
     park_gen = Array.make n 0;
@@ -250,8 +248,8 @@ let on_transition_adopted t f = t.on_adopt <- f
    {!Fifo_queue.recycle}, not bare [clear]: clear keeps the high-water
    marks (lifetime maxima for buffer-sizing reports), and carrying them
    to the next owner would report cross-bundle maxima. The [deliver] /
-   [on_credit] / [on_pressure] callbacks, sink, clock, watchdog config,
-   and budget are slot state and are kept. *)
+   [on_pressure] callbacks, sink, clock, watchdog config, and budget are
+   slot state and are kept. *)
 let recycle t =
   let n = Deficit.n_channels t.d in
   Deficit.reconfigure t.d ~quanta:(Deficit.quanta t.d);
@@ -426,10 +424,7 @@ let apply_marker t c (m : Packet.marker) =
   if Obs.Sink.active t.sink then
     Obs.Sink.emit t.sink
       (Obs.Event.v ~channel:c ~round:m.m_round ~dc:m.m_dc ~time:(t.now ())
-         Obs.Event.Marker_applied);
-  match t.on_credit, m.m_credit with
-  | Some f, Some k -> f c k
-  | Some _, None | None, _ -> ()
+         Obs.Event.Marker_applied)
 
 (* A channel parks at a reset marker, recording the marker's
    (epoch, generation) stamp so adoption can group channels by barrier.

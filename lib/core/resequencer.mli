@@ -73,7 +73,6 @@ type overflow =
 
 val create :
   deficit:Deficit.t ->
-  ?on_credit:(int -> int -> unit) ->
   ?now:(unit -> float) ->
   ?sink:Stripe_obs.Sink.t ->
   ?watchdog:watchdog ->
@@ -89,8 +88,8 @@ val create :
     called with each packet in logical-reception order, together with the
     channel it was drawn from (as a real implementation would know from
     the buffer it popped — used e.g. for per-channel flow-control
-    accounting). [on_credit c k] is invoked when a marker on channel [c]
-    piggybacks credit [k].
+    accounting). A marker's piggybacked credit is not read here: a
+    flow-control layer reads [m_credit] itself before {!receive}.
 
     [budget_bytes] bounds the {e data} bytes buffered across the
     per-channel queues (markers are always accepted — they are tiny,
@@ -115,7 +114,7 @@ val recycle : t -> unit
     {e and} its high-water tracking restarted
     ({!Stripe_packet.Fifo_queue.recycle} — bare [clear] would carry the
     previous bundle's maxima into the next owner's report), and all
-    counters return to zero. The [deliver]/[on_credit]/[on_pressure]
+    counters return to zero. The [deliver]/[on_pressure]
     callbacks, sink, clock, watchdog configuration, and byte budget are
     kept: they belong to the pool slot, not the bundle. Steady-state
     allocation-free — this is what lets a bundle pool churn thousands of

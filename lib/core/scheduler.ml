@@ -134,8 +134,15 @@ let rr ~n () = of_deficit ~name:"RR" (Rr.create ~n ())
 
 let grr ~ratios () = of_deficit ~name:"GRR" (Grr.create ~ratios ())
 
-let random_selection ~n ~seed =
-  if n <= 0 then invalid_arg "Scheduler.random_selection: n must be positive";
+let positive_n who n = if n <= 0 then invalid_arg (who ^ ": n must be positive")
+
+(* One uniform seeded draw per packet. Selection must be stable across
+   repeated [choose] calls before the matching [account], so the draw
+   is taken lazily and cached. [reset] rebuilds the RNG from the seed
+   and drops any cached draw, so a replay restarts at draw 0. Whether
+   this is §3.4's RFQ or [Bay95]'s Random Selection is only a question
+   of whether the receiver is assumed to share the seed. *)
+let seeded_draw ~name ~causal ~n ~seed =
   let fresh () =
     let rng = Stripe_netsim.Rng.create seed in
     let pending = ref None in
@@ -150,10 +157,22 @@ let random_selection ~n ~seed =
     let account_fn (_ : Packet.t) (_ : int) = pending := None in
     (choose_fn, account_fn, None)
   in
-  make ~name:"Random" ~causal:false ~n ~fresh ()
+  make ~name ~causal ~n ~fresh ()
+
+let random_selection ~n ~seed =
+  positive_n "Scheduler.random_selection" n;
+  seeded_draw ~name:"Random" ~causal:false ~n ~seed
+
+(* §3.4's randomized fair queuing: causal — the receiver can replay the
+   stream from the shared seed — but engine-less, so the simulator's
+   quasi-FIFO machinery (which replays a deficit engine) does not
+   apply; arrival order is the delivery order. *)
+let seeded_rfq ~n ~seed =
+  positive_n "Scheduler.seeded_rfq" n;
+  seeded_draw ~name:"RFQ" ~causal:true ~n ~seed
 
 let shortest_queue ~queue_bytes ~n =
-  if n <= 0 then invalid_arg "Scheduler.shortest_queue: n must be positive";
+  positive_n "Scheduler.shortest_queue" n;
   let fresh () =
     let choose_fn (_ : Packet.t) =
       let best = ref 0 and best_bytes = ref (queue_bytes 0) in
@@ -171,69 +190,62 @@ let shortest_queue ~queue_bytes ~n =
   in
   make ~name:"SQF" ~causal:false ~n ~fresh ()
 
-(* §3.4's randomized fair queuing as a scheduler: every packet lands on
-   a fresh seeded draw. Causal — the receiver can replay the stream from
-   the shared seed — but engine-less, so the simulator's quasi-FIFO
-   machinery (which replays a deficit engine) does not apply; arrival
-   order is the delivery order. *)
-let seeded_rfq ~n ~seed =
-  if n <= 0 then invalid_arg "Scheduler.seeded_rfq: n must be positive";
-  let fresh () =
-    let rng = Stripe_netsim.Rng.create seed in
-    let pending = ref None in
-    let choose_fn (_ : Packet.t) =
-      match !pending with
-      | Some c -> c
-      | None ->
-        let c = Stripe_netsim.Rng.int rng n in
-        pending := Some c;
-        c
-    in
-    let account_fn (_ : Packet.t) (_ : int) = pending := None in
-    (choose_fn, account_fn, None)
-  in
-  make ~name:"RFQ" ~causal:true ~n ~fresh ()
+(* Min-load selection in the memec StripeList style: the channel
+   minimizing [load c /. w.(c)], ties to the lowest index. *)
+let checked_weights who ~n = function
+  | None -> Array.make n 1.0
+  | Some w ->
+    if Array.length w <> n then
+      invalid_arg (who ^ ": weight vector width mismatch");
+    Array.iter
+      (fun x ->
+        if (not (Float.is_finite x)) || x <= 0.0 then
+          invalid_arg (who ^ ": weights must be positive"))
+      w;
+    Array.copy w
 
-(* Min-load selection in the memec StripeList style: each packet goes to
-   the channel with the least outstanding serialization debt, normalized
-   by a per-channel weight (its relative rate). [debt] is the caller's
-   oracle — queued bytes, wire busy time, whatever the layer can see.
-   Non-causal: the selection reads link state the receiver cannot
-   reconstruct. *)
+let argmin_weighted w load =
+  let best = ref 0 and best_load = ref (load 0 /. w.(0)) in
+  for c = 1 to Array.length w - 1 do
+    let l = load c /. w.(c) in
+    if l < !best_load then begin
+      best := c;
+      best_load := l
+    end
+  done;
+  !best
+
+(* [debt] is the caller's oracle — queued bytes, wire busy time,
+   whatever the layer can see. Non-causal: the selection reads link
+   state the receiver cannot reconstruct. *)
 let load_aware ?weights ~debt ~n () =
-  if n <= 0 then invalid_arg "Scheduler.load_aware: n must be positive";
-  let w =
-    match weights with
-    | None -> Array.make n 1.0
-    | Some w ->
-      if Array.length w <> n then
-        invalid_arg "Scheduler.load_aware: weight vector width mismatch";
-      Array.iter
-        (fun x ->
-          if (not (Float.is_finite x)) || x <= 0.0 then
-            invalid_arg "Scheduler.load_aware: weights must be positive")
-        w;
-      Array.copy w
-  in
+  positive_n "Scheduler.load_aware" n;
+  let w = checked_weights "Scheduler.load_aware" ~n weights in
   let fresh () =
-    let choose_fn (_ : Packet.t) =
-      let best = ref 0 and best_load = ref (debt 0 /. w.(0)) in
-      for c = 1 to n - 1 do
-        let l = debt c /. w.(c) in
-        if l < !best_load then begin
-          best := c;
-          best_load := l
-        end
-      done;
-      !best
-    in
+    let choose_fn (_ : Packet.t) = argmin_weighted w debt in
     let account_fn (_ : Packet.t) (_ : int) = () in
     (choose_fn, account_fn, None)
   in
   make ~name:"Load-aware" ~causal:false ~n ~fresh ()
 
+(* The same argmin over the bytes already assigned to each channel: the
+   state is a function of previously transmitted packets only, so this
+   form is causal in the §3.1 sense. *)
+let min_load ?weights ~n () =
+  positive_n "Scheduler.min_load" n;
+  let w = checked_weights "Scheduler.min_load" ~n weights in
+  let fresh () =
+    let assigned = Array.make n 0.0 in
+    let choose_fn (_ : Packet.t) = argmin_weighted w (Array.get assigned) in
+    let account_fn (pkt : Packet.t) c =
+      assigned.(c) <- assigned.(c) +. float_of_int pkt.size
+    in
+    (choose_fn, account_fn, None)
+  in
+  make ~name:"Min-load" ~causal:true ~n ~fresh ()
+
 let address_hashing ~n =
-  if n <= 0 then invalid_arg "Scheduler.address_hashing: n must be positive";
+  positive_n "Scheduler.address_hashing" n;
   let fresh () =
     (* Knuth multiplicative hash over the flow label. *)
     let hash flow = (flow * 2654435761) land max_int mod n in
@@ -242,3 +254,44 @@ let address_hashing ~n =
     (choose_fn, account_fn, None)
   in
   make ~name:"Hash" ~causal:false ~n ~fresh ()
+
+(* §3.2's transformation, run in both directions over one discipline.
+   Both runs start from s0 on a fresh copy, leaving [t] untouched, and
+   only a causal f(s) can be evaluated before the served packet is
+   known — so [choose] gets a placeholder packet in [fair_queue]. *)
+let fresh_causal who t =
+  if not t.is_causal then invalid_arg (who ^ ": non-causal scheduler");
+  reset t
+
+let load_share t packets =
+  let s = fresh_causal "Scheduler.load_share" t in
+  List.mapi
+    (fun seq (size, payload) ->
+      let pkt = Packet.data ~seq ~size () in
+      let c = choose s pkt in
+      account s pkt c;
+      (c, (size, payload)))
+    packets
+
+let outputs_by_channel ~n dispatch =
+  let rev = Array.make n [] in
+  List.iter (fun (c, p) -> rev.(c) <- p :: rev.(c)) dispatch;
+  Array.map List.rev rev
+
+let fair_queue t queues =
+  let s = fresh_causal "Scheduler.fair_queue" t in
+  let remaining = Array.copy queues in
+  let total = Array.fold_left (fun acc q -> acc + List.length q) 0 queues in
+  let placeholder = Packet.data ~seq:0 ~size:1 () in
+  let rec loop acc k =
+    if k = total then Some (List.rev acc)
+    else
+      let c = choose s placeholder in
+      match remaining.(c) with
+      | [] -> None
+      | ((size, _) as p) :: rest ->
+        remaining.(c) <- rest;
+        account s (Packet.data ~seq:k ~size ()) c;
+        loop ((c, p) :: acc) (k + 1)
+  in
+  loop [] 0

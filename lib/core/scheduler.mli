@@ -1,4 +1,5 @@
-(** Unified sender-side channel selector.
+(** Unified sender-side channel selector: the one representation of a
+    striping discipline.
 
     A [Scheduler.t] is what the striper consults to dispatch each data
     packet: [choose] picks a channel (possibly looking at the packet, for
@@ -7,7 +8,20 @@
     enables marker emission and logical reception; for the baselines of
     §2.1 — shortest queue first (Linux EQL), address-based hashing and
     random selection [Bay95] — [deficit] is [None] and no FIFO machinery
-    is available, which is precisely the comparison Table 1 draws. *)
+    is available, which is precisely the comparison Table 1 draws.
+
+    §3.1 characterizes a {e Causal} Fair Queuing (CFQ) algorithm, in its
+    backlogged execution, by a state [s] and two functions: a selector
+    [f(s)] that picks a queue ([choose]) and an update [g(s, p)] applied
+    after the packet [p] is transmitted ([account]). [f] may depend only
+    on previously transmitted packets, never on the contents of the
+    queues. §3.2's transformation runs the {e same} [(s0, f, g)] at a
+    sender with one input queue, pushing the next packet to channel
+    [f(s)] instead of pulling from queue [f(s)]. {!load_share} and
+    {!fair_queue} run both directions on the schedulers the striper
+    runs; feeding the per-channel outputs of one into the other must
+    reproduce the input (the E ↔ E' correspondence in the proof of
+    Theorem 3.1). *)
 
 type t
 
@@ -60,6 +74,14 @@ val load_aware : ?weights:float array -> debt:(int -> float) -> n:int -> unit ->
     channel capacity. Non-causal: the receiver cannot reconstruct link
     state. *)
 
+val min_load : ?weights:float array -> n:int -> unit -> t
+(** Min-load selection in pure form: each packet goes to the channel
+    with the least cumulative assigned bytes per unit weight, ties to
+    the lowest index; same weights and argmin as {!load_aware}. The
+    state is exactly the multiset of previously transmitted packets, so
+    this variant is causal in the §3.1 sense and satisfies the E ↔ E'
+    duality. Engine-less, so no quasi-FIFO machinery. *)
+
 val random_selection : n:int -> seed:int -> t
 (** Random channel per packet (the [Bay95] Random Selection scheme).
     Shares load in expectation; provides no FIFO delivery. Marked
@@ -95,8 +117,8 @@ val has_active : t -> bool
     [Invalid_argument], so dispatchers must check first and drop. *)
 
 val reset : t -> t
-(** A scheduler with the same configuration at its initial state (fresh
-    deficit engine / RNG, no suspensions). *)
+(** A scheduler with the same configuration at its initial state [s0]
+    (fresh deficit engine / RNG with no cached draw, no suspensions). *)
 
 val observe : t -> ?now:(unit -> float) -> Stripe_obs.Sink.t -> unit
 (** Route the embedded engine's round transitions to an observability
@@ -106,3 +128,23 @@ val observe : t -> ?now:(unit -> float) -> Stripe_obs.Sink.t -> unit
     a new quantum vector takes effect. Implemented with
     {!Deficit.set_hook}, so it replaces any hook already installed on the
     engine; a no-op for non-CFQ schedulers. *)
+
+val load_share : t -> (int * 'a) list -> (int * (int * 'a)) list
+(** [load_share t packets] runs the transformed algorithm (Figure 3)
+    over an input sequence of [(size, payload)] pairs, on a fresh copy
+    of [t] ({!reset}), and returns the dispatch sequence
+    [(channel, (size, payload))] in transmission order. Sizes must be
+    positive. Raises [Invalid_argument] on a non-causal scheduler. *)
+
+val fair_queue : t -> (int * 'a) list array -> (int * (int * 'a)) list option
+(** [fair_queue t queues] runs the original algorithm (Figure 2) over
+    backlogged input queues, one per channel, on a fresh copy of [t],
+    and returns the service order [(queue, (size, payload))]. The run
+    ends normally when every queue is empty, and returns [None] if the
+    algorithm selects an exhausted queue while others still hold
+    packets (the execution left the backlogged regime). Raises
+    [Invalid_argument] on a non-causal scheduler. *)
+
+val outputs_by_channel : n:int -> (int * 'a) list -> 'a list array
+(** Group a dispatch sequence per channel, preserving per-channel order:
+    the initial queues of execution E' from the outputs of E. *)

@@ -1,5 +1,4 @@
 type 'a t = {
-  sim : Stripe_netsim.Sim.t;
   cpu : Cpu.t;
   ring_capacity : int;
   max_batch : int option;
@@ -13,14 +12,13 @@ type 'a t = {
   mutable n_drops : int;
 }
 
-let create sim ~cpu ?(ring_capacity = 256) ?max_batch
+let create ~cpu ?(ring_capacity = 256) ?max_batch
     ~intr_cost ~per_packet_cost ~deliver () =
   if ring_capacity <= 0 then invalid_arg "Nic.create: ring_capacity must be positive";
   (match max_batch with
   | Some b when b <= 0 -> invalid_arg "Nic.create: max_batch must be positive"
   | Some _ | None -> ());
   {
-    sim;
     cpu;
     ring_capacity;
     max_batch;

@@ -18,7 +18,6 @@
 type 'a t
 
 val create :
-  Stripe_netsim.Sim.t ->
   cpu:Cpu.t ->
   ?ring_capacity:int ->
   ?max_batch:int ->

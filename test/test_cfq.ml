@@ -1,11 +1,12 @@
-(* Tests for the CFQ framework and the load-sharing transformation: the
-   Figure 2/3 worked example and the executable E <-> E' correspondence
-   at the heart of Theorem 3.1's proof. *)
+(* Tests for the CFQ view of [Scheduler] and the load-sharing
+   transformation: the Figure 2/3 worked example and the executable
+   E <-> E' correspondence at the heart of Theorem 3.1's proof, run on
+   the same scheduler constructors the striper runs. *)
 
 open Stripe_core
+open Stripe_packet
 
-let srr_cfq quanta =
-  Cfq.of_deficit ~name:"SRR" (fun () -> Srr.create ~quanta ())
+let srr_cfq quanta = Scheduler.srr ~quanta ()
 
 (* The paper's packets: identifier, size. *)
 let a = (550, "a")
@@ -18,7 +19,7 @@ let f = (400, "f")
 let test_figure2_fair_queue () =
   let cfq = srr_cfq [| 500; 500 |] in
   let queues = [| [ a; b; c ]; [ d; e; f ] |] in
-  match Cfq.fair_queue cfq queues with
+  match Scheduler.fair_queue cfq queues with
   | None -> Alcotest.fail "execution left the backlogged regime"
   | Some order ->
     Alcotest.(check (list string)) "Figure 2 service order"
@@ -28,31 +29,33 @@ let test_figure2_fair_queue () =
 let test_figure3_load_share () =
   let cfq = srr_cfq [| 500; 500 |] in
   let input = [ a; d; e; b; c; f ] in
-  let dispatch = Cfq.load_share cfq input in
+  let dispatch = Scheduler.load_share cfq input in
   Alcotest.(check (list (pair int string))) "Figure 3 dispatch"
     [ (0, "a"); (1, "d"); (1, "e"); (0, "b"); (0, "c"); (1, "f") ]
     (List.map (fun (ch, (_, id)) -> (ch, id)) dispatch)
 
 let test_outputs_by_channel () =
   let dispatch = [ (0, "x"); (1, "y"); (0, "z") ] in
-  let grouped = Cfq.outputs_by_channel ~n:2 dispatch in
+  let grouped = Scheduler.outputs_by_channel ~n:2 dispatch in
   Alcotest.(check (list string)) "channel 0" [ "x"; "z" ] grouped.(0);
   Alcotest.(check (list string)) "channel 1" [ "y" ] grouped.(1)
 
 let test_fair_queue_detects_starvation () =
   (* Queue 1 empty while queue 0 still holds packets: RR immediately
      selects the exhausted queue in round 0 -> non-backlogged. *)
-  let cfq = Cfq.of_deficit ~name:"RR" (fun () -> Rr.create ~n:2 ()) in
+  let cfq = Scheduler.rr ~n:2 () in
   let queues = [| [ (100, "p"); (100, "q") ]; [] |] in
   Alcotest.(check bool) "returns None outside backlogged regime" true
-    (Cfq.fair_queue cfq queues = None)
+    (Scheduler.fair_queue cfq queues = None)
 
 (* Theorem 3.1's correspondence, executable: striping an input and then
    fair-queuing the per-channel outputs reproduces the input exactly. *)
 let duality_roundtrip cfq input =
-  let dispatch = Cfq.load_share cfq input in
-  let queues = Cfq.outputs_by_channel ~n:cfq.Cfq.n dispatch in
-  match Cfq.fair_queue cfq queues with
+  let dispatch = Scheduler.load_share cfq input in
+  let queues =
+    Scheduler.outputs_by_channel ~n:(Scheduler.n_channels cfq) dispatch
+  in
+  match Scheduler.fair_queue cfq queues with
   | None -> false
   | Some order -> List.map snd order = input
 
@@ -75,23 +78,21 @@ let prop_duality_uneven_quanta =
   QCheck.Test.make ~name:"duality holds for weighted quanta" ~count:150
     sizes_gen
     (fun sizes ->
-      let cfq = Cfq.of_deficit ~name:"WSRR" (fun () ->
-          Srr.create ~quanta:[| 1500; 3000; 4500 |] ())
-      in
+      let cfq = srr_cfq [| 1500; 3000; 4500 |] in
       let input = List.mapi (fun i size -> (size, i)) sizes in
       duality_roundtrip cfq input)
 
 let prop_duality_rr =
   QCheck.Test.make ~name:"duality holds for RR" ~count:100 sizes_gen
     (fun sizes ->
-      let cfq = Cfq.of_deficit ~name:"RR" (fun () -> Rr.create ~n:3 ()) in
+      let cfq = Scheduler.rr ~n:3 () in
       let input = List.mapi (fun i size -> (size, i)) sizes in
       duality_roundtrip cfq input)
 
 let prop_duality_seeded_random =
   QCheck.Test.make ~name:"duality holds for seeded RFQ" ~count:100 sizes_gen
     (fun sizes ->
-      let cfq = Cfq.seeded_random ~name:"RFQ" ~n:4 ~seed:31 in
+      let cfq = Scheduler.seeded_rfq ~n:4 ~seed:31 in
       let input = List.mapi (fun i size -> (size, i)) sizes in
       duality_roundtrip cfq input)
 
@@ -113,8 +114,8 @@ let prop_duality_for_rates =
     (fun (mbps, sizes) ->
       let rates_bps = rates_bps_of mbps in
       let cfq =
-        Cfq.of_deficit ~name:"SRR/for_rates" (fun () ->
-            Srr.for_rates ~max_packet:1500 ~rates_bps ~quantum_unit:1500 ())
+        Scheduler.of_deficit ~name:"SRR/for_rates"
+          (Srr.for_rates ~max_packet:1500 ~rates_bps ~quantum_unit:1500 ())
       in
       let input = List.mapi (fun i size -> (size, i)) sizes in
       duality_roundtrip cfq input)
@@ -126,9 +127,9 @@ let prop_duality_sprinklers =
     (fun (seed, mbps, sizes) ->
       let rates_bps = rates_bps_of mbps in
       let cfq =
-        Cfq.of_deficit ~name:"Sprinklers" (fun () ->
-            Sprinklers.for_rates ~max_packet:1500 ~seed ~rates_bps
-              ~quantum_unit:1500 ())
+        Scheduler.of_deficit ~name:"Sprinklers"
+          (Sprinklers.for_rates ~max_packet:1500 ~seed ~rates_bps
+             ~quantum_unit:1500 ())
       in
       let input = List.mapi (fun i size -> (size, i)) sizes in
       duality_roundtrip cfq input)
@@ -139,85 +140,112 @@ let prop_duality_load_aware =
     QCheck.(pair rates_gen sizes_gen)
     (fun (w, sizes) ->
       let weights = Array.of_list (List.map float_of_int w) in
-      let cfq =
-        Cfq.load_aware ~weights ~name:"LA" ~n:(Array.length weights) ()
-      in
+      let cfq = Scheduler.min_load ~weights ~n:(Array.length weights) () in
       let input = List.mapi (fun i size -> (size, i)) sizes in
       duality_roundtrip cfq input)
+
+(* Every causal discipline [stripe_sim --scheduler] offers, built as
+   stripe_sim builds it over a random rate vector: the round trip holds
+   for each one. *)
+let stripe_sim_disciplines ~seed rates_bps =
+  let n = Array.length rates_bps in
+  [
+    Scheduler.of_deficit ~name:"SRR"
+      (Srr.for_rates ~max_packet:1500 ~rates_bps ~quantum_unit:1500 ());
+    Scheduler.of_deficit ~name:"RR" (Rr.create ~n ());
+    Scheduler.of_deficit ~name:"GRR" (Grr.for_rates ~rates_bps ());
+    Scheduler.of_deficit ~name:"Sprinklers"
+      (Sprinklers.for_rates ~max_packet:1500 ~seed ~rates_bps
+         ~quantum_unit:1500 ());
+    Scheduler.seeded_rfq ~n ~seed;
+  ]
+
+let prop_duality_stripe_sim_disciplines =
+  QCheck.Test.make
+    ~name:"duality holds for every causal stripe_sim discipline" ~count:100
+    QCheck.(triple small_nat rates_gen sizes_gen)
+    (fun (seed, mbps, sizes) ->
+      let input = List.mapi (fun i size -> (size, i)) sizes in
+      List.for_all
+        (fun s -> Scheduler.causal s && duality_roundtrip s input)
+        (stripe_sim_disciplines ~seed (rates_bps_of mbps)))
+
+(* Only a causal f(s) can be evaluated before the served packet is
+   known: both directions refuse the non-causal baselines. *)
+let test_non_causal_refused () =
+  let random = Scheduler.random_selection ~n:2 ~seed:1 in
+  Alcotest.check_raises "load_share"
+    (Invalid_argument "Scheduler.load_share: non-causal scheduler")
+    (fun () -> ignore (Scheduler.load_share random [ a ]));
+  Alcotest.check_raises "fair_queue"
+    (Invalid_argument "Scheduler.fair_queue: non-causal scheduler")
+    (fun () -> ignore (Scheduler.fair_queue random [| [ a ]; [] |]))
+
+(* The RFQ checks drive [Scheduler.seeded_rfq] through [choose] and
+   [account], as the striper does. *)
+let probe = Packet.data ~seq:0 ~size:100 ()
+
+let pick s =
+  let c = Scheduler.choose s probe in
+  Scheduler.account s probe c;
+  c
+
+let picks s k = List.init k (fun _ -> pick s)
 
 let test_seeded_random_is_causal () =
   (* Two instances from the same configuration make identical decisions:
      exactly what lets a seed-sharing receiver simulate the sender. *)
-  let cfq = Cfq.seeded_random ~name:"RFQ" ~n:5 ~seed:7 in
-  let i1 = cfq.Cfq.fresh () and i2 = cfq.Cfq.fresh () in
-  let picks inst =
-    List.init 200 (fun _ ->
-        let ch = inst.Cfq.select () in
-        inst.Cfq.update ~size:100;
-        ch)
-  in
-  Alcotest.(check (list int)) "identical selection streams" (picks i1) (picks i2)
+  let rfq = Scheduler.seeded_rfq ~n:5 ~seed:7 in
+  Alcotest.(check bool) "marked causal" true (Scheduler.causal rfq);
+  Alcotest.(check (list int)) "identical selection streams"
+    (picks rfq 200)
+    (picks (Scheduler.seeded_rfq ~n:5 ~seed:7) 200)
 
 let test_seeded_random_select_stable () =
-  let cfq = Cfq.seeded_random ~name:"RFQ" ~n:5 ~seed:7 in
-  let inst = cfq.Cfq.fresh () in
-  let first = inst.Cfq.select () in
+  let rfq = Scheduler.seeded_rfq ~n:5 ~seed:7 in
+  let first = Scheduler.choose rfq probe in
   Alcotest.(check int) "repeated select stable before update" first
-    (inst.Cfq.select ());
-  inst.Cfq.update ~size:1;
-  ignore (inst.Cfq.select ())
+    (Scheduler.choose rfq probe);
+  Scheduler.account rfq probe first;
+  ignore (Scheduler.choose rfq probe)
 
 (* §5 reset-barrier degenerate cases. The reseed point must discard a
-   draw cached by a [select] whose packet never dispatched (a packet
+   draw cached by a [choose] whose packet never dispatched (a packet
    selected but still queued when the barrier fired): keeping it would
    leave the sender consuming draw k while the receiver's replay
    consumes draw k+1, permanently offset. *)
 let test_seeded_random_reset_discards_cached_draw () =
-  let cfq = Cfq.seeded_random ~name:"RFQ" ~n:5 ~seed:7 in
-  let sender = cfq.Cfq.fresh () in
-  for _ = 1 to 17 do
-    ignore (sender.Cfq.select ());
-    sender.Cfq.update ~size:100
-  done;
-  (* A selection that never reaches [update]... *)
-  ignore (sender.Cfq.select ());
+  let sender = Scheduler.seeded_rfq ~n:5 ~seed:7 in
+  ignore (picks sender 17);
+  (* A selection that never reaches [account]... *)
+  ignore (Scheduler.choose sender probe);
   (* ...then the barrier. *)
-  sender.Cfq.reset ();
+  let sender = Scheduler.reset sender in
   (* The receiver joins the barrier by restarting its replay at s0. *)
-  let receiver = cfq.Cfq.fresh () in
-  let stream inst =
-    List.init 100 (fun _ ->
-        let c = inst.Cfq.select () in
-        inst.Cfq.update ~size:100;
-        c)
-  in
+  let receiver = Scheduler.seeded_rfq ~n:5 ~seed:7 in
   Alcotest.(check (list int)) "post-barrier selection streams aligned"
-    (stream receiver) (stream sender)
+    (picks receiver 100) (picks sender 100)
 
 let test_seeded_random_single_channel_reset () =
   (* n = 1: every draw maps to channel 0, so a desync would be silent —
      the reset still must not raise, must stay on channel 0, and must
      keep sender and replay draw-aligned (observable once the membership
      grows back, covered by the n > 1 test above). *)
-  let cfq = Cfq.seeded_random ~name:"RFQ" ~n:1 ~seed:3 in
-  let inst = cfq.Cfq.fresh () in
-  ignore (inst.Cfq.select ());
-  inst.Cfq.reset ();
+  let rfq = Scheduler.seeded_rfq ~n:1 ~seed:3 in
+  ignore (Scheduler.choose rfq probe);
+  let rfq = Scheduler.reset rfq in
   for _ = 1 to 50 do
-    Alcotest.(check int) "single channel" 0 (inst.Cfq.select ());
-    inst.Cfq.update ~size:10
+    Alcotest.(check int) "single channel" 0 (pick rfq)
   done;
-  inst.Cfq.reset ();
+  let rfq = Scheduler.reset rfq in
   Alcotest.(check int) "still channel 0 after second barrier" 0
-    (inst.Cfq.select ())
+    (Scheduler.choose rfq probe)
 
 let test_seeded_random_spread () =
-  let cfq = Cfq.seeded_random ~name:"RFQ" ~n:4 ~seed:11 in
-  let inst = cfq.Cfq.fresh () in
+  let rfq = Scheduler.seeded_rfq ~n:4 ~seed:11 in
   let counts = Array.make 4 0 in
   for _ = 1 to 4000 do
-    let ch = inst.Cfq.select () in
-    inst.Cfq.update ~size:100;
+    let ch = pick rfq in
     counts.(ch) <- counts.(ch) + 1
   done;
   Alcotest.(check bool) "RFQ spreads across all channels" true
@@ -233,6 +261,7 @@ let suites =
         Alcotest.test_case "starvation detected" `Quick
           test_fair_queue_detects_starvation;
         Alcotest.test_case "duality paper example" `Quick test_duality_paper_example;
+        Alcotest.test_case "non-causal refused" `Quick test_non_causal_refused;
         Alcotest.test_case "seeded random causal" `Quick test_seeded_random_is_causal;
         Alcotest.test_case "seeded random stable select" `Quick
           test_seeded_random_select_stable;
@@ -248,5 +277,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_duality_for_rates;
         QCheck_alcotest.to_alcotest prop_duality_sprinklers;
         QCheck_alcotest.to_alcotest prop_duality_load_aware;
+        QCheck_alcotest.to_alcotest prop_duality_stripe_sim_disciplines;
       ] );
   ]

@@ -606,6 +606,16 @@ let test_pool_injected_violation_caught () =
     check_int "pinned to the poisoned bundle" id bundle
   | None -> Alcotest.fail "violation not recorded"
 
+(* External input raises nothing: any string, and any small edit of a
+   valid spec, parses to [Ok] or [Error]. *)
+let prop_parse_spec_total =
+  Spec_fuzz.total ~name:"chaos: parse_spec never raises"
+    ~valid:
+      "storm=0+2/0.5@1,crash=rx/0/0.2@2,crash=tx/3/0.1@0.5,violate=1@4,\
+       degrade=1/gilbert/0.5/1.5@2,degrade=0/loss/0.3/1@1,\
+       degrade=2/rate/0.5/1@1,degrade=0/flap/0.1/1@3"
+    (fun s -> ignore (Chaos.parse_spec s))
+
 let suites =
   [
     ( "chaos",
@@ -623,6 +633,7 @@ let suites =
         Alcotest.test_case "min-pair adoption with a lost reset" `Quick
           test_min_pair_adoption_with_lost_reset;
         Alcotest.test_case "parse_spec grammar" `Quick test_chaos_parse_spec;
+        QCheck_alcotest.to_alcotest prop_parse_spec_total;
         Alcotest.test_case "spec errors are diagnosable" `Quick
           test_spec_errors_are_diagnosable;
         Alcotest.test_case "random plans are seeded" `Quick

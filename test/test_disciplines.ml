@@ -153,6 +153,14 @@ let test_sprinklers_fairness_bound_pin () =
     (Srr.fairness_bound srr + (2 * (Sprinklers.default_stripe_scale - 1) * 1500))
     (Sprinklers.fairness_bound spr)
 
+(* One backlogged dispatch of a [size]-byte packet, as the striper makes
+   it. *)
+let dispatch sched size =
+  let pkt = Packet.data ~seq:0 ~size () in
+  let c = Scheduler.choose sched pkt in
+  Scheduler.account sched pkt c;
+  c
+
 (* And empirical: a backlogged Sprinklers run must keep every channel's
    byte total within the bound of its proportional share, whatever
    orders the permutations deal (Thm 3.2 holds verbatim because every
@@ -163,15 +171,13 @@ let test_sprinklers_fairness_empirical () =
       ()
   in
   let bound = Sprinklers.fairness_bound spr in
-  let cfq = Cfq.of_deficit ~name:"Sprinklers" (fun () -> spr) in
-  let inst = cfq.Cfq.fresh () in
+  let sched = Scheduler.of_deficit ~name:"Sprinklers" spr in
   let rng = Rng.create 99 in
   let per_chan = Array.make n 0 in
   let total = ref 0 in
   for _ = 1 to 3000 do
     let size = 64 + Rng.int rng (max_packet - 63) in
-    let c = inst.Cfq.select () in
-    inst.Cfq.update ~size;
+    let c = dispatch sched size in
     per_chan.(c) <- per_chan.(c) + size;
     total := !total + size
   done;
@@ -188,14 +194,12 @@ let test_sprinklers_fairness_empirical () =
    each other at every prefix (assign-to-argmin can never push the
    chosen channel more than Max past the current minimum). *)
 let test_load_aware_spread_pin () =
-  let cfq = Cfq.load_aware ~name:"LA" ~n () in
-  let inst = cfq.Cfq.fresh () in
+  let sched = Scheduler.min_load ~n () in
   let rng = Rng.create 7 in
   let per_chan = Array.make n 0 in
   for _ = 1 to 3000 do
     let size = 64 + Rng.int rng (max_packet - 63) in
-    let c = inst.Cfq.select () in
-    inst.Cfq.update ~size;
+    let c = dispatch sched size in
     per_chan.(c) <- per_chan.(c) + size;
     let mx = Array.fold_left max per_chan.(0) per_chan in
     let mn = Array.fold_left min per_chan.(0) per_chan in

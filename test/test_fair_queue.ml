@@ -1,6 +1,7 @@
 (* Tests for the real fair-queuing discipline (DRR/SRR over an output
-   link), including consistency with the backlogged Cfq abstraction and
-   the non-backlogged behaviors that make general FQ non-causal. *)
+   link), including consistency with the backlogged execution that
+   [Scheduler.fair_queue] runs, and the non-backlogged behaviors that
+   make general FQ non-causal. *)
 
 open Stripe_core
 open Stripe_packet
@@ -33,7 +34,8 @@ let test_matches_cfq_when_backlogged () =
   let rng = Stripe_netsim.Rng.create 12 in
   let quanta = [| 1500; 1500; 1500 |] in
   (* Identical size sequences per flow keep all queues draining in
-     lockstep, so the Cfq execution stays backlogged to the end. *)
+     lockstep, so the backlogged execution stays backlogged to the
+     end. *)
   let shared = List.init 120 (fun _ -> 50 + Stripe_netsim.Rng.int rng 1450) in
   let sizes = Array.init 3 (fun _ -> shared) in
   let fq = Fair_queue.create ~quanta () in

@@ -418,6 +418,13 @@ let test_fault_soak () =
          ~time:(horizon +. 0.25)
        <> None)
 
+(* External input raises nothing: any string, and any small edit of a
+   valid spec, parses to [Ok] or [Error]. *)
+let prop_parse_spec_total =
+  Spec_fuzz.total ~name:"fault: parse_spec never raises"
+    ~valid:"1:down@0.5,up@1.5,burst=0.3/0.2@2.0,rate=5e6@1.0"
+    (fun s -> ignore (Fault.parse_spec s))
+
 let suites =
   [
     ( "fault",
@@ -426,6 +433,7 @@ let suites =
         Alcotest.test_case "parse spec rate/burst" `Quick
           test_parse_spec_rate_burst;
         Alcotest.test_case "parse spec errors" `Quick test_parse_spec_errors;
+        QCheck_alcotest.to_alcotest prop_parse_spec_total;
         Alcotest.test_case "down link drops silently" `Quick
           test_down_link_drops_silently;
         Alcotest.test_case "carrier watchers" `Quick test_carrier_watchers;

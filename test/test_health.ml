@@ -605,6 +605,15 @@ let test_health_loop_applies_decisions () =
   Alcotest.(check (array int)) "full quantum again" [| 4000; 4000 |]
     (Resequencer.quanta (Bundle.resequencer b))
 
+(* External input raises nothing: any string, and any small edit of a
+   valid spec, parses to [Ok] or [Error]. *)
+let prop_parse_spec_total =
+  Spec_fuzz.total ~name:"health: parse_spec never raises"
+    ~valid:
+      "every=0.05,alpha=0.3,suspect=0.2,quarantine=0.5,exit=0.1,escalate=2,\
+       recover=3,frac=0.5,backoff=0.2,factor=2,maxbackoff=5"
+    (fun s -> ignore (Health.parse_spec s))
+
 let suites =
   [
     ( "health",
@@ -636,5 +645,6 @@ let suites =
           test_health_loop_applies_decisions;
         QCheck_alcotest.to_alcotest prop_guard_never_zeroes_membership;
         QCheck_alcotest.to_alcotest prop_full_gray_storm_recovers;
+        QCheck_alcotest.to_alcotest prop_parse_spec_total;
       ] );
   ]

@@ -49,7 +49,7 @@ let test_nic_single_packet () =
   let cpu = Cpu.create sim () in
   let got = ref [] in
   let nic =
-    Nic.create sim ~cpu ~intr_cost:0.001 ~per_packet_cost:0.0005
+    Nic.create ~cpu ~intr_cost:0.001 ~per_packet_cost:0.0005
       ~deliver:(fun v -> got := (v, Sim.now sim) :: !got)
       ()
   in
@@ -68,7 +68,7 @@ let test_nic_coalescing_under_burst () =
   let cpu = Cpu.create sim () in
   let n = ref 0 in
   let nic =
-    Nic.create sim ~cpu ~intr_cost:0.001 ~per_packet_cost:0.0001
+    Nic.create ~cpu ~intr_cost:0.001 ~per_packet_cost:0.0001
       ~deliver:(fun _ -> incr n)
       ()
   in
@@ -91,7 +91,7 @@ let test_nic_split_load_more_interrupts () =
     let cpu = Cpu.create sim () in
     let nics =
       Array.init n_nics (fun _ ->
-          Nic.create sim ~cpu
+          Nic.create ~cpu
             ~intr_cost:0.0005 ~per_packet_cost:0.0001
             ~deliver:(fun _ -> ())
             ())
@@ -115,7 +115,7 @@ let test_nic_rx_budget () =
   let cpu = Cpu.create sim () in
   let n = ref 0 in
   let nic =
-    Nic.create sim ~cpu ~max_batch:4 ~intr_cost:0.001 ~per_packet_cost:0.0001
+    Nic.create ~cpu ~max_batch:4 ~intr_cost:0.001 ~per_packet_cost:0.0001
       ~deliver:(fun _ -> incr n)
       ()
   in
@@ -137,7 +137,7 @@ let test_nic_budget_validation () =
   Alcotest.check_raises "zero budget"
     (Invalid_argument "Nic.create: max_batch must be positive") (fun () ->
       ignore
-        (Nic.create sim ~cpu ~max_batch:0 ~intr_cost:1.0 ~per_packet_cost:1.0
+        (Nic.create ~cpu ~max_batch:0 ~intr_cost:1.0 ~per_packet_cost:1.0
            ~deliver:(fun (_ : int) -> ())
            ()))
 
@@ -145,7 +145,7 @@ let test_nic_ring_overflow () =
   let sim = Sim.create () in
   let cpu = Cpu.create sim () in
   let nic =
-    Nic.create sim ~cpu ~ring_capacity:4 ~intr_cost:1.0 ~per_packet_cost:0.1
+    Nic.create ~cpu ~ring_capacity:4 ~intr_cost:1.0 ~per_packet_cost:0.1
       ~deliver:(fun _ -> ())
       ()
   in

@@ -680,6 +680,13 @@ let test_impair_soak () =
     (Resequencer.blocked_on rig.reseq = None
     || Resequencer.pending rig.reseq = 0)
 
+(* External input raises nothing: any string, and any small edit of a
+   valid spec, parses to [Ok] or [Error]. *)
+let prop_parse_spec_total =
+  Spec_fuzz.total ~name:"impair: parse_spec never raises"
+    ~valid:"1:reorder=0.2/0.01,dup=0.05,corrupt=0.01"
+    (fun s -> ignore (Impair.parse_spec s))
+
 let suites =
   [
     ( "impair",
@@ -688,6 +695,7 @@ let suites =
         Alcotest.test_case "parse single impairment" `Quick
           test_parse_spec_single;
         Alcotest.test_case "parse spec errors" `Quick test_parse_spec_errors;
+        QCheck_alcotest.to_alcotest prop_parse_spec_total;
         Alcotest.test_case "make validates" `Quick test_make_validates;
       ] );
     ( "link-impair",

@@ -28,7 +28,7 @@ let build ?(resequence = true) () =
   let mk_wire ~rate ~delay ~nic_name =
     let rx_iface = ref None in
     let nic =
-      Stripe_host.Nic.create sim ~cpu:rx_cpu ~intr_cost:40e-6
+      Stripe_host.Nic.create ~cpu:rx_cpu ~intr_cost:40e-6
         ~per_packet_cost:40e-6
         ~deliver:(fun frame ->
           match !rx_iface with Some i -> Iface.rx i frame | None -> ())

@@ -212,19 +212,6 @@ let prop_recovery =
       in
       in_order && complete)
 
-let test_marker_credit_callback () =
-  let engine = Srr.create ~quanta:[| 100 |] () in
-  let credits = ref [] in
-  let reseq =
-    Resequencer.create ~deficit:engine
-      ~on_credit:(fun c k -> credits := (c, k) :: !credits)
-      ~deliver:(fun ~channel:_ _ -> ())
-      ()
-  in
-  Resequencer.receive reseq ~channel:0
-    (Packet.marker ~credit:55 ~channel:0 ~round:0 ~dc:100 ~born:0.0 ());
-  Alcotest.(check (list (pair int int))) "credit surfaced" [ (0, 55) ] !credits
-
 let test_drain () =
   let engine = Srr.create ~quanta:[| 100; 100 |] () in
   let reseq =
@@ -345,7 +332,6 @@ let suites =
           test_figures_8_13_walkthrough;
         Alcotest.test_case "recovery at 30% loss" `Quick test_recovery_moderate_loss;
         Alcotest.test_case "recovery at 80% loss" `Quick test_recovery_extreme_loss;
-        Alcotest.test_case "marker credit callback" `Quick test_marker_credit_callback;
         Alcotest.test_case "drain" `Quick test_drain;
         Alcotest.test_case "drain clears blocking state" `Quick
           test_drain_clears_blocking_state;

@@ -120,6 +120,14 @@ let test_replay_preserves_experiment () =
   let replayed = Trace_file.of_string (Trace_file.to_string live) in
   Alcotest.(check (list int)) "identical delivery" (run live) (run replayed)
 
+(* Replay input raises nothing but the documented [Failure]: any
+   string, and any small edit of a valid trace. *)
+let prop_of_string_total =
+  Spec_fuzz.total ~name:"trace_file: of_string raises only Failure"
+    ~valid:"# t seq size flow frame\n0.0 0 100 0 0\n\n0.25 1 1500 2 1\n"
+    ~allowed:(function Failure _ -> true | _ -> false)
+    (fun s -> ignore (Trace_file.of_string s))
+
 let suites =
   [
     ( "trace_file",
@@ -132,5 +140,6 @@ let suites =
           test_unreplayable_values;
         Alcotest.test_case "of_video" `Quick test_of_video;
         Alcotest.test_case "replay fidelity" `Quick test_replay_preserves_experiment;
+        QCheck_alcotest.to_alcotest prop_of_string_total;
       ] );
   ]
