@@ -552,6 +552,7 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
     let rx_crashed = ref false in
     let tx_crash_drops = ref 0 in
     let rx_crash_drops = ref 0 in
+    let rx_crash_wiped = ref 0 in
     let last_chaos_event = ref (-1) in
     (* The FIFO monitor's quiet line: chaos legally degrades delivery to
        quasi-FIFO while its effects drain (Thm 5.1), so strict FIFO
@@ -689,7 +690,9 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
                 lost_at_edge channel ~marker:(Packet.is_marker pkt)
                 || !rx_crashed
                    && begin
-                     incr rx_crash_drops;
+                     (* Data only, as the fleet counts it: markers carry
+                        no payload to conserve. *)
+                     if not (Packet.is_marker pkt) then incr rx_crash_drops;
                      true
                    end)
               ?watchdog ?budget_bytes:rx_buffer ~overflow:overflow_policy
@@ -859,7 +862,9 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
                         | Chaos.Tx -> tx_crashed := true
                         | Chaos.Rx ->
                           rx_crashed := true;
-                          ignore (Resequencer.crash_restart (Bundle.resequencer b)));
+                          rx_crash_wiped :=
+                            !rx_crash_wiped
+                            + Resequencer.crash_restart (Bundle.resequencer b));
                   restart =
                     (fun side b' ->
                       if b' = 0 then
@@ -1081,9 +1086,9 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
     | Some m ->
       out
         "chaos: %d actions (last event index %d)  tx-crash-dropped: %d  \
-         rx-crash-dropped: %d\n"
+         rx-crash-dropped: %d  rx-crash-wiped: %d\n"
         (List.length chaos_actions)
-        !last_chaos_event !tx_crash_drops !rx_crash_drops;
+        !last_chaos_event !tx_crash_drops !rx_crash_drops !rx_crash_wiped;
       out "monitors: violations=%d inversions=%d events-seen=%d\n"
         (Obs.Monitor.violations m)
         (Obs.Monitor.seq_inversions m)

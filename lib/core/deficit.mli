@@ -138,9 +138,9 @@ val set_dc : t -> int -> int -> unit
 (** Force a channel's DC (marker resynchronization at the receiver). *)
 
 val set_round : t -> int -> unit
-(** Force the global round number. Fault injection for self-stabilization
-    tests (a corrupted [G] is the failure {!Stabilizer} exists to catch);
-    no protocol component calls this. *)
+(** Force the global round number. Fault injection only: [stripe_sim
+    --crash-at] corrupts the sender's [G], and tests corrupt the
+    receiver's, which markers repair; no protocol component calls this. *)
 
 val select : t -> int
 (** The CFQ selector [f(s)] for overdraw mode: returns the channel the

@@ -170,6 +170,60 @@ type t = {
          FIFO where the sender's numbering changed. *)
 }
 
+(* Copy into the fresh array [b] the entries of [a] that [src] keeps.
+   No closure is allocated per array: the fleet creates a resequencer
+   per slot. *)
+let keep_into b ~src a =
+  for i = 0 to Array.length b - 1 do
+    let j = src i in
+    if j >= 0 then b.(i) <- a.(j)
+  done;
+  b
+
+(* The per-channel state, resized to [n] channels: entry [i] keeps old
+   entry [src i], or starts fresh when [src i < 0], a fresh channel's
+   marker epoch being [epoch]. Creation, a staged add, an adopted remove
+   and a restart that drops a staged width change all go through here. *)
+let remap t n ~src ~epoch =
+  t.buffers <-
+    keep_into (Array.init n (fun _ -> Fifo_queue.create ())) ~src t.buffers;
+  t.force_round <- keep_into (Array.make n no_stamp) ~src t.force_round;
+  t.force_dc <- keep_into (Array.make n 0) ~src t.force_dc;
+  t.reset_pending <- keep_into (Array.make n false) ~src t.reset_pending;
+  t.park_epoch <- keep_into (Array.make n 0) ~src t.park_epoch;
+  t.park_gen <- keep_into (Array.make n 0) ~src t.park_gen;
+  t.last_rx <- keep_into (Array.make n (t.now ())) ~src t.last_rx;
+  t.last_marker_rx <-
+    keep_into (Array.make n neg_infinity) ~src t.last_marker_rx;
+  t.marker_gap <- keep_into (Array.make n 0.0) ~src t.marker_gap;
+  t.gap_suspect <- keep_into (Array.make n 0.0) ~src t.gap_suspect;
+  t.dead <- keep_into (Array.make n false) ~src t.dead;
+  t.ch_epoch <- keep_into (Array.make n epoch) ~src t.ch_epoch;
+  t.n <- n
+
+let clear_stamps t = Array.fill t.force_round 0 t.n no_stamp
+
+(* Reseed the watchdog's marker-cadence estimate: until two markers
+   arrive on a channel, [wd.fallback] stands in. *)
+let reseed_cadence t =
+  Array.fill t.marker_gap 0 t.n 0.0;
+  Array.fill t.gap_suspect 0 t.n 0.0;
+  Array.fill t.last_marker_rx 0 t.n neg_infinity
+
+(* [remap] with every channel fresh, in place, for a restart at the same
+   width: allocates nothing. [empty] empties a buffer. *)
+let clear_channels t ~empty ~epoch =
+  Array.iter empty t.buffers;
+  clear_stamps t;
+  reseed_cadence t;
+  Array.fill t.force_dc 0 t.n 0;
+  Array.fill t.reset_pending 0 t.n false;
+  Array.fill t.park_epoch 0 t.n 0;
+  Array.fill t.park_gen 0 t.n 0;
+  Array.fill t.last_rx 0 t.n (t.now ());
+  Array.fill t.dead 0 t.n false;
+  Array.fill t.ch_epoch 0 t.n epoch
+
 let create ~deficit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     ?watchdog ?budget_bytes ?(overflow = Drop_newest) ?on_pressure ~deliver ()
     =
@@ -181,64 +235,90 @@ let create ~deficit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
   | Some b when b <= 0 ->
     invalid_arg "Resequencer.create: budget_bytes must be positive"
   | Some _ | None -> ());
-  let n = Deficit.n_channels deficit in
-  {
-    d = deficit;
-    n;
-    buffers = Array.init n (fun _ -> Fifo_queue.create ());
-    staged = S_none;
-    budget = budget_bytes;
-    overflow;
-    on_pressure;
-    force_round = Array.make n no_stamp;
-    force_dc = Array.make n 0;
-    deliver;
-    reset_pending = Array.make n false;
-    park_epoch = Array.make n 0;
-    park_gen = Array.make n 0;
-    rx_gen = -1;
-    now;
-    sink;
-    wd = watchdog;
-    last_rx = Array.make n (now ());
-    last_marker_rx = Array.make n neg_infinity;
-    marker_gap = Array.make n 0.0;
-    gap_suspect = Array.make n 0.0;
-    dead = Array.make n false;
-    n_data_buffered = 0;
-    n_delivered = 0;
-    n_skips = 0;
-    n_wd_skips = 0;
-    wd_spin = 0;
-    n_deaths = 0;
-    n_markers = 0;
-    n_resets = 0;
-    waiting = -1;
-    data_bytes = 0;
-    max_data_bytes = 0;
-    pressure = false;
-    force_need = 0;
-    n_overflows = 0;
-    n_overflow_drops = 0;
-    n_forced_deliveries = 0;
-    n_corrupt_markers = 0;
-    round_lag = 0;
-    n_realigns = 0;
-    rx_epoch = 0;
-    pending_epoch = 0;
-    ch_epoch = Array.make n 0;
-    n_epoch_discards = 0;
-    n_crash_syncs = 0;
-    n_stale_resets = 0;
-    realign_pending = false;
-    barrier_start = Float.nan;
-    n_forced_barriers = 0;
-    rd_max_seq = -1;
-    rd_max = 0;
-    on_adopt = (fun () -> ());
-  }
+  let t =
+    {
+      d = deficit;
+      n = 0;
+      buffers = [||];
+      staged = S_none;
+      budget = budget_bytes;
+      overflow;
+      on_pressure;
+      force_round = [||];
+      force_dc = [||];
+      deliver;
+      reset_pending = [||];
+      park_epoch = [||];
+      park_gen = [||];
+      rx_gen = -1;
+      now;
+      sink;
+      wd = watchdog;
+      last_rx = [||];
+      last_marker_rx = [||];
+      marker_gap = [||];
+      gap_suspect = [||];
+      dead = [||];
+      n_data_buffered = 0;
+      n_delivered = 0;
+      n_skips = 0;
+      n_wd_skips = 0;
+      wd_spin = 0;
+      n_deaths = 0;
+      n_markers = 0;
+      n_resets = 0;
+      waiting = -1;
+      data_bytes = 0;
+      max_data_bytes = 0;
+      pressure = false;
+      force_need = 0;
+      n_overflows = 0;
+      n_overflow_drops = 0;
+      n_forced_deliveries = 0;
+      n_corrupt_markers = 0;
+      round_lag = 0;
+      n_realigns = 0;
+      rx_epoch = 0;
+      pending_epoch = 0;
+      ch_epoch = [||];
+      n_epoch_discards = 0;
+      n_crash_syncs = 0;
+      n_stale_resets = 0;
+      realign_pending = false;
+      barrier_start = Float.nan;
+      n_forced_barriers = 0;
+      rd_max_seq = -1;
+      rd_max = 0;
+      on_adopt = (fun () -> ());
+    }
+  in
+  remap t (Deficit.n_channels deficit) ~src:(fun _ -> -1) ~epoch:0;
+  t
 
 let on_transition_adopted t f = t.on_adopt <- f
+
+(* The cold start a fresh bundle and a restarted endpoint share: the
+   engine reinitializes at its own width, so a staged transition dies
+   with the old bundle or endpoint; every channel starts fresh, nothing
+   is buffered, and the receiver is synchronized to sender epoch
+   [epoch]. Lifetime counters are the caller's business. *)
+let cold_start t ~empty ~epoch =
+  Deficit.reconfigure t.d ~quanta:(Deficit.quanta t.d);
+  t.staged <- S_none;
+  let n = Deficit.n_channels t.d in
+  if n <> t.n then remap t n ~src:(fun _ -> -1) ~epoch
+  else clear_channels t ~empty ~epoch;
+  t.n_data_buffered <- 0;
+  t.data_bytes <- 0;
+  t.force_need <- 0;
+  t.waiting <- -1;
+  t.wd_spin <- 0;
+  t.round_lag <- 0;
+  t.realign_pending <- false;
+  t.barrier_start <- Float.nan;
+  t.rx_epoch <- epoch;
+  t.pending_epoch <- epoch;
+  t.rx_gen <- -1
 
 (* Re-arm an existing resequencer for a fresh bundle. This is the bundle
    pool's churn primitive: a departing bundle's resequencer — buffers,
@@ -251,66 +331,23 @@ let on_transition_adopted t f = t.on_adopt <- f
    [on_pressure] callbacks, sink, clock, watchdog config, and budget are
    slot state and are kept. *)
 let recycle t =
-  let n = Deficit.n_channels t.d in
-  Deficit.reconfigure t.d ~quanta:(Deficit.quanta t.d);
-  t.staged <- S_none;
-  if Array.length t.buffers <> n then begin
-    (* A staged add/remove died with the old bundle: rebuild the runtime
-       arrays at the engine's width. *)
-    t.buffers <- Array.init n (fun _ -> Fifo_queue.create ());
-    t.force_round <- Array.make n no_stamp;
-    t.force_dc <- Array.make n 0;
-    t.reset_pending <- Array.make n false;
-    t.park_epoch <- Array.make n 0;
-    t.park_gen <- Array.make n 0;
-    t.last_rx <- Array.make n (t.now ());
-    t.last_marker_rx <- Array.make n neg_infinity;
-    t.marker_gap <- Array.make n 0.0;
-    t.gap_suspect <- Array.make n 0.0;
-    t.dead <- Array.make n false;
-    t.ch_epoch <- Array.make n 0
-  end
-  else begin
-    Array.iter Fifo_queue.recycle t.buffers;
-    Array.fill t.force_round 0 n no_stamp;
-    Array.fill t.reset_pending 0 n false;
-    Array.fill t.park_epoch 0 n 0;
-    Array.fill t.park_gen 0 n 0;
-    Array.fill t.last_rx 0 n (t.now ());
-    Array.fill t.last_marker_rx 0 n neg_infinity;
-    Array.fill t.marker_gap 0 n 0.0;
-    Array.fill t.gap_suspect 0 n 0.0;
-    Array.fill t.dead 0 n false;
-    Array.fill t.ch_epoch 0 n 0
-  end;
-  t.n <- n;
-  t.n_data_buffered <- 0;
+  cold_start t ~empty:Fifo_queue.recycle ~epoch:0;
   t.n_delivered <- 0;
   t.n_skips <- 0;
   t.n_wd_skips <- 0;
-  t.wd_spin <- 0;
   t.n_deaths <- 0;
   t.n_markers <- 0;
   t.n_resets <- 0;
-  t.waiting <- -1;
-  t.data_bytes <- 0;
   t.max_data_bytes <- 0;
   t.pressure <- false;
-  t.force_need <- 0;
   t.n_overflows <- 0;
   t.n_overflow_drops <- 0;
   t.n_forced_deliveries <- 0;
   t.n_corrupt_markers <- 0;
-  t.round_lag <- 0;
   t.n_realigns <- 0;
-  t.rx_epoch <- 0;
-  t.pending_epoch <- 0;
-  t.rx_gen <- -1;
   t.n_epoch_discards <- 0;
   t.n_crash_syncs <- 0;
   t.n_stale_resets <- 0;
-  t.realign_pending <- false;
-  t.barrier_start <- Float.nan;
   t.n_forced_barriers <- 0;
   t.rd_max_seq <- -1;
   t.rd_max <- 0
@@ -413,18 +450,23 @@ let note_arrival t c ~is_marker =
       t.last_marker_rx.(c) <- now
     end
 
+(* Every marker taken off a channel's stream is counted here, whatever
+   it does next. *)
+let[@inline] count_marker t c (m : Packet.marker) =
+  t.n_markers <- t.n_markers + 1;
+  if Obs.Sink.active t.sink then
+    Obs.Sink.emit t.sink
+      (Obs.Event.v ~channel:c ~round:m.m_round ~dc:m.m_dc ~time:(t.now ())
+         Obs.Event.Marker_applied)
+
 (* The stamp is recorded for the channel whose buffer the marker was
    drawn from, not [m.m_channel]: the arrival port is ground truth (a
    real receiver knows which wire a packet came in on), whereas the
    payload field could in principle be damaged in flight. *)
 let apply_marker t c (m : Packet.marker) =
-  t.n_markers <- t.n_markers + 1;
+  count_marker t c m;
   t.force_round.(c) <- m.m_round;
-  t.force_dc.(c) <- m.m_dc;
-  if Obs.Sink.active t.sink then
-    Obs.Sink.emit t.sink
-      (Obs.Event.v ~channel:c ~round:m.m_round ~dc:m.m_dc ~time:(t.now ())
-         Obs.Event.Marker_applied)
+  t.force_dc.(c) <- m.m_dc
 
 (* A channel parks at a reset marker, recording the marker's
    (epoch, generation) stamp so adoption can group channels by barrier.
@@ -450,6 +492,26 @@ let note_reset_pending t c ~epoch ~gen =
 let reset_stale t ~epoch ~gen =
   gen > 0 && (epoch < t.rx_epoch || (epoch = t.rx_epoch && gen <= t.rx_gen))
 
+(* A marker taken off the head of [c]'s stream: a plain marker stamps
+   the channel; a reset marker parks it at the barrier, unless it is a
+   stale copy, which is absorbed. Returns whether [c] parked. *)
+let take_marker t c (m : Packet.marker) =
+  if not m.m_reset then begin
+    apply_marker t c m;
+    false
+  end
+  else begin
+    count_marker t c m;
+    if reset_stale t ~epoch:m.m_epoch ~gen:m.m_gen then begin
+      t.n_stale_resets <- t.n_stale_resets + 1;
+      false
+    end
+    else begin
+      note_reset_pending t c ~epoch:m.m_epoch ~gen:m.m_gen;
+      true
+    end
+  end
+
 (* Markers take effect in their FIFO position within the channel's
    stream: absorb any markers at the head of the current channel's buffer
    before deciding how to serve it. A marker's (r, d) describes exactly
@@ -461,26 +523,8 @@ let rec absorb_markers t c =
   if not (Fifo_queue.is_empty buf) then begin
     let pkt = Fifo_queue.peek_unsafe buf in
     if Packet.is_marker pkt then begin
-      let m = Packet.get_marker pkt in
-      if m.Packet.m_reset then begin
-        ignore (Fifo_queue.pop_exn buf);
-        t.n_markers <- t.n_markers + 1;
-        if Obs.Sink.active t.sink then
-          Obs.Sink.emit t.sink
-            (Obs.Event.v ~channel:c ~round:m.Packet.m_round ~dc:m.Packet.m_dc
-               ~time:(t.now ()) Obs.Event.Marker_applied);
-        if reset_stale t ~epoch:m.Packet.m_epoch ~gen:m.Packet.m_gen then begin
-          t.n_stale_resets <- t.n_stale_resets + 1;
-          absorb_markers t c
-        end
-        else
-          note_reset_pending t c ~epoch:m.Packet.m_epoch ~gen:m.Packet.m_gen
-      end
-      else begin
-        ignore (Fifo_queue.pop_exn buf);
-        apply_marker t c m;
-        absorb_markers t c
-      end
+      ignore (Fifo_queue.pop_exn buf);
+      if not (take_marker t c (Packet.get_marker pkt)) then absorb_markers t c
     end
   end
 
@@ -565,9 +609,6 @@ let barrier_stale t =
     done;
     t.now () -. t.barrier_start > float_of_int w.intervals *. !gap
 
-let splice a c =
-  Array.init (Array.length a - 1) (fun i -> if i < c then a.(i) else a.(i + 1))
-
 (* Adopt a staged transition when its barrier completes — or plain
    [reinit] when none is staged. For a removal, whatever is still
    buffered on the leaving channel leaves with it: in healthy operation
@@ -589,19 +630,9 @@ let adopt_staged t =
           t.n_data_buffered <- t.n_data_buffered - 1;
           t.data_bytes <- t.data_bytes - size
         end);
-    t.buffers <- splice t.buffers c;
-    t.force_round <- splice t.force_round c;
-    t.force_dc <- splice t.force_dc c;
-    t.reset_pending <- splice t.reset_pending c;
-    t.park_epoch <- splice t.park_epoch c;
-    t.park_gen <- splice t.park_gen c;
-    t.last_rx <- splice t.last_rx c;
-    t.last_marker_rx <- splice t.last_marker_rx c;
-    t.marker_gap <- splice t.marker_gap c;
-    t.gap_suspect <- splice t.gap_suspect c;
-    t.dead <- splice t.dead c;
-    t.ch_epoch <- splice t.ch_epoch c;
-    t.n <- t.n - 1;
+    remap t (t.n - 1)
+      ~src:(fun i -> if i < c then i else i + 1)
+      ~epoch:t.rx_epoch;
     update_pressure t;
     Deficit.reconfigure t.d ~quanta:q;
     t.on_adopt ()
@@ -655,7 +686,7 @@ let rec progress t =
         then ag := t.park_gen.(i)
       done;
       adopt_staged t;
-      Array.fill t.force_round 0 t.n no_stamp;
+      clear_stamps t;
       let residual = ref false in
       for i = 0 to t.n - 1 do
         if t.reset_pending.(i) then
@@ -671,9 +702,7 @@ let rec progress t =
          interval (adaptive policies do), and an estimate carried across
          the barrier would misjudge the new cadence. Until two markers
          of the new epoch arrive, [wd.fallback] stands in. *)
-      Array.fill t.marker_gap 0 t.n 0.0;
-      Array.fill t.gap_suspect 0 t.n 0.0;
-      Array.fill t.last_marker_rx 0 t.n neg_infinity;
+      reseed_cadence t;
       t.n_resets <- t.n_resets + 1;
       t.waiting <- -1;
       t.wd_spin <- 0;
@@ -835,37 +864,22 @@ let hard_pop t =
   done;
   if !ci < 0 then false
   else begin
-    let pkt = Fifo_queue.pop_exn t.buffers.(!ci) in
     let c = !ci in
-      (if Packet.is_marker pkt then begin
-         let m = Packet.get_marker pkt in
-         if m.Packet.m_reset then begin
-           t.n_markers <- t.n_markers + 1;
-           (if reset_stale t ~epoch:m.Packet.m_epoch ~gen:m.Packet.m_gen then
-              t.n_stale_resets <- t.n_stale_resets + 1
-            else
-              note_reset_pending t c ~epoch:m.Packet.m_epoch
-                ~gen:m.Packet.m_gen);
-           if Obs.Sink.active t.sink then
-             Obs.Sink.emit t.sink
-               (Obs.Event.v ~channel:c ~round:m.Packet.m_round
-                  ~dc:m.Packet.m_dc ~time:(t.now ())
-                  Obs.Event.Marker_applied)
-         end
-         else apply_marker t c m
-       end
-       else begin
-         t.n_data_buffered <- t.n_data_buffered - 1;
-         t.data_bytes <- t.data_bytes - pkt.Packet.size;
-         t.n_delivered <- t.n_delivered + 1;
-         t.n_forced_deliveries <- t.n_forced_deliveries + 1;
-         if Obs.Sink.active t.sink then
-           Obs.Sink.emit t.sink
-             (Obs.Event.v ~channel:c ~size:pkt.Packet.size
-                ~seq:pkt.Packet.seq ~time:(t.now ()) Obs.Event.Deliver);
-         t.deliver ~channel:c pkt;
-         update_pressure t
-       end);
+    let pkt = Fifo_queue.pop_exn t.buffers.(c) in
+    if Packet.is_marker pkt then
+      ignore (take_marker t c (Packet.get_marker pkt))
+    else begin
+      t.n_data_buffered <- t.n_data_buffered - 1;
+      t.data_bytes <- t.data_bytes - pkt.Packet.size;
+      t.n_delivered <- t.n_delivered + 1;
+      t.n_forced_deliveries <- t.n_forced_deliveries + 1;
+      if Obs.Sink.active t.sink then
+        Obs.Sink.emit t.sink
+          (Obs.Event.v ~channel:c ~size:pkt.Packet.size ~seq:pkt.Packet.seq
+             ~time:(t.now ()) Obs.Event.Deliver);
+      t.deliver ~channel:c pkt;
+      update_pressure t
+    end;
     true
   end
 
@@ -935,12 +949,7 @@ let receive t ~channel pkt =
                flagging the channel and flushing stale data. Absorb it
                now instead of buffering it behind nothing. *)
             consumed_here := true;
-            t.n_markers <- t.n_markers + 1;
-            if Obs.Sink.active t.sink then
-              Obs.Sink.emit t.sink
-                (Obs.Event.v ~channel ~round:m.Packet.m_round
-                   ~dc:m.Packet.m_dc ~time:(t.now ())
-                   Obs.Event.Marker_applied)
+            count_marker t channel m
           end
           (* A non-reset epoch-advanced marker (the reset marker itself
              was lost) is buffered normally below: once the barrier
@@ -1020,58 +1029,14 @@ let tick t =
    wiped by the crash, for the caller's conservation accounting. *)
 let crash_restart t =
   let wiped = t.n_data_buffered in
-  let now = t.now () in
   if Obs.Sink.active t.sink then
-    Obs.Sink.emit t.sink (Obs.Event.v ~time:now Obs.Event.Crash);
-  Deficit.reconfigure t.d ~quanta:(Deficit.quanta t.d);
-  t.staged <- S_none;
-  let n = Deficit.n_channels t.d in
-  if Array.length t.buffers <> n then begin
-    (* A staged add/remove died with the endpoint: rebuild the runtime
-       arrays at the engine's width. *)
-    t.buffers <- Array.init n (fun _ -> Fifo_queue.create ());
-    t.force_round <- Array.make n no_stamp;
-    t.force_dc <- Array.make n 0;
-    t.reset_pending <- Array.make n false;
-    t.park_epoch <- Array.make n 0;
-    t.park_gen <- Array.make n 0;
-    t.last_rx <- Array.make n now;
-    t.last_marker_rx <- Array.make n neg_infinity;
-    t.marker_gap <- Array.make n 0.0;
-    t.gap_suspect <- Array.make n 0.0;
-    t.dead <- Array.make n false;
-    t.ch_epoch <- Array.make n min_int
-  end
-  else begin
-    (* [clear], not [recycle]: the bundle identity survives the crash,
-       so high-water maxima stay lifetime measurements. *)
-    Array.iter Fifo_queue.clear t.buffers;
-    Array.fill t.force_round 0 n no_stamp;
-    Array.fill t.reset_pending 0 n false;
-    Array.fill t.park_epoch 0 n 0;
-    Array.fill t.park_gen 0 n 0;
-    Array.fill t.last_rx 0 n now;
-    Array.fill t.last_marker_rx 0 n neg_infinity;
-    Array.fill t.marker_gap 0 n 0.0;
-    Array.fill t.gap_suspect 0 n 0.0;
-    Array.fill t.dead 0 n false;
-    Array.fill t.ch_epoch 0 n min_int
-  end;
-  t.n <- n;
-  t.n_data_buffered <- 0;
-  t.data_bytes <- 0;
+    Obs.Sink.emit t.sink (Obs.Event.v ~time:(t.now ()) Obs.Event.Crash);
+  (* [clear], not [recycle]: the bundle identity survives the crash, so
+     high-water maxima stay lifetime measurements. *)
+  cold_start t ~empty:Fifo_queue.clear ~epoch:min_int;
   update_pressure t;
-  t.force_need <- 0;
-  t.waiting <- -1;
-  t.wd_spin <- 0;
-  t.round_lag <- 0;
-  t.realign_pending <- false;
-  t.barrier_start <- Float.nan;
-  t.rx_epoch <- min_int;
-  t.pending_epoch <- min_int;
-  t.rx_gen <- -1;
   if Obs.Sink.active t.sink then
-    Obs.Sink.emit t.sink (Obs.Event.v ~time:now Obs.Event.Restart);
+    Obs.Sink.emit t.sink (Obs.Event.v ~time:(t.now ()) Obs.Event.Restart);
   wiped
 
 let transition_pending t = t.staged <> S_none
@@ -1106,21 +1071,10 @@ let add_channel t ~quantum =
      simulated engine keeps the old width until the barrier adopts the
      staged vector. *)
   let q = Array.append (Deficit.quanta t.d) [| quantum |] in
-  t.buffers <- Array.append t.buffers [| Fifo_queue.create () |];
-  t.force_round <- Array.append t.force_round [| no_stamp |];
-  t.force_dc <- Array.append t.force_dc [| 0 |];
-  t.reset_pending <- Array.append t.reset_pending [| false |];
-  t.park_epoch <- Array.append t.park_epoch [| 0 |];
-  t.park_gen <- Array.append t.park_gen [| 0 |];
-  t.last_rx <- Array.append t.last_rx [| t.now () |];
-  t.last_marker_rx <- Array.append t.last_marker_rx [| neg_infinity |];
-  t.marker_gap <- Array.append t.marker_gap [| 0.0 |];
-  t.gap_suspect <- Array.append t.gap_suspect [| 0.0 |];
-  t.dead <- Array.append t.dead [| false |];
-  t.ch_epoch <- Array.append t.ch_epoch [| t.rx_epoch |];
-  t.n <- t.n + 1;
+  let c = t.n in
+  remap t (c + 1) ~src:(fun i -> if i < c then i else -1) ~epoch:t.rx_epoch;
   t.staged <- S_add q;
-  t.n - 1
+  c
 
 let remove_channel t c =
   require_unstaged t "Resequencer.remove_channel";
@@ -1130,8 +1084,10 @@ let remove_channel t c =
     invalid_arg "Resequencer.remove_channel: cannot remove the last channel";
   (* Nothing shrinks yet: the channel must keep receiving — and the scan
      keep draining — its in-flight data until its goodbye reset marker
-     arrives and the barrier completes; [adopt_staged] splices then. *)
-  t.staged <- S_remove (c, splice (Deficit.quanta t.d) c)
+     arrives and the barrier completes; [adopt_staged] remaps then. *)
+  let q = Deficit.quanta t.d in
+  let keep i = q.(if i < c then i else i + 1) in
+  t.staged <- S_remove (c, Array.init (Array.length q - 1) keep)
 
 let delivered t = t.n_delivered
 
@@ -1156,8 +1112,6 @@ let markers_seen t = t.n_markers
 let resets t = t.n_resets
 let forced_barriers t = t.n_forced_barriers
 let stale_resets t = t.n_stale_resets
-
-let round t = Deficit.round t.d
 
 let buffer_high_water_packets t =
   (* Per-channel high waters do not peak simultaneously in general, but
@@ -1203,5 +1157,5 @@ let drain t =
      marker stamp to describe — clear both so [blocked_on] and the next
      scan do not act on stale state. *)
   t.waiting <- -1;
-  Array.fill t.force_round 0 t.n no_stamp;
+  clear_stamps t;
   List.rev !out

@@ -264,9 +264,6 @@ val resets : t -> int
     channel. Pre-reset stragglers are delivered best-effort; delivery is
     FIFO again from the first post-reset packet. *)
 
-val round : t -> int
-(** The receiver's global round number [G]. *)
-
 val buffer_high_water_packets : t -> int
 (** Largest total buffered-packet count observed — how much physical
     reception ran ahead of logical reception (sizes real buffers against

@@ -14,6 +14,7 @@ module Pair = struct
   type t = {
     striper : Striper.t;
     reseq : Resequencer.t;
+    rx_engine : Deficit.t;  (* The receiver's simulated sender. *)
     wires : Packet.t Queue.t array;
     delivered : int list ref;
   }
@@ -24,8 +25,9 @@ module Pair = struct
     let sched = Scheduler.of_deficit ~name:"SRR" engine in
     let wires = Array.init n (fun _ -> Queue.create ()) in
     let delivered = ref [] in
+    let rx_engine = Deficit.clone_initial engine in
     let reseq =
-      Resequencer.create ~deficit:(Deficit.clone_initial engine)
+      Resequencer.create ~deficit:rx_engine
         ~deliver:(fun ~channel:_ p -> delivered := p.Packet.seq :: !delivered)
         ()
     in
@@ -34,11 +36,12 @@ module Pair = struct
         ~emit:(fun ~channel pkt -> Queue.add pkt wires.(channel))
         ()
     in
-    { striper; reseq; wires; delivered }
+    { striper; reseq; rx_engine; wires; delivered }
 
-  let send t sizes =
+  let send ?(first = 0) t sizes =
     List.iteri
-      (fun seq size -> Striper.push t.striper (Packet.data ~seq ~size ()))
+      (fun i size ->
+        Striper.push t.striper (Packet.data ~seq:(first + i) ~size ()))
       sizes
 
   (* Deliver all wire contents with a per-step random choice of channel —
@@ -320,6 +323,74 @@ let test_buffer_high_water () =
   Alcotest.(check bool) "high water reflects skew run-ahead" true
     (Resequencer.buffer_high_water_packets reseq >= 10)
 
+(* State corruption of the receiver's global round [G] (§5 mentions
+   snapshot-and-reset for it): markers alone repair it, with no reset
+   barrier. Ahead of the sender, the next marker pins below [G] and
+   re-anchors the round translation once; behind it, the C1 skip rule
+   fast-forwards. *)
+let marked_pair () =
+  Pair.create ~marker:(Marker.make ~every_rounds:2 ()) ~quanta:[| 1000; 1000 |]
+    ()
+
+let corrupt_round_then_send ~shift =
+  let pair = marked_pair () in
+  let rng = Stripe_netsim.Rng.create 1 in
+  Pair.send pair (List.init 100 (fun _ -> 1000));
+  Pair.shuttle ~rng pair;
+  let g = Deficit.round pair.rx_engine in
+  Deficit.set_round pair.rx_engine (max 0 (g + shift));
+  pair.delivered := [];
+  Pair.send ~first:1000 pair (List.init 300 (fun _ -> 1000));
+  Pair.shuttle ~rng pair;
+  (pair.reseq, Pair.delivered pair)
+
+let test_round_high_reanchors () =
+  let reseq, out = corrupt_round_then_send ~shift:50 in
+  Alcotest.(check int) "one re-anchoring" 1 (Resequencer.round_realigns reseq);
+  Alcotest.(check int) "no reset barrier" 0 (Resequencer.resets reseq);
+  Alcotest.(check (list int)) "all 300 in order" (List.init 300 (( + ) 1000))
+    out
+
+let test_round_low_skips () =
+  let reseq, out = corrupt_round_then_send ~shift:(-30) in
+  Alcotest.(check int) "no reset barrier" 0 (Resequencer.resets reseq);
+  Alcotest.(check int) "nothing lost" 300 (List.length out);
+  (* Skips cost a transient misorder while [G] catches up; FIFO after. *)
+  let tail = List.filteri (fun i _ -> i >= 10) out in
+  Alcotest.(check bool) "the skip rule recovers" true
+    (List.sort compare tail = tail)
+
+(* A restart while a width change is staged drops the transition: the
+   receiver comes back at the engine's width, refuses the staged
+   channel, and the next reset barrier resynchronizes it with the
+   sender, which never changed width. *)
+let test_restart_drops_staged_width ~restart ~stage () =
+  let pair = marked_pair () in
+  let rng = Stripe_netsim.Rng.create 2 in
+  Pair.send pair (List.init 40 (fun _ -> 1000));
+  Pair.shuttle ~rng pair;
+  stage pair.reseq;
+  Alcotest.(check bool) "staged" true
+    (Resequencer.transition_pending pair.reseq);
+  restart pair.reseq;
+  Alcotest.(check bool) "transition dropped" false
+    (Resequencer.transition_pending pair.reseq);
+  Alcotest.check_raises "back at the engine's width"
+    (Invalid_argument "Resequencer.receive: bad channel") (fun () ->
+      Resequencer.receive pair.reseq ~channel:2
+        (Packet.data ~seq:0 ~size:10 ()));
+  pair.delivered := [];
+  Striper.send_reset pair.striper;
+  Pair.send ~first:1000 pair (List.init 300 (fun _ -> 1000));
+  Pair.shuttle ~rng pair;
+  Alcotest.(check (list int)) "all 300 in order after the barrier"
+    (List.init 300 (( + ) 1000))
+    (Pair.delivered pair)
+
+let crash r = ignore (Resequencer.crash_restart r)
+let stage_add r = ignore (Resequencer.add_channel r ~quantum:1000)
+let stage_remove r = Resequencer.remove_channel r 0
+
 let suites =
   [
     ( "resequencer",
@@ -339,6 +410,20 @@ let suites =
           test_mid_visit_marker_correction;
         Alcotest.test_case "bad channel" `Quick test_bad_channel_rejected;
         Alcotest.test_case "buffer high water" `Quick test_buffer_high_water;
+        Alcotest.test_case "round jumped high re-anchors" `Quick
+          test_round_high_reanchors;
+        Alcotest.test_case "round dropped low skips" `Quick
+          test_round_low_skips;
+        Alcotest.test_case "crash_restart drops a staged add" `Quick
+          (test_restart_drops_staged_width ~restart:crash ~stage:stage_add);
+        Alcotest.test_case "crash_restart drops a staged remove" `Quick
+          (test_restart_drops_staged_width ~restart:crash ~stage:stage_remove);
+        Alcotest.test_case "recycle drops a staged add" `Quick
+          (test_restart_drops_staged_width ~restart:Resequencer.recycle
+             ~stage:stage_add);
+        Alcotest.test_case "recycle drops a staged remove" `Quick
+          (test_restart_drops_staged_width ~restart:Resequencer.recycle
+             ~stage:stage_remove);
         QCheck_alcotest.to_alcotest prop_theorem41;
         QCheck_alcotest.to_alcotest prop_recovery;
       ] );
