@@ -27,11 +27,12 @@
    burst-local FIFO arrivals. The gaps matter too: at saturation every
    discipline is backlogged and depth degenerates to bytes-in-flight
    (which larger stripes make {e worse}); with idle gaps between
-   trains the gauge isolates placement. The [depth] columns quantify it:
-   max/p99 over arrivals of how far each packet's sequence trails the
-   highest sequence already arrived (the same gauge as
-   [Resequencer.reorder_depth_max], measured here uniformly at the wire
-   exit so engine-less disciplines are comparable).
+   trains the depth reading isolates placement. The [depth] columns
+   quantify it: max/p99 over arrivals of how far each packet's sequence
+   trails the highest sequence already arrived (what
+   [Resequencer.reorder_depth_max] measures, read here from a second
+   delivery log fed at the wire exit, so engine-less disciplines are
+   comparable).
 
    Reported per cell: the discipline's analytic fairness bound (bytes;
    n/a for the engine-less disciplines), goodput, arrival reorder depth
@@ -61,16 +62,12 @@ let gray_at = 0.5
 let run_until = 1.6
 let drain_until = 2.0
 let guard_window = 48
-let max_packet = 1500
 let sprinklers_seed = 0x5eed
 
-type disc = Srr_d | Rr_d | Grr_d | Sprinklers_d | Rfq_d | Load_aware_d
-
+(* Every discipline but random selection: it is non-causal, and RFQ
+   already represents the seeded-draw family in the matrix. *)
 let disciplines =
-  [
-    ("srr", Srr_d); ("rr", Rr_d); ("grr", Grr_d);
-    ("sprinklers", Sprinklers_d); ("rfq", Rfq_d); ("load-aware", Load_aware_d);
-  ]
+  List.filter (fun (_, d) -> d <> Scheduler.Random) Scheduler.disciplines
 
 type scenario = Clean | Impair_s | Failover | Health_s
 
@@ -79,46 +76,6 @@ let scenarios =
     ("clean", Clean); ("impair", Impair_s); ("failover", Failover);
     ("health", Health_s);
   ]
-
-(* Uniform arrival reorder-depth gauge: fed at the wire exit (before
-   guard/resequencer) so every discipline is measured at the same
-   point. Same bucket scheme as the resequencer's gauge. *)
-module Depth = struct
-  let buckets = 256
-
-  type t = { hist : int array; mutable max_seq : int; mutable max_d : int;
-             mutable samples : int }
-
-  let create () =
-    { hist = Array.make buckets 0; max_seq = -1; max_d = 0; samples = 0 }
-
-  let observe t ~seq =
-    if seq >= 0 then begin
-      let d = if seq < t.max_seq then t.max_seq - seq else 0 in
-      if d > t.max_d then t.max_d <- d;
-      let b = if d >= buckets then buckets - 1 else d in
-      t.hist.(b) <- t.hist.(b) + 1;
-      t.samples <- t.samples + 1;
-      if seq > t.max_seq then t.max_seq <- seq
-    end
-
-  let max_depth t = t.max_d
-
-  let percentile t ~p =
-    if t.samples = 0 then 0
-    else begin
-      let need =
-        max 1 (int_of_float (ceil (p *. float_of_int t.samples)))
-      in
-      let acc = ref 0 and d = ref 0 and found = ref (-1) in
-      while !found < 0 && !d < buckets - 1 do
-        acc := !acc + t.hist.(!d);
-        if !acc >= need then found := !d;
-        incr d
-      done;
-      if !found >= 0 then !found else t.max_d
-    end
-end
 
 type result = {
   slug : string;  (* "<discipline>_<scenario>" *)
@@ -137,8 +94,7 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
   let sim = Sim.create () in
   let master = Rng.create 4242 in
   let recovery = Stripe_metrics.Recovery.create () in
-  let reorder = Reorder.create () in
-  let depth = Depth.create () in
+  let arrivals = Stripe_metrics.Recovery.create () in
   (* Goodput over the offered window [0, run_until]: the backlog drained
      up to [drain_until] is not counted. *)
   let goodput =
@@ -147,30 +103,15 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
   in
   Stripe_metrics.Throughput.start_at goodput 0.0;
   Stripe_metrics.Throughput.stop_at goodput run_until;
-  let engine_opt =
-    match disc with
-    | Srr_d ->
-      Some (Srr.for_rates ~max_packet ~rates_bps:rates ~quantum_unit:1500 ())
-    | Rr_d -> Some (Rr.create ~n ())
-    | Grr_d -> Some (Grr.for_rates ~rates_bps:rates ())
-    | Sprinklers_d ->
-      Some
-        (Sprinklers.for_rates ~max_packet ~seed:sprinklers_seed
-           ~rates_bps:rates ~quantum_unit:1500 ())
-    | Rfq_d | Load_aware_d -> None
-  in
   let la_debt = ref (fun (_ : int) -> 0.0) in
   let scheduler =
-    match engine_opt, disc with
-    | Some e, _ -> Scheduler.of_deficit ~name:disc_slug e
-    | None, Rfq_d -> Scheduler.seeded_rfq ~n ~seed:sprinklers_seed
-    | None, _ ->
-      Scheduler.load_aware ~weights:rates ~debt:(fun c -> !la_debt c) ~n ()
+    Scheduler.of_discipline disc ~rates_bps:rates ~seed:sprinklers_seed
+      ~debt:(fun c -> !la_debt c)
   in
+  let engine_opt = Scheduler.deficit scheduler in
   let deliver (pkt : Packet.t) =
     Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
       ~seq:pkt.Packet.seq;
-    Reorder.observe reorder ~seq:pkt.Packet.seq;
     Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim)
       ~bytes:pkt.Packet.size
   in
@@ -190,12 +131,13 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
         ~impair:(fun i ->
           if scen = Impair_s && i = 1 then impairment else Impair.none)
         ~corrupt_rng
-          (* The depth gauge sees every arrival first (a uniform
+          (* The arrival log sees every data arrival first (a uniform
              measurement point), then the guard (impair scenario only),
              then the resequencer or arrival-order delivery. *)
         ~drop:(fun ~channel:_ pkt ->
           if not (Packet.is_marker pkt) then
-            Depth.observe depth ~seq:pkt.Packet.seq;
+            Stripe_metrics.Recovery.observe arrivals ~now:(Sim.now sim)
+              ~seq:pkt.Packet.seq;
           false)
         ~watchdog:{ Resequencer.intervals = 3; fallback = 0.02 }
         ~deliver ()
@@ -253,7 +195,7 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
       Sim.schedule sim ~at:0.05 tick);
     (* Bursty source: a train of 6 consecutive 1000 B packets every 12
        ms — long enough for each train to serialize and propagate
-       before the next, so what the depth gauge sees is pure placement,
+       before the next, so what the arrival log sees is pure placement,
        not queueing. One train is exactly one Sprinklers stripe (6000
        B); burst locality is the whole experiment — see the header
        comment. *)
@@ -287,9 +229,9 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
       | None -> -1);
     delivered;
     goodput_mbps = Stripe_metrics.Throughput.mbps goodput;
-    depth_max = Depth.max_depth depth;
-    depth_p99 = Depth.percentile depth ~p:0.99;
-    inversions = Reorder.out_of_order reorder;
+    depth_max = Stripe_metrics.Recovery.max_displacement arrivals;
+    depth_p99 = Stripe_metrics.Recovery.displacement_percentile arrivals ~p:0.99;
+    inversions = Stripe_metrics.Recovery.out_of_order recovery;
     resync_ms;
   }
 

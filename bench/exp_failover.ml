@@ -40,13 +40,11 @@ type rig = {
   sim : Sim.t;
   bundle : Packet.t Bundle.t;
   recovery : Stripe_metrics.Recovery.t;
-  reorder : Reorder.t;
 }
 
 let make_rig ~sender_aware ~watchdog () =
   let sim = Sim.create () in
   let recovery = Stripe_metrics.Recovery.create () in
-  let reorder = Reorder.create () in
   let engine = Srr.create ~quanta:(Array.make n 1500) () in
   let bundle =
     Bundle.create sim
@@ -57,11 +55,10 @@ let make_rig ~sender_aware ~watchdog () =
       ?watchdog ~auto_suspend:sender_aware
       ~deliver:(fun pkt ->
         Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
-          ~seq:pkt.Packet.seq;
-        Reorder.observe reorder ~seq:pkt.Packet.seq)
+          ~seq:pkt.Packet.seq)
       ()
   in
-  { sim; bundle; recovery; reorder }
+  { sim; bundle; recovery }
 
 (* Paced bimodal source at ~80% of the healthy aggregate. *)
 let drive rig =
@@ -116,7 +113,7 @@ let run_config (slug, label, sender_aware, with_wd) =
     slug;
     label;
     delivered = Stripe_metrics.Recovery.deliveries rig.recovery;
-    ooo = Reorder.out_of_order rig.reorder;
+    ooo = Stripe_metrics.Recovery.out_of_order rig.recovery;
     wd_skips = Resequencer.watchdog_skips (Bundle.resequencer rig.bundle);
     longest_outage_ms =
       1000.0

@@ -71,7 +71,6 @@ let run_config ~gray ~watchdog ~with_health () =
   let sim = Sim.create () in
   let master = Rng.create 9091 in
   let recovery = Stripe_metrics.Recovery.create () in
-  let reorder = Reorder.create () in
   let delivered_bytes = ref 0 in
   let engine =
     Srr.create ~max_packet ~quanta:(Array.make n nominal_quantum) ()
@@ -90,7 +89,6 @@ let run_config ~gray ~watchdog ~with_health () =
       ~deliver:(fun pkt ->
         Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
           ~seq:pkt.Packet.seq;
-        Reorder.observe reorder ~seq:pkt.Packet.seq;
         delivered_bytes := !delivered_bytes + pkt.Packet.size)
       ()
   in
@@ -147,7 +145,7 @@ let run_config ~gray ~watchdog ~with_health () =
   {
     delivered = Stripe_metrics.Recovery.deliveries recovery;
     bytes = !delivered_bytes;
-    ooo = Reorder.out_of_order reorder;
+    ooo = Stripe_metrics.Recovery.out_of_order recovery;
     wd_skips = Resequencer.watchdog_skips (Bundle.resequencer b);
     quarantines = !quarantines;
     flaps = !max_flaps;

@@ -38,7 +38,6 @@ type rig = {
   reseq : Resequencer.t;
   guard : Channel_guard.t option;
   recovery : Stripe_metrics.Recovery.t;
-  reorder : Reorder.t;
   source : Bundle.source;
 }
 
@@ -46,7 +45,6 @@ let make_rig ~impair ~guarded () =
   let sim = Sim.create () in
   let master = Rng.create 4242 in
   let recovery = Stripe_metrics.Recovery.create () in
-  let reorder = Reorder.create () in
   let engine = Srr.create ~quanta:(Array.make n 1500) () in
   let corrupt_rng = Rng.split master in
   let rig (type w) (wire : w Bundle.wire) =
@@ -61,8 +59,7 @@ let make_rig ~impair ~guarded () =
         ~corrupt_rng ~budget_bytes:budget ~overflow:Resequencer.Drop_newest
         ~deliver:(fun pkt ->
           Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
-            ~seq:pkt.Packet.seq;
-          Reorder.observe reorder ~seq:pkt.Packet.seq)
+            ~seq:pkt.Packet.seq)
         ()
     in
     Sim.schedule sim ~at:impair_stop (fun () ->
@@ -78,7 +75,6 @@ let make_rig ~impair ~guarded () =
       reseq = Bundle.resequencer b;
       guard = Bundle.guard b;
       recovery;
-      reorder;
       source = Bundle.pace b ~burst:2 ~every:0.0006 ~until:run_until gen;
     }
   in
@@ -138,7 +134,7 @@ let run_config (profile_slug, label, impair) guarded =
     guarded;
     delivered;
     rate = float_of_int delivered /. float_of_int offered;
-    ooo = Reorder.out_of_order rig.reorder;
+    ooo = Stripe_metrics.Recovery.out_of_order rig.recovery;
     dup_disc;
     crpt_disc;
     overflows = Resequencer.overflows rig.reseq;

@@ -16,10 +16,10 @@ let run_one ~mode ~skew =
   let sim = Sim.create () in
   let rng = Rng.create 5 in
   let lat = Stripe_metrics.Summary.create ~keep_samples:true () in
-  let reorder = Reorder.create () in
+  let log = Stripe_metrics.Recovery.create () in
   let observe pkt =
     Stripe_metrics.Summary.add lat (Sim.now sim -. pkt.Packet.born);
-    Reorder.observe reorder ~seq:pkt.Packet.seq
+    Stripe_metrics.Recovery.observe log ~now:(Sim.now sim) ~seq:pkt.Packet.seq
   in
   let engine = Srr.create ~quanta:[| 1400; 1400 |] () in
   let b =
@@ -41,7 +41,7 @@ let run_one ~mode ~skew =
     (Bundle.pace b ~every:0.0006 ~count:4000 (fun () ->
          if Rng.bool rng then 200 else 1000));
   Sim.run sim;
-  (lat, Reorder.out_of_order reorder)
+  (lat, Stripe_metrics.Recovery.out_of_order log)
 
 let run () =
   Exp_common.section

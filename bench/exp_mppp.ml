@@ -49,7 +49,10 @@ let run_stripe ~loss_p =
   let sim = Sim.create () in
   let loss_rng = Rng.create 11 in
   let lossy = ref true in
-  let reorder = Reorder.create () in
+  let log = Stripe_metrics.Recovery.create () in
+  let deliver pkt =
+    Stripe_metrics.Recovery.observe log ~now:(Sim.now sim) ~seq:pkt.Packet.seq
+  in
   let engine = Srr.create ~quanta:[| 1400; 1400 |] () in
   let b =
     Bundle.create sim
@@ -58,7 +61,7 @@ let run_stripe ~loss_p =
       ~wire:Plain ~receiver:Logical
       ~marker:(Marker.make ~every_rounds:4 ())
       ~drop:(fun ~channel:_ _ -> !lossy && Rng.bernoulli loss_rng ~p:loss_p)
-      ~deliver:(fun pkt -> Reorder.observe reorder ~seq:pkt.Packet.seq)
+      ~deliver
       ()
   in
   let striper = Bundle.striper b in
@@ -66,11 +69,11 @@ let run_stripe ~loss_p =
   Sim.schedule sim ~at:5.0 (fun () -> lossy := false);
   Sim.run sim;
   {
-    delivered = Reorder.observed reorder;
-    ooo = Reorder.out_of_order reorder;
+    delivered = Stripe_metrics.Recovery.deliveries log;
+    ooo = Stripe_metrics.Recovery.out_of_order log;
     overhead_bytes = Striper.markers_sent striper * Packet.marker_size;
     discarded =
-      n_packets - Reorder.observed reorder
+      n_packets - Stripe_metrics.Recovery.deliveries log
       - Resequencer.pending (Bundle.resequencer b);
     resync_note = "quasi-FIFO; markers resync after loss";
   }
@@ -79,7 +82,10 @@ let run_mppp ~loss_p =
   let sim = Sim.create () in
   let loss_rng = Rng.create 11 in
   let lossy = ref true in
-  let reorder = Reorder.create () in
+  let log = Stripe_metrics.Recovery.create () in
+  let deliver pkt =
+    Stripe_metrics.Recovery.observe log ~now:(Sim.now sim) ~seq:pkt.Packet.seq
+  in
   let receiver = ref None in
   let links =
     channels sim ~loss_rng ~loss_p ~lossy ~receive:(fun i frag ->
@@ -89,7 +95,7 @@ let run_mppp ~loss_p =
   in
   let rx =
     Mppp.Receiver.create ~n_links:2
-      ~deliver:(fun pkt -> Reorder.observe reorder ~seq:pkt.Packet.seq)
+      ~deliver
       ()
   in
   receiver := Some rx;
@@ -104,8 +110,8 @@ let run_mppp ~loss_p =
   Sim.schedule sim ~at:5.0 (fun () -> lossy := false);
   Sim.run sim;
   {
-    delivered = Reorder.observed reorder;
-    ooo = Reorder.out_of_order reorder;
+    delivered = Stripe_metrics.Recovery.deliveries log;
+    ooo = Stripe_metrics.Recovery.out_of_order log;
     overhead_bytes = Mppp.Sender.header_bytes_sent sender;
     discarded = Mppp.Receiver.discarded_datagrams rx + Mppp.Receiver.lost_fragments rx;
     resync_note = "guaranteed FIFO; per-fragment headers";

@@ -12,7 +12,6 @@ type rig = {
   sim : Sim.t;
   bundle : Packet.t Bundle.t;
   recovery : Stripe_metrics.Recovery.t;
-  reorder : Reorder.t;
   lossy : bool ref;
 }
 
@@ -21,7 +20,6 @@ let make_rig ?(n = 2) ?(lose_markers = false) ~loss_p ~marker () =
   let lossy = ref true in
   let loss_rng = Rng.create 1234 in
   let recovery = Stripe_metrics.Recovery.create () in
-  let reorder = Reorder.create () in
   let bundle =
     Bundle.create sim
       ~scheduler:
@@ -40,11 +38,10 @@ let make_rig ?(n = 2) ?(lose_markers = false) ~loss_p ~marker () =
         && Rng.bernoulli loss_rng ~p:loss_p)
       ~deliver:(fun pkt ->
         Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
-          ~seq:pkt.Packet.seq;
-        Reorder.observe reorder ~seq:pkt.Packet.seq)
+          ~seq:pkt.Packet.seq)
       ()
   in
-  { sim; bundle; recovery; reorder; lossy }
+  { sim; bundle; recovery; lossy }
 
 (* Paced source: bimodal mix at ~80% of aggregate capacity. *)
 let drive rig ~until =
@@ -90,7 +87,7 @@ let run_e1 () =
         [
           Printf.sprintf "%.0f%%" (100.0 *. loss_p);
           string_of_int (Stripe_metrics.Recovery.deliveries rig.recovery);
-          string_of_int (Reorder.out_of_order rig.reorder);
+          string_of_int (Stripe_metrics.Recovery.out_of_order rig.recovery);
           (match resync with
           | Some dt -> Printf.sprintf "%.1f" (1000.0 *. dt)
           | None -> "never");
@@ -117,8 +114,8 @@ let run_e2 () =
       in
       drive rig ~until:4.0;
       Sim.run rig.sim;
-      let n = Reorder.observed rig.reorder in
-      let ooo = Reorder.out_of_order rig.reorder in
+      let n = Stripe_metrics.Recovery.deliveries rig.recovery in
+      let ooo = Stripe_metrics.Recovery.out_of_order rig.recovery in
       Stripe_metrics.Table.add_row tbl
         [
           string_of_int every_rounds;
@@ -147,8 +144,8 @@ let run_e3 () =
       in
       drive rig ~until:4.0;
       Sim.run rig.sim;
-      let n = Reorder.observed rig.reorder in
-      let ooo = Reorder.out_of_order rig.reorder in
+      let n = Stripe_metrics.Recovery.deliveries rig.recovery in
+      let ooo = Stripe_metrics.Recovery.out_of_order rig.recovery in
       Stripe_metrics.Table.add_row tbl
         [
           label;

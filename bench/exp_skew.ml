@@ -14,8 +14,10 @@ type mode =
 let run_one ~mode ~jitter =
   let sim = Sim.create () in
   let rng = Rng.create 55 in
-  let reorder = Reorder.create () in
-  let deliver pkt = Reorder.observe reorder ~seq:pkt.Packet.seq in
+  let log = Stripe_metrics.Recovery.create () in
+  let deliver pkt =
+    Stripe_metrics.Recovery.observe log ~now:(Sim.now sim) ~seq:pkt.Packet.seq
+  in
   let skews = [| 0.002; 0.030 |] in
   let engine = Srr.create ~quanta:[| 1000; 1000 |] () in
   let receive =
@@ -61,7 +63,7 @@ let run_one ~mode ~jitter =
   in
   tick ();
   Sim.run sim;
-  (Reorder.observed reorder, Reorder.out_of_order reorder)
+  (Stripe_metrics.Recovery.deliveries log, Stripe_metrics.Recovery.out_of_order log)
 
 let run () =
   Exp_common.section

@@ -25,8 +25,10 @@ type row = {
 
 let run_scheme ~label ~scheduler ~mode ~sizes () =
   let sim = Sim.create () in
-  let reorder = Reorder.create () in
-  let deliver pkt = Reorder.observe reorder ~seq:pkt.Packet.seq in
+  let log = Stripe_metrics.Recovery.create () in
+  let deliver pkt =
+    Stripe_metrics.Recovery.observe log ~now:(Sim.now sim) ~seq:pkt.Packet.seq
+  in
   (* Channel 1 has both more skew and a little loss, so quasi-FIFO (FIFO
      except during loss recovery) is distinguishable from guaranteed
      FIFO. *)
@@ -58,10 +60,11 @@ let run_scheme ~label ~scheduler ~mode ~sizes () =
   {
     label;
     reorder_rate =
-      (if Reorder.observed reorder = 0 then 1.0
+      (let n = Stripe_metrics.Recovery.deliveries log in
+       if n = 0 then 1.0
        else
-         float_of_int (Reorder.out_of_order reorder)
-         /. float_of_int (Reorder.observed reorder));
+         float_of_int (Stripe_metrics.Recovery.out_of_order log)
+         /. float_of_int n);
     imbalance =
       (if total = 0.0 then 0.0
        else float_of_int (Fairness.spread bytes) /. total);

@@ -14,7 +14,7 @@ let striped_playback ~loss_p ~trace =
   let sim = Sim.create () in
   let loss_rng = Rng.create 5 in
   let playback = Stripe_workload.Playback.create ~trace ~playout_delay:0.4 () in
-  let reorder = Reorder.create () in
+  let log = Stripe_metrics.Recovery.create () in
   let b =
     Bundle.create sim
       ~scheduler:
@@ -25,7 +25,8 @@ let striped_playback ~loss_p ~trace =
       ~drop:(fun ~channel:_ pkt ->
         (not (Packet.is_marker pkt)) && Rng.bernoulli loss_rng ~p:loss_p)
       ~deliver:(fun pkt ->
-        Reorder.observe reorder ~seq:pkt.Packet.seq;
+        Stripe_metrics.Recovery.observe log ~now:(Sim.now sim)
+          ~seq:pkt.Packet.seq;
         Stripe_workload.Playback.packet_arrived playback ~frame:pkt.Packet.frame
           ~now:(Sim.now sim))
       ()
@@ -43,7 +44,7 @@ let striped_playback ~loss_p ~trace =
         ~now:(Sim.now sim))
     (Resequencer.drain (Bundle.resequencer b));
   let report = Stripe_workload.Playback.finalize playback in
-  (report, Reorder.out_of_order reorder)
+  (report, Stripe_metrics.Recovery.out_of_order log)
 
 (* The control condition: one channel, same loss rate, no reordering
    possible. *)

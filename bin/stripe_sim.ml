@@ -84,14 +84,7 @@ let channels =
 let scheduler_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("srr", `Srr); ("rr", `Rr); ("grr", `Grr); ("random", `Random);
-             ("rfq", `Rfq); ("sprinklers", `Sprinklers);
-             ("load-aware", `Load_aware);
-           ])
-        `Srr
+    & opt (enum Scheduler.disciplines) Scheduler.Srr
     & info [ "s"; "scheduler"; "discipline" ] ~docv:"SCHED"
         ~doc:
           "Striping discipline: $(b,srr), $(b,rr), $(b,grr), \
@@ -404,20 +397,17 @@ let domains_arg =
 
 (* One delivery sink shared by every mode. *)
 type sink = {
-  reorder : Reorder.t;
   recovery : Stripe_metrics.Recovery.t;
   goodput : Stripe_metrics.Throughput.t;
 }
 
 let make_sink () =
   {
-    reorder = Reorder.create ();
     recovery = Stripe_metrics.Recovery.create ();
     goodput = Stripe_metrics.Throughput.create ();
   }
 
 let sink_deliver sink sim pkt =
-  Reorder.observe sink.reorder ~seq:pkt.Packet.seq;
   Stripe_metrics.Recovery.observe sink.recovery ~now:(Sim.now sim)
     ~seq:pkt.Packet.seq;
   Stripe_metrics.Throughput.account sink.goodput ~now:(Sim.now sim)
@@ -503,37 +493,11 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
        link. The links are built after the scheduler (per mode), so the
        oracle reads through a cell that [make_links] fills in. *)
     let la_debt = ref (fun (_ : int) -> 0.0) in
-    let engine_opt =
-      match sched_kind with
-      | `Srr ->
-        Some (Srr.for_rates ~max_packet:1500 ~rates_bps:rates ~quantum_unit:1500 ())
-      | `Rr -> Some (Rr.create ~n ())
-      | `Grr -> Some (Grr.for_rates ~rates_bps:rates ())
-      | `Sprinklers ->
-        Some
-          (Sprinklers.for_rates ~max_packet:1500 ~seed ~rates_bps:rates
-             ~quantum_unit:1500 ())
-      | `Random | `Rfq | `Load_aware -> None
+    let scheduler =
+      Scheduler.of_discipline sched_kind ~rates_bps:rates ~seed
+        ~debt:(fun c -> !la_debt c)
     in
-    let make_scheduler () =
-      match engine_opt with
-      | Some e ->
-        Scheduler.of_deficit
-          ~name:
-            (match sched_kind with
-            | `Srr -> "SRR" | `Rr -> "RR" | `Grr -> "GRR"
-            | `Sprinklers -> "Sprinklers"
-            | `Random | `Rfq | `Load_aware -> ".")
-          e
-      | None -> (
-        match sched_kind with
-        | `Rfq -> Scheduler.seeded_rfq ~n ~seed
-        | `Load_aware ->
-          Scheduler.load_aware ~weights:rates
-            ~debt:(fun c -> !la_debt c)
-            ~n ()
-        | _ -> Scheduler.random_selection ~n ~seed)
-    in
+    let engine_opt = Scheduler.deficit scheduler in
     let sink = make_sink () in
     let lossy = ref true in
     let errors_stop = ref None in
@@ -645,7 +609,6 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
     let push, describe =
       match mode with
       | `Quasi | `None | `Seq ->
-        let scheduler = make_scheduler () in
         if Obs.Sink.active obs_sink then
           Scheduler.observe scheduler ~now:(fun () -> Sim.now sim) obs_sink;
         (* Wire damage the link CRC missed mangles markers only: that is
@@ -950,7 +913,7 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
         in
         receiver := Some rx;
         let sender =
-          Mppp.Sender.create ~scheduler:(make_scheduler ())
+          Mppp.Sender.create ~scheduler
             ~emit:(fun ~link f ->
               ignore (Link.send links.(link) ~size:(Mppp.wire_size f) f))
             ()
@@ -1077,9 +1040,9 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
       | `Fragment -> "fragmenting minipackets");
     List.iter (fun line -> out "%s\n" line) (describe ());
     out "delivered: %d  out-of-order: %d  max displacement: %d\n"
-      (Reorder.observed sink.reorder)
-      (Reorder.out_of_order sink.reorder)
-      (Reorder.max_displacement sink.reorder);
+      (Stripe_metrics.Recovery.deliveries sink.recovery)
+      (Stripe_metrics.Recovery.out_of_order sink.recovery)
+      (Stripe_metrics.Recovery.max_displacement sink.recovery);
     out "goodput: %.2f Mbps\n"
       (Stripe_metrics.Throughput.mbps sink.goodput);
     (match monitor with
@@ -1128,8 +1091,8 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
     obs_close ();
     {
       text = Buffer.contents buf;
-      delivered = Reorder.observed sink.reorder;
-      ooo = Reorder.out_of_order sink.reorder;
+      delivered = Stripe_metrics.Recovery.deliveries sink.recovery;
+      ooo = Stripe_metrics.Recovery.out_of_order sink.recovery;
       goodput_mbps = Stripe_metrics.Throughput.mbps sink.goodput;
       verdict = Option.map Obs.Monitor.verdict monitor;
       counters = obs_counters;

@@ -77,7 +77,10 @@ let () =
   Routing.add_host (Node.routing sender) (Ip.addr "10.1.0.9") "stripe0";
   Routing.add_host (Node.routing sender) (Ip.addr "10.2.0.9") "stripe0";
 
+  let delivered = Stripe_metrics.Recovery.create () in
   Node.set_protocol_handler receiver ~proto:17 (fun ip ->
+      Stripe_metrics.Recovery.observe delivered ~now:(Sim.now sim)
+        ~seq:ip.Ip.body.Packet.seq;
       Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim)
         ~bytes:(Ip.size ip));
 
@@ -108,7 +111,7 @@ let () =
   Printf.printf "  datagrams striped: %d, delivered in order: %d (reordered: %d)\n"
     (Stripe_layer.sent_datagrams tx_layer)
     (Stripe_layer.delivered_datagrams rx_layer)
-    (Stripe_core.Reorder.out_of_order (Stripe_layer.reorder rx_layer));
+    (Stripe_metrics.Recovery.out_of_order delivered);
   Printf.printf "  aggregate IP throughput: %.1f Mbps (links sum to 26 raw)\n" mbps;
   let s = Stripe_layer.striper tx_layer in
   Printf.printf "  byte split eth/atm: %d / %d (rate ratio 10:16)\n"

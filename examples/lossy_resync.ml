@@ -13,7 +13,6 @@ let () =
   let lossy = ref false in
   let loss_rng = Rng.create 99 in
   let recovery = Stripe_metrics.Recovery.create () in
-  let reorder = Reorder.create () in
 
   let bundle =
     Bundle.create sim
@@ -26,8 +25,7 @@ let () =
         !lossy && (not (Packet.is_marker pkt)) && Rng.bernoulli loss_rng ~p:0.4)
       ~deliver:(fun pkt ->
         Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
-          ~seq:pkt.Packet.seq;
-        Reorder.observe reorder ~seq:pkt.Packet.seq)
+          ~seq:pkt.Packet.seq)
       ()
   in
 
@@ -42,7 +40,8 @@ let () =
 
   Printf.printf "3 s stream, 40%% loss burst during [1 s, 2 s], markers every 4 rounds\n";
   Printf.printf "  delivered: %d  out-of-order deliveries: %d (all during the burst)\n"
-    (Reorder.observed reorder) (Reorder.out_of_order reorder);
+    (Stripe_metrics.Recovery.deliveries recovery)
+    (Stripe_metrics.Recovery.out_of_order recovery);
   Printf.printf "  channel visits skipped by the marker rule: %d\n"
     (Resequencer.skips (Bundle.resequencer bundle));
   (match Stripe_metrics.Recovery.resync_time recovery ~errors_stop:2.0 with

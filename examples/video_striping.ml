@@ -21,7 +21,7 @@ let () =
     let sim = Sim.create () in
     let loss_rng = Rng.create 5 in
     let playback = Playback.create ~trace ~playout_delay:0.4 () in
-    let reorder = Reorder.create () in
+    let log = Stripe_metrics.Recovery.create () in
     let bundle =
       Bundle.create sim
         ~scheduler:
@@ -32,7 +32,8 @@ let () =
         ~drop:(fun ~channel:_ pkt ->
           (not (Packet.is_marker pkt)) && Rng.bernoulli loss_rng ~p:loss_p)
         ~deliver:(fun pkt ->
-          Reorder.observe reorder ~seq:pkt.Packet.seq;
+          Stripe_metrics.Recovery.observe log ~now:(Sim.now sim)
+            ~seq:pkt.Packet.seq;
           Playback.packet_arrived playback ~frame:pkt.Packet.frame
             ~now:(Sim.now sim))
         ()
@@ -42,7 +43,7 @@ let () =
       (fun (t, pkt) -> Sim.schedule sim ~at:t (fun () -> Striper.push striper pkt))
       (Video.packets trace);
     Sim.run sim;
-    (Playback.finalize playback, Reorder.out_of_order reorder)
+    (Playback.finalize playback, Stripe_metrics.Recovery.out_of_order log)
   in
 
   List.iter

@@ -255,6 +255,30 @@ let address_hashing ~n =
   in
   make ~name:"Hash" ~causal:false ~n ~fresh ()
 
+type discipline = Srr | Rr | Grr | Sprinklers | Rfq | Load_aware | Random
+
+let disciplines =
+  [
+    ("srr", Srr); ("rr", Rr); ("grr", Grr); ("sprinklers", Sprinklers);
+    ("rfq", Rfq); ("load-aware", Load_aware); ("random", Random);
+  ]
+
+let of_discipline d ~rates_bps ~seed ~debt =
+  let n = Array.length rates_bps in
+  match d with
+  | Srr ->
+    of_deficit ~name:"SRR"
+      (Srr.for_rates ~max_packet:1500 ~rates_bps ~quantum_unit:1500 ())
+  | Rr -> rr ~n ()
+  | Grr -> of_deficit ~name:"GRR" (Grr.for_rates ~rates_bps ())
+  | Sprinklers ->
+    of_deficit ~name:"Sprinklers"
+      (Sprinklers.for_rates ~max_packet:1500 ~seed ~rates_bps
+         ~quantum_unit:1500 ())
+  | Rfq -> seeded_rfq ~n ~seed
+  | Load_aware -> load_aware ~weights:rates_bps ~debt ~n ()
+  | Random -> random_selection ~n ~seed
+
 (* §3.2's transformation, run in both directions over one discipline.
    Both runs start from s0 on a fresh copy, leaving [t] untouched, and
    only a causal f(s) can be evaluated before the served packet is

@@ -98,6 +98,30 @@ val address_hashing : n:int -> t
     channel, so all packets of one flow share a channel. FIFO per flow,
     but no load sharing across packets of a single flow. *)
 
+(** {2 The discipline table}
+
+    The one mapping from a striping discipline's name to its scheduler,
+    shared by [stripe_sim --scheduler], the discipline matrix bench and
+    the per-discipline tests. *)
+
+type discipline = Srr | Rr | Grr | Sprinklers | Rfq | Load_aware | Random
+
+val disciplines : (string * discipline) list
+(** Every discipline by its command-line name: [srr], [rr], [grr],
+    [sprinklers], [rfq], [load-aware], [random]. The first four embed a
+    {!Deficit} engine; [rfq] and [random] share one seeded draw, causal
+    and non-causal respectively; [load-aware] is non-causal. *)
+
+val of_discipline :
+  discipline -> rates_bps:float array -> seed:int -> debt:(int -> float) -> t
+(** The discipline's scheduler over channels of the given rates, at its
+    initial state. SRR and Sprinklers take {!Srr.for_rates}'s quanta at a
+    1500 B unit and maximum packet (Sprinklers' scaled and dealt from
+    [seed]); RR is unweighted; GRR takes {!Grr.for_rates}' ratios; RFQ
+    and Random draw from [seed]; Load-aware weighs the [debt] oracle
+    (see {!load_aware}) by the rates. Only Load-aware reads [debt], and
+    only when choosing. *)
+
 val suspend_channel : t -> int -> unit
 (** Remove a channel from selection (its member link died or was taken
     down administratively): CFQ engines skip it in the rotation without

@@ -7,7 +7,6 @@ type t = {
   striper : Stripe_core.Striper.t;
   reseq : Stripe_core.Resequencer.t option;
   deliver_up : Ip.t -> unit;
-  reorder_stats : Stripe_core.Reorder.t;
   (* A real kernel keeps the frame <-> datagram association by passing
      mbuf pointers through the striping layer; the simulation passes the
      protocol-visible Packet.t through striper/resequencer and
@@ -31,7 +30,6 @@ type t = {
 
 let deliver_ip t ip =
   t.n_delivered <- t.n_delivered + 1;
-  Stripe_core.Reorder.observe t.reorder_stats ~seq:ip.Ip.body.Packet.seq;
   t.deliver_up ip
 
 (* The member's *current* channel index, by physical identity; -1 when
@@ -104,7 +102,6 @@ let create ~name ~members ~scheduler ?marker ?now ?(resequence = true)
     Array.fold_left (fun acc m -> min acc (Iface.mtu m)) max_int members
   in
   let rx_envelopes = Hashtbl.create 1024 in
-  let reorder_stats = Stripe_core.Reorder.create () in
   (* The striper's and resequencer's callbacks need the layer record,
      which needs them in turn; tie the knot through a forward cell. *)
   let self = ref None in
@@ -158,7 +155,6 @@ let create ~name ~members ~scheduler ?marker ?now ?(resequence = true)
       striper;
       reseq;
       deliver_up;
-      reorder_stats;
       rx_envelopes;
       tx_envelope = None;
       n_sent = 0;
@@ -279,6 +275,5 @@ let member_queue_bytes t i = Iface.queue_bytes t.members.(i)
 let sent_datagrams t = t.n_sent
 let delivered_datagrams t = t.n_delivered
 let markers_sent t = Stripe_core.Striper.markers_sent t.striper
-let reorder t = t.reorder_stats
 let resequencer t = t.reseq
 let striper t = t.striper

@@ -116,8 +116,6 @@ val member_queue_bytes : t -> int -> int
 val sent_datagrams : t -> int
 val delivered_datagrams : t -> int
 val markers_sent : t -> int
-val reorder : t -> Stripe_core.Reorder.t
-(** Misordering statistics of the stream delivered up to IP. *)
 
 val resequencer : t -> Stripe_core.Resequencer.t option
 (** The logical-reception engine, when [resequence] is on. *)

@@ -133,13 +133,42 @@ let mttr outages =
   | [] -> None
   | merged -> Some (total_down merged /. float_of_int (List.length merged))
 
-let out_of_order_after t ~time =
-  let tail = List.filter (fun (tm, _) -> tm > time) (log t) in
-  let late = ref 0 in
+(* Each delivery's displacement: how far its [seq] trails the highest
+   [seq] delivered before it, 0 when it does not trail. Folded in
+   delivery order over the deliveries strictly after [time]; a delivery
+   is late exactly when its displacement is positive. *)
+let fold_displacements t ~time f acc =
   let max_seen = ref min_int in
-  List.iter
-    (fun (_, seq) ->
-      if seq < !max_seen then incr late;
-      if seq > !max_seen then max_seen := seq)
-    tail;
-  !late
+  List.fold_left
+    (fun acc (tm, seq) ->
+      if tm <= time then acc
+      else begin
+        let d = if seq < !max_seen then !max_seen - seq else 0 in
+        if seq > !max_seen then max_seen := seq;
+        f acc d
+      end)
+    acc (log t)
+
+let out_of_order_after t ~time =
+  fold_displacements t ~time (fun late d -> if d > 0 then late + 1 else late) 0
+
+let out_of_order t = out_of_order_after t ~time:neg_infinity
+
+let max_displacement t = fold_displacements t ~time:neg_infinity max 0
+
+let displacement_percentile t ~p =
+  if not (p >= 0.0 && p <= 1.0) then
+    invalid_arg "Recovery.displacement_percentile: p must be in [0, 1]";
+  if t.n = 0 then 0
+  else begin
+    let ds = Array.make t.n 0 in
+    ignore
+      (fold_displacements t ~time:neg_infinity
+         (fun i d ->
+           ds.(i) <- d;
+           i + 1)
+         0);
+    Array.sort Int.compare ds;
+    let rank = max 1 (int_of_float (ceil (p *. float_of_int t.n))) in
+    ds.(rank - 1)
+  end

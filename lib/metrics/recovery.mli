@@ -1,9 +1,15 @@
-(** Synchronization-recovery measurement (§6.3, Theorem 5.1).
+(** The delivery log: the one meter of a delivered stream (§6.3,
+    Table 1, Theorem 5.1).
 
-    Records each delivery as a [(time, seq)] pair. Given the instant
-    channel errors stopped, [resync_time] finds how long after that
-    instant the delivered stream became — and stayed — in order, i.e. the
-    time at which quasi-FIFO turned back into FIFO. *)
+    Records each delivery as a [(time, seq)] pair, where [seq] is the
+    sender's measurement-only input numbering, and answers every reading
+    the experiments take from it: how many packets arrived out of order
+    and how far ({!out_of_order}, {!max_displacement},
+    {!displacement_percentile}), and, given the instant channel errors
+    stopped, how long after it the stream became — and stayed — in
+    order, i.e. the time at which quasi-FIFO turned back into FIFO
+    ({!resync_time}). Fed at the application it measures delivery
+    order; fed at a wire exit it measures arrival order. *)
 
 type t
 
@@ -42,9 +48,30 @@ val in_order_after : t -> time:float -> bool
 (** Whether every delivery strictly after [time] arrived in increasing
     [seq] order. *)
 
+(** {2 Delivery order}
+
+    A delivery's {e displacement} is how far its [seq] trails the
+    highest [seq] delivered before it (0 when it does not trail); a
+    delivery is {e late} when its displacement is positive. These are
+    the misordering readings of §6.3 and Table 1, taken over the
+    sender's measurement-only [seq] numbering. *)
+
+val out_of_order : t -> int
+(** Late deliveries over the whole log. *)
+
 val out_of_order_after : t -> time:float -> int
-(** Late deliveries (seq below the running maximum of the tail) strictly
-    after [time]. *)
+(** Late deliveries strictly after [time], the running maximum taken
+    over that tail alone. *)
+
+val max_displacement : t -> int
+(** Largest displacement over the whole log; 0 for an in-order or empty
+    stream. *)
+
+val displacement_percentile : t -> p:float -> int
+(** Nearest-rank [p]-quantile of the displacements of every delivery
+    (in-order ones count as 0): the [ceil (p * n)]-th smallest, at
+    least the first. 0 for an empty log. Raises [Invalid_argument]
+    unless [0 <= p <= 1]. *)
 
 (** {2 Outage intervals}
 

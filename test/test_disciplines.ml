@@ -16,14 +16,6 @@ let seed = 0x5eed
 let run_until = 0.4
 let max_packet = 1500
 
-type disc = Srr_d | Sprinklers_d | Rfq_d | Load_aware_d
-
-let all_discs =
-  [
-    ("srr", Srr_d); ("sprinklers", Sprinklers_d); ("rfq", Rfq_d);
-    ("load-aware", Load_aware_d);
-  ]
-
 (* A miniature of the bench rig: 3 delay-skewed links, the striper over
    the discipline under test, a resequencer for the engine-backed
    disciplines, arrival-order delivery for the engine-less ones, and a
@@ -35,24 +27,12 @@ let run_e2e ~engine disc =
   let sim = Sim.create ~engine () in
   let trace = ref [] in
   let bytes = ref 0 in
-  let engine_opt =
-    match disc with
-    | Srr_d ->
-      Some (Srr.for_rates ~max_packet ~rates_bps:rates ~quantum_unit:1500 ())
-    | Sprinklers_d ->
-      Some
-        (Sprinklers.for_rates ~max_packet ~seed ~rates_bps:rates
-           ~quantum_unit:1500 ())
-    | Rfq_d | Load_aware_d -> None
-  in
   let la_debt = ref (fun (_ : int) -> 0.0) in
   let scheduler =
-    match engine_opt, disc with
-    | Some e, _ -> Scheduler.of_deficit ~name:"disc" e
-    | None, Rfq_d -> Scheduler.seeded_rfq ~n ~seed
-    | None, _ ->
-      Scheduler.load_aware ~weights:rates ~debt:(fun c -> !la_debt c) ~n ()
+    Scheduler.of_discipline disc ~rates_bps:rates ~seed
+      ~debt:(fun c -> !la_debt c)
   in
+  let engine_opt = Scheduler.deficit scheduler in
   let deliver ~channel (pkt : Packet.t) =
     trace := (Sim.now sim, pkt.Packet.seq, channel) :: !trace;
     bytes := !bytes + pkt.Packet.size
@@ -323,13 +303,13 @@ let suites =
           Alcotest.test_case
             (fst d ^ ": heap/calendar byte-identical")
             `Quick (test_engines_agree d))
-        all_discs
+        Scheduler.disciplines
       @ List.map
           (fun d ->
             Alcotest.test_case
               (fst d ^ ": seeded rerun identical")
               `Quick (test_seeded_rerun_identical d))
-          all_discs
+          Scheduler.disciplines
       @ [
           Alcotest.test_case "sprinklers fairness bound pin" `Quick
             test_sprinklers_fairness_bound_pin;

@@ -1,4 +1,5 @@
-(* Tests for fairness measurement and the Reorder metrics. *)
+(* Tests for fairness measurement and the delivery log's reorder
+   readings. *)
 
 open Stripe_core
 
@@ -46,59 +47,76 @@ let test_jain_index () =
     (Fairness.jain_index [| 100; 0 |]);
   Alcotest.(check (float 1e-9)) "empty treated as fair" 1.0 (Fairness.jain_index [||])
 
+(* The reorder readings of the one delivery log, fed one delivery per
+   time unit. *)
+module R = Stripe_metrics.Recovery
+
+let log_of seqs =
+  let r = R.create () in
+  List.iteri (fun i seq -> R.observe r ~now:(float_of_int i) ~seq) seqs;
+  r
+
 let test_reorder_in_order_stream () =
-  let r = Reorder.create () in
-  List.iter (fun seq -> Reorder.observe r ~seq) [ 0; 1; 2; 3; 4 ];
-  Alcotest.(check int) "observed" 5 (Reorder.observed r);
-  Alcotest.(check int) "no late packets" 0 (Reorder.out_of_order r);
-  Alcotest.(check int) "suffix covers all" 5 (Reorder.is_sorted_suffix r);
-  Alcotest.(check int) "no disorder index" (-1) (Reorder.last_disorder_index r)
+  let r = log_of [ 0; 1; 2; 3; 4 ] in
+  Alcotest.(check int) "observed" 5 (R.deliveries r);
+  Alcotest.(check int) "no late packets" 0 (R.out_of_order r);
+  Alcotest.(check int) "no displacement" 0 (R.max_displacement r);
+  Alcotest.(check bool) "in order throughout" true
+    (R.in_order_after r ~time:neg_infinity)
 
 let test_reorder_late_packet () =
-  let r = Reorder.create () in
-  List.iter (fun seq -> Reorder.observe r ~seq) [ 0; 1; 4; 2; 3; 5 ];
-  Alcotest.(check int) "two late deliveries" 2 (Reorder.out_of_order r);
-  Alcotest.(check int) "displacement of 2 after 4" 2 (Reorder.max_displacement r);
-  Alcotest.(check int) "disorder at index 3" 3 (Reorder.last_disorder_index r)
+  let r = log_of [ 0; 1; 4; 2; 3; 5 ] in
+  Alcotest.(check int) "two late deliveries" 2 (R.out_of_order r);
+  Alcotest.(check int) "displacement of 2 after 4" 2 (R.max_displacement r);
+  (* Displacements 0 0 0 2 1 0: nearest rank over all six deliveries. *)
+  Alcotest.(check int) "median" 0 (R.displacement_percentile r ~p:0.5);
+  Alcotest.(check int) "p75 is rank 5" 1 (R.displacement_percentile r ~p:0.75);
+  Alcotest.(check int) "p100 is the max" 2 (R.displacement_percentile r ~p:1.0);
+  Alcotest.(check (option (float 0.0))) "in order from index 3 on" (Some 3.0)
+    (R.resync_time r ~errors_stop:0.0)
 
 let test_reorder_missing () =
-  let r = Reorder.create () in
-  List.iter (fun seq -> Reorder.observe r ~seq) [ 0; 1; 3; 5 ];
-  Alcotest.(check int) "two holes" 2 (Reorder.missing r)
+  let r = log_of [ 0; 1; 3; 5 ] in
+  Alcotest.(check int) "holes are not late" 0 (R.out_of_order r);
+  Alcotest.(check int) "holes are not displaced" 0 (R.max_displacement r)
 
 let test_reorder_duplicates_simple () =
-  let r = Reorder.create () in
-  List.iter (fun seq -> Reorder.observe r ~seq) [ 0; 1; 1; 2 ];
-  Alcotest.(check int) "duplicate counted once" 1 (Reorder.duplicates r)
+  let r = log_of [ 0; 1; 1; 2 ] in
+  Alcotest.(check int) "a repeat does not trail the max" 0 (R.out_of_order r);
+  Alcotest.(check bool) "but breaks strict order" false
+    (R.in_order_after r ~time:neg_infinity)
 
 let prop_reorder_sorted_never_flags =
   QCheck.Test.make ~name:"reorder: strictly increasing stream is clean"
     ~count:200
     QCheck.(list_of_size (Gen.int_range 1 100) small_nat)
     (fun xs ->
-      let sorted = List.sort_uniq compare xs in
-      let r = Reorder.create () in
-      List.iter (fun seq -> Reorder.observe r ~seq) sorted;
-      Reorder.out_of_order r = 0
-      && Reorder.is_sorted_suffix r = List.length sorted)
+      let r = log_of (List.sort_uniq compare xs) in
+      R.out_of_order r = 0
+      && R.displacement_percentile r ~p:1.0 = 0
+      && R.in_order_after r ~time:neg_infinity)
 
 let prop_reorder_counts_inversions_vs_max =
   QCheck.Test.make
     ~name:"reorder: late count equals packets below running max" ~count:200
     QCheck.(list_of_size (Gen.int_range 1 100) (int_range 0 1000))
     (fun xs ->
-      let r = Reorder.create () in
-      List.iter (fun seq -> Reorder.observe r ~seq) xs;
-      let expected =
-        let max_seen = ref min_int and late = ref 0 in
+      let r = log_of xs in
+      let expected_late, expected_max =
+        let max_seen = ref min_int and late = ref 0 and disp = ref 0 in
         List.iter
           (fun x ->
-            if x < !max_seen then incr late;
+            if x < !max_seen then begin
+              incr late;
+              disp := max !disp (!max_seen - x)
+            end;
             if x > !max_seen then max_seen := x)
           xs;
-        !late
+        (!late, !disp)
       in
-      Reorder.out_of_order r = expected)
+      R.out_of_order r = expected_late
+      && R.max_displacement r = expected_max
+      && R.displacement_percentile r ~p:1.0 = expected_max)
 
 let suites =
   [

@@ -10,6 +10,7 @@ open Stripe_ipstack
 type world = {
   sim : Sim.t;
   goodput_bytes : int ref;
+  delivered : Stripe_metrics.Recovery.t;  (* datagrams handed to TCP *)
   tx : Stripe_transport.Tcp_lite.Sender.t;
   rx : Stripe_transport.Tcp_lite.Receiver.t;
   tx_layer : Stripe_layer.t;
@@ -96,7 +97,10 @@ let build ?(resequence = true) () =
       ~deliver:(fun ~bytes -> goodput_bytes := !goodput_bytes + bytes)
       ()
   in
+  let delivered = Stripe_metrics.Recovery.create () in
   Node.set_protocol_handler receiver ~proto:6 (fun ip ->
+      Stripe_metrics.Recovery.observe delivered ~now:(Sim.now sim)
+        ~seq:ip.Ip.body.Packet.seq;
       ignore
         (Stripe_transport.Tcp_lite.Receiver.rx rx ~off:ip.Ip.body.Packet.off
            ~len:(ip.Ip.body.Packet.size - 40)));
@@ -114,7 +118,7 @@ let build ?(resequence = true) () =
       ()
   in
   tcp_tx := Some tx;
-  { sim; goodput_bytes; tx; rx; tx_layer; rx_layer; rx_cpu }
+  { sim; goodput_bytes; delivered; tx; rx; tx_layer; rx_layer; rx_cpu }
 
 let run_world w ~duration =
   Stripe_transport.Tcp_lite.Sender.start w.tx;
@@ -133,7 +137,7 @@ let test_full_stack_throughput_and_order () =
     true
     (mbps > 12.0 && mbps < 26.0);
   Alcotest.(check int) "strIPe delivered IP datagrams in order" 0
-    (Stripe_core.Reorder.out_of_order (Stripe_layer.reorder w.rx_layer));
+    (Stripe_metrics.Recovery.out_of_order w.delivered);
   Alcotest.(check int) "TCP saw a gapless stream"
     (Stripe_transport.Tcp_lite.Sender.bytes_acked w.tx)
     (Stripe_transport.Tcp_lite.Receiver.bytes_delivered w.rx);
@@ -150,7 +154,7 @@ let test_full_stack_reordering_without_lr () =
   let mbps = run_world w ~duration:1.0 in
   Alcotest.(check bool) "still delivers" true (mbps > 5.0);
   Alcotest.(check bool) "skewed links reorder the IP stream without LR" true
-    (Stripe_core.Reorder.out_of_order (Stripe_layer.reorder w.rx_layer) > 0);
+    (Stripe_metrics.Recovery.out_of_order w.delivered > 0);
   (* TCP reassembly still yields a gapless byte stream. *)
   Alcotest.(check int) "TCP stream intact despite reordering"
     (Stripe_transport.Tcp_lite.Sender.bytes_acked w.tx)

@@ -112,6 +112,25 @@ let test_recovery_out_of_order_count () =
     [ (0.0, 0); (1.0, 3); (2.0, 1); (3.0, 2); (4.0, 4) ];
   Alcotest.(check int) "late in tail" 2 (Recovery.out_of_order_after r ~time:0.5)
 
+let test_recovery_displacement_edges () =
+  let r = Recovery.create () in
+  Alcotest.(check int) "empty: no late deliveries" 0 (Recovery.out_of_order r);
+  Alcotest.(check int) "empty: no displacement" 0 (Recovery.max_displacement r);
+  Alcotest.(check int) "empty: p99 is 0" 0
+    (Recovery.displacement_percentile r ~p:0.99);
+  Alcotest.check_raises "p above 1"
+    (Invalid_argument "Recovery.displacement_percentile: p must be in [0, 1]")
+    (fun () -> ignore (Recovery.displacement_percentile r ~p:1.5));
+  List.iter (fun (now, seq) -> Recovery.observe r ~now ~seq)
+    [ (0.0, 9); (1.0, 0); (2.0, 3); (3.0, 1); (4.0, 2) ];
+  (* The whole log trails 9; the tail after t=0.5 keeps its own maximum. *)
+  Alcotest.(check int) "late over the log" 4 (Recovery.out_of_order r);
+  Alcotest.(check int) "late in the tail" 2
+    (Recovery.out_of_order_after r ~time:0.5);
+  Alcotest.(check int) "max displacement" 9 (Recovery.max_displacement r);
+  Alcotest.(check int) "p0 is the smallest" 0
+    (Recovery.displacement_percentile r ~p:0.0)
+
 let test_table_render () =
   let t = Table.create ~title:"T" ~columns:[ "a"; "bb" ] in
   Table.add_row t [ "1"; "2" ];
@@ -156,6 +175,8 @@ let suites =
         Alcotest.test_case "recovery never" `Quick test_recovery_never;
         Alcotest.test_case "recovery ooo count" `Quick
           test_recovery_out_of_order_count;
+        Alcotest.test_case "recovery displacement edges" `Quick
+          test_recovery_displacement_edges;
         Alcotest.test_case "table render" `Quick test_table_render;
         Alcotest.test_case "table arity" `Quick test_table_arity;
         Alcotest.test_case "table rowf" `Quick test_table_rowf;
