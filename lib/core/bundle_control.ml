@@ -55,17 +55,9 @@ let health_loop health bundle ~floor =
   let delivered_bytes = meter links Link.delivered_bytes in
   let step ~now =
     for c = 0 to Array.length links - 1 do
-      let sent = sent_packets c in
-      let lost = lost_packets c in
-      let sent_b = sent_bytes c in
-      let done_b = delivered_bytes c in
-      if sent > 0 || lost > 0 then
-        Health.observe health ~channel:c ~sent ~lost
-          ~goodput_ratio:
-            (if sent_b > 0 then
-               Float.min 1.0 (float_of_int done_b /. float_of_int sent_b)
-             else 1.0)
-          ()
+      Health.observe_window health ~channel:c ~sent:(sent_packets c)
+        ~lost:(lost_packets c) ~sent_bytes:(sent_bytes c)
+        ~delivered_bytes:(delivered_bytes c)
     done;
     let transitions = Health.sample health ~now in
     List.iter

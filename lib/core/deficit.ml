@@ -134,19 +134,22 @@ let clone_initial t =
    select/consume sit on the per-packet path. *)
 let emit t ev = match t.hook with None -> () | Some f -> f ev
 
+(* A [for] loop, not [Array.iter]: the checking closure would capture
+   [who] and [max_pkt] and be allocated on every [reconfigure], which the
+   bundle pool runs once per release. *)
 let validate_quanta ~who ~max_pkt quanta =
-  Array.iter
-    (fun q ->
-      if q <= 0 then invalid_arg (who ^ ": quantum must be positive");
-      match max_pkt with
-      | Some m when q < m ->
-        invalid_arg
-          (Printf.sprintf
-             "%s: quantum %d below max packet size %d violates the \
-              marker-recovery precondition (Quantum_i >= Max)"
-             who q m)
-      | _ -> ())
-    quanta
+  for i = 0 to Array.length quanta - 1 do
+    let q = quanta.(i) in
+    if q <= 0 then invalid_arg (who ^ ": quantum must be positive");
+    match max_pkt with
+    | Some m when q < m ->
+      invalid_arg
+        (Printf.sprintf
+           "%s: quantum %d below max packet size %d violates the \
+            marker-recovery precondition (Quantum_i >= Max)"
+           who q m)
+    | _ -> ()
+  done
 
 (* Swap the quantum vector in place. Only called at a round boundary
    (pointer at 0, no visit in progress) or from [reinit], where every DC
@@ -349,6 +352,8 @@ let reconfigure t ~quanta =
   t.g <- 0;
   t.serving <- false;
   refresh_perm t
+
+let restart t = reconfigure t ~quanta:t.quanta
 
 let rec select t =
   if not t.overdraw then

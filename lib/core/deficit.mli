@@ -233,6 +233,11 @@ val reconfigure : t -> quanta:int array -> unit
     recycling an engine across thousands of short-lived bundles costs
     nothing. The hook is kept. *)
 
+val restart : t -> unit
+(** {!reconfigure} at the engine's own quantum vector, without copying
+    it: the cold start of a recycled or restarted endpoint. Allocates
+    nothing. *)
+
 val set_hook : t -> (event -> unit) option -> unit
 (** Install an observer of engine transitions (used for the Figure 5/6
     golden traces and by the marker emission policy). *)

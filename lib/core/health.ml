@@ -185,6 +185,18 @@ let observe t ~channel ?(sent = 0) ?(lost = 0) ?goodput_ratio () =
   | Some r -> invalid_arg (Printf.sprintf "Health.observe: goodput_ratio %g" r)
   | None -> ()
 
+(* The goodput ratio is the window's delivered over sent bytes, so it
+   carries the window's wire loss too. *)
+let observe_window t ~channel ~sent ~lost ~sent_bytes ~delivered_bytes =
+  if sent > 0 || lost > 0 then
+    observe t ~channel ~sent ~lost
+      ~goodput_ratio:
+        (if sent_bytes > 0 then
+           Float.min 1.0
+             (float_of_int delivered_bytes /. float_of_int sent_bytes)
+         else 1.0)
+      ()
+
 let clamp01 x = if x < 0.0 then 0.0 else if x > 1.0 then 1.0 else x
 
 (* Fuse one window's raw evidence into a [0,1] badness score. The loss

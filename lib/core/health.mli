@@ -106,6 +106,21 @@ val observe :
     quarantined channel is discarded at the next {!sample} — quarantine
     exit is purely timed. *)
 
+val observe_window :
+  t ->
+  channel:int ->
+  sent:int ->
+  lost:int ->
+  sent_bytes:int ->
+  delivered_bytes:int ->
+  unit
+(** One window of a channel's wire evidence, as a bundle's health loop
+    and the fleet's health tick both read it: [sent] and [lost] packets,
+    and [sent_bytes] put on the wire against [delivered_bytes] that came
+    off it. Observes the packet counts with the byte ratio as the
+    goodput ratio (capped at 1; 1 when no byte was sent). A window that
+    sent and lost nothing is no evidence and is not observed. *)
+
 val sample : t -> now:float -> transition list
 (** Close the evidence window: fuse, smooth, and advance every state
     machine; expire due quarantines into probation probes. Returns the

@@ -211,7 +211,9 @@ let reseed_cadence t =
   Array.fill t.last_marker_rx 0 t.n neg_infinity
 
 (* [remap] with every channel fresh, in place, for a restart at the same
-   width: allocates nothing. [empty] empties a buffer. *)
+   width: allocates nothing. [empty] empties a buffer. The clock is read
+   only for the watchdog, the one reader of [last_rx]: a read boxes a
+   float. *)
 let clear_channels t ~empty ~epoch =
   Array.iter empty t.buffers;
   clear_stamps t;
@@ -220,7 +222,7 @@ let clear_channels t ~empty ~epoch =
   Array.fill t.reset_pending 0 t.n false;
   Array.fill t.park_epoch 0 t.n 0;
   Array.fill t.park_gen 0 t.n 0;
-  Array.fill t.last_rx 0 t.n (t.now ());
+  if t.wd <> None then Array.fill t.last_rx 0 t.n (t.now ());
   Array.fill t.dead 0 t.n false;
   Array.fill t.ch_epoch 0 t.n epoch
 
@@ -303,7 +305,7 @@ let on_transition_adopted t f = t.on_adopt <- f
    is buffered, and the receiver is synchronized to sender epoch
    [epoch]. Lifetime counters are the caller's business. *)
 let cold_start t ~empty ~epoch =
-  Deficit.reconfigure t.d ~quanta:(Deficit.quanta t.d);
+  Deficit.restart t.d;
   t.staged <- S_none;
   let n = Deficit.n_channels t.d in
   if n <> t.n then remap t n ~src:(fun _ -> -1) ~epoch

@@ -183,10 +183,9 @@ let crash_restart ?quanta t =
        announces the new incarnation with epoch-stamped reset markers.
        Channels that are actually down get re-suspended by the carrier
        watchers, not by remembered state. *)
-    let quanta =
-      match quanta with Some q -> q | None -> Array.copy (Deficit.quanta d)
-    in
-    Deficit.reconfigure d ~quanta;
+    (match quanta with
+    | Some quanta -> Deficit.reconfigure d ~quanta
+    | None -> Deficit.restart d);
     t.epoch <- t.epoch + 1;
     t.gen <- 0;
     if Obs.Sink.active t.sink then

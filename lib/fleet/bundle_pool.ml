@@ -908,17 +908,16 @@ let health_tick t ~now =
     for c = 0 to t.n_ch - 1 do
       let sent = t.wtx_p.(c) - t.last_wtx_p.(c) in
       let lost = t.wlost_p.(c) - t.last_wlost_p.(c) in
-      let txb = t.wtx_b.(c) - t.last_wtx_b.(c) in
-      let doneb = t.wdone_b.(c) - t.last_wdone_b.(c) in
+      let sent_bytes = t.wtx_b.(c) - t.last_wtx_b.(c) in
+      let delivered_bytes = t.wdone_b.(c) - t.last_wdone_b.(c) in
       t.last_wtx_p.(c) <- t.wtx_p.(c);
       t.last_wlost_p.(c) <- t.wlost_p.(c);
       t.last_wtx_b.(c) <- t.wtx_b.(c);
       t.last_wdone_b.(c) <- t.wdone_b.(c);
-      if sent > 0 then
-        let goodput_ratio =
-          min 1.0 (float_of_int doneb /. float_of_int (max txb 1))
-        in
-        Health.observe h ~channel:c ~sent ~lost ~goodput_ratio ()
+      (* A packet is lost in the window that sent it, so [sent = 0]
+         means no evidence here, as in a bundle's health loop. *)
+      Health.observe_window h ~channel:c ~sent ~lost ~sent_bytes
+        ~delivered_bytes
     done;
     let transitions = Health.sample h ~now in
     List.iter

@@ -20,10 +20,14 @@
    - Resequencer.receive without a watchdog: about 0 words/call, markers
      included; a clock read per arrival adds 2, and a boxed marker stamp
      ([Some {round; dc}]) 5 per marker;
-   - Resequencer.recycle at 4 channels: 12 words/call in either build
-     (the quanta array copied for the engine's reconfigure, the
-     closure that checks it, and a clock read); rebuilding the
-     per-channel arrays instead of clearing them measured 104;
+   - Resequencer.recycle at 4 channels: 2 words/call in either build
+     with a watchdog (the clock read that restarts its silence timers),
+     0 without; copying the quanta for the engine's restart adds 5, an
+     [Array.iter] closure checking them 5 more, and rebuilding the
+     per-channel arrays instead of clearing them measured 104. A
+     Bundle_pool acquire and release of a recycled 4-channel slot: 2
+     words in dev (the birth time, boxed as it leaves [Sim]), 0 in
+     release;
    - Sharded_pool.run: 10 words/push in dev, 1.78 in release; a closure
      allocated per replayed op adds about 18. With 500 slots, four
      replay groups on one reset pool: 12.3 words/push in dev, 3.77 in
@@ -195,8 +199,8 @@ let test_resequencer_markers () =
 
 (* The fleet's per-release path ([Bundle_pool.release]): re-arming a
    4-channel resequencer whose buffers and watchdog arrays are already
-   sized. *)
-let test_resequencer_recycle () =
+   sized, with and without a watchdog. *)
+let recycle_words ?watchdog () =
   let quanta = [| 1500; 1500; 1500; 1500 |] in
   let sim = Sim.create () in
   Sim.schedule sim ~at:1.5 ignore;
@@ -204,7 +208,7 @@ let test_resequencer_recycle () =
   let r =
     Resequencer.create ~deficit:(Srr.create ~quanta ())
       ~now:(fun () -> Sim.now sim)
-      ~watchdog:{ Resequencer.intervals = 3; fallback = 0.01 }
+      ?watchdog
       ~deliver:(fun ~channel:_ _ -> ())
       ()
   in
@@ -222,8 +226,42 @@ let test_resequencer_recycle () =
           Resequencer.recycle r
         done)
   in
-  check_at_most "Resequencer.recycle per call" ~bound:12.5
-    (words /. float_of_int n)
+  words /. float_of_int n
+
+let test_resequencer_recycle () =
+  check_at_most "Resequencer.recycle per call" ~bound:2.5
+    (recycle_words ~watchdog:{ Resequencer.intervals = 3; fallback = 0.01 } ())
+
+let test_resequencer_recycle_no_watchdog () =
+  check_at_most "Resequencer.recycle per call, no watchdog" ~bound:0.5
+    (recycle_words ())
+
+(* A churned slot's whole cycle: acquire a recycled slot, release it.
+   Both ends re-arm in place: the slot's resequencer, its sender engine
+   and its counters. *)
+let test_pool_release_acquire () =
+  let sim = Sim.create () in
+  let pool =
+    Bundle_pool.create ~sim
+      {
+        Bundle_pool.rate_bps = Array.make 4 10e6;
+        prop_delay = Array.make 4 0.001;
+        quanta = Array.make 4 1500;
+        marker_every = 4;
+        guard = false;
+        discipline = Bundle_pool.Srr;
+      }
+  in
+  Bundle_pool.release pool (Bundle_pool.acquire pool);
+  let n = 10_000 in
+  let words =
+    words_during (fun () ->
+        for _ = 1 to n do
+          Bundle_pool.release pool (Bundle_pool.acquire pool)
+        done)
+  in
+  check_profiled "Bundle_pool acquire + release per cycle" ~dev:2.5
+    ~release:0.5 (words /. float_of_int n)
 
 let test_striper_push () =
   let quanta = [| 1500; 1500; 1500; 1500 |] in
@@ -420,6 +458,10 @@ let suites =
         Alcotest.test_case "sharded replay, several groups" `Quick
           test_sharded_replay_groups;
         Alcotest.test_case "resequencer recycle" `Quick test_resequencer_recycle;
+        Alcotest.test_case "resequencer recycle, no watchdog" `Quick
+          test_resequencer_recycle_no_watchdog;
+        Alcotest.test_case "pool release and acquire" `Quick
+          test_pool_release_acquire;
         Alcotest.test_case "Striper.push per packet" `Quick test_striper_push;
         Alcotest.test_case "Sim schedule and step (heap)" `Quick
           (test_sim_schedule_step Sim.Heap);
