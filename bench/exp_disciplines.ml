@@ -62,7 +62,7 @@ let gray_at = 0.5
 let run_until = 1.6
 let drain_until = 2.0
 let guard_window = 48
-let sprinklers_seed = 0x5eed
+let seed = 0x5eed
 
 (* Every discipline but random selection: it is non-causal, and RFQ
    already represents the seeded-draw family in the matrix. *)
@@ -105,7 +105,7 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
   Stripe_metrics.Throughput.stop_at goodput run_until;
   let la_debt = ref (fun (_ : int) -> 0.0) in
   let scheduler =
-    Scheduler.of_discipline disc ~rates_bps:rates ~seed:sprinklers_seed
+    Scheduler.of_discipline disc ~rates_bps:rates ~seed
       ~debt:(fun c -> !la_debt c)
   in
   let engine_opt = Scheduler.deficit scheduler in

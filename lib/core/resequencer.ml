@@ -211,9 +211,9 @@ let reseed_cadence t =
   Array.fill t.last_marker_rx 0 t.n neg_infinity
 
 (* [remap] with every channel fresh, in place, for a restart at the same
-   width: allocates nothing. [empty] empties a buffer. The clock is read
-   only for the watchdog, the one reader of [last_rx]: a read boxes a
-   float. *)
+   width. [empty] empties a buffer. Only the watchdog reads [last_rx], so
+   only a resequencer with one reads the clock here, and that read's
+   boxed float is all this allocates. *)
 let clear_channels t ~empty ~epoch =
   Array.iter empty t.buffers;
   clear_stamps t;

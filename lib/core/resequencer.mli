@@ -117,8 +117,9 @@ val recycle : t -> unit
     counters return to zero. The [deliver]/[on_pressure]
     callbacks, sink, clock, watchdog configuration, and byte budget are
     kept: they belong to the pool slot, not the bundle. Steady-state
-    allocation-free — this is what lets a bundle pool churn thousands of
-    bundles through a fixed set of resequencers. *)
+    allocation-free but for one clock read when a watchdog is set (it
+    restarts the silence timers) — this is what lets a bundle pool churn
+    thousands of bundles through a fixed set of resequencers. *)
 
 val receive : t -> channel:int -> Stripe_packet.Packet.t -> unit
 (** Physical reception of a packet (data or marker) on a channel. Also
