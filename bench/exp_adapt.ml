@@ -21,7 +21,9 @@
      two probe intervals of the last rate change.
    - ooo_outside: deliveries out of order outside one marker-interval
      exclusion window around each retune's reset barrier. Quasi-FIFO
-     must hold everywhere else, so the gate demands 0.
+     must hold everywhere else, so the gate demands 0. Late deliveries
+     and their times come from the run's delivery log
+     ([Stripe_metrics.Recovery]), as in every other bench.
 
    The simulation is seeded and virtual-time only, so every number is
    deterministic: the committed BENCH_adapt.json doubles as an exact
@@ -67,20 +69,12 @@ let run_case ~scenario ~adapt ~n_packets =
       ~quantum_unit ()
   in
   let cap = Array.make n base_rate in
-  let max_seen = ref (-1) in
-  let ooo_total = ref 0 in
-  let ooo_times = ref [] in
-  let delivered = ref 0 in
   let goodput = Stripe_metrics.Throughput.create () in
+  let log = Stripe_metrics.Recovery.create () in
   let deliver pkt =
-    incr delivered;
     Stripe_metrics.Throughput.account goodput ~now:(Sim.now sim)
       ~bytes:pkt.Packet.size;
-    if pkt.Packet.seq < !max_seen then begin
-      incr ooo_total;
-      ooo_times := Sim.now sim :: !ooo_times
-    end
-    else max_seen := pkt.Packet.seq
+    Stripe_metrics.Recovery.observe log ~now:(Sim.now sim) ~seq:pkt.Packet.seq
   in
   let b =
     Bundle.create sim
@@ -223,7 +217,7 @@ let run_case ~scenario ~adapt ~n_packets =
              (List.exists
                 (fun rt -> t >= rt && t <= rt +. exclude)
                 !retune_times))
-         !ooo_times)
+         (Stripe_metrics.Recovery.late_times log))
   in
   let resync_probes =
     if !retunes = 0 then 0.0 else (last_retune -. change_end) /. dt_probe
@@ -246,12 +240,12 @@ let run_case ~scenario ~adapt ~n_packets =
         (match scenario with `Step -> "step" | `Ramp -> "ramp")
         (if adapt then "on" else "off");
     n_packets;
-    delivered = !delivered;
+    delivered = Stripe_metrics.Recovery.deliveries log;
     goodput_mbps = Stripe_metrics.Throughput.mbps goodput;
     retunes = !retunes;
     share_error;
     bound_ok;
-    ooo_total = !ooo_total;
+    ooo_total = Stripe_metrics.Recovery.out_of_order log;
     ooo_outside;
     resync_probes;
     resync_ok;

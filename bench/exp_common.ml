@@ -117,7 +117,7 @@ let run_striped_tcp ?(duration = 4.0) ?(seed = 1) ~links ~scheme
     | None -> ()
     | Some rx -> (
       match
-        Tcp_lite.Receiver.rx rx ~off:pkt.Packet.off
+        Tcp_lite.Receiver.rx rx ~off:(Packet.off pkt)
           ~len:(pkt.Packet.size - tcp_ip_headers)
       with
       | `In_order -> ()

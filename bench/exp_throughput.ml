@@ -4,8 +4,11 @@
    delays, SRR striping with markers every 4 rounds, quasi-FIFO logical
    reception through the resequencer, 1M bimodal packets (the paper's
    sending program). Measures *simulated packets per wall-clock second*,
-   the allocation rate of the hot path (minor words per packet) and the
-   simulation events fired per packet ([Sim.events], an exact count).
+   the allocation rate of the hot path (minor words per packet), the
+   simulation events fired per packet ([Sim.events], an exact count) and
+   the markers sent ([Striper.markers_sent], exact too). With words and
+   markers both pinned, a change in words per packet splits into its
+   data-packet part and its marker part.
 
    Usage:
      dune exec bench/exp_throughput.exe --             # full run, table
@@ -14,8 +17,8 @@
      dune exec bench/exp_throughput.exe -- --repeat 5  # best-of-5 per engine
      dune exec bench/exp_throughput.exe -- --check FILE --max-regress 0.30
        # CI gate: exit 1 if pps drops >30% below FILE's committed numbers,
-       # if minor words/packet rise >2% above them, or if the event count
-       # differs from the committed one
+       # if minor words/packet rise >2% above them, or if the event or
+       # marker count differs from the committed one
 
    Each engine is run [--repeat] times (default 3) and the fastest run
    is reported: wall-clock noise on a shared machine is one-sided, so
@@ -55,6 +58,7 @@ type result = {
   minor_words_per_packet : float;
   events : int;
   events_per_pkt : float;
+  markers : int;
   sim_seconds : float;
 }
 
@@ -105,6 +109,7 @@ let run_once ~engine ~n_packets () =
     minor_words_per_packet = minor_words /. float_of_int n_packets;
     events = Sim.events sim;
     events_per_pkt = float_of_int (Sim.events sim) /. float_of_int n_packets;
+    markers = Striper.markers_sent (Bundle.striper b);
     sim_seconds = Sim.now sim;
   }
 
@@ -126,6 +131,7 @@ let fields_of_result ~tag r =
       ("minor_words_per_packet", Num (2, r.minor_words_per_packet));
       ("events", Int r.events);
       ("events_per_pkt", Num (4, r.events_per_pkt));
+      ("markers", Int r.markers);
       ("sim_seconds", Num (4, r.sim_seconds));
     ]
 
@@ -229,6 +235,8 @@ let () =
         (* Events per packet, held through its exact numerator (every
            packet is delivered, so the denominator is fixed). *)
         Bench_gate.check gate ~tag ~field:"events" Exact
-          (float_of_int r.events))
+          (float_of_int r.events);
+        Bench_gate.check gate ~tag ~field:"markers" Exact
+          (float_of_int r.markers))
       results;
     Bench_gate.finish gate

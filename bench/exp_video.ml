@@ -27,8 +27,8 @@ let striped_playback ~loss_p ~trace =
       ~deliver:(fun pkt ->
         Stripe_metrics.Recovery.observe log ~now:(Sim.now sim)
           ~seq:pkt.Packet.seq;
-        Stripe_workload.Playback.packet_arrived playback ~frame:pkt.Packet.frame
-          ~now:(Sim.now sim))
+        Stripe_workload.Playback.packet_arrived playback
+          ~frame:(Packet.frame pkt) ~now:(Sim.now sim))
       ()
   in
   let striper = Bundle.striper b in
@@ -40,8 +40,8 @@ let striped_playback ~loss_p ~trace =
      (the application reads out the tail). *)
   List.iter
     (fun pkt ->
-      Stripe_workload.Playback.packet_arrived playback ~frame:pkt.Packet.frame
-        ~now:(Sim.now sim))
+      Stripe_workload.Playback.packet_arrived playback
+        ~frame:(Packet.frame pkt) ~now:(Sim.now sim))
     (Resequencer.drain (Bundle.resequencer b));
   let report = Stripe_workload.Playback.finalize playback in
   (report, Stripe_metrics.Recovery.out_of_order log)
@@ -57,7 +57,7 @@ let pure_loss_playback ~loss_p ~trace =
       ~deliver:(fun pkt ->
         if not (Rng.bernoulli loss_rng ~p:loss_p) then
           Stripe_workload.Playback.packet_arrived playback
-            ~frame:pkt.Packet.frame ~now:(Sim.now sim))
+            ~frame:(Packet.frame pkt) ~now:(Sim.now sim))
       ()
   in
   List.iter

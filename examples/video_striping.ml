@@ -34,7 +34,7 @@ let () =
         ~deliver:(fun pkt ->
           Stripe_metrics.Recovery.observe log ~now:(Sim.now sim)
             ~seq:pkt.Packet.seq;
-          Playback.packet_arrived playback ~frame:pkt.Packet.frame
+          Playback.packet_arrived playback ~frame:(Packet.frame pkt)
             ~now:(Sim.now sim))
         ()
     in

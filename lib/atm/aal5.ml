@@ -20,7 +20,7 @@ let segment ~vci pkt =
               dg_cells = count;
               dg_size = pkt.Packet.size;
               cell_idx;
-              dg_frame = pkt.Packet.frame;
+              dg_frame = Packet.frame pkt;
             };
       })
 

@@ -70,7 +70,7 @@ let receive_cell t ~vc cell =
   match cell.Cell.kind with
   | Cell.Oam m ->
     Stripe_core.Resequencer.receive t.reseq ~channel:vc
-      (Packet.marker ?credit:m.Packet.m_credit ~reset:m.Packet.m_reset
+      (Packet.marker ~credit:m.Packet.m_credit ~reset:m.Packet.m_reset
          ~epoch:m.Packet.m_epoch ~gen:m.Packet.m_gen
          ~channel:m.Packet.m_channel ~round:m.Packet.m_round ~dc:m.Packet.m_dc
          ~born:0.0 ())

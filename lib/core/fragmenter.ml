@@ -74,7 +74,7 @@ module Sender = struct
           fg_payload = payload;
           fg_total = size;
           fg_seq = pkt.Packet.seq;
-          fg_frame = pkt.Packet.frame;
+          fg_frame = Packet.frame pkt;
           fg_born = pkt.Packet.born;
         }
     done

@@ -16,10 +16,13 @@ let make ?credit_of ?(position = Round_end) ~every_rounds () =
 let default = make ~every_rounds:4 ()
 
 (* Allocates only the marker packet: no stamp record, no options for
-   arguments that are always present, no closure for the credit. *)
+   arguments that are always present, no closure for the credit and no
+   [Some] around it ([Packet.no_credit] stands for none). *)
 let packet_for ~epoch ~gen policy ~deficit ~channel ~now =
   let credit =
-    match policy.credit_of with None -> None | Some f -> Some (f channel)
+    match policy.credit_of with
+    | None -> Stripe_packet.Packet.no_credit
+    | Some f -> f channel
   in
   Stripe_packet.Packet.marker_with ~credit ~reset:false ~epoch ~gen ~channel
     ~round:(Deficit.next_stamp_round deficit channel)
@@ -47,8 +50,8 @@ let reset_barrier d ~epoch ~gen ~now ~send =
   let now = now () in
   for channel = 0 to Deficit.n_channels d - 1 do
     send ~channel
-      (Stripe_packet.Packet.marker_with ~credit:None ~reset:true ~epoch ~gen
-         ~channel
+      (Stripe_packet.Packet.marker_with ~credit:Stripe_packet.Packet.no_credit
+         ~reset:true ~epoch ~gen ~channel
          ~round:(Deficit.next_stamp_round d channel)
          ~dc:(Deficit.next_stamp_dc d channel)
          ~born:now)

@@ -30,7 +30,9 @@ type policy = {
   every_rounds : int;  (** Emit markers every this many rounds; >= 1. *)
   position : position;
   credit_of : (int -> int) option;
-      (** Per-channel credit to piggyback, if flow control is active. *)
+      (** Per-channel credit to piggyback, if flow control is active: a
+          cumulative limit, never negative, since [-1] is
+          {!Stripe_packet.Packet.no_credit}. *)
 }
 
 val default : policy
@@ -44,7 +46,8 @@ val packet_for :
   now:float -> Stripe_packet.Packet.t
 (** Build the marker packet for [channel] from the sender's current
     engine state: it carries [Deficit.next_stamp deficit channel] and the
-    channel's credit if the policy supplies one. [epoch] is the sender's
+    channel's credit if the policy supplies one,
+    {!Stripe_packet.Packet.no_credit} otherwise. [epoch] is the sender's
     incarnation number (PROTOCOL.md §12), [0] until its first crash
     restart; [gen] its reset-barrier generation within the epoch
     ({!Stripe_packet.Packet.marker.m_gen}). Both are required rather

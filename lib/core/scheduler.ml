@@ -249,7 +249,7 @@ let address_hashing ~n =
   let fresh () =
     (* Knuth multiplicative hash over the flow label. *)
     let hash flow = (flow * 2654435761) land max_int mod n in
-    let choose_fn (pkt : Packet.t) = hash pkt.flow in
+    let choose_fn pkt = hash (Packet.flow pkt) in
     let account_fn (_ : Packet.t) (_ : int) = () in
     (choose_fn, account_fn, None)
   in

@@ -135,8 +135,9 @@ let mttr outages =
 
 (* Each delivery's displacement: how far its [seq] trails the highest
    [seq] delivered before it, 0 when it does not trail. Folded in
-   delivery order over the deliveries strictly after [time]; a delivery
-   is late exactly when its displacement is positive. *)
+   delivery order over the deliveries strictly after [time], with each
+   delivery's time; a delivery is late exactly when its displacement is
+   positive. *)
 let fold_displacements t ~time f acc =
   let max_seen = ref min_int in
   List.fold_left
@@ -145,16 +146,25 @@ let fold_displacements t ~time f acc =
       else begin
         let d = if seq < !max_seen then !max_seen - seq else 0 in
         if seq > !max_seen then max_seen := seq;
-        f acc d
+        f acc tm d
       end)
     acc (log t)
 
 let out_of_order_after t ~time =
-  fold_displacements t ~time (fun late d -> if d > 0 then late + 1 else late) 0
+  fold_displacements t ~time
+    (fun late _ d -> if d > 0 then late + 1 else late)
+    0
 
 let out_of_order t = out_of_order_after t ~time:neg_infinity
 
-let max_displacement t = fold_displacements t ~time:neg_infinity max 0
+let late_times t =
+  List.rev
+    (fold_displacements t ~time:neg_infinity
+       (fun acc tm d -> if d > 0 then tm :: acc else acc)
+       [])
+
+let max_displacement t =
+  fold_displacements t ~time:neg_infinity (fun m _ d -> max m d) 0
 
 let displacement_percentile t ~p =
   if not (p >= 0.0 && p <= 1.0) then
@@ -164,7 +174,7 @@ let displacement_percentile t ~p =
     let ds = Array.make t.n 0 in
     ignore
       (fold_displacements t ~time:neg_infinity
-         (fun i d ->
+         (fun i _ d ->
            ds.(i) <- d;
            i + 1)
          0);

@@ -59,6 +59,10 @@ val in_order_after : t -> time:float -> bool
 val out_of_order : t -> int
 (** Late deliveries over the whole log. *)
 
+val late_times : t -> float list
+(** The times of the late deliveries over the whole log, in delivery
+    order: [List.length (late_times t) = out_of_order t]. *)
+
 val out_of_order_after : t -> time:float -> int
 (** Late deliveries strictly after [time], the running maximum taken
     over that tail alone. *)

@@ -2,7 +2,7 @@ type marker = {
   m_channel : int;
   m_round : int;
   m_dc : int;
-  m_credit : int option;
+  m_credit : int;
   m_reset : bool;
   m_epoch : int;
   m_gen : int;
@@ -13,16 +13,18 @@ type kind =
   | Data
   | Marker of marker
 
+type meta = { flow : int; frame : int; off : int }
+
 type t = {
   seq : int;
   size : int;
   kind : kind;
-  flow : int;
-  frame : int;
-  off : int;
+  meta : meta;
   born : float;
 }
 
+let no_meta = { flow = 0; frame = -1; off = -1 }
+let no_credit = -1
 let marker_size = 36
 
 (* 16-bit integrity checksum over every marker field except the checksum
@@ -38,7 +40,7 @@ let marker_checksum_of ~channel ~round ~dc ~credit ~reset ~epoch ~gen =
   let acc = mix acc channel in
   let acc = mix acc round in
   let acc = mix acc dc in
-  let acc = mix acc (match credit with None -> -1 | Some c -> c) in
+  let acc = mix acc credit in
   let acc = mix acc (if reset then 1 else 0) in
   let acc = mix acc epoch in
   let acc = mix acc gen in
@@ -50,9 +52,18 @@ let marker_checksum m =
 
 let marker_valid m = m.m_cksum = marker_checksum m
 
+(* An untagged packet shares [no_meta]: its record is 6 words. *)
 let data ?(flow = 0) ?(frame = -1) ?(off = -1) ?(born = 0.0) ~seq ~size () =
   if size <= 0 then invalid_arg "Packet.data: size must be positive";
-  { seq; size; kind = Data; flow; frame; off; born }
+  let meta =
+    if flow = 0 && frame = -1 && off = -1 then no_meta
+    else { flow; frame; off }
+  in
+  { seq; size; kind = Data; meta; born }
+
+let flow t = t.meta.flow
+let frame t = t.meta.frame
+let off t = t.meta.off
 
 let marker_with ~credit ~reset ~epoch ~gen ~channel ~round ~dc ~born =
   {
@@ -71,14 +82,12 @@ let marker_with ~credit ~reset ~epoch ~gen ~channel ~round ~dc ~born =
           m_cksum =
             marker_checksum_of ~channel ~round ~dc ~credit ~reset ~epoch ~gen;
         };
-    flow = 0;
-    frame = -1;
-    off = -1;
+    meta = no_meta;
     born;
   }
 
-let marker ?credit ?(reset = false) ?(epoch = 0) ?(gen = 0) ~channel ~round
-    ~dc ~born () =
+let marker ?(credit = no_credit) ?(reset = false) ?(epoch = 0) ?(gen = 0)
+    ~channel ~round ~dc ~born () =
   marker_with ~credit ~reset ~epoch ~gen ~channel ~round ~dc ~born
 
 (* Wire damage that the link CRC missed: perturb the (round, DC) stamp —
@@ -114,13 +123,12 @@ let pp fmt t =
   | Data -> Format.fprintf fmt "#%d(%dB)" t.seq t.size
   | Marker m ->
     Format.fprintf fmt "M(ch=%d,R=%d,DC=%d%s%s)" m.m_channel m.m_round m.m_dc
-      (match m.m_credit with
-      | None -> ""
-      | Some c -> Printf.sprintf ",credit=%d" c)
+      (if m.m_credit = no_credit then ""
+       else Printf.sprintf ",credit=%d" m.m_credit)
       ((if m.m_reset then ",reset" else "")
       ^ (if m.m_epoch <> 0 then Printf.sprintf ",e=%d" m.m_epoch else "")
       ^ if m.m_gen <> 0 then Printf.sprintf ",g=%d" m.m_gen else "")
 
 let equal a b = a = b
 
-let compare_seq a b = compare a.seq b.seq
+let compare_seq a b = Int.compare a.seq b.seq

@@ -23,7 +23,11 @@ type marker = {
   m_channel : int;  (** Sender's number for the channel the marker rides. *)
   m_round : int;  (** Round number of the next data packet on the channel. *)
   m_dc : int;  (** Deficit counter value for that next data packet. *)
-  m_credit : int option;  (** Piggybacked FCVC credit, if flow control is on. *)
+  m_credit : int;
+      (** Piggybacked FCVC credit, a non-negative cumulative limit when
+          flow control is on; {!no_credit} otherwise. An [int] rather
+          than an option, so a credit-carrying marker allocates no
+          [Some]. *)
   m_reset : bool;
       (** Reset barrier (§5: node crashes are handled "by doing a
           reset"): the sender reinitialized its state; data behind this
@@ -65,18 +69,45 @@ type kind =
   | Data
   | Marker of marker
 
-type t = {
-  seq : int;  (** Measurement-only: position in the sender's input stream. *)
-  size : int;  (** Wire size in bytes. *)
-  kind : kind;
+(** Workload tags: what the applications above the stripe put in their
+    own headers. The striping protocol reads none of them (only the
+    hashing baseline reads [flow]); they ride in a block of their own so
+    that the common untagged packet shares one {!no_meta} and its record
+    stays small (DESIGN.md §8). *)
+type meta = {
   flow : int;  (** Flow/address label, used only by the hashing baseline. *)
   frame : int;  (** Application frame id (video workloads); -1 otherwise. *)
   off : int;
       (** Transport byte offset — what a TCP-like header would carry;
           opaque to the striping protocol. -1 when unused. Retransmissions
           share [off] but get a fresh [seq]. *)
+}
+
+type t = {
+  seq : int;  (** Measurement-only: position in the sender's input stream. *)
+  size : int;  (** Wire size in bytes. *)
+  kind : kind;
+  meta : meta;
+      (** Workload tags; physically {!no_meta} on every marker and on
+          every data packet built without a tag. *)
   born : float;  (** Simulated time the packet entered the sender. *)
 }
+
+val no_meta : meta
+(** The tags of an untagged packet: flow 0, frame -1, offset -1. One
+    shared value, so an untagged packet allocates no tag block. *)
+
+val no_credit : int
+(** [m_credit] of a marker that carries no credit: [-1]. *)
+
+val flow : t -> int
+(** [t.meta.flow]. *)
+
+val frame : t -> int
+(** [t.meta.frame]. *)
+
+val off : t -> int
+(** [t.meta.off]. *)
 
 val marker_size : int
 (** Wire size of a marker packet (bytes). Small — the paper's marker only
@@ -97,16 +128,20 @@ val mangle_marker : salt:int -> t -> t
 val data :
   ?flow:int -> ?frame:int -> ?off:int -> ?born:float -> seq:int -> size:int ->
   unit -> t
-(** [data ~seq ~size ()] builds a data packet. [size] must be positive. *)
+(** [data ~seq ~size ()] builds a data packet. [size] must be positive.
+    A packet whose tags are all at their defaults shares {!no_meta}: it
+    costs a 6-word record plus the boxed [born], 8 words in all. A
+    tagged one adds a 4-word {!meta} block. *)
 
 val marker :
   ?credit:int -> ?reset:bool -> ?epoch:int -> ?gen:int -> channel:int ->
   round:int -> dc:int -> born:float -> unit -> t
-(** Build a marker packet; [reset] defaults to [false], [epoch] and
-    [gen] to [0]. Markers have [seq = -1]. *)
+(** Build a marker packet; [credit] defaults to {!no_credit}, [reset]
+    to [false], [epoch] and [gen] to [0]. Markers have [seq = -1] and
+    share {!no_meta}. *)
 
 val marker_with :
-  credit:int option -> reset:bool -> epoch:int -> gen:int -> channel:int ->
+  credit:int -> reset:bool -> epoch:int -> gen:int -> channel:int ->
   round:int -> dc:int -> born:float -> t
 (** {!marker} with every field explicit. For per-packet paths: each
     optional argument passed to {!marker} is boxed in an option at the

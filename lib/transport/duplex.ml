@@ -69,11 +69,11 @@ let advertise e ~channel ~deficit ~now =
    direction immediately on arrival. *)
 let on_arrival me ~channel pkt =
   if Packet.is_marker pkt then begin
-    (match (Packet.get_marker pkt).m_credit with
-    | Some limit ->
+    let limit = (Packet.get_marker pkt).m_credit in
+    if limit <> Packet.no_credit then begin
       Credit.Sender.update_limit me.out_credits ~channel ~limit;
       pump me
-    | None -> ());
+    end;
     Stripe_core.Resequencer.receive me.reseq ~channel pkt
   end
   else if Credit.Receiver.accept me.in_credits ~channel then begin
@@ -118,9 +118,8 @@ let make_endpoint sim ~channels ~quanta ~buffer ~marker_every ~deliver
         let e = force_self () in
         (if Packet.is_marker pkt then
            (* Periodic marker: it carries the latest limit; note it. *)
-           match (Packet.get_marker pkt).m_credit with
-           | Some limit -> e.advertised.(channel) <- limit
-           | None -> ());
+           let limit = (Packet.get_marker pkt).m_credit in
+           if limit <> Packet.no_credit then e.advertised.(channel) <- limit);
         ignore
           (Stripe_netsim.Link.send e.out_links.(channel) ~size:pkt.Packet.size
              pkt))

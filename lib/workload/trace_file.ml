@@ -11,8 +11,9 @@ let to_string entries =
       let p = e.packet in
       Buffer.add_string buf
         (Printf.sprintf "%.6f %d %d %d %d\n" e.time p.Stripe_packet.Packet.seq
-           p.Stripe_packet.Packet.size p.Stripe_packet.Packet.flow
-           p.Stripe_packet.Packet.frame))
+           p.Stripe_packet.Packet.size
+           (Stripe_packet.Packet.flow p)
+           (Stripe_packet.Packet.frame p)))
     entries;
   Buffer.contents buf
 

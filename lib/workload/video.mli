@@ -34,7 +34,8 @@ val generate :
 
 val packets : t -> (float * Stripe_packet.Packet.t) list
 (** The trace as [(send_time, packet)] pairs in send order: packets carry
-    their frame id in [Packet.frame] and consecutive [seq] numbers. *)
+    their frame id as a tag ({!Stripe_packet.Packet.frame}) and
+    consecutive [seq] numbers. *)
 
 val n_packets : t -> int
 

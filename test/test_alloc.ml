@@ -28,18 +28,26 @@
      Bundle_pool acquire and release of a recycled 4-channel slot: 2
      words in dev (the birth time, boxed as it leaves [Sim]), 0 in
      release;
-   - Sharded_pool.run: 10 words/push in dev, 1.78 in release; a closure
+   - Sharded_pool.run: 9.9 words/push in dev, 1.61 in release; a closure
      allocated per replayed op adds about 18. With 500 slots, four
-     replay groups on one reset pool: 12.3 words/push in dev, 3.77 in
+     replay groups on one reset pool: 11.7 words/push in dev, 3.18 in
      release; building a pool per group instead measured 16.8 in dev;
    - Sharded_pool.acquire/push/release: 2 words per recorded op in dev,
      the op's time boxed as it crosses into the recorder (0 in release,
      where the calls inline); a float field of the recorder's record
      storing the time, and non-inlined calls taking it, measured 4 words
      per op in release;
-   - Striper.push with Round_end markers every 4 rounds: 1.95
+   - Packet.data, untagged, with a fresh [born]: 8 words/call in
+     release, the 6-word record (its tags are the shared
+     [Packet.no_meta]) plus the boxed [born]; 10 in dev, where the
+     optional [born] is boxed in a [Some] as well. A tag block per
+     packet adds 4, the 7-field record it replaced 2;
+   - Striper.push with Round_end markers every 4 rounds: 1.75
      words/push in either build, all of it the marker packets (0.1
-     markers/push); one boxed word or closure per push adds at least 2;
+     markers/push at 17.5 words each: the 6-word record, the 2-word
+     [Marker] box, the 9-word marker record and a quarter of the boxed
+     [born] the batch of 4 shares); one boxed word or closure per push
+     adds at least 2;
    - Sim.schedule plus step of one preallocated closure: 2 words/event
      in dev on either engine (the event time, boxed as it crosses into
      the queue; 0 in release); one more boxed word per event adds 2.
@@ -263,6 +271,27 @@ let test_pool_release_acquire () =
   check_profiled "Bundle_pool acquire + release per cycle" ~dev:2.5
     ~release:0.5 (words /. float_of_int n)
 
+(* The workload's packet: an untagged [Packet.data] stamped with a fresh
+   clock reading, as the paced sources build it. *)
+let test_packet_data () =
+  (* A clock whose reading is a fresh float, as a simulator's is. *)
+  let sim = Sim.create () in
+  Sim.schedule sim ~at:1.5 ignore;
+  Sim.run sim;
+  let last = Array.make 1 (Packet.data ~seq:0 ~size:1 ()) in
+  let build n =
+    for i = 1 to n do
+      last.(0) <- Packet.data ~seq:i ~born:(Sim.now sim) ~size:500 ()
+    done
+  in
+  build 1000;
+  let n = 100_000 in
+  let words = words_during (fun () -> build n) in
+  Alcotest.(check bool) "untagged packet shares Packet.no_meta" true
+    (last.(0).Packet.meta == Packet.no_meta);
+  check_profiled "Packet.data per call" ~dev:10.5 ~release:8.5
+    (words /. float_of_int n)
+
 let test_striper_push () =
   let quanta = [| 1500; 1500; 1500; 1500 |] in
   (* A clock whose reading is a fresh float, as a simulator's is. *)
@@ -295,7 +324,7 @@ let test_striper_push () =
     (Striper.markers_sent striper > markers0);
   Alcotest.(check int) "every packet and marker emitted"
     (Striper.pushed_packets striper + Striper.markers_sent striper) !emitted;
-  check_profiled "Striper.push per packet" ~dev:3.0 ~release:2.45 per_push
+  check_profiled "Striper.push per packet" ~dev:3.0 ~release:2.25 per_push
 
 (* Words per push of a one-domain replay: [bundles] slots acquired up
    front, [pushes] packets spread round-robin over them. *)
@@ -329,12 +358,12 @@ let replay_words_per_push ~bundles ~pushes =
   words /. float_of_int pushes
 
 let test_sharded_replay () =
-  check_profiled "Sharded_pool.run per push" ~dev:24.0 ~release:2.283
+  check_profiled "Sharded_pool.run per push" ~dev:24.0 ~release:2.113
     (replay_words_per_push ~bundles:8 ~pushes:20_000)
 
 let test_sharded_replay_groups () =
   check_profiled "Sharded_pool.run per push, several groups" ~dev:14.5
-    ~release:4.265
+    ~release:3.682
     (replay_words_per_push ~bundles:500 ~pushes:40_000)
 
 (* The event core alone: one preallocated closure rescheduled from
@@ -462,6 +491,7 @@ let suites =
           test_resequencer_recycle_no_watchdog;
         Alcotest.test_case "pool release and acquire" `Quick
           test_pool_release_acquire;
+        Alcotest.test_case "Packet.data per call" `Quick test_packet_data;
         Alcotest.test_case "Striper.push per packet" `Quick test_striper_push;
         Alcotest.test_case "Sim schedule and step (heap)" `Quick
           (test_sim_schedule_step Sim.Heap);

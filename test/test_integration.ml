@@ -102,7 +102,7 @@ let build ?(resequence = true) () =
       Stripe_metrics.Recovery.observe delivered ~now:(Sim.now sim)
         ~seq:ip.Ip.body.Packet.seq;
       ignore
-        (Stripe_transport.Tcp_lite.Receiver.rx rx ~off:ip.Ip.body.Packet.off
+        (Stripe_transport.Tcp_lite.Receiver.rx rx ~off:(Packet.off ip.Ip.body)
            ~len:(ip.Ip.body.Packet.size - 40)));
   let rng = Rng.create 77 in
   let seq = ref 0 in

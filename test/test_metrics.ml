@@ -110,11 +110,18 @@ let test_recovery_out_of_order_count () =
   let r = Recovery.create () in
   List.iter (fun (now, seq) -> Recovery.observe r ~now ~seq)
     [ (0.0, 0); (1.0, 3); (2.0, 1); (3.0, 2); (4.0, 4) ];
-  Alcotest.(check int) "late in tail" 2 (Recovery.out_of_order_after r ~time:0.5)
+  Alcotest.(check int) "late in tail" 2 (Recovery.out_of_order_after r ~time:0.5);
+  Alcotest.(check (list (float 0.0))) "times of the late deliveries"
+    [ 2.0; 3.0 ] (Recovery.late_times r);
+  (* A repeat of the running maximum trails nothing: it is not late. *)
+  Recovery.observe r ~now:5.0 ~seq:4;
+  Alcotest.(check int) "repeat is in order" 2 (Recovery.out_of_order r)
 
 let test_recovery_displacement_edges () =
   let r = Recovery.create () in
   Alcotest.(check int) "empty: no late deliveries" 0 (Recovery.out_of_order r);
+  Alcotest.(check (list (float 0.0))) "empty: no late times" []
+    (Recovery.late_times r);
   Alcotest.(check int) "empty: no displacement" 0 (Recovery.max_displacement r);
   Alcotest.(check int) "empty: p99 is 0" 0
     (Recovery.displacement_percentile r ~p:0.99);
@@ -125,6 +132,8 @@ let test_recovery_displacement_edges () =
     [ (0.0, 9); (1.0, 0); (2.0, 3); (3.0, 1); (4.0, 2) ];
   (* The whole log trails 9; the tail after t=0.5 keeps its own maximum. *)
   Alcotest.(check int) "late over the log" 4 (Recovery.out_of_order r);
+  Alcotest.(check (list (float 0.0))) "late times over the log"
+    [ 1.0; 2.0; 3.0; 4.0 ] (Recovery.late_times r);
   Alcotest.(check int) "late in the tail" 2
     (Recovery.out_of_order_after r ~time:0.5);
   Alcotest.(check int) "max displacement" 9 (Recovery.max_displacement r);

@@ -21,7 +21,7 @@ let test_marker_packet_for () =
   Alcotest.(check int) "channel" 1 m.Packet.m_channel;
   Alcotest.(check int) "round from next_stamp" 0 m.Packet.m_round;
   Alcotest.(check int) "dc from next_stamp" 300 m.Packet.m_dc;
-  Alcotest.(check (option int)) "credit from policy" (Some 101) m.Packet.m_credit;
+  Alcotest.(check int) "credit from policy" 101 m.Packet.m_credit;
   Alcotest.(check (float 0.0)) "timestamp" 3.5 pkt.Packet.born
 
 let test_marker_policy_validation () =

@@ -7,16 +7,23 @@ let test_data_fields () =
   let p = Packet.data ~flow:3 ~frame:7 ~off:100 ~born:1.5 ~seq:42 ~size:550 () in
   Alcotest.(check int) "seq" 42 p.Packet.seq;
   Alcotest.(check int) "size" 550 p.Packet.size;
-  Alcotest.(check int) "flow" 3 p.Packet.flow;
-  Alcotest.(check int) "frame" 7 p.Packet.frame;
-  Alcotest.(check int) "off" 100 p.Packet.off;
+  Alcotest.(check int) "flow" 3 (Packet.flow p);
+  Alcotest.(check int) "frame" 7 (Packet.frame p);
+  Alcotest.(check int) "off" 100 (Packet.off p);
   Alcotest.(check bool) "not a marker" false (Packet.is_marker p)
 
 let test_data_defaults () =
   let p = Packet.data ~seq:0 ~size:1 () in
-  Alcotest.(check int) "default flow" 0 p.Packet.flow;
-  Alcotest.(check int) "default frame" (-1) p.Packet.frame;
-  Alcotest.(check int) "default off" (-1) p.Packet.off
+  Alcotest.(check int) "default flow" 0 (Packet.flow p);
+  Alcotest.(check int) "default frame" (-1) (Packet.frame p);
+  Alcotest.(check int) "default off" (-1) (Packet.off p);
+  Alcotest.(check bool) "untagged shares no_meta" true
+    (p.Packet.meta == Packet.no_meta);
+  Alcotest.(check bool) "explicit defaults share no_meta" true
+    ((Packet.data ~flow:0 ~frame:(-1) ~off:(-1) ~seq:0 ~size:1 ()).Packet.meta
+    == Packet.no_meta);
+  Alcotest.(check bool) "one tag gets its own block" false
+    ((Packet.data ~frame:0 ~seq:0 ~size:1 ()).Packet.meta == Packet.no_meta)
 
 let test_data_validation () =
   Alcotest.check_raises "zero size rejected"
@@ -31,7 +38,12 @@ let test_marker_fields () =
   Alcotest.(check int) "channel" 1 info.Packet.m_channel;
   Alcotest.(check int) "round" 7 info.Packet.m_round;
   Alcotest.(check int) "dc" 300 info.Packet.m_dc;
-  Alcotest.(check (option int)) "credit" (Some 12) info.Packet.m_credit
+  Alcotest.(check int) "credit" 12 info.Packet.m_credit;
+  Alcotest.(check bool) "marker shares no_meta" true
+    (m.Packet.meta == Packet.no_meta);
+  let bare = Packet.marker ~channel:1 ~round:7 ~dc:300 ~born:2.0 () in
+  Alcotest.(check int) "no credit" Packet.no_credit
+    (Packet.get_marker bare).Packet.m_credit
 
 let test_get_marker_on_data () =
   let p = Packet.data ~seq:0 ~size:10 () in

@@ -123,7 +123,7 @@ let run_tcp_over_striping ~seed ~loss_p =
         match !tcp_rx with
         | Some rx ->
           ignore
-            (Stripe_transport.Tcp_lite.Receiver.rx rx ~off:pkt.Packet.off
+            (Stripe_transport.Tcp_lite.Receiver.rx rx ~off:(Packet.off pkt)
                ~len:pkt.Packet.size)
         | None -> ())
       ()

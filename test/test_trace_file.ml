@@ -74,8 +74,8 @@ let test_of_video () =
   (* Round-trip the converted trace too. *)
   let parsed = Trace_file.of_string (Trace_file.to_string entries) in
   Alcotest.(check int) "frame ids preserved"
-    (List.hd entries).packet.Packet.frame
-    (List.hd parsed).packet.Packet.frame
+    (Packet.frame (List.hd entries).packet)
+    (Packet.frame (List.hd parsed).packet)
 
 let test_replay_preserves_experiment () =
   (* A stored trace replayed through striping gives the same delivery as

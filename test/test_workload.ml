@@ -76,7 +76,8 @@ let test_playback_all_on_time () =
   let pb = Playback.create ~trace ~playout_delay:0.5 () in
   List.iter
     (fun (t, p) ->
-      Playback.packet_arrived pb ~frame:p.Stripe_packet.Packet.frame ~now:(t +. 0.05))
+      Playback.packet_arrived pb ~frame:(Stripe_packet.Packet.frame p)
+        ~now:(t +. 0.05))
     (Video.packets trace);
   let r = Playback.finalize pb in
   Alcotest.(check int) "no glitches" 0 r.Playback.glitched_frames;
@@ -90,7 +91,7 @@ let test_playback_missing_packet_glitches () =
   let dropped = ref false in
   List.iter
     (fun (t, p) ->
-      let frame = p.Stripe_packet.Packet.frame in
+      let frame = Stripe_packet.Packet.frame p in
       if frame = 3 && not !dropped then dropped := true
       else Playback.packet_arrived pb ~frame ~now:(t +. 0.01))
     (Video.packets trace);
@@ -104,7 +105,7 @@ let test_playback_late_packet_glitches () =
   let pb = Playback.create ~trace ~playout_delay:0.2 () in
   List.iter
     (fun (t, p) ->
-      let frame = p.Stripe_packet.Packet.frame in
+      let frame = Stripe_packet.Packet.frame p in
       (* Frame 2's packets arrive half a second late. *)
       let delay = if frame = 2 then 0.5 else 0.01 in
       Playback.packet_arrived pb ~frame ~now:(t +. delay))
@@ -123,7 +124,7 @@ let test_playback_reordering_within_deadline_harmless () =
   (* Deliver each frame's packets in reverse order with small jitter. *)
   List.iter
     (fun (t, p) ->
-      let frame = p.Stripe_packet.Packet.frame in
+      let frame = Stripe_packet.Packet.frame p in
       Playback.packet_arrived pb ~frame
         ~now:(t +. 0.3 -. (0.001 *. float_of_int p.Stripe_packet.Packet.seq)))
     (List.rev pkts);
