@@ -81,15 +81,14 @@ let run_fig8_13 () =
   done;
   Queue.iter
     (fun (channel, pkt) ->
-      if Packet.is_marker pkt then begin
-        let m = Packet.get_marker pkt in
+      match pkt.Packet.kind with
+      | Packet.Marker m ->
         Printf.printf "  marker on channel %d carrying G=%d\n" (channel + 1)
-          (m.Packet.m_round + 1);
+          (m.m_round + 1);
         Resequencer.receive reseq ~channel pkt
-      end
-      else if pkt.Packet.seq = 6 then
+      | Data when pkt.Packet.seq = 6 ->
         Printf.printf "  packet 7 LOST on channel %d\n" (channel + 1)
-      else Resequencer.receive reseq ~channel pkt)
+      | Data -> Resequencer.receive reseq ~channel pkt)
     wire;
   Printf.printf "Delivery order (paper: 1-6, 9, 8, 11, 10, 12, 13-18):\n  ";
   List.iter (Printf.printf "%d ") (List.rev !delivered);

@@ -44,8 +44,9 @@
      dune exec bench/exp_fleet.exe -- --json FILE      # machine output
      dune exec bench/exp_fleet.exe -- --check FILE --max-regress 0.30
        # CI gate: exit 1 if pps drops >30% below FILE's committed
-       # numbers, if single-domain calendar runs allocate >2% more
-       # minor words per delivered packet than committed, or if the
+       # numbers, if single-domain calendar runs' minor words per
+       # delivered packet move >2% from the committed value either way
+       # (a drop means a stale anchor: regenerate), or if the
        # protocol aggregates (delivered, markers, events, share
        # p50/p99) drift
        # from the committed single-domain anchor — the latter holds for
@@ -344,9 +345,9 @@ let best_of ~repeat ~engine ~total_bundles ~domains () =
   Bench_gate.best_of ~repeat ~by:(fun r -> r.pps)
     (run_once ~engine ~total_bundles ~domains)
 
-(* Ceiling on minor words per delivered packet, relative to the
+(* Band on minor words per delivered packet, either way, relative to the
    committed calendar entry. *)
-let max_words_regress = 0.02
+let words_band = 0.02
 
 let quick_bundles = 10_000
 let full_bundles = 25_000
@@ -455,11 +456,10 @@ let () =
           Bench_gate.check gate ~tag:anchor ~field:"pps" (Floor !max_regress)
             r.pps;
         (* Allocation gate: the calendar anchors, the engine the
-           benchmark runs; +2%, the rule exp_throughput applies. *)
+           benchmark runs; ±2%, the rule exp_throughput applies. *)
         if r.domains = 1 && r.engine = "calendar" then
           Bench_gate.check gate ~tag:anchor ~field:"minor_words_per_pkt"
-            (Ceiling { rel = max_words_regress; abs = 0.0 })
-            r.minor_words_per_pkt;
+            (Band words_band) r.minor_words_per_pkt;
         (* Determinism gate: the protocol aggregates must equal the
            committed single-domain anchor — for every domain count. The
            committed JSON rounds the share errors to 4 decimals. *)

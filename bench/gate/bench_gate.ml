@@ -139,6 +139,7 @@ type rule =
   | Time_ceiling of float
   | Exact
   | Within of float
+  | Band of float
 
 let show x = Printf.sprintf "%.7g" x
 
@@ -159,6 +160,9 @@ let verdict rule ~committed current =
   | Exact -> (current = committed, "exact")
   | Within tol ->
     (Float.abs (current -. committed) <= tol, "within " ^ show tol)
+  | Band r ->
+    let lo = committed *. (1.0 -. r) and hi = committed *. (1.0 +. r) in
+    (current >= lo && current <= hi, "band " ^ show lo ^ ".." ^ show hi)
 
 let passes rule ~committed current = fst (verdict rule ~committed current)
 
@@ -184,8 +188,15 @@ let check t ~tag ~field rule current =
     Printf.printf "  check %-25s %-12s %10s vs committed %10s (%s)\n%!" tag
       field (shown current) (shown committed) limit;
     if not ok then
-      fail t "%s %s regressed: %s vs committed %s (%s)" tag field
-        (shown current) (shown committed) limit
+      match rule with
+      | Band _ when current < committed ->
+        fail t
+          "%s %s fell below its anchor: %s vs committed %s (%s) — \
+           regenerate the baseline with --json"
+          tag field (shown current) (shown committed) limit
+      | _ ->
+        fail t "%s %s regressed: %s vs committed %s (%s)" tag field
+          (shown current) (shown committed) limit
 
 let finish t = if t.failed then exit 1 else print_endline "  check passed"
 

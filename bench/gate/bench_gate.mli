@@ -47,6 +47,11 @@ type rule =
           [0 <= current <= committed * (1 + r) + 1]. *)
   | Exact  (** [current = committed]. *)
   | Within of float  (** [Within tol]: [|current - committed| <= tol]. *)
+  | Band of float
+      (** [Band r]: [committed * (1 - r) <= current <= committed * (1 + r)].
+          For deterministic counts such as minor words: a rise is a
+          regression, and a drop means the committed anchor is stale, so
+          its [FAIL:] line says to regenerate the baseline. *)
 
 val passes : rule -> committed:float -> float -> bool
 (** [passes rule ~committed current]; [false] whenever [current] is

@@ -7,7 +7,7 @@ type kind =
       cell_idx : int;
       dg_frame : int;
     }
-  | Oam of Stripe_packet.Packet.marker
+  | Oam of Stripe_packet.Packet.t
 
 type t = {
   vci : int;
@@ -27,6 +27,5 @@ let pp fmt t =
     Format.fprintf fmt "cell(vci=%d,dg=%d,%d/%d%s)" t.vci d.dg_seq
       (d.cell_idx + 1) d.dg_cells
       (if d.eof then ",eof" else "")
-  | Oam m ->
-    Format.fprintf fmt "oam(vci=%d,R=%d,DC=%d)" t.vci m.Stripe_packet.Packet.m_round
-      m.Stripe_packet.Packet.m_dc
+  | Oam pkt ->
+    Format.fprintf fmt "oam(vci=%d,%a)" t.vci Stripe_packet.Packet.pp pkt

@@ -23,8 +23,8 @@ type kind =
       cell_idx : int;  (** Index of this cell within the frame. *)
       dg_frame : int;  (** Application frame id (video), -1 otherwise. *)
     }
-  | Oam of Stripe_packet.Packet.marker
-      (** OAM cell carrying striping-marker state. *)
+  | Oam of Stripe_packet.Packet.t
+      (** OAM cell carrying a striping marker packet. *)
 
 type t = {
   vci : int;

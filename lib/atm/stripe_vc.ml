@@ -29,7 +29,7 @@ let create ~n_vcs ~quanta ?marker ?now ~send_cell ~deliver () =
         if Packet.is_marker pkt then
           (* Markers become OAM cells on the same VC. *)
           t.send_cell ~vc:channel
-            { Cell.vci = channel; kind = Cell.Oam (Packet.get_marker pkt) }
+            { Cell.vci = channel; kind = Cell.Oam pkt }
         else
           List.iter
             (fun cell -> t.send_cell ~vc:channel cell)
@@ -68,12 +68,7 @@ let push t pkt =
 let receive_cell t ~vc cell =
   if vc < 0 || vc >= t.n then invalid_arg "Stripe_vc.receive_cell: bad VC";
   match cell.Cell.kind with
-  | Cell.Oam m ->
-    Stripe_core.Resequencer.receive t.reseq ~channel:vc
-      (Packet.marker ~credit:m.Packet.m_credit ~reset:m.Packet.m_reset
-         ~epoch:m.Packet.m_epoch ~gen:m.Packet.m_gen
-         ~channel:m.Packet.m_channel ~round:m.Packet.m_round ~dc:m.Packet.m_dc
-         ~born:0.0 ())
+  | Cell.Oam pkt -> Stripe_core.Resequencer.receive t.reseq ~channel:vc pkt
   | Cell.Data _ -> Aal5.Reassembler.receive t.reassemblers.(vc) cell
 
 let corrupted_frames t =

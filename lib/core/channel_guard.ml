@@ -122,8 +122,7 @@ let receive t ~channel ~tag pkt =
      in flight. Its tag still advances the stream position — the damage
      hit the payload, not the shim header carrying the tag. *)
   let entry =
-    if Packet.is_marker pkt && not (Packet.marker_valid (Packet.get_marker pkt))
-    then begin
+    if not (Packet.marker_valid pkt) then begin
       t.n_corrupt <- t.n_corrupt + 1;
       emit t Obs.Event.Corrupt_discard ~channel ~size:pkt.Packet.size
         ~seq:pkt.Packet.seq;

@@ -188,6 +188,14 @@ let reinit t =
 
 let n_channels t = t.n
 let quanta t = Array.copy t.quanta
+
+let has_quanta t (q : int array) =
+  let same = ref (Array.length q = Array.length t.quanta) in
+  for c = 0 to Array.length q - 1 do
+    if !same && t.quanta.(c) <> q.(c) then same := false
+  done;
+  !same
+
 let max_packet t = t.max_pkt
 let round t = t.g
 let current t = chan t

@@ -114,6 +114,9 @@ val any_active : t -> bool
 val n_channels : t -> int
 val quanta : t -> int array
 
+val has_quanta : t -> int array -> bool
+(** [has_quanta t q] is [quanta t = q], without the copy. *)
+
 val max_packet : t -> int option
 (** The maximum packet size declared at {!create}, if any. *)
 

@@ -454,21 +454,12 @@ let note_arrival t c ~is_marker =
 
 (* Every marker taken off a channel's stream is counted here, whatever
    it does next. *)
-let[@inline] count_marker t c (m : Packet.marker) =
+let[@inline] count_marker t c ~round ~dc =
   t.n_markers <- t.n_markers + 1;
   if Obs.Sink.active t.sink then
     Obs.Sink.emit t.sink
-      (Obs.Event.v ~channel:c ~round:m.m_round ~dc:m.m_dc ~time:(t.now ())
+      (Obs.Event.v ~channel:c ~round ~dc ~time:(t.now ())
          Obs.Event.Marker_applied)
-
-(* The stamp is recorded for the channel whose buffer the marker was
-   drawn from, not [m.m_channel]: the arrival port is ground truth (a
-   real receiver knows which wire a packet came in on), whereas the
-   payload field could in principle be damaged in flight. *)
-let apply_marker t c (m : Packet.marker) =
-  count_marker t c m;
-  t.force_round.(c) <- m.m_round;
-  t.force_dc.(c) <- m.m_dc
 
 (* A channel parks at a reset marker, recording the marker's
    (epoch, generation) stamp so adoption can group channels by barrier.
@@ -496,15 +487,22 @@ let reset_stale t ~epoch ~gen =
 
 (* A marker taken off the head of [c]'s stream: a plain marker stamps
    the channel; a reset marker parks it at the barrier, unless it is a
-   stale copy, which is absorbed. Returns whether [c] parked. *)
-let take_marker t c (m : Packet.marker) =
-  if not m.m_reset then begin
-    apply_marker t c m;
-    false
-  end
-  else begin
-    count_marker t c m;
-    if reset_stale t ~epoch:m.m_epoch ~gen:m.m_gen then begin
+   stale copy, which is absorbed. Returns whether [c] parked. The stamp
+   is recorded for the channel whose buffer the marker was drawn from,
+   not [m_channel]: the arrival port is ground truth (a real receiver
+   knows which wire a packet came in on), whereas the payload field
+   could in principle be damaged in flight. *)
+let take_marker t c (pkt : Packet.t) =
+  match pkt.kind with
+  | Data -> false
+  | Marker m ->
+    count_marker t c ~round:m.m_round ~dc:m.m_dc;
+    if not m.m_reset then begin
+      t.force_round.(c) <- m.m_round;
+      t.force_dc.(c) <- m.m_dc;
+      false
+    end
+    else if reset_stale t ~epoch:m.m_epoch ~gen:m.m_gen then begin
       t.n_stale_resets <- t.n_stale_resets + 1;
       false
     end
@@ -512,7 +510,6 @@ let take_marker t c (m : Packet.marker) =
       note_reset_pending t c ~epoch:m.m_epoch ~gen:m.m_gen;
       true
     end
-  end
 
 (* Markers take effect in their FIFO position within the channel's
    stream: absorb any markers at the head of the current channel's buffer
@@ -526,7 +523,7 @@ let rec absorb_markers t c =
     let pkt = Fifo_queue.peek_unsafe buf in
     if Packet.is_marker pkt then begin
       ignore (Fifo_queue.pop_exn buf);
-      if not (take_marker t c (Packet.get_marker pkt)) then absorb_markers t c
+      if not (take_marker t c pkt) then absorb_markers t c
     end
   end
 
@@ -868,8 +865,7 @@ let hard_pop t =
   else begin
     let c = !ci in
     let pkt = Fifo_queue.pop_exn t.buffers.(c) in
-    if Packet.is_marker pkt then
-      ignore (take_marker t c (Packet.get_marker pkt))
+    if Packet.is_marker pkt then ignore (take_marker t c pkt)
     else begin
       t.n_data_buffered <- t.n_data_buffered - 1;
       t.data_bytes <- t.data_bytes - pkt.Packet.size;
@@ -905,7 +901,7 @@ let receive t ~channel pkt =
   if channel < 0 || channel >= t.n then
     invalid_arg "Resequencer.receive: bad channel";
   let is_marker = Packet.is_marker pkt in
-  if is_marker && not (Packet.marker_valid (Packet.get_marker pkt)) then begin
+  if not (Packet.marker_valid pkt) then begin
     (* Wire damage the link CRC missed, caught by the marker checksum:
        trusting the stamp would poison the (round, DC) simulation for a
        whole marker interval. Discard — the next good marker
@@ -938,28 +934,28 @@ let receive t ~channel pkt =
        waiting forever (the scan may be blocked on data the crashed
        sender never sent). *)
     let consumed_here = ref false in
-    if is_marker then begin
-      let m = Packet.get_marker pkt in
-      let e = m.Packet.m_epoch in
+    (match pkt.kind with
+    | Data -> ()
+    | Marker m ->
+      let e = m.m_epoch in
       if e > t.ch_epoch.(channel) then begin
         t.ch_epoch.(channel) <- e;
         if e > t.rx_epoch then begin
           if e > t.pending_epoch then t.pending_epoch <- e;
-          crash_sync t channel ~epoch:e ~gen:m.Packet.m_gen;
-          if m.Packet.m_reset then begin
+          crash_sync t channel ~epoch:e ~gen:m.m_gen;
+          if m.m_reset then begin
             (* The restart's reset marker has done all its work here:
                flagging the channel and flushing stale data. Absorb it
                now instead of buffering it behind nothing. *)
             consumed_here := true;
-            count_marker t channel m
+            count_marker t channel ~round:m.m_round ~dc:m.m_dc
           end
           (* A non-reset epoch-advanced marker (the reset marker itself
              was lost) is buffered normally below: once the barrier
              adopts, it pins the fresh engine at the sender's current
              position. *)
         end
-      end
-    end;
+      end);
     if not !consumed_here then begin
     let accept =
       if is_marker then true
@@ -1093,7 +1089,7 @@ let remove_channel t c =
 
 let delivered t = t.n_delivered
 
-let quanta t = Deficit.quanta t.d
+let has_quanta t q = Deficit.has_quanta t.d q
 
 let pending t = t.n_data_buffered
 

@@ -188,13 +188,13 @@ val transition_pending : t -> bool
 (** Whether a staged retune/add/remove is waiting for its barrier.
     Adaptive policies check this before staging the next step. *)
 
-val quanta : t -> int array
-(** The quantum vector the simulated sender engine is currently running
-    (a copy; staged transitions are not reflected until adopted). A
-    supervisor reconciling the two halves of a bundle compares this
-    against the live sender's vector: the halves can diverge when a
-    sender crash-restart rebuilds its engine while the receiver still
-    runs an adopted retune. *)
+val has_quanta : t -> int array -> bool
+(** Whether the simulated sender engine currently runs the quantum
+    vector [q] (staged transitions count once adopted). A supervisor
+    reconciling the two halves of a bundle checks it against the live
+    sender's vector: the halves can diverge when a sender crash-restart
+    rebuilds its engine while the receiver still runs an adopted
+    retune. Compares in place; nothing is copied. *)
 
 val on_transition_adopted : t -> (unit -> unit) -> unit
 (** Register a callback fired immediately after a staged transition

@@ -27,7 +27,7 @@ type t = {
       (* Reset-barrier generation within the epoch: bumped by every
          [send_reset], stamped on every marker so the receiver can pair
          barrier fragments by generation and discard duplicates from an
-         already-adopted one (see [Packet.marker.m_gen]). Restarts at 0
+         already-adopted one (see [Packet.Marker]'s [m_gen]). Restarts at 0
          with each incarnation. *)
   send_marker : channel:int -> Packet.t -> unit;
       (* [marker_sent] on this striper: the [~send] of the [Marker] sender
@@ -36,17 +36,17 @@ type t = {
 
 let marker_sent t ~channel pkt =
   t.n_markers <- t.n_markers + 1;
-  if Obs.Sink.active t.sink then begin
-    let m = Packet.get_marker pkt in
+  (match pkt.Packet.kind with
+  | Marker m when Obs.Sink.active t.sink ->
     let time = pkt.Packet.born in
     (* A barrier's first reset marker opens it on the trace, after the
        reinit (and any retune it adopted), before any marker leaves. *)
-    if m.Packet.m_reset && channel = 0 then
+    if m.m_reset && channel = 0 then
       Obs.Sink.emit t.sink (Obs.Event.v ~time Obs.Event.Reset_barrier);
     Obs.Sink.emit t.sink
-      (Obs.Event.v ~channel ~round:m.Packet.m_round ~dc:m.Packet.m_dc
+      (Obs.Event.v ~channel ~round:m.m_round ~dc:m.m_dc
          ~size:pkt.Packet.size ~time Obs.Event.Marker_sent)
-  end;
+  | _ -> ());
   t.emit ~channel pkt
 
 let create ~scheduler ?marker ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)

@@ -92,16 +92,14 @@ type t = {
      [wtx] counts packets offered to the wire (lost ones included),
      [wlost] the ones the loss process ate, [wtx_b]/[wdone_b] bytes
      offered / bytes whose wire service completed (goodput collapse
-     shows as a widening gap). [last_*] are the previous tick's
-     snapshots. *)
+     shows as a widening gap). Each health tick zeroes the last three;
+     [wtx] is cumulative ([channel_wire_tx]), and [last_wtx_p] is its
+     previous tick's snapshot. *)
   wtx_p : int array;
   wlost_p : int array;
   wtx_b : int array;
   wdone_b : int array;
   last_wtx_p : int array;
-  last_wlost_p : int array;
-  last_wtx_b : int array;
-  last_wdone_b : int array;
   mutable max_push : int;  (* largest data packet seen: probation floor *)
   mutable health_retunes : int;
   mutable cap : int;
@@ -128,7 +126,7 @@ type t = {
       (* Reset-barrier generation within the epoch: bumped by every
          [send_slot_reset], stamped on all the slot's markers so the
          receiver can pair barrier fragments by generation
-         ([Packet.marker.m_gen]); back to 0 with each incarnation. *)
+         ([Packet.Marker]'s [m_gen]); back to 0 with each incarnation. *)
   mutable tx_down : bool array;  (* sender crashed, not yet restarted *)
   mutable rx_down : bool array;  (* receiver crashed, not yet restarted *)
   mutable next_seq : int array;  (* next data seq when [stamp_seq] *)
@@ -351,13 +349,15 @@ let grow_to t cap =
   done;
   t.cap <- cap
 
+(* A match: [Option.map]'s closure would allocate on every [reset]. *)
 let build_health t =
-  Option.map
-    (fun config ->
-      Health.create ~config
-        ~live:(fun c -> c >= 0 && c < t.n_ch && t.ch_up.(c))
-        ?sink:t.health_sink ~n:t.n_ch ())
-    t.health_config
+  match t.health_config with
+  | None -> None
+  | Some config ->
+    Some
+      (Health.create ~config
+         ~live:(fun c -> c >= 0 && c < t.n_ch && t.ch_up.(c))
+         ?sink:t.health_sink ~n:t.n_ch ())
 
 let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
     ?health ?health_sink ~sim (config : config) =
@@ -405,9 +405,6 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
       wtx_b = Array.make n 0;
       wdone_b = Array.make n 0;
       last_wtx_p = Array.make n 0;
-      last_wlost_p = Array.make n 0;
-      last_wtx_b = Array.make n 0;
-      last_wdone_b = Array.make n 0;
       max_push = 0;
       health_retunes = 0;
       cap = 0;
@@ -559,17 +556,21 @@ let release t id =
    its arrival event queued, and [drop] never exceeds the wire's length,
    so both are already what [create] built. *)
 let reset t =
-  if Array.exists (fun w -> not (Fifo_queue.is_empty w)) t.wire then
-    invalid_arg "Bundle_pool.reset: a packet is still on a wire";
+  (* Not [Array.exists]: its inner closure allocates. *)
+  for i = 0 to Array.length t.wire - 1 do
+    if not (Fifo_queue.is_empty t.wire.(i)) then
+      invalid_arg "Bundle_pool.reset: a packet is still on a wire"
+  done;
   Array.fill t.ch_up 0 t.n_ch true;
   Array.fill t.ch_loss 0 t.n_ch (Loss.none ());
   Array.fill t.rate_scale 0 t.n_ch 1.0;
   Array.fill t.ch_quarantined 0 t.n_ch false;
   t.health <- build_health t;
-  List.iter
-    (fun a -> Array.fill a 0 t.n_ch 0)
-    [ t.wtx_p; t.wlost_p; t.wtx_b; t.wdone_b; t.last_wtx_p; t.last_wlost_p;
-      t.last_wtx_b; t.last_wdone_b ];
+  Array.fill t.wtx_p 0 t.n_ch 0;
+  Array.fill t.wlost_p 0 t.n_ch 0;
+  Array.fill t.wtx_b 0 t.n_ch 0;
+  Array.fill t.wdone_b 0 t.n_ch 0;
+  Array.fill t.last_wtx_p 0 t.n_ch 0;
   t.max_push <- 0;
   t.health_retunes <- 0;
   for id = 0 to t.cap - 1 do
@@ -577,7 +578,8 @@ let reset t =
     t.birth.(id) <- 0.0;
     clear_slot t id;
     Deficit.reconfigure t.tx.(id) ~quanta:t.quanta;
-    if Resequencer.quanta t.rx.(id) = t.quanta then Resequencer.recycle t.rx.(id)
+    if Resequencer.has_quanta t.rx.(id) t.quanta then
+      Resequencer.recycle t.rx.(id)
     else t.rx.(id) <- make_rx t id;
     if t.use_guard then Channel_guard.recycle t.grx.(id);
     t.next_mark.(id) <- 0;
@@ -881,21 +883,17 @@ let resync t =
 let flush_health_quanta t =
   let target = health_target t in
   for id = 0 to t.cap - 1 do
+    let tx = t.tx.(id) and rx = t.rx.(id) in
     if
-      t.live.(id)
-      && (not t.tx_down.(id))
-      && not t.rx_down.(id)
-    then
-      if
-        Deficit.quanta t.tx.(id) <> target
-        || Resequencer.quanta t.rx.(id) <> target
-      then
-        if not (Resequencer.transition_pending t.rx.(id)) then begin
-          t.health_retunes <- t.health_retunes + 1;
-          Deficit.retune t.tx.(id) ~quanta:target;
-          Resequencer.retune t.rx.(id) ~quanta:target;
-          send_slot_reset t id
-        end
+      t.live.(id) && (not t.tx_down.(id)) && (not t.rx_down.(id))
+      && not (Deficit.has_quanta tx target && Resequencer.has_quanta rx target)
+      && not (Resequencer.transition_pending rx)
+    then begin
+      t.health_retunes <- t.health_retunes + 1;
+      Deficit.retune tx ~quanta:target;
+      Resequencer.retune rx ~quanta:target;
+      send_slot_reset t id
+    end
   done
 
 let health_tick t ~now =
@@ -907,13 +905,13 @@ let health_tick t ~now =
        link is one detection, however many bundles ride it. *)
     for c = 0 to t.n_ch - 1 do
       let sent = t.wtx_p.(c) - t.last_wtx_p.(c) in
-      let lost = t.wlost_p.(c) - t.last_wlost_p.(c) in
-      let sent_bytes = t.wtx_b.(c) - t.last_wtx_b.(c) in
-      let delivered_bytes = t.wdone_b.(c) - t.last_wdone_b.(c) in
+      let lost = t.wlost_p.(c) in
+      let sent_bytes = t.wtx_b.(c) in
+      let delivered_bytes = t.wdone_b.(c) in
       t.last_wtx_p.(c) <- t.wtx_p.(c);
-      t.last_wlost_p.(c) <- t.wlost_p.(c);
-      t.last_wtx_b.(c) <- t.wtx_b.(c);
-      t.last_wdone_b.(c) <- t.wdone_b.(c);
+      t.wlost_p.(c) <- 0;
+      t.wtx_b.(c) <- 0;
+      t.wdone_b.(c) <- 0;
       (* A packet is lost in the window that sent it, so [sent = 0]
          means no evidence here, as in a bundle's health loop. *)
       Health.observe_window h ~channel:c ~sent ~lost ~sent_bytes

@@ -5,7 +5,7 @@
    acquire. [run] assigns whole groups to domains (LPT over their op
    counts); each domain replays its groups one after another on one sim
    and one pool reset in between, and the results merge at one barrier:
-   generations re-sorted by acquisition ordinal, counters summed, the
+   generation tables joined and sorted by ordinal, counters summed, the
    earliest FIFO violation kept. A group's tape is walked by a plain
    loop that runs the sim up to each op's time, so the only events are
    wire arrivals. Slots never interact, so every group replays the same
@@ -37,6 +37,7 @@ type group = {
   mutable len : int;
   globals : int array;  (* global slot id of each group-local index *)
   mutable n_slots : int;
+  mutable n_releases : int;  (* release ops on the tape: its generations *)
 }
 
 let group_create () =
@@ -46,6 +47,7 @@ let group_create () =
     len = 0;
     globals = Array.make group_slots (-1);
     n_slots = 0;
+    n_releases = 0;
   }
 
 let[@inline never] grow_tape g =
@@ -61,7 +63,8 @@ let[@inline] tape_push g ~op ~at ~slot ~arg =
   if g.len = Array.length g.op then grow_tape g;
   g.at.(g.len) <- at;
   g.op.(g.len) <- (arg lsl (slot_bits + 2)) lor (slot lsl 2) lor op;
-  g.len <- g.len + 1
+  g.len <- g.len + 1;
+  if op = op_release then g.n_releases <- g.n_releases + 1
 
 type t = {
   domains : int;
@@ -215,6 +218,12 @@ type gen_report = {
   delivered_bytes : int;
 }
 
+(* Fills a generation table's slots until the replay writes them. *)
+let no_gen =
+  { ordinal = -1; slot = -1; shard = -1; birth = 0.0; death = 0.0;
+    pushed_packets = 0; pushed_bytes = 0; delivered_packets = 0;
+    delivered_bytes = 0 }
+
 type shard_report = {
   shard : int;
   groups : int array;
@@ -280,7 +289,9 @@ let assign ~domains ops =
 (* One domain's groups [ids], one after another, on one sim and one pool
    sized for a group, both reset at the start of every group. Slots
    never interact, so each slot runs the event sequence it would run
-   sharing a sim with every other slot (DESIGN.md §10).
+   sharing a sim with every other slot (DESIGN.md §10). Each release
+   fills the next slot of the shard's generation table, which the
+   recorder's release counts size exactly.
 
    Replay needs no tape event. A replay sim holds only wire arrivals:
    ops schedule them ([Bundle_pool.transmit], data and markers alike),
@@ -300,7 +311,11 @@ let replay (t : t) ~shard ids =
       t.config
   in
   let cur_ord = Array.make cap (-1) in
-  let gens = ref [] in
+  let gens =
+    Array.make
+      (Array.fold_left (fun n (g : group) -> n + g.n_releases) 0 groups)
+      no_gen
+  in
   let n_gens = ref 0 in
   let delivered_packets = ref 0 in
   let delivered_bytes = ref 0 in
@@ -324,7 +339,7 @@ let replay (t : t) ~shard ids =
         ignore (Bundle_pool.acquire_slot pool ~key:g.globals.(l) l);
         cur_ord.(l) <- arg
       | 1 ->
-        gens :=
+        gens.(!n_gens) <-
           {
             ordinal = cur_ord.(l);
             slot = g.globals.(l);
@@ -335,8 +350,7 @@ let replay (t : t) ~shard ids =
             pushed_bytes = Bundle_pool.pushed_bytes pool l;
             delivered_packets = Bundle_pool.delivered_packets pool l;
             delivered_bytes = Bundle_pool.delivered_bytes pool l;
-          }
-          :: !gens;
+          };
         incr n_gens;
         Bundle_pool.release pool l
       | _ -> Bundle_pool.push pool l ~size:arg
@@ -372,7 +386,7 @@ let replay (t : t) ~shard ids =
       wall_s = t.clock () -. wall0;
       end_time = !end_time;
     },
-    !gens )
+    gens )
 
 let run (t : t) =
   let plan =
@@ -384,9 +398,7 @@ let run (t : t) =
   in
   let wall_s = t.clock () -. wall0 in
   let shards = Array.map fst results in
-  let gens =
-    Array.of_list (List.concat_map (fun (_, gs) -> gs) (Array.to_list results))
-  in
+  let gens = Array.concat (Array.to_list (Array.map snd results)) in
   Array.sort (fun a b -> compare a.ordinal b.ordinal) gens;
   let sum f = Array.fold_left (fun acc s -> acc + f s) 0 shards in
   let maxf f = Array.fold_left (fun acc s -> Float.max acc (f s)) 0.0 shards in

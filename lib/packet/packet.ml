@@ -1,17 +1,15 @@
-type marker = {
-  m_channel : int;
-  m_round : int;
-  m_dc : int;
-  m_credit : int;
-  m_reset : bool;
-  m_epoch : int;
-  m_gen : int;
-  m_cksum : int;
-}
-
 type kind =
   | Data
-  | Marker of marker
+  | Marker of {
+      m_channel : int;
+      m_round : int;
+      m_dc : int;
+      m_credit : int;
+      m_reset : bool;
+      m_epoch : int;
+      m_gen : int;
+      m_cksum : int;
+    }
 
 type meta = { flow : int; frame : int; off : int }
 
@@ -46,11 +44,13 @@ let marker_checksum_of ~channel ~round ~dc ~credit ~reset ~epoch ~gen =
   let acc = mix acc gen in
   (acc lxor (acc lsr 16)) land 0xffff
 
-let marker_checksum m =
-  marker_checksum_of ~channel:m.m_channel ~round:m.m_round ~dc:m.m_dc
-    ~credit:m.m_credit ~reset:m.m_reset ~epoch:m.m_epoch ~gen:m.m_gen
-
-let marker_valid m = m.m_cksum = marker_checksum m
+let marker_valid t =
+  match t.kind with
+  | Data -> true
+  | Marker m ->
+    m.m_cksum
+    = marker_checksum_of ~channel:m.m_channel ~round:m.m_round ~dc:m.m_dc
+        ~credit:m.m_credit ~reset:m.m_reset ~epoch:m.m_epoch ~gen:m.m_gen
 
 (* An untagged packet shares [no_meta]: its record is 6 words. *)
 let data ?(flow = 0) ?(frame = -1) ?(off = -1) ?(born = 0.0) ~seq ~size () =
@@ -100,23 +100,13 @@ let mangle_marker ~salt t =
   | Data -> t
   | Marker m ->
     let salt = (salt land 0x3fffffff) lor 1 in
-    let m' =
-      {
-        m with
-        m_round = m.m_round lxor salt;
-        m_dc = m.m_dc lxor (salt * 7919);
-      }
-    in
+    let round = m.m_round lxor salt in
+    let dc = m.m_dc lxor (salt * 7919) in
     (* Degenerate salts could map the stamp to itself; force a change. *)
-    let m' = if m' = m then { m with m_dc = m.m_dc + 1 } else m' in
-    { t with kind = Marker m' }
+    let dc = if round = m.m_round && dc = m.m_dc then m.m_dc + 1 else dc in
+    { t with kind = Marker { m with m_round = round; m_dc = dc } }
 
 let is_marker t = match t.kind with Marker _ -> true | Data -> false
-
-let get_marker t =
-  match t.kind with
-  | Marker m -> m
-  | Data -> invalid_arg "Packet.get_marker: data packet"
 
 let pp fmt t =
   match t.kind with

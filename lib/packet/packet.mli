@@ -19,55 +19,55 @@
     channel will be sent with, plus an optional piggybacked flow-control
     credit (§6.3). *)
 
-type marker = {
-  m_channel : int;  (** Sender's number for the channel the marker rides. *)
-  m_round : int;  (** Round number of the next data packet on the channel. *)
-  m_dc : int;  (** Deficit counter value for that next data packet. *)
-  m_credit : int;
-      (** Piggybacked FCVC credit, a non-negative cumulative limit when
-          flow control is on; {!no_credit} otherwise. An [int] rather
-          than an option, so a credit-carrying marker allocates no
-          [Some]. *)
-  m_reset : bool;
-      (** Reset barrier (§5: node crashes are handled "by doing a
-          reset"): the sender reinitialized its state; data behind this
-          marker belongs to the fresh epoch. The receiver reinitializes
-          once it has reached the reset marker on every channel. *)
-  m_epoch : int;
-      (** Sender incarnation number. Graceful resets (retune, resume,
-          add/remove) keep the epoch; only a crash-restart increments it.
-          A receiver that sees a marker from a later epoch knows the
-          sender lost all striping state: buffered pre-crash data on that
-          channel is stale and the channel must join the crash reset
-          barrier even if the restart's reset marker itself was lost
-          (PROTOCOL.md §12). Packed into the marker's existing padding,
-          so [marker_size] is unchanged; covered by [m_cksum]. *)
-  m_gen : int;
-      (** Reset-barrier generation within the epoch: the sender's count
-          of §5 resets since its last (re)start, stamped on every marker
-          (periodic and reset alike). §5 assumes one reset in flight at
-          a time; under correlated faults barriers can overtake each
-          other — a sender resetting again while some links were down
-          loses part of each generation's markers — and without this tag
-          the receiver can pair surviving markers from different
-          generations, stranding a barrier forever or parking phantom
-          half-barriers that trap data behind them. With the tag the
-          receiver adopts generations in order and discards a reset
-          marker from an already-adopted generation as the duplicate it
-          is. Compared lexicographically after [m_epoch]; packed into
-          marker padding like the epoch; covered by [m_cksum]. *)
-  m_cksum : int;
-      (** 16-bit integrity checksum over the other marker fields, filled
-          in by the {!marker} constructor. A receiver verifies it with
-          {!marker_valid} before trusting the (round, DC) stamp; a
-          mismatch means wire damage the link CRC missed, and the marker
-          must be discarded (treated as lost — Theorem 5.1 then bounds
-          the resynchronization delay at the next good marker). *)
-}
-
 type kind =
   | Data
-  | Marker of marker
+  | Marker of {
+    m_channel : int;  (** Sender's number for the channel the marker rides. *)
+    m_round : int;  (** Round number of the next data packet on the channel. *)
+    m_dc : int;  (** Deficit counter value for that next data packet. *)
+    m_credit : int;
+        (** Piggybacked FCVC credit, a non-negative cumulative limit when
+            flow control is on; {!no_credit} otherwise. An [int] rather
+            than an option, so a credit-carrying marker allocates no
+            [Some]. *)
+    m_reset : bool;
+        (** Reset barrier (§5: node crashes are handled "by doing a
+            reset"): the sender reinitialized its state; data behind this
+            marker belongs to the fresh epoch. The receiver reinitializes
+            once it has reached the reset marker on every channel. *)
+    m_epoch : int;
+        (** Sender incarnation number. Graceful resets (retune, resume,
+            add/remove) keep the epoch; only a crash-restart increments it.
+            A receiver that sees a marker from a later epoch knows the
+            sender lost all striping state: buffered pre-crash data on that
+            channel is stale and the channel must join the crash reset
+            barrier even if the restart's reset marker itself was lost
+            (PROTOCOL.md §12). Packed into the marker's existing padding,
+            so [marker_size] is unchanged; covered by [m_cksum]. *)
+    m_gen : int;
+        (** Reset-barrier generation within the epoch: the sender's count
+            of §5 resets since its last (re)start, stamped on every marker
+            (periodic and reset alike). §5 assumes one reset in flight at
+            a time; under correlated faults barriers can overtake each
+            other — a sender resetting again while some links were down
+            loses part of each generation's markers — and without this tag
+            the receiver can pair surviving markers from different
+            generations, stranding a barrier forever or parking phantom
+            half-barriers that trap data behind them. With the tag the
+            receiver adopts generations in order and discards a reset
+            marker from an already-adopted generation as the duplicate it
+            is. Compared lexicographically after [m_epoch]; packed into
+            marker padding like the epoch; covered by [m_cksum]. *)
+    m_cksum : int;
+        (** 16-bit integrity checksum over the other marker fields, filled
+            in by the {!marker} constructor. A receiver verifies it with
+            {!marker_valid} before trusting the (round, DC) stamp; a
+            mismatch means wire damage the link CRC missed, and the marker
+            must be discarded (treated as lost — Theorem 5.1 then bounds
+            the resynchronization delay at the next good marker). *)
+    }
+      (** An inline record: the constructor's block holds the fields.
+          Read them by matching on [pkt.kind]. *)
 
 (** Workload tags: what the applications above the stripe put in their
     own headers. The striping protocol reads none of them (only the
@@ -113,10 +113,10 @@ val marker_size : int
 (** Wire size of a marker packet (bytes). Small — the paper's marker only
     carries a counter, plus this implementation's integrity checksum. *)
 
-val marker_valid : marker -> bool
-(** Whether [m_cksum] matches the checksum of the payload fields — false
-    iff the marker was damaged in flight. Constructor-built markers are
-    always valid. *)
+val marker_valid : t -> bool
+(** [false] iff [t] is a marker whose [m_cksum] does not match the
+    checksum of its other fields: it was damaged in flight.
+    Constructor-built markers and every data packet are valid. *)
 
 val mangle_marker : salt:int -> t -> t
 (** Simulated wire damage that slipped past the link CRC: perturbs the
@@ -138,7 +138,10 @@ val marker :
   round:int -> dc:int -> born:float -> unit -> t
 (** Build a marker packet; [credit] defaults to {!no_credit}, [reset]
     to [false], [epoch] and [gen] to [0]. Markers have [seq = -1] and
-    share {!no_meta}. *)
+    share {!no_meta}. A marker costs its 6-word record and its 9-word
+    [Marker] block, 15 words, plus the boxed [born] unless the caller
+    passes one already boxed (a striper shares one among the markers of
+    a batch). *)
 
 val marker_with :
   credit:int -> reset:bool -> epoch:int -> gen:int -> channel:int ->
@@ -148,9 +151,6 @@ val marker_with :
     call site. *)
 
 val is_marker : t -> bool
-
-val get_marker : t -> marker
-(** Raises [Invalid_argument] on a data packet. *)
 
 val pp : Format.formatter -> t -> unit
 (** E.g. ["#12(550B)"] for data, ["M(ch=1,R=7,DC=300)"] for markers. *)

@@ -68,19 +68,17 @@ let advertise e ~channel ~deficit ~now =
 (* Inbound processing at [me]; credits on markers apply to my outbound
    direction immediately on arrival. *)
 let on_arrival me ~channel pkt =
-  if Packet.is_marker pkt then begin
-    let limit = (Packet.get_marker pkt).m_credit in
-    if limit <> Packet.no_credit then begin
-      Credit.Sender.update_limit me.out_credits ~channel ~limit;
+  match pkt.Packet.kind with
+  | Marker m ->
+    if m.m_credit <> Packet.no_credit then begin
+      Credit.Sender.update_limit me.out_credits ~channel ~limit:m.m_credit;
       pump me
     end;
     Stripe_core.Resequencer.receive me.reseq ~channel pkt
-  end
-  else if Credit.Receiver.accept me.in_credits ~channel then begin
+  | Data when Credit.Receiver.accept me.in_credits ~channel ->
     Credit.Receiver.record_arrival me.in_credits ~channel;
     Stripe_core.Resequencer.receive me.reseq ~channel pkt
-  end
-  else me.n_drops <- me.n_drops + 1
+  | Data -> me.n_drops <- me.n_drops + 1
 
 let make_endpoint sim ~channels ~quanta ~buffer ~marker_every ~deliver
     ~peer_ref () =
@@ -116,10 +114,11 @@ let make_endpoint sim ~channels ~quanta ~buffer ~marker_every ~deliver
       ~now:(fun () -> Stripe_netsim.Sim.now sim)
       ~emit:(fun ~channel pkt ->
         let e = force_self () in
-        (if Packet.is_marker pkt then
-           (* Periodic marker: it carries the latest limit; note it. *)
-           let limit = (Packet.get_marker pkt).m_credit in
-           if limit <> Packet.no_credit then e.advertised.(channel) <- limit);
+        (match pkt.Packet.kind with
+        | Marker m when m.m_credit <> Packet.no_credit ->
+          (* Periodic marker: it carries the latest limit; note it. *)
+          e.advertised.(channel) <- m.m_credit
+        | _ -> ());
         ignore
           (Stripe_netsim.Link.send e.out_links.(channel) ~size:pkt.Packet.size
              pkt))

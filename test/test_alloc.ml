@@ -28,10 +28,15 @@
      Bundle_pool acquire and release of a recycled 4-channel slot: 2
      words in dev (the birth time, boxed as it leaves [Sim]), 0 in
      release;
-   - Sharded_pool.run: 9.9 words/push in dev, 1.61 in release; a closure
-     allocated per replayed op adds about 18. With 500 slots, four
-     replay groups on one reset pool: 11.7 words/push in dev, 3.18 in
-     release; building a pool per group instead measured 16.8 in dev;
+   - Bundle_pool.reset over 8 used 4-channel slots: 0 words/call in
+     either build. A fresh quanta copy compared per slot adds 5 words a
+     slot, a list of the (then eight) window-counter arrays 24, and the
+     closures of [Option.map] and [Array.exists] 10 together;
+   - Sharded_pool.run: 9.8 words/push in dev, 1.45 in release, most of
+     it marker packets; a closure allocated per replayed op adds about
+     18. With 500 slots, four replay groups on one reset pool: 11.4
+     words/push in dev, 2.88 in release; building a pool per group
+     instead measured 16.8 in dev;
    - Sharded_pool.acquire/push/release: 2 words per recorded op in dev,
      the op's time boxed as it crosses into the recorder (0 in release,
      where the calls inline); a float field of the recorder's record
@@ -42,12 +47,15 @@
      [Packet.no_meta]) plus the boxed [born]; 10 in dev, where the
      optional [born] is boxed in a [Some] as well. A tag block per
      packet adds 4, the 7-field record it replaced 2;
-   - Striper.push with Round_end markers every 4 rounds: 1.75
+   - A marker packet with its [born] boxed already: 15 words/call in
+     either build, the 6-word record and the 9-word [Marker] block that
+     holds the marker's fields inline; a separate marker record behind a
+     [Marker] box added 2;
+   - Striper.push with Round_end markers every 4 rounds: 1.55
      words/push in either build, all of it the marker packets (0.1
-     markers/push at 17.5 words each: the 6-word record, the 2-word
-     [Marker] box, the 9-word marker record and a quarter of the boxed
-     [born] the batch of 4 shares); one boxed word or closure per push
-     adds at least 2;
+     markers/push at 15.5 words each: the 15-word marker packet and a
+     quarter of the boxed [born] the batch of 4 shares); one boxed word
+     or closure per push adds at least 2;
    - Sim.schedule plus step of one preallocated closure: 2 words/event
      in dev on either engine (the event time, boxed as it crosses into
      the queue; 0 in release); one more boxed word per event adds 2.
@@ -271,6 +279,39 @@ let test_pool_release_acquire () =
   check_profiled "Bundle_pool acquire + release per cycle" ~dev:2.5
     ~release:0.5 (words /. float_of_int n)
 
+(* A replay group's start: [Bundle_pool.reset] over 8 used 4-channel
+   slots re-arms every slot's engine, resequencer and counters in
+   place. *)
+let test_pool_reset () =
+  let sim = Sim.create () in
+  let pool =
+    Bundle_pool.create ~initial_capacity:8 ~sim
+      {
+        Bundle_pool.rate_bps = Array.make 4 10e6;
+        prop_delay = Array.make 4 0.001;
+        quanta = Array.make 4 1500;
+        marker_every = 4;
+        guard = false;
+        discipline = Bundle_pool.Srr;
+      }
+  in
+  let ids = Array.init 8 (fun _ -> Bundle_pool.acquire pool) in
+  for k = 0 to 399 do
+    Bundle_pool.push pool ids.(k mod 8) ~size:(200 + (k mod 3 * 400))
+  done;
+  Sim.run sim;
+  Sim.reset sim;
+  Bundle_pool.reset pool;
+  let n = 10_000 in
+  let words =
+    words_during (fun () ->
+        for _ = 1 to n do
+          Bundle_pool.reset pool
+        done)
+  in
+  check_at_most "Bundle_pool.reset per call, 8 slots" ~bound:0.5
+    (words /. float_of_int n)
+
 (* The workload's packet: an untagged [Packet.data] stamped with a fresh
    clock reading, as the paced sources build it. *)
 let test_packet_data () =
@@ -290,6 +331,30 @@ let test_packet_data () =
   Alcotest.(check bool) "untagged packet shares Packet.no_meta" true
     (last.(0).Packet.meta == Packet.no_meta);
   check_profiled "Packet.data per call" ~dev:10.5 ~release:8.5
+    (words /. float_of_int n)
+
+(* A marker packet whose [born] is boxed already, as the striper boxes
+   one clock reading for a batch of markers. *)
+let test_marker_packet () =
+  (* A clock whose reading is a fresh float, as a simulator's is. *)
+  let sim = Sim.create () in
+  Sim.schedule sim ~at:1.5 ignore;
+  Sim.run sim;
+  let born = Sys.opaque_identity (Sim.now sim) in
+  let last = Array.make 1 (Packet.data ~seq:0 ~size:1 ()) in
+  let build n =
+    for i = 1 to n do
+      last.(0) <-
+        Packet.marker_with ~credit:Packet.no_credit ~reset:false ~epoch:0
+          ~gen:0 ~channel:(i land 3) ~round:i ~dc:1500 ~born
+    done
+  in
+  build 1000;
+  let n = 100_000 in
+  let words = words_during (fun () -> build n) in
+  Alcotest.(check bool) "a valid marker" true
+    (Packet.is_marker last.(0) && Packet.marker_valid last.(0));
+  check_at_most "marker packet per call" ~bound:15.5
     (words /. float_of_int n)
 
 let test_striper_push () =
@@ -324,7 +389,7 @@ let test_striper_push () =
     (Striper.markers_sent striper > markers0);
   Alcotest.(check int) "every packet and marker emitted"
     (Striper.pushed_packets striper + Striper.markers_sent striper) !emitted;
-  check_profiled "Striper.push per packet" ~dev:3.0 ~release:2.25 per_push
+  check_profiled "Striper.push per packet" ~dev:3.0 ~release:2.05 per_push
 
 (* Words per push of a one-domain replay: [bundles] slots acquired up
    front, [pushes] packets spread round-robin over them. *)
@@ -358,12 +423,12 @@ let replay_words_per_push ~bundles ~pushes =
   words /. float_of_int pushes
 
 let test_sharded_replay () =
-  check_profiled "Sharded_pool.run per push" ~dev:24.0 ~release:2.113
+  check_profiled "Sharded_pool.run per push" ~dev:24.0 ~release:1.951
     (replay_words_per_push ~bundles:8 ~pushes:20_000)
 
 let test_sharded_replay_groups () =
   check_profiled "Sharded_pool.run per push, several groups" ~dev:14.5
-    ~release:3.682
+    ~release:3.377
     (replay_words_per_push ~bundles:500 ~pushes:40_000)
 
 (* The event core alone: one preallocated closure rescheduled from
@@ -491,7 +556,9 @@ let suites =
           test_resequencer_recycle_no_watchdog;
         Alcotest.test_case "pool release and acquire" `Quick
           test_pool_release_acquire;
+        Alcotest.test_case "pool reset" `Quick test_pool_reset;
         Alcotest.test_case "Packet.data per call" `Quick test_packet_data;
+        Alcotest.test_case "marker packet" `Quick test_marker_packet;
         Alcotest.test_case "Striper.push per packet" `Quick test_striper_push;
         Alcotest.test_case "Sim schedule and step (heap)" `Quick
           (test_sim_schedule_step Sim.Heap);

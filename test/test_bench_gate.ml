@@ -129,6 +129,10 @@ let test_rules () =
   reject "exact off by one" Exact ~committed:38448.0 38449.0;
   pass "within tolerance" (Within 5e-5) ~committed:0.1566 0.15664;
   reject "outside tolerance" (Within 5e-5) ~committed:0.1566 0.15666;
+  pass "band top" (Band 0.5) ~committed:2.0 3.0;
+  pass "band bottom" (Band 0.5) ~committed:2.0 1.0;
+  reject "band just above" (Band 0.5) ~committed:2.0 3.0001;
+  reject "band just below: a stale anchor" (Band 0.5) ~committed:2.0 0.9999;
   List.iter
     (fun rule -> reject "NaN fails" rule ~committed:1.0 Float.nan)
     [
@@ -137,6 +141,7 @@ let test_rules () =
       Time_ceiling 0.1;
       Exact;
       Within 1.0;
+      Band 0.1;
     ]
 
 let test_write_read_back () =

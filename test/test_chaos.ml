@@ -27,19 +27,23 @@ let contains haystack needle =
 (* --- Marker integrity: epoch and generation ride the checksum ------- *)
 
 let test_marker_epoch_gen_in_checksum () =
-  let m =
-    Packet.get_marker
-      (Packet.marker ~epoch:1 ~gen:2 ~channel:0 ~round:3 ~dc:500 ~born:0.0 ())
+  let pkt =
+    Packet.marker ~epoch:1 ~gen:2 ~channel:0 ~round:3 ~dc:500 ~born:0.0 ()
   in
-  check "constructor-built marker is valid" true (Packet.marker_valid m);
-  check_int "epoch stamped" 1 m.Packet.m_epoch;
-  check_int "generation stamped" 2 m.Packet.m_gen;
-  (* Forging either incarnation field without restamping must fail the
-     integrity check — a receiver can never act on a damaged pair. *)
-  check "forged generation detected" false
-    (Packet.marker_valid { m with Packet.m_gen = m.Packet.m_gen + 1 });
-  check "forged epoch detected" false
-    (Packet.marker_valid { m with Packet.m_epoch = m.Packet.m_epoch + 1 })
+  check "constructor-built marker is valid" true (Packet.marker_valid pkt);
+  match pkt.Packet.kind with
+  | Packet.Data -> Alcotest.fail "marker built a data packet"
+  | Packet.Marker m ->
+    check_int "epoch stamped" 1 m.m_epoch;
+    check_int "generation stamped" 2 m.m_gen;
+    (* Forging either incarnation field without restamping must fail the
+       integrity check — a receiver can never act on a damaged pair. *)
+    check "forged generation detected" false
+      (Packet.marker_valid
+         { pkt with kind = Marker { m with m_gen = m.m_gen + 1 } });
+    check "forged epoch detected" false
+      (Packet.marker_valid
+         { pkt with kind = Marker { m with m_epoch = m.m_epoch + 1 } })
 
 (* --- A sender/receiver pair over perfect per-channel FIFOs ---------- *)
 
@@ -137,7 +141,7 @@ let test_sender_crash_survives_lost_reset_markers () =
   (* The restart's reset barrier is lost on the wire: recovery must ride
      the epoch stamp on ordinary periodic markers instead. *)
   let drop_resets ~channel:_ pkt =
-    Packet.is_marker pkt && (Packet.get_marker pkt).Packet.m_reset
+    match pkt.Packet.kind with Packet.Marker m -> m.m_reset | Data -> false
   in
   for seq = 100 to 139 do
     push t seq
@@ -256,10 +260,9 @@ let test_min_pair_adoption_with_lost_reset () =
      take the minimum pair — unparking channel 0 only — and leave
      channel 1 parked as the start of the next barrier. *)
   let drop ~channel pkt =
-    channel = 1 && Packet.is_marker pkt
-    &&
-    let m = Packet.get_marker pkt in
-    m.Packet.m_reset && m.Packet.m_gen = 1
+    match pkt.Packet.kind with
+    | Packet.Marker m -> channel = 1 && m.m_reset && m.m_gen = 1
+    | Data -> false
   in
   shuttle_interleaved ~drop t;
   check_int "both barriers still completed" 2 (Resequencer.resets t.reseq);

@@ -602,8 +602,8 @@ let test_health_loop_applies_decisions () =
   check_int "retunes counted" !retuned counts.retunes;
   check "recovered" true (Health.state h 1 = Health.Healthy);
   check "resumed" false (Striper.suspended_channel striper 1);
-  Alcotest.(check (array int)) "full quantum again" [| 4000; 4000 |]
-    (Resequencer.quanta (Bundle.resequencer b))
+  check "full quantum again" true
+    (Resequencer.has_quanta (Bundle.resequencer b) [| 4000; 4000 |])
 
 (* External input raises nothing: any string, and any small edit of a
    valid spec, parses to [Ok] or [Error]. *)

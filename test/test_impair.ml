@@ -175,23 +175,29 @@ let test_link_set_impairments () =
 
 let test_marker_checksum () =
   let pkt = Packet.marker ~channel:1 ~round:7 ~dc:300 ~born:0.0 () in
-  let m = Packet.get_marker pkt in
   Alcotest.(check bool) "constructor-built marker is valid" true
-    (Packet.marker_valid m);
-  Alcotest.(check bool) "tampered round detected" false
-    (Packet.marker_valid { m with Packet.m_round = m.Packet.m_round + 1 });
-  Alcotest.(check bool) "tampered dc detected" false
-    (Packet.marker_valid { m with Packet.m_dc = m.Packet.m_dc + 1 });
-  Alcotest.(check bool) "tampered reset flag detected" false
-    (Packet.marker_valid { m with Packet.m_reset = true })
+    (Packet.marker_valid pkt);
+  match pkt.Packet.kind with
+  | Packet.Data -> Alcotest.fail "marker built a data packet"
+  | Packet.Marker m ->
+    Alcotest.(check bool) "tampered round detected" false
+      (Packet.marker_valid
+         { pkt with kind = Marker { m with m_round = m.m_round + 1 } });
+    Alcotest.(check bool) "tampered dc detected" false
+      (Packet.marker_valid
+         { pkt with kind = Marker { m with m_dc = m.m_dc + 1 } });
+    Alcotest.(check bool) "tampered reset flag detected" false
+      (Packet.marker_valid { pkt with kind = Marker { m with m_reset = true } })
 
 let test_mangle_marker () =
   let pkt = Packet.marker ~channel:2 ~round:5 ~dc:100 ~born:0.0 () in
   let mangled = Packet.mangle_marker ~salt:12345 pkt in
   Alcotest.(check bool) "mangled marker fails validation" false
-    (Packet.marker_valid (Packet.get_marker mangled));
-  Alcotest.(check int) "channel field untouched" 2
-    (Packet.get_marker mangled).Packet.m_channel;
+    (Packet.marker_valid mangled);
+  (match mangled.Packet.kind with
+  | Packet.Marker m ->
+    Alcotest.(check int) "channel field untouched" 2 m.m_channel
+  | Data -> Alcotest.fail "mangling made a data packet");
   let data = Packet.data ~seq:3 ~size:100 () in
   Alcotest.(check bool) "data passes through unchanged" true
     (Packet.equal data (Packet.mangle_marker ~salt:12345 data));

@@ -17,11 +17,13 @@ let test_marker_packet_for () =
   let d = Srr.create ~quanta:[| 500; 300 |] () in
   let policy = Marker.make ~credit_of:(fun c -> 100 + c) ~every_rounds:2 () in
   let pkt = Marker.packet_for ~epoch:0 ~gen:0 policy ~deficit:d ~channel:1 ~now:3.5 in
-  let m = Packet.get_marker pkt in
-  Alcotest.(check int) "channel" 1 m.Packet.m_channel;
-  Alcotest.(check int) "round from next_stamp" 0 m.Packet.m_round;
-  Alcotest.(check int) "dc from next_stamp" 300 m.Packet.m_dc;
-  Alcotest.(check int) "credit from policy" 101 m.Packet.m_credit;
+  (match pkt.Packet.kind with
+  | Packet.Marker m ->
+    Alcotest.(check int) "channel" 1 m.m_channel;
+    Alcotest.(check int) "round from next_stamp" 0 m.m_round;
+    Alcotest.(check int) "dc from next_stamp" 300 m.m_dc;
+    Alcotest.(check int) "credit from policy" 101 m.m_credit
+  | Data -> Alcotest.fail "packet_for built a data packet");
   Alcotest.(check (float 0.0)) "timestamp" 3.5 pkt.Packet.born
 
 let test_marker_policy_validation () =

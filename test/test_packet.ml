@@ -34,22 +34,25 @@ let test_marker_fields () =
   let m = Packet.marker ~credit:12 ~channel:1 ~round:7 ~dc:300 ~born:2.0 () in
   Alcotest.(check bool) "is marker" true (Packet.is_marker m);
   Alcotest.(check int) "marker wire size" Packet.marker_size m.Packet.size;
-  let info = Packet.get_marker m in
-  Alcotest.(check int) "channel" 1 info.Packet.m_channel;
-  Alcotest.(check int) "round" 7 info.Packet.m_round;
-  Alcotest.(check int) "dc" 300 info.Packet.m_dc;
-  Alcotest.(check int) "credit" 12 info.Packet.m_credit;
+  (match m.Packet.kind with
+  | Packet.Marker info ->
+    Alcotest.(check int) "channel" 1 info.m_channel;
+    Alcotest.(check int) "round" 7 info.m_round;
+    Alcotest.(check int) "dc" 300 info.m_dc;
+    Alcotest.(check int) "credit" 12 info.m_credit
+  | Data -> Alcotest.fail "marker built a data packet");
   Alcotest.(check bool) "marker shares no_meta" true
     (m.Packet.meta == Packet.no_meta);
   let bare = Packet.marker ~channel:1 ~round:7 ~dc:300 ~born:2.0 () in
-  Alcotest.(check int) "no credit" Packet.no_credit
-    (Packet.get_marker bare).Packet.m_credit
+  match bare.Packet.kind with
+  | Packet.Marker info ->
+    Alcotest.(check int) "no credit" Packet.no_credit info.m_credit
+  | Data -> Alcotest.fail "marker built a data packet"
 
-let test_get_marker_on_data () =
-  let p = Packet.data ~seq:0 ~size:10 () in
-  Alcotest.check_raises "get_marker on data raises"
-    (Invalid_argument "Packet.get_marker: data packet") (fun () ->
-      ignore (Packet.get_marker p))
+(* A data packet has no checksum to fail: [marker_valid] holds. *)
+let test_marker_valid_on_data () =
+  Alcotest.(check bool) "data packet is valid" true
+    (Packet.marker_valid (Packet.data ~seq:0 ~size:10 ()))
 
 let test_pp () =
   let p = Packet.data ~seq:12 ~size:550 () in
@@ -128,7 +131,8 @@ let suites =
         Alcotest.test_case "data defaults" `Quick test_data_defaults;
         Alcotest.test_case "data validation" `Quick test_data_validation;
         Alcotest.test_case "marker fields" `Quick test_marker_fields;
-        Alcotest.test_case "get_marker on data" `Quick test_get_marker_on_data;
+        Alcotest.test_case "marker_valid on data" `Quick
+          test_marker_valid_on_data;
         Alcotest.test_case "pp" `Quick test_pp;
         Alcotest.test_case "queue order" `Quick test_fifo_queue_order;
         Alcotest.test_case "queue bytes" `Quick test_fifo_queue_bytes;

@@ -69,12 +69,11 @@ let test_reset_markers_on_every_channel () =
   Array.iter
     (fun q ->
       match Queue.peek_opt q with
-      | Some pkt ->
-        let m = Packet.get_marker pkt in
-        Alcotest.(check bool) "reset flag" true m.Packet.m_reset;
-        Alcotest.(check int) "fresh round" 0 m.Packet.m_round;
-        Alcotest.(check int) "fresh DC" 1000 m.Packet.m_dc
-      | None -> Alcotest.fail "missing reset marker")
+      | Some { Packet.kind = Marker m; _ } ->
+        Alcotest.(check bool) "reset flag" true m.m_reset;
+        Alcotest.(check int) "fresh round" 0 m.m_round;
+        Alcotest.(check int) "fresh DC" 1000 m.m_dc
+      | Some _ | None -> Alcotest.fail "missing reset marker")
     t.wires
 
 let test_clean_reset_mid_stream () =

@@ -187,6 +187,36 @@ let record_script =
 let record_many_slots =
   record_churn ~steps:20_000 ~dt:0.0002 ~max_live:700 ~acquire_one_in:2
 
+(* 200 bundles, one packet each, and only the first [group_slots] of
+   them released: group 1's bundles are still live when the tape ends,
+   so they get no generation. At 2 domains LPT puts group 0 on shard 0
+   and group 1 alone on shard 1, whose groups release nothing; at 3 and
+   4 domains the other shards replay no group at all. The spacing is no
+   multiple of the links' 1e-4 s time grain, so no op falls on an
+   arrival's instant. *)
+let record_unreleased sp =
+  let dt = 1.2345e-4 in
+  let ops = ref [] in
+  let ids =
+    Array.init 200 (fun k ->
+        let at = float_of_int k *. dt in
+        let id = Sharded_pool.acquire sp ~at in
+        ops := Acquire (at, id) :: !ops;
+        id)
+  in
+  Array.iteri
+    (fun k id ->
+      let at = 0.0500321 +. (float_of_int k *. dt) in
+      Sharded_pool.push sp ~at id ~size:500;
+      ops := Push (at, id, 500) :: !ops)
+    ids;
+  for k = 0 to Sharded_pool.group_slots - 1 do
+    let at = 1.0000321 +. (float_of_int k *. dt) in
+    Sharded_pool.release sp ~at ids.(k);
+    ops := Release (at, ids.(k)) :: !ops
+  done;
+  List.rev !ops
+
 (* One released generation as both sides report it: ordinal, slot,
    birth, death, pushed packets/bytes, delivered packets/bytes. *)
 type gen_key = int * int * float * float * int * int * int * int
@@ -254,8 +284,10 @@ let run_direct ~engine ~discipline ops =
    and end time, under both disciplines ([Sprinklers] seeds each slot's
    visit order from its recorded slot id, which a replay group must
    carry over from the fleet). [min_slots] is a lower bound on every
-   shard's slots. *)
-let check_against_direct ~engine ~script ~min_slots =
+   shard's slots. The merged generation table must hold exactly the
+   shards' generations, in strictly increasing ordinal. *)
+let check_against_direct ?(domain_counts = [ 1; 2; 3 ]) ~engine ~script
+    ~min_slots () =
   List.iter
     (fun discipline ->
       let reports =
@@ -267,7 +299,7 @@ let check_against_direct ~engine ~script ~min_slots =
             in
             let ops = script sp in
             (ops, Sharded_pool.run sp))
-          [ 1; 2; 3 ]
+          domain_counts
       in
       let ops1, _ = List.hd reports in
       let direct = run_direct ~engine ~discipline ops1 in
@@ -297,6 +329,17 @@ let check_against_direct ~engine ~script ~min_slots =
             (label "aggregates equal the direct drive")
             direct.totals
             (r.delivered_packets, r.delivered_bytes, r.markers_sent);
+          Alcotest.(check int)
+            (label "the table holds the shards' generations")
+            (Array.fold_left
+               (fun n (s : Sharded_pool.shard_report) -> n + s.generations)
+               0 r.shards)
+            (Array.length r.gens);
+          Array.iteri
+            (fun i (g : Sharded_pool.gen_report) ->
+              if i > 0 && g.ordinal <= r.gens.(i - 1).ordinal then
+                Alcotest.failf "%s" (label "ordinals do not strictly increase"))
+            r.gens;
           Alcotest.(check bool)
             (label "per-generation reports equal the direct drive")
             true
@@ -308,11 +351,38 @@ let check_against_direct ~engine ~script ~min_slots =
     [ Bundle_pool.Srr; Bundle_pool.Sprinklers 17 ]
 
 let e2e ~engine () =
-  check_against_direct ~engine ~script:record_script ~min_slots:0
+  check_against_direct ~engine ~script:record_script ~min_slots:0 ()
 
 let grouped ~engine () =
   check_against_direct ~engine ~script:record_many_slots
-    ~min_slots:(Sharded_pool.group_slots + 1)
+    ~min_slots:(Sharded_pool.group_slots + 1) ()
+
+(* The generation table's edges: a shard whose groups release nothing,
+   shards with no group, and bundles live at the end of the tape. *)
+let unreleased ~engine () =
+  check_against_direct ~domain_counts:[ 1; 2; 3; 4 ] ~engine
+    ~script:record_unreleased ~min_slots:0 ();
+  List.iter
+    (fun domains ->
+      let sp =
+        Sharded_pool.create ~engine ~domains ~seed:33 (fleet_config ())
+      in
+      ignore (record_unreleased sp);
+      let r = Sharded_pool.run sp in
+      Alcotest.(check int)
+        (Printf.sprintf "domains=%d: one generation per release" domains)
+        Sharded_pool.group_slots (Array.length r.gens);
+      Alcotest.(check int)
+        (Printf.sprintf "domains=%d: the live bundles still delivered" domains)
+        200 r.delivered_packets;
+      Alcotest.(check (array int))
+        (Printf.sprintf "domains=%d: generations per shard" domains)
+        (Array.init domains (fun k ->
+             if k = 0 then Sharded_pool.group_slots else 0))
+        (Array.map
+           (fun (s : Sharded_pool.shard_report) -> s.generations)
+           r.shards))
+    [ 2; 3; 4 ]
 
 (* Op count of each replay group, derived from the script itself: slots
    ranked by first appearance, [group_slots] to a group. *)
@@ -642,6 +712,10 @@ let suites =
           (grouped ~engine:Sim.Heap);
         Alcotest.test_case "grouped replay calendar: domains 1/2/3" `Quick
           (grouped ~engine:Sim.Calendar);
+        Alcotest.test_case "generation table heap: domains 1-4" `Quick
+          (unreleased ~engine:Sim.Heap);
+        Alcotest.test_case "generation table calendar: domains 1-4"
+          `Quick (unreleased ~engine:Sim.Calendar);
         Alcotest.test_case "LPT assignment of replay groups" `Quick
           test_lpt_assignment;
         Alcotest.test_case "op at the instant of an arrival" `Quick

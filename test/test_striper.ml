@@ -122,19 +122,20 @@ let test_marker_stamps_match_next_data () =
   let rng = Stripe_netsim.Rng.create 3 in
   let engine = Srr.create ~quanta:[| 1500; 1500 |] () in
   let sched = Scheduler.of_deficit ~name:"SRR" engine in
-  let pending : (int, Packet.marker) Hashtbl.t = Hashtbl.create 8 in
+  (* The (round, dc) stamp of the last marker on each channel. *)
+  let pending : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
   let ok = ref true in
   let striper = ref None in
   let emit ~channel pkt =
-    if Packet.is_marker pkt then
-      Hashtbl.replace pending channel (Packet.get_marker pkt)
-    else (
-      (match Hashtbl.find_opt pending channel with
-      | Some m ->
+    match pkt.Packet.kind with
+    | Packet.Marker m -> Hashtbl.replace pending channel (m.m_round, m.m_dc)
+    | Data -> (
+      match Hashtbl.find_opt pending channel with
+      | Some stamp ->
         let r = Deficit.round engine and dc = Deficit.dc engine channel in
-        if m.Packet.m_round <> r || m.Packet.m_dc <> dc then ok := false;
+        if stamp <> (r, dc) then ok := false;
         Hashtbl.remove pending channel
-      | None -> ()))
+      | None -> ())
   in
   let s =
     Striper.create ~scheduler:sched ~marker:(Marker.make ~every_rounds:3 ())
