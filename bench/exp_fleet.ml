@@ -44,9 +44,10 @@
      dune exec bench/exp_fleet.exe -- --json FILE      # machine output
      dune exec bench/exp_fleet.exe -- --check FILE --max-regress 0.30
        # CI gate: exit 1 if pps drops >30% below FILE's committed
-       # numbers, if single-domain calendar runs' minor words per
-       # delivered packet move >2% from the committed value either way
-       # (a drop means a stale anchor: regenerate), or if the
+       # numbers, if a run's minor words per delivered packet move >2%
+       # either way from its own entry (the engine's single-domain
+       # anchor, or its -dN entry where FILE has one; a drop means a
+       # stale entry: regenerate), or if the
        # protocol aggregates (delivered, markers, events, share
        # p50/p99) drift
        # from the committed single-domain anchor — the latter holds for
@@ -346,7 +347,7 @@ let best_of ~repeat ~engine ~total_bundles ~domains () =
     (run_once ~engine ~total_bundles ~domains)
 
 (* Band on minor words per delivered packet, either way, relative to the
-   committed calendar entry. *)
+   run's own committed entry. *)
 let words_band = 0.02
 
 let quick_bundles = 10_000
@@ -455,11 +456,6 @@ let () =
         if r.domains = 1 then
           Bench_gate.check gate ~tag:anchor ~field:"pps" (Floor !max_regress)
             r.pps;
-        (* Allocation gate: the calendar anchors, the engine the
-           benchmark runs; ±2%, the rule exp_throughput applies. *)
-        if r.domains = 1 && r.engine = "calendar" then
-          Bench_gate.check gate ~tag:anchor ~field:"minor_words_per_pkt"
-            (Band words_band) r.minor_words_per_pkt;
         (* Determinism gate: the protocol aggregates must equal the
            committed single-domain anchor — for every domain count. The
            committed JSON rounds the share errors to 4 decimals. *)
@@ -476,12 +472,21 @@ let () =
           r.share_p50;
         Bench_gate.check gate ~tag:anchor ~field:"share_p99" (Within 5e-5)
           r.share_p99;
-        (* Assignment gate: the op imbalance, a pure function of the
-           tape and N, stands in for [efficiency] on any machine. Held
-           to its 4 committed decimals where this N has an entry. *)
+        (* Gates against the run's own entry: the single-domain anchor,
+           or the -dN entry where the file has one. Minor words per
+           delivered packet are deterministic, so any machine holds
+           them to ±2%, the rule exp_throughput applies. The op
+           imbalance, a pure function of the tape and N, stands in for
+           [efficiency] on any machine, held to its 4 committed
+           decimals. *)
         let tag = entry_tag r in
-        if r.domains > 1 && Bench_gate.lookup gate ~tag ~field:"domains" <> None
-        then
+        let has_entry =
+          r.domains = 1 || Bench_gate.lookup gate ~tag ~field:"domains" <> None
+        in
+        if has_entry then
+          Bench_gate.check gate ~tag ~field:"minor_words_per_pkt"
+            (Band words_band) r.minor_words_per_pkt;
+        if has_entry && r.domains > 1 then
           Bench_gate.check gate ~tag ~field:"imbalance" Exact
             (float_of_string (Printf.sprintf "%.4f" r.imbalance)))
       results;

@@ -6,11 +6,11 @@
 
 val retune : Striper.t -> Resequencer.t -> quanta:int array -> bool
 (** {!Resequencer.retune}, then {!Striper.retune}, whose §5 barrier the
-    staged vector rides on. [false], doing nothing, while a transition
-    is still staged (one per barrier). *)
+    staged vector rides on. [false], doing nothing, while a retune is
+    still staged (one per barrier). *)
 
 (** Quarantines, reinstatements, and retunes applied or deferred
-    because a transition was still staged. *)
+    because a retune was still staged. *)
 type counts = private {
   mutable quarantines : int;
   mutable reinstates : int;
@@ -40,6 +40,6 @@ val adapt_loop :
   counts * (now:float -> int array option)
 (** Each step feeds the window's per-link delivered bytes to the probe,
     samples it, and retunes to {!Rate_probe.plan}'s vector (in units of
-    [max_packet]), which it returns; while a transition is staged it
+    [max_packet]), which it returns; while a retune is staged it
     plans nothing and counts a deferral. A carrier-up resets that
     channel's estimate. *)

@@ -15,11 +15,10 @@ type event =
   | New_round of { round : int }
   | Retune of { round : int; old_quanta : int array; new_quanta : int array }
 
-(* [quanta], [n], [dcs], [susp] are mutable so the engine can be retuned
-   and resized in place ([retune], [add_channel], [remove_channel],
-   [reconfigure]) without invalidating the references other components
-   hold. [pending] stages a same-width retune until the next round
-   boundary.
+(* The width [n] is fixed at creation; [dcs], [susp] and [perm] are
+   refilled in place and never reallocated. [quanta] is swapped whole by
+   a retune, so components holding the engine see it without re-wiring.
+   [pending] stages a retune until the next round boundary.
 
    [ptr] is a POSITION in the round's visit order, not a channel id;
    [perm.(ptr)] is the channel under the pointer. Under [Fixed] order
@@ -35,11 +34,11 @@ type t = {
   overdraw : bool;
   max_pkt : int option;
   visit_order : order;
-  mutable n : int;
-  mutable dcs : int array;
-  mutable susp : bool array;
+  n : int;
+  dcs : int array;
+  susp : bool array;
   mutable pending : int array option;
-  mutable perm : int array;
+  perm : int array;
   mutable ptr : int;
   mutable g : int;
   mutable serving : bool;
@@ -60,14 +59,12 @@ let golden = 0x9e3779b97f4a7c15L
    (seed, round, width): [reinit] and [set_round] land on exactly the
    permutation a fresh engine at that round would use, and the
    receiver's replay engine needs no RNG state beyond the seed. Fixed
-   order keeps the identity (resized lazily on membership change). *)
+   order keeps the identity it was created with. *)
 let refresh_perm t =
   match t.visit_order with
-  | Fixed ->
-    if Array.length t.perm <> t.n then t.perm <- Array.init t.n (fun i -> i)
+  | Fixed -> ()
   | Permuted seed ->
-    if Array.length t.perm <> t.n then t.perm <- Array.init t.n (fun i -> i)
-    else for i = 0 to t.n - 1 do t.perm.(i) <- i done;
+    for i = 0 to t.n - 1 do t.perm.(i) <- i done;
     let state =
       ref (mix64 (Int64.add (Int64.mul (Int64.of_int seed) golden)
                     (Int64.of_int t.g)))
@@ -282,80 +279,26 @@ let at_round_boundary t = t.ptr = 0 && not t.serving
 
 let retune t ~quanta =
   if Array.length quanta <> t.n then
-    invalid_arg
-      "Deficit.retune: quanta length must match n_channels (resize with \
-       add_channel/remove_channel)";
+    invalid_arg "Deficit.retune: quanta length must match n_channels";
   validate_quanta ~who:"Deficit.retune" ~max_pkt:t.max_pkt quanta;
   if at_round_boundary t then apply_retune t quanta
   else t.pending <- Some (Array.copy quanta)
 
 let pending_retune t = Option.map Array.copy t.pending
 
-let add_channel t ~quantum =
-  validate_quanta ~who:"Deficit.add_channel" ~max_pkt:t.max_pkt [| quantum |];
-  if t.pending <> None then
-    invalid_arg "Deficit.add_channel: a retune is pending";
-  (* Appending at the end keeps every existing index, stamp, and the
-     pointer position valid. The new channel's index is past the pointer
-     for the remainder of the current round iff [ptr < n], which always
-     holds — so it is visited for the first time this round, with DC 0,
-     exactly like a channel present from the start of the round. *)
-  t.quanta <- Array.append t.quanta [| quantum |];
-  t.dcs <- Array.append t.dcs [| 0 |];
-  t.susp <- Array.append t.susp [| false |];
-  t.n <- t.n + 1;
-  (* Fixed order: the identity permutation grows and the comment above
-     holds verbatim. Permuted order: the round's order is re-dealt over
-     the new width — membership changes ride the §5 reset barrier, where
-     the engine sits at (ptr = 0, round 0), so sender and receiver
-     re-deal identically. *)
-  refresh_perm t;
-  t.n - 1
-
-let splice a c = Array.init (Array.length a - 1) (fun i -> if i < c then a.(i) else a.(i + 1))
-
-let remove_channel t c =
-  if c < 0 || c >= t.n then invalid_arg "Deficit.remove_channel: bad channel";
-  if t.n = 1 then
-    invalid_arg "Deficit.remove_channel: cannot remove the last channel";
-  if t.pending <> None then
-    invalid_arg "Deficit.remove_channel: a retune is pending";
-  (* If the pointer is parked on [c], end its visit first so the engine
-     never serves a channel that no longer exists; [advance] handles the
-     wrap (and round increment) if [c] was the position's last. *)
-  if chan t = c then advance t;
-  t.quanta <- splice t.quanta c;
-  t.dcs <- splice t.dcs c;
-  t.susp <- splice t.susp c;
-  t.n <- t.n - 1;
-  (match t.visit_order with
-  | Fixed -> if t.ptr > c then t.ptr <- t.ptr - 1
-  | Permuted _ ->
-    (* Protocol use reaches here only through the §5 reset barrier
-       (ptr = 0, round 0); a mid-round removal re-deals the remainder of
-       the round over the surviving width. *)
-    if t.ptr >= t.n then t.ptr <- t.n - 1;
-    refresh_perm t)
-
+(* Refill the arrays in place: this is the bundle-pool recycle path,
+   where thousands of short-lived bundles re-arm engines on churn and
+   reallocating per recycle would dominate the teardown cost. *)
 let reconfigure t ~quanta =
-  if Array.length quanta = 0 then invalid_arg "Deficit.reconfigure: no channels";
+  if Array.length quanta <> t.n then
+    invalid_arg
+      (Printf.sprintf "Deficit.reconfigure: %d quanta for a %d-channel engine"
+         (Array.length quanta) t.n);
   validate_quanta ~who:"Deficit.reconfigure" ~max_pkt:t.max_pkt quanta;
   t.pending <- None;
-  if Array.length quanta = t.n then begin
-    (* Same width: refill the existing arrays in place. This is the
-       bundle-pool recycle path — thousands of short-lived bundles
-       re-arm engines on churn, and reallocating three arrays per
-       recycle would dominate the teardown cost. *)
-    Array.blit quanta 0 t.quanta 0 t.n;
-    Array.fill t.dcs 0 t.n 0;
-    Array.fill t.susp 0 t.n false
-  end
-  else begin
-    t.quanta <- Array.copy quanta;
-    t.n <- Array.length quanta;
-    t.dcs <- Array.make t.n 0;
-    t.susp <- Array.make t.n false
-  end;
+  Array.blit quanta 0 t.quanta 0 t.n;
+  Array.fill t.dcs 0 t.n 0;
+  Array.fill t.susp 0 t.n false;
   t.ptr <- 0;
   t.g <- 0;
   t.serving <- false;

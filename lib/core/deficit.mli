@@ -112,6 +112,8 @@ val any_active : t -> bool
     drop the packet instead. *)
 
 val n_channels : t -> int
+(** The width given at {!create}, fixed for the engine's lifetime. *)
+
 val quanta : t -> int array
 
 val has_quanta : t -> int array -> bool
@@ -211,30 +213,17 @@ val pending_retune : t -> int array option
 (** The staged quantum vector, if a {!retune} is waiting for the next
     round boundary. *)
 
-val add_channel : t -> quantum:int -> int
-(** Append a channel with the given quantum and DC 0, returning its
-    index (= the old [n_channels]). Existing indices, stamps, and the
-    pointer stay valid; the new channel is visited for the first time in
-    the current round. The caller must resynchronize the receiver (the
-    striper rides the §5 reset barrier). Raises [Invalid_argument] on an
-    invalid quantum or if a retune is pending. *)
-
-val remove_channel : t -> int -> unit
-(** Remove channel [c]; channels above [c] shift down by one. If the
-    pointer is parked on [c] its visit is ended first ([advance], with
-    the usual round increment on wrap). Raises [Invalid_argument] for a
-    bad index, when removing the last channel, or if a retune is
-    pending. *)
-
 val reconfigure : t -> quanta:int array -> unit
-(** Replace the whole configuration: new quantum vector (any width),
-    all DCs zero, pointer at 0, round 0, suspensions and any staged
-    retune cleared. This is {!reinit} generalized to a new shape — the
-    receiver's barrier-time adoption of a sender transition, and the
-    bundle pool's engine-recycle primitive. When the width is unchanged
-    the existing arrays are refilled in place (allocation-free), so
-    recycling an engine across thousands of short-lived bundles costs
-    nothing. The hook is kept. *)
+(** Replace the whole configuration: a new quantum vector of the
+    engine's own width (a bundle's width is fixed at {!create}), all DCs
+    zero, pointer at 0, round 0, suspensions and any staged retune
+    cleared. This is {!reinit} with a new vector — the receiver's
+    barrier-time adoption of a sender retune, and the bundle pool's
+    engine-recycle primitive. The existing arrays are refilled in place
+    (allocation-free), so recycling an engine across thousands of
+    short-lived bundles costs nothing. The hook is kept. Raises
+    [Invalid_argument] on a width mismatch or an invalid quantum, before
+    changing anything. *)
 
 val restart : t -> unit
 (** {!reconfigure} at the engine's own quantum vector, without copying

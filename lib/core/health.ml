@@ -108,7 +108,7 @@ type t = {
   config : config;
   live : int -> bool;
   sink : Stripe_obs.Sink.t;
-  mutable chans : chan array;
+  chans : chan array;
   mutable deferred : int;
 }
 
@@ -147,18 +147,6 @@ let target_quanta t ~nominal ~floor =
 let quarantine_until t c =
   let ch = chan t c "quarantine_until" in
   match ch.state with Quarantined -> Some ch.until | _ -> None
-
-let add_channel t =
-  t.chans <- Array.append t.chans [| fresh_chan () |];
-  Array.length t.chans - 1
-
-let remove_channel t c =
-  let n = Array.length t.chans in
-  if n <= 1 then invalid_arg "Health.remove_channel: last channel";
-  ignore (chan t c "remove_channel");
-  (* Mirror [Striper.remove_channel]: indices above [c] shift down. *)
-  t.chans <-
-    Array.init (n - 1) (fun i -> if i < c then t.chans.(i) else t.chans.(i + 1))
 
 let reset_channel t c =
   let ch = chan t c "reset_channel" in

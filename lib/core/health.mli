@@ -151,14 +151,6 @@ val deferred_quarantines : t -> int
 
 val n_channels : t -> int
 
-val add_channel : t -> int
-(** Append a fresh healthy channel (hot bundle growth); returns its
-    index. *)
-
-val remove_channel : t -> int -> unit
-(** Forget a channel; higher indices shift down, mirroring
-    [Striper.remove_channel]. Raises on the last channel. *)
-
 val reset_channel : t -> int -> unit
 (** Back to healthy with no memory (crash restart / recycled slot). *)
 

@@ -18,10 +18,10 @@
    still. *)
 
 type t = {
-  mutable n : int;
+  n : int;
   alpha : float;
-  mutable window_bytes : int array;  (* bytes accounted since last sample *)
-  mutable est_bps : float array;  (* EWMA rate estimate; 0 until seeded *)
+  window_bytes : int array;  (* bytes accounted since last sample *)
+  est_bps : float array;  (* EWMA rate estimate; 0 until seeded *)
   mutable last_sample : float;  (* time of the last [sample]; nan before *)
   mutable samples : int;
 }
@@ -39,7 +39,6 @@ let create ?(alpha = 0.3) ~n () =
     samples = 0;
   }
 
-let n_channels t = t.n
 let samples t = t.samples
 
 let observe t ~channel ~bytes =
@@ -88,23 +87,6 @@ let reset_channel t c =
      measurement (and [plan] withholds retunes until it exists). *)
   t.window_bytes.(c) <- 0;
   t.est_bps.(c) <- 0.0
-
-let add_channel t =
-  t.window_bytes <- Array.append t.window_bytes [| 0 |];
-  t.est_bps <- Array.append t.est_bps [| 0.0 |];
-  t.n <- t.n + 1;
-  t.n - 1
-
-let remove_channel t c =
-  if c < 0 || c >= t.n then invalid_arg "Rate_probe.remove_channel: bad channel";
-  if t.n = 1 then
-    invalid_arg "Rate_probe.remove_channel: cannot remove the last channel";
-  let splice a =
-    Array.init (Array.length a - 1) (fun i -> if i < c then a.(i) else a.(i + 1))
-  in
-  t.window_bytes <- splice t.window_bytes;
-  t.est_bps <- splice t.est_bps;
-  t.n <- t.n - 1
 
 let plan ?max_packet ?(band = 0.25) ?max_quantum ~rates_bps
     ~quanta ~quantum_unit () =

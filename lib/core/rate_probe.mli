@@ -23,8 +23,6 @@ val create : ?alpha:float -> n:int -> unit -> t
     newest window's instantaneous rate. The first measurement seeds the
     estimate directly. *)
 
-val n_channels : t -> int
-
 val observe : t -> channel:int -> bytes:int -> unit
 (** Account [bytes] delivered on [channel] since the last {!sample}.
     Non-positive counts are ignored. *)
@@ -51,12 +49,6 @@ val reset_channel : t -> int -> unit
     clears, so the first post-resume estimate would otherwise blend
     pre-outage samples — and {!plan} would treat the stale blend as
     measured capacity. *)
-
-val add_channel : t -> int
-(** Track one more channel (estimate starts empty); returns its index. *)
-
-val remove_channel : t -> int -> unit
-(** Stop tracking channel [c]; higher channels shift down by one. *)
 
 val plan :
   ?max_packet:int ->

@@ -7,28 +7,17 @@ type overflow =
   | Drop_newest
   | Force_flush
 
-(* A sender-side transition (retune, bundle add/remove) staged until the
-   matching §5 reset barrier completes, at which point the simulated
-   engine is rebuilt to the staged shape. One transition in flight at a
-   time: each rides its own barrier. *)
-type staged =
-  | S_none
-  | S_retune of int array
-  | S_add of int array  (* new quanta, width n (already grown) *)
-  | S_remove of int * int array  (* leaving channel, new quanta *)
-
 (* [force_round] entry of a channel with no pending marker stamp. *)
 let no_stamp = min_int
 
 type t = {
   d : Deficit.t;
-  mutable n : int;
-      (* Runtime width: the channels [receive] accepts and the barrier
-         waits on. Equal to the engine's width except while an [S_add]
-         is staged, when it already counts the newcomer the engine will
-         only adopt at the barrier. *)
-  mutable buffers : Packet.t Fifo_queue.t array;
-  mutable staged : staged;
+  n : int;  (* The engine's width, fixed at [create]. *)
+  buffers : Packet.t Fifo_queue.t array;
+  mutable staged : int array option;
+      (* A sender retune staged until the matching §5 reset barrier
+         completes, when the simulated engine adopts the vector. One in
+         flight at a time: each rides its own barrier. *)
   budget : int option;
       (* Byte budget across the per-channel buffers, counting data
          packets only: markers are tiny, bounded in number by the marker
@@ -37,18 +26,18 @@ type t = {
          quasi-FIFO delivery, so they are always accepted. *)
   overflow : overflow;
   on_pressure : (high:bool -> unit) option;
-  mutable force_round : int array;
-  mutable force_dc : int array;
+  force_round : int array;
+  force_dc : int array;
       (* Pending marker state per channel: the (round, DC) of the next
          data packet, to be enforced when the scan reaches that round;
          [force_round.(c) = no_stamp] when channel [c] has none. Two int
          arrays, so applying a marker allocates nothing. *)
   deliver : channel:int -> Packet.t -> unit;
-  mutable reset_pending : bool array;
+  reset_pending : bool array;
       (* Channels whose stream has reached a reset marker; when all have,
          the receiver reinitializes (crash-recovery barrier, §5). *)
-  mutable park_epoch : int array;
-  mutable park_gen : int array;
+  park_epoch : int array;
+  park_gen : int array;
       (* The (epoch, generation) stamp of the marker each parked channel
          is waiting at — meaningful only while [reset_pending] is set.
          §5 assumes one reset in flight at a time; under fault storms
@@ -66,12 +55,12 @@ type t = {
   now : unit -> float;
   sink : Obs.Sink.t;
   wd : watchdog option;
-  mutable last_rx : float array;  (* Last physical arrival (data or marker). *)
-  mutable last_marker_rx : float array;
-  mutable marker_gap : float array;
+  last_rx : float array;  (* Last physical arrival (data or marker). *)
+  last_marker_rx : float array;
+  marker_gap : float array;
       (* EWMA of the observed inter-marker gap per channel; 0 until two
          markers have arrived, in which case [wd.fallback] stands in. *)
-  mutable gap_suspect : float array;
+  gap_suspect : float array;
       (* A marker gap that exceeded the watchdog horizon, held out of
          the cadence estimate until corroborated (0 = none pending).
          One such gap is an outage that swallowed markers — adopting it
@@ -79,7 +68,7 @@ type t = {
          declaration, barrier staleness) by the outage length; two
          consecutive such gaps are a genuine cadence stretch, and the
          smaller of the two is adopted. *)
-  mutable dead : bool array;
+  dead : bool array;
   mutable n_data_buffered : int;
   mutable n_delivered : int;
   mutable n_skips : int;
@@ -132,7 +121,7 @@ type t = {
   mutable pending_epoch : int;
       (* Epoch of the in-progress crash barrier; equals [rx_epoch] when
          none is in progress. Adopted at barrier completion. *)
-  mutable ch_epoch : int array;
+  ch_epoch : int array;
       (* Highest marker epoch seen per channel. Tracks which channels
          have already joined the crash barrier, so a channel is flushed
          once per sender incarnation, not once per marker. *)
@@ -163,43 +152,7 @@ type t = {
      sequence (seq < 0) are not judged. *)
   mutable rd_max_seq : int;
   mutable rd_max : int;
-  mutable on_adopt : unit -> unit;
-      (* Fires after a staged retune/add/remove is adopted at its
-         barrier. The demux layer above uses this to switch its
-         channel-index mapping at exactly the point in each channel's
-         FIFO where the sender's numbering changed. *)
 }
-
-(* Copy into the fresh array [b] the entries of [a] that [src] keeps.
-   No closure is allocated per array: the fleet creates a resequencer
-   per slot. *)
-let keep_into b ~src a =
-  for i = 0 to Array.length b - 1 do
-    let j = src i in
-    if j >= 0 then b.(i) <- a.(j)
-  done;
-  b
-
-(* The per-channel state, resized to [n] channels: entry [i] keeps old
-   entry [src i], or starts fresh when [src i < 0], a fresh channel's
-   marker epoch being [epoch]. Creation, a staged add, an adopted remove
-   and a restart that drops a staged width change all go through here. *)
-let remap t n ~src ~epoch =
-  t.buffers <-
-    keep_into (Array.init n (fun _ -> Fifo_queue.create ())) ~src t.buffers;
-  t.force_round <- keep_into (Array.make n no_stamp) ~src t.force_round;
-  t.force_dc <- keep_into (Array.make n 0) ~src t.force_dc;
-  t.reset_pending <- keep_into (Array.make n false) ~src t.reset_pending;
-  t.park_epoch <- keep_into (Array.make n 0) ~src t.park_epoch;
-  t.park_gen <- keep_into (Array.make n 0) ~src t.park_gen;
-  t.last_rx <- keep_into (Array.make n (t.now ())) ~src t.last_rx;
-  t.last_marker_rx <-
-    keep_into (Array.make n neg_infinity) ~src t.last_marker_rx;
-  t.marker_gap <- keep_into (Array.make n 0.0) ~src t.marker_gap;
-  t.gap_suspect <- keep_into (Array.make n 0.0) ~src t.gap_suspect;
-  t.dead <- keep_into (Array.make n false) ~src t.dead;
-  t.ch_epoch <- keep_into (Array.make n epoch) ~src t.ch_epoch;
-  t.n <- n
 
 let clear_stamps t = Array.fill t.force_round 0 t.n no_stamp
 
@@ -209,22 +162,6 @@ let reseed_cadence t =
   Array.fill t.marker_gap 0 t.n 0.0;
   Array.fill t.gap_suspect 0 t.n 0.0;
   Array.fill t.last_marker_rx 0 t.n neg_infinity
-
-(* [remap] with every channel fresh, in place, for a restart at the same
-   width. [empty] empties a buffer. Only the watchdog reads [last_rx], so
-   only a resequencer with one reads the clock here, and that read's
-   boxed float is all this allocates. *)
-let clear_channels t ~empty ~epoch =
-  Array.iter empty t.buffers;
-  clear_stamps t;
-  reseed_cadence t;
-  Array.fill t.force_dc 0 t.n 0;
-  Array.fill t.reset_pending 0 t.n false;
-  Array.fill t.park_epoch 0 t.n 0;
-  Array.fill t.park_gen 0 t.n 0;
-  if t.wd <> None then Array.fill t.last_rx 0 t.n (t.now ());
-  Array.fill t.dead 0 t.n false;
-  Array.fill t.ch_epoch 0 t.n epoch
 
 let create ~deficit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     ?watchdog ?budget_bytes ?(overflow = Drop_newest) ?on_pressure ~deliver ()
@@ -237,79 +174,83 @@ let create ~deficit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
   | Some b when b <= 0 ->
     invalid_arg "Resequencer.create: budget_bytes must be positive"
   | Some _ | None -> ());
-  let t =
-    {
-      d = deficit;
-      n = 0;
-      buffers = [||];
-      staged = S_none;
-      budget = budget_bytes;
-      overflow;
-      on_pressure;
-      force_round = [||];
-      force_dc = [||];
-      deliver;
-      reset_pending = [||];
-      park_epoch = [||];
-      park_gen = [||];
-      rx_gen = -1;
-      now;
-      sink;
-      wd = watchdog;
-      last_rx = [||];
-      last_marker_rx = [||];
-      marker_gap = [||];
-      gap_suspect = [||];
-      dead = [||];
-      n_data_buffered = 0;
-      n_delivered = 0;
-      n_skips = 0;
-      n_wd_skips = 0;
-      wd_spin = 0;
-      n_deaths = 0;
-      n_markers = 0;
-      n_resets = 0;
-      waiting = -1;
-      data_bytes = 0;
-      max_data_bytes = 0;
-      pressure = false;
-      force_need = 0;
-      n_overflows = 0;
-      n_overflow_drops = 0;
-      n_forced_deliveries = 0;
-      n_corrupt_markers = 0;
-      round_lag = 0;
-      n_realigns = 0;
-      rx_epoch = 0;
-      pending_epoch = 0;
-      ch_epoch = [||];
-      n_epoch_discards = 0;
-      n_crash_syncs = 0;
-      n_stale_resets = 0;
-      realign_pending = false;
-      barrier_start = Float.nan;
-      n_forced_barriers = 0;
-      rd_max_seq = -1;
-      rd_max = 0;
-      on_adopt = (fun () -> ());
-    }
-  in
-  remap t (Deficit.n_channels deficit) ~src:(fun _ -> -1) ~epoch:0;
-  t
-
-let on_transition_adopted t f = t.on_adopt <- f
+  let n = Deficit.n_channels deficit in
+  {
+    d = deficit;
+    n;
+    buffers = Array.init n (fun _ -> Fifo_queue.create ());
+    staged = None;
+    budget = budget_bytes;
+    overflow;
+    on_pressure;
+    force_round = Array.make n no_stamp;
+    force_dc = Array.make n 0;
+    deliver;
+    reset_pending = Array.make n false;
+    park_epoch = Array.make n 0;
+    park_gen = Array.make n 0;
+    rx_gen = -1;
+    now;
+    sink;
+    wd = watchdog;
+    last_rx = Array.make n (now ());
+    last_marker_rx = Array.make n neg_infinity;
+    marker_gap = Array.make n 0.0;
+    gap_suspect = Array.make n 0.0;
+    dead = Array.make n false;
+    n_data_buffered = 0;
+    n_delivered = 0;
+    n_skips = 0;
+    n_wd_skips = 0;
+    wd_spin = 0;
+    n_deaths = 0;
+    n_markers = 0;
+    n_resets = 0;
+    waiting = -1;
+    data_bytes = 0;
+    max_data_bytes = 0;
+    pressure = false;
+    force_need = 0;
+    n_overflows = 0;
+    n_overflow_drops = 0;
+    n_forced_deliveries = 0;
+    n_corrupt_markers = 0;
+    round_lag = 0;
+    n_realigns = 0;
+    rx_epoch = 0;
+    pending_epoch = 0;
+    ch_epoch = Array.make n 0;
+    n_epoch_discards = 0;
+    n_crash_syncs = 0;
+    n_stale_resets = 0;
+    realign_pending = false;
+    barrier_start = Float.nan;
+    n_forced_barriers = 0;
+    rd_max_seq = -1;
+    rd_max = 0;
+  }
 
 (* The cold start a fresh bundle and a restarted endpoint share: the
-   engine reinitializes at its own width, so a staged transition dies
-   with the old bundle or endpoint; every channel starts fresh, nothing
-   is buffered, and the receiver is synchronized to sender epoch
-   [epoch]. Lifetime counters are the caller's business. *)
+   engine restarts on its own quanta, so a staged retune dies with the
+   old bundle or endpoint; every channel is cleared in place, nothing is
+   buffered, and the receiver is synchronized to sender epoch [epoch].
+   [empty] empties a buffer. Only the watchdog reads [last_rx], so only
+   a resequencer with one reads the clock here, and that read's boxed
+   float is all this allocates. Lifetime counters are the caller's
+   business. *)
 let cold_start t ~empty ~epoch =
   Deficit.restart t.d;
-  t.staged <- S_none;
-  let n = Deficit.n_channels t.d in
-  if n <> t.n then remap t n ~src:(fun _ -> -1) ~epoch
-  else clear_channels t ~empty ~epoch;
+  t.staged <- None;
+  Array.iter empty t.buffers;
+  clear_stamps t;
+  reseed_cadence t;
+  Array.fill t.force_dc 0 t.n 0;
+  Array.fill t.reset_pending 0 t.n false;
+  Array.fill t.park_epoch 0 t.n 0;
+  Array.fill t.park_gen 0 t.n 0;
+  if t.wd <> None then Array.fill t.last_rx 0 t.n (t.now ());
+  Array.fill t.dead 0 t.n false;
+  Array.fill t.ch_epoch 0 t.n epoch;
   t.n_data_buffered <- 0;
   t.data_bytes <- 0;
   t.force_need <- 0;
@@ -608,33 +549,14 @@ let barrier_stale t =
     done;
     t.now () -. t.barrier_start > float_of_int w.intervals *. !gap
 
-(* Adopt a staged transition when its barrier completes — or plain
-   [reinit] when none is staged. For a removal, whatever is still
-   buffered on the leaving channel leaves with it: in healthy operation
-   that buffer is empty (the goodbye reset marker is sequenced behind
-   all the channel's data, so the scan drained it before the barrier
-   could complete); only a watchdog-declared-dead removal can lose
-   packets here, and those were stranded on a dead link anyway. *)
+(* Adopt a staged retune when its barrier completes — or plain
+   [reinit] when none is staged. *)
 let adopt_staged t =
   match t.staged with
-  | S_none -> Deficit.reinit t.d
-  | S_retune q | S_add q ->
-    t.staged <- S_none;
-    Deficit.reconfigure t.d ~quanta:q;
-    t.on_adopt ()
-  | S_remove (c, q) ->
-    t.staged <- S_none;
-    Fifo_queue.iter t.buffers.(c) (fun pkt ~size ->
-        if not (Packet.is_marker pkt) then begin
-          t.n_data_buffered <- t.n_data_buffered - 1;
-          t.data_bytes <- t.data_bytes - size
-        end);
-    remap t (t.n - 1)
-      ~src:(fun i -> if i < c then i else i + 1)
-      ~epoch:t.rx_epoch;
-    update_pressure t;
-    Deficit.reconfigure t.d ~quanta:q;
-    t.on_adopt ()
+  | None -> Deficit.reinit t.d
+  | Some q ->
+    t.staged <- None;
+    Deficit.reconfigure t.d ~quanta:q
 
 (* Enforce a marker's stamp on its channel. If the stamp still pins
    below [G] after translation, the scan has over-advanced (forced or
@@ -725,23 +647,11 @@ let rec progress t =
       progress t
     end
     else begin
-      (* This channel's old epoch is over; keep draining the others —
-         unless every engine channel is already parked at its reset
-         marker. That happens while a staged add waits for the appended
-         channel's marker ([t.n] exceeds the engine width until the
-         barrier adopts): advancing would spin through parked channels
-         forever, so block until the missing marker arrives (or the
-         watchdog declares its channel dead), either of which re-enters
-         the scan and completes the barrier. *)
-      let engine_n = Deficit.n_channels t.d in
-      let all_parked = ref true in
-      for i = 0 to engine_n - 1 do
-        if not t.reset_pending.(i) then all_parked := false
-      done;
-      if not !all_parked then begin
-        Deficit.advance t.d;
-        progress t
-      end
+      (* This channel's old epoch is over; keep draining the others. An
+         incomplete barrier always leaves an unparked channel, so the
+         scan reaches it within a round. *)
+      Deficit.advance t.d;
+      progress t
     end
   end
   else begin
@@ -997,13 +907,7 @@ let receive t ~channel pkt =
             (Obs.Event.v ~channel ~size:pkt.Packet.size ~seq:pkt.Packet.seq
                ~time:(t.now ()) Obs.Event.Enqueue)
       end
-    end;
-    (* A channel staged for addition is not in the simulated engine yet,
-       so the scan never visits it: absorb its head markers here so its
-       reset marker can flag [reset_pending] and complete the barrier
-       that adopts the wider bundle. *)
-    if channel >= Deficit.n_channels t.d && not t.reset_pending.(channel) then
-      absorb_markers t channel
+    end
     end;
     progress t
   end
@@ -1037,11 +941,7 @@ let crash_restart t =
     Obs.Sink.emit t.sink (Obs.Event.v ~time:(t.now ()) Obs.Event.Restart);
   wiped
 
-let transition_pending t = t.staged <> S_none
-
-let require_unstaged t who =
-  if t.staged <> S_none then
-    invalid_arg (who ^ ": a transition is already staged (one per barrier)")
+let transition_pending t = t.staged <> None
 
 let check_quantum t who q =
   if q <= 0 then invalid_arg (who ^ ": quantum must be positive");
@@ -1055,37 +955,13 @@ let check_quantum t who q =
   | Some _ | None -> ()
 
 let retune t ~quanta =
-  require_unstaged t "Resequencer.retune";
+  if t.staged <> None then
+    invalid_arg
+      "Resequencer.retune: a retune is already staged (one per barrier)";
   if Array.length quanta <> Deficit.n_channels t.d then
     invalid_arg "Resequencer.retune: quanta width mismatch";
   Array.iter (check_quantum t "Resequencer.retune") quanta;
-  t.staged <- S_retune (Array.copy quanta)
-
-let add_channel t ~quantum =
-  require_unstaged t "Resequencer.add_channel";
-  check_quantum t "Resequencer.add_channel" quantum;
-  (* The runtime arrays grow now — arrivals on the new channel must
-     buffer, and the barrier must wait for its reset marker — while the
-     simulated engine keeps the old width until the barrier adopts the
-     staged vector. *)
-  let q = Array.append (Deficit.quanta t.d) [| quantum |] in
-  let c = t.n in
-  remap t (c + 1) ~src:(fun i -> if i < c then i else -1) ~epoch:t.rx_epoch;
-  t.staged <- S_add q;
-  c
-
-let remove_channel t c =
-  require_unstaged t "Resequencer.remove_channel";
-  if c < 0 || c >= t.n then
-    invalid_arg "Resequencer.remove_channel: bad channel";
-  if t.n = 1 then
-    invalid_arg "Resequencer.remove_channel: cannot remove the last channel";
-  (* Nothing shrinks yet: the channel must keep receiving — and the scan
-     keep draining — its in-flight data until its goodbye reset marker
-     arrives and the barrier completes; [adopt_staged] remaps then. *)
-  let q = Deficit.quanta t.d in
-  let keep i = q.(if i < c then i else i + 1) in
-  t.staged <- S_remove (c, Array.init (Array.length q - 1) keep)
+  t.staged <- Some (Array.copy quanta)
 
 let delivered t = t.n_delivered
 

@@ -88,8 +88,9 @@ val create :
     called with each packet in logical-reception order, together with the
     channel it was drawn from (as a real implementation would know from
     the buffer it popped — used e.g. for per-channel flow-control
-    accounting). A marker's piggybacked credit is not read here: a
-    flow-control layer reads [m_credit] itself before {!receive}.
+    accounting). Its width is the engine's, fixed for its lifetime. A
+    marker's piggybacked credit is not read here: a flow-control layer
+    reads [m_credit] itself before {!receive}.
 
     [budget_bytes] bounds the {e data} bytes buffered across the
     per-channel queues (markers are always accepted — they are tiny,
@@ -110,7 +111,7 @@ val create :
 val recycle : t -> unit
 (** Re-arm this resequencer for a {e fresh} bundle of the same shape,
     in place: the simulated engine reinitializes (suspensions cleared,
-    any staged transition dropped), every per-channel buffer is emptied
+    any staged retune dropped), every per-channel buffer is emptied
     {e and} its high-water tracking restarted
     ({!Stripe_packet.Fifo_queue.recycle} — bare [clear] would carry the
     previous bundle's maxima into the next owner's report), and all
@@ -148,8 +149,8 @@ val receive : t -> channel:int -> Stripe_packet.Packet.t -> unit
 
 val crash_restart : t -> int
 (** Receiver endpoint crash + restart (PROTOCOL.md §12): all protocol
-    state — buffers, simulated engine, marker stamps, staged
-    transitions, watchdog estimates, epoch knowledge — is lost; the
+    state — buffers, simulated engine, marker stamps, a staged
+    retune, watchdog estimates, epoch knowledge — is lost; the
     lifetime measurement counters survive (they model the operator's
     metrics store, not the endpoint). Returns the number of buffered
     data packets wiped, for conservation accounting. Recovery needs no
@@ -167,44 +168,19 @@ val retune : t -> quanta:int array -> unit
     in-flight old-epoch data is still resequenced under the old vector
     it was striped with. Raises [Invalid_argument] on width mismatch,
     an invalid quantum (positivity / [max_packet] precondition), or if
-    another transition is already staged. *)
-
-val add_channel : t -> quantum:int -> int
-(** Stage the receiver half of {!Striper.add_channel}; returns the new
-    channel's index (= old width). The channel starts buffering arrivals
-    immediately and the pending barrier waits for its reset marker, but
-    the simulated engine only widens when that barrier completes, so the
-    old epoch drains under the old shape. *)
-
-val remove_channel : t -> int -> unit
-(** Stage the receiver half of {!Striper.remove_channel}. The channel
-    keeps receiving and the scan keeps draining it until its goodbye
-    reset marker completes the barrier; only then is it spliced out
-    (higher channels shift down). Anything still buffered on it at that
-    point — possible only for a watchdog-dead channel whose barrier
-    completed without it — is discarded with it. *)
+    another retune is already staged. *)
 
 val transition_pending : t -> bool
-(** Whether a staged retune/add/remove is waiting for its barrier.
-    Adaptive policies check this before staging the next step. *)
+(** Whether a staged retune is waiting for its barrier. Adaptive
+    policies check this before staging the next step. *)
 
 val has_quanta : t -> int array -> bool
 (** Whether the simulated sender engine currently runs the quantum
-    vector [q] (staged transitions count once adopted). A supervisor
+    vector [q] (a staged retune counts once adopted). A supervisor
     reconciling the two halves of a bundle checks it against the live
     sender's vector: the halves can diverge when a sender crash-restart
     rebuilds its engine while the receiver still runs an adopted
     retune. Compares in place; nothing is copied. *)
-
-val on_transition_adopted : t -> (unit -> unit) -> unit
-(** Register a callback fired immediately after a staged transition
-    (retune, add, or remove) is adopted at its reset barrier. A plain
-    reset with nothing staged does not fire it. The demux layer above
-    uses this to switch its channel-index mapping at exactly the point
-    in each channel's FIFO stream where the sender's numbering changed:
-    frames received before the barrier carry old indices, frames after
-    it new ones, and the staged splice realigns the buffers to match.
-    One callback per resequencer; a later call replaces the earlier. *)
 
 val tick : t -> unit
 (** Re-enter the logical-reception scan without a new arrival. The

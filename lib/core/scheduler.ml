@@ -16,11 +16,7 @@ type t = {
 let name t = t.sched_name
 let causal t = t.is_causal
 
-(* Engine-backed schedulers can grow and shrink live
-   ([Striper.add_channel]/[remove_channel]), so the width is read from
-   the engine rather than frozen at construction. *)
-let n_channels t =
-  match t.engine with Some d -> Deficit.n_channels d | None -> t.n
+let n_channels t = t.n
 
 let suspended t c =
   if c < 0 || c >= n_channels t then

@@ -32,10 +32,8 @@ val causal : t -> bool
     delivered packets alone (§3.1). *)
 
 val n_channels : t -> int
-(** Current bundle width. For CFQ schedulers this tracks the embedded
-    engine, which can grow and shrink live
-    ({!Deficit.add_channel}/{!Deficit.remove_channel}); the non-causal
-    baselines are fixed-width. *)
+(** The bundle width given at construction (for CFQ schedulers, the
+    embedded engine's). A bundle's width never changes. *)
 
 val choose : t -> Stripe_packet.Packet.t -> int
 (** Channel for the next packet. For CFQ schedulers this is [f(s)] and

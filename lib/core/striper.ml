@@ -12,11 +12,11 @@ type t = {
   mutable n_markers : int;
   mutable n_no_channel : int;
       (* Data packets dropped because every channel was suspended. *)
-  mutable per_chan_packets : int array;
-  mutable per_chan_bytes : int array;
+  per_chan_packets : int array;
+  per_chan_bytes : int array;
   mutable next_mark_round : int;
       (* [~next] of [Marker.batch] (Round_start / Round_end positions). *)
-  mutable mid_marked : bool array;
+  mid_marked : bool array;
       (* Mid_round: which channels already got their marker in the current
          marked round. *)
   mutable mid_round : int;  (* Round the [mid_marked] flags refer to. *)
@@ -172,9 +172,6 @@ let crash_restart ?quanta t =
   match Scheduler.deficit t.sched with
   | None -> invalid_arg "Striper.crash_restart: requires a CFQ scheduler"
   | Some d ->
-    let now = t.now () in
-    if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink (Obs.Event.v ~time:now Obs.Event.Crash);
     (* The crash loses every piece of striping state: round pointer,
        deficits, staged retunes, administrative suspensions, marker
        cadence bookkeeping. The restarted sender rebuilds from cold
@@ -182,10 +179,15 @@ let crash_restart ?quanta t =
        cold [Rate_probe] plan) or the nominal configured vector — and
        announces the new incarnation with epoch-stamped reset markers.
        Channels that are actually down get re-suspended by the carrier
-       watchers, not by remembered state. *)
+       watchers, not by remembered state. The engine is rebuilt before
+       the crash is recorded, so a vector it refuses (another width, a
+       bad quantum) raises with nothing emitted or changed. *)
     (match quanta with
     | Some quanta -> Deficit.reconfigure d ~quanta
     | None -> Deficit.restart d);
+    let now = t.now () in
+    if Obs.Sink.active t.sink then
+      Obs.Sink.emit t.sink (Obs.Event.v ~time:now Obs.Event.Crash);
     t.epoch <- t.epoch + 1;
     t.gen <- 0;
     if Obs.Sink.active t.sink then
@@ -204,53 +206,6 @@ let retune t ~quanta =
        directly into the new schedule. *)
     Deficit.retune d ~quanta;
     send_reset t
-
-let add_channel t ~quantum =
-  match Scheduler.deficit t.sched with
-  | None -> invalid_arg "Striper.add_channel: requires a CFQ scheduler"
-  | Some d ->
-    let c = Deficit.add_channel d ~quantum in
-    t.per_chan_packets <- Array.append t.per_chan_packets [| 0 |];
-    t.per_chan_bytes <- Array.append t.per_chan_bytes [| 0 |];
-    t.mid_marked <- Array.append t.mid_marked [| false |];
-    if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~channel:c
-           ~size:(Scheduler.n_channels t.sched)
-           ~time:(t.now ()) Obs.Event.Member_add);
-    (* The receiver learns the new width from the reset markers' epoch:
-       the barrier only completes once one has arrived on every channel,
-       including the newcomer. *)
-    send_reset t;
-    c
-
-let remove_channel t c =
-  match Scheduler.deficit t.sched with
-  | None -> invalid_arg "Striper.remove_channel: requires a CFQ scheduler"
-  | Some d ->
-    if c < 0 || c >= Scheduler.n_channels t.sched then
-      invalid_arg "Striper.remove_channel: bad channel";
-    if Scheduler.n_channels t.sched = 1 then
-      invalid_arg "Striper.remove_channel: cannot remove the last channel";
-    (* Goodbye barrier first, while [c] still exists: its reset marker is
-       the last packet the channel carries, sequenced behind all of its
-       in-flight data, so a receiver that staged the matching removal
-       drains the channel completely before adopting the narrower
-       bundle. *)
-    send_reset t;
-    Deficit.remove_channel d c;
-    let splice a =
-      Array.init (Array.length a - 1) (fun i ->
-          if i < c then a.(i) else a.(i + 1))
-    in
-    t.per_chan_packets <- splice t.per_chan_packets;
-    t.per_chan_bytes <- splice t.per_chan_bytes;
-    t.mid_marked <- splice t.mid_marked;
-    if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~channel:c
-           ~size:(Scheduler.n_channels t.sched)
-           ~time:(t.now ()) Obs.Event.Member_remove)
 
 let suspend_channel t c =
   if not (Scheduler.suspended t.sched c) then begin

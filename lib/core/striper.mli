@@ -66,27 +66,6 @@ val retune : t -> quanta:int array -> unit
     schedule with the Thm 5.1 disturbance bound. Raises
     [Invalid_argument] for a non-CFQ scheduler or an invalid vector. *)
 
-val add_channel : t -> quantum:int -> int
-(** Grow the bundle by one channel (returned index = old width). The
-    engine, per-channel counters, and marker bookkeeping are extended,
-    a [Member_add] event is emitted, and {!send_reset} runs so the
-    receiver learns the new width from the reset-marker epoch — the
-    barrier only completes once a reset marker has arrived on every
-    channel, including the newcomer. The [emit] callback must already
-    accept the new index when this is called. Requires a CFQ
-    scheduler. *)
-
-val remove_channel : t -> int -> unit
-(** Shrink the bundle: channel [c] leaves, higher channels shift down
-    by one. {!send_reset} runs {e first}, while [c] still exists — its
-    reset marker is the channel's goodbye, sequenced behind all its
-    in-flight data, so a receiver that staged the matching removal
-    ({!Resequencer.remove_channel}) drains it completely before
-    adopting the narrower bundle. Then the engine and counters are
-    spliced and a [Member_remove] event is emitted. Requires a CFQ
-    scheduler; raises [Invalid_argument] when removing the last
-    channel. *)
-
 val send_reset : t -> unit
 (** Crash-recovery reset (§5): reinitialize the striping state to its
     initial value and emit a {e reset marker} on every channel. Data
@@ -102,18 +81,21 @@ val crash_restart : ?quanta:int array -> t -> unit
     administrative suspensions, marker cadence — is lost and rebuilt
     from cold configuration. [quanta] is the restarted sender's initial
     vector (typically a cold {!Rate_probe} plan); it defaults to the
-    engine's current configured vector. The sender's {e epoch} is
-    incremented and {!send_reset} announces the new incarnation: because
-    every subsequent marker carries the epoch, the receiver joins the
-    crash barrier even if the reset markers themselves are lost on a
-    down channel. In-flight packets of the old epoch are orphaned — the
-    receiver delivers stragglers best-effort and discards what the epoch
-    rule proves stale. Emits [Crash] then [Restart] (with [round] = the
-    new epoch). Requires a CFQ scheduler. *)
+    engine's current configured vector. A [quanta] the engine refuses
+    ({!Deficit.reconfigure}: another width, an invalid quantum) raises
+    [Invalid_argument] before anything is emitted or changed. The
+    sender's {e epoch} is incremented and {!send_reset} announces the
+    new incarnation: because every subsequent marker carries the epoch,
+    the receiver joins the crash barrier even if the reset markers
+    themselves are lost on a down channel. In-flight packets of the old
+    epoch are orphaned — the receiver delivers stragglers best-effort
+    and discards what the epoch rule proves stale. Emits [Crash] then
+    [Restart] (with [round] = the new epoch). Requires a CFQ
+    scheduler. *)
 
 val epoch : t -> int
 (** Current sender incarnation: 0 until the first {!crash_restart}.
-    Graceful resets (retune / resume / add / remove) do not change it. *)
+    Graceful resets (retune / resume) do not change it. *)
 
 val pushed_packets : t -> int
 val pushed_bytes : t -> int

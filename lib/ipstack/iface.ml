@@ -50,7 +50,6 @@ let create _sim ~name ~mtu ~arp ~link () =
     n_unclaimed = 0;
   }
 
-let name t = t.iface_name
 let mtu t = t.iface_mtu
 
 let set_handler t cp f =

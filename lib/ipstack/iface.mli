@@ -34,7 +34,6 @@ val create :
     on the wire on top of its payload. The link's own MTU, if any,
     should admit [mtu] plus that overhead. *)
 
-val name : t -> string
 val mtu : t -> int
 
 val set_handler : t -> codepoint -> (frame -> unit) -> unit

@@ -2,8 +2,8 @@ open Stripe_packet
 
 type t = {
   layer_name : string;
-  mutable members : Iface.t array;
-  mutable bundle_mtu : int;
+  members : Iface.t array;
+  bundle_mtu : int;
   striper : Stripe_core.Striper.t;
   reseq : Stripe_core.Resequencer.t option;
   deliver_up : Ip.t -> unit;
@@ -17,77 +17,35 @@ type t = {
   mutable tx_envelope : Ip.t option;
   mutable n_sent : int;
   mutable n_delivered : int;
-  (* While a member removal waits for its goodbye barrier, the send
-     side (striper emit, carrier watchers) already uses the spliced
-     indexing but frames STILL IN FLIGHT from the peer carry the old
-     one — including the goodbye markers themselves. [(c, iface)] keeps
-     the receive-side demux on the old numbering until the local
-     resequencer adopts the staged removal at the barrier, at which
-     point its buffer splice realigns everything and the two views
-     converge (see [rx_channel_of]). *)
-  mutable rx_pending_remove : (int * Iface.t) option;
 }
 
 let deliver_ip t ip =
   t.n_delivered <- t.n_delivered + 1;
   t.deliver_up ip
 
-(* The member's *current* channel index, by physical identity; -1 when
-   the interface is not (or no longer) a member. Carrier watchers and rx
-   handlers resolve through this at fire time rather than capturing the
-   index at registration: membership can change underneath them
-   ([add_member]/[remove_member]), and link-layer watchers cannot be
-   unregistered — a stale captured index would misdirect events to
-   whichever channel inherited it. *)
-let channel_of t m =
-  let rec go i =
-    if i >= Array.length t.members then -1
-    else if t.members.(i) == m then i
-    else go (i + 1)
-  in
-  go 0
-
-(* The receive-side index of a member: identical to [channel_of] except
-   during a staged removal, when arriving frames must still resolve to
-   the pre-splice numbering — the leaving interface keeps its old index
-   [c] and survivors at or above [c] shift back up by one — until the
-   resequencer's barrier adopts the splice (see [rx_pending_remove]). *)
-let rx_channel_of t m =
-  match t.rx_pending_remove with
-  | None -> channel_of t m
-  | Some (c, leaving) ->
-    if m == leaving then c
-    else
-      let i = channel_of t m in
-      if i < 0 then -1 else if i >= c then i + 1 else i
-
-(* Wire one member interface into the layer: carrier transitions
+(* Wire member [channel] into the layer: carrier transitions
    suspend/resume its channel (resume fires the §5 reset barrier, see
    {!Stripe_core.Striper.resume_channel}; watchers fire from the
    fault/link layer, never from inside [Striper.push], so the scheduler
    is between packets when the suspension lands), and the striped/marker
    codepoints demux into the resequencer. *)
-let attach_member t m =
+let attach_member t channel m =
   Iface.on_carrier m (fun ~up ->
-      let channel = channel_of t m in
-      if channel >= 0 then
-        if up then Stripe_core.Striper.resume_channel t.striper channel
-        else Stripe_core.Striper.suspend_channel t.striper channel);
+      if up then Stripe_core.Striper.resume_channel t.striper channel
+      else Stripe_core.Striper.suspend_channel t.striper channel);
   let on_striped frame =
-    let channel = rx_channel_of t m in
-    if channel >= 0 then
-      match frame with
-      | Iface.Striped_frame ip -> (
-        match t.reseq with
-        | Some r ->
-          Hashtbl.replace t.rx_envelopes ip.Ip.body.Packet.seq ip;
-          Stripe_core.Resequencer.receive r ~channel ip.Ip.body
-        | None -> deliver_ip t ip)
-      | Iface.Marker_frame pkt -> (
-        match t.reseq with
-        | Some r -> Stripe_core.Resequencer.receive r ~channel pkt
-        | None -> ())
-      | Iface.Ip_frame _ -> ()
+    match frame with
+    | Iface.Striped_frame ip -> (
+      match t.reseq with
+      | Some r ->
+        Hashtbl.replace t.rx_envelopes ip.Ip.body.Packet.seq ip;
+        Stripe_core.Resequencer.receive r ~channel ip.Ip.body
+      | None -> deliver_ip t ip)
+    | Iface.Marker_frame pkt -> (
+      match t.reseq with
+      | Some r -> Stripe_core.Resequencer.receive r ~channel pkt
+      | None -> ())
+    | Iface.Ip_frame _ -> ()
   in
   Iface.set_handler m Iface.Cp_striped_ip on_striped;
   Iface.set_handler m Iface.Cp_marker on_striped
@@ -159,16 +117,10 @@ let create ~name ~members ~scheduler ?marker ?now ?(resequence = true)
       tx_envelope = None;
       n_sent = 0;
       n_delivered = 0;
-      rx_pending_remove = None;
     }
   in
   self := Some layer;
-  (match reseq with
-  | Some r ->
-    Stripe_core.Resequencer.on_transition_adopted r (fun () ->
-        layer.rx_pending_remove <- None)
-  | None -> ());
-  Array.iter (attach_member layer) members;
+  Array.iteri (attach_member layer) members;
   layer
 
 let name t = t.layer_name
@@ -213,64 +165,11 @@ let crash_restart_receiver t =
   | Some r ->
     let wiped = Stripe_core.Resequencer.crash_restart r in
     (* The frame <-> datagram associations die with the receiver: wiped
-       frames can never be delivered, and any staged-removal demux split
-       was receiver state too. In-flight frames arriving after the
+       frames can never be delivered. In-flight frames arriving after the
        restart re-register their envelopes on arrival. *)
     Hashtbl.reset t.rx_envelopes;
-    t.rx_pending_remove <- None;
     wiped
 
-let recompute_mtu t =
-  t.bundle_mtu <-
-    Array.fold_left (fun acc m -> min acc (Iface.mtu m)) max_int t.members
-
-let add_member t ~quantum m =
-  if channel_of t m >= 0 then
-    invalid_arg
-      (Printf.sprintf "Stripe_layer.add_member(%s): interface %s is already a \
-                       member"
-         t.layer_name (Iface.name m));
-  (* Receive side first: the local resequencer starts buffering arrivals
-     on the new index before the sender side can emit anything there (in
-     the symmetric configuration where the peer performs the same
-     membership change). *)
-  (match t.reseq with
-  | Some r -> ignore (Stripe_core.Resequencer.add_channel r ~quantum)
-  | None -> ());
-  (* The striper's emit callback indexes [t.members], so the array must
-     already hold the newcomer when [Striper.add_channel] fires the §5
-     reset barrier across the widened bundle. *)
-  t.members <- Array.append t.members [| m |];
-  recompute_mtu t;
-  attach_member t m;
-  let c = Stripe_core.Striper.add_channel t.striper ~quantum in
-  if not (Iface.link_up m) then Stripe_core.Striper.suspend_channel t.striper c;
-  c
-
-let remove_member t c =
-  let n = Array.length t.members in
-  if c < 0 || c >= n then
-    invalid_arg
-      (Printf.sprintf "Stripe_layer.remove_member(%s): bad member %d"
-         t.layer_name c);
-  (match t.reseq with
-  | Some r ->
-    Stripe_core.Resequencer.remove_channel r c;
-    (* Keep the demux on the old numbering until the barrier adopts. *)
-    t.rx_pending_remove <- Some (c, t.members.(c))
-  | None -> ());
-  (* [Striper.remove_channel] fires the goodbye barrier while [c] still
-     exists, so [t.members] must keep the leaving interface until the
-     striper has shrunk; only then is it spliced out. Its carrier
-     watcher and rx handlers stay registered but resolve to -1 via
-     [channel_of] and go quiet once the removal completes. *)
-  Stripe_core.Striper.remove_channel t.striper c;
-  t.members <-
-    Array.init (n - 1) (fun i ->
-        if i < c then t.members.(i) else t.members.(i + 1));
-  recompute_mtu t
-
-let n_members t = Array.length t.members
 let member_queue_bytes t i = Iface.queue_bytes t.members.(i)
 let sent_datagrams t = t.n_sent
 let delivered_datagrams t = t.n_delivered

@@ -78,37 +78,6 @@ val crash_restart_receiver : t -> int
     first post-restart marker are discarded by its crash-sync. No-op
     returning 0 when the layer was built with [~resequence:false]. *)
 
-val add_member : t -> quantum:int -> Iface.t -> int
-(** [add_member t ~quantum m] grows the bundle live (PROTOCOL.md §11):
-    the local resequencer stages the width change, the striper widens
-    and fires the §5 reset barrier ({!Stripe_core.Striper.add_channel}),
-    and [m]'s codepoint handlers and carrier watcher are attached. The
-    bundle MTU is recomputed, so it may {e shrink} if [m]'s MTU is below
-    the current minimum. Returns the new member's index (= old width).
-    Membership changes are symmetric configuration: the peer layer must
-    perform the matching [add_member] for traffic to flow both ways.
-    Raises [Invalid_argument] if [m] is already a member, if another
-    receive-side transition is still waiting for its barrier, or if
-    [quantum] violates the Thm 5.1 precondition (< max packet size). *)
-
-val remove_member : t -> int -> unit
-(** [remove_member t c] shrinks the bundle live: the local resequencer
-    stages the removal (it keeps draining [c] until the goodbye barrier
-    completes), the striper emits the goodbye reset while [c] still
-    exists and then splices it out
-    ({!Stripe_core.Striper.remove_channel}), members above [c] shift
-    down one index, and the bundle MTU is recomputed. The send side
-    adopts the new numbering immediately; the receive-side demux keeps
-    resolving arrivals (including the peer's goodbye markers) to the
-    old numbering until the resequencer adopts the staged removal at
-    the barrier, so in-flight frames land on the channels they were
-    sent for. The removed interface's handlers stay registered on it
-    but ignore all further frames once the removal completes. Raises
-    [Invalid_argument] for a bad index, when removing the last member,
-    or while another transition is pending. *)
-
-val n_members : t -> int
-
 val member_queue_bytes : t -> int -> int
 (** Transmit queue occupancy of member [i] — the oracle for an SQF
     scheduler over this bundle. *)

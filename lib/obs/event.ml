@@ -23,8 +23,6 @@ type kind =
   | Corrupt_discard
   | Buffer_overflow
   | Retune
-  | Member_add
-  | Member_remove
   | Crash
   | Restart
   | Epoch_discard
@@ -48,7 +46,7 @@ let v ?(channel = -1) ?(round = -1) ?(dc = 0) ?(size = -1) ?(seq = -1) ~time
     kind =
   { time; kind; channel; round; dc; size; seq }
 
-let n_kinds = 34
+let n_kinds = 32
 
 (* Dense index for counter arrays; keep in sync with [kind] and
    [n_kinds]. *)
@@ -77,16 +75,14 @@ let kind_index = function
   | Corrupt_discard -> 21
   | Buffer_overflow -> 22
   | Retune -> 23
-  | Member_add -> 24
-  | Member_remove -> 25
-  | Crash -> 26
-  | Restart -> 27
-  | Epoch_discard -> 28
-  | Violation -> 29
-  | Health_suspect -> 30
-  | Probation -> 31
-  | Quarantine -> 32
-  | Reinstate -> 33
+  | Crash -> 24
+  | Restart -> 25
+  | Epoch_discard -> 26
+  | Violation -> 27
+  | Health_suspect -> 28
+  | Probation -> 29
+  | Quarantine -> 30
+  | Reinstate -> 31
 
 let kind_name = function
   | Enqueue -> "enqueue"
@@ -113,8 +109,6 @@ let kind_name = function
   | Corrupt_discard -> "corrupt_discard"
   | Buffer_overflow -> "buffer_overflow"
   | Retune -> "retune"
-  | Member_add -> "member_add"
-  | Member_remove -> "member_remove"
   | Crash -> "crash"
   | Restart -> "restart"
   | Epoch_discard -> "epoch_discard"
@@ -129,9 +123,9 @@ let all_kinds =
     Enqueue; Dequeue; Transmit; Drop; Txq_drop; Arrival; Marker_sent;
     Marker_applied; Skip; Block; Unblock; Reset_barrier; Deliver; Round;
     Channel_down; Channel_up; Watchdog_skip; Suspend; Resume; Dup_discard;
-    Reorder_restore; Corrupt_discard; Buffer_overflow; Retune; Member_add;
-    Member_remove; Crash; Restart; Epoch_discard; Violation; Health_suspect;
-    Probation; Quarantine; Reinstate;
+    Reorder_restore; Corrupt_discard; Buffer_overflow; Retune; Crash; Restart;
+    Epoch_discard; Violation; Health_suspect; Probation; Quarantine;
+    Reinstate;
   ]
 
 let kind_of_name s =

@@ -44,9 +44,8 @@
       [Retune] from the deficit engine — one event per channel when a new
       quantum vector takes effect, with [dc] = the channel's old quantum
       and [size] = its new quantum, [round] = the round the change
-      applies from. The {b Striper} emits [Member_add]/[Member_remove]
-      when the bundle grows or shrinks live ([channel] = the index added
-      or removed, [size] = the new bundle width).
+      applies from. A bundle's width is fixed when it is created, so
+      no event marks a change of membership.
     - {b Chaos and recovery} (PROTOCOL.md §12): the {b Striper} emits
       [Crash] when an endpoint loses its striping state and [Restart]
       when it comes back ([round] = the new epoch on a sender restart;
@@ -96,8 +95,6 @@ type kind =
   | Corrupt_discard
   | Buffer_overflow
   | Retune
-  | Member_add
-  | Member_remove
   | Crash
   | Restart
   | Epoch_discard

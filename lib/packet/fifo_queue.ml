@@ -87,13 +87,6 @@ let pop_exn t =
 
 let pop t = if t.len = 0 then None else Some (pop_exn t)
 
-let iter t f =
-  let mask = Array.length t.vals - 1 in
-  for i = 0 to t.len - 1 do
-    let j = (t.head + i) land mask in
-    f t.vals.(j) ~size:t.sizes.(j)
-  done
-
 let high_water_packets t = t.hw_packets
 
 let high_water_bytes t = t.hw_bytes

@@ -41,10 +41,6 @@ val length : 'a t -> int
 
 val bytes : 'a t -> int
 
-val iter : 'a t -> ('a -> size:int -> unit) -> unit
-(** Visit every element oldest-first with its recorded size, without
-    allocating. The queue must not be mutated during iteration. *)
-
 val high_water_packets : 'a t -> int
 (** Maximum simultaneous occupancy (packets) observed since the last
     {!recycle} (or creation). *)

@@ -36,8 +36,8 @@ type kind =
             marker belongs to the fresh epoch. The receiver reinitializes
             once it has reached the reset marker on every channel. *)
     m_epoch : int;
-        (** Sender incarnation number. Graceful resets (retune, resume,
-            add/remove) keep the epoch; only a crash-restart increments it.
+        (** Sender incarnation number. Graceful resets (retune and resume)
+            keep the epoch; only a crash-restart increments it.
             A receiver that sees a marker from a later epoch knows the
             sender lost all striping state: buffered pre-crash data on that
             channel is stale and the channel must join the crash reset

@@ -1,7 +1,7 @@
 (* Tests for adaptive striping (PROTOCOL.md §11): live quantum
    retuning with DC rescale, the goodput probe and its retune planner,
-   hot bundle add/remove riding the §5 reset barrier, and the
-   scheduler/watchdog bugfixes that shipped with the feature. *)
+   the retune riding the §5 reset barrier, and the scheduler/watchdog
+   bugfixes that shipped with the feature. *)
 
 open Stripe_core
 open Stripe_packet
@@ -51,8 +51,7 @@ let test_retune_validates () =
   let d = Srr.create ~max_packet:1500 ~quanta:[| 1500; 1500 |] () in
   Alcotest.check_raises "width mismatch"
     (Invalid_argument
-       "Deficit.retune: quanta length must match n_channels (resize with \
-        add_channel/remove_channel)") (fun () ->
+       "Deficit.retune: quanta length must match n_channels") (fun () ->
       Deficit.retune d ~quanta:[| 1500 |]);
   Alcotest.check_raises "quantum below max packet"
     (Invalid_argument
@@ -159,21 +158,6 @@ let test_rate_probe_ewma () =
   Alcotest.(check int) "two samples" 2 (Rate_probe.samples p);
   Alcotest.(check (float 1e-6)) "silent channel has no estimate" 0.0
     (Rate_probe.rate_bps p 1)
-
-let test_rate_probe_resize () =
-  let p = Rate_probe.create ~n:2 () in
-  Rate_probe.sample p ~now:0.0;
-  Rate_probe.observe p ~channel:0 ~bytes:1000;
-  Rate_probe.observe p ~channel:1 ~bytes:2000;
-  Rate_probe.sample p ~now:1.0;
-  Alcotest.(check int) "new channel index" 2 (Rate_probe.add_channel p);
-  Alcotest.(check int) "widened" 3 (Rate_probe.n_channels p);
-  Alcotest.(check (float 1e-6)) "newcomer starts unseeded" 0.0
-    (Rate_probe.rate_bps p 2);
-  Rate_probe.remove_channel p 0;
-  Alcotest.(check int) "narrowed" 2 (Rate_probe.n_channels p);
-  Alcotest.(check (float 1e-6)) "survivor estimate shifted down" 16_000.0
-    (Rate_probe.rate_bps p 0)
 
 let test_rate_probe_reset_channel_forgets_outage () =
   (* A channel estimated at 10 Mbps goes silent: every outage window
@@ -395,88 +379,8 @@ let test_marker_cadence_adopts_up () =
     (Resequencer.dead_declarations t.reseq > deaths0)
 
 (* ------------------------------------------------------------------ *)
-(* Hot retune / add / remove through the reset barrier                 *)
+(* Hot retune through the reset barrier                                *)
 (* ------------------------------------------------------------------ *)
-
-(* A queue-wire harness with *live membership*: [tx_map] maps engine
-   channels to wires on the send side (respliced the moment the striper
-   resizes), [rx_map] maps wires back to receiver channels and switches
-   only when the resequencer adopts the staged transition at its
-   barrier — the same two-view discipline Stripe_layer uses, driven by
-   [Resequencer.on_transition_adopted]. *)
-let test_hot_add_remove_stays_fifo () =
-  let engine = Srr.create ~quanta:[| 1000; 1000 |] () in
-  let wires = Array.init 4 (fun _ -> Queue.create ()) in
-  let tx_map = ref [| 0; 1 |] in
-  let rx_map = ref [| 0; 1 |] in
-  let delivered = ref [] in
-  let reseq =
-    Resequencer.create
-      ~deficit:(Deficit.clone_initial engine)
-      ~deliver:(fun ~channel:_ p -> delivered := p.Packet.seq :: !delivered)
-      ()
-  in
-  Resequencer.on_transition_adopted reseq (fun () -> rx_map := !tx_map);
-  let striper =
-    Striper.create
-      ~scheduler:(Scheduler.of_deficit ~name:"SRR" engine)
-      ~marker:(Marker.make ~every_rounds:2 ())
-      ~emit:(fun ~channel pkt -> Queue.add pkt wires.((!tx_map).(channel)))
-      ()
-  in
-  let shuttle () =
-    Array.iteri
-      (fun w q ->
-        Queue.iter
-          (fun pkt ->
-            (* Resolve the wire per packet: [rx_map] may switch while
-               this very queue drains (the hook fires inside receive). *)
-            let c = ref (-1) in
-            Array.iteri (fun i wid -> if wid = w then c := i) !rx_map;
-            if !c >= 0 then Resequencer.receive reseq ~channel:!c pkt)
-          q;
-        Queue.clear q)
-      wires
-  in
-  let seq = ref 0 in
-  let push k =
-    for _ = 1 to k do
-      Striper.push striper (Packet.data ~seq:!seq ~size:900 ());
-      incr seq
-    done
-  in
-  push 40;
-  shuttle ();
-  (* Hot add: both views widen immediately — the receiver must demux
-     the newcomer's reset marker to complete the barrier. *)
-  tx_map := [| 0; 1; 2 |];
-  rx_map := [| 0; 1; 2 |];
-  Alcotest.(check int) "receiver stages the add" 2
-    (Resequencer.add_channel reseq ~quantum:1000);
-  Alcotest.(check int) "striper widens" 2
-    (Striper.add_channel striper ~quantum:1000);
-  push 60;
-  shuttle ();
-  Alcotest.(check bool) "add adopted at its barrier" false
-    (Resequencer.transition_pending reseq);
-  Alcotest.(check bool) "newcomer carried traffic" true
-    (Striper.channel_bytes striper 2 > 0);
-  (* Hot remove of channel 0: stage the receiver, let the striper emit
-     the goodbye barrier under the old map, then resplice the send
-     side. [rx_map] keeps the old numbering until the barrier adopts. *)
-  Resequencer.remove_channel reseq 0;
-  Striper.remove_channel striper 0;
-  tx_map := [| 1; 2 |];
-  push 50;
-  shuttle ();
-  Alcotest.(check bool) "remove adopted at its barrier" false
-    (Resequencer.transition_pending reseq);
-  Alcotest.(check (array int)) "receive map respliced at adoption" [| 1; 2 |]
-    !rx_map;
-  Alcotest.(check int) "two barriers total" 2 (Resequencer.resets reseq);
-  Alcotest.(check (list int)) "delivery FIFO across add and remove"
-    (List.init 150 Fun.id)
-    (List.rev !delivered)
 
 let test_one_transition_per_barrier () =
   let engine = Srr.create ~quanta:[| 1000; 1000 |] () in
@@ -486,11 +390,11 @@ let test_one_transition_per_barrier () =
       ~deliver:(fun ~channel:_ _ -> ())
       ()
   in
-  ignore (Resequencer.add_channel reseq ~quantum:1000);
-  Alcotest.check_raises "second transition while one is staged"
+  Resequencer.retune reseq ~quanta:[| 2000; 1000 |];
+  Alcotest.check_raises "second retune while one is staged"
     (Invalid_argument
-       "Resequencer.retune: a transition is already staged (one per barrier)")
-    (fun () -> Resequencer.retune reseq ~quanta:[| 2000; 1000 |])
+       "Resequencer.retune: a retune is already staged (one per barrier)")
+    (fun () -> Resequencer.retune reseq ~quanta:[| 1000; 2000 |])
 
 let test_retune_rides_barrier_end_to_end () =
   let engine = Srr.create ~quanta:[| 1000; 1000 |] () in
@@ -557,7 +461,6 @@ let suites =
         Alcotest.test_case "resume clears DC" `Quick
           test_resume_clears_stale_deficit;
         Alcotest.test_case "probe ewma" `Quick test_rate_probe_ewma;
-        Alcotest.test_case "probe resize" `Quick test_rate_probe_resize;
         Alcotest.test_case "probe reset forgets outage" `Quick
           test_rate_probe_reset_channel_forgets_outage;
         Alcotest.test_case "plan outside band" `Quick
@@ -570,8 +473,6 @@ let suites =
           test_barrier_reseeds_marker_cadence;
         Alcotest.test_case "cadence adopts up" `Quick
           test_marker_cadence_adopts_up;
-        Alcotest.test_case "hot add/remove FIFO" `Quick
-          test_hot_add_remove_stays_fifo;
         Alcotest.test_case "one transition per barrier" `Quick
           test_one_transition_per_barrier;
         Alcotest.test_case "retune rides barrier" `Quick

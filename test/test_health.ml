@@ -298,28 +298,17 @@ let test_reinstated_probe_survives_clean_window () =
 (* Channel lifecycle                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_add_remove_reset_channel () =
+let test_reset_channel () =
   let h = Health.create ~config:fast ~n:2 () in
   bad h 1;
   ignore (Health.sample h ~now:0.05);
   check "ch1 suspect" true (Health.state h 1 = Health.Suspect);
-  check_int "hot add returns the new index" 2 (Health.add_channel h);
-  check_int "grown" 3 (Health.n_channels h);
-  check "new member healthy" true (Health.state h 2 = Health.Healthy);
-  (* Removal shifts higher indices down, mirroring the striper. *)
-  Health.remove_channel h 0;
-  check_int "shrunk" 2 (Health.n_channels h);
-  check "suspect record followed the shift" true
-    (Health.state h 0 = Health.Suspect);
-  Health.reset_channel h 0;
+  Health.reset_channel h 1;
   check "reset is a clean sheet" true
-    (Health.state h 0 = Health.Healthy
-    && Health.score h 0 = 0.0
-    && Health.flaps h 0 = 0);
-  Alcotest.check_raises "cannot remove the last channel"
-    (Invalid_argument "Health.remove_channel: last channel") (fun () ->
-      Health.remove_channel h 0;
-      Health.remove_channel h 0)
+    (Health.state h 1 = Health.Healthy
+    && Health.score h 1 = 0.0
+    && Health.flaps h 1 = 0);
+  check "other channel untouched" true (Health.state h 0 = Health.Healthy)
 
 let test_observe_validation () =
   let h = Health.create ~n:1 () in
@@ -421,11 +410,10 @@ let test_spec_errors_carry_positions () =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Random interleavings of evidence windows with hot channel
-   add/remove/reset: sampling never raises, scores stay in [0,1],
-   quantum scales match states, and with every link vouched live the
-   guard keeps at least one channel unquarantined — whatever the
-   evidence and the membership churn say. *)
+(* Random interleavings of evidence windows with channel resets:
+   sampling never raises, scores stay in [0,1], quantum scales match
+   states, and with every link vouched live the guard keeps at least one
+   channel unquarantined — whatever the evidence says. *)
 let prop_guard_never_zeroes_membership =
   QCheck.Test.make ~name:"health: guard keeps one live channel" ~count:100
     QCheck.(
@@ -435,23 +423,12 @@ let prop_guard_never_zeroes_membership =
       let now = ref 0.0 in
       List.iter
         (fun tok ->
-          let n = Health.n_channels h in
-          let c = tok mod n in
-          (* Weighted ops: mostly evidence windows, sprinkled with the
-             hot-membership operations of PR 5. *)
-          (match tok mod 10 with
+          let c = tok mod n0 in
+          (* Weighted ops: mostly evidence windows, sprinkled with
+             resets. *)
+          (match tok mod 8 with
           | 0 | 1 | 2 | 3 -> bad h c
           | 4 | 5 | 6 -> clean h c
-          | 7 -> if n < 6 then ignore (Health.add_channel h)
-          | 8 ->
-            (* A sane caller never unplugs the last working member;
-               the guard can only defer quarantines, not removals. *)
-            let others_ok = ref false in
-            for i = 0 to n - 1 do
-              if i <> c && Health.state h i <> Health.Quarantined then
-                others_ok := true
-            done;
-            if n > 1 && !others_ok then Health.remove_channel h c
           | _ -> Health.reset_channel h c);
           now := !now +. 0.05;
           ignore (Health.sample h ~now:!now);
@@ -633,8 +610,7 @@ let suites =
           test_last_live_guard_defers;
         Alcotest.test_case "reinstated probe, clean window" `Quick
           test_reinstated_probe_survives_clean_window;
-        Alcotest.test_case "add/remove/reset channel" `Quick
-          test_add_remove_reset_channel;
+        Alcotest.test_case "reset channel" `Quick test_reset_channel;
         Alcotest.test_case "observe validation" `Quick test_observe_validation;
         Alcotest.test_case "parse full spec" `Quick test_parse_spec_full;
         Alcotest.test_case "parse defaults and validation" `Quick

@@ -206,10 +206,7 @@ let build_stripe_pair sim ~rates =
   let engine = Stripe_core.Srr.for_rates ~rates_bps:rates ~quantum_unit:1500 () in
   let sched = Stripe_core.Scheduler.of_deficit ~name:"SRR" engine in
   (* The wires are simplex (sender -> receiver), so the sender's receive
-     path never sees a frame: disable its resequencer. With it enabled, a
-     membership change would stage a receive-side transition whose
-     barrier (the peer's matching reset) can never arrive on a
-     one-directional harness. *)
+     path never sees a frame: it needs no resequencer. *)
   let tx_layer =
     Stripe_layer.create ~name:"stripe0" ~members:tx_members ~scheduler:sched
       ~marker:(Stripe_core.Marker.make ~every_rounds:4 ())
@@ -263,15 +260,14 @@ let test_stripe_layer_end_to_end () =
      Stripe_core.Striper.channel_bytes s 0 > 0
      && Stripe_core.Striper.channel_bytes s 1 > 0)
 
-(* Live bundle membership (PROTOCOL.md §11): grow from two members to
-   three mid-stream, then remove the original first member, with traffic
-   in every phase. Both layers perform the matching change (symmetric
-   configuration), receive side first so its resequencer is staged
-   before the sender's barrier arrives; delivery must stay FIFO
-   throughout and the newcomer must actually carry load. *)
-let test_stripe_layer_hot_add_remove () =
+(* A bundle's width is fixed at creation: a sender restart handed a
+   vector of another width must refuse it before the crash is recorded
+   or any striping state changes, and the bundle must keep striping at
+   its own width. A restart at the right width then goes through, and
+   delivery stays FIFO across both. *)
+let test_stripe_layer_wrong_width_restart () =
   let sim = Sim.create () in
-  let sender, receiver, tx_layer, rx_layer =
+  let sender, receiver, tx_layer, _rx_layer =
     build_stripe_pair sim ~rates:[| 10e6; 10e6 |]
   in
   let seqs = ref [] in
@@ -286,26 +282,27 @@ let test_stripe_layer_hot_add_remove () =
     done;
     Sim.run sim
   in
+  let striper = Stripe_layer.striper tx_layer in
   send_burst 0 199;
-  let tx3, rx3 =
-    make_wire sim ~rate_bps:10e6 ~mtu:1500
-  in
-  Alcotest.(check int) "new member index (rx)" 2
-    (Stripe_layer.add_member rx_layer ~quantum:1500 rx3);
-  Alcotest.(check int) "new member index (tx)" 2
-    (Stripe_layer.add_member tx_layer ~quantum:1500 tx3);
+  let markers = Stripe_layer.markers_sent tx_layer in
+  Alcotest.check_raises "a 3-wide vector on a 2-wide bundle"
+    (Invalid_argument
+       "Deficit.reconfigure: 3 quanta for a 2-channel engine") (fun () ->
+      Stripe_layer.crash_restart_sender tx_layer
+        ~quanta:[| 1500; 1500; 1500 |]);
+  Alcotest.(check int) "no new incarnation" 0
+    (Stripe_core.Striper.epoch striper);
+  Alcotest.(check int) "no reset barrier sent" markers
+    (Stripe_layer.markers_sent tx_layer);
+  Alcotest.(check int) "still two channels wide" 2
+    (Stripe_core.Scheduler.n_channels (Stripe_core.Striper.scheduler striper));
   send_burst 200 399;
-  Alcotest.(check int) "three members" 3 (Stripe_layer.n_members tx_layer);
-  Alcotest.(check bool) "newcomer carried traffic" true
-    (Stripe_core.Striper.channel_bytes (Stripe_layer.striper tx_layer) 2 > 0);
-  Stripe_layer.remove_member rx_layer 0;
-  Stripe_layer.remove_member tx_layer 0;
+  Stripe_layer.crash_restart_sender tx_layer ~quanta:[| 1500; 1500 |];
+  Alcotest.(check int) "a same-width restart goes through" 1
+    (Stripe_core.Striper.epoch striper);
   send_burst 400 599;
-  Alcotest.(check int) "two members left" 2 (Stripe_layer.n_members tx_layer);
-  Alcotest.(check (list int)) "FIFO across add and remove"
-    (List.init 600 Fun.id) (List.rev !seqs);
-  Alcotest.(check int) "every datagram accounted" 600
-    (Stripe_layer.delivered_datagrams rx_layer)
+  Alcotest.(check (list int)) "FIFO across the refused and the real restart"
+    (List.init 600 Fun.id) (List.rev !seqs)
 
 let test_stripe_layer_mtu_is_min () =
   let sim = Sim.create () in
@@ -467,8 +464,8 @@ let suites =
         Alcotest.test_case "iface mtu" `Quick test_iface_mtu_enforced;
         Alcotest.test_case "arp failure" `Quick test_arp_failure_counted;
         Alcotest.test_case "stripe end-to-end" `Quick test_stripe_layer_end_to_end;
-        Alcotest.test_case "stripe hot add/remove" `Quick
-          test_stripe_layer_hot_add_remove;
+        Alcotest.test_case "stripe wrong-width restart" `Quick
+          test_stripe_layer_wrong_width_restart;
         Alcotest.test_case "stripe mtu min" `Quick test_stripe_layer_mtu_is_min;
         Alcotest.test_case "stripe carrier" `Quick test_stripe_layer_carrier;
         Alcotest.test_case "stripe no-reseq variant" `Quick

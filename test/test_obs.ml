@@ -24,18 +24,32 @@ let test_event_csv () =
   Alcotest.(check string) "row with sentinel fields"
     "0.250000000,drop,0,-1,0,-1,-1" (Obs.Event.to_csv e)
 
+(* Every kind. The length check against [n_kinds] fails when a kind is
+   added to the type but not here. *)
+let all_kinds =
+  Obs.Event.
+    [
+      Enqueue; Dequeue; Transmit; Drop; Txq_drop; Arrival; Marker_sent;
+      Marker_applied; Skip; Block; Unblock; Reset_barrier; Deliver; Round;
+      Channel_down; Channel_up; Watchdog_skip; Suspend; Resume; Dup_discard;
+      Reorder_restore; Corrupt_discard; Buffer_overflow; Retune; Crash;
+      Restart; Epoch_discard; Violation; Health_suspect; Probation;
+      Quarantine; Reinstate;
+    ]
+
 let test_kind_names_roundtrip () =
+  Alcotest.(check int) "every kind listed" Obs.Event.n_kinds
+    (List.length all_kinds);
   List.iter
     (fun k ->
       let name = Obs.Event.kind_name k in
       match Obs.Event.kind_of_name name with
       | Some k' -> Alcotest.(check bool) name true (k = k')
       | None -> Alcotest.failf "kind %s does not parse back" name)
-    Obs.Event.
-      [
-        Enqueue; Dequeue; Transmit; Drop; Txq_drop; Arrival; Marker_sent;
-        Marker_applied; Skip; Block; Unblock; Reset_barrier; Deliver; Round;
-      ];
+    all_kinds;
+  Alcotest.(check (list int)) "kind_index is one-to-one onto 0 .. n_kinds - 1"
+    (List.init Obs.Event.n_kinds Fun.id)
+    (List.sort compare (List.map Obs.Event.kind_index all_kinds));
   Alcotest.(check bool) "unknown name rejected" true
     (Obs.Event.kind_of_name "bogus" = None)
 

@@ -360,36 +360,32 @@ let test_round_low_skips () =
   Alcotest.(check bool) "the skip rule recovers" true
     (List.sort compare tail = tail)
 
-(* A restart while a width change is staged drops the transition: the
-   receiver comes back at the engine's width, refuses the staged
-   channel, and the next reset barrier resynchronizes it with the
-   sender, which never changed width. *)
-let test_restart_drops_staged_width ~restart ~stage () =
+(* A restart while a retune is staged drops it: the receiver comes back
+   on the engine's own quanta, and the next reset barrier resynchronizes
+   it with the sender, which never retuned. Had the staged vector
+   survived, that barrier would adopt it and misorder the stream. *)
+let test_restart_drops_staged_retune ~restart () =
   let pair = marked_pair () in
   let rng = Stripe_netsim.Rng.create 2 in
   Pair.send pair (List.init 40 (fun _ -> 1000));
   Pair.shuttle ~rng pair;
-  stage pair.reseq;
+  Resequencer.retune pair.reseq ~quanta:[| 3000; 1000 |];
   Alcotest.(check bool) "staged" true
     (Resequencer.transition_pending pair.reseq);
   restart pair.reseq;
-  Alcotest.(check bool) "transition dropped" false
+  Alcotest.(check bool) "retune dropped" false
     (Resequencer.transition_pending pair.reseq);
-  Alcotest.check_raises "back at the engine's width"
-    (Invalid_argument "Resequencer.receive: bad channel") (fun () ->
-      Resequencer.receive pair.reseq ~channel:2
-        (Packet.data ~seq:0 ~size:10 ()));
   pair.delivered := [];
   Striper.send_reset pair.striper;
   Pair.send ~first:1000 pair (List.init 300 (fun _ -> 1000));
   Pair.shuttle ~rng pair;
+  Alcotest.(check bool) "still on the sender's quanta" true
+    (Resequencer.has_quanta pair.reseq [| 1000; 1000 |]);
   Alcotest.(check (list int)) "all 300 in order after the barrier"
     (List.init 300 (( + ) 1000))
     (Pair.delivered pair)
 
 let crash r = ignore (Resequencer.crash_restart r)
-let stage_add r = ignore (Resequencer.add_channel r ~quantum:1000)
-let stage_remove r = Resequencer.remove_channel r 0
 
 let suites =
   [
@@ -414,16 +410,10 @@ let suites =
           test_round_high_reanchors;
         Alcotest.test_case "round dropped low skips" `Quick
           test_round_low_skips;
-        Alcotest.test_case "crash_restart drops a staged add" `Quick
-          (test_restart_drops_staged_width ~restart:crash ~stage:stage_add);
-        Alcotest.test_case "crash_restart drops a staged remove" `Quick
-          (test_restart_drops_staged_width ~restart:crash ~stage:stage_remove);
-        Alcotest.test_case "recycle drops a staged add" `Quick
-          (test_restart_drops_staged_width ~restart:Resequencer.recycle
-             ~stage:stage_add);
-        Alcotest.test_case "recycle drops a staged remove" `Quick
-          (test_restart_drops_staged_width ~restart:Resequencer.recycle
-             ~stage:stage_remove);
+        Alcotest.test_case "crash_restart drops a staged retune" `Quick
+          (test_restart_drops_staged_retune ~restart:crash);
+        Alcotest.test_case "recycle drops a staged retune" `Quick
+          (test_restart_drops_staged_retune ~restart:Resequencer.recycle);
         QCheck_alcotest.to_alcotest prop_theorem41;
         QCheck_alcotest.to_alcotest prop_recovery;
       ] );

@@ -37,6 +37,41 @@ let test_rejects_marker_push () =
     (fun () ->
       Striper.push striper (Packet.marker ~channel:0 ~round:0 ~dc:1 ~born:0.0 ()))
 
+(* A restart cannot change the bundle's width: a 3-entry vector handed
+   to a 2-channel striper is refused before the crash is recorded or any
+   state moves, and the striper keeps striping at its own width. *)
+let test_crash_restart_rejects_wrong_width () =
+  let sink = Stripe_obs.Sink.collector () in
+  let sched = Scheduler.srr ~quanta:[| 500; 500 |] () in
+  let log = ref [] in
+  let striper =
+    Striper.create ~scheduler:sched ~marker:(Marker.make ~every_rounds:2 ())
+      ~sink
+      ~emit:(fun ~channel packet -> log := { channel; packet } :: !log)
+      ()
+  in
+  feed striper [ 550; 200; 400 ];
+  let events = List.length (Stripe_obs.Sink.events sink) in
+  let emitted = List.length !log in
+  let d = Option.get (Scheduler.deficit sched) in
+  let round = Deficit.round d and current = Deficit.current d in
+  Alcotest.check_raises "width mismatch named"
+    (Invalid_argument "Deficit.reconfigure: 3 quanta for a 2-channel engine")
+    (fun () -> Striper.crash_restart ~quanta:[| 500; 500; 500 |] striper);
+  Alcotest.(check int) "no event emitted" events
+    (List.length (Stripe_obs.Sink.events sink));
+  Alcotest.(check int) "nothing sent" emitted (List.length !log);
+  Alcotest.(check int) "epoch unchanged" 0 (Striper.epoch striper);
+  Alcotest.(check int) "width unchanged" 2 (Deficit.n_channels d);
+  Alcotest.(check (array int)) "quanta unchanged" [| 500; 500 |]
+    (Deficit.quanta d);
+  Alcotest.(check (pair int int)) "pointer unchanged" (round, current)
+    (Deficit.round d, Deficit.current d);
+  Striper.send_reset striper;
+  feed striper [ 300; 400 ];
+  Alcotest.(check bool) "the barrier and later data stay on the bundle" true
+    (List.for_all (fun e -> e.channel = 0 || e.channel = 1) !log)
+
 let test_marker_requires_cfq () =
   Alcotest.check_raises "marker policy on non-causal scheduler"
     (Invalid_argument
@@ -268,6 +303,8 @@ let suites =
       [
         Alcotest.test_case "dispatch counters" `Quick test_dispatch_counters;
         Alcotest.test_case "rejects marker push" `Quick test_rejects_marker_push;
+        Alcotest.test_case "restart rejects another width" `Quick
+          test_crash_restart_rejects_wrong_width;
         Alcotest.test_case "marker requires cfq" `Quick test_marker_requires_cfq;
         Alcotest.test_case "marker frequency" `Quick test_marker_frequency;
         Alcotest.test_case "round start position" `Quick
