@@ -150,23 +150,6 @@ let receive t ~channel ~tag pkt =
     shed_overflow t ~channel ch
   end
 
-(* Pool-recycle reset: drop everything held (the old bundle's stream is
-   gone — releasing it to the new owner would interleave two bundles)
-   and restart every channel's tags and all counters. The deliver
-   callback and sink are slot state and are kept. *)
-let recycle t =
-  Array.iter
-    (fun ch ->
-      ch.next <- 0;
-      Hashtbl.reset ch.held)
-    t.chans;
-  t.n_forwarded <- 0;
-  t.n_dups <- 0;
-  t.n_restores <- 0;
-  t.n_corrupt <- 0;
-  t.n_held <- 0;
-  t.hw_held <- 0
-
 let flush t =
   Array.iteri
     (fun channel ch ->

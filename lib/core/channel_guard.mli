@@ -64,13 +64,6 @@ val receive : t -> channel:int -> tag:int -> Stripe_packet.Packet.t -> unit
 (** Process one physical arrival carrying the sender's [tag]. In-order
     arrivals forward immediately (no allocation, no event). *)
 
-val recycle : t -> unit
-(** Re-arm the guard for a fresh bundle, in place: everything still held
-    is {e discarded} (it belonged to the previous bundle's stream — a
-    {!flush} would deliver it to the wrong owner), tags restart at 0 on
-    every channel, and all counters reset. The [deliver] callback and
-    sink are kept. Pairs with {!Tx.reset} on the sender side. *)
-
 val flush : t -> unit
 (** Declare every outstanding gap lost and release everything held, in
     tag order (end of run, or a timer deciding the gaps will never

@@ -59,30 +59,45 @@ val packet_for :
     The two marker decisions every sender makes, shared by
     {!Striper} and the fleet's slot engines so the cadence and the
     barrier exist once. The caller keeps its counters and its epoch/gen
-    storage and hands in [send], its transmit function; [now] is read
-    only when markers go out. Neither function allocates beyond the
-    marker packets themselves. *)
+    storage and hands in [send], its transmit function. The step hands
+    [send] each marker's {e stamp}, not a packet: a sender whose
+    markers ride a [Link] builds the packet in its [send] ({!Striper},
+    with one clock reading for a batch), and one whose wire only queues
+    them writes the stamp down (the fleet's [Bundle_pool]). Neither
+    function allocates or reads a clock. *)
+
+type send =
+  channel:int -> round:int -> dc:int -> credit:int -> reset:bool -> epoch:int ->
+  gen:int -> unit
+(** A transmit function for one marker: the channel it goes on, the
+    (round, DC) of that channel's next data packet, the piggybacked
+    credit ({!Stripe_packet.Packet.no_credit} for none), whether it is a
+    reset marker, and the sender's epoch and barrier generation — the
+    fields of {!Stripe_packet.Packet.Marker} but the checksum, which is
+    a function of them ({!Stripe_packet.Packet.marker_checksum_of}). *)
+
+val send_stamp :
+  policy -> Deficit.t -> epoch:int -> gen:int -> channel:int -> send:send ->
+  unit
+(** One periodic marker: hands [send] channel [channel]'s stamp, the
+    stamp {!packet_for} would build a packet around. *)
 
 val batch :
-  policy -> Deficit.t -> next:int -> epoch:int -> gen:int ->
-  now:(unit -> float) ->
-  send:(channel:int -> Stripe_packet.Packet.t -> unit) -> int
+  policy -> Deficit.t -> next:int -> epoch:int -> gen:int -> send:send -> int
 (** [batch policy d ~next ...] is the periodic marker batch (§5). [next]
     is the first round that gets markers; if the engine's round is below
     it, nothing is sent and [next] is returned. Otherwise one marker
-    ({!packet_for}) goes to every channel that is not suspended, in
+    ({!send_stamp}) goes to every channel that is not suspended, in
     channel order, and the result is the next marked round: the
     following multiple of [policy.every_rounds]. Call it right after a
     push wrapped the engine into a new round for [Round_end] markers, or
     after the select for [Round_start] ones. *)
 
-val reset_barrier :
-  Deficit.t -> epoch:int -> gen:int -> now:(unit -> float) ->
-  send:(channel:int -> Stripe_packet.Packet.t -> unit) -> int
+val reset_barrier : Deficit.t -> epoch:int -> gen:int -> send:send -> int
 (** [reset_barrier d ~epoch ~gen ...] is the §5 reset barrier:
     {!Deficit.reinit} (which adopts a staged retune; suspensions
     survive), then one reset marker to {e every} channel, in order from
-    channel 0, stamped with the fresh engine's next (round, DC) and with
-    [epoch] and [gen] — the caller bumps [gen] first. The result is the
-    first marked round of the restarted cadence, to store as the next
-    [~next] of {!batch}. *)
+    channel 0, stamped with the fresh engine's next (round, DC), no
+    credit, and [epoch] and [gen] — the caller bumps [gen] first. The
+    result is the first marked round of the restarted cadence, to store
+    as the next [~next] of {!batch}. *)

@@ -10,10 +10,21 @@ type overflow =
 (* [force_round] entry of a channel with no pending marker stamp. *)
 let no_stamp = min_int
 
+(* Ints per channel in [stamps] at first: one queued marker's five. *)
+let stamp_cap = 5
+
 type t = {
   d : Deficit.t;
   n : int;  (* The engine's width, fixed at [create]. *)
   buffers : Packet.t Fifo_queue.t array;
+      (* Each channel's stream in arrival order: data packets, and
+         [Packet.marker_sentinel] where a marker arrived. *)
+  stamps : Int_rings.t;
+      (* Ring [c] holds the stamps of the markers in [buffers.(c)], in
+         their order: round, DC, reset (0 or 1), epoch, generation. A
+         marker is queued as a stamp, not a packet, so applying one
+         allocates nothing however it arrived; whatever pops a sentinel
+         off a buffer pops its stamp here too. *)
   mutable staged : int array option;
       (* A sender retune staged until the matching §5 reset barrier
          completes, when the simulated engine adopts the vector. One in
@@ -159,9 +170,9 @@ let clear_stamps t = Array.fill t.force_round 0 t.n no_stamp
 (* Reseed the watchdog's marker-cadence estimate: until two markers
    arrive on a channel, [wd.fallback] stands in. *)
 let reseed_cadence t =
-  Array.fill t.marker_gap 0 t.n 0.0;
-  Array.fill t.gap_suspect 0 t.n 0.0;
-  Array.fill t.last_marker_rx 0 t.n neg_infinity
+  Array.fill t.marker_gap 0 (Array.length t.marker_gap) 0.0;
+  Array.fill t.gap_suspect 0 (Array.length t.gap_suspect) 0.0;
+  Array.fill t.last_marker_rx 0 (Array.length t.last_marker_rx) neg_infinity
 
 let create ~deficit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     ?watchdog ?budget_bytes ?(overflow = Drop_newest) ?on_pressure ~deliver ()
@@ -175,10 +186,14 @@ let create ~deficit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     invalid_arg "Resequencer.create: budget_bytes must be positive"
   | Some _ | None -> ());
   let n = Deficit.n_channels deficit in
+  (* Only the watchdog reads the arrival and cadence times: without one
+     they are empty, and creating reads no clock. *)
+  let wd_n = if watchdog = None then 0 else n in
   {
     d = deficit;
     n;
     buffers = Array.init n (fun _ -> Fifo_queue.create ());
+    stamps = Int_rings.create ~rings:n ~cap:stamp_cap;
     staged = None;
     budget = budget_bytes;
     overflow;
@@ -193,10 +208,10 @@ let create ~deficit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     now;
     sink;
     wd = watchdog;
-    last_rx = Array.make n (now ());
-    last_marker_rx = Array.make n neg_infinity;
-    marker_gap = Array.make n 0.0;
-    gap_suspect = Array.make n 0.0;
+    last_rx = (if wd_n = 0 then [||] else Array.make n (now ()));
+    last_marker_rx = Array.make wd_n neg_infinity;
+    marker_gap = Array.make wd_n 0.0;
+    gap_suspect = Array.make wd_n 0.0;
     dead = Array.make n false;
     n_data_buffered = 0;
     n_delivered = 0;
@@ -242,6 +257,7 @@ let cold_start t ~empty ~epoch =
   Deficit.restart t.d;
   t.staged <- None;
   Array.iter empty t.buffers;
+  Int_rings.clear_all t.stamps;
   clear_stamps t;
   reseed_cadence t;
   Array.fill t.force_dc 0 t.n 0;
@@ -426,31 +442,34 @@ let note_reset_pending t c ~epoch ~gen =
 let reset_stale t ~epoch ~gen =
   gen > 0 && (epoch < t.rx_epoch || (epoch = t.rx_epoch && gen <= t.rx_gen))
 
-(* A marker taken off the head of [c]'s stream: a plain marker stamps
-   the channel; a reset marker parks it at the barrier, unless it is a
+(* A marker taken off the head of [c]'s stream — the caller popped its
+   sentinel; its stamp is popped here: a plain marker stamps the
+   channel; a reset marker parks it at the barrier, unless it is a
    stale copy, which is absorbed. Returns whether [c] parked. The stamp
-   is recorded for the channel whose buffer the marker was drawn from,
-   not [m_channel]: the arrival port is ground truth (a real receiver
-   knows which wire a packet came in on), whereas the payload field
-   could in principle be damaged in flight. *)
-let take_marker t c (pkt : Packet.t) =
-  match pkt.kind with
-  | Data -> false
-  | Marker m ->
-    count_marker t c ~round:m.m_round ~dc:m.m_dc;
-    if not m.m_reset then begin
-      t.force_round.(c) <- m.m_round;
-      t.force_dc.(c) <- m.m_dc;
-      false
-    end
-    else if reset_stale t ~epoch:m.m_epoch ~gen:m.m_gen then begin
-      t.n_stale_resets <- t.n_stale_resets + 1;
-      false
-    end
-    else begin
-      note_reset_pending t c ~epoch:m.m_epoch ~gen:m.m_gen;
-      true
-    end
+   is recorded for the channel whose buffer the marker was drawn from:
+   the arrival port is ground truth (a real receiver knows which wire a
+   packet came in on). *)
+let take_marker t c =
+  let s = t.stamps in
+  let round = Int_rings.pop s c in
+  let dc = Int_rings.pop s c in
+  let reset = Int_rings.pop s c <> 0 in
+  let epoch = Int_rings.pop s c in
+  let gen = Int_rings.pop s c in
+  count_marker t c ~round ~dc;
+  if not reset then begin
+    t.force_round.(c) <- round;
+    t.force_dc.(c) <- dc;
+    false
+  end
+  else if reset_stale t ~epoch ~gen then begin
+    t.n_stale_resets <- t.n_stale_resets + 1;
+    false
+  end
+  else begin
+    note_reset_pending t c ~epoch ~gen;
+    true
+  end
 
 (* Markers take effect in their FIFO position within the channel's
    stream: absorb any markers at the head of the current channel's buffer
@@ -461,10 +480,9 @@ let take_marker t c (pkt : Packet.t) =
 let rec absorb_markers t c =
   let buf = t.buffers.(c) in
   if not (Fifo_queue.is_empty buf) then begin
-    let pkt = Fifo_queue.peek_unsafe buf in
-    if Packet.is_marker pkt then begin
+    if Fifo_queue.peek_unsafe buf == Packet.marker_sentinel then begin
       ignore (Fifo_queue.pop_exn buf);
-      if not (take_marker t c pkt) then absorb_markers t c
+      if not (take_marker t c) then absorb_markers t c
     end
   end
 
@@ -491,6 +509,7 @@ let crash_sync t c ~epoch ~gen =
       flush ()
   in
   flush ();
+  Int_rings.clear t.stamps c;
   if !pkts > 0 then begin
     t.n_data_buffered <- t.n_data_buffered - !pkts;
     t.data_bytes <- t.data_bytes - !bytes;
@@ -775,7 +794,7 @@ let hard_pop t =
   else begin
     let c = !ci in
     let pkt = Fifo_queue.pop_exn t.buffers.(c) in
-    if Packet.is_marker pkt then ignore (take_marker t c pkt)
+    if pkt == Packet.marker_sentinel then ignore (take_marker t c)
     else begin
       t.n_data_buffered <- t.n_data_buffered - 1;
       t.data_bytes <- t.data_bytes - pkt.Packet.size;
@@ -807,11 +826,36 @@ let force_room t ~need ~budget =
   done;
   t.force_need <- 0
 
-let receive t ~channel pkt =
+(* Crash-sync (PROTOCOL.md §12): a valid marker from a later sender
+   epoch is handled eagerly at arrival, not at its FIFO position — its
+   mere existence proves everything buffered ahead of it on this channel
+   is stale, and waiting for the scan to reach it could mean waiting
+   forever (the scan may be blocked on data the crashed sender never
+   sent). Returns whether the marker was absorbed here: the restart's
+   reset marker has done all its work once it flagged the channel and
+   flushed the stale data. A non-reset epoch-advanced marker (the reset
+   marker itself was lost) is queued like any other: once the barrier
+   adopts, it pins the fresh engine at the sender's current position. *)
+let eager_crash_sync t c ~round ~dc ~reset ~epoch ~gen =
+  if epoch > t.ch_epoch.(c) then begin
+    t.ch_epoch.(c) <- epoch;
+    if epoch > t.rx_epoch then begin
+      if epoch > t.pending_epoch then t.pending_epoch <- epoch;
+      crash_sync t c ~epoch ~gen;
+      if reset then count_marker t c ~round ~dc;
+      reset
+    end
+    else false
+  end
+  else false
+
+let receive_marker t ~channel ~round ~dc ~credit ~reset ~epoch ~gen ~cksum =
   if channel < 0 || channel >= t.n then
-    invalid_arg "Resequencer.receive: bad channel";
-  let is_marker = Packet.is_marker pkt in
-  if not (Packet.marker_valid pkt) then begin
+    invalid_arg "Resequencer.receive_marker: bad channel";
+  if
+    cksum
+    <> Packet.marker_checksum_of ~channel ~round ~dc ~credit ~reset ~epoch ~gen
+  then begin
     (* Wire damage the link CRC missed, caught by the marker checksum:
        trusting the stamp would poison the (round, DC) simulation for a
        whole marker interval. Discard — the next good marker
@@ -822,95 +866,79 @@ let receive t ~channel pkt =
     t.n_corrupt_markers <- t.n_corrupt_markers + 1;
     if Obs.Sink.active t.sink then
       Obs.Sink.emit t.sink
-        (Obs.Event.v ~channel ~size:pkt.Packet.size ~time:(t.now ())
+        (Obs.Event.v ~channel ~size:Packet.marker_size ~time:(t.now ())
            Obs.Event.Corrupt_discard);
     progress t
   end
   else begin
-    note_arrival t channel ~is_marker;
+    note_arrival t channel ~is_marker:true;
     t.wd_spin <- 0;
-    if not is_marker then begin
-      let s = pkt.Packet.seq in
-      if s >= 0 then begin
-        let d = if s < t.rd_max_seq then t.rd_max_seq - s else 0 in
-        if d > t.rd_max then t.rd_max <- d;
-        if s > t.rd_max_seq then t.rd_max_seq <- s
-      end
-    end;
-    (* Crash-sync (PROTOCOL.md §12): a valid marker from a later sender
-       epoch is handled eagerly at arrival, not at its FIFO position —
-       its mere existence proves everything buffered ahead of it on this
-       channel is stale, and waiting for the scan to reach it could mean
-       waiting forever (the scan may be blocked on data the crashed
-       sender never sent). *)
-    let consumed_here = ref false in
-    (match pkt.kind with
-    | Data -> ()
-    | Marker m ->
-      let e = m.m_epoch in
-      if e > t.ch_epoch.(channel) then begin
-        t.ch_epoch.(channel) <- e;
-        if e > t.rx_epoch then begin
-          if e > t.pending_epoch then t.pending_epoch <- e;
-          crash_sync t channel ~epoch:e ~gen:m.m_gen;
-          if m.m_reset then begin
-            (* The restart's reset marker has done all its work here:
-               flagging the channel and flushing stale data. Absorb it
-               now instead of buffering it behind nothing. *)
-            consumed_here := true;
-            count_marker t channel ~round:m.m_round ~dc:m.m_dc
-          end
-          (* A non-reset epoch-advanced marker (the reset marker itself
-             was lost) is buffered normally below: once the barrier
-             adopts, it pins the fresh engine at the sender's current
-             position. *)
-        end
-      end);
-    if not !consumed_here then begin
-    let accept =
-      if is_marker then true
-      else
-        match t.budget with
-        | None -> true
-        | Some b when t.data_bytes + pkt.Packet.size <= b -> true
-        | Some b ->
-          t.n_overflows <- t.n_overflows + 1;
-          if Obs.Sink.active t.sink then
-            Obs.Sink.emit t.sink
-              (Obs.Event.v ~channel ~size:pkt.Packet.size ~time:(t.now ())
-                 Obs.Event.Buffer_overflow);
-          (match t.overflow with
-          | Drop_newest ->
-            (* Refusing the arrival is a channel loss like any other:
-               the marker machinery recovers the stream position. *)
-            t.n_overflow_drops <- t.n_overflow_drops + 1;
-            false
-          | Force_flush ->
-            force_room t ~need:pkt.Packet.size ~budget:b;
-            let fits = t.data_bytes + pkt.Packet.size <= b in
-            (* A packet bigger than the whole budget cannot be made to
-               fit; it is dropped like any other overflow. *)
-            if not fits then
-              t.n_overflow_drops <- t.n_overflow_drops + 1;
-            fits)
-    in
-    if accept then begin
-      Fifo_queue.push t.buffers.(channel) ~size:pkt.Packet.size pkt;
-      if not is_marker then begin
-        t.n_data_buffered <- t.n_data_buffered + 1;
-        t.data_bytes <- t.data_bytes + pkt.Packet.size;
-        if t.data_bytes > t.max_data_bytes then
-          t.max_data_bytes <- t.data_bytes;
-        update_pressure t;
-        if Obs.Sink.active t.sink then
-          Obs.Sink.emit t.sink
-            (Obs.Event.v ~channel ~size:pkt.Packet.size ~seq:pkt.Packet.seq
-               ~time:(t.now ()) Obs.Event.Enqueue)
-      end
-    end
+    (* Markers are always accepted, whatever the budget (see [budget]). *)
+    if not (eager_crash_sync t channel ~round ~dc ~reset ~epoch ~gen) then begin
+      Fifo_queue.push t.buffers.(channel) ~size:Packet.marker_size
+        Packet.marker_sentinel;
+      let s = t.stamps in
+      Int_rings.push s channel round;
+      Int_rings.push s channel dc;
+      Int_rings.push s channel (if reset then 1 else 0);
+      Int_rings.push s channel epoch;
+      Int_rings.push s channel gen
     end;
     progress t
   end
+
+let receive t ~channel pkt =
+  if channel < 0 || channel >= t.n then
+    invalid_arg "Resequencer.receive: bad channel";
+  match pkt.Packet.kind with
+  | Marker m ->
+    receive_marker t ~channel ~round:m.m_round ~dc:m.m_dc ~credit:m.m_credit
+      ~reset:m.m_reset ~epoch:m.m_epoch ~gen:m.m_gen ~cksum:m.m_cksum
+  | Data ->
+    note_arrival t channel ~is_marker:false;
+    t.wd_spin <- 0;
+    let s = pkt.Packet.seq in
+    if s >= 0 then begin
+      let d = if s < t.rd_max_seq then t.rd_max_seq - s else 0 in
+      if d > t.rd_max then t.rd_max <- d;
+      if s > t.rd_max_seq then t.rd_max_seq <- s
+    end;
+    let accept =
+      match t.budget with
+      | None -> true
+      | Some b when t.data_bytes + pkt.Packet.size <= b -> true
+      | Some b ->
+        t.n_overflows <- t.n_overflows + 1;
+        if Obs.Sink.active t.sink then
+          Obs.Sink.emit t.sink
+            (Obs.Event.v ~channel ~size:pkt.Packet.size ~time:(t.now ())
+               Obs.Event.Buffer_overflow);
+        (match t.overflow with
+        | Drop_newest ->
+          (* Refusing the arrival is a channel loss like any other:
+             the marker machinery recovers the stream position. *)
+          t.n_overflow_drops <- t.n_overflow_drops + 1;
+          false
+        | Force_flush ->
+          force_room t ~need:pkt.Packet.size ~budget:b;
+          let fits = t.data_bytes + pkt.Packet.size <= b in
+          (* A packet bigger than the whole budget cannot be made to
+             fit; it is dropped like any other overflow. *)
+          if not fits then t.n_overflow_drops <- t.n_overflow_drops + 1;
+          fits)
+    in
+    if accept then begin
+      Fifo_queue.push t.buffers.(channel) ~size:pkt.Packet.size pkt;
+      t.n_data_buffered <- t.n_data_buffered + 1;
+      t.data_bytes <- t.data_bytes + pkt.Packet.size;
+      if t.data_bytes > t.max_data_bytes then t.max_data_bytes <- t.data_bytes;
+      update_pressure t;
+      if Obs.Sink.active t.sink then
+        Obs.Sink.emit t.sink
+          (Obs.Event.v ~channel ~size:pkt.Packet.size ~seq:pkt.Packet.seq
+             ~time:(t.now ()) Obs.Event.Enqueue)
+    end;
+    progress t
 
 let tick t =
   t.wd_spin <- 0;
@@ -1031,5 +1059,6 @@ let drain t =
      marker stamp to describe — clear both so [blocked_on] and the next
      scan do not act on stale state. *)
   t.waiting <- -1;
+  Int_rings.clear_all t.stamps;
   clear_stamps t;
   List.rev !out

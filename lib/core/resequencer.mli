@@ -145,7 +145,27 @@ val receive : t -> channel:int -> Stripe_packet.Packet.t -> unit
     down channel. The barrier completes once every live channel has seen
     the new epoch; the receiver then reinitializes exactly as for a §5
     reset and re-anchors its round translation on the first new-epoch
-    marker. *)
+    marker.
+
+    A marker packet is unpacked and handed to {!receive_marker}, the
+    one marker path. *)
+
+val receive_marker :
+  t -> channel:int -> round:int -> dc:int -> credit:int -> reset:bool ->
+  epoch:int -> gen:int -> cksum:int -> unit
+(** Physical reception of a marker on [channel], given as its stamp —
+    the fields of a {!Stripe_packet.Packet.Marker} — for a wire that
+    carries markers as stamps rather than packets (the fleet's pool).
+    Everything {!receive} says of a marker holds: the checksum is
+    checked with {!Stripe_packet.Packet.marker_checksum_of} over the
+    other fields, stamped with the arrival [channel]; a marker that
+    fails it is discarded and counted; a later epoch is handled eagerly.
+    A marker that waits in the channel's buffer waits as its stamp,
+    beside {!Stripe_packet.Packet.marker_sentinel}, which keeps its
+    FIFO position and its {!Stripe_packet.Packet.marker_size} bytes, so
+    the buffer's byte count and high water are what a queued marker
+    packet gave them. Allocates nothing but when a ring grows. [credit]
+    is read only for the checksum (see {!create}). *)
 
 val crash_restart : t -> int
 (** Receiver endpoint crash + restart (PROTOCOL.md §12): all protocol

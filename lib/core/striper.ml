@@ -29,25 +29,30 @@ type t = {
          barrier fragments by generation and discard duplicates from an
          already-adopted one (see [Packet.Marker]'s [m_gen]). Restarts at 0
          with each incarnation. *)
-  send_marker : channel:int -> Packet.t -> unit;
+  mutable born : float;
+      (* The clock reading the markers of one batch share, read as the
+         batch opens: one boxed float per batch, not per marker. *)
+  send_marker : Marker.send;
       (* [marker_sent] on this striper: the [~send] of the [Marker] sender
          step, built once here. *)
 }
 
-let marker_sent t ~channel pkt =
+(* The sender step hands over a stamp; the marker packet is built here,
+   where it goes onto a link. *)
+let marker_sent t ~channel ~round ~dc ~credit ~reset ~epoch ~gen =
   t.n_markers <- t.n_markers + 1;
-  (match pkt.Packet.kind with
-  | Marker m when Obs.Sink.active t.sink ->
-    let time = pkt.Packet.born in
+  let born = t.born in
+  if Obs.Sink.active t.sink then begin
     (* A barrier's first reset marker opens it on the trace, after the
        reinit (and any retune it adopted), before any marker leaves. *)
-    if m.m_reset && channel = 0 then
-      Obs.Sink.emit t.sink (Obs.Event.v ~time Obs.Event.Reset_barrier);
+    if reset && channel = 0 then
+      Obs.Sink.emit t.sink (Obs.Event.v ~time:born Obs.Event.Reset_barrier);
     Obs.Sink.emit t.sink
-      (Obs.Event.v ~channel ~round:m.m_round ~dc:m.m_dc
-         ~size:pkt.Packet.size ~time Obs.Event.Marker_sent)
-  | _ -> ());
-  t.emit ~channel pkt
+      (Obs.Event.v ~channel ~round ~dc ~size:Packet.marker_size ~time:born
+         Obs.Event.Marker_sent)
+  end;
+  t.emit ~channel
+    (Packet.marker_with ~credit ~reset ~epoch ~gen ~channel ~round ~dc ~born)
 
 let create ~scheduler ?marker ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     ~emit () =
@@ -75,16 +80,23 @@ let create ~scheduler ?marker ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
       mid_round = -1;
       epoch = 0;
       gen = 0;
-      send_marker = (fun ~channel pkt -> marker_sent t ~channel pkt);
+      born = 0.0;
+      send_marker =
+        (fun ~channel ~round ~dc ~credit ~reset ~epoch ~gen ->
+          marker_sent t ~channel ~round ~dc ~credit ~reset ~epoch ~gen);
     }
   in
   t
 
-(* Round-boundary marker batches: trigger once per marked round. *)
+(* Round-boundary marker batches: trigger once per marked round. The
+   clock is read only when [Marker.batch] will send. *)
 let boundary_markers t policy d =
-  t.next_mark_round <-
-    Marker.batch policy d ~next:t.next_mark_round ~epoch:t.epoch ~gen:t.gen
-      ~now:t.now ~send:t.send_marker
+  if Deficit.round d >= t.next_mark_round then begin
+    t.born <- t.now ();
+    t.next_mark_round <-
+      Marker.batch policy d ~next:t.next_mark_round ~epoch:t.epoch ~gen:t.gen
+        ~send:t.send_marker
+  end
 
 let mid_round_markers t policy d ~served_channel ~round_of_service =
   if round_of_service mod policy.Marker.every_rounds = 0 then begin
@@ -94,9 +106,9 @@ let mid_round_markers t policy d ~served_channel ~round_of_service =
     end;
     if not t.mid_marked.(served_channel) then begin
       t.mid_marked.(served_channel) <- true;
-      t.send_marker ~channel:served_channel
-        (Marker.packet_for ~epoch:t.epoch ~gen:t.gen policy ~deficit:d
-           ~channel:served_channel ~now:(t.now ()))
+      t.born <- t.now ();
+      Marker.send_stamp policy d ~epoch:t.epoch ~gen:t.gen
+        ~channel:served_channel ~send:t.send_marker
     end
   end
 
@@ -162,9 +174,9 @@ let send_reset t =
   | None -> invalid_arg "Striper.send_reset: requires a CFQ scheduler"
   | Some d ->
     t.gen <- t.gen + 1;
+    t.born <- t.now ();
     t.next_mark_round <-
-      Marker.reset_barrier d ~epoch:t.epoch ~gen:t.gen ~now:t.now
-        ~send:t.send_marker;
+      Marker.reset_barrier d ~epoch:t.epoch ~gen:t.gen ~send:t.send_marker;
     t.mid_round <- -1;
     Array.fill t.mid_marked 0 (Array.length t.mid_marked) false
 

@@ -9,7 +9,8 @@
     outside the data schedule, distinguished on the wire by their
     codepoint). The periodic batches and the reset barrier are
     {!Marker.batch} and {!Marker.reset_barrier}, the sender step the
-    fleet's slots run too.
+    fleet's slots run too; the step hands over each marker's stamp, and
+    the striper builds the packet [emit] sends.
 
     The striper never buffers: load sharing has no notion of empty input
     queues (§3.1) — state only advances when a packet is pushed, so any
@@ -28,7 +29,8 @@ val create :
 (** [create ~scheduler ~emit ()] builds a striper. Supplying [~marker]
     requires the scheduler to embed a deficit engine (SRR/RR/GRR); raises
     [Invalid_argument] otherwise. [now] timestamps marker packets
-    (defaults to a constant 0).
+    (defaults to a constant 0); it is read once per marker batch, and
+    the batch's markers share the reading.
 
     [sink] (default {!Stripe_obs.Sink.null}) receives the sender-side
     observability events: [Transmit] for every data packet (with its

@@ -4,7 +4,7 @@
    Layout. Per-slot state is struct-of-arrays indexed by the bundle id;
    per-slot-channel state is flattened as [id * n_channels + c]. The
    components that are expensive to build — deficit engines,
-   resequencers, guards, wire FIFOs, and the closures handed to the
+   resequencers, wire FIFOs, and the closures handed to the
    simulator, the resequencer and the marker step — are created once
    when a slot is first built ([grow]) and thereafter recycled in
    place, never reallocated. Closures capture the pool record and their
@@ -23,7 +23,12 @@
    exactly those (in FIFO order, at their true arrival times) before
    feeding the new owner's resequencer. Setting [drop] to the wire's
    current length at release is idempotent across rapid re-releases:
-   whatever is on the wire at that instant is, by definition, dead. *)
+   whatever is on the wire at that instant is, by definition, dead.
+
+   A marker rides the wire as its stamp: [Packet.marker_sentinel] holds
+   its place in the wire FIFO and its ints wait in the slot-channel's
+   ring of [wire_stamp], so the pool builds no marker packet; the
+   arrival hands the stamp to [Resequencer.receive_marker]. *)
 
 open Stripe_packet
 open Stripe_netsim
@@ -54,7 +59,6 @@ type t = {
   rate_bps : float array;
   prop_delay : float array;
   quanta : int array;
-  use_guard : bool;
   discipline : discipline;
   stamp_seq : bool;
       (* Allocate a per-slot-sequenced data packet per push instead of the
@@ -107,8 +111,7 @@ type t = {
   mutable live : bool array;
   mutable tx : Deficit.t array;
   mutable rx : Resequencer.t array;
-  mutable grx : Channel_guard.t array;  (* empty unless [use_guard] *)
-  mutable send_marker : (channel:int -> Packet.t -> unit) array;
+  mutable send_marker : Marker.send array;
       (* prebuilt, one per slot: the [~send] of the [Marker] sender step *)
   mutable next_mark : int array;  (* [~next] of [Marker.batch] *)
   mutable birth : float array;
@@ -141,9 +144,12 @@ type t = {
   mutable ooo : int array;  (* all delivered-seq inversions (diagnostic) *)
   (* Per-slot-channel (length = cap * n_ch). *)
   mutable wire : Packet.t Fifo_queue.t array;
+  wire_stamp : Int_rings.t;
+      (* ring [sc]: the stamps of the markers on [wire.(sc)], in order:
+         round, DC, credit, reset (0 or 1), epoch, generation,
+         checksum *)
   mutable busy : float array;  (* channel transmitting until this time *)
   mutable drop : int array;  (* head-of-wire packets of dead generations *)
-  mutable rx_tag : int array;  (* guard tag the next arrival carries *)
   mutable arrive : (unit -> unit) array;  (* prebuilt, one per slot-channel *)
   (* Free-slot stack. *)
   mutable free : int array;
@@ -173,32 +179,23 @@ let check_slot t id what =
   if id < 0 || id >= t.cap then
     invalid_arg (Printf.sprintf "Bundle_pool.%s: bad bundle id %d" what id)
 
-(* Last hop into the slot's resequencer. A crashed receiver
-   ([rx_down]) hears nothing: data is dropped and counted (markers are
-   uncounted everywhere, so they just vanish). The guard sits below this
-   point — it is a link-layer filter whose state rides the link, not the
-   endpoint, so a receiver crash does not recycle it. *)
-let rx_ingest t id c pkt =
-  if t.rx_down.(id) then begin
-    if not (Packet.is_marker pkt) then
-      t.rx_down_dp.(id) <- t.rx_down_dp.(id) + 1
-  end
-  else Resequencer.receive t.rx.(id) ~channel:c pkt
-
-(* Feed one surviving arrival to the slot's receive side. With the
-   guard on, the tag is reproduced from a per-slot-channel counter: the
-   wire is a perfect FIFO, so arrivals carry consecutive tags and the
-   guard always rides its in-order fast path (the counter models the
-   tag the packet would carry; carrier drops and endpoint crashes never
-   desynchronize it because it counts arrivals, not transmissions). *)
-let feed t id c pkt =
-  if t.use_guard then begin
-    let sc = (id * t.n_ch) + c in
-    let tag = t.rx_tag.(sc) in
-    t.rx_tag.(sc) <- tag + 1;
-    Channel_guard.receive t.grx.(id) ~channel:c ~tag pkt
-  end
-  else rx_ingest t id c pkt
+(* A marker's arrival: its stamp leaves the wire with its sentinel,
+   whoever owns the slot now. A dead generation's marker is dropped
+   with it, and a crashed receiver ([rx_down]) hears nothing (markers
+   are uncounted everywhere, so they just vanish). *)
+let marker_arrives t id c sc =
+  let s = t.wire_stamp in
+  let round = Int_rings.pop s sc in
+  let dc = Int_rings.pop s sc in
+  let credit = Int_rings.pop s sc in
+  let reset = Int_rings.pop s sc <> 0 in
+  let epoch = Int_rings.pop s sc in
+  let gen = Int_rings.pop s sc in
+  let cksum = Int_rings.pop s sc in
+  if t.drop.(sc) > 0 then t.drop.(sc) <- t.drop.(sc) - 1
+  else if not t.rx_down.(id) then
+    Resequencer.receive_marker t.rx.(id) ~channel:c ~round ~dc ~credit ~reset
+      ~epoch ~gen ~cksum
 
 let make_arrive t id c =
   let sc = (id * t.n_ch) + c in
@@ -207,8 +204,12 @@ let make_arrive t id c =
     (* The wire finished serving these bytes whichever generation owns
        them — [wdone_b] measures the facility, not the bundle. *)
     t.wdone_b.(c) <- t.wdone_b.(c) + pkt.Packet.size;
-    if t.drop.(sc) > 0 then t.drop.(sc) <- t.drop.(sc) - 1
-    else feed t id c pkt
+    if pkt == Packet.marker_sentinel then marker_arrives t id c sc
+    else if t.drop.(sc) > 0 then t.drop.(sc) <- t.drop.(sc) - 1
+    else if t.rx_down.(id) then
+      (* A crashed receiver hears nothing: the data is counted lost. *)
+      t.rx_down_dp.(id) <- t.rx_down_dp.(id) + 1
+    else Resequencer.receive t.rx.(id) ~channel:c pkt
 
 let make_deliver t id =
   fun ~channel:_ (pkt : Packet.t) ->
@@ -238,13 +239,15 @@ let make_deliver t id =
       end
     end
 
-(* Put one packet (data or marker) on a slot-channel wire. A dark
-   carrier eats the packet at the NIC: data is counted against the slot
-   (conservation), markers vanish like everywhere else. *)
+(* Put one packet (data, or a marker's sentinel) on a slot-channel
+   wire; the result says whether it will arrive. A dark carrier eats the
+   packet at the NIC: data is counted against the slot (conservation),
+   markers vanish like everywhere else. *)
 let transmit t id c ~size pkt =
   if not t.ch_up.(c) then begin
     if not (Packet.is_marker pkt) then
-      t.carrier_dp.(id) <- t.carrier_dp.(id) + 1
+      t.carrier_dp.(id) <- t.carrier_dp.(id) + 1;
+    false
   end
   else begin
   let sc = (id * t.n_ch) + c in
@@ -261,17 +264,33 @@ let transmit t id c ~size pkt =
   t.wtx_b.(c) <- t.wtx_b.(c) + size;
   if Loss.drop t.ch_loss.(c) t.rng then begin
     t.wlost_p.(c) <- t.wlost_p.(c) + 1;
-    if not (Packet.is_marker pkt) then t.wire_dp.(id) <- t.wire_dp.(id) + 1
+    if not (Packet.is_marker pkt) then t.wire_dp.(id) <- t.wire_dp.(id) + 1;
+    false
   end
   else begin
     Fifo_queue.push t.wire.(sc) ~size pkt;
-    Sim.schedule t.sim ~at:(free_at +. t.prop_delay.(c)) t.arrive.(sc)
+    Sim.schedule t.sim ~at:(free_at +. t.prop_delay.(c)) t.arrive.(sc);
+    true
   end
   end
 
+(* The [~send] of the slot's sender step: the marker's sentinel goes on
+   the wire like a packet, and its stamp into the ring beside it. *)
 let make_send_marker t id =
-  fun ~channel (m : Packet.t) ->
-    transmit t id channel ~size:m.Packet.size m;
+  fun ~channel ~round ~dc ~credit ~reset ~epoch ~gen ->
+    if transmit t id channel ~size:Packet.marker_size Packet.marker_sentinel
+    then begin
+      let s = t.wire_stamp and sc = (id * t.n_ch) + channel in
+      Int_rings.push s sc round;
+      Int_rings.push s sc dc;
+      Int_rings.push s sc credit;
+      Int_rings.push s sc (if reset then 1 else 0);
+      Int_rings.push s sc epoch;
+      Int_rings.push s sc gen;
+      Int_rings.push s sc
+        (Packet.marker_checksum_of ~channel ~round ~dc ~credit ~reset ~epoch
+           ~gen)
+    end;
     t.markers <- t.markers + 1
 
 (* Visit order for the engine of slot [key] (in a replay, the recorded
@@ -301,14 +320,6 @@ let grow_to t cap =
         Deficit.create ~order:(slot_order t i) ~quanta:(Array.copy t.quanta) ())
       t.tx;
   t.rx <- extend (make_rx t) t.rx;
-  if t.use_guard then
-    t.grx <-
-      extend
-        (fun i ->
-          Channel_guard.create ~n:t.n_ch ~now:t.now_fn
-            ~deliver:(fun ~channel pkt -> rx_ingest t i channel pkt)
-            ())
-        t.grx;
   t.send_marker <- extend (fun i -> make_send_marker t i) t.send_marker;
   t.next_mark <- extend (fun _ -> 0) t.next_mark;
   t.birth <- extend (fun _ -> 0.0) t.birth;
@@ -336,9 +347,9 @@ let grow_to t cap =
     Array.init scap (fun i -> if i < sold then a.(i) else make i)
   in
   t.wire <- extend_sc (fun _ -> Fifo_queue.create ()) t.wire;
+  Int_rings.extend t.wire_stamp ~rings:scap;
   t.busy <- extend_sc (fun _ -> 0.0) t.busy;
   t.drop <- extend_sc (fun _ -> 0) t.drop;
-  t.rx_tag <- extend_sc (fun _ -> 0) t.rx_tag;
   t.arrive <-
     extend_sc (fun sc -> make_arrive t (sc / t.n_ch) (sc mod t.n_ch)) t.arrive;
   t.free <- extend (fun _ -> 0) t.free;
@@ -375,6 +386,8 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
     invalid_arg "Bundle_pool.create: marker_every must be >= 0";
   if initial_capacity <= 0 then
     invalid_arg "Bundle_pool.create: initial_capacity must be positive";
+  if config.guard then
+    invalid_arg "Bundle_pool.create: the pool has no channel guard";
   let t =
     {
       sim;
@@ -382,7 +395,6 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
       rate_bps = Array.copy config.rate_bps;
       prop_delay = Array.copy config.prop_delay;
       quanta = Array.copy config.quanta;
-      use_guard = config.guard;
       discipline = config.discipline;
       stamp_seq;
       watchdog;
@@ -411,7 +423,6 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
       live = [||];
       tx = [||];
       rx = [||];
-      grx = [||];
       send_marker = [||];
       next_mark = [||];
       birth = [||];
@@ -436,7 +447,8 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
       wire = [||];
       busy = [||];
       drop = [||];
-      rx_tag = [||];
+      (* One marker's seven ints per wire at first. *)
+      wire_stamp = Int_rings.create ~rings:0 ~cap:7;
       arrive = [||];
       free = [||];
       n_free = 0;
@@ -535,12 +547,10 @@ let release t id =
     (* Everything on the wire right now — including any still-undropped
        tail of an even earlier generation — is dead. [busy] is kept:
        the link finishes transmitting what it already accepted. *)
-    t.drop.(sc) <- Fifo_queue.length t.wire.(sc);
-    t.rx_tag.(sc) <- 0
+    t.drop.(sc) <- Fifo_queue.length t.wire.(sc)
   done;
   Resequencer.recycle t.rx.(id);
   Deficit.reconfigure t.tx.(id) ~quanta:t.quanta;
-  if t.use_guard then Channel_guard.recycle t.grx.(id);
   t.next_mark.(id) <- 0;
   t.live.(id) <- false;
   t.n_live <- t.n_live - 1;
@@ -581,12 +591,10 @@ let reset t =
     if Resequencer.has_quanta t.rx.(id) t.quanta then
       Resequencer.recycle t.rx.(id)
     else t.rx.(id) <- make_rx t id;
-    if t.use_guard then Channel_guard.recycle t.grx.(id);
     t.next_mark.(id) <- 0;
     t.free.(id) <- t.cap - 1 - id
   done;
   Array.fill t.busy 0 (t.cap * t.n_ch) 0.0;
-  Array.fill t.rx_tag 0 (t.cap * t.n_ch) 0;
   t.n_free <- t.cap;
   t.n_live <- 0;
   t.n_acquired <- 0;
@@ -661,7 +669,7 @@ let push t id ~size =
         end
         else intern t size
       in
-      transmit t id c ~size pkt;
+      ignore (transmit t id c ~size pkt);
       Deficit.consume d ~size;
       t.pushed_p.(id) <- t.pushed_p.(id) + 1;
       t.pushed_b.(id) <- t.pushed_b.(id) + size;
@@ -672,7 +680,7 @@ let push t id ~size =
            striper's default position. *)
         t.next_mark.(id) <-
           Marker.batch policy d ~next:t.next_mark.(id) ~epoch:t.tx_epoch.(id)
-            ~gen:t.tx_gen.(id) ~now:t.now_fn ~send:t.send_marker.(id)
+            ~gen:t.tx_gen.(id) ~send:t.send_marker.(id)
       | Some _ | None -> ()
     end
   end
@@ -695,7 +703,7 @@ let send_slot_reset t id =
   t.tx_gen.(id) <- t.tx_gen.(id) + 1;
   t.next_mark.(id) <-
     Marker.reset_barrier t.tx.(id) ~epoch:t.tx_epoch.(id) ~gen:t.tx_gen.(id)
-      ~now:t.now_fn ~send:t.send_marker.(id)
+      ~send:t.send_marker.(id)
 
 (* Channels a fully healed slot engine is expected to be striping on:
    everything except the health engine's quarantines. The §5 full-heal
@@ -977,6 +985,17 @@ let in_flight_packets t id =
   done;
   !total
 
+let wire_markers t id c =
+  check_slot t id "wire_markers";
+  if c < 0 || c >= t.n_ch then invalid_arg "Bundle_pool.wire_markers: bad channel";
+  (* Seven ints a marker: round, DC, credit, reset, epoch, gen, cksum. *)
+  let rec stamps = function
+    | round :: dc :: _credit :: reset :: epoch :: gen :: _cksum :: rest ->
+      (round, dc, reset <> 0, epoch, gen) :: stamps rest
+    | _ -> []
+  in
+  stamps (Int_rings.to_list t.wire_stamp ((id * t.n_ch) + c))
+
 let rx_high_water_packets t id =
   check_slot t id "rx_high_water_packets";
   Resequencer.buffer_high_water_packets t.rx.(id)
@@ -1038,6 +1057,10 @@ let fifo_violations t id =
 let seq_inversions t id =
   check_slot t id "seq_inversions";
   t.ooo.(id)
+
+let highest_delivered_seq t id =
+  check_slot t id "highest_delivered_seq";
+  t.last_seq.(id)
 
 let total_delivered_packets t = t.total_dp
 let total_delivered_bytes t = t.total_db

@@ -1,7 +1,7 @@
 (** Flyweight bundle fleet over one shared simulation.
 
-    One striped bundle — SRR engine, per-channel wires, resequencer,
-    optionally a channel guard — is cheap to {e run} but expensive to
+    One striped bundle — SRR engine, per-channel wires, resequencer —
+    is cheap to {e run} but expensive to
     {e build}: each instantiation allocates a dozen arrays, a handful of
     closures, and (naively) one event loop. A fleet experiment with
     thousands of short-lived bundles spends all its time constructing
@@ -12,7 +12,7 @@
     per-bundle state lives in struct-of-arrays slots indexed by an
     integer bundle id. The heavyweight components — the sender's
     {!Stripe_core.Deficit} engine, the receiver's
-    {!Stripe_core.Resequencer} (and guard, when enabled), the
+    {!Stripe_core.Resequencer}, the
     per-channel wire {!Stripe_packet.Fifo_queue}s, and the delivery
     closures the simulator calls — are created {e once per slot} and
     recycled across bundle generations in place
@@ -21,15 +21,21 @@
     {!Stripe_packet.Fifo_queue.recycle}), so churning a bundle through
     a warmed-up slot allocates almost nothing. Data packets are interned
     by size in a per-pool array (they are immutable and the protocol
-    never reads their measurement metadata), so the steady-state push
-    path allocates only the simulator's event cell.
+    never reads their measurement metadata) and markers travel as
+    stamps, so the steady-state push path, marker batches included,
+    allocates nothing but when a queue or ring grows.
 
     {b The wire model.} Each slot-channel is a rate+delay pipe: a packet
     departs when the channel is free ([max now busy_until]), occupies it
     for [size*8/rate] seconds, and arrives [prop_delay] later. Arrival
     times on one channel are strictly increasing, so one prebuilt
     closure per slot-channel pops the wire FIFO — no per-packet closure,
-    no per-event payload.
+    no per-event payload. A marker is never built as a packet: the
+    sender step hands its stamp to the slot
+    ({!Stripe_core.Marker.send}), {!Stripe_packet.Packet.marker_sentinel}
+    holds its place and its 36 bytes on the wire while its ints wait in
+    a ring of an {!Stripe_packet.Int_rings} beside it, and its arrival hands the
+    stamp to {!Stripe_core.Resequencer.receive_marker}.
 
     {b Churn.} {!release} does not blank the wires: a physical link
     being handed to a new bundle still has the old owner's bits in
@@ -70,13 +76,10 @@ type config = {
           the resequencer then only ever blocks, never resynchronizes
           after a discard, so leave markers on for churned fleets. *)
   guard : bool;
-      (** Route every arrival through a per-slot
-          {!Stripe_core.Channel_guard} (the receive-side
-          reorder/duplicate filter). The pool's wires are perfect FIFOs,
-          so each arrival's tag is reproduced from a per-slot-channel
-          arrival counter and the guard rides its in-order fast path;
-          enabling it measures the guard's fleet-scale cost and recycles
-          its state with the slot. *)
+      (** Must be [false]: the pool has no channel guard, and {!create}
+          raises on [true]. Its wires are perfect FIFOs, on which a
+          {!Stripe_core.Channel_guard} could only ride its in-order fast
+          path. The field stays so that existing configs still build. *)
   discipline : discipline;  (** Striping discipline, fleet-wide. *)
 }
 (** All arrays must have the same positive length (the channel count).
@@ -135,7 +138,7 @@ val acquire_slot : t -> key:int -> int -> int
 
 val release : t -> int -> unit
 (** End bundle [id]: its in-flight wire tail is marked for discard (see
-    the churn note above), its resequencer/engine/guard state is
+    the churn note above), its resequencer and engine state is
     recycled in place for the next owner, and the id returns to the
     free list. Per-bundle counters are reset by the {e next}
     {!acquire}, so they remain readable after release for end-of-life
@@ -146,7 +149,7 @@ val reset : t -> unit
     slots already built: every slot free and restacked lowest id first,
     every per-slot component recycled in place (wire timelines back to
     0, engines and resequencers on the configured quanta, buffers
-    emptied, guards re-armed), and every pool-wide counter and chaos
+    emptied), and every pool-wide counter and chaos
     lever — carrier state, loss processes, rate scales, quarantines,
     health engine, FIFO quiet line — back to its initial value. A
     script driven after [reset] therefore runs exactly as on a fresh
@@ -296,6 +299,10 @@ val fifo_violations : t -> int -> int
 val seq_inversions : t -> int -> int
 (** Per-bundle monitor counters (require [stamp_seq]). *)
 
+val highest_delivered_seq : t -> int -> int
+(** The highest seq bundle [id] has delivered, [0] before its first
+    delivery: the FIFO monitor's high water (requires [stamp_seq]). *)
+
 val total_fifo_violations : t -> int
 
 val first_violation : t -> (float * int * int) option
@@ -326,6 +333,13 @@ val delivered_bytes : t -> int -> int
 val in_flight_packets : t -> int -> int
 (** Packets (data and markers) currently on the slot's wires, not
     counting a previous owner's still-draining tail. *)
+
+val wire_markers : t -> int -> int -> (int * int * bool * int * int) list
+(** [wire_markers t id c]: the stamps — (round, DC, reset, epoch,
+    generation) — of the markers now on slot [id]'s channel-[c] wire,
+    oldest first, a previous owner's still-draining tail included.
+    What a receiver on that wire will be handed, for checking the
+    pool's sender against {!Stripe_core.Striper}'s. *)
 
 val rx_high_water_packets : t -> int -> int
 (** The slot resequencer's buffered-packet high-water mark. Restarted

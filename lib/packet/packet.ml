@@ -108,6 +108,13 @@ let mangle_marker ~salt t =
 
 let is_marker t = match t.kind with Marker _ -> true | Data -> false
 
+(* Its stamp describes no channel's stream, so a reader that takes the
+   sentinel for the marker it stands for reads a marker no receiver
+   would trust on any channel but -1. *)
+let marker_sentinel =
+  marker_with ~credit:no_credit ~reset:false ~epoch:0 ~gen:0 ~channel:(-1)
+    ~round:0 ~dc:0 ~born:0.0
+
 let pp fmt t =
   match t.kind with
   | Data -> Format.fprintf fmt "#%d(%dB)" t.seq t.size

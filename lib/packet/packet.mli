@@ -113,6 +113,13 @@ val marker_size : int
 (** Wire size of a marker packet (bytes). Small — the paper's marker only
     carries a counter, plus this implementation's integrity checksum. *)
 
+val marker_checksum_of :
+  channel:int -> round:int -> dc:int -> credit:int -> reset:bool ->
+  epoch:int -> gen:int -> int
+(** The 16-bit integrity checksum of a marker with these fields, the
+    [m_cksum] every constructor fills in. A receiver that gets a stamp
+    rather than a packet checks it with this. *)
+
 val marker_valid : t -> bool
 (** [false] iff [t] is a marker whose [m_cksum] does not match the
     checksum of its other fields: it was damaged in flight.
@@ -151,6 +158,13 @@ val marker_with :
     call site. *)
 
 val is_marker : t -> bool
+
+val marker_sentinel : t
+(** One static marker packet of {!marker_size} bytes that holds a
+    marker's place in a packet queue whose owner keeps the marker's
+    stamp beside it, in a ring of an {!Int_rings} (DESIGN.md §8, "a queued marker
+    is a stamp, not a packet"). Its own fields mean nothing: it is
+    stamped for channel -1. Compare with [==]. *)
 
 val pp : Format.formatter -> t -> unit
 (** E.g. ["#12(550B)"] for data, ["M(ch=1,R=7,DC=300)"] for markers. *)

@@ -18,8 +18,9 @@
      the calendar allocates as its population swings from 0 to 100,000
      and back (the heap engine: 0);
    - Resequencer.receive without a watchdog: about 0 words/call, markers
-     included; a clock read per arrival adds 2, and a boxed marker stamp
-     ([Some {round; dc}]) 5 per marker;
+     included, each queued as its stamp in its channel's int ring,
+     beside the static [Packet.marker_sentinel]; a clock read per arrival adds 2, and a
+     boxed marker stamp ([Some {round; dc}]) 5 per marker;
    - Resequencer.recycle at 4 channels: 2 words/call in either build
      with a watchdog (the clock read that restarts its silence timers),
      0 without; copying the quanta for the engine's restart adds 5, an
@@ -32,11 +33,18 @@
      either build. A fresh quanta copy compared per slot adds 5 words a
      slot, a list of the (then eight) window-counter arrays 24, and the
      closures of [Option.map] and [Array.exists] 10 together;
-   - Sharded_pool.run: 9.8 words/push in dev, 1.45 in release, most of
-     it marker packets; a closure allocated per replayed op adds about
-     18. With 500 slots, four replay groups on one reset pool: 11.4
-     words/push in dev, 2.88 in release; building a pool per group
-     instead measured 16.8 in dev;
+   - Bundle_pool.push into a warmed 4-channel slot, in 100-packet
+     bursts run to their arrivals: 6.4 words/push in dev (the event
+     times, boxed as they cross into [Sim]), 0 in release. Its markers
+     cross the wire as stamps, not packets; building them as packets
+     (0.1 markers/push at 15.5 words, the batch's boxed time included)
+     measured 1.54;
+   - Sharded_pool.run: 8.5 words/push in dev, 0.21 in release, its
+     markers crossing the pool's wires as stamps; building them as
+     packets adds 1.24, a closure allocated per replayed op about 18.
+     With 500 slots, four replay groups on one reset pool: 9.8
+     words/push in dev, 1.31 in release; marker packets add 1.57, and
+     building a pool per group instead measured 16.8 in dev;
    - Sharded_pool.acquire/push/release: 2 words per recorded op in dev,
      the op's time boxed as it crosses into the recorder (0 in release,
      where the calls inline); a float field of the recorder's record
@@ -50,7 +58,8 @@
    - A marker packet with its [born] boxed already: 15 words/call in
      either build, the 6-word record and the 9-word [Marker] block that
      holds the marker's fields inline; a separate marker record behind a
-     [Marker] box added 2;
+     [Marker] box added 2. Only a sender whose markers ride a [Link]
+     builds one ([Striper]); the fleet's pool builds none;
    - Striper.push with Round_end markers every 4 rounds: 1.55
      words/push in either build, all of it the marker packets (0.1
      markers/push at 15.5 words each: the 15-word marker packet and a
@@ -279,6 +288,44 @@ let test_pool_release_acquire () =
   check_profiled "Bundle_pool acquire + release per cycle" ~dev:2.5
     ~release:0.5 (words /. float_of_int n)
 
+(* The fleet's per-push path: [Bundle_pool.push] into a warmed 4-channel
+   slot, its marker batches included, and the arrivals it schedules, in
+   100-packet bursts. A marker crosses the wire and waits in the
+   resequencer as its stamp, so neither end builds a marker packet. *)
+let test_pool_push () =
+  let sim = Sim.create () in
+  let pool =
+    Bundle_pool.create ~sim
+      {
+        Bundle_pool.rate_bps = Array.make 4 10e6;
+        prop_delay = Array.make 4 0.001;
+        quanta = Array.make 4 1500;
+        marker_every = 4;
+        guard = false;
+        discipline = Bundle_pool.Srr;
+      }
+  in
+  let id = Bundle_pool.acquire pool in
+  let bursts n =
+    for _ = 1 to n do
+      for k = 0 to 99 do
+        Bundle_pool.push pool id ~size:(200 + (k mod 3 * 400))
+      done;
+      Sim.run sim
+    done
+  in
+  bursts 10;
+  let markers0 = Bundle_pool.markers_sent pool in
+  let n = 1000 in
+  let words = words_during (fun () -> bursts n) in
+  Alcotest.(check bool) "marker batches were sent" true
+    (Bundle_pool.markers_sent pool - markers0 > n);
+  Alcotest.(check bool) "the receiver kept up" true
+    (Bundle_pool.rx_pending_packets pool id < 100);
+  check_profiled "Bundle_pool.push per push, markers included" ~dev:7.0
+    ~release:0.5
+    (words /. float_of_int (100 * n))
+
 (* A replay group's start: [Bundle_pool.reset] over 8 used 4-channel
    slots re-arms every slot's engine, resequencer and counters in
    place. *)
@@ -423,12 +470,12 @@ let replay_words_per_push ~bundles ~pushes =
   words /. float_of_int pushes
 
 let test_sharded_replay () =
-  check_profiled "Sharded_pool.run per push" ~dev:24.0 ~release:1.951
+  check_profiled "Sharded_pool.run per push" ~dev:24.0 ~release:0.706
     (replay_words_per_push ~bundles:8 ~pushes:20_000)
 
 let test_sharded_replay_groups () =
   check_profiled "Sharded_pool.run per push, several groups" ~dev:14.5
-    ~release:3.377
+    ~release:1.809
     (replay_words_per_push ~bundles:500 ~pushes:40_000)
 
 (* The event core alone: one preallocated closure rescheduled from
@@ -557,6 +604,7 @@ let suites =
         Alcotest.test_case "pool release and acquire" `Quick
           test_pool_release_acquire;
         Alcotest.test_case "pool reset" `Quick test_pool_reset;
+        Alcotest.test_case "pool push with markers" `Quick test_pool_push;
         Alcotest.test_case "Packet.data per call" `Quick test_packet_data;
         Alcotest.test_case "marker packet" `Quick test_marker_packet;
         Alcotest.test_case "Striper.push per packet" `Quick test_striper_push;

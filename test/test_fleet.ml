@@ -2,9 +2,10 @@
    must be indistinguishable from a fresh bundle), high-water isolation
    across generations (the pooled-reuse regression for
    Fifo_queue.recycle), stale in-flight discard across churn, growth
-   past the initial capacity, guard transparency, heap/calendar engine
+   past the initial capacity, the refused guard, heap/calendar engine
    agreement on a churned fleet, and agreement with [Striper] on the
-   sender step. *)
+   sender step and with a [Striper] + [Link] + [Resequencer] chain on
+   what is delivered when. *)
 
 open Stripe_netsim
 open Stripe_core
@@ -127,9 +128,15 @@ let test_stale_in_flight_discarded () =
      while the new owner's stream delivers exactly as if the slot were
      fresh. *)
   let sim = Sim.create () in
-  let pool = Bundle_pool.create ~sim ~initial_capacity:2 (config ()) in
+  let pool =
+    Bundle_pool.create ~stamp_seq:true ~sim ~initial_capacity:2 (config ())
+  in
   let id = Bundle_pool.acquire pool in
-  push_n pool id 200;
+  (* Full-size packets: the dead tail's marker stamps differ from the
+     ones the new owner's mixed sizes earn. *)
+  for _ = 1 to 200 do
+    Bundle_pool.push pool id ~size:1500
+  done;
   check "packets in flight at release" true
     (Bundle_pool.in_flight_packets pool id > 0);
   Bundle_pool.release pool id;
@@ -148,7 +155,20 @@ let test_stale_in_flight_discarded () =
      stream is complete up to the usual blocked tail. *)
   let dp = Bundle_pool.delivered_packets pool id2 in
   check "delivered only the new owner's data" true (dp > 250 && dp <= 300);
-  check_int "wires fully drained" 0 (Bundle_pool.in_flight_packets pool id2)
+  check_int "wires fully drained" 0 (Bundle_pool.in_flight_packets pool id2);
+  (* The dead tail held markers too, and their stamps went with them: a
+     stale stamp handed to the new owner's receiver would misplace its
+     packets, which lossless wires deliver in order (Thm 4.1) and in
+     full, as the same pushes do on a fresh pool. *)
+  check_int "new owner delivered in order" 0
+    (Bundle_pool.seq_inversions pool id2);
+  let sim' = Sim.create () in
+  let fresh = Bundle_pool.create ~sim:sim' (config ()) in
+  let id3 = Bundle_pool.acquire fresh in
+  push_n fresh id3 300;
+  Sim.run sim';
+  check_int "new owner delivers as a fresh slot"
+    (Bundle_pool.delivered_packets fresh id3) dp
 
 let test_pool_grows_past_initial_capacity () =
   let sim = Sim.create () in
@@ -168,27 +188,13 @@ let test_pool_grows_past_initial_capacity () =
   check_int "pool totals add up" 9
     (Bundle_pool.total_acquired pool)
 
-let test_guard_is_transparent_on_clean_wires () =
-  (* The pool's wires are perfect FIFOs, so a guarded fleet must deliver
-     exactly what an unguarded one does — the guard rides its in-order
-     fast path and its state just recycles with the slot. *)
-  let run ~guard =
-    let sim = Sim.create () in
-    let pool = Bundle_pool.create ~sim ~initial_capacity:2 (config ~guard ()) in
-    let id = Bundle_pool.acquire pool in
-    push_n pool id 400;
-    Sim.run sim;
-    let d = Bundle_pool.delivered_packets pool id in
-    Bundle_pool.release pool id;
-    let id2 = Bundle_pool.acquire pool in
-    push_n pool id2 400;
-    Sim.run sim;
-    (d, Bundle_pool.delivered_packets pool id2)
-  in
-  let plain = run ~guard:false in
-  let guarded = run ~guard:true in
-  check "guarded fleet delivers identically" true (plain = guarded);
-  check "both generations delivered" true (fst plain > 300 && snd plain > 300)
+let test_pool_refuses_a_guard () =
+  (* The pool has no guard mode: its wires are perfect FIFOs, on which a
+     guard could only ride its in-order fast path. *)
+  Alcotest.check_raises "guard = true is refused"
+    (Invalid_argument "Bundle_pool.create: the pool has no channel guard")
+    (fun () ->
+      ignore (Bundle_pool.create ~sim:(Sim.create ()) (config ~guard:true ())))
 
 (* --- Engine agreement on a churned fleet ---------------------------- *)
 
@@ -235,8 +241,9 @@ let test_engines_agree_on_churned_fleet () =
 
 (* The same quanta and pushes through a [Striper] and one pool slot,
    then one §5 reset on each side: both run [Marker]'s sender step, so
-   they send the same number of markers and put the same number of
-   packets on every channel. *)
+   they send the same number of markers, put the same number of packets
+   on every channel, and stamp the same markers on every channel — the
+   striper in the packets it builds, the pool on its wire. *)
 let prop_striper_matches_pool_slot =
   QCheck.Test.make ~name:"striper and pool slot send alike" ~count:200
     QCheck.(
@@ -245,12 +252,19 @@ let prop_striper_matches_pool_slot =
     (fun (marker_every, sizes) ->
       let config = { (config ()) with Bundle_pool.marker_every } in
       let per_channel = Array.make (Array.length rates) 0 in
+      let stamps = Array.make (Array.length rates) [] in
       let striper =
         Striper.create
           ~scheduler:(Scheduler.srr ~quanta:config.Bundle_pool.quanta ())
           ~marker:(Marker.make ~every_rounds:marker_every ())
-          ~emit:(fun ~channel _ ->
-            per_channel.(channel) <- per_channel.(channel) + 1)
+          ~emit:(fun ~channel (pkt : Stripe_packet.Packet.t) ->
+            per_channel.(channel) <- per_channel.(channel) + 1;
+            match pkt.kind with
+            | Marker m ->
+              stamps.(channel) <-
+                (m.m_round, m.m_dc, m.m_reset, m.m_epoch, m.m_gen)
+                :: stamps.(channel)
+            | Data -> ())
           ()
       in
       let pool = Bundle_pool.create ~sim:(Sim.create ()) config in
@@ -264,7 +278,107 @@ let prop_striper_matches_pool_slot =
       Bundle_pool.resync pool;
       Striper.markers_sent striper = Bundle_pool.markers_sent pool
       && per_channel
-         = Array.init (Array.length rates) (Bundle_pool.channel_wire_tx pool))
+         = Array.init (Array.length rates) (Bundle_pool.channel_wire_tx pool)
+      && Array.map List.rev stamps
+         = Array.init (Array.length rates) (Bundle_pool.wire_markers pool id))
+
+(* Deliveries as (time, delivered so far, highest seq so far), one
+   entry per instant at which anything was delivered: its last. *)
+let per_instant log =
+  List.rev
+    (List.fold_left
+       (fun acc ((time, _, _) as e) ->
+         match acc with
+         | (t0, _, _) :: rest when t0 = time -> e :: rest
+         | _ -> e :: acc)
+       [] log)
+
+(* One pool slot ([stamp_seq], markers as stamps on its wires) and a
+   [Striper] on [Link]s into a [Resequencer] (markers as packets) get
+   the same rates, delays, pushes at the same times and the same mid-run
+   §5 reset, over lossless wires. The pool's wire is the link's formula,
+   so both must deliver the same seqs at the same instants and send the
+   same markers. *)
+let prop_pool_slot_matches_link_chain =
+  QCheck.Test.make ~name:"stamp and packet paths agree" ~count:100
+    QCheck.(
+      triple (oneofl [ 1; 2; 4 ]) small_nat
+        (list_of_size Gen.(1 -- 300)
+           (pair (int_range 0 3000) (int_range 1 1500))))
+    (fun (marker_every, reset_at, pushes) ->
+      let config = { (config ()) with Bundle_pool.marker_every } in
+      let n_pushes = List.length pushes in
+      let reset_at = reset_at mod n_pushes in
+      (* Push k (from 1) at the sum of the first k gaps, in microseconds;
+         the reset right after push [reset_at + 1]. *)
+      let schedule sim ~push ~reset =
+        ignore
+          (List.fold_left
+             (fun (k, at) (gap, size) ->
+               let at = at +. (float_of_int gap *. 1e-6) in
+               Sim.schedule sim ~at (fun () -> push k ~size);
+               if k = reset_at + 1 then Sim.schedule sim ~at reset;
+               (k + 1, at))
+             (1, 0.0) pushes)
+      in
+      let sim = Sim.create () in
+      let pool =
+        Bundle_pool.create ~stamp_seq:true ~initial_capacity:1 ~sim config
+      in
+      let id = Bundle_pool.acquire pool in
+      schedule sim
+        ~push:(fun _ ~size -> Bundle_pool.push pool id ~size)
+        ~reset:(fun () -> Bundle_pool.resync pool);
+      let pool_log = ref [] and seen = ref 0 in
+      while Sim.step sim do
+        let d = Bundle_pool.delivered_packets pool id in
+        if d > !seen then begin
+          seen := d;
+          pool_log :=
+            (Sim.now sim, d, Bundle_pool.highest_delivered_seq pool id)
+            :: !pool_log
+        end
+      done;
+      let sim = Sim.create () in
+      let now () = Sim.now sim in
+      let scheduler = Scheduler.srr ~quanta:config.Bundle_pool.quanta () in
+      let chain_log = ref [] and delivered = ref 0 and in_order = ref true in
+      let rx =
+        Resequencer.create
+          ~deficit:(Deficit.clone_initial (Option.get (Scheduler.deficit scheduler)))
+          ~now
+          ~deliver:(fun ~channel:_ (pkt : Stripe_packet.Packet.t) ->
+            incr delivered;
+            (match !chain_log with
+            | (_, _, s) :: _ when pkt.seq <= s -> in_order := false
+            | _ -> ());
+            chain_log := (now (), !delivered, pkt.seq) :: !chain_log)
+          ()
+      in
+      let links =
+        Array.init (Array.length rates) (fun c ->
+            Link.create sim ~rate_bps:rates.(c) ~prop_delay:delays.(c)
+              ~deliver:(fun pkt -> Resequencer.receive rx ~channel:c pkt)
+              ())
+      in
+      let striper =
+        Striper.create ~scheduler
+          ~marker:(Marker.make ~every_rounds:marker_every ())
+          ~now
+          ~emit:(fun ~channel (pkt : Stripe_packet.Packet.t) ->
+            ignore (Link.send links.(channel) ~size:pkt.size pkt))
+          ()
+      in
+      schedule sim
+        ~push:(fun k ~size ->
+          Striper.push striper (Stripe_packet.Packet.data ~seq:k ~size ()))
+        ~reset:(fun () -> Striper.send_reset striper);
+      Sim.run sim;
+      !in_order
+      && Bundle_pool.seq_inversions pool id = 0
+      && !delivered > 0
+      && per_instant (List.rev !pool_log) = per_instant (List.rev !chain_log)
+      && Striper.markers_sent striper = Bundle_pool.markers_sent pool)
 
 let suites =
   [
@@ -280,10 +394,11 @@ let suites =
           test_stale_in_flight_discarded;
         Alcotest.test_case "pool grows past initial capacity" `Quick
           test_pool_grows_past_initial_capacity;
-        Alcotest.test_case "guard transparent on clean wires" `Quick
-          test_guard_is_transparent_on_clean_wires;
+        Alcotest.test_case "pool refuses a channel guard" `Quick
+          test_pool_refuses_a_guard;
         Alcotest.test_case "engines agree on churned fleet" `Quick
           test_engines_agree_on_churned_fleet;
         QCheck_alcotest.to_alcotest prop_striper_matches_pool_slot;
+        QCheck_alcotest.to_alcotest prop_pool_slot_matches_link_chain;
       ] );
   ]

@@ -123,6 +123,37 @@ let prop_queue_fifo =
       in
       drain [] = xs)
 
+(* Random pushes, pops and clears over three rings of a small starting
+   capacity, so that rings wrap and every slice doubles under the
+   others' contents, against one list per ring. *)
+let prop_int_rings_fifo =
+  QCheck.Test.make ~name:"int_rings are per-ring fifos" ~count:200
+    QCheck.(
+      pair (int_range 1 3)
+        (list (triple (int_range 0 2) (int_range 0 9) small_nat)))
+    (fun (cap, ops) ->
+      let t = Int_rings.create ~rings:2 ~cap in
+      Int_rings.extend t ~rings:3;
+      let model = Array.make 3 [] in
+      List.for_all
+        (fun (r, op, v) ->
+          let ok =
+            match model.(r) with
+            | _ when op = 0 ->
+              Int_rings.clear t r;
+              model.(r) <- [];
+              true
+            | x :: rest when op <= 3 ->
+              model.(r) <- rest;
+              Int_rings.pop t r = x
+            | _ ->
+              Int_rings.push t r v;
+              model.(r) <- model.(r) @ [ v ];
+              true
+          in
+          ok && Int_rings.to_list t r = model.(r))
+        ops)
+
 let suites =
   [
     ( "packet",
@@ -141,5 +172,6 @@ let suites =
         Alcotest.test_case "atm overhead" `Quick test_atm_overhead;
         Alcotest.test_case "constants" `Quick test_constants;
         QCheck_alcotest.to_alcotest prop_queue_fifo;
+        QCheck_alcotest.to_alcotest prop_int_rings_fifo;
       ] );
   ]
