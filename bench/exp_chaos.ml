@@ -717,11 +717,16 @@ let () =
         | p :: _, n :: _ -> List.map (fun s -> (p, n, s)) (List.tl seeds)
         | _ -> [])
   in
+  let fleet =
+    match !discipline with
+    | Bundle_pool.Srr -> "4ch SRR fleet"
+    | Bundle_pool.Sprinklers _ -> "4ch Sprinklers fleet"
+  in
   Printf.printf
-    "exp_chaos: %d cells x 4ch SRR fleet, chaos horizon %.1fs, quiet line = \
-     last event + cadence-scaled grace (>= %.1fs), %.0fk pkts/s offered%s\n\
+    "exp_chaos: %d cells x %s, chaos horizon %.1fs, quiet line = last event \
+     + cadence-scaled grace (>= %.1fs), %.0fk pkts/s offered%s\n\
      %!"
-    (List.length cells) chaos_horizon drain_grace
+    (List.length cells) fleet chaos_horizon drain_grace
     (packet_rate /. 1000.0)
     (if !domains > 1 then Printf.sprintf ", %d domains" !domains else "");
   let runs =
@@ -744,8 +749,8 @@ let () =
           [
             ( "scenario",
               Str
-                "chaos soak: 4ch SRR fleet, seeded storms + endpoint crashes, \
-                 monitors on" );
+                ("chaos soak: " ^ fleet
+               ^ ", seeded storms + endpoint crashes, monitors on") );
           ]
         ~array:"runs"
         (List.map fields_of_run runs)));

@@ -26,7 +26,10 @@
      machine-independent cost gate;
    - simulation events fired per delivered packet during the replay
      ([Sim.events] summed over shards and groups): an exact count of
-     the work the event queue does;
+     the work the event queue does. A wire landing is not an event
+     (the pool settles its slots lazily), so this counts the firings of
+     each group pool's one pending landing event, about one per 120
+     delivered packets;
    - per-bundle fairness: every bundle runs the same configuration and
      sees the same arrival statistics, so delivered goodput normalized
      by lifetime should be equal across bundles. The p50/p99 of the

@@ -4,31 +4,40 @@
    Layout. Per-slot state is struct-of-arrays indexed by the bundle id;
    per-slot-channel state is flattened as [id * n_channels + c]. The
    components that are expensive to build — deficit engines,
-   resequencers, wire FIFOs, and the closures handed to the
-   simulator, the resequencer and the marker step — are created once
-   when a slot is first built ([grow]) and thereafter recycled in
-   place, never reallocated. Closures capture the pool record and their
-   slot index and read the arrays at fire time, so growing the table
-   (which replaces the arrays) never strands them.
+   resequencers, wire rings, and the closures handed to the resequencer
+   and the marker step — are created once when a slot is first built
+   ([grow]) and thereafter recycled in place, never reallocated.
+   Closures capture the pool record and their slot index and read the
+   arrays at call time, so growing the table (which replaces the
+   arrays) never strands them.
 
-   Wire and stale-event discipline. Each slot-channel wire is a
-   rate+delay pipe: [busy_until] serializes departures, so arrival
-   times are strictly increasing per slot-channel and the k-th arrival
-   event to fire pops exactly the k-th packet pushed — the arrival
-   closure needs no per-event payload. A [release] cannot cancel the
-   arrival events already in the simulator, and deliberately does not
-   reset [busy_until] or clear the wire: the link keeps draining its
-   timeline. Instead [drop] records how many packets at the head of the
-   wire belong to dead generations; the arrival closure discards
-   exactly those (in FIFO order, at their true arrival times) before
-   feeding the new owner's resequencer. Setting [drop] to the wire's
-   current length at release is idempotent across rapid re-releases:
-   whatever is on the wire at that instant is, by definition, dead.
+   Wires land lazily. Each slot-channel wire is a rate+delay pipe:
+   [busy] serializes departures, so landing times are strictly
+   increasing per slot-channel. Slots never interact, so a packet's
+   landing need not be an event: [transmit] files it, with its landing
+   time, in its slot's [ring], which holds everything in flight on the
+   slot's wires in landing order (equal times in send order, as the
+   event queue's (time, insertion) order had them). [settle] lands a
+   slot's due packets, in ring order, before anything reads or changes
+   the slot, with the pool's [clock] cell at each one's landing time,
+   which is what [deliver] and the resequencer's [now] read. One
+   pending event per pool, at the latest landing time on any wire
+   ([wake]), keeps [Sim.run] going until the last landing and settles
+   every slot there.
 
-   A marker rides the wire as its stamp: [Packet.marker_sentinel] holds
-   its place in the wire FIFO and its ints wait in the slot-channel's
-   ring of [wire_stamp], so the pool builds no marker packet; the
-   arrival hands the stamp to [Resequencer.receive_marker]. *)
+   Churn. A [release] does not empty the wires or reset [busy]: the
+   link keeps draining its timeline. It bumps the slot's wire
+   generation instead; each ring entry carries the generation that sent
+   it, and a landing of a dead generation is discarded at its landing
+   time, before the new owner's traffic reaches the recycled
+   resequencer.
+
+   A marker rides the wire as its stamp: its ring entry holds its place
+   and its 36 bytes, and its ints wait in the slot-channel's ring of
+   [wire_stamp], so the pool builds no marker packet; the landing hands
+   the stamp to [Resequencer.receive_marker]. Data lands as the interned
+   packet of its size, or with [stamp_seq] as a packet built at landing
+   from the size and seq its entry holds. *)
 
 open Stripe_packet
 open Stripe_netsim
@@ -53,24 +62,47 @@ type config = {
   discipline : discipline;
 }
 
+(* One slot's wires, merged: every packet in flight on any of its
+   channels, oldest landing first, in a ring of [Array.length at]
+   entries (a power of two). Entry [i] is its landing time [at.(i)] and
+   three ints from [w.(3 * i)]: its tag — the wire generation that sent
+   it, its channel and a marker bit, see [tag] — its wire size, and its
+   seq under [stamp_seq]. *)
+type ring = {
+  mutable at : float array;
+  mutable w : int array;
+  mutable head : int;
+  mutable len : int;
+}
+
 type t = {
   sim : Sim.t;
+  sim_clock : float array;  (* [Sim.clock sim] *)
+  clock : float array;
+      (* One cell: the time of the landing being settled, else now. What
+         [deliver] and every slot resequencer's [now] read. *)
+  horizon : float array;  (* one cell: the latest landing time filed *)
+  mutable armed : bool;  (* the [wake] event is pending *)
+  mutable wake : unit -> unit;
+  mutable in_flight : int;  (* ring entries, pool-wide *)
   n_ch : int;
+  ch_bits : int;  (* bits of a channel index in a ring entry's tag *)
   rate_bps : float array;
   prop_delay : float array;
   quanta : int array;
   discipline : discipline;
   stamp_seq : bool;
-      (* Allocate a per-slot-sequenced data packet per push instead of the
-         interned flyweight, so deliveries can be FIFO-checked. *)
+      (* Build a per-slot-sequenced data packet per landing instead of
+         using the interned flyweight, so deliveries can be
+         FIFO-checked. *)
   watchdog : Resequencer.watchdog option;
   policy : Marker.policy option;
-  now_fn : unit -> float;  (* shared by every slot's resequencer *)
+  now_fn : unit -> float;  (* [clock], shared by every slot's resequencer *)
   (* Data packets are immutable and the protocol never reads their
      measurement metadata, so one packet per distinct size serves every
      bundle of the pool: [interned.(size)], grown on demand, where
      [no_packet] marks a size not yet seen. An array read, not a
-     hash lookup, on every push; and per pool, so domains share none. *)
+     hash lookup, on every landing; and per pool, so domains share none. *)
   mutable interned : Packet.t array;
   (* Pool-wide carrier state: channel [c] of EVERY bundle rides the same
      physical facility class, so one flag takes the whole fleet's channel
@@ -142,15 +174,14 @@ type t = {
   mutable wire_dp : int array;  (* data eaten in flight by wire loss *)
   mutable fifo_viol : int array;  (* FIFO monitor hits after the quiet line *)
   mutable ooo : int array;  (* all delivered-seq inversions (diagnostic) *)
+  mutable ring : ring array;  (* everything on the slot's wires *)
+  mutable wgen : int array;  (* wire generation: +1 per release *)
   (* Per-slot-channel (length = cap * n_ch). *)
-  mutable wire : Packet.t Fifo_queue.t array;
   wire_stamp : Int_rings.t;
-      (* ring [sc]: the stamps of the markers on [wire.(sc)], in order:
+      (* ring [sc]: the stamps of the markers on wire [sc], in order:
          round, DC, credit, reset (0 or 1), epoch, generation,
          checksum *)
   mutable busy : float array;  (* channel transmitting until this time *)
-  mutable drop : int array;  (* head-of-wire packets of dead generations *)
-  mutable arrive : (unit -> unit) array;  (* prebuilt, one per slot-channel *)
   (* Free-slot stack. *)
   mutable free : int array;
   mutable n_free : int;
@@ -171,20 +202,55 @@ type t = {
   mutable n_restarts : int;
 }
 
-let check_live t id what =
-  if id < 0 || id >= t.cap || not t.live.(id) then
-    invalid_arg (Printf.sprintf "Bundle_pool.%s: bundle %d is not live" what id)
+(* A ring entry's tag: the wire generation that sent it, its channel
+   and whether it is a marker. *)
+let[@inline] tag t id c ~marker =
+  (((t.wgen.(id) lsl t.ch_bits) lor c) lsl 1) lor if marker then 1 else 0
 
-let check_slot t id what =
-  if id < 0 || id >= t.cap then
-    invalid_arg (Printf.sprintf "Bundle_pool.%s: bad bundle id %d" what id)
+let[@inline never] ring_grow r =
+  let cap = Array.length r.at in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let at = Array.make ncap 0.0 and w = Array.make (3 * ncap) 0 in
+  for k = 0 to r.len - 1 do
+    let i = (r.head + k) land (cap - 1) in
+    at.(k) <- r.at.(i);
+    Array.blit r.w (3 * i) w (3 * k) 3
+  done;
+  r.at <- at;
+  r.w <- w;
+  r.head <- 0
 
-(* A marker's arrival: its stamp leaves the wire with its sentinel,
-   whoever owns the slot now. A dead generation's marker is dropped
-   with it, and a crashed receiver ([rx_down]) hears nothing (markers
-   are uncounted everywhere, so they just vanish). *)
-let marker_arrives t id c sc =
-  let s = t.wire_stamp in
+(* File an entry landing at [at] after every pending landing at or
+   before [at]: a slot's channels land in time order, and equal times
+   in send order. Entries later than [at] shift one place along. *)
+let[@inline] ring_insert r ~at ~tag ~size ~seq =
+  if r.len = Array.length r.at then ring_grow r;
+  let mask = Array.length r.at - 1 in
+  let j = ref ((r.head + r.len) land mask) in
+  let n = ref r.len in
+  while !n > 0 && r.at.((!j - 1) land mask) > at do
+    let p = (!j - 1) land mask in
+    let w = r.w and d = 3 * !j and q = 3 * p in
+    r.at.(!j) <- r.at.(p);
+    w.(d) <- w.(q);
+    w.(d + 1) <- w.(q + 1);
+    w.(d + 2) <- w.(q + 2);
+    j := p;
+    decr n
+  done;
+  let j = !j in
+  r.at.(j) <- at;
+  r.w.(3 * j) <- tag;
+  r.w.((3 * j) + 1) <- size;
+  r.w.((3 * j) + 2) <- seq;
+  r.len <- r.len + 1
+
+(* A marker's landing: its stamp leaves the wire with it, whoever owns
+   the slot now. A dead generation's marker is dropped with it, and a
+   crashed receiver ([rx_down]) hears nothing (markers are uncounted
+   everywhere, so they just vanish). *)
+let marker_lands t id c ~live =
+  let s = t.wire_stamp and sc = (id * t.n_ch) + c in
   let round = Int_rings.pop s sc in
   let dc = Int_rings.pop s sc in
   let credit = Int_rings.pop s sc in
@@ -192,24 +258,104 @@ let marker_arrives t id c sc =
   let epoch = Int_rings.pop s sc in
   let gen = Int_rings.pop s sc in
   let cksum = Int_rings.pop s sc in
-  if t.drop.(sc) > 0 then t.drop.(sc) <- t.drop.(sc) - 1
-  else if not t.rx_down.(id) then
+  if live && not t.rx_down.(id) then
     Resequencer.receive_marker t.rx.(id) ~channel:c ~round ~dc ~credit ~reset
       ~epoch ~gen ~cksum
 
-let make_arrive t id c =
-  let sc = (id * t.n_ch) + c in
-  fun () ->
-    let pkt = Fifo_queue.pop_exn t.wire.(sc) in
-    (* The wire finished serving these bytes whichever generation owns
-       them — [wdone_b] measures the facility, not the bundle. *)
-    t.wdone_b.(c) <- t.wdone_b.(c) + pkt.Packet.size;
-    if pkt == Packet.marker_sentinel then marker_arrives t id c sc
-    else if t.drop.(sc) > 0 then t.drop.(sc) <- t.drop.(sc) - 1
-    else if t.rx_down.(id) then
-      (* A crashed receiver hears nothing: the data is counted lost. *)
-      t.rx_down_dp.(id) <- t.rx_down_dp.(id) + 1
-    else Resequencer.receive t.rx.(id) ~channel:c pkt
+(* Size 0 matches no push, whose size is positive. *)
+let no_packet = { (Packet.data ~seq:0 ~size:1 ()) with Packet.size = 0 }
+
+(* Sizes up to this are interned; a larger one, which no real link
+   carries, gets a fresh packet per landing rather than a table that
+   large. *)
+let max_interned = 65_535
+
+let[@inline never] intern_new t size =
+  let pkt = Packet.data ~seq:0 ~size () in
+  if size <= max_interned then begin
+    let n = Array.length t.interned in
+    if size >= n then begin
+      let cap = min (max_interned + 1) (max (size + 1) (2 * n)) in
+      let a = Array.make cap no_packet in
+      Array.blit t.interned 0 a 0 n;
+      t.interned <- a
+    end;
+    t.interned.(size) <- pkt
+  end;
+  pkt
+
+let[@inline] intern t size =
+  if size < Array.length t.interned then begin
+    let pkt = t.interned.(size) in
+    if pkt.Packet.size = size then pkt else intern_new t size
+  end
+  else intern_new t size
+
+(* One entry's landing, the pool's clock at its landing time. *)
+let land_one t id ~tag ~size ~seq =
+  let c = (tag lsr 1) land ((1 lsl t.ch_bits) - 1) in
+  (* The wire finished serving these bytes whichever generation owns
+     them — [wdone_b] measures the facility, not the bundle. *)
+  t.wdone_b.(c) <- t.wdone_b.(c) + size;
+  let live = tag lsr (t.ch_bits + 1) = t.wgen.(id) in
+  if tag land 1 = 1 then marker_lands t id c ~live
+  else if not live then ()
+  else if t.rx_down.(id) then
+    (* A crashed receiver hears nothing: the data is counted lost. *)
+    t.rx_down_dp.(id) <- t.rx_down_dp.(id) + 1
+  else
+    Resequencer.receive t.rx.(id) ~channel:c
+      (if t.stamp_seq then Packet.data ~seq ~size () else intern t size)
+
+(* Land slot [id]'s entries due by now, in ring order. The time is read
+   from the sim's cell, not passed: a float argument would box. *)
+let[@inline never] land_due t id r =
+  while r.len > 0 && r.at.(r.head) <= t.sim_clock.(0) do
+    let i = r.head in
+    let tag = r.w.(3 * i) and size = r.w.((3 * i) + 1) in
+    let seq = r.w.((3 * i) + 2) in
+    t.clock.(0) <- r.at.(i);
+    r.head <- (i + 1) land (Array.length r.at - 1);
+    r.len <- r.len - 1;
+    t.in_flight <- t.in_flight - 1;
+    land_one t id ~tag ~size ~seq
+  done
+
+(* Bring slot [id] up to now: everything that reads or changes a slot
+   settles it first. *)
+let settle t id =
+  let r = t.ring.(id) in
+  if r.len > 0 && r.at.(r.head) <= t.sim_clock.(0) then land_due t id r;
+  t.clock.(0) <- t.sim_clock.(0)
+
+(* A per-slot entry point's first step: check the id, then settle. *)
+let settle_live t id what =
+  if id < 0 || id >= t.cap || not t.live.(id) then
+    invalid_arg (Printf.sprintf "Bundle_pool.%s: bundle %d is not live" what id);
+  settle t id
+
+let settle_slot t id what =
+  if id < 0 || id >= t.cap then
+    invalid_arg (Printf.sprintf "Bundle_pool.%s: bad bundle id %d" what id);
+  settle t id
+
+let settle_all t =
+  if t.in_flight > 0 then
+    for id = 0 to t.cap - 1 do
+      settle t id
+    done
+  else t.clock.(0) <- t.sim_clock.(0)
+
+let arm t =
+  t.armed <- true;
+  Sim.schedule t.sim ~at:t.horizon.(0) t.wake
+
+(* The pool's one event, at the latest landing time filed when it was
+   armed. Packets filed since may land later: then it re-arms there.
+   Otherwise every wire is due, so every slot settles. *)
+let wake t =
+  t.armed <- false;
+  if t.horizon.(0) > t.sim_clock.(0) then arm t else settle_all t
 
 let make_deliver t id =
   fun ~channel:_ (pkt : Packet.t) ->
@@ -217,7 +363,7 @@ let make_deliver t id =
     t.delivered_b.(id) <- t.delivered_b.(id) + pkt.Packet.size;
     t.total_dp <- t.total_dp + 1;
     t.total_db <- t.total_db + pkt.Packet.size;
-    let now = Sim.now t.sim in
+    let now = t.clock.(0) in
     t.last_delivery.(id) <- now;
     if t.stamp_seq then begin
       (* Always-on FIFO monitor: past the quiet line every delivery must
@@ -231,27 +377,29 @@ let make_deliver t id =
           if now >= t.fifo_check_after then begin
             t.fifo_viol.(id) <- t.fifo_viol.(id) + 1;
             t.fifo_violations <- t.fifo_violations + 1;
-            if t.first_violation = None then
-              t.first_violation <- Some (now, id, s)
+            (* Slots settle in no common time order, so the earliest
+               (time, slot) is kept, not the first settled. *)
+            match t.first_violation with
+            | Some (t0, id0, _) when t0 < now || (t0 = now && id0 <= id) -> ()
+            | _ -> t.first_violation <- Some (now, id, s)
           end
         end
         else t.last_seq.(id) <- s
       end
     end
 
-(* Put one packet (data, or a marker's sentinel) on a slot-channel
-   wire; the result says whether it will arrive. A dark carrier eats the
-   packet at the NIC: data is counted against the slot (conservation),
-   markers vanish like everywhere else. *)
-let transmit t id c ~size pkt =
+(* Put one packet (data, or a marker's stamp) on a slot-channel wire;
+   the result says whether it will land. A dark carrier eats the packet
+   at the NIC: data is counted against the slot (conservation), markers
+   vanish like everywhere else. *)
+let transmit t id c ~marker ~size ~seq =
   if not t.ch_up.(c) then begin
-    if not (Packet.is_marker pkt) then
-      t.carrier_dp.(id) <- t.carrier_dp.(id) + 1;
+    if not marker then t.carrier_dp.(id) <- t.carrier_dp.(id) + 1;
     false
   end
   else begin
   let sc = (id * t.n_ch) + c in
-  let now = Sim.now t.sim in
+  let now = t.sim_clock.(0) in
   let b = t.busy.(sc) in
   let depart = if b > now then b else now in
   (* [rate_scale] models a gray facility serving below nominal; the
@@ -264,21 +412,24 @@ let transmit t id c ~size pkt =
   t.wtx_b.(c) <- t.wtx_b.(c) + size;
   if Loss.drop t.ch_loss.(c) t.rng then begin
     t.wlost_p.(c) <- t.wlost_p.(c) + 1;
-    if not (Packet.is_marker pkt) then t.wire_dp.(id) <- t.wire_dp.(id) + 1;
+    if not marker then t.wire_dp.(id) <- t.wire_dp.(id) + 1;
     false
   end
   else begin
-    Fifo_queue.push t.wire.(sc) ~size pkt;
-    Sim.schedule t.sim ~at:(free_at +. t.prop_delay.(c)) t.arrive.(sc);
+    let at = free_at +. t.prop_delay.(c) in
+    ring_insert t.ring.(id) ~at ~tag:(tag t id c ~marker) ~size ~seq;
+    t.in_flight <- t.in_flight + 1;
+    if at > t.horizon.(0) then t.horizon.(0) <- at;
+    if not t.armed then arm t;
     true
   end
   end
 
-(* The [~send] of the slot's sender step: the marker's sentinel goes on
+(* The [~send] of the slot's sender step: the marker's entry goes on
    the wire like a packet, and its stamp into the ring beside it. *)
 let make_send_marker t id =
   fun ~channel ~round ~dc ~credit ~reset ~epoch ~gen ->
-    if transmit t id channel ~size:Packet.marker_size Packet.marker_sentinel
+    if transmit t id channel ~marker:true ~size:Packet.marker_size ~seq:0
     then begin
       let s = t.wire_stamp and sc = (id * t.n_ch) + channel in
       Int_rings.push s sc round;
@@ -341,17 +492,15 @@ let grow_to t cap =
   t.wire_dp <- extend (fun _ -> 0) t.wire_dp;
   t.fifo_viol <- extend (fun _ -> 0) t.fifo_viol;
   t.ooo <- extend (fun _ -> 0) t.ooo;
+  t.ring <- extend (fun _ -> { at = [||]; w = [||]; head = 0; len = 0 }) t.ring;
+  t.wgen <- extend (fun _ -> 0) t.wgen;
   let scap = cap * t.n_ch in
   let sold = old * t.n_ch in
   let extend_sc make a =
     Array.init scap (fun i -> if i < sold then a.(i) else make i)
   in
-  t.wire <- extend_sc (fun _ -> Fifo_queue.create ()) t.wire;
   Int_rings.extend t.wire_stamp ~rings:scap;
   t.busy <- extend_sc (fun _ -> 0.0) t.busy;
-  t.drop <- extend_sc (fun _ -> 0) t.drop;
-  t.arrive <-
-    extend_sc (fun sc -> make_arrive t (sc / t.n_ch) (sc mod t.n_ch)) t.arrive;
   t.free <- extend (fun _ -> 0) t.free;
   (* Stack the new slots so the lowest id comes off first. *)
   for id = cap - 1 downto old do
@@ -388,10 +537,19 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
     invalid_arg "Bundle_pool.create: initial_capacity must be positive";
   if config.guard then
     invalid_arg "Bundle_pool.create: the pool has no channel guard";
+  let clock = [| 0.0 |] in
+  let rec bits b = if 1 lsl b >= n then b else bits (b + 1) in
   let t =
     {
       sim;
+      sim_clock = Sim.clock sim;
+      clock;
+      horizon = [| neg_infinity |];
+      armed = false;
+      wake = ignore;
+      in_flight = 0;
       n_ch = n;
+      ch_bits = bits 0;
       rate_bps = Array.copy config.rate_bps;
       prop_delay = Array.copy config.prop_delay;
       quanta = Array.copy config.quanta;
@@ -402,7 +560,7 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
         (if config.marker_every > 0 then
            Some (Marker.make ~every_rounds:config.marker_every ())
          else None);
-      now_fn = (fun () -> Sim.now sim);
+      now_fn = (fun () -> clock.(0));
       interned = [||];
       ch_up = Array.make n true;
       rng = (match rng with Some r -> r | None -> Rng.create 0x5712e);
@@ -444,12 +602,11 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
       wire_dp = [||];
       fifo_viol = [||];
       ooo = [||];
-      wire = [||];
+      ring = [||];
+      wgen = [||];
       busy = [||];
-      drop = [||];
       (* One marker's seven ints per wire at first. *)
       wire_stamp = Int_rings.create ~rings:0 ~cap:7;
-      arrive = [||];
       free = [||];
       n_free = 0;
       n_live = 0;
@@ -466,6 +623,7 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?watchdog ?rng
     }
   in
   t.health <- build_health t;
+  t.wake <- (fun () -> wake t);
   grow_to t initial_capacity;
   t
 
@@ -493,7 +651,7 @@ let clear_slot t id =
 
 let activate t id =
   t.live.(id) <- true;
-  t.birth.(id) <- Sim.now t.sim;
+  t.birth.(id) <- t.sim_clock.(0);
   clear_slot t id;
   (* The slot engine starts from the link state of the moment, not from
      any predecessor's suspensions (release's reconfigure cleared those):
@@ -509,6 +667,7 @@ let acquire t =
   if t.n_free = 0 then grow_to t (2 * t.cap);
   t.n_free <- t.n_free - 1;
   let id = t.free.(t.n_free) in
+  settle t id;
   activate t id;
   id
 
@@ -529,6 +688,7 @@ let acquire_slot t ~key id =
   if !i >= t.n_free then invalid_arg "Bundle_pool.acquire_slot: slot not free";
   t.n_free <- t.n_free - 1;
   t.free.(!i) <- t.free.(t.n_free);
+  settle t id;
   (* A slot built for another key deals another Sprinklers order, so
      its engine and receiver are rebuilt; under [Srr] they never are. *)
   let order = slot_order t key in
@@ -540,15 +700,11 @@ let acquire_slot t ~key id =
   id
 
 let release t id =
-  check_live t id "release";
-  let base = id * t.n_ch in
-  for c = 0 to t.n_ch - 1 do
-    let sc = base + c in
-    (* Everything on the wire right now — including any still-undropped
-       tail of an even earlier generation — is dead. [busy] is kept:
-       the link finishes transmitting what it already accepted. *)
-    t.drop.(sc) <- Fifo_queue.length t.wire.(sc)
-  done;
+  settle_live t id "release";
+  (* Everything on the wires right now is dead: it lands as a past
+     generation. [busy] is kept: the link finishes transmitting what it
+     already accepted. *)
+  t.wgen.(id) <- t.wgen.(id) + 1;
   Resequencer.recycle t.rx.(id);
   Deficit.reconfigure t.tx.(id) ~quanta:t.quanta;
   t.next_mark.(id) <- 0;
@@ -562,15 +718,15 @@ let release t id =
    the per-slot components are recycled (a receiver that adopted a
    health retune runs other quanta than [create] gave it, so it is
    rebuilt instead), and the free stack is restacked lowest id first.
-   Empty wires are the precondition, not a step: a packet on a wire has
-   its arrival event queued, and [drop] never exceeds the wire's length,
-   so both are already what [create] built. *)
+   Empty wires are the precondition, not a step: a packet on a wire
+   keeps the [wake] event pending, and the stamp rings hold only the
+   markers on the wires, so both are already what [create] built. *)
 let reset t =
-  (* Not [Array.exists]: its inner closure allocates. *)
-  for i = 0 to Array.length t.wire - 1 do
-    if not (Fifo_queue.is_empty t.wire.(i)) then
-      invalid_arg "Bundle_pool.reset: a packet is still on a wire"
-  done;
+  if t.in_flight > 0 then
+    invalid_arg "Bundle_pool.reset: a packet is still on a wire";
+  t.clock.(0) <- 0.0;
+  t.horizon.(0) <- neg_infinity;
+  t.armed <- false;
   Array.fill t.ch_up 0 t.n_ch true;
   Array.fill t.ch_loss 0 t.n_ch (Loss.none ());
   Array.fill t.rate_scale 0 t.n_ch 1.0;
@@ -592,6 +748,7 @@ let reset t =
       Resequencer.recycle t.rx.(id)
     else t.rx.(id) <- make_rx t id;
     t.next_mark.(id) <- 0;
+    t.wgen.(id) <- 0;
     t.free.(id) <- t.cap - 1 - id
   done;
   Array.fill t.busy 0 (t.cap * t.n_ch) 0.0;
@@ -614,37 +771,8 @@ let capacity t = t.cap
 let total_acquired t = t.n_acquired
 let recycles t = t.n_recycled
 
-(* Size 0 matches no push, whose size is positive. *)
-let no_packet = { (Packet.data ~seq:0 ~size:1 ()) with Packet.size = 0 }
-
-(* Sizes up to this are interned; a larger one, which no real link
-   carries, gets a fresh packet per push rather than a table that
-   large. *)
-let max_interned = 65_535
-
-let[@inline never] intern_new t size =
-  let pkt = Packet.data ~seq:0 ~size () in
-  if size <= max_interned then begin
-    let n = Array.length t.interned in
-    if size >= n then begin
-      let cap = min (max_interned + 1) (max (size + 1) (2 * n)) in
-      let a = Array.make cap no_packet in
-      Array.blit t.interned 0 a 0 n;
-      t.interned <- a
-    end;
-    t.interned.(size) <- pkt
-  end;
-  pkt
-
-let[@inline] intern t size =
-  if size < Array.length t.interned then begin
-    let pkt = t.interned.(size) in
-    if pkt.Packet.size = size then pkt else intern_new t size
-  end
-  else intern_new t size
-
 let push t id ~size =
-  check_live t id "push";
+  settle_live t id "push";
   if size <= 0 then invalid_arg "Bundle_pool.push: size must be positive";
   if size > t.max_push then t.max_push <- size;
   if t.tx_down.(id) then
@@ -661,15 +789,15 @@ let push t id ~size =
          [Striper.push]); the marker check below compares against it. *)
       let c = Deficit.select d in
       let round_before = Deficit.round d in
-      let pkt =
+      let seq =
         if t.stamp_seq then begin
           let s = t.next_seq.(id) in
           t.next_seq.(id) <- s + 1;
-          Packet.data ~seq:s ~size ()
+          s
         end
-        else intern t size
+        else 0
       in
-      ignore (transmit t id c ~size pkt);
+      ignore (transmit t id c ~marker:false ~size ~seq);
       Deficit.consume d ~size;
       t.pushed_p.(id) <- t.pushed_p.(id) + 1;
       t.pushed_b.(id) <- t.pushed_b.(id) + size;
@@ -730,6 +858,7 @@ let health_target t =
 let set_channel_up t c up =
   if c < 0 || c >= t.n_ch then
     invalid_arg "Bundle_pool.set_channel_up: bad channel";
+  settle_all t;
   if t.ch_up.(c) <> up then begin
     t.ch_up.(c) <- up;
     (* One carrier transition touches channel [c] of every live bundle
@@ -763,14 +892,14 @@ let set_channel_up t c up =
   end
 
 let crash_sender t id =
-  check_live t id "crash_sender";
+  settle_live t id "crash_sender";
   if t.tx_down.(id) then
     invalid_arg "Bundle_pool.crash_sender: sender already down";
   t.tx_down.(id) <- true;
   t.n_crashes <- t.n_crashes + 1
 
 let restart_sender t id =
-  check_live t id "restart_sender";
+  settle_live t id "restart_sender";
   if not t.tx_down.(id) then
     invalid_arg "Bundle_pool.restart_sender: sender is not down";
   t.tx_down.(id) <- false;
@@ -802,7 +931,7 @@ let restart_sender t id =
   if Deficit.n_active t.tx.(id) = expected_active t then send_slot_reset t id
 
 let crash_receiver t id =
-  check_live t id "crash_receiver";
+  settle_live t id "crash_receiver";
   if t.rx_down.(id) then
     invalid_arg "Bundle_pool.crash_receiver: receiver already down";
   t.rx_down.(id) <- true;
@@ -810,13 +939,13 @@ let crash_receiver t id =
   (* Everything buffered dies with the endpoint now; the resequencer is
      also reset here rather than at restart, because its post-crash
      cold state is exactly what the restarted process boots with.
-     Arrivals in between are dropped by [rx_ingest]. *)
+     Landings in between are dropped by [land_one]. *)
   let wiped = Resequencer.crash_restart t.rx.(id) in
   t.rx_wiped_p.(id) <- t.rx_wiped_p.(id) + wiped;
   wiped
 
 let restart_receiver t id =
-  check_live t id "restart_receiver";
+  settle_live t id "restart_receiver";
   if not t.rx_down.(id) then
     invalid_arg "Bundle_pool.restart_receiver: receiver is not down";
   t.rx_down.(id) <- false;
@@ -871,6 +1000,7 @@ let unquarantine_channel t c =
    the adopted engine restarts clean. Slots with a crashed endpoint are
    skipped — their own crash barrier resynchronizes on restart. *)
 let resync t =
+  settle_all t;
   for id = 0 to t.cap - 1 do
     if t.live.(id) && (not t.tx_down.(id)) && not t.rx_down.(id) then
       send_slot_reset t id
@@ -908,6 +1038,7 @@ let health_tick t ~now =
   match t.health with
   | None -> []
   | Some h ->
+    settle_all t;
     (* Evidence: this tick's pool-wide wire deltas per channel. Loss and
        goodput shortfall both come from the facility itself — one gray
        link is one detection, however many bundles ride it. *)
@@ -946,47 +1077,50 @@ let channel_wire_tx t c =
     invalid_arg "Bundle_pool.channel_wire_tx: bad channel";
   t.wtx_p.(c)
 
-let set_fifo_check_after t time = t.fifo_check_after <- time
+(* Landings due before the line are judged by the old one. *)
+let set_fifo_check_after t time =
+  settle_all t;
+  t.fifo_check_after <- time
 
 let inject_violation t id =
-  check_live t id "inject_violation";
+  settle_live t id "inject_violation";
   (* Test-only: poison the FIFO monitor's high-water so the very next
      delivery on this slot registers as an ordering violation —
      validates that the always-on monitors actually fire. *)
   t.last_seq.(id) <- max_int
 
 let birth_time t id =
-  check_slot t id "birth_time";
+  settle_slot t id "birth_time";
   t.birth.(id)
 
 let pushed_packets t id =
-  check_slot t id "pushed_packets";
+  settle_slot t id "pushed_packets";
   t.pushed_p.(id)
 
 let pushed_bytes t id =
-  check_slot t id "pushed_bytes";
+  settle_slot t id "pushed_bytes";
   t.pushed_b.(id)
 
 let delivered_packets t id =
-  check_slot t id "delivered_packets";
+  settle_slot t id "delivered_packets";
   t.delivered_p.(id)
 
 let delivered_bytes t id =
-  check_slot t id "delivered_bytes";
+  settle_slot t id "delivered_bytes";
   t.delivered_b.(id)
 
 let in_flight_packets t id =
-  check_slot t id "in_flight_packets";
-  let base = id * t.n_ch in
+  settle_slot t id "in_flight_packets";
+  let r = t.ring.(id) in
   let total = ref 0 in
-  for c = 0 to t.n_ch - 1 do
-    let sc = base + c in
-    total := !total + Fifo_queue.length t.wire.(sc) - t.drop.(sc)
+  for k = 0 to r.len - 1 do
+    let tag = r.w.(3 * ((r.head + k) land (Array.length r.at - 1))) in
+    if tag lsr (t.ch_bits + 1) = t.wgen.(id) then incr total
   done;
   !total
 
 let wire_markers t id c =
-  check_slot t id "wire_markers";
+  settle_slot t id "wire_markers";
   if c < 0 || c >= t.n_ch then invalid_arg "Bundle_pool.wire_markers: bad channel";
   (* Seven ints a marker: round, DC, credit, reset, epoch, gen, cksum. *)
   let rec stamps = function
@@ -997,75 +1131,87 @@ let wire_markers t id c =
   stamps (Int_rings.to_list t.wire_stamp ((id * t.n_ch) + c))
 
 let rx_high_water_packets t id =
-  check_slot t id "rx_high_water_packets";
+  settle_slot t id "rx_high_water_packets";
   Resequencer.buffer_high_water_packets t.rx.(id)
 
 let sender_epoch t id =
-  check_slot t id "sender_epoch";
+  settle_slot t id "sender_epoch";
   t.tx_epoch.(id)
 
 let carrier_drops t id =
-  check_slot t id "carrier_drops";
+  settle_slot t id "carrier_drops";
   t.carrier_dp.(id)
 
 let sender_down_drops t id =
-  check_slot t id "sender_down_drops";
+  settle_slot t id "sender_down_drops";
   t.tx_down_dp.(id)
 
 let receiver_down_drops t id =
-  check_slot t id "receiver_down_drops";
+  settle_slot t id "receiver_down_drops";
   t.rx_down_dp.(id)
 
 let rx_wiped_packets t id =
-  check_slot t id "rx_wiped_packets";
+  settle_slot t id "rx_wiped_packets";
   t.rx_wiped_p.(id)
 
 let wire_loss_drops t id =
-  check_slot t id "wire_loss_drops";
+  settle_slot t id "wire_loss_drops";
   t.wire_dp.(id)
 
 let wire_busy_until t = Array.fold_left Float.max 0.0 t.busy
 
 let rx_epoch_discards t id =
-  check_slot t id "rx_epoch_discards";
+  settle_slot t id "rx_epoch_discards";
   Resequencer.epoch_discards t.rx.(id)
 
 let rx_pending_packets t id =
-  check_slot t id "rx_pending_packets";
+  settle_slot t id "rx_pending_packets";
   Resequencer.pending t.rx.(id)
 
 let rx_channel_dead t id c =
-  check_slot t id "rx_channel_dead";
+  settle_slot t id "rx_channel_dead";
   Resequencer.channel_dead t.rx.(id) c
 
 let rx_watchdog_skips t id =
-  check_slot t id "rx_watchdog_skips";
+  settle_slot t id "rx_watchdog_skips";
   Resequencer.watchdog_skips t.rx.(id)
 
 let rx_dead_declarations t id =
-  check_slot t id "rx_dead_declarations";
+  settle_slot t id "rx_dead_declarations";
   Resequencer.dead_declarations t.rx.(id)
 
 let last_delivery_time t id =
-  check_slot t id "last_delivery_time";
+  settle_slot t id "last_delivery_time";
   t.last_delivery.(id)
 
 let fifo_violations t id =
-  check_slot t id "fifo_violations";
+  settle_slot t id "fifo_violations";
   t.fifo_viol.(id)
 
 let seq_inversions t id =
-  check_slot t id "seq_inversions";
+  settle_slot t id "seq_inversions";
   t.ooo.(id)
 
 let highest_delivered_seq t id =
-  check_slot t id "highest_delivered_seq";
+  settle_slot t id "highest_delivered_seq";
   t.last_seq.(id)
 
-let total_delivered_packets t = t.total_dp
-let total_delivered_bytes t = t.total_db
+let total_delivered_packets t =
+  settle_all t;
+  t.total_dp
+
+let total_delivered_bytes t =
+  settle_all t;
+  t.total_db
+
 let markers_sent t = t.markers
-let total_fifo_violations t = t.fifo_violations
-let first_violation t = t.first_violation
+
+let total_fifo_violations t =
+  settle_all t;
+  t.fifo_violations
+
+let first_violation t =
+  settle_all t;
+  t.first_violation
 let crashes t = t.n_crashes
 let restarts t = t.n_restarts

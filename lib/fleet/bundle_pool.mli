@@ -12,14 +12,12 @@
     per-bundle state lives in struct-of-arrays slots indexed by an
     integer bundle id. The heavyweight components — the sender's
     {!Stripe_core.Deficit} engine, the receiver's
-    {!Stripe_core.Resequencer}, the
-    per-channel wire {!Stripe_packet.Fifo_queue}s, and the delivery
-    closures the simulator calls — are created {e once per slot} and
-    recycled across bundle generations in place
-    ({!Stripe_core.Deficit.reconfigure},
-    {!Stripe_core.Resequencer.recycle},
-    {!Stripe_packet.Fifo_queue.recycle}), so churning a bundle through
-    a warmed-up slot allocates almost nothing. Data packets are interned
+    {!Stripe_core.Resequencer}, the ring of packets in flight on the
+    slot's wires, and the closures the resequencer and the marker step
+    call — are created {e once per slot} and recycled across bundle
+    generations in place ({!Stripe_core.Deficit.reconfigure},
+    {!Stripe_core.Resequencer.recycle}), so churning a bundle through a
+    warmed-up slot allocates almost nothing. Data packets are interned
     by size in a per-pool array (they are immutable and the protocol
     never reads their measurement metadata) and markers travel as
     stamps, so the steady-state push path, marker batches included,
@@ -27,25 +25,30 @@
 
     {b The wire model.} Each slot-channel is a rate+delay pipe: a packet
     departs when the channel is free ([max now busy_until]), occupies it
-    for [size*8/rate] seconds, and arrives [prop_delay] later. Arrival
-    times on one channel are strictly increasing, so one prebuilt
-    closure per slot-channel pops the wire FIFO — no per-packet closure,
-    no per-event payload. A marker is never built as a packet: the
-    sender step hands its stamp to the slot
-    ({!Stripe_core.Marker.send}), {!Stripe_packet.Packet.marker_sentinel}
-    holds its place and its 36 bytes on the wire while its ints wait in
-    a ring of an {!Stripe_packet.Int_rings} beside it, and its arrival hands the
-    stamp to {!Stripe_core.Resequencer.receive_marker}.
+    for [size*8/rate] seconds, and lands [prop_delay] later. A landing
+    is not an event. Slots never interact, so the pool files each
+    packet with its landing time in one ring per slot, in landing order
+    (equal times in send order), and {e settles} a slot — lands its due
+    packets in that order, each at its own landing time — before
+    anything reads or changes it: every per-slot operation and accessor
+    settles its slot, every pool-wide one settles them all. The pool
+    keeps one pending event, at the latest landing time on any wire, so
+    {!Stripe_netsim.Sim.run} still returns at the last landing, with
+    every slot settled. A marker is never built as a packet: the sender
+    step hands its stamp to the slot ({!Stripe_core.Marker.send}), its
+    ring entry holds its place and its 36 bytes on the wire while its
+    ints wait in a ring of an {!Stripe_packet.Int_rings} beside it, and
+    its landing hands the stamp to
+    {!Stripe_core.Resequencer.receive_marker}.
 
     {b Churn.} {!release} does not blank the wires: a physical link
     being handed to a new bundle still has the old owner's bits in
-    flight, so the pool lets them drain — each slot-channel counts how
-    many of its queued packets belong to dead generations and the
-    arrival closure discards exactly those, in FIFO order, before
-    feeding the new owner's traffic to its (recycled) resequencer. A
-    freshly {!acquire}d slot therefore behaves exactly like a new bundle
-    except that its channels may still be busy with the predecessor's
-    tail. *)
+    flight, so the pool lets them drain — each ring entry carries the
+    generation that sent it, and a landing of a dead generation is
+    discarded at its landing time, before the new owner's traffic
+    reaches its (recycled) resequencer. A freshly {!acquire}d slot
+    therefore behaves exactly like a new bundle except that its
+    channels may still be busy with the predecessor's tail. *)
 
 (** Striping discipline run by every slot engine (PROTOCOL.md §14).
 
@@ -101,10 +104,11 @@ val create :
     [initial_capacity] (default 64) slots are built eagerly; the pool
     doubles its slot table when {!acquire} finds no free slot.
 
-    [stamp_seq] (default [false]) allocates each pushed data packet with
-    a per-bundle sequence number instead of the interned flyweight, which
-    arms the always-on FIFO monitor ({!fifo_violations},
-    {!total_fifo_violations}) at the cost of one allocation per push.
+    [stamp_seq] (default [false]) numbers each pushed data packet per
+    bundle and lands it as a packet carrying that sequence number
+    instead of the interned flyweight, which arms the always-on FIFO
+    monitor ({!fifo_violations}, {!total_fifo_violations}) at the cost
+    of one allocation per landing.
     [watchdog] equips every slot resequencer with the marker-cadence
     dead-channel watchdog ({!Stripe_core.Resequencer.watchdog}) —
     recommended for any chaos run, since it is what keeps a storm from
@@ -158,7 +162,7 @@ val reset : t -> unit
 
     Drain the simulation and {!Stripe_netsim.Sim.reset} it first:
     recycled resequencers read the clock. Raises [Invalid_argument] if
-    a packet is still on a wire (its arrival event is pending). The
+    a packet is still on a wire (the pool's event is pending). The
     [rng] handed to {!create} is not rewound; the fleet replay never
     draws from it, as it installs no wire loss. *)
 
@@ -306,8 +310,9 @@ val highest_delivered_seq : t -> int -> int
 val total_fifo_violations : t -> int
 
 val first_violation : t -> (float * int * int) option
-(** [(time, bundle, seq)] of the first FIFO violation, for pinpointing
-    a failing seed's event neighborhood. *)
+(** [(time, bundle, seq)] of the earliest FIFO violation (the lowest
+    bundle id among equal times), for pinpointing a failing seed's event
+    neighborhood. *)
 
 val crashes : t -> int
 val restarts : t -> int

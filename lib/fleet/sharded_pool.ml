@@ -7,9 +7,10 @@
    and one pool reset in between, and the results merge at one barrier:
    generation tables joined and sorted by ordinal, counters summed, the
    earliest FIFO violation kept. A group's tape is walked by a plain
-   loop that runs the sim up to each op's time, so the only events are
-   wire arrivals. Slots never interact, so every group replays the same
-   events at every domain count (sharded_pool.mli, DESIGN.md §10). *)
+   loop that runs the sim up to each op's time, so the only event is
+   the pool's one pending landing event. Slots never interact, so every
+   group replays the same events at every domain count
+   (sharded_pool.mli, DESIGN.md §10). *)
 
 module Sim = Stripe_netsim.Sim
 module Rng = Stripe_netsim.Rng
@@ -20,8 +21,7 @@ let op_release = 1
 let op_push = 2
 
 (* Slots per replay group, [1 lsl slot_bits]. A group's live state —
-   slot engines, resequencers, wires and the sim's pending events —
-   stays cache-sized however large the fleet is. Picked from a sweep
+   slot engines, resequencers and wire rings — stays cache-sized however large the fleet is. Picked from a sweep
    over the 25k-bundle churned fleet (DESIGN.md §10, "Replay groups"). *)
 let slot_bits = 7
 let group_slots = 1 lsl slot_bits
@@ -293,13 +293,13 @@ let assign ~domains ops =
    fills the next slot of the shard's generation table, which the
    recorder's release counts size exactly.
 
-   Replay needs no tape event. A replay sim holds only wire arrivals:
-   ops schedule them ([Bundle_pool.transmit], data and markers alike),
-   and an arrival schedules nothing — it feeds a resequencer, which
-   delivers; a replay runs no watchdog, health engine or chaos. So
-   every event due at or before op [k]'s time was inserted before op
-   [k] would be, and [Sim.run_until] (ties included) fires exactly the
-   events an op event inserted at op [k - 1]'s firing would follow. *)
+   Replay needs no tape event. A replay sim holds at most the pool's
+   one pending landing event; landings are not events, and each op
+   first lands its slot's packets due by its time, ties included
+   ([Bundle_pool]'s settle). A replay runs no watchdog, health engine
+   or chaos, so nothing else is scheduled. [Sim.run_until] only has to
+   bring the clock to op [k]'s time, firing the pool's event if it is
+   due, and op [k] then runs as an op event would. *)
 let replay (t : t) ~shard ids =
   let groups = Array.map (fun i -> t.groups.(i)) ids in
   let wall0 = t.clock () in
@@ -327,8 +327,8 @@ let replay (t : t) ~shard ids =
   let replay_group (g : group) =
     Sim.reset sim;
     Bundle_pool.reset pool;
-    (* Every event due at or before op [k]'s time fires, then op [k]
-       runs (see "Replay needs no tape event" above). *)
+    (* The clock reaches op [k]'s time, then op [k] runs (see "Replay
+       needs no tape event" above). *)
     for k = 0 to g.len - 1 do
       Sim.run_until sim g.at.(k);
       let w = g.op.(k) in

@@ -20,13 +20,14 @@
     the domain count. A group is a self-contained replay on a reset
     [Sim] and a reset [Bundle_pool] sized for one group, and its
     working set stays cache-sized. Its tape is walked by a loop: each
-    op runs once [Sim.run_until] has fired every event due at or before
-    its time, ties included. That is exactly the order
-    an op event inserted by its predecessor would fire in, because a
-    replay sim holds only wire arrivals, which ops insert and which
-    insert nothing themselves (no watchdog, health engine or chaos runs
-    in a replay). So the sim fires one event per wire arrival and none
-    per op.
+    op runs once [Sim.run_until] has brought the clock to its time. That
+    is exactly how an op event inserted by its predecessor would run,
+    because a replay sim holds only the pool's one pending landing
+    event: a landing is not an event, and an op first lands its slot's
+    packets due by its time, ties included (no watchdog, health engine
+    or chaos runs in a replay). So the sim fires one event per time the
+    pool's landing horizon is reached, and none per op or per
+    packet.
 
     {b Partition.} Groups are the unit of parallel work. {!run} assigns
     them to domains by LPT over their recorded op counts: largest group

@@ -47,6 +47,8 @@ let create ?(engine = Heap) () =
 
 let[@inline] now t = t.clock.(0)
 
+let clock t = t.clock
+
 let events t = t.events
 
 let[@inline never] schedule_invalid at now =

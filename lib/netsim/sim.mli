@@ -29,6 +29,12 @@ val create : ?engine:engine -> unit -> t
 val now : t -> float
 (** Current simulated time. *)
 
+val clock : t -> float array
+(** The one-cell array the simulation keeps its time in:
+    [(clock t).(0) = now t] at every moment. A hot path reads the time
+    from it without a call, so the float is not boxed where calls do
+    not inline across modules. Read it; never write it. *)
+
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** [schedule sim ~at f] runs [f] when the clock reaches [at]. [at] must
     not be in the past ([at >= now sim], so not NaN either); raises

@@ -63,12 +63,12 @@ let test_duality_paper_example () =
   Alcotest.(check bool) "paper example round-trips" true
     (duality_roundtrip (srr_cfq [| 500; 500 |]) [ a; d; e; b; c; f ])
 
-let sizes_gen = QCheck.(list_of_size (Gen.int_range 0 300) (int_range 1 1500))
+let sizes_gen = QCheck.(list_of_size (Gen.int_range 0 300) (Arb.int_range 1 1500))
 
 let prop_duality_srr =
   QCheck.Test.make ~name:"duality: SRR load_share inverts via fair_queue"
     ~count:150
-    QCheck.(pair (int_range 1 5) sizes_gen)
+    QCheck.(pair (Arb.int_range 1 5) sizes_gen)
     (fun (n, sizes) ->
       let quanta = Array.make n 1500 in
       let input = List.mapi (fun i size -> (size, i)) sizes in
@@ -102,7 +102,7 @@ let prop_duality_seeded_random =
    duality runs over is itself a function of arbitrary float inputs.
    Random rate skews x random size sequences probe exactly the
    clamp/rounding corners. *)
-let rates_gen = QCheck.(list_of_size (Gen.int_range 1 5) (int_range 1 40))
+let rates_gen = QCheck.(list_of_size (Gen.int_range 1 5) (Arb.int_range 1 40))
 
 let rates_bps_of mbps =
   Array.of_list (List.map (fun m -> 1e6 *. float_of_int m) mbps)

@@ -242,7 +242,7 @@ let prop_conservation =
   QCheck.Test.make
     ~name:"deficit: bytes dispatched per channel ~ K*quantum within bound"
     ~count:100
-    QCheck.(pair (int_range 1 4) (list_of_size (Gen.return 400) (int_range 1 1000)))
+    QCheck.(pair (Arb.int_range 1 4) (list_of_size (Gen.return 400) (Arb.int_range 1 1000)))
     (fun (n, sizes) ->
       let quanta = Array.make n 1000 in
       let d = Deficit.create ~quanta () in

@@ -163,7 +163,7 @@ let test_validation () =
 
 let prop_work_conserving =
   QCheck.Test.make ~name:"fair_queue: dequeues everything enqueued" ~count:100
-    QCheck.(pair (int_range 1 4) (list_of_size (Gen.int_range 0 200) (int_range 1 1500)))
+    QCheck.(pair (Arb.int_range 1 4) (list_of_size (Gen.int_range 0 200) (Arb.int_range 1 1500)))
     (fun (n, sizes) ->
       let fq = Fair_queue.create ~quanta:(Array.make n 1500) () in
       List.iteri
@@ -174,7 +174,7 @@ let prop_work_conserving =
 
 let prop_per_flow_fifo =
   QCheck.Test.make ~name:"fair_queue: per-flow order preserved" ~count:100
-    QCheck.(list_of_size (Gen.int_range 0 200) (pair (int_range 0 2) (int_range 1 1500)))
+    QCheck.(list_of_size (Gen.int_range 0 200) (pair (int_range 0 2) (Arb.int_range 1 1500)))
     (fun jobs ->
       let fq = Fair_queue.create ~quanta:[| 1000; 1000; 1000 |] () in
       List.iteri

@@ -248,7 +248,7 @@ let prop_striper_matches_pool_slot =
   QCheck.Test.make ~name:"striper and pool slot send alike" ~count:200
     QCheck.(
       pair (oneofl [ 1; 2; 4 ])
-        (list_of_size Gen.(1 -- 300) (int_range 1 1500)))
+        (list_of_size Gen.(1 -- 300) (Arb.int_range 1 1500)))
     (fun (marker_every, sizes) ->
       let config = { (config ()) with Bundle_pool.marker_every } in
       let per_channel = Array.make (Array.length rates) 0 in
@@ -293,19 +293,28 @@ let per_instant log =
          | _ -> e :: acc)
        [] log)
 
-(* One pool slot ([stamp_seq], markers as stamps on its wires) and a
-   [Striper] on [Link]s into a [Resequencer] (markers as packets) get
-   the same rates, delays, pushes at the same times and the same mid-run
-   §5 reset, over lossless wires. The pool's wire is the link's formula,
-   so both must deliver the same seqs at the same instants and send the
-   same markers. *)
+(* One pool slot ([stamp_seq], markers as stamps on its wires, landed
+   lazily) and a [Striper] on [Link]s into a [Resequencer] (markers as
+   packets, each landing an event) get the same rates, delays, pushes
+   at the same times and the same mid-run §5 reset, over lossless
+   wires. The pool's wire is the link's formula, so both must deliver
+   the same seqs at the same instants and send the same markers.
+
+   The pool's deliveries are not events, so its step function is
+   probed: at each instant [T] at which the chain delivered, and just
+   before it at [Float.pred T], the pool's count and highest seq must
+   be the chain's. Together the probes pin the pool's delivery step
+   function to the chain's exactly: a delivery early, late or at an
+   instant of its own shows at one of them. *)
 let prop_pool_slot_matches_link_chain =
   QCheck.Test.make ~name:"stamp and packet paths agree" ~count:100
     QCheck.(
       triple (oneofl [ 1; 2; 4 ]) small_nat
         (list_of_size Gen.(1 -- 300)
-           (pair (int_range 0 3000) (int_range 1 1500))))
+           (pair (int_range 0 3000) (Arb.int_range 1 1500))))
     (fun (marker_every, reset_at, pushes) ->
+      (* The list shrinker goes below its size range. *)
+      QCheck.assume (pushes <> []);
       let config = { (config ()) with Bundle_pool.marker_every } in
       let n_pushes = List.length pushes in
       let reset_at = reset_at mod n_pushes in
@@ -321,24 +330,6 @@ let prop_pool_slot_matches_link_chain =
                (k + 1, at))
              (1, 0.0) pushes)
       in
-      let sim = Sim.create () in
-      let pool =
-        Bundle_pool.create ~stamp_seq:true ~initial_capacity:1 ~sim config
-      in
-      let id = Bundle_pool.acquire pool in
-      schedule sim
-        ~push:(fun _ ~size -> Bundle_pool.push pool id ~size)
-        ~reset:(fun () -> Bundle_pool.resync pool);
-      let pool_log = ref [] and seen = ref 0 in
-      while Sim.step sim do
-        let d = Bundle_pool.delivered_packets pool id in
-        if d > !seen then begin
-          seen := d;
-          pool_log :=
-            (Sim.now sim, d, Bundle_pool.highest_delivered_seq pool id)
-            :: !pool_log
-        end
-      done;
       let sim = Sim.create () in
       let now () = Sim.now sim in
       let scheduler = Scheduler.srr ~quanta:config.Bundle_pool.quanta () in
@@ -374,11 +365,161 @@ let prop_pool_slot_matches_link_chain =
           Striper.push striper (Stripe_packet.Packet.data ~seq:k ~size ()))
         ~reset:(fun () -> Striper.send_reset striper);
       Sim.run sim;
-      !in_order
+      let chain = per_instant (List.rev !chain_log) in
+      let sim = Sim.create () in
+      let pool =
+        Bundle_pool.create ~stamp_seq:true ~initial_capacity:1 ~sim config
+      in
+      let id = Bundle_pool.acquire pool in
+      schedule sim
+        ~push:(fun _ ~size -> Bundle_pool.push pool id ~size)
+        ~reset:(fun () -> Bundle_pool.resync pool);
+      let probe at =
+        Sim.run_until sim at;
+        ( Bundle_pool.delivered_packets pool id,
+          Bundle_pool.highest_delivered_seq pool id )
+      in
+      let agree, _ =
+        List.fold_left
+          (fun (ok, before) (time, d, s) ->
+            let ok = ok && probe (Float.pred time) = before in
+            (ok && probe time = (d, s), (d, s)))
+          (true, (0, 0))
+          chain
+      in
+      Sim.run sim;
+      let last = match List.rev chain with (t, _, _) :: _ -> t | [] -> nan in
+      !in_order && agree
       && Bundle_pool.seq_inversions pool id = 0
       && !delivered > 0
-      && per_instant (List.rev !pool_log) = per_instant (List.rev !chain_log)
+      && Bundle_pool.delivered_packets pool id = !delivered
+      && Bundle_pool.last_delivery_time pool id = last
       && Striper.markers_sent striper = Bundle_pool.markers_sent pool)
+
+(* --- Lazy landing: settling is invisible ------------------------------ *)
+
+(* The same random ops on a [stamp_seq] pool of four slots, with a
+   watchdog reading the clock, run with and without probes: accessors
+   called at random instants, each settling what it reads. Every
+   packet lands at its landing time whoever settles it and when, so the
+   probed run must end exactly as the unprobed one. An op is (gap in
+   microseconds, kind, slot, size); a probe is (gap, accessor). *)
+let run_probed ~probes ops =
+  let sim = Sim.create () in
+  let pool =
+    Bundle_pool.create ~stamp_seq:true ~initial_capacity:4
+      ~watchdog:{ Resequencer.intervals = 3; fallback = 0.01 }
+      ~sim (config ())
+  in
+  let n = 4 in
+  for k = 0 to n - 1 do
+    ignore (Bundle_pool.acquire_slot pool ~key:k k)
+  done;
+  let rx_down = Array.make n false and tx_down = Array.make n false in
+  let op (kind, k, size) =
+    let live = Bundle_pool.is_live pool k in
+    match kind with
+    | 6 when not live ->
+      ignore (Bundle_pool.acquire_slot pool ~key:k k);
+      rx_down.(k) <- false;
+      tx_down.(k) <- false
+    | 7 when live -> Bundle_pool.release pool k
+    | 8 when live ->
+      if rx_down.(k) then Bundle_pool.restart_receiver pool k
+      else ignore (Bundle_pool.crash_receiver pool k);
+      rx_down.(k) <- not rx_down.(k)
+    | 9 when live ->
+      if tx_down.(k) then Bundle_pool.restart_sender pool k
+      else Bundle_pool.crash_sender pool k;
+      tx_down.(k) <- not tx_down.(k)
+    | 10 -> Bundle_pool.resync pool
+    | 11 when live -> Bundle_pool.inject_violation pool k
+    | _ when live -> Bundle_pool.push pool k ~size
+    | _ -> ()
+  in
+  ignore
+    (List.fold_left
+       (fun at (gap, kind, k, size) ->
+         let at = at +. (float_of_int gap *. 1e-6) in
+         Sim.schedule sim ~at (fun () -> op (kind, k, size));
+         at)
+       0.0 ops);
+  let probe (a, k) =
+    match a with
+    | 0 -> ignore (Bundle_pool.delivered_packets pool k)
+    | 1 -> ignore (Bundle_pool.in_flight_packets pool k)
+    | 2 -> ignore (Bundle_pool.rx_pending_packets pool k)
+    | 3 -> ignore (Bundle_pool.total_delivered_packets pool)
+    | _ -> ignore (Bundle_pool.first_violation pool)
+  in
+  if probes <> [] then
+    ignore
+      (List.fold_left
+         (fun at (gap, a) ->
+           let at = at +. (float_of_int gap *. 1e-6) in
+           Sim.schedule sim ~at (fun () -> probe (a mod 5, a mod n));
+           at)
+         0.0 probes);
+  Sim.run sim;
+  let slot k =
+    ( ( Bundle_pool.pushed_packets pool k,
+        Bundle_pool.delivered_packets pool k,
+        Bundle_pool.delivered_bytes pool k,
+        Bundle_pool.highest_delivered_seq pool k ),
+      ( Bundle_pool.receiver_down_drops pool k,
+        Bundle_pool.rx_wiped_packets pool k,
+        Bundle_pool.rx_epoch_discards pool k,
+        Bundle_pool.rx_pending_packets pool k ),
+      ( Bundle_pool.fifo_violations pool k,
+        Bundle_pool.seq_inversions pool k,
+        Bundle_pool.rx_watchdog_skips pool k,
+        Int64.bits_of_float (Bundle_pool.last_delivery_time pool k) ) )
+  in
+  ( List.init n slot,
+    Bundle_pool.total_delivered_packets pool,
+    Bundle_pool.first_violation pool )
+
+let prop_probing_changes_nothing =
+  QCheck.Test.make ~name:"probing a lazy pool changes nothing" ~count:100
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 200)
+           (quad (int_range 0 2000) (int_range 0 11) (int_range 0 3)
+              (Arb.int_range 1 1500)))
+        (list_of_size Gen.(1 -- 100) (pair (int_range 0 4000) small_nat)))
+    (fun (ops, probes) ->
+      run_probed ~probes:[] ops = run_probed ~probes ops)
+
+(* Two channels of one slot whose packets land at the same float
+   instant: the pool lands them in send order. Channel 1 (delay 1 ms)
+   sends at 0 and channel 0 (delay 2 ms) 1 ms earlier in wire time,
+   both serializing in exactly 0.5 ms, so both land at 0.0025. *)
+let test_equal_landings_keep_send_order () =
+  let sim = Sim.create () in
+  let pool =
+    Bundle_pool.create ~stamp_seq:true ~initial_capacity:1 ~sim
+      {
+        Bundle_pool.rate_bps = [| 8e6; 8e6 |];
+        prop_delay = [| 0.002; 0.001 |];
+        quanta = [| 500; 500 |];
+        marker_every = 0;
+        guard = false;
+        discipline = Bundle_pool.Srr;
+      }
+  in
+  let id = Bundle_pool.acquire pool in
+  (* Seq 1 to channel 0, landing at 0.0005 + 0.002; seq 2 to channel 1,
+     queued at 0.001 behind nothing, landing at 0.0015 + 0.001. *)
+  Bundle_pool.push pool id ~size:500;
+  Sim.schedule sim ~at:0.001 (fun () -> Bundle_pool.push pool id ~size:500);
+  Sim.run_until sim (Float.pred 0.0025);
+  check_int "nothing has landed before the instant" 0
+    (Bundle_pool.delivered_packets pool id);
+  Sim.run sim;
+  check_int "both delivered" 2 (Bundle_pool.delivered_packets pool id);
+  check_int "in send order" 0 (Bundle_pool.seq_inversions pool id);
+  Alcotest.(check (float 0.0)) "at the shared instant" 0.0025
+    (Bundle_pool.last_delivery_time pool id)
 
 let suites =
   [
@@ -400,5 +541,8 @@ let suites =
           test_engines_agree_on_churned_fleet;
         QCheck_alcotest.to_alcotest prop_striper_matches_pool_slot;
         QCheck_alcotest.to_alcotest prop_pool_slot_matches_link_chain;
+        QCheck_alcotest.to_alcotest prop_probing_changes_nothing;
+        Alcotest.test_case "equal landings keep send order" `Quick
+          test_equal_landings_keep_send_order;
       ] );
   ]

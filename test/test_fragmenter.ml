@@ -154,7 +154,7 @@ let prop_roundtrip_fifo =
   QCheck.Test.make
     ~name:"fragmenter: reassembly is ordered and complete-or-dropped under loss"
     ~count:80
-    QCheck.(triple (int_range 0 1000) (float_range 0.0 0.3) (int_range 1 4))
+    QCheck.(triple (int_range 0 1000) (float_range 0.0 0.3) (Arb.int_range 1 4))
     (fun (seed, loss_p, n) ->
       let rng = Stripe_netsim.Rng.create (seed + 1) in
       let sizes = List.init 150 (fun _ -> 1 + Stripe_netsim.Rng.int rng 9000) in

@@ -417,7 +417,7 @@ let test_spec_errors_carry_positions () =
 let prop_guard_never_zeroes_membership =
   QCheck.Test.make ~name:"health: guard keeps one live channel" ~count:100
     QCheck.(
-      pair (int_range 1 5) (list_of_size Gen.(int_range 1 60) (int_range 0 999)))
+      pair (Arb.int_range 1 5) (list_of_size Gen.(int_range 1 60) (int_range 0 999)))
     (fun (n0, stream) ->
       let h = Health.create ~config:fast ~n:n0 () in
       let now = ref 0.0 in

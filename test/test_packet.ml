@@ -129,7 +129,7 @@ let prop_queue_fifo =
 let prop_int_rings_fifo =
   QCheck.Test.make ~name:"int_rings are per-ring fifos" ~count:200
     QCheck.(
-      pair (int_range 1 3)
+      pair (Arb.int_range 1 3)
         (list (triple (int_range 0 2) (int_range 0 9) small_nat)))
     (fun (cap, ops) ->
       let t = Int_rings.create ~rings:2 ~cap in

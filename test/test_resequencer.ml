@@ -82,8 +82,8 @@ let prop_theorem41 =
   QCheck.Test.make
     ~name:"logical reception: FIFO for any sizes, quanta and interleaving"
     ~count:100
-    QCheck.(triple (int_range 1 5) (int_range 0 10_000)
-              (list_of_size (Gen.int_range 0 300) (int_range 1 1500)))
+    QCheck.(triple (Arb.int_range 1 5) (int_range 0 10_000)
+              (list_of_size (Gen.int_range 0 300) (Arb.int_range 1 1500)))
     (fun (n, seed, sizes) ->
       let rng = Stripe_netsim.Rng.create seed in
       let pair = Pair.create ~quanta:(Array.make n 1500) () in
@@ -208,7 +208,7 @@ let prop_recovery =
   QCheck.Test.make
     ~name:"marker recovery: FIFO restored after losses stop (any rate/shape)"
     ~count:40
-    QCheck.(triple (int_range 0 1000) (float_range 0.05 0.8) (int_range 2 4))
+    QCheck.(triple (int_range 0 1000) (float_range 0.05 0.8) (Arb.int_range 2 4))
     (fun (seed, loss_p, n_channels) ->
       let in_order, complete =
         run_recovery ~seed ~loss_p ~n_channels ~every_rounds:3

@@ -158,7 +158,7 @@ let prop_guaranteed_fifo =
   QCheck.Test.make
     ~name:"seq resequencer: delivery strictly increasing under any loss"
     ~count:100
-    QCheck.(triple (int_range 0 1000) (float_range 0.0 0.7) (int_range 1 4))
+    QCheck.(triple (int_range 0 1000) (float_range 0.0 0.7) (Arb.int_range 1 4))
     (fun (seed, loss_p, n_channels) ->
       let out, _ = run ~seed ~n_channels ~n_packets:300 ~loss_p () in
       is_strictly_increasing out)
@@ -166,7 +166,7 @@ let prop_guaranteed_fifo =
 let prop_lossless_complete =
   QCheck.Test.make
     ~name:"seq resequencer: lossless delivery is complete and exact" ~count:80
-    QCheck.(pair (int_range 0 1000) (int_range 1 5))
+    QCheck.(pair (int_range 0 1000) (Arb.int_range 1 5))
     (fun (seed, n_channels) ->
       let out, _ = run ~seed ~n_channels ~n_packets:250 ~loss_p:0.0 () in
       out = List.init 250 Fun.id)

@@ -39,12 +39,12 @@ let prop_counters_partition_merge =
   QCheck.Test.make
     ~name:"counters: merge over any channel partition = unsharded" ~count:100
     QCheck.(
-      pair (int_range 1 4)
+      pair (Arb.int_range 1 4)
         (small_list
            (triple
               (int_range 0 (Array.length kinds - 1))
               (int_range 0 (n_channels - 1))
-              (int_range 1 1500))))
+              (Arb.int_range 1 1500))))
     (fun (shards, evs) ->
       let whole = Counters.create ~n:n_channels in
       let parts = Array.init shards (fun _ -> Counters.create ~n:n_channels) in
@@ -64,8 +64,8 @@ let prop_recovery_partition_merge =
   QCheck.Test.make ~name:"recovery: interval union is partition-invariant"
     ~count:100
     QCheck.(
-      pair (int_range 1 4)
-        (small_list (pair (int_range 0 1000) (int_range 1 150))))
+      pair (Arb.int_range 1 4)
+        (small_list (pair (int_range 0 1000) (Arb.int_range 1 150))))
     (fun (shards, raw) ->
       let outages =
         List.map
@@ -235,10 +235,9 @@ type direct = {
    single-pool run the sharded replay must reproduce. Checks on the way
    that the recorder's shadow allocator predicted every slot id, and
    harvests every generation at its release. Every op is scheduled up
-   front, ahead of every arrival, so an op at the instant of an arrival
-   would run first here and after it in the replay; the churn scripts
-   never put an op on an arrival's instant ([test_op_ties_arrival]
-   pins the tie against a pump drive instead). *)
+   front; an op at the instant of a landing still lands it first, as in
+   the replay, since every op settles its slot before it acts
+   ([test_op_ties_arrival] pins the tie against a pump drive). *)
 let run_direct ~engine ~discipline ops =
   let sim = Sim.create ~engine () in
   let pool =
@@ -472,10 +471,9 @@ let test_lpt_assignment () =
         r.imbalance)
     [ 2; 3; 4 ]
 
-(* The drive the replay reproduces at a tie: op [k + 1] is scheduled
-   when op [k] fires, so every event already due at op [k + 1]'s
-   instant fires before it. Returns the delivered packets of each
-   released generation, in release order. *)
+(* The drive the replay stands for: op [k + 1] is scheduled when op [k]
+   fires. Returns the delivered packets of each released generation, in
+   release order. *)
 let run_pump ~engine config ops =
   let op_at = function Acquire (at, _) | Release (at, _) | Push (at, _, _) -> at in
   let sim = Sim.create ~engine () in
@@ -498,11 +496,11 @@ let run_pump ~engine config ops =
   Sim.run sim;
   List.rev !delivered
 
-(* An op at the exact instant of an arrival: 1000 B at 8 Mb/s takes
+(* An op at the exact instant of a landing: 1000 B at 8 Mb/s takes
    1 ms to send and 1 ms to cross, so the packet pushed at 0 lands at
-   0.002, the instant its bundle is released. The arrival was queued
-   first, so it fires first and the generation reports it delivered; a
-   replay that ran the release first would report 0. *)
+   0.002, the instant its bundle is released. The release settles the
+   slot first, so the generation reports it delivered in either drive;
+   a release that did not would report 0. *)
 let test_op_ties_arrival () =
   let config =
     {
