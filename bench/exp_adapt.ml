@@ -318,7 +318,7 @@ let () =
           (run_all ~n_packets:n_quick)
     in
     Bench_gate.(
-      write file
+      write file ~key:"case"
         ~header:
           [
             ( "scenario",

@@ -744,7 +744,7 @@ let () =
   | None -> ()
   | Some file ->
     Bench_gate.(
-      write file
+      write file ~key:"run"
         ~header:
           [
             ( "scenario",

@@ -220,7 +220,7 @@ let () =
   | None -> ()
   | Some file ->
     Bench_gate.(
-      write file
+      write file ~key:"config"
         ~header:
           [
             ( "scenario",

@@ -48,9 +48,9 @@
      dune exec bench/exp_fleet.exe -- --check FILE --max-regress 0.30
        # CI gate: exit 1 if pps drops >30% below FILE's committed
        # numbers, if a run's minor words per delivered packet move >2%
-       # either way from its own entry (the engine's single-domain
-       # anchor, or its -dN entry where FILE has one; a drop means a
-       # stale entry: regenerate), or if the
+       # either way from its own entry (the single-domain anchor, or
+       # its -dN entry where FILE has one; a drop means a stale entry:
+       # regenerate), or if the
        # protocol aggregates (delivered, markers, events, share
        # p50/p99) drift
        # from the committed single-domain anchor — the latter holds for
@@ -58,10 +58,10 @@
        # equality, not wall-clock — or if a -dN run's op imbalance
        # differs from its -dN entry.
 
-   Like exp_throughput, each engine runs [--repeat] times and the
-   fastest run is reported (wall-clock noise is one-sided); the
-   simulated behavior is seed-deterministic, so fairness numbers are
-   identical across repeats, engines, and domain counts. *)
+   Like exp_throughput, the fleet runs [--repeat] times and the fastest
+   run is reported (wall-clock noise is one-sided); the simulated
+   behavior is seed-deterministic, so fairness numbers are identical
+   across repeats and domain counts. *)
 
 open Stripe_netsim
 open Stripe_core
@@ -82,7 +82,6 @@ let packet_rate = 100_000.0 (* fleet-wide data packets per simulated second *)
 let min_measured_life = 0.02
 
 type result = {
-  engine : string;
   domains : int;
   bundles : int;
   peak_live : int;
@@ -108,20 +107,19 @@ let percentile sorted p =
     let i = int_of_float (p *. float_of_int (n - 1)) in
     sorted.(min (n - 1) (max 0 i))
 
-let run_once ~engine ~total_bundles ~domains () =
-  (* Generation pass: protocol-free, so it always runs on the heap
-     engine of a private sim. The RNG stream structure and the dense
-     live-table dynamics are identical to the legacy single-pool loop,
-     so the recorded op tape is the exact op sequence that loop issued
-     against its pool. *)
-  let gsim = Sim.create ~engine:Sim.Heap () in
+let run_once ~total_bundles ~domains () =
+  (* Generation pass: protocol-free, on a private sim. The RNG stream
+     structure and the dense live-table dynamics are identical to the
+     legacy single-pool loop, so the recorded op tape is the exact op
+     sequence that loop issued against its pool. *)
+  let gsim = Sim.create () in
   let rng = Rng.create reference_seed in
   let arrivals_rng = Rng.split rng in
   let life_rng = Rng.split rng in
   let traffic_rng = Rng.split rng in
   let size_rng = Rng.split rng in
   let pool =
-    Sharded_pool.create ~engine ~clock:Unix.gettimeofday ~domains
+    Sharded_pool.create ~clock:Unix.gettimeofday ~domains
       ~seed:reference_seed
       {
         Bundle_pool.rate_bps = reference_rates;
@@ -247,7 +245,6 @@ let run_once ~engine ~total_bundles ~domains () =
     e
   in
   {
-    engine = Sim.engine_name engine;
     domains = report.Sharded_pool.domains;
     bundles = report.Sharded_pool.acquired;
     peak_live = report.Sharded_pool.peak_live;
@@ -271,7 +268,6 @@ let run_once ~engine ~total_bundles ~domains () =
     shards = report.Sharded_pool.shards;
   }
 
-let quick_tag engine = engine ^ "-quick"
 let domain_tag domains tag = Printf.sprintf "%s-d%d" tag domains
 
 let fields_of_shard (s : Sharded_pool.shard_report) =
@@ -319,13 +315,13 @@ let fields_of_result ~tag r =
     ]
   @ shard_part
 
-let print_result r =
+let print_result ~tag r =
   Printf.printf
     "  %-10s %6d bundles (peak %4d live)  %8d pkts  %6.3f s wall  %9.0f \
      pkts/s  %.3f minor_words_per_pkt  %.4f events_per_pkt  share err p50 \
      %.3f p99 %.3f\n\
      %!"
-    r.engine r.bundles r.peak_live r.delivered r.wall_s r.pps
+    tag r.bundles r.peak_live r.delivered r.wall_s r.pps
     r.minor_words_per_pkt r.events_per_pkt r.share_p50 r.share_p99;
   if r.domains > 1 then begin
     let pps_of (s : Sharded_pool.shard_report) =
@@ -345,9 +341,9 @@ let print_result r =
       (100.0 *. r.efficiency) r.imbalance
   end
 
-let best_of ~repeat ~engine ~total_bundles ~domains () =
+let best_of ~repeat ~total_bundles ~domains () =
   Bench_gate.best_of ~repeat ~by:(fun r -> r.pps)
-    (run_once ~engine ~total_bundles ~domains)
+    (run_once ~total_bundles ~domains)
 
 (* Band on minor words per delivered packet, either way, relative to the
    run's own committed entry. *)
@@ -358,7 +354,7 @@ let full_bundles = 25_000
 
 let usage =
   "exp_fleet [--quick] [--bundles N] [--repeat N] [--domains N] [--json \
-   FILE] [--check FILE] [--max-regress F] [--engine heap|calendar]"
+   FILE] [--check FILE] [--max-regress F]"
 
 let () =
   let quick = ref false in
@@ -368,7 +364,6 @@ let () =
   let max_regress = ref 0.30 in
   let repeat = ref 3 in
   let domains = ref 1 in
-  let engines = ref [ Sim.Heap; Sim.Calendar ] in
   Bench_gate.Flag.(
     parse ~usage
       [
@@ -379,12 +374,6 @@ let () =
         ("--json", String (fun file -> json_out := Some file));
         ("--check", String (fun file -> check := Some file));
         ("--max-regress", Float (( := ) max_regress));
-        ( "--engine",
-          String
-            (function
-            | "heap" -> engines := [ Sim.Heap ]
-            | "calendar" -> engines := [ Sim.Calendar ]
-            | v -> Bench_gate.usage_error ~usage ("--engine " ^ v)) );
       ]);
   let domains = !domains in
   let total_bundles =
@@ -401,20 +390,16 @@ let () =
     domains
     (if domains = 1 then "" else "s")
     !repeat;
-  let results =
-    List.map
-      (fun e -> best_of ~repeat:!repeat ~engine:e ~total_bundles ~domains ())
-      !engines
-  in
-  List.iter print_result results;
+  let r = best_of ~repeat:!repeat ~total_bundles ~domains () in
   (* The committed anchor entries are single-domain; a multi-domain run
      tags its entries with the domain count and is gated purely on
      aggregate equality against the anchor. *)
-  let base_tag r = if !quick then quick_tag r.engine else r.engine in
-  let entry_tag r =
-    let t = base_tag r in
-    if r.domains = 1 then t else domain_tag r.domains t
+  let entry_tag anchor =
+    if domains = 1 then anchor else domain_tag domains anchor
   in
+  let anchor = if !quick then "calendar-quick" else "calendar" in
+  let tag = entry_tag anchor in
+  print_result ~tag r;
   (match !json_out with
   | None -> ()
   | Some file ->
@@ -423,19 +408,13 @@ let () =
     let quick_entries =
       if !quick then []
       else
-        List.map
-          (fun e ->
-            let r =
-              best_of ~repeat:!repeat ~engine:e ~total_bundles:quick_bundles
-                ~domains ()
-            in
-            fields_of_result
-              ~tag:(entry_tag { r with engine = quick_tag r.engine })
-              r)
-          !engines
+        [
+          fields_of_result ~tag:(entry_tag "calendar-quick")
+            (best_of ~repeat:!repeat ~total_bundles:quick_bundles ~domains ());
+        ]
     in
     Bench_gate.(
-      write file
+      write file ~key:"engine"
         ~header:
           [
             ( "scenario",
@@ -445,52 +424,43 @@ let () =
             ("bundles", Int total_bundles);
           ]
         ~array:"engines"
-        (List.map (fun r -> fields_of_result ~tag:(entry_tag r) r) results
-        @ quick_entries)));
+        (fields_of_result ~tag r :: quick_entries)));
   match !check with
   | None -> ()
   | Some file ->
     let gate = Bench_gate.load ~key:"engine" file in
-    List.iter
-      (fun r ->
-        let anchor = base_tag r in
-        (* Wall-clock gate: single-domain only (CI runners may be
-           single-core, so a sharded run's pps is not comparable). *)
-        if r.domains = 1 then
-          Bench_gate.check gate ~tag:anchor ~field:"pps" (Floor !max_regress)
-            r.pps;
-        (* Determinism gate: the protocol aggregates must equal the
-           committed single-domain anchor — for every domain count. The
-           committed JSON rounds the share errors to 4 decimals. *)
-        Bench_gate.check gate ~tag:anchor ~field:"delivered" Exact
-          (float_of_int r.delivered);
-        Bench_gate.check gate ~tag:anchor ~field:"markers" Exact
-          (float_of_int r.markers);
-        (* Events per packet, held through its exact numerator: the
-           replay's event count is the same on both engines and at
-           every domain count. *)
-        Bench_gate.check gate ~tag:anchor ~field:"events" Exact
-          (float_of_int r.events);
-        Bench_gate.check gate ~tag:anchor ~field:"share_p50" (Within 5e-5)
-          r.share_p50;
-        Bench_gate.check gate ~tag:anchor ~field:"share_p99" (Within 5e-5)
-          r.share_p99;
-        (* Gates against the run's own entry: the single-domain anchor,
-           or the -dN entry where the file has one. Minor words per
-           delivered packet are deterministic, so any machine holds
-           them to ±2%, the rule exp_throughput applies. The op
-           imbalance, a pure function of the tape and N, stands in for
-           [efficiency] on any machine, held to its 4 committed
-           decimals. *)
-        let tag = entry_tag r in
-        let has_entry =
-          r.domains = 1 || Bench_gate.lookup gate ~tag ~field:"domains" <> None
-        in
-        if has_entry then
-          Bench_gate.check gate ~tag ~field:"minor_words_per_pkt"
-            (Band words_band) r.minor_words_per_pkt;
-        if has_entry && r.domains > 1 then
-          Bench_gate.check gate ~tag ~field:"imbalance" Exact
-            (float_of_string (Printf.sprintf "%.4f" r.imbalance)))
-      results;
+    (* Wall-clock gate: single-domain only (CI runners may be
+       single-core, so a sharded run's pps is not comparable). *)
+    if domains = 1 then
+      Bench_gate.check gate ~tag:anchor ~field:"pps" (Floor !max_regress) r.pps;
+    (* Determinism gate: the protocol aggregates must equal the
+       committed single-domain anchor — for every domain count. The
+       committed JSON rounds the share errors to 4 decimals. *)
+    Bench_gate.check gate ~tag:anchor ~field:"delivered" Exact
+      (float_of_int r.delivered);
+    Bench_gate.check gate ~tag:anchor ~field:"markers" Exact
+      (float_of_int r.markers);
+    (* Events per packet, held through its exact numerator: the replay's
+       event count is the same at every domain count. *)
+    Bench_gate.check gate ~tag:anchor ~field:"events" Exact
+      (float_of_int r.events);
+    Bench_gate.check gate ~tag:anchor ~field:"share_p50" (Within 5e-5)
+      r.share_p50;
+    Bench_gate.check gate ~tag:anchor ~field:"share_p99" (Within 5e-5)
+      r.share_p99;
+    (* Gates against the run's own entry: the single-domain anchor, or
+       the -dN entry where the file has one. Minor words per delivered
+       packet are deterministic, so any machine holds them to ±2%, the
+       rule exp_throughput applies. The op imbalance, a pure function
+       of the tape and N, stands in for [efficiency] on any machine,
+       held to its 4 committed decimals. *)
+    let has_entry =
+      domains = 1 || Bench_gate.lookup gate ~tag ~field:"domains" <> None
+    in
+    if has_entry then
+      Bench_gate.check gate ~tag ~field:"minor_words_per_pkt"
+        (Band words_band) r.minor_words_per_pkt;
+    if has_entry && domains > 1 then
+      Bench_gate.check gate ~tag ~field:"imbalance" Exact
+        (float_of_string (Printf.sprintf "%.4f" r.imbalance));
     Bench_gate.finish gate

@@ -297,7 +297,7 @@ let () =
   | None -> ()
   | Some file ->
     Bench_gate.(
-      write file
+      write file ~key:"config"
         ~header:
           [
             ( "scenario",

@@ -1,4 +1,4 @@
-(* End-to-end engine throughput benchmark: the perf trajectory gate.
+(* End-to-end simulator throughput benchmark: the perf trajectory gate.
 
    Reference scenario: 4 channels at 10 Mbps with dissimilar one-way
    delays, SRR striping with markers every 4 rounds, quasi-FIFO logical
@@ -14,14 +14,14 @@
      dune exec bench/exp_throughput.exe --             # full run, table
      dune exec bench/exp_throughput.exe -- --quick     # 100k packets
      dune exec bench/exp_throughput.exe -- --json FILE # machine output
-     dune exec bench/exp_throughput.exe -- --repeat 5  # best-of-5 per engine
+     dune exec bench/exp_throughput.exe -- --repeat 5  # best of 5 runs
      dune exec bench/exp_throughput.exe -- --check FILE --max-regress 0.30
        # CI gate: exit 1 if pps drops >30% below FILE's committed numbers,
        # if minor words/packet move >2% from them either way (a drop
        # means a stale anchor: regenerate), or if the event or marker
        # count differs from the committed one
 
-   Each engine is run [--repeat] times (default 3) and the fastest run
+   The scenario runs [--repeat] times (default 3) and the fastest run
    is reported: wall-clock noise on a shared machine is one-sided, so
    best-of-N converges on the machine's true throughput while the
    allocation rate (minor words per packet) is identical across runs
@@ -30,8 +30,8 @@
    BENCH_throughput.json at the repo root records the trajectory: the
    frozen pre-optimization baseline (boxed binary heap, tuple FIFO
    queues, closure-per-send links, measured at commit 60b89d5) next to
-   the current engines, so every future PR can see where the hot path
-   stands. *)
+   the calendar-queue simulator's entries, so every future change can
+   see where the hot path stands. *)
 
 open Stripe_netsim
 open Stripe_core
@@ -51,7 +51,6 @@ let baseline_minor_words_per_packet = 132.78
 let words_band = 0.02
 
 type result = {
-  engine : string;
   n_packets : int;
   delivered : int;
   wall_s : float;
@@ -68,8 +67,8 @@ let reference_delays = [| 0.001; 0.002; 0.005; 0.010 |]
 let reference_rate = 10e6
 let reference_seed = 42
 
-let run_once ~engine ~n_packets () =
-  let sim = Sim.create ~engine () in
+let run_once ~n_packets () =
+  let sim = Sim.create () in
   let rng = Rng.create reference_seed in
   let n = Array.length reference_delays in
   let rates = Array.make n reference_rate in
@@ -89,7 +88,7 @@ let run_once ~engine ~n_packets () =
   let aggregate = Array.fold_left ( +. ) 0.0 rates in
   let interval = 700.0 *. 8.0 /. (aggregate *. 0.9) in
   ignore (Bundle.pace b ~every:interval ~count:n_packets gen);
-  (* Compact so each engine starts from the same flat major heap rather
+  (* Compact so each run starts from the same flat major heap rather
      than inheriting the previous run's fragmentation. *)
   Gc.compact ();
   let minor0 = Gc.minor_words () in
@@ -102,7 +101,6 @@ let run_once ~engine ~n_packets () =
       (Printf.sprintf "exp_throughput: delivered %d of %d packets" !delivered
          n_packets);
   {
-    engine = Sim.engine_name engine;
     n_packets;
     delivered = !delivered;
     wall_s;
@@ -118,13 +116,14 @@ let run_once ~engine ~n_packets () =
 (* Quick (100k-packet) runs measure systematically lower pps than full
    runs — less time for startup costs to amortize — so the committed
    file carries both sizes and [--check] compares like-for-like: a
-   [--quick] check reads the ["<engine>-quick"] entries. *)
-let quick_tag engine = engine ^ "-quick"
+   [--quick] check reads the ["calendar-quick"] entry. *)
+let full_tag = "calendar"
+let quick_tag = "calendar-quick"
 
 let fields_of_result ~tag r =
   Bench_gate.
     [
-      ("engine", Str (tag r.engine));
+      ("engine", Str tag);
       ("n_packets", Int r.n_packets);
       ("delivered", Int r.delivered);
       ("wall_s", Num (4, r.wall_s));
@@ -137,20 +136,20 @@ let fields_of_result ~tag r =
       ("sim_seconds", Num (4, r.sim_seconds));
     ]
 
-let print_result r =
+let print_result ~tag r =
   Printf.printf
-    "  %-10s %9d pkts  %7.3f s wall  %10.0f pkts/s  %8.2f minor words/pkt  \
+    "  %-14s %9d pkts  %7.3f s wall  %10.0f pkts/s  %8.2f minor words/pkt  \
      %.4f events_per_pkt\n\
      %!"
-    r.engine r.n_packets r.wall_s r.pps r.minor_words_per_packet
+    tag r.n_packets r.wall_s r.pps r.minor_words_per_packet
     r.events_per_pkt
 
-let best_of ~repeat ~engine ~n_packets () =
-  Bench_gate.best_of ~repeat ~by:(fun r -> r.pps) (run_once ~engine ~n_packets)
+let best_of ~repeat ~n_packets () =
+  Bench_gate.best_of ~repeat ~by:(fun r -> r.pps) (run_once ~n_packets)
 
 let usage =
   "exp_throughput [--quick] [--repeat N] [--json FILE] [--check FILE] \
-   [--max-regress F] [--engine heap|calendar]"
+   [--max-regress F]"
 
 let () =
   let quick = ref false in
@@ -158,7 +157,6 @@ let () =
   let check = ref None in
   let max_regress = ref 0.30 in
   let repeat = ref 3 in
-  let engines = ref [ Sim.Heap; Sim.Calendar ] in
   Bench_gate.Flag.(
     parse ~usage
       [
@@ -167,31 +165,18 @@ let () =
         ("--json", String (fun file -> json_out := Some file));
         ("--check", String (fun file -> check := Some file));
         ("--max-regress", Float (( := ) max_regress));
-        ( "--engine",
-          String
-            (function
-            | "heap" -> engines := [ Sim.Heap ]
-            | "calendar" -> engines := [ Sim.Calendar ]
-            | v -> Bench_gate.usage_error ~usage ("--engine " ^ v)) );
       ]);
   let n_packets = if !quick then 100_000 else 1_000_000 in
   Printf.printf
     "exp_throughput: 4 channels x %.0f Mbps, SRR + markers(4) + resequencer, \
      %d packets, best of %d\n%!"
     (reference_rate /. 1e6) n_packets !repeat;
-  let results =
-    List.map (fun e -> best_of ~repeat:!repeat ~engine:e ~n_packets ()) !engines
-  in
-  List.iter print_result results;
-  if baseline_pps > 0.0 then
-    List.iter
-      (fun r ->
-        Printf.printf
-          "  %-10s vs baseline: %.2fx pps, %.2fx fewer minor words/pkt\n"
-          r.engine (r.pps /. baseline_pps)
-          (baseline_minor_words_per_packet /. r.minor_words_per_packet))
-      results;
-  let tag engine = if !quick then quick_tag engine else engine in
+  let r = best_of ~repeat:!repeat ~n_packets () in
+  let tag = if !quick then quick_tag else full_tag in
+  print_result ~tag r;
+  Printf.printf "  %-14s vs baseline: %.2fx pps, %.2fx fewer minor words/pkt\n"
+    tag (r.pps /. baseline_pps)
+    (baseline_minor_words_per_packet /. r.minor_words_per_packet);
   (match !json_out with
   | None -> ()
   | Some file ->
@@ -200,14 +185,13 @@ let () =
     let quick_entries =
       if !quick then []
       else
-        List.map
-          (fun e ->
-            fields_of_result ~tag:quick_tag
-              (best_of ~repeat:!repeat ~engine:e ~n_packets:100_000 ()))
-          !engines
+        [
+          fields_of_result ~tag:quick_tag
+            (best_of ~repeat:!repeat ~n_packets:100_000 ());
+        ]
     in
     Bench_gate.(
-      write file
+      write file ~key:"engine"
         ~header:
           [
             ("scenario", Str "4ch 10Mbps SRR markers=4 resequencer bimodal");
@@ -222,22 +206,16 @@ let () =
                 ] );
           ]
         ~array:"engines"
-        (List.map (fields_of_result ~tag) results @ quick_entries)));
+        (fields_of_result ~tag r :: quick_entries)));
   match !check with
   | None -> ()
   | Some file ->
     let gate = Bench_gate.load ~key:"engine" file in
-    List.iter
-      (fun r ->
-        let tag = tag r.engine in
-        Bench_gate.check gate ~tag ~field:"pps" (Floor !max_regress) r.pps;
-        Bench_gate.check gate ~tag ~field:"minor_words_per_packet"
-          (Band words_band) r.minor_words_per_packet;
-        (* Events per packet, held through its exact numerator (every
-           packet is delivered, so the denominator is fixed). *)
-        Bench_gate.check gate ~tag ~field:"events" Exact
-          (float_of_int r.events);
-        Bench_gate.check gate ~tag ~field:"markers" Exact
-          (float_of_int r.markers))
-      results;
+    Bench_gate.check gate ~tag ~field:"pps" (Floor !max_regress) r.pps;
+    Bench_gate.check gate ~tag ~field:"minor_words_per_packet"
+      (Band words_band) r.minor_words_per_packet;
+    (* Events per packet, held through its exact numerator (every packet
+       is delivered, so the denominator is fixed). *)
+    Bench_gate.check gate ~tag ~field:"events" Exact (float_of_int r.events);
+    Bench_gate.check gate ~tag ~field:"markers" Exact (float_of_int r.markers);
     Bench_gate.finish gate

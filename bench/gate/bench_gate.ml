@@ -218,15 +218,57 @@ let rec to_json = function
     "{" ^ String.concat "," (List.map field fields) ^ "}"
   | List vs -> "[" ^ String.concat "," (List.map to_json vs) ^ "]"
 
-let write file ~header ~array entries =
+(* A parsed value as [to_json] writes it: numbers keep their source
+   text, so an entry a run does not replace is rewritten byte for
+   byte. *)
+let rec text_of_json = function
+  | Text s -> "\"" ^ s ^ "\""
+  | Atom a -> a
+  | Fields fields ->
+    let field (k, v) = Printf.sprintf "\"%s\":%s" k (text_of_json v) in
+    "{" ^ String.concat "," (List.map field fields) ^ "}"
+  | Items vs -> "[" ^ String.concat "," (List.map text_of_json vs) ^ "]"
+
+let write file ~key ~header ~array entries =
+  let tag_of e =
+    match List.assoc_opt key e with Some (Str s) -> Some s | _ -> None
+  in
+  let fresh = List.map (fun e -> (tag_of e, to_json (Obj e))) entries in
+  (* The file's entries stay where they are, the run's own replacing
+     those with the same tag: a run measures only some tags (one
+     [--domains] value, say), and the others must survive it. A missing
+     or malformed file is written fresh. *)
+  let committed =
+    match In_channel.with_open_bin file In_channel.input_all with
+    | exception Sys_error _ -> []
+    | s -> (
+      match parse s with
+      | Fields fields -> (
+        match List.assoc_opt array fields with Some (Items vs) -> vs | _ -> [])
+      | _ | (exception Malformed _) -> [])
+  in
+  let kept, rest =
+    List.fold_left
+      (fun (kept, rest) o ->
+        let tag =
+          match o with
+          | Fields f -> (
+            match List.assoc_opt key f with Some (Text t) -> Some t | _ -> None)
+          | _ -> None
+        in
+        if tag <> None && List.mem_assoc tag fresh then
+          ( Option.to_list (List.assoc_opt tag rest) @ kept,
+            List.remove_assoc tag rest )
+        else (text_of_json o :: kept, rest))
+      ([], fresh) committed
+  in
   Out_channel.with_open_text file (fun oc ->
       output_string oc "{\n";
       List.iter
         (fun (k, v) -> Printf.fprintf oc "  \"%s\": %s,\n" k (to_json v))
         header;
       Printf.fprintf oc "  \"%s\": [\n    %s\n  ]\n}\n" array
-        (String.concat ",\n    "
-           (List.map (fun e -> to_json (Obj e)) entries)));
+        (String.concat ",\n    " (List.rev_append kept (List.map snd rest))));
   Printf.printf "  wrote %s\n%!" file
 
 let best_of ~repeat ~by run =

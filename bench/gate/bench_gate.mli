@@ -83,13 +83,17 @@ type value =
 
 val write :
   string ->
+  key:string ->
   header:(string * value) list ->
   array:string ->
   (string * value) list list ->
   unit
-(** [write file ~header ~array entries] writes the baseline layout —
-    one header field per line, then [array] with one compact entry per
-    line — and prints [wrote FILE]. *)
+(** [write file ~key ~header ~array entries] writes the baseline layout
+    — one header field per line, then [array] with one compact entry per
+    line — and prints [wrote FILE]. An entry already in [file] whose
+    [key] tag no entry of [entries] carries is kept, byte for byte; one
+    whose tag an entry carries is replaced by it in place; the other
+    entries follow, in order. *)
 
 (** {1 Repeating} *)
 

@@ -149,10 +149,10 @@ let fragmenter_bench =
    which is exactly the regression the quantile-derived width fixes.
    Each fired event reschedules itself with a fresh bimodal delay, so a
    steady ~4k-event population churns through schedule/pop pairs. *)
-let event_queue_bench ~name ~engine =
-  Test.make ~name
+let calendar_churn_bench =
+  Test.make ~name:"event queue, bimodal churn population: calendar (20k ev)"
     (Staged.stage (fun () ->
-         let sim = Stripe_netsim.Sim.create ~engine () in
+         let sim = Stripe_netsim.Sim.create () in
          let rng = Stripe_netsim.Rng.create 9 in
          let bimodal_delay () =
            if Stripe_netsim.Rng.bernoulli rng ~p:0.9 then
@@ -170,15 +170,6 @@ let event_queue_bench ~name ~engine =
            Stripe_netsim.Sim.schedule_after sim ~delay:(bimodal_delay ()) fire
          done;
          Stripe_netsim.Sim.run sim))
-
-let heap_churn_bench =
-  event_queue_bench ~name:"event queue, bimodal churn population: heap (20k ev)"
-    ~engine:Stripe_netsim.Sim.Heap
-
-let calendar_churn_bench =
-  event_queue_bench
-    ~name:"event queue, bimodal churn population: calendar (20k ev)"
-    ~engine:Stripe_netsim.Sim.Calendar
 
 (* The go-back-N sender's outstanding set is a FIFO queue: appends at
    fill and prefix pops at each cumulative ACK are O(1), where the old
@@ -216,7 +207,6 @@ let tests =
       seq_resequencer_bench;
       mppp_bench;
       fragmenter_bench;
-      heap_churn_bench;
       calendar_churn_bench;
       tcp_window_bench;
     ]

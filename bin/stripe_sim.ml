@@ -151,16 +151,6 @@ let loss_stop =
 let seed =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("heap", Sim.Heap); ("calendar", Sim.Calendar) ]) Sim.Heap
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Event-queue engine: $(b,heap) (4-ary heap, the reference) or \
-           $(b,calendar) (calendar queue, O(1) amortized). Both produce \
-           identical seeded runs; $(b,calendar) is faster at scale.")
-
 let replay_file =
   Arg.(
     value
@@ -426,7 +416,7 @@ type replica_out = {
 }
 
 let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
-    loss_stop seed engine replay_file trace_out trace_format fault_specs
+    loss_stop seed replay_file trace_out trace_format fault_specs
     impair_specs chaos_specs guard_window rx_buffer overflow_policy crash_at
     watchdog_k no_auto_suspend adapt_interval adapt_band health_spec domains =
   let n = List.length channel_confs in
@@ -450,7 +440,7 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
       let buf = Buffer.create 4096 in
       let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
       let warn s = if replica = 0 then prerr_endline s in
-    let sim = Sim.create ~engine () in
+    let sim = Sim.create () in
     let rng = Rng.create seed in
     (* Structured observability: when --trace is given, every instrumented
        component shares one sink that tees into a per-channel counter
@@ -1157,7 +1147,7 @@ let cmd =
     Term.(
       ret
         (const run $ channels $ scheduler_arg $ mode_arg $ packets $ workload
-       $ markers $ loss_stop $ seed $ engine_arg $ replay_file $ trace_out
+       $ markers $ loss_stop $ seed $ replay_file $ trace_out
        $ trace_format $ fault_specs $ impair_specs $ chaos_specs $ guard_window
        $ rx_buffer $ overflow_policy $ crash_at $ watchdog_k $ no_auto_suspend
        $ adapt_interval $ adapt_band $ health_spec $ domains_arg))

@@ -8,7 +8,7 @@
     and discarding that scaffolding.
 
     The pool turns the bundle into a flyweight. All bundles share one
-    {!Stripe_netsim.Sim} event loop and one calendar/heap queue; the
+    {!Stripe_netsim.Sim} event loop and its one calendar queue; the
     per-bundle state lives in struct-of-arrays slots indexed by an
     integer bundle id. The heavyweight components — the sender's
     {!Stripe_core.Deficit} engine, the receiver's

@@ -68,7 +68,6 @@ let[@inline] tape_push g ~op ~at ~slot ~arg =
 
 type t = {
   domains : int;
-  engine : Sim.engine;
   stamp_seq : bool;
   seed : int;
   config : Bundle_pool.config;
@@ -110,15 +109,16 @@ let grow_shadow t cap =
   done;
   t.cap <- cap
 
-let create ?(engine = Sim.Heap) ?(stamp_seq = false) ?(initial_capacity = 64)
-    ?(clock = fun () -> 0.0) ~domains ~seed config =
+(* [engine] is ignored: every simulation runs the calendar; kept until
+   ROADMAP item 20 edits [workloads.ml]. *)
+let create ?engine:(_ : Sim.engine option) ?(stamp_seq = false)
+    ?(initial_capacity = 64) ?(clock = fun () -> 0.0) ~domains ~seed config =
   let domains = Parallel.resolve domains in
   if initial_capacity <= 0 then
     invalid_arg "Sharded_pool.create: initial_capacity must be positive";
   let t =
     {
       domains;
-      engine;
       stamp_seq;
       seed;
       config;
@@ -304,7 +304,7 @@ let replay (t : t) ~shard ids =
   let groups = Array.map (fun i -> t.groups.(i)) ids in
   let wall0 = t.clock () in
   let cap = Array.fold_left (fun m g -> max m g.n_slots) 1 groups in
-  let sim = Sim.create ~engine:t.engine () in
+  let sim = Sim.create () in
   let rng = Rng.stream ~seed:t.seed shard in
   let pool =
     Bundle_pool.create ~initial_capacity:cap ~stamp_seq:t.stamp_seq ~rng ~sim

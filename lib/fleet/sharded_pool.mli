@@ -55,10 +55,12 @@ val create :
 (** A recorder for a fleet sharded [domains] ways, as
     [Stripe_netsim.Parallel.resolve] reads it ([0] is auto).
     [initial_capacity] (default 64) is that of the legacy single pool
-    whose slot assignment the recorder shadows. [engine], [stamp_seq]
-    and [config] are handed to each domain's [Bundle_pool.create], sized
-    for one replay group; domain [k]'s pool gets [Rng.stream ~seed k],
-    from which no replay op draws (the replay installs no wire loss).
+    whose slot assignment the recorder shadows. [engine] is ignored:
+    every simulation runs the calendar; kept until ROADMAP item 20
+    edits [workloads.ml]. [stamp_seq] and [config] are handed to each
+    domain's [Bundle_pool.create], sized for one replay group; domain
+    [k]'s pool gets [Rng.stream ~seed k], from which no replay op draws
+    (the replay installs no wire loss).
     [clock] (e.g. [Unix.gettimeofday]) is sampled around each domain's
     replay for the {!type-report} timing fields; the default clock
     always reads 0. *)

@@ -49,12 +49,12 @@
    next lands on one takes a pair back instead of allocating. In a
    denser ring an emptied bucket keeps its arrays for the next lap.
 
-   Determinism contract (checked against {!Eventq} and a sorted-list
-   oracle by property tests): same-time events pop in insertion order.
-   Equal times always hash to the same bucket, and an insert goes after
-   every equal time already there, so no sequence number is stored: a
-   rehash walks each old bucket in order, which keeps equal times in
-   insertion order too. *)
+   Determinism contract (checked against a binary-heap and a
+   sorted-list oracle by property tests): same-time events pop in
+   insertion order. Equal times always hash to the same bucket, and an
+   insert goes after every equal time already there, so no sequence
+   number is stored: a rehash walks each old bucket in order, which
+   keeps equal times in insertion order too. *)
 
 type t = {
   mutable nbuckets : int;  (* power of two *)

@@ -1,7 +1,7 @@
 (** Calendar queue of timed events (R. Brown, CACM 1988).
 
     O(1) amortized add/pop for the clustered near-future event
-    populations discrete-event simulations generate, against the heap's
+    populations discrete-event simulations generate, against a heap's
     O(log n). Automatically resizes its bucket ring and re-derives the
     bucket width from the live event population; shrinking waits until
     a population drop has lasted, so bursty traffic does not rehash on
@@ -14,11 +14,12 @@
     ring's own arrays are double-buffered, so resizing allocates little
     once the population has cycled through its sizes.
 
-    Drop-in ordering-compatible with {!Eventq}: pops ascend by time, and
-    same-time events pop in insertion order (checked against the heap and
-    a sorted-list oracle by qcheck properties over random add/pop/clear
-    interleavings), so a simulation produces byte-identical seeded traces
-    on either engine. *)
+    {!Sim}'s only event queue. Pops ascend by time, and same-time events
+    pop in insertion order: that order is total, so a change to the
+    queue's internals changes costs, never a seeded result. The tests
+    check it against a binary-heap oracle and a sorted list by qcheck
+    properties over random add/pop/clear interleavings, and against
+    traces the heap produced when [Sim] still ran on it. *)
 
 type t
 

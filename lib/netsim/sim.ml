@@ -1,15 +1,13 @@
+(* Ignored: every simulation runs the calendar; kept until ROADMAP item
+   20 edits [workloads.ml]. *)
 type engine = Heap | Calendar
 
-let engine_name = function Heap -> "heap" | Calendar -> "calendar"
-
-type queue = Qheap of Eventq.t | Qcal of Calendar_queue.t
-
-(* Every pending closure sits in one slot table, and both queues order
-   plain (time, slot) entries: no entry a queue adds, pops or moves in a
-   sift, shift or rehash is a pointer, so none pays the [caml_modify]
-   write barrier, and each event costs two pointer stores here — its
-   closure into the table, and the no-op over it when it fires. Slots
-   in [0, used) are pending or on the free stack
+(* Every pending closure sits in one slot table, and the calendar
+   queue orders plain (time, slot) entries: no entry it adds, pops or
+   moves in a shift or rehash is a pointer, so none pays the
+   [caml_modify] write barrier, and each event costs two pointer stores
+   here — its closure into the table, and the no-op over it when it
+   fires. Slots in [0, used) are pending or on the free stack
    [free.(0 .. nfree - 1)]; a pending slot's closure is in [fns], every
    other slot holds [nop], so a fired closure is collectable at once.
    Pop order is (time, insertion), so which slot an event takes never
@@ -25,12 +23,12 @@ type t = {
   mutable free : int array;
   mutable nfree : int;
   mutable used : int;
-  queue : queue;
+  queue : Calendar_queue.t;
 }
 
 let nop () = ()
 
-let create ?(engine = Heap) () =
+let create ?engine:(_ : engine option) () =
   {
     clock = [| 0.0 |];
     stopped = false;
@@ -39,10 +37,7 @@ let create ?(engine = Heap) () =
     free = [||];
     nfree = 0;
     used = 0;
-    queue =
-      (match engine with
-      | Heap -> Qheap (Eventq.create ())
-      | Calendar -> Qcal (Calendar_queue.create ()));
+    queue = Calendar_queue.create ();
   }
 
 let[@inline] now t = t.clock.(0)
@@ -83,14 +78,11 @@ let[@inline] take_slot t f =
 
 let[@inline] schedule t ~at f =
   (* Written so that NaN fails the test too: [at < now] is false for
-     NaN, and a NaN event breaks the (time, seq) order of both queues.
+     NaN, and a NaN event breaks the queue's (time, insertion) order.
      Checked before a slot is taken, so a rejected time changes
      nothing. *)
   if not (at >= t.clock.(0)) then schedule_invalid at t.clock.(0);
-  let slot = take_slot t f in
-  match t.queue with
-  | Qheap q -> Eventq.add q ~time:at slot
-  | Qcal q -> Calendar_queue.add q ~time:at slot
+  Calendar_queue.add t.queue ~time:at (take_slot t f)
 
 let[@inline] schedule_after t ~delay f =
   if not (delay >= 0.0) then
@@ -114,19 +106,11 @@ let[@inline] fire t slot =
 (* One scan per event: [take] finds the earliest event, writes its time
    into the clock cell and removes it. *)
 let step t =
-  match t.queue with
-  | Qheap q ->
-    if Eventq.is_empty q then false
-    else begin
-      fire t (Eventq.take q t.clock);
-      true
-    end
-  | Qcal q ->
-    if Calendar_queue.is_empty q then false
-    else begin
-      fire t (Calendar_queue.take q t.clock);
-      true
-    end
+  if Calendar_queue.is_empty t.queue then false
+  else begin
+    fire t (Calendar_queue.take t.queue t.clock);
+    true
+  end
 
 let run t =
   t.stopped <- false;
@@ -144,11 +128,7 @@ let run_until t horizon =
   while !continue do
     if t.stopped then continue := false
     else begin
-      let slot =
-        match t.queue with
-        | Qheap q -> Eventq.take_until q t.clock horizon
-        | Qcal q -> Calendar_queue.take_until q t.clock horizon
-      in
+      let slot = Calendar_queue.take_until t.queue t.clock horizon in
       if slot < 0 then continue := false else fire t slot
     end
   done;
@@ -158,10 +138,7 @@ let run_until t horizon =
      losing the rest of the window. *)
   if (not t.stopped) && t.clock.(0) < horizon then t.clock.(0) <- horizon
 
-let pending t =
-  match t.queue with
-  | Qheap q -> Eventq.length q
-  | Qcal q -> Calendar_queue.length q
+let pending t = Calendar_queue.length t.queue
 
 let stop t = t.stopped <- true
 

@@ -5,26 +5,23 @@
     in time order, advancing the clock. Time is in seconds of simulated
     time. The engine is single-threaded and deterministic.
 
-    Pending closures live in one slot table; the event queue orders
-    plain (time, slot) entries. A firing event's slot is cleared and
-    freed before its closure runs, so a fired closure is collectable at
-    once, a handler that raises leaves the simulation consistent, and a
-    handler that schedules may reuse the slot. *)
+    Pending closures live in one slot table; a {!Calendar_queue} orders
+    plain (time, slot) entries, same-time events in insertion order. A
+    firing event's slot is cleared and freed before its closure runs, so
+    a fired closure is collectable at once, a handler that raises leaves
+    the simulation consistent, and a handler that schedules may reuse
+    the slot. *)
 
 type t
 
-type engine =
-  | Heap  (** Growable 4-ary heap: O(log n), the reference engine. *)
-  | Calendar
-      (** Calendar queue: O(1) amortized for the clustered near-future
-          events links generate. Identical observable behavior. *)
-
-val engine_name : engine -> string
+(** Ignored: every simulation runs the calendar; kept until ROADMAP item
+    20 edits [workloads.ml]. *)
+type engine = Heap | Calendar
 
 val create : ?engine:engine -> unit -> t
-(** Fresh simulation with the clock at 0. [engine] selects the event
-    queue implementation (default [Heap]); both engines produce
-    byte-identical seeded runs. *)
+(** Fresh simulation with the clock at 0, on a {!Calendar_queue}.
+    [engine] is ignored: every simulation runs the calendar; kept until
+    ROADMAP item 20 edits [workloads.ml]. *)
 
 val now : t -> float
 (** Current simulated time. *)
@@ -71,8 +68,8 @@ val stop : t -> unit
 
 val reset : t -> unit
 (** Return a drained simulation to the state {!create} built: clock at
-    0, no events fired, no stop pending. The engine, its queue storage
-    and the slot table are kept. Pop order depends only on (time,
-    insertion order), so a run after [reset] fires exactly the sequence
+    0, no events fired, no stop pending. The queue's storage and the
+    slot table are kept. Pop order depends only on (time, insertion
+    order), so a run after [reset] fires exactly the sequence
     it would fire on a fresh simulation. Raises [Invalid_argument] if
     events are pending. *)

@@ -3,7 +3,7 @@
    Times live in an unboxed [float array], insertion sequence numbers
    and payloads in parallel [int array]s, so the steady-state add/pop
    cycle allocates nothing and no add or pop pays the [caml_modify]
-   write barrier: the payload is an int (a [Sim] slot), not a closure.
+   write barrier: the payload is an int, not a closure.
 
    Four children per node halve the depth of a binary heap. Each level
    of a sift-down compares up to four adjacent children — 32 bytes of

@@ -16,7 +16,7 @@
      words/packet and the 100,000-packet pass 2.586, all of it the
      calendar's: every landing event of the pass is queued at once, and
      the calendar allocates as its population swings from 0 to 100,000
-     and back (the heap engine: 0);
+     and back;
    - Resequencer.receive without a watchdog: about 0 words/call, markers
      included, each queued as its stamp in its channel's int ring,
      beside the static [Packet.marker_sentinel]; a clock read per arrival adds 2, and a
@@ -71,8 +71,8 @@
      quarter of the boxed [born] the batch of 4 shares); one boxed word
      or closure per push adds at least 2;
    - Sim.schedule plus step of one preallocated closure: 2 words/event
-     in dev on either engine (the event time, boxed as it crosses into
-     the queue; 0 in release); one more boxed word per event adds 2.
+     in dev (the event time, boxed as it crosses into the queue; 0 in
+     release); one more boxed word per event adds 2.
      [Sim.run_until] in place of [step]: the same; a closure per call
      and a boxed peeked time per event added 2.02. *)
 
@@ -98,7 +98,7 @@ let check_profiled what ~dev ~release actual =
   check_at_most what ~bound actual
 
 let test_link_send_and_run () =
-  let sim = Sim.create ~engine:Sim.Calendar () in
+  let sim = Sim.create () in
   let delivered = ref 0 in
   let link =
     Link.create sim ~rate_bps:1e9 ~prop_delay:0.001
@@ -122,7 +122,7 @@ let test_link_send_and_run () =
 (* The bursts swing the calendar's population between 0 and about 100
    events, across two powers of two. *)
 let test_link_bursts () =
-  let sim = Sim.create ~engine:Sim.Calendar () in
+  let sim = Sim.create () in
   let delivered = ref 0 in
   let link =
     Link.create sim ~rate_bps:1e9 ~prop_delay:0.001
@@ -485,8 +485,8 @@ let test_sharded_replay_groups () =
 
 (* The event core alone: one preallocated closure rescheduled from
    itself, so only [Sim.schedule], the queue and [Sim.step] allocate. *)
-let sim_words_per_event engine =
-  let sim = Sim.create ~engine () in
+let sim_words_per_event () =
+  let sim = Sim.create () in
   let left = ref 0 in
   let rec tick () =
     if !left > 0 then begin
@@ -508,8 +508,8 @@ let sim_words_per_event engine =
    events apart, against [Sim.step]: words per fired event. The
    horizons are boxed up front, so passing one allocates nothing; the
    slack covers the one closure [List.iter] is given. *)
-let run_until_and_step_words engine =
-  let sim = Sim.create ~engine () in
+let run_until_and_step_words () =
+  let sim = Sim.create () in
   let left = ref 0 in
   let rec tick () =
     if !left > 0 then begin
@@ -542,11 +542,10 @@ let run_until_and_step_words engine =
   in
   (by_run_until /. float_of_int n, by_step /. float_of_int n)
 
-let test_run_until engine () =
-  let by_run_until, by_step = run_until_and_step_words engine in
+let test_run_until () =
+  let by_run_until, by_step = run_until_and_step_words () in
   check_at_most
-    (Printf.sprintf "Sim.run_until per event (%s), step's %.3f"
-       (Sim.engine_name engine) by_step)
+    (Printf.sprintf "Sim.run_until per event, step's %.3f" by_step)
     ~bound:(by_step +. 0.001) by_run_until
 
 (* Recording a fleet: [bundles] acquired, [pushes] pushes spread
@@ -584,11 +583,9 @@ let test_recorder () =
     ~dev:2.5 ~release:0.5
     (recorder_words_per_op ~bundles:200 ~pushes:100_000)
 
-let test_sim_schedule_step engine () =
-  check_profiled
-    (Printf.sprintf "Sim.schedule + step per event (%s)"
-       (Sim.engine_name engine))
-    ~dev:3.0 ~release:0.5 (sim_words_per_event engine)
+let test_sim_schedule_step () =
+  check_profiled "Sim.schedule + step per event" ~dev:3.0 ~release:0.5
+    (sim_words_per_event ())
 
 let suites =
   [
@@ -613,14 +610,9 @@ let suites =
         Alcotest.test_case "Packet.data per call" `Quick test_packet_data;
         Alcotest.test_case "marker packet" `Quick test_marker_packet;
         Alcotest.test_case "Striper.push per packet" `Quick test_striper_push;
-        Alcotest.test_case "Sim schedule and step (heap)" `Quick
-          (test_sim_schedule_step Sim.Heap);
         Alcotest.test_case "Sim schedule and step (calendar)" `Quick
-          (test_sim_schedule_step Sim.Calendar);
-        Alcotest.test_case "Sim run_until (heap)" `Quick
-          (test_run_until Sim.Heap);
-        Alcotest.test_case "Sim run_until (calendar)" `Quick
-          (test_run_until Sim.Calendar);
+          test_sim_schedule_step;
+        Alcotest.test_case "Sim run_until (calendar)" `Quick test_run_until;
         Alcotest.test_case "sharded recorder" `Quick test_recorder;
       ] );
   ]

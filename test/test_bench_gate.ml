@@ -150,7 +150,7 @@ let test_write_read_back () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Bench_gate.(
-        write file
+        write file ~key:"engine"
           ~header:
             [
               ("scenario", Str "demo, 80% load");
@@ -188,6 +188,45 @@ let test_write_read_back () =
         Alcotest.check num "quick entry" (Some 100.0)
           (lookup t "heap-quick" "pps");
         Alcotest.check num "header object" (Some 7.0) (lookup t "old" "pps"))
+
+(* A run writes only the entries it measured (one [--domains] value,
+   say): the file's other entries must survive it byte for byte, in
+   their place, and an entry it measured again is replaced where it
+   stands. *)
+let test_write_keeps_other_entries () =
+  let file = Filename.temp_file "bench_gate" ".json" in
+  let entry tag pps extra =
+    Bench_gate.[ ("engine", Str tag); ("pps", Num (1, pps)) ] @ extra
+  in
+  let write bundles entries =
+    Bench_gate.(
+      write file ~key:"engine" ~header:[ ("bundles", Int bundles) ]
+        ~array:"engines" entries)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      write 10 [ entry "calendar" 1.0 []; entry "calendar-quick" 2.0 [] ];
+      write 10
+        [
+          entry "calendar-d2" 3.0
+            Bench_gate.[ ("shards", List [ Obj [ ("ops", Int 7) ] ]) ];
+          entry "calendar-quick-d2" 4.0 [];
+        ];
+      write 20 [ entry "calendar-quick" 5.0 [] ];
+      Alcotest.(check string)
+        "merged layout"
+        {|{
+  "bundles": 20,
+  "engines": [
+    {"engine":"calendar","pps":1.0},
+    {"engine":"calendar-quick","pps":5.0},
+    {"engine":"calendar-d2","pps":3.0,"shards":[{"ops":7}]},
+    {"engine":"calendar-quick-d2","pps":4.0}
+  ]
+}
+|}
+        (In_channel.with_open_bin file In_channel.input_all))
 
 let test_best_of () =
   let runs = ref 0 in
@@ -255,6 +294,8 @@ let suites =
         Alcotest.test_case "read errors" `Quick test_read_errors;
         Alcotest.test_case "rule boundaries" `Quick test_rules;
         Alcotest.test_case "write read back" `Quick test_write_read_back;
+        Alcotest.test_case "write keeps other entries" `Quick
+          test_write_keeps_other_entries;
         Alcotest.test_case "flags" `Quick test_flags;
         Alcotest.test_case "best of" `Quick test_best_of;
       ] );

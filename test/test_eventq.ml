@@ -1,7 +1,6 @@
-(* Unit tests for the event queue: ordering, tie-breaking stability,
-   growth, and clearing. *)
-
-open Stripe_netsim
+(* Unit tests for [Eventq], the binary-heap oracle the calendar queue
+   is checked against: ordering, tie-breaking stability, growth, and
+   clearing. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

@@ -159,10 +159,9 @@ let test_invalid_create () =
    CRC, some delivered mangled), and a carrier flap with packets queued
    and in flight — on an overloaded link. The counters and the digest of
    the (arrival time, payload) sequence are pinned: a change to how
-   arrivals are scheduled must leave every arrival where it was. Both
-   event engines must agree on them. *)
-let impaired_run engine =
-  let sim = Sim.create ~engine () in
+   arrivals are scheduled must leave every arrival where it was. *)
+let impaired_run () =
+  let sim = Sim.create () in
   let arrivals = ref [] in
   let link =
     Link.create sim ~name:"pin" ~rate_bps:2e6 ~prop_delay:0.002
@@ -189,26 +188,20 @@ let impaired_run engine =
   (link, List.length !arrivals, Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let test_impaired_arrivals_pinned () =
-  List.iter
-    (fun engine ->
-      let link, n_arrivals, digest = impaired_run engine in
-      let check what expected actual =
-        Alcotest.(check int) (Sim.engine_name engine ^ ": " ^ what) expected actual
-      in
-      check "arrivals" 321 n_arrivals;
-      check "sent" 339 (Link.sent_packets link);
-      check "delivered" 321 (Link.delivered_packets link);
-      check "lost" 14 (Link.lost_packets link);
-      check "down drops" 66 (Link.down_drops link);
-      check "txq drops" 0 (Link.txq_drops link);
-      check "reordered" 34 (Link.reordered_packets link);
-      check "duplicated" 12 (Link.duplicated_packets link);
-      check "corrupted" 18 (Link.corrupted_packets link);
-      check "crc drops" 11 (Link.corrupt_drops link);
-      Alcotest.(check string)
-        (Sim.engine_name engine ^ ": arrival digest")
-        "2a258015362668a29874a492c3234835" digest)
-    [ Sim.Heap; Sim.Calendar ]
+  let link, n_arrivals, digest = impaired_run () in
+  let check = Alcotest.(check int) in
+  check "arrivals" 321 n_arrivals;
+  check "sent" 339 (Link.sent_packets link);
+  check "delivered" 321 (Link.delivered_packets link);
+  check "lost" 14 (Link.lost_packets link);
+  check "down drops" 66 (Link.down_drops link);
+  check "txq drops" 0 (Link.txq_drops link);
+  check "reordered" 34 (Link.reordered_packets link);
+  check "duplicated" 12 (Link.duplicated_packets link);
+  check "corrupted" 18 (Link.corrupted_packets link);
+  check "crc drops" 11 (Link.corrupt_drops link);
+  Alcotest.(check string)
+    "arrival digest" "2a258015362668a29874a492c3234835" digest
 
 (* A [deliver] that sends on its own link again runs while the link is
    inside its arrival event: the arrival must already be off the
@@ -348,8 +341,8 @@ let test_sink_event_times () =
    large and small packets hashed to a channel, everything sent at t = 0,
    so arrivals on the two links share instants. A sink observes; it must
    not move a delivery, not even within an instant. *)
-let hashed_run engine sink =
-  let sim = Sim.create ~engine () in
+let hashed_run sink =
+  let sim = Sim.create () in
   let got = ref [] in
   let links =
     Array.init 2 (fun i ->
@@ -372,24 +365,19 @@ let hashed_run engine sink =
   List.rev !got
 
 let test_sink_keeps_deliveries () =
-  List.iter
-    (fun engine ->
-      let plain = hashed_run engine Stripe_obs.Sink.null in
-      let sink = Stripe_obs.Sink.collector () in
-      let watched = hashed_run engine sink in
-      let rec shared_instants = function
-        | (t1, c1, _) :: ((t2, c2, _) :: _ as rest) ->
-          (if t1 = t2 && c1 <> c2 then 1 else 0) + shared_instants rest
-        | [ _ ] | [] -> 0
-      in
-      Alcotest.(check bool) "arrivals share instants across links" true
-        (shared_instants plain > 0);
-      Alcotest.(check bool) "the sink saw the run" true
-        (List.length (Stripe_obs.Sink.events sink) > List.length plain);
-      Alcotest.(check bool)
-        (Sim.engine_name engine ^ ": same deliveries, same order")
-        true (plain = watched))
-    [ Sim.Heap; Sim.Calendar ]
+  let plain = hashed_run Stripe_obs.Sink.null in
+  let sink = Stripe_obs.Sink.collector () in
+  let watched = hashed_run sink in
+  let rec shared_instants = function
+    | (t1, c1, _) :: ((t2, c2, _) :: _ as rest) ->
+      (if t1 = t2 && c1 <> c2 then 1 else 0) + shared_instants rest
+    | [ _ ] | [] -> 0
+  in
+  Alcotest.(check bool) "arrivals share instants across links" true
+    (shared_instants plain > 0);
+  Alcotest.(check bool) "the sink saw the run" true
+    (List.length (Stripe_obs.Sink.events sink) > List.length plain);
+  Alcotest.(check bool) "same deliveries, same order" true (plain = watched)
 
 let suites =
   [

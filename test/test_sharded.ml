@@ -238,8 +238,8 @@ type direct = {
    front; an op at the instant of a landing still lands it first, as in
    the replay, since every op settles its slot before it acts
    ([test_op_ties_arrival] pins the tie against a pump drive). *)
-let run_direct ~engine ~discipline ops =
-  let sim = Sim.create ~engine () in
+let run_direct ~discipline ops =
+  let sim = Sim.create () in
   let pool =
     Bundle_pool.create ~rng:(Rng.stream ~seed:33 0) ~sim
       (fleet_config ~discipline ())
@@ -285,15 +285,15 @@ let run_direct ~engine ~discipline ops =
    carry over from the fleet). [min_slots] is a lower bound on every
    shard's slots. The merged generation table must hold exactly the
    shards' generations, in strictly increasing ordinal. *)
-let check_against_direct ?(domain_counts = [ 1; 2; 3 ]) ~engine ~script
-    ~min_slots () =
+let check_against_direct ?(domain_counts = [ 1; 2; 3 ]) ~script ~min_slots
+    () =
   List.iter
     (fun discipline ->
       let reports =
         List.map
           (fun domains ->
             let sp =
-              Sharded_pool.create ~engine ~domains ~seed:33
+              Sharded_pool.create ~domains ~seed:33
                 (fleet_config ~discipline ())
             in
             let ops = script sp in
@@ -301,7 +301,7 @@ let check_against_direct ?(domain_counts = [ 1; 2; 3 ]) ~engine ~script
           domain_counts
       in
       let ops1, _ = List.hd reports in
-      let direct = run_direct ~engine ~discipline ops1 in
+      let direct = run_direct ~discipline ops1 in
       let d_packets, _, _ = direct.totals in
       Alcotest.(check bool) "script delivered packets" true (d_packets > 0);
       Alcotest.(check bool) "script released generations" true
@@ -349,23 +349,20 @@ let check_against_direct ?(domain_counts = [ 1; 2; 3 ]) ~engine ~script
         reports)
     [ Bundle_pool.Srr; Bundle_pool.Sprinklers 17 ]
 
-let e2e ~engine () =
-  check_against_direct ~engine ~script:record_script ~min_slots:0 ()
+let e2e () = check_against_direct ~script:record_script ~min_slots:0 ()
 
-let grouped ~engine () =
-  check_against_direct ~engine ~script:record_many_slots
+let grouped () =
+  check_against_direct ~script:record_many_slots
     ~min_slots:(Sharded_pool.group_slots + 1) ()
 
 (* The generation table's edges: a shard whose groups release nothing,
    shards with no group, and bundles live at the end of the tape. *)
-let unreleased ~engine () =
-  check_against_direct ~domain_counts:[ 1; 2; 3; 4 ] ~engine
-    ~script:record_unreleased ~min_slots:0 ();
+let unreleased () =
+  check_against_direct ~domain_counts:[ 1; 2; 3; 4 ] ~script:record_unreleased
+    ~min_slots:0 ();
   List.iter
     (fun domains ->
-      let sp =
-        Sharded_pool.create ~engine ~domains ~seed:33 (fleet_config ())
-      in
+      let sp = Sharded_pool.create ~domains ~seed:33 (fleet_config ()) in
       ignore (record_unreleased sp);
       let r = Sharded_pool.run sp in
       Alcotest.(check int)
@@ -474,9 +471,9 @@ let test_lpt_assignment () =
 (* The drive the replay stands for: op [k + 1] is scheduled when op [k]
    fires. Returns the delivered packets of each released generation, in
    release order. *)
-let run_pump ~engine config ops =
+let run_pump config ops =
   let op_at = function Acquire (at, _) | Release (at, _) | Push (at, _, _) -> at in
-  let sim = Sim.create ~engine () in
+  let sim = Sim.create () in
   let pool = Bundle_pool.create ~rng:(Rng.stream ~seed:33 0) ~sim config in
   let delivered = ref [] in
   let ops = Array.of_list ops in
@@ -514,21 +511,18 @@ let test_op_ties_arrival () =
   in
   Alcotest.(check bool) "the arrival lands on the release" true
     ((1000.0 *. 8.0 /. 8e6) +. 0.001 = 0.002);
-  List.iter
-    (fun engine ->
-      let sp = Sharded_pool.create ~engine ~domains:1 ~seed:33 config in
-      let id = Sharded_pool.acquire sp ~at:0.0 in
-      Sharded_pool.push sp ~at:0.0 id ~size:1000;
-      Sharded_pool.release sp ~at:0.002 id;
-      let ops = [ Acquire (0.0, id); Push (0.0, id, 1000); Release (0.002, id) ] in
-      let r = Sharded_pool.run sp in
-      Alcotest.(check (list int)) "the pump drive delivers it first" [ 1 ]
-        (run_pump ~engine config ops);
-      Alcotest.(check (list int)) "the replay delivers it first" [ 1 ]
-        (Array.to_list
-           (Array.map (fun (g : Sharded_pool.gen_report) -> g.delivered_packets)
-              r.gens)))
-    [ Sim.Heap; Sim.Calendar ]
+  let sp = Sharded_pool.create ~domains:1 ~seed:33 config in
+  let id = Sharded_pool.acquire sp ~at:0.0 in
+  Sharded_pool.push sp ~at:0.0 id ~size:1000;
+  Sharded_pool.release sp ~at:0.002 id;
+  let ops = [ Acquire (0.0, id); Push (0.0, id, 1000); Release (0.002, id) ] in
+  let r = Sharded_pool.run sp in
+  Alcotest.(check (list int)) "the pump drive delivers it first" [ 1 ]
+    (run_pump config ops);
+  Alcotest.(check (list int)) "the replay delivers it first" [ 1 ]
+    (Array.to_list
+       (Array.map (fun (g : Sharded_pool.gen_report) -> g.delivered_packets)
+          r.gens))
 
 (* A NaN time must be refused where it is recorded: [at < last_at] is
    false for NaN, and a NaN [last_at] would let every later time
@@ -615,7 +609,7 @@ let clean_script pool sim =
   List.rev !acquired
 
 let test_pool_reset () =
-  let sim = Sim.create ~engine:Sim.Calendar () in
+  let sim = Sim.create () in
   let pool = pool_for_reset sim in
   (* A dirty first script: a dark carrier blocks every receiver on
      channel 3 (buffered data), a rate collapse leaves the wires busy
@@ -648,7 +642,7 @@ let test_pool_reset () =
   Sim.run sim;
   Sim.reset sim;
   Bundle_pool.reset pool;
-  let fresh_sim = Sim.create ~engine:Sim.Calendar () in
+  let fresh_sim = Sim.create () in
   let fresh = pool_for_reset fresh_sim in
   Alcotest.(check string) "reset pool reads like a fresh one"
     (fingerprint fresh fresh_sim) (fingerprint pool sim);
@@ -663,38 +657,45 @@ let test_pool_reset () =
 
 (* The churn-shaped event population (dense near cluster + sparse far
    timers) that used to degenerate the calendar's span-derived bucket
-   width: with the quantile-derived width the calendar must still fire
-   the identical sequence the reference heap does. *)
+   width: with the quantile-derived width the calendar must still pop
+   the identical sequence the reference heap does. Each pop schedules
+   the next event, as a fired event would, into both queues at once. *)
 let test_calendar_bimodal_equivalence () =
-  let run engine =
-    let sim = Sim.create ~engine () in
-    let rng = Rng.create 17 in
-    let next = ref 0 in
-    let log = ref [] in
-    let ops = ref 4000 in
-    let rec schedule_one () =
-      let id = !next in
-      incr next;
-      let delay =
-        if Rng.bernoulli rng ~p:0.9 then Rng.exponential rng ~mean:0.01
-        else Rng.uniform rng ~lo:1.0 ~hi:5.0
-      in
-      Sim.schedule_after sim ~delay (fun () ->
-          log := (id, Sim.now sim) :: !log;
-          if !ops > 0 then begin
-            decr ops;
-            schedule_one ()
-          end)
+  let heap = Eventq.create () and cal = Calendar_queue.create () in
+  let rng = Rng.create 17 in
+  let next = ref 0 and now = ref 0.0 in
+  let schedule_one () =
+    let delay =
+      if Rng.bernoulli rng ~p:0.9 then Rng.exponential rng ~mean:0.01
+      else Rng.uniform rng ~lo:1.0 ~hi:5.0
     in
-    for _ = 1 to 512 do
-      schedule_one ()
-    done;
-    Sim.run sim;
-    List.rev !log
+    Eventq.add heap ~time:(!now +. delay) !next;
+    Calendar_queue.add cal ~time:(!now +. delay) !next;
+    incr next
   in
-  Alcotest.(check bool)
-    "calendar fires the heap's exact sequence on a bimodal population" true
-    (run Sim.Heap = run Sim.Calendar)
+  for _ = 1 to 512 do
+    schedule_one ()
+  done;
+  let popped = ref 0 and ops = ref 4000 in
+  let rec drain () =
+    let h = Eventq.pop heap in
+    if h <> Calendar_queue.pop cal then
+      Alcotest.failf "pop %d: the calendar differs from the heap" !popped;
+    match h with
+    | None -> ()
+    | Some (t, _) ->
+      now := t;
+      incr popped;
+      if !ops > 0 then begin
+        decr ops;
+        schedule_one ()
+      end;
+      drain ()
+  in
+  drain ();
+  Alcotest.(check int)
+    "calendar pops the heap's exact sequence on a bimodal population" 4512
+    !popped
 
 let suites =
   [
@@ -703,17 +704,11 @@ let suites =
         QCheck_alcotest.to_alcotest prop_counters_partition_merge;
         QCheck_alcotest.to_alcotest prop_recovery_partition_merge;
         Alcotest.test_case "verdict merge" `Quick test_verdict_merge;
-        Alcotest.test_case "e2e heap: domains 1/2/3" `Quick (e2e ~engine:Sim.Heap);
-        Alcotest.test_case "e2e calendar: domains 1/2/3" `Quick
-          (e2e ~engine:Sim.Calendar);
-        Alcotest.test_case "grouped replay heap: domains 1/2/3" `Quick
-          (grouped ~engine:Sim.Heap);
+        Alcotest.test_case "e2e calendar: domains 1/2/3" `Quick e2e;
         Alcotest.test_case "grouped replay calendar: domains 1/2/3" `Quick
-          (grouped ~engine:Sim.Calendar);
-        Alcotest.test_case "generation table heap: domains 1-4" `Quick
-          (unreleased ~engine:Sim.Heap);
-        Alcotest.test_case "generation table calendar: domains 1-4"
-          `Quick (unreleased ~engine:Sim.Calendar);
+          grouped;
+        Alcotest.test_case "generation table calendar: domains 1-4" `Quick
+          unreleased;
         Alcotest.test_case "LPT assignment of replay groups" `Quick
           test_lpt_assignment;
         Alcotest.test_case "op at the instant of an arrival" `Quick

@@ -99,11 +99,12 @@ let test_negative_delay_rejected () =
       Sim.schedule_after sim ~delay:(-1.0) (fun () -> ()))
 
 (* A NaN time fails [at >= now] but also [at < now], so a guard written
-   as the latter let it in, after which both queues fired out of order
-   (the heap ran 1, 2, 0.5: time went backwards). It must be rejected
+   as the latter let it in, after which the queue fired out of order
+   (the binary heap it once ran on fired 1, 2, 0.5: time went
+   backwards). It must be rejected
    with the queue left as it was; +inf is a legal, last time. *)
-let test_nan_rejected engine () =
-  let sim = Sim.create ~engine () in
+let test_nan_rejected () =
+  let sim = Sim.create () in
   let fired = ref [] in
   let at t = Sim.schedule sim ~at:t (fun () -> fired := Sim.now sim :: !fired) in
   at 1.0;
@@ -119,7 +120,7 @@ let test_nan_rejected engine () =
     [ 0.5; 1.0; 2.0; infinity ] (List.rev !fired)
 
 let test_reset () =
-  let sim = Sim.create ~engine:Sim.Calendar () in
+  let sim = Sim.create () in
   let fired = ref [] in
   Sim.schedule sim ~at:2.0 (fun () -> fired := Sim.now sim :: !fired);
   Alcotest.check_raises "reset refuses pending events"
@@ -137,8 +138,8 @@ let test_reset () =
 (* A fired closure must not stay reachable from the sim: the slot table
    clears a slot before it calls the closure. Each closure captures a
    ref registered in a weak array, which the GC can then collect. *)
-let test_fired_collectable engine () =
-  let sim = Sim.create ~engine () in
+let test_fired_collectable () =
+  let sim = Sim.create () in
   let w = Weak.create 8 in
   let hits = ref 0 in
   for i = 0 to 7 do
@@ -164,8 +165,8 @@ exception Handler_failed
    counts as fired, [pending] still counts the rest, and the raised
    event's slot is free again, so raising over and over does not grow
    the table. *)
-let test_handler_raises engine () =
-  let sim = Sim.create ~engine () in
+let test_handler_raises () =
+  let sim = Sim.create () in
   let fired = ref [] in
   let at t = Sim.schedule sim ~at:t (fun () -> fired := t :: !fired) in
   at 1.0;
@@ -227,11 +228,11 @@ let ev_gen =
 
 let half k = float_of_int k *. 0.5
 
-(* Schedules [evs] on a fresh sim of [engine]; [log] gets (time, label)
+(* Schedules [evs] on a fresh sim; [log] gets (time, label)
    of each fired event, the labels being (event, -1) and (event,
    child). *)
-let schedule_all engine evs =
-  let sim = Sim.create ~engine () in
+let schedule_all evs =
+  let sim = Sim.create () in
   let log = ref [] and stopped = ref false in
   List.iteri
     (fun i e ->
@@ -251,12 +252,8 @@ let schedule_all engine evs =
 
 let rec drain sim = if Sim.pending sim > 0 then (Sim.run sim; drain sim)
 
-let prop_run_until engine =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "run_until h then run = run (%s)"
-         (Sim.engine_name engine))
-    ~count:300
+let prop_run_until =
+  QCheck.Test.make ~name:"run_until h then run = run (calendar)" ~count:300
     QCheck.(
       pair (int_range 0 12)
         (make
@@ -271,10 +268,10 @@ let prop_run_until engine =
            QCheck.Gen.(list_size (int_range 0 12) ev_gen)))
     (fun (hk, evs) ->
       let h = half hk in
-      let ref_sim, ref_log, _ = schedule_all engine evs in
+      let ref_sim, ref_log, _ = schedule_all evs in
       drain ref_sim;
       let reference = List.rev !ref_log in
-      let sim, log, stopped = schedule_all engine evs in
+      let sim, log, stopped = schedule_all evs in
       Sim.run_until sim h;
       let upto = List.rev !log in
       let clock = Sim.now sim in
@@ -311,21 +308,13 @@ let suites =
           test_stop_leaves_clock_at_stop_point;
         Alcotest.test_case "step" `Quick test_step;
         Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected;
-        Alcotest.test_case "NaN rejected (heap)" `Quick
-          (test_nan_rejected Sim.Heap);
-        Alcotest.test_case "NaN rejected (calendar)" `Quick
-          (test_nan_rejected Sim.Calendar);
+        Alcotest.test_case "NaN rejected (calendar)" `Quick test_nan_rejected;
         Alcotest.test_case "reset" `Quick test_reset;
         Alcotest.test_case "events counted" `Quick test_events_counted;
-        Alcotest.test_case "fired collectable (heap)" `Quick
-          (test_fired_collectable Sim.Heap);
         Alcotest.test_case "fired collectable (calendar)" `Quick
-          (test_fired_collectable Sim.Calendar);
-        Alcotest.test_case "handler raises (heap)" `Quick
-          (test_handler_raises Sim.Heap);
+          test_fired_collectable;
         Alcotest.test_case "handler raises (calendar)" `Quick
-          (test_handler_raises Sim.Calendar);
-        QCheck_alcotest.to_alcotest (prop_run_until Sim.Heap);
-        QCheck_alcotest.to_alcotest (prop_run_until Sim.Calendar);
+          test_handler_raises;
+        QCheck_alcotest.to_alcotest prop_run_until;
       ] );
   ]
