@@ -24,6 +24,9 @@
      op imbalance (max over domains of replayed ops / mean);
    - minor words allocated per delivered packet during the replay: the
      machine-independent cost gate;
+   - tape bytes per recorded op: the recording memory the op tapes
+     hold, whole chunks included (Sharded_pool.tape_bytes), a pure
+     function of the tape;
    - simulation events fired per delivered packet during the replay
      ([Sim.events] summed over shards and groups): an exact count of
      the work the event queue does. A wire landing is not an event
@@ -55,7 +58,8 @@
        # p50/p99) drift
        # from the committed single-domain anchor — the latter holds for
        # every --domains N, so a multicore run is gated on aggregate
-       # equality, not wall-clock — or if a -dN run's op imbalance
+       # equality, not wall-clock — or if the tape bytes per recorded
+       # op differ from the anchor's, or if a -dN run's op imbalance
        # differs from its -dN entry.
 
    Like exp_throughput, the fleet runs [--repeat] times and the fastest
@@ -93,6 +97,7 @@ type result = {
   share_p99 : float;
   sim_seconds : float;
   minor_words_per_pkt : float;
+  tape_bytes_per_op : float;
   events : int;
   events_per_pkt : float;
   efficiency : float;
@@ -201,6 +206,7 @@ let run_once ~total_bundles ~domains () =
   arrival_tick ();
   traffic_tick ();
   Sim.run gsim;
+  let tape_bytes = Sharded_pool.tape_bytes pool in
   Gc.compact ();
   (* Allocation is machine-independent, so it is the fleet's speed gate
      that any machine can check. The counters are read after a minor
@@ -221,6 +227,7 @@ let run_once ~total_bundles ~domains () =
     && report.Sharded_pool.markers_sent
        = shard_sum (fun s -> s.Sharded_pool.markers_sent));
   let events = shard_sum (fun s -> s.Sharded_pool.events) in
+  let ops = shard_sum (fun s -> s.Sharded_pool.ops) in
   let shares = ref (Array.make 4096 0.0) in
   let n_shares = ref 0 in
   Array.iter
@@ -259,6 +266,7 @@ let run_once ~total_bundles ~domains () =
     sim_seconds = report.Sharded_pool.end_time;
     minor_words_per_pkt =
       minor_words /. float_of_int (max 1 report.Sharded_pool.delivered_packets);
+    tape_bytes_per_op = float_of_int tape_bytes /. float_of_int (max 1 ops);
     events;
     events_per_pkt =
       float_of_int events
@@ -310,6 +318,7 @@ let fields_of_result ~tag r =
       ("share_p99", Num (4, r.share_p99));
       ("sim_seconds", Num (4, r.sim_seconds));
       ("minor_words_per_pkt", Num (3, r.minor_words_per_pkt));
+      ("tape_bytes_per_op", Num (4, r.tape_bytes_per_op));
       ("events", Int r.events);
       ("events_per_pkt", Num (4, r.events_per_pkt));
     ]
@@ -318,11 +327,12 @@ let fields_of_result ~tag r =
 let print_result ~tag r =
   Printf.printf
     "  %-10s %6d bundles (peak %4d live)  %8d pkts  %6.3f s wall  %9.0f \
-     pkts/s  %.3f minor_words_per_pkt  %.4f events_per_pkt  share err p50 \
-     %.3f p99 %.3f\n\
+     pkts/s  %.3f minor_words_per_pkt  %.4f tape_bytes_per_op  %.4f \
+     events_per_pkt  share err p50 %.3f p99 %.3f\n\
      %!"
     tag r.bundles r.peak_live r.delivered r.wall_s r.pps
-    r.minor_words_per_pkt r.events_per_pkt r.share_p50 r.share_p99;
+    r.minor_words_per_pkt r.tape_bytes_per_op r.events_per_pkt r.share_p50
+    r.share_p99;
   if r.domains > 1 then begin
     let pps_of (s : Sharded_pool.shard_report) =
       if s.Sharded_pool.wall_s > 0.0 then
@@ -421,7 +431,6 @@ let () =
               Str
                 "bundle-pool fleet, 4ch SRR markers=4, poisson churn 2000/s \
                  life 0.5s, 100k pps offered" );
-            ("bundles", Int total_bundles);
           ]
         ~array:"engines"
         (fields_of_result ~tag r :: quick_entries)));
@@ -448,6 +457,10 @@ let () =
       r.share_p50;
     Bench_gate.check gate ~tag:anchor ~field:"share_p99" (Within 5e-5)
       r.share_p99;
+    (* Recording memory: the tape does not depend on N, so every run is
+       held to the anchor's 4 committed decimals. *)
+    Bench_gate.check gate ~tag:anchor ~field:"tape_bytes_per_op" Exact
+      (float_of_string (Printf.sprintf "%.4f" r.tape_bytes_per_op));
     (* Gates against the run's own entry: the single-domain anchor, or
        the -dN entry where the file has one. Minor words per delivered
        packet are deterministic, so any machine holds them to ±2%, the

@@ -195,7 +195,6 @@ let () =
         ~header:
           [
             ("scenario", Str "4ch 10Mbps SRR markers=4 resequencer bimodal");
-            ("n_packets", Int n_packets);
             ( "baseline",
               Obj
                 [

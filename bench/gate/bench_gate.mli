@@ -93,7 +93,9 @@ val write :
     line — and prints [wrote FILE]. An entry already in [file] whose
     [key] tag no entry of [entries] carries is kept, byte for byte; one
     whose tag an entry carries is replaced by it in place; the other
-    entries follow, in order. *)
+    entries follow, in order. The header is rewritten from [header]
+    alone, so it must describe the whole file: what one run measured,
+    its size included, belongs in that run's entries. *)
 
 (** {1 Repeating} *)
 

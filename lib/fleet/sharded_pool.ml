@@ -5,12 +5,12 @@
    acquire. [run] assigns whole groups to domains (LPT over their op
    counts); each domain replays its groups one after another on one sim
    and one pool reset in between, and the results merge at one barrier:
-   generation tables joined and sorted by ordinal, counters summed, the
-   earliest FIFO violation kept. A group's tape is walked by a plain
-   loop that runs the sim up to each op's time, so the only event is
-   the pool's one pending landing event. Slots never interact, so every
-   group replays the same events at every domain count
-   (sharded_pool.mli, DESIGN.md §10). *)
+   generation tables joined in ordinal order, counters summed, the
+   earliest FIFO violation kept. A group's tape, a run of fixed-size
+   chunks, is walked by a plain loop that runs the sim up to each op's
+   time, so the only event is the pool's one pending landing event.
+   Slots never interact, so every group replays the same events at
+   every domain count (sharded_pool.mli, DESIGN.md §10). *)
 
 module Sim = Stripe_netsim.Sim
 module Rng = Stripe_netsim.Rng
@@ -26,14 +26,22 @@ let op_push = 2
 let slot_bits = 7
 let group_slots = 1 lsl slot_bits
 
-(* One replay group: up to [group_slots] slots and the tape
-   of every op on them, in recording order. An op is its time and one
-   word: [(arg lsl (slot_bits + 2)) lor (slot lsl 2) lor kind], where
-   [slot] is the group-local index and [arg] the push size or, for an
-   acquire, the global acquisition ordinal. *)
+(* Ops per tape chunk, [1 lsl chunk_bits]. *)
+let chunk_bits = 12
+let tape_chunk = 1 lsl chunk_bits
+
+(* One replay group: up to [group_slots] slots and the tape of every op
+   on them, in recording order. An op is its time and one word:
+   [(arg lsl (slot_bits + 2)) lor (slot lsl 2) lor kind], where [slot]
+   is the group-local index and [arg] the push size or, for an acquire,
+   the global acquisition ordinal. The tape is a run of fixed-size
+   chunks, a float array of times and an int array of words each: op
+   [k] is entry [k mod tape_chunk] of chunk [k / tape_chunk]. A full
+   chunk is never copied: the next op opens a new one, and only the
+   chunk tables, one pointer per chunk, grow. *)
 type group = {
-  mutable at : float array;
-  mutable op : int array;
+  mutable at : float array array;  (* chunk tables; unused cells [||] *)
+  mutable op : int array array;
   mutable len : int;
   globals : int array;  (* global slot id of each group-local index *)
   mutable n_slots : int;
@@ -42,27 +50,31 @@ type group = {
 
 let group_create () =
   {
-    at = Array.make 1024 0.0;
-    op = Array.make 1024 0;
+    at = [||];
+    op = [||];
     len = 0;
     globals = Array.make group_slots (-1);
     n_slots = 0;
     n_releases = 0;
   }
 
-let[@inline never] grow_tape g =
-  let grow a zero =
-    let b = Array.make (2 * g.len) zero in
-    Array.blit a 0 b 0 g.len;
-    b
-  in
-  g.at <- grow g.at 0.0;
-  g.op <- grow g.op 0
+let n_chunks g = (g.len + tape_chunk - 1) lsr chunk_bits
+
+(* Op [g.len] opens chunk [g.len / tape_chunk]. *)
+let[@inline never] open_chunk g =
+  let c = g.len lsr chunk_bits in
+  if c = Array.length g.at then begin
+    g.at <- Array.append g.at (Array.make (max 8 c) [||]);
+    g.op <- Array.append g.op (Array.make (max 8 c) [||])
+  end;
+  g.at.(c) <- Array.make tape_chunk 0.0;
+  g.op.(c) <- Array.make tape_chunk 0
 
 let[@inline] tape_push g ~op ~at ~slot ~arg =
-  if g.len = Array.length g.op then grow_tape g;
-  g.at.(g.len) <- at;
-  g.op.(g.len) <- (arg lsl (slot_bits + 2)) lor (slot lsl 2) lor op;
+  let c = g.len lsr chunk_bits and i = g.len land (tape_chunk - 1) in
+  if i = 0 then open_chunk g;
+  g.at.(c).(i) <- at;
+  g.op.(c).(i) <- (arg lsl (slot_bits + 2)) lor (slot lsl 2) lor op;
   g.len <- g.len + 1;
   if op = op_release then g.n_releases <- g.n_releases + 1
 
@@ -139,6 +151,12 @@ let create ?engine:(_ : Sim.engine option) ?(stamp_seq = false)
   t
 
 let total_acquired t = t.n_acquired
+
+(* A float and an int per op, for every op of every chunk opened. *)
+let tape_bytes t =
+  Array.fold_left (fun n g -> n + n_chunks g) 0 t.groups
+  * tape_chunk
+  * (8 + (Sys.word_size / 8))
 
 (* The error paths are out of line so that the recording calls inline
    and [at] stays unboxed through them. *)
@@ -329,31 +347,34 @@ let replay (t : t) ~shard ids =
     Bundle_pool.reset pool;
     (* The clock reaches op [k]'s time, then op [k] runs (see "Replay
        needs no tape event" above). *)
-    for k = 0 to g.len - 1 do
-      Sim.run_until sim g.at.(k);
-      let w = g.op.(k) in
-      let l = (w lsr 2) land (group_slots - 1) in
-      let arg = w asr (slot_bits + 2) in
-      match w land 3 with
-      | 0 ->
-        ignore (Bundle_pool.acquire_slot pool ~key:g.globals.(l) l);
-        cur_ord.(l) <- arg
-      | 1 ->
-        gens.(!n_gens) <-
-          {
-            ordinal = cur_ord.(l);
-            slot = g.globals.(l);
-            shard;
-            birth = Bundle_pool.birth_time pool l;
-            death = Sim.now sim;
-            pushed_packets = Bundle_pool.pushed_packets pool l;
-            pushed_bytes = Bundle_pool.pushed_bytes pool l;
-            delivered_packets = Bundle_pool.delivered_packets pool l;
-            delivered_bytes = Bundle_pool.delivered_bytes pool l;
-          };
-        incr n_gens;
-        Bundle_pool.release pool l
-      | _ -> Bundle_pool.push pool l ~size:arg
+    for c = 0 to n_chunks g - 1 do
+      let at = g.at.(c) and op = g.op.(c) in
+      for k = 0 to min tape_chunk (g.len - (c lsl chunk_bits)) - 1 do
+        Sim.run_until sim at.(k);
+        let w = op.(k) in
+        let l = (w lsr 2) land (group_slots - 1) in
+        let arg = w asr (slot_bits + 2) in
+        match w land 3 with
+        | 0 ->
+          ignore (Bundle_pool.acquire_slot pool ~key:g.globals.(l) l);
+          cur_ord.(l) <- arg
+        | 1 ->
+          gens.(!n_gens) <-
+            {
+              ordinal = cur_ord.(l);
+              slot = g.globals.(l);
+              shard;
+              birth = Bundle_pool.birth_time pool l;
+              death = Sim.now sim;
+              pushed_packets = Bundle_pool.pushed_packets pool l;
+              pushed_bytes = Bundle_pool.pushed_bytes pool l;
+              delivered_packets = Bundle_pool.delivered_packets pool l;
+              delivered_bytes = Bundle_pool.delivered_bytes pool l;
+            };
+          incr n_gens;
+          Bundle_pool.release pool l
+        | _ -> Bundle_pool.push pool l ~size:arg
+      done
     done;
     Sim.run sim;
     delivered_packets :=
@@ -388,6 +409,19 @@ let replay (t : t) ~shard ids =
     },
     gens )
 
+(* The shards' generation tables joined in ordinal order. Ordinals are
+   unique and below [acquired], so one counting pass places each
+   report: mark its ordinal, prefix-sum the marks into places, place. *)
+let merge_gens ~acquired tables =
+  let place = Array.make (acquired + 1) 0 in
+  Array.iter (Array.iter (fun g -> place.(g.ordinal + 1) <- 1)) tables;
+  for o = 1 to acquired do
+    place.(o) <- place.(o) + place.(o - 1)
+  done;
+  let gens = Array.make place.(acquired) no_gen in
+  Array.iter (Array.iter (fun g -> gens.(place.(g.ordinal)) <- g)) tables;
+  gens
+
 let run (t : t) =
   let plan =
     assign ~domains:t.domains (Array.map (fun (g : group) -> g.len) t.groups)
@@ -398,8 +432,7 @@ let run (t : t) =
   in
   let wall_s = t.clock () -. wall0 in
   let shards = Array.map fst results in
-  let gens = Array.concat (Array.to_list (Array.map snd results)) in
-  Array.sort (fun a b -> compare a.ordinal b.ordinal) gens;
+  let gens = merge_gens ~acquired:t.n_acquired (Array.map snd results) in
   let sum f = Array.fold_left (fun acc s -> acc + f s) 0 shards in
   let maxf f = Array.fold_left (fun acc s -> Float.max acc (f s)) 0.0 shards in
   let sum_wall =

@@ -17,10 +17,15 @@
     {b Replay groups.} Slots are numbered in order of first acquire,
     fleet-wide, and cut into groups of {!group_slots}; the recorder
     files each op on its slot's group tape. The cut does not depend on
-    the domain count. A group is a self-contained replay on a reset
-    [Sim] and a reset [Bundle_pool] sized for one group, and its
-    working set stays cache-sized. Its tape is walked by a loop: each
-    op runs once [Sim.run_until] has brought the clock to its time. That
+    the domain count. A tape stores an op as a time (a float) and one
+    packed word (an int) in a run of fixed-size chunks of {!tape_chunk}
+    ops; a full chunk is kept as it is and the next op opens a new one,
+    so no recorded op is copied and a group wastes at most the unfilled
+    rest of its last chunk (see {!tape_bytes}). A group is a
+    self-contained replay on a reset [Sim] and a reset [Bundle_pool]
+    sized for one group, and its working set stays cache-sized. Its
+    tape is walked by a loop: each op runs once [Sim.run_until] has
+    brought the clock to its time. That
     is exactly how an op event inserted by its predecessor would run,
     because a replay sim holds only the pool's one pending landing
     event: a landing is not an event, and an op first lands its slot's
@@ -79,6 +84,15 @@ val release : t -> at:float -> int -> unit
 
 val push : t -> at:float -> int -> size:int -> unit
 (** Record a data packet offered to a live bundle. *)
+
+val tape_bytes : t -> int
+(** Bytes of tape allocated so far: 16 (a float and an int) for every
+    entry of every chunk opened, [16 * tape_chunk * chunks]. At most
+    [16 * ops + 16 * tape_chunk * groups]; the chunk tables and array
+    headers are not counted. *)
+
+val tape_chunk : int
+(** Ops per tape chunk (4096). A code constant. *)
 
 val group_slots : int
 (** Slots per replay group (128), in order of first acquire (see

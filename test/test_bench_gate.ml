@@ -242,6 +242,40 @@ let test_best_of () =
   ignore (Bench_gate.best_of ~repeat:0 ~by:snd run);
   Alcotest.(check int) "at least one run" 1 !runs
 
+(* The run size is each entry's, not the file's: a quick-size run
+   written onto a file of full-size entries leaves the header byte for
+   byte, and every entry still reads its own size. *)
+let test_write_header_kept () =
+  let file = Filename.temp_file "bench_gate" ".json" in
+  let write entries =
+    Bench_gate.(
+      write file ~key:"engine"
+        ~header:[ ("scenario", Str "fleet, 100k pps offered") ]
+        ~array:"engines"
+        (List.map
+           (fun (tag, bundles) ->
+             [ ("engine", Str tag); ("bundles", Int bundles) ])
+           entries))
+  in
+  let header () =
+    let s = In_channel.with_open_bin file In_channel.input_all in
+    String.sub s 0 (String.index s '[')
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      write [ ("calendar", 25000); ("calendar-d2", 25000) ];
+      let full = header () in
+      write [ ("calendar-quick", 10000) ];
+      Alcotest.(check string) "header unchanged" full (header ());
+      match Bench_gate.read ~key:"engine" file with
+      | Error msg -> Alcotest.failf "read back failed: %s" msg
+      | Ok t ->
+        Alcotest.check num "full entry" (Some 25000.0)
+          (lookup t "calendar" "bundles");
+        Alcotest.check num "quick entry" (Some 10000.0)
+          (lookup t "calendar-quick" "bundles"))
+
 let test_flags () =
   let repeat = ref 0 and regress = ref 0.0 and quick = ref false in
   let specs =
@@ -296,6 +330,8 @@ let suites =
         Alcotest.test_case "write read back" `Quick test_write_read_back;
         Alcotest.test_case "write keeps other entries" `Quick
           test_write_keeps_other_entries;
+        Alcotest.test_case "write keeps the header" `Quick
+          test_write_header_kept;
         Alcotest.test_case "flags" `Quick test_flags;
         Alcotest.test_case "best of" `Quick test_best_of;
       ] );

@@ -217,6 +217,72 @@ let record_unreleased sp =
   done;
   List.rev !ops
 
+(* Ordinals with holes: 300 bundles, one packet each, every other one
+   released; then 100 more on the recycled slots, every third of them
+   released. The bundles live at the end leave holes all through the
+   ordinals, in all three groups, so each shard's table interleaves
+   with the others'. *)
+let record_holes sp =
+  let dt = 1.2345e-4 in
+  let ops = ref [] in
+  let n = ref 0 in
+  let next () =
+    incr n;
+    float_of_int !n *. dt
+  in
+  let wave count ~released =
+    let ids =
+      Array.init count (fun _ ->
+          let at = next () in
+          let id = Sharded_pool.acquire sp ~at in
+          ops := Acquire (at, id) :: !ops;
+          id)
+    in
+    Array.iter
+      (fun id ->
+        let at = next () in
+        Sharded_pool.push sp ~at id ~size:700;
+        ops := Push (at, id, 700) :: !ops)
+      ids;
+    Array.iteri
+      (fun k id ->
+        if released k then begin
+          let at = next () in
+          Sharded_pool.release sp ~at id;
+          ops := Release (at, id) :: !ops
+        end)
+      ids
+  in
+  wave 300 ~released:(fun k -> k mod 2 = 0);
+  wave 100 ~released:(fun k -> k mod 3 = 0);
+  List.rev !ops
+
+(* [slots] bundles and [n] ops on them: the acquires, pushes round-robin
+   and the releases. Every slot falls in one group, whose tape fills
+   [n / Sharded_pool.tape_chunk] chunks and opens one more for any
+   rest. *)
+let record_spread ~slots ~dt n sp =
+  let ops = ref [] in
+  let ids = Array.make slots (-1) in
+  for k = 0 to n - 1 do
+    let at = float_of_int k *. dt in
+    if k < slots then begin
+      ids.(k) <- Sharded_pool.acquire sp ~at;
+      ops := Acquire (at, ids.(k)) :: !ops
+    end
+    else if k >= n - slots then begin
+      let id = ids.(k - (n - slots)) in
+      Sharded_pool.release sp ~at id;
+      ops := Release (at, id) :: !ops
+    end
+    else begin
+      let id = ids.(k mod slots) in
+      Sharded_pool.push sp ~at id ~size:500;
+      ops := Push (at, id, 500) :: !ops
+    end
+  done;
+  List.rev !ops
+
 (* One released generation as both sides report it: ordinal, slot,
    birth, death, pushed packets/bytes, delivered packets/bytes. *)
 type gen_key = int * int * float * float * int * int * int * int
@@ -380,6 +446,10 @@ let unreleased () =
            r.shards))
     [ 2; 3; 4 ]
 
+let holes () =
+  check_against_direct ~domain_counts:[ 1; 2; 3; 4 ] ~script:record_holes
+    ~min_slots:0 ()
+
 (* Op count of each replay group, derived from the script itself: slots
    ranked by first appearance, [group_slots] to a group. *)
 let group_ops script =
@@ -397,6 +467,51 @@ let group_ops script =
       Hashtbl.replace counts g (n + 1))
     script;
   Array.init (Hashtbl.length counts) (Hashtbl.find counts)
+
+(* [tape_bytes] after recording [ops]: 16 B for every entry of every
+   chunk the groups opened, at most 16 B an op and a chunk a group.
+   Returns the chunks. *)
+let check_tape_bytes label sp ops =
+  let c = Sharded_pool.tape_chunk in
+  let groups = group_ops ops in
+  let chunks = Array.fold_left (fun k n -> k + ((n + c - 1) / c)) 0 groups in
+  Alcotest.(check int) (label ^ ": tape bytes") (16 * c * chunks)
+    (Sharded_pool.tape_bytes sp);
+  Alcotest.(check bool)
+    (label ^ ": at most 16 B an op and a chunk a group")
+    true
+    (Sharded_pool.tape_bytes sp
+    <= (16 * List.length ops) + (16 * c * Array.length groups));
+  chunks
+
+(* The tape at the edges of its chunks: one slot whose tape ends one op
+   before, at and one op after a chunk's end, and one group of ten slots
+   whose tape crosses three chunks. Each replays like the direct drive
+   at 1 to 4 domains, and [tape_bytes] counts the chunks opened, also
+   on the many-group script. *)
+let test_tape_chunks () =
+  let c = Sharded_pool.tape_chunk in
+  let recorded script =
+    let sp = Sharded_pool.create ~domains:1 ~seed:33 (fleet_config ()) in
+    (sp, script sp)
+  in
+  List.iter
+    (fun (slots, dt, n, chunks) ->
+      let script = record_spread ~slots ~dt n in
+      check_against_direct ~domain_counts:[ 1; 2; 3; 4 ] ~script
+        ~min_slots:0 ();
+      let sp, ops = recorded script in
+      let label = Printf.sprintf "%d ops on %d slots" n slots in
+      Alcotest.(check int) (label ^ ": chunks") chunks
+        (check_tape_bytes label sp ops))
+    [
+      (1, 2.3457e-4, c - 1, 1);
+      (1, 2.3457e-4, c, 1);
+      (1, 2.3457e-4, c + 1, 2);
+      (10, 5.4321e-5, (2 * c) + 808, 3);
+    ];
+  let sp, ops = recorded record_many_slots in
+  ignore (check_tape_bytes "many groups" sp ops)
 
 (* The LPT assignment on the 700-slot script: every group replayed by
    exactly one domain, in ascending order there; the same assignment on
@@ -709,6 +824,10 @@ let suites =
           grouped;
         Alcotest.test_case "generation table calendar: domains 1-4" `Quick
           unreleased;
+        Alcotest.test_case "generation table with holes: domains 1-4" `Quick
+          holes;
+        Alcotest.test_case "tape chunk edges: domains 1-4" `Quick
+          test_tape_chunks;
         Alcotest.test_case "LPT assignment of replay groups" `Quick
           test_lpt_assignment;
         Alcotest.test_case "op at the instant of an arrival" `Quick
