@@ -21,18 +21,21 @@
      two probe intervals of the last rate change.
    - ooo_outside: deliveries out of order outside one marker-interval
      exclusion window around each retune's reset barrier. Quasi-FIFO
-     must hold everywhere else, so the gate demands 0. Late deliveries
+     must hold everywhere else, so every run demands 0. Late deliveries
      and their times come from the run's delivery log
      ([Stripe_metrics.Recovery]), as in every other bench.
 
-   The simulation is seeded and virtual-time only, so every number is
-   deterministic: the committed BENCH_adapt.json doubles as an exact
-   regression baseline.
+   Every run measures two sizes, 20,000 and 6,000 packets (the latter's
+   cases tagged "-quick"), and exits 1 unless each case keeps the
+   bound, quasi-FIFO outside the retune windows and its resync
+   deadline, and each adaptive case beats its static twin on share
+   error. The simulation is seeded and virtual-time only, so every
+   number is deterministic: test/baselines.t holds the committed
+   BENCH_adapt.json byte for byte.
 
    Usage:
-     dune exec bench/exp_adapt.exe --              # full run, print table
-     dune exec bench/exp_adapt.exe -- --json FILE  # also write baseline
-     dune exec bench/exp_adapt.exe -- --quick --check BENCH_adapt.json *)
+     dune exec bench/exp_adapt.exe --              # print table
+     dune exec bench/exp_adapt.exe -- --json FILE  # also write baseline *)
 
 open Stripe_netsim
 open Stripe_packet
@@ -253,6 +256,9 @@ let run_case ~scenario ~adapt ~n_packets =
 
 let cases = [ (`Step, true); (`Step, false); (`Ramp, true); (`Ramp, false) ]
 
+(* The run sizes, each with the tag its cases carry in the baseline. *)
+let sizes = [ (20_000, Fun.id); (6_000, fun c -> c ^ "-quick") ]
+
 let run_all ~n_packets =
   List.map (fun (scenario, adapt) -> run_case ~scenario ~adapt ~n_packets) cases
 
@@ -264,6 +270,35 @@ let print_outcome o =
     o.ooo_outside o.ooo_total
     (if o.bound_ok then "ok" else "VIOLATED")
     (if o.resync_ok then "ok" else "LATE")
+
+(* The scheduler bound and quasi-FIFO hold in every case; an adaptive
+   run must also have resynchronized within its deadline and beat its
+   non-adaptive twin. *)
+let require_claims results =
+  List.iter
+    (fun o ->
+      Bench_gate.require o.bound_ok "%s violates the Thm 3.2 window bound"
+        o.case;
+      Bench_gate.require (o.ooo_outside = 0)
+        "%s delivered %d packets out of order outside the retune exclusion \
+         windows"
+        o.case o.ooo_outside;
+      Bench_gate.require o.resync_ok
+        "%s did not finish retuning within 2 probe intervals of the rate \
+         change"
+        o.case)
+    results;
+  let err c = (List.find (fun o -> o.case = c) results).share_error in
+  List.iter
+    (fun sc ->
+      Bench_gate.require
+        (err (sc ^ "-on") < err (sc ^ "-off"))
+        "%s adaptation did not improve the capacity-share error (%.4f on vs \
+         %.4f off)"
+        sc
+        (err (sc ^ "-on"))
+        (err (sc ^ "-off")))
+    [ "step"; "ramp" ]
 
 let fields_of_outcome ~tag o =
   Bench_gate.
@@ -281,42 +316,28 @@ let fields_of_outcome ~tag o =
       ("resync_ok", Bool o.resync_ok);
     ]
 
-let quick_tag c = c ^ "-quick"
-
-let usage = "exp_adapt [--quick] [--json FILE] [--check FILE]"
+let usage = "exp_adapt [--json FILE]"
 
 let () =
-  let quick = ref false in
   let json_out = ref None in
-  let check = ref None in
   Bench_gate.Flag.(
-    parse ~usage
-      [
-        ("--quick", Unit (fun () -> quick := true));
-        ("--json", String (fun file -> json_out := Some file));
-        ("--check", String (fun file -> check := Some file));
-      ]);
-  let n_full = 20_000 and n_quick = 6_000 in
-  let n_packets = if !quick then n_quick else n_full in
-  Printf.printf
-    "exp_adapt: 4ch x 10 Mbps SRR markers=%d; ch0 -> 5 Mbps mid-run \
-     (step | ramp), adaptation on/off, %d packets\n%!"
-    marker_rounds n_packets;
-  let results = run_all ~n_packets in
-  List.iter print_outcome results;
-  let tag c = if !quick then quick_tag c else c in
-  (match !json_out with
+    parse ~usage [ ("--json", String (fun file -> json_out := Some file)) ]);
+  let entries =
+    List.concat_map
+      (fun (n_packets, tag) ->
+        Printf.printf
+          "exp_adapt: 4ch x 10 Mbps SRR markers=%d; ch0 -> 5 Mbps mid-run \
+           (step | ramp), adaptation on/off, %d packets\n%!"
+          marker_rounds n_packets;
+        let results = run_all ~n_packets in
+        List.iter print_outcome results;
+        require_claims results;
+        List.map (fields_of_outcome ~tag) results)
+      sizes
+  in
+  match !json_out with
   | None -> ()
   | Some file ->
-    (* A full-run export also embeds the quick-size entries so the
-       committed file supports like-for-like [--quick --check] in CI. *)
-    let quick_entries =
-      if !quick then []
-      else
-        List.map
-          (fields_of_outcome ~tag:quick_tag)
-          (run_all ~n_packets:n_quick)
-    in
     Bench_gate.(
       write file ~key:"case"
         ~header:
@@ -326,47 +347,4 @@ let () =
                 "4ch 10Mbps SRR markers=4 resequencer bimodal; ch0 to 5Mbps \
                  mid-run" );
           ]
-        ~array:"cases"
-        (List.map (fields_of_outcome ~tag) results @ quick_entries)));
-  match !check with
-  | None -> ()
-  | Some file ->
-    let gate = Bench_gate.load ~key:"case" file in
-    (* Live invariants first: the scheduler bound and quasi-FIFO hold in
-       every case; an adaptive run must also have resynchronized within
-       its two-probe deadline and beat its non-adaptive twin. *)
-    List.iter
-      (fun o ->
-        if not o.bound_ok then
-          Bench_gate.fail gate "%s violates the Thm 3.2 window bound" o.case;
-        if o.ooo_outside > 0 then
-          Bench_gate.fail gate
-            "%s delivered %d packets out of order outside the retune \
-             exclusion windows"
-            o.case o.ooo_outside;
-        if not o.resync_ok then
-          Bench_gate.fail gate
-            "%s did not finish retuning within 2 probe intervals of the rate \
-             change"
-            o.case)
-      results;
-    let err c = (List.find (fun o -> o.case = c) results).share_error in
-    List.iter
-      (fun sc ->
-        if err (sc ^ "-on") >= err (sc ^ "-off") then
-          Bench_gate.fail gate
-            "%s adaptation did not improve the capacity-share error (%.4f on \
-             vs %.4f off)"
-            sc
-            (err (sc ^ "-on"))
-            (err (sc ^ "-off")))
-      [ "step"; "ramp" ];
-    (* Regression vs the committed baseline: deterministic virtual-time
-       numbers, so allow only float-formatting slack. *)
-    List.iter
-      (fun o ->
-        Bench_gate.check gate ~tag:(tag o.case) ~field:"share_error"
-          (Ceiling { rel = 0.10; abs = 0.005 })
-          o.share_error)
-      results;
-    Bench_gate.finish gate
+        ~array:"cases" entries)

@@ -38,15 +38,14 @@
    n/a for the engine-less disciplines), goodput, arrival reorder depth
    (max and p99), delivered-order inversions, and post-fault resync
    time. Everything runs in virtual time on seeded randomness, so the
-   matrix is deterministic — a CI gate:
+   matrix is deterministic: test/baselines.t holds the committed
+   BENCH_disciplines.json byte for byte. Every run also holds the
+   Sprinklers acceptance bar and exits 1 if it fails: strictly lower
+   clean-scenario arrival reorder depth than SRR at equal (±2%)
+   goodput.
 
      dune exec bench/exp_disciplines.exe --                  # table
-     dune exec bench/exp_disciplines.exe -- --json FILE      # baseline
-     dune exec bench/exp_disciplines.exe -- --check FILE [--max-regress F]
-       # exit 1 if delivery or resync regresses more than F (default
-       # 0.05) against FILE, or the Sprinklers acceptance bar fails:
-       # strictly lower clean-scenario arrival reorder depth than SRR
-       # at equal (±2%) goodput. *)
+     dune exec bench/exp_disciplines.exe -- --json FILE      # baseline *)
 
 open Stripe_netsim
 open Stripe_packet
@@ -314,32 +313,12 @@ let acceptance results =
     (if ok_depth && ok_goodput then "ok" else "FAIL");
   ok_depth && ok_goodput
 
-let check ~max_regress ~file results =
-  let gate = Bench_gate.load ~key:"config" file in
-  List.iter
-    (fun r ->
-      Bench_gate.check gate ~tag:r.slug ~field:"delivered" (Floor max_regress)
-        (float_of_int r.delivered);
-      Bench_gate.check gate ~tag:r.slug ~field:"resync_ms"
-        (Time_ceiling max_regress) r.resync_ms)
-    results;
-  if not (acceptance results) then
-    Bench_gate.fail gate "sprinklers misses the acceptance bar against srr";
-  Bench_gate.finish gate
-
-let usage = "exp_disciplines [--json FILE] [--check FILE] [--max-regress F]"
+let usage = "exp_disciplines [--json FILE]"
 
 let () =
   let json_out = ref None in
-  let check_file = ref None in
-  let max_regress = ref 0.05 in
   Bench_gate.Flag.(
-    parse ~usage
-      [
-        ("--json", String (fun file -> json_out := Some file));
-        ("--check", String (fun file -> check_file := Some file));
-        ("--max-regress", Float (( := ) max_regress));
-      ]);
+    parse ~usage [ ("--json", String (fun file -> json_out := Some file)) ]);
   print_endline
     "Striping disciplines - 3 x 10 Mbps, delays 8/1/4 ms, bursty source (6 x \
      1000 B trains every 12 ms), scenarios clean/impair/failover/health";
@@ -349,10 +328,9 @@ let () =
       disciplines
   in
   print_table results;
-  (match !check_file with
-  | Some _ -> ()
-  | None -> ignore (acceptance results));
-  (match !json_out with
+  Bench_gate.require (acceptance results)
+    "sprinklers misses the acceptance bar against srr";
+  match !json_out with
   | None -> ()
   | Some file ->
     Bench_gate.(
@@ -365,7 +343,4 @@ let () =
                  every 12ms, scenarios clean/impair/failover/health" );
           ]
         ~array:"configs"
-        (List.map fields_of_result results)));
-  match !check_file with
-  | None -> ()
-  | Some file -> check ~max_regress:!max_regress ~file results
+        (List.map fields_of_result results))

@@ -27,16 +27,13 @@
    (the health engine must never zero the live membership).
 
    The whole scenario runs in virtual time on seeded randomness, so the
-   numbers are deterministic — which makes them a CI gate. The binary
-   itself enforces the §13 acceptance bar on every run: the health
-   engine must retain strictly more goodput than the watchdog alone,
-   with zero liveness violations.
+   numbers are deterministic: test/baselines.t holds the committed
+   BENCH_gray.json byte for byte. The binary itself enforces the §13
+   acceptance bar on every run: the health engine must retain strictly
+   more goodput than the watchdog alone, with zero liveness violations.
 
      dune exec bench/exp_gray.exe --                  # table
-     dune exec bench/exp_gray.exe -- --json FILE      # machine output
-     dune exec bench/exp_gray.exe -- --check FILE [--max-regress F]
-       # exit 1 if delivery/goodput drop, or detection latency
-       # regresses, more than F (default 0.05) against FILE *)
+     dune exec bench/exp_gray.exe -- --json FILE      # machine output *)
 
 open Stripe_netsim
 open Stripe_packet
@@ -229,32 +226,12 @@ let fields_of_result r =
       ("violations", Int r.o.violations);
     ]
 
-let check ~max_regress ~file results =
-  let gate = Bench_gate.load ~key:"config" file in
-  List.iter
-    (fun r ->
-      let check_field field rule v =
-        Bench_gate.check gate ~tag:r.slug ~field rule v
-      in
-      check_field "delivered" (Floor max_regress) (float_of_int r.o.delivered);
-      check_field "retained" (Floor max_regress) r.retained;
-      check_field "detect_ms" (Time_ceiling max_regress) r.o.detect_ms)
-    results;
-  Bench_gate.finish gate
-
-let usage = "exp_gray [--json FILE] [--check FILE] [--max-regress F]"
+let usage = "exp_gray [--json FILE]"
 
 let () =
   let json_out = ref None in
-  let check_file = ref None in
-  let max_regress = ref 0.05 in
   Bench_gate.Flag.(
-    parse ~usage
-      [
-        ("--json", String (fun file -> json_out := Some file));
-        ("--check", String (fun file -> check_file := Some file));
-        ("--max-regress", Float (( := ) max_regress));
-      ]);
+    parse ~usage [ ("--json", String (fun file -> json_out := Some file)) ]);
   print_endline
     "Gray failure - channel 1 at ~45% bursty loss 1.0-3.0 s, carrier up (3 x \
      10 Mbps SRR, markers every 4 rounds)";
@@ -274,26 +251,21 @@ let () =
       raw
   in
   print_table results;
-  (* The §13 acceptance bar holds on every run, not just --check: the
-     health engine must strictly beat the watchdog alone, and self-
-     healing must never zero the live membership. *)
+  (* The §13 acceptance bar holds on every run: the health engine must
+     strictly beat the watchdog alone, and self-healing must never zero
+     the live membership. *)
   let find slug = List.find (fun r -> r.slug = slug) results in
   let health = find "health" and watchdog = find "watchdog" in
-  if health.retained <= watchdog.retained then begin
-    Printf.eprintf
-      "  FAIL: health engine retained %.4f <= watchdog-only %.4f\n"
-      health.retained watchdog.retained;
-    exit 1
-  end;
+  Bench_gate.require
+    (health.retained > watchdog.retained)
+    "health engine retained %.4f <= watchdog-only %.4f" health.retained
+    watchdog.retained;
   List.iter
     (fun r ->
-      if r.o.violations > 0 then begin
-        Printf.eprintf "  FAIL: %s saw %d liveness violations\n" r.slug
-          r.o.violations;
-        exit 1
-      end)
+      Bench_gate.require (r.o.violations = 0) "%s saw %d liveness violations"
+        r.slug r.o.violations)
     results;
-  (match !json_out with
+  match !json_out with
   | None -> ()
   | Some file ->
     Bench_gate.(
@@ -306,7 +278,4 @@ let () =
                  loss 1.0-3.0s carrier up, 53% offered load" );
           ]
         ~array:"configs"
-        (List.map fields_of_result results)));
-  match !check_file with
-  | None -> ()
-  | Some file -> check ~max_regress:!max_regress ~file results
+        (List.map fields_of_result results))

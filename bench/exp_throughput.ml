@@ -15,11 +15,12 @@
      dune exec bench/exp_throughput.exe -- --quick     # 100k packets
      dune exec bench/exp_throughput.exe -- --json FILE # machine output
      dune exec bench/exp_throughput.exe -- --repeat 5  # best of 5 runs
-     dune exec bench/exp_throughput.exe -- --check FILE --max-regress 0.30
-       # CI gate: exit 1 if pps drops >30% below FILE's committed numbers,
-       # if minor words/packet move >2% from them either way (a drop
-       # means a stale anchor: regenerate), or if the event or marker
-       # count differs from the committed one
+     dune exec bench/exp_throughput.exe -- --check FILE
+       # CI gate: exit 1 if minor words/packet move >2% either way from
+       # FILE's committed numbers (a drop means a stale anchor:
+       # regenerate), or if the event or marker count differs from the
+       # committed one. pps is reported, never gated: it measures the
+       # machine as much as the code.
 
    The scenario runs [--repeat] times (default 3) and the fastest run
    is reported: wall-clock noise on a shared machine is one-sided, so
@@ -45,9 +46,9 @@ let baseline_pps = 730780.0
 let baseline_minor_words_per_packet = 132.78
 
 (* [--check] band on minor words per packet, either way. Allocation is a
-   count, not a timing: it does not move with the machine's load, so its
-   gate can be tight where the pps gate cannot, and a drop below the
-   band fails too, so an improvement cannot leave a stale anchor. *)
+   count, not a timing: it does not move with the machine's load, so it
+   can be gated where pps cannot, and a drop below the band fails too,
+   so an improvement cannot leave a stale anchor. *)
 let words_band = 0.02
 
 type result = {
@@ -113,10 +114,10 @@ let run_once ~n_packets () =
     sim_seconds = Sim.now sim;
   }
 
-(* Quick (100k-packet) runs measure systematically lower pps than full
-   runs — less time for startup costs to amortize — so the committed
-   file carries both sizes and [--check] compares like-for-like: a
-   [--quick] check reads the ["calendar-quick"] entry. *)
+(* Every count and the words per packet depend on the run size, so the
+   committed file carries both sizes and [--check] compares
+   like-for-like: a [--quick] check reads the ["calendar-quick"]
+   entry. *)
 let full_tag = "calendar"
 let quick_tag = "calendar-quick"
 
@@ -147,15 +148,12 @@ let print_result ~tag r =
 let best_of ~repeat ~n_packets () =
   Bench_gate.best_of ~repeat ~by:(fun r -> r.pps) (run_once ~n_packets)
 
-let usage =
-  "exp_throughput [--quick] [--repeat N] [--json FILE] [--check FILE] \
-   [--max-regress F]"
+let usage = "exp_throughput [--quick] [--repeat N] [--json FILE] [--check FILE]"
 
 let () =
   let quick = ref false in
   let json_out = ref None in
   let check = ref None in
-  let max_regress = ref 0.30 in
   let repeat = ref 3 in
   Bench_gate.Flag.(
     parse ~usage
@@ -164,7 +162,6 @@ let () =
         ("--repeat", Int (fun n -> repeat := max 1 n));
         ("--json", String (fun file -> json_out := Some file));
         ("--check", String (fun file -> check := Some file));
-        ("--max-regress", Float (( := ) max_regress));
       ]);
   let n_packets = if !quick then 100_000 else 1_000_000 in
   Printf.printf
@@ -210,7 +207,6 @@ let () =
   | None -> ()
   | Some file ->
     let gate = Bench_gate.load ~key:"engine" file in
-    Bench_gate.check gate ~tag ~field:"pps" (Floor !max_regress) r.pps;
     Bench_gate.check gate ~tag ~field:"minor_words_per_packet"
       (Band words_band) r.minor_words_per_packet;
     (* Events per packet, held through its exact numerator (every packet

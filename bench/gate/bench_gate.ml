@@ -134,9 +134,6 @@ let lookup t ~tag ~field =
   | _ -> None
 
 type rule =
-  | Floor of float
-  | Ceiling of { rel : float; abs : float }
-  | Time_ceiling of float
   | Exact
   | Within of float
   | Band of float
@@ -147,16 +144,6 @@ let show x = Printf.sprintf "%.7g" x
    stated as the condition to pass, so a NaN measurement fails. *)
 let verdict rule ~committed current =
   match rule with
-  | Floor r ->
-    let floor = committed *. (1.0 -. r) in
-    (current >= floor, "floor " ^ show floor)
-  | Ceiling { rel; abs } ->
-    let ceiling = (committed *. (1.0 +. rel)) +. abs in
-    (current <= ceiling, "ceiling " ^ show ceiling)
-  | Time_ceiling _ when committed < 0.0 -> (true, "accepts any")
-  | Time_ceiling r ->
-    let ceiling = (committed *. (1.0 +. r)) +. 1.0 in
-    (current >= 0.0 && current <= ceiling, "ceiling " ^ show ceiling)
   | Exact -> (current = committed, "exact")
   | Within tol ->
     (Float.abs (current -. committed) <= tol, "within " ^ show tol)
@@ -182,23 +169,29 @@ let check t ~tag ~field rule current =
       field t.key tag t.file
   | Some committed ->
     let ok, limit = verdict rule ~committed current in
-    let shown x =
-      match rule with Time_ceiling _ when x < 0.0 -> "never" | _ -> show x
-    in
     Printf.printf "  check %-25s %-12s %10s vs committed %10s (%s)\n%!" tag
-      field (shown current) (shown committed) limit;
+      field (show current) (show committed) limit;
     if not ok then
       match rule with
       | Band _ when current < committed ->
         fail t
           "%s %s fell below its anchor: %s vs committed %s (%s) — \
            regenerate the baseline with --json"
-          tag field (shown current) (shown committed) limit
+          tag field (show current) (show committed) limit
       | _ ->
         fail t "%s %s regressed: %s vs committed %s (%s)" tag field
-          (shown current) (shown committed) limit
+          (show current) (show committed) limit
 
 let finish t = if t.failed then exit 1 else print_endline "  check passed"
+
+let require ok fmt =
+  if ok then Printf.ifprintf () fmt
+  else
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "  FAIL: %s\n%!" msg;
+        exit 1)
+      fmt
 
 type value =
   | Str of string
@@ -288,7 +281,6 @@ module Flag = struct
     | Unit of (unit -> unit)
     | String of (string -> unit)
     | Int of (int -> unit)
-    | Float of (float -> unit)
 
   let rec parse_list specs = function
     | [] -> Ok ()
@@ -307,14 +299,7 @@ module Flag = struct
         f ();
         parse_list specs rest
       | Some (String f) -> value Option.some f
-      | Some (Int f) -> value int_of_string_opt f
-      | Some (Float f) ->
-        value
-          (fun v ->
-            match float_of_string_opt v with
-            | Some x when Float.is_finite x -> Some x
-            | _ -> None)
-          f)
+      | Some (Int f) -> value int_of_string_opt f)
 
   let parse ~usage specs =
     match parse_list specs (List.tl (Array.to_list Sys.argv)) with

@@ -2,10 +2,14 @@
 
     A baseline is a [BENCH_*.json] file written by {!write}: a few header
     fields and one array of flat entries, each entry tagged by one string
-    field (["engine"], ["case"] or ["config"]). [--check FILE] reads it
-    once with {!load}, holds each measured value against the committed
-    one under a {!rule}, prints one [check] line per comparison and one
-    [FAIL:] line per violation, and {!finish} exits 1 if anything failed.
+    field (["engine"], ["case"] or ["config"]). The virtual-time benches
+    reproduce their file byte for byte ([test/baselines.t] compares it),
+    so they only write it. [exp_throughput] and [exp_fleet] also measure
+    wall-clock, which no machine reproduces: their [--check FILE] reads
+    the file once with {!load}, holds each measured count against the
+    committed one under a {!rule}, prints one [check] line per
+    comparison and one [FAIL:] line per violation, and {!finish} exits 1
+    if anything failed.
 
     Contract: a lookup stays inside the one entry that carries the tag,
     and a missing tag, field or number fails the gate — a gate never
@@ -37,14 +41,6 @@ val lookup : t -> tag:string -> field:string -> float option
 (** {1 Rules} *)
 
 type rule =
-  | Floor of float
-      (** [Floor r]: [current >= committed * (1 - r)]. *)
-  | Ceiling of { rel : float; abs : float }
-      (** [current <= committed * (1 + rel) + abs]. *)
-  | Time_ceiling of float
-      (** [Time_ceiling r], for times in ms where a negative value means
-          "never": a committed "never" accepts anything; otherwise
-          [0 <= current <= committed * (1 + r) + 1]. *)
   | Exact  (** [current = committed]. *)
   | Within of float  (** [Within tol]: [|current - committed| <= tol]. *)
   | Band of float
@@ -64,12 +60,13 @@ val check : t -> tag:string -> field:string -> rule -> float -> unit
     prints the [check] line and, if the lookup or the rule fails, a
     [FAIL:] line on stderr, and records the failure. *)
 
-val fail : t -> ('a, unit, string, unit) format4 -> 'a
-(** Record a failure of an invariant the binary checks itself, printing
-    it as a [FAIL:] line. *)
-
 val finish : t -> unit
 (** Exit 1 if any check failed, else print [check passed]. *)
+
+val require : bool -> ('a, unit, string, unit) format4 -> 'a
+(** [require ok fmt ...]: unless [ok], print [fmt ...] as a [FAIL:] line
+    and exit 1. For the claims a bench holds on every run, baseline or
+    not. *)
 
 (** {1 Writing} *)
 
@@ -115,7 +112,6 @@ module Flag : sig
     | Unit of (unit -> unit)  (** a switch *)
     | String of (string -> unit)
     | Int of (int -> unit)  (** [int_of_string] syntax *)
-    | Float of (float -> unit)  (** finite: ["nan"] and ["inf"] are refused *)
 
   val parse_list : (string * spec) list -> string list -> (unit, string) result
   (** Apply the specs to the arguments in order. [Error] quotes the first

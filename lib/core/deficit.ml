@@ -16,9 +16,12 @@ type event =
   | Retune of { round : int; old_quanta : int array; new_quanta : int array }
 
 (* The width [n] is fixed at creation; [dcs], [susp] and [perm] are
-   refilled in place and never reallocated. [quanta] is swapped whole by
-   a retune, so components holding the engine see it without re-wiring.
-   [pending] stages a retune until the next round boundary.
+   refilled in place and never reallocated. [n_susp] counts the [true]
+   entries of [susp], kept by every write to it, so that [select] asks
+   "is any channel live?" in O(1) on each step of its walk. [quanta] is
+   swapped whole by a retune, so components holding the engine see it
+   without re-wiring. [pending] stages a retune until the next round
+   boundary.
 
    [ptr] is a POSITION in the round's visit order, not a channel id;
    [perm.(ptr)] is the channel under the pointer. Under [Fixed] order
@@ -37,6 +40,7 @@ type t = {
   n : int;
   dcs : int array;
   susp : bool array;
+  mutable n_susp : int;
   mutable pending : int array option;
   perm : int array;
   mutable ptr : int;
@@ -111,6 +115,7 @@ let create ?(cost = Bytes) ?(overdraw = true) ?max_packet ?(order = Fixed)
       n;
       dcs = Array.make n 0;
       susp = Array.make n false;
+      n_susp = 0;
       pending = None;
       perm = Array.init n (fun i -> i);
       ptr = 0;
@@ -243,22 +248,14 @@ let suspended t c =
   if c < 0 || c >= t.n then invalid_arg "Deficit.suspended: bad channel";
   t.susp.(c)
 
-let n_active t =
-  Array.fold_left (fun acc s -> if s then acc else acc + 1) 0 t.susp
-
-(* Not [Array.exists not]: stdlib [Array.exists] allocates a closure for
-   its inner loop on every call, and this runs once or twice per packet
-   (via [select] and the striper's dispatchability check). A top-level
-   recursion is static. *)
-let rec any_active_from susp i =
-  i < Array.length susp && ((not susp.(i)) || any_active_from susp (i + 1))
-
-let any_active t = any_active_from t.susp 0
+let n_active t = t.n - t.n_susp
+let any_active t = t.n_susp < t.n
 
 let suspend t c =
   if c < 0 || c >= t.n then invalid_arg "Deficit.suspend: bad channel";
   if not t.susp.(c) then begin
     t.susp.(c) <- true;
+    t.n_susp <- t.n_susp + 1;
     (* If the pointer is parked on the channel being suspended, move it
        on so the next selection never serves a suspended channel. *)
     if chan t = c && any_active t then advance t
@@ -268,6 +265,7 @@ let resume t c =
   if c < 0 || c >= t.n then invalid_arg "Deficit.resume: bad channel";
   if t.susp.(c) then begin
     t.susp.(c) <- false;
+    t.n_susp <- t.n_susp - 1;
     (* The frozen DC predates the suspension: replaying it would over- or
        under-serve the channel by up to a quantum relative to the Thm 3.2
        bound, against channels that kept accumulating service while it
@@ -299,6 +297,7 @@ let reconfigure t ~quanta =
   Array.blit quanta 0 t.quanta 0 t.n;
   Array.fill t.dcs 0 t.n 0;
   Array.fill t.susp 0 t.n false;
+  t.n_susp <- 0;
   t.ptr <- 0;
   t.g <- 0;
   t.serving <- false;

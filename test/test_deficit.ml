@@ -257,6 +257,43 @@ let prop_conservation =
       let bound = 1000 + (2 * 1000) in
       Array.for_all (fun b -> abs (b - (k * 1000)) <= bound) bytes)
 
+(* [n_active] and [any_active] read a suspended-channel count kept by
+   each write to the flags; after every op they must agree with a fold
+   over [suspended]. Ops: suspend, resume, reconfigure, restart, reinit,
+   and a select + consume so that suspensions land mid-visit too. *)
+let prop_active_count =
+  QCheck.Test.make ~name:"deficit: active count equals a fold over suspended"
+    ~count:200
+    QCheck.(
+      pair (Arb.int_range 1 6)
+        (list_of_size (Gen.int_range 0 120)
+           (pair (Arb.int_range 0 5) (Arb.int_range 0 5))))
+    (fun (n, ops) ->
+      let d = Deficit.create ~quanta:(Array.make n 1000) () in
+      let agrees () =
+        let live = ref 0 in
+        for c = 0 to n - 1 do
+          if not (Deficit.suspended d c) then incr live
+        done;
+        Deficit.n_active d = !live && Deficit.any_active d = (!live > 0)
+      in
+      List.for_all
+        (fun (op, c) ->
+          let c = c mod n in
+          (match op with
+          | 0 -> Deficit.suspend d c
+          | 1 -> Deficit.resume d c
+          | 2 -> Deficit.reconfigure d ~quanta:(Array.make n (1000 + c))
+          | 3 -> Deficit.restart d
+          | 4 -> Deficit.reinit d
+          | _ ->
+            if Deficit.any_active d then begin
+              ignore (Deficit.select d);
+              Deficit.consume d ~size:(300 * (c + 1))
+            end);
+          agrees ())
+        ops)
+
 let suites =
   [
     ( "deficit",
@@ -285,5 +322,6 @@ let suites =
         Alcotest.test_case "srr max packet check" `Quick test_srr_max_packet_check;
         Alcotest.test_case "srr for_rates" `Quick test_srr_for_rates;
         QCheck_alcotest.to_alcotest prop_conservation;
+        QCheck_alcotest.to_alcotest prop_active_count;
       ] );
   ]
