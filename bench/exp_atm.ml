@@ -65,10 +65,8 @@ let run_case ~striping ~policy ~duration =
      of the switch. *)
   let n_vcs = 8 in
   let inputs =
-    Array.init n_vcs (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "in%d" i)
-          ~rate_bps:5e6 ~prop_delay:0.001
+    Array.init n_vcs (fun _ ->
+        Link.create sim ~rate_bps:5e6 ~prop_delay:0.001
           ~jitter:(fun r -> Rng.float r 0.0002)
           ~rng:(Rng.split rng)
           ~deliver:(fun cell -> Epd_switch.input switch cell)

@@ -143,7 +143,6 @@ let run_striped_tcp ?(duration = 4.0) ?(seed = 1) ~links ~scheme
     Array.mapi
       (fun i kind ->
         Link.create sim
-          ~name:(Printf.sprintf "link%d" i)
           ~rate_bps:(rate_of kind) ~prop_delay:0.002
           ~deliver:(fun pkt -> Nic.rx nics.(i) (i, pkt))
           ())
@@ -181,7 +180,7 @@ let run_striped_tcp ?(duration = 4.0) ?(seed = 1) ~links ~scheme
   (* Ack path: lossless, fast, bypasses the striped direction. *)
   let tcp_tx = ref None in
   let ack_wire =
-    Link.create sim ~name:"acks" ~rate_bps:1e8 ~prop_delay:0.002
+    Link.create sim ~rate_bps:1e8 ~prop_delay:0.002
       ~deliver:(fun ack ->
         match !tcp_tx with Some s -> Tcp_lite.Sender.on_ack s ack | None -> ())
       ()

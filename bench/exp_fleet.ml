@@ -51,14 +51,15 @@
      dune exec bench/exp_fleet.exe -- --check FILE
        # CI gate: exit 1 if a run's minor words per delivered packet
        # move >2% either way from its own entry (the single-domain
-       # anchor, or its -dN entry where FILE has one; a drop means a
-       # stale entry: regenerate), or if the protocol aggregates
-       # (delivered, markers, events, share p50/p99) drift from the
-       # committed single-domain anchor — the latter holds for every
-       # --domains N, so a multicore run is gated on aggregate
-       # equality, not wall-clock — or if the tape bytes per recorded
-       # op differ from the anchor's, or if a -dN run's op imbalance
-       # differs from its -dN entry. pps is never gated.
+       # anchor, or its -dN entry; a drop means a stale entry:
+       # regenerate, and a missing -dN entry fails), or if the
+       # protocol aggregates (delivered, markers, events, share
+       # p50/p99) drift from the committed single-domain anchor — the
+       # latter holds for every --domains N, so a multicore run is
+       # gated on aggregate equality, not wall-clock — or if the tape
+       # bytes per recorded op differ from the anchor's, or if a -dN
+       # run's op imbalance differs from its -dN entry. pps is never
+       # gated.
 
    Like exp_throughput, the fleet runs [--repeat] times and the fastest
    run is reported (wall-clock noise is one-sided); the simulated
@@ -398,8 +399,9 @@ let () =
     !repeat;
   let r = best_of ~repeat:!repeat ~total_bundles ~domains () in
   (* The committed anchor entries are single-domain; a multi-domain run
-     tags its entries with the domain count and is gated purely on
-     aggregate equality against the anchor. *)
+     tags its entries with the domain count, and is gated on aggregate
+     equality against the anchor and on its own entry's words and
+     imbalance. *)
   let entry_tag anchor =
     if domains = 1 then anchor else domain_tag domains anchor
   in
@@ -454,18 +456,15 @@ let () =
     Bench_gate.check gate ~tag:anchor ~field:"tape_bytes_per_op" Exact
       (float_of_string (Printf.sprintf "%.4f" r.tape_bytes_per_op));
     (* Gates against the run's own entry: the single-domain anchor, or
-       the -dN entry where the file has one. Minor words per delivered
+       the -dN entry. A domain count with no committed entry fails with
+       the gate's "no committed entry" line. Minor words per delivered
        packet are deterministic, so any machine holds them to ±2%, the
        rule exp_throughput applies. The op imbalance, a pure function
        of the tape and N, stands in for [efficiency] on any machine,
        held to its 4 committed decimals. *)
-    let has_entry =
-      domains = 1 || Bench_gate.lookup gate ~tag ~field:"domains" <> None
-    in
-    if has_entry then
-      Bench_gate.check gate ~tag ~field:"minor_words_per_pkt"
-        (Band words_band) r.minor_words_per_pkt;
-    if has_entry && domains > 1 then
+    Bench_gate.check gate ~tag ~field:"minor_words_per_pkt"
+      (Band words_band) r.minor_words_per_pkt;
+    if domains > 1 then
       Bench_gate.check gate ~tag ~field:"imbalance" Exact
         (float_of_string (Printf.sprintf "%.4f" r.imbalance));
     Bench_gate.finish gate

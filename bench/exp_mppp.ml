@@ -24,7 +24,6 @@ let channels sim ~loss_rng ~loss_p ~lossy ~receive =
   Array.init 2 (fun i ->
       let rate_bps, prop_delay = channel i in
       Link.create sim
-        ~name:(Printf.sprintf "ch%d" i)
         ~rate_bps ~prop_delay
         ~deliver:(fun pkt ->
           let drop = !lossy && Rng.bernoulli loss_rng ~p:loss_p in

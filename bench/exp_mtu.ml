@@ -54,7 +54,6 @@ let run_whole ~datagram ~loss_p ~duration =
   let links =
     Array.init 2 (fun i ->
         Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
           ~rate_bps:rates.(i)
           ~prop_delay:0.002
           ~rng:(Rng.split rng)
@@ -113,7 +112,6 @@ let run_fragmenting ~datagram ~loss_p ~duration =
   let links =
     Array.init 2 (fun i ->
         Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
           ~rate_bps:rates.(i)
           ~prop_delay:0.002
           ~rng:(Rng.split rng)

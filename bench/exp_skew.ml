@@ -37,7 +37,6 @@ let run_one ~mode ~jitter =
     Array.mapi
       (fun i skew ->
         Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
           ~rate_bps:10e6 ~prop_delay:skew
           ?jitter:
             (if jitter > 0.0 then Some (fun r -> Rng.float r jitter) else None)

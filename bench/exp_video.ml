@@ -53,7 +53,7 @@ let pure_loss_playback ~loss_p ~trace =
   let loss_rng = Rng.create 6 in
   let playback = Stripe_workload.Playback.create ~trace ~playout_delay:0.4 () in
   let link =
-    Link.create sim ~name:"udp" ~rate_bps:4e6 ~prop_delay:0.015
+    Link.create sim ~rate_bps:4e6 ~prop_delay:0.015
       ~deliver:(fun pkt ->
         if not (Rng.bernoulli loss_rng ~p:loss_p) then
           Stripe_workload.Playback.packet_arrived playback

@@ -584,7 +584,6 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
         Array.mapi
           (fun i conf ->
             Link.create sim
-              ~name:(Printf.sprintf "ch%d" i)
               ~rate_bps:conf.rate ~prop_delay:conf.delay ~channel:i
               ~rng:(Rng.split rng) ~impair:(impair_for i) ~sink:obs_sink
               ~deliver:(fun payload ->

@@ -28,7 +28,6 @@ let () =
   vc_links :=
     Array.init 3 (fun i ->
         Link.create sim
-          ~name:(Printf.sprintf "vc%d" i)
           ~rate_bps:25e6
           ~prop_delay:(0.002 +. (0.003 *. float_of_int i))
           ~deliver:(fun cell ->

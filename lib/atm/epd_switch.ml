@@ -18,7 +18,7 @@ let create sim ~policy ~buffer_cells ~out_rate_bps ~deliver () =
   {
     policy;
     out_link =
-      Stripe_netsim.Link.create sim ~name:"atm-out" ~rate_bps:out_rate_bps
+      Stripe_netsim.Link.create sim ~rate_bps:out_rate_bps
         ~prop_delay:0.001
         ~txq_capacity_bytes:(buffer_cells * Cell.size)
         ~deliver ();

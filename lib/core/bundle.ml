@@ -64,7 +64,6 @@ let create (type w) sim ~scheduler ~channels ~(wire : w wire) ~receiver
      order, so a whole run reproduces from one seed. *)
   let link ?corrupt ~deliver i (rate_bps, prop_delay) =
     Link.create sim
-      ~name:(Printf.sprintf "ch%d" i)
       ~rate_bps ~prop_delay ~channel:i ?rng:(Option.map Rng.split rng)
       ?impair:(Option.map (fun f -> f i) impair)
       ?corrupt ?sink ~deliver:(deliver i) ()

@@ -3,12 +3,11 @@ module Fifo_queue = Stripe_packet.Fifo_queue
 
 (* The wire model (DESIGN.md §9, "The wire model"). A packet's
    serialization ends at [fin = max(now, busy_until) + size·8/rate],
-   known when it is sent, so [send] computes it, appends
-   (payload, size, fin) to the wire ring and schedules the link's one
-   reused landing closure at [fin + prop_delay]. There is no transmit
-   queue and no serialization-complete event: the ring's packets whose
-   [fin] is still ahead are the one serializing and the ones queued
-   behind it, and [busy_until] is the [fin] of the ring's last packet.
+   known when it is sent, so [send] computes it and appends
+   (payload, size, fin) to the wire ring. There is no transmit queue
+   and no serialization-complete event: the ring's packets whose [fin]
+   is still ahead are the one serializing and the ones queued behind
+   it, and [busy_until] is the [fin] of the ring's last packet.
 
    A packet's fate — carrier, loss, then the jitter, reorder, corrupt
    and dup draws from the link's own rng, in packet order — is decided
@@ -20,9 +19,14 @@ module Fifo_queue = Stripe_packet.Fifo_queue
    does not matter.
 
    The ring keeps [head <= dec <= tail] as absolute packet counts
-   (masked to index the arrays): [head, dec) are decided and wait for
-   their landing event, [dec, tail) are undecided. The landing event
-   takes the head if it is due and lands its copy in place, in the same
+   (masked to index the arrays): [head, dec) are decided and wait to
+   land, [dec, tail) are undecided. The wire is FIFO, so one landing
+   event is pending, at the head's [fin + prop_delay]: [send] schedules
+   it onto an empty ring, [land_next] the next head's. Only packets
+   ahead of [dec] are ever re-timed or flushed, so that instant never
+   moves, and [set_rate_bps] schedules nothing.
+
+   The landing event lands the head's copy in place, in the same
    event, when the copy arrives at [fin + prop_delay] behind every
    earlier copy: the common case, with no jitter and no impairment.
    Only a copy that arrives later or out of order takes a second
@@ -31,23 +35,17 @@ module Fifo_queue = Stripe_packet.Fifo_queue
    [arrive] closure (the clamp keeps their times non-decreasing and
    equal times fire in insertion order, so each firing pops the head);
    a reordered copy or a CRC-discard notice gets a closure of its own.
-   A link's deliveries are scheduled only by [send], [set_rate_bps]
-   and its own landing events, whichever call decided the packet, so
-   neither a sink nor an accessor call can move one.
+   A link's deliveries are scheduled only by [send] and its own landing
+   events, whichever call decided the packet, so neither a sink nor an
+   accessor call can move one.
 
-   [set_rate_bps] re-times the queued packets and schedules their
-   landing events again, and [set_up false] drops the queued ones. A
-   landing event takes the head only if the head is due, so the events
-   those packets leave behind do no harm: a packet's latest landing
-   event is never earlier than its due instant, and one that fires at
-   another packet's due instant takes that packet in its place. With a
-   sink, [Dequeue] and [Drop] are emitted at their true instants, so a
-   watched link also schedules a reused [decide_due] closure at each
-   [fin]. *)
+   With a sink, [Dequeue] and [Drop] are emitted at their true
+   instants: a watched link keeps one pending [decide_due] event at the
+   [fin] of the packet serializing, re-armed as it fires, and
+   [decide_pending] stops a [send] from starting a second chain. *)
 
 type 'a t = {
   sim : Sim.t;
-  link_name : string;
   mutable rate : float;
   prop_delay : float;
   jitter : (Rng.t -> float) option;
@@ -56,7 +54,6 @@ type 'a t = {
   mutable impair : Impair.t;
   corrupt : ('a -> 'a option) option;
   txq_capacity_bytes : int option;
-  link_mtu : int option;
   obs_channel : int;
   sink : Obs.Sink.t;
   watched : bool;  (* [Obs.Sink.active sink] *)
@@ -75,6 +72,7 @@ type 'a t = {
   mutable undecided_bytes : int;
   mutable landing : unit -> unit;
   mutable decide_due : unit -> unit;
+  mutable decide_pending : bool;
   inflight : 'a Fifo_queue.t;
       (* Copies waiting for a later arrival instant, oldest first;
          [arrive] pops them. *)
@@ -264,36 +262,43 @@ let catch_up t =
     decide t
   done
 
-(* The link's reused landing event: it takes the ring's head if the
-   head is due, and does nothing otherwise. The head is popped before
-   [deliver] runs. *)
+(* A watched link's reused decision event. *)
+let decide_next t =
+  catch_up t;
+  if t.dec < t.tail then
+    Sim.schedule t.sim ~at:t.w_fin.(t.dec land (Array.length t.w_fin - 1))
+      t.decide_due
+  else t.decide_pending <- false
+
+(* The link's reused landing event, at the head's [fin + prop_delay],
+   so the head is due. The head is popped, and the next head's landing
+   scheduled, before [deliver] runs, so a [deliver] that sends on this
+   link again finds a consistent ring. *)
 let land_next t =
-  let k = t.head in
-  if k < t.tail then begin
-    let now = Sim.now t.sim in
-    if t.w_fin.(k land (Array.length t.w_fin - 1)) +. t.prop_delay <= now
-    then begin
-      if t.dec = k then decide t;
-      let i = k land (Array.length t.w_fin - 1) in
-      t.head <- k + 1;
-      let size = t.w_size.(i) in
-      let fate = t.w_fate.(i) in
-      let payload = t.w_payload.(i) in
-      t.w_payload.(i) <- dummy ();
-      let first = fate land 3 in
-      let in_place =
-        first = clamped && t.w_arr.(i) <= now && Fifo_queue.is_empty t.inflight
-      in
-      if not in_place then place t first ~size ~at:t.w_arr.(i) payload;
-      let second = fate lsr 2 in
-      if second <> no_copy then begin
-        let dup = t.w_dup.(i) in
-        t.w_dup.(i) <- dummy ();
-        place t second ~size ~at:t.w_arr_dup.(i) dup
-      end;
-      if in_place then land_copy t ~size payload
-    end
-  end
+  let k = t.head and now = Sim.now t.sim in
+  let mask = Array.length t.w_fin - 1 in
+  let i = k land mask in
+  if t.dec = k then decide t;
+  t.head <- k + 1;
+  if k + 1 < t.tail then
+    Sim.schedule t.sim ~at:(t.w_fin.((k + 1) land mask) +. t.prop_delay)
+      t.landing;
+  let size = t.w_size.(i) in
+  let fate = t.w_fate.(i) in
+  let payload = t.w_payload.(i) in
+  t.w_payload.(i) <- dummy ();
+  let first = fate land 3 in
+  let in_place =
+    first = clamped && t.w_arr.(i) <= now && Fifo_queue.is_empty t.inflight
+  in
+  if not in_place then place t first ~size ~at:t.w_arr.(i) payload;
+  let second = fate lsr 2 in
+  if second <> no_copy then begin
+    let dup = t.w_dup.(i) in
+    t.w_dup.(i) <- dummy ();
+    place t second ~size ~at:t.w_arr_dup.(i) dup
+  end;
+  if in_place then land_copy t ~size payload
 
 (* The ring is full: double it. Indices are absolute packet counts, so
    each packet moves to its count masked by the new capacity. *)
@@ -325,9 +330,9 @@ let[@inline never] grow t =
   t.w_arr_dup <- arr_dup;
   t.w_fate <- fate
 
-let create sim ?(name = "link") ~rate_bps ~prop_delay ?jitter ?rng ?loss
-    ?(impair = Impair.none) ?corrupt ?txq_capacity_bytes ?mtu ?(channel = -1)
-    ?(sink = Obs.Sink.null) ~deliver () =
+let create sim ~rate_bps ~prop_delay ?jitter ?rng ?loss ?(impair = Impair.none)
+    ?corrupt ?txq_capacity_bytes ?(channel = -1) ?(sink = Obs.Sink.null)
+    ~deliver () =
   (* Negated so that NaN fails too. *)
   if not (rate_bps > 0.0) then invalid_arg "Link.create: rate_bps must be > 0";
   if not (prop_delay >= 0.0) then
@@ -335,7 +340,6 @@ let create sim ?(name = "link") ~rate_bps ~prop_delay ?jitter ?rng ?loss
   let t =
     {
       sim;
-      link_name = name;
       rate = rate_bps;
       prop_delay;
       jitter;
@@ -344,7 +348,6 @@ let create sim ?(name = "link") ~rate_bps ~prop_delay ?jitter ?rng ?loss
       impair;
       corrupt;
       txq_capacity_bytes;
-      link_mtu = mtu;
       obs_channel = channel;
       sink;
       watched = Obs.Sink.active sink;
@@ -362,6 +365,7 @@ let create sim ?(name = "link") ~rate_bps ~prop_delay ?jitter ?rng ?loss
       undecided_bytes = 0;
       landing = ignore;
       decide_due = ignore;
+      decide_pending = false;
       inflight = Fifo_queue.create ();
       arrive = ignore;
       last_arrival = [| 0.0 |];
@@ -381,7 +385,7 @@ let create sim ?(name = "link") ~rate_bps ~prop_delay ?jitter ?rng ?loss
     }
   in
   t.landing <- (fun () -> land_next t);
-  t.decide_due <- (fun () -> catch_up t);
+  t.decide_due <- (fun () -> decide_next t);
   t.arrive <- (fun () -> arrive_next t);
   t
 
@@ -393,12 +397,6 @@ let queued_bytes t =
 
 let send t ~size payload =
   if size <= 0 then invalid_arg "Link.send: size must be positive";
-  (match t.link_mtu with
-  | Some m when size > m ->
-    invalid_arg
-      (Printf.sprintf "Link.send: size %d exceeds MTU %d on %s" size m
-         t.link_name)
-  | Some _ | None -> ());
   if not t.up then begin
     (* A downed link drops everything silently — no error propagates to
        the sender, exactly like a transmit onto a dead interface. *)
@@ -439,9 +437,13 @@ let send t ~size payload =
       t.undecided_bytes <- t.undecided_bytes + size;
       if t.watched then begin
         if idle then obs_emit t Obs.Event.Dequeue ~size;
-        Sim.schedule t.sim ~at:fin t.decide_due
+        (* No chain: every packet is decided, so this one serializes. *)
+        if not t.decide_pending then begin
+          t.decide_pending <- true;
+          Sim.schedule t.sim ~at:fin t.decide_due
+        end
       end;
-      Sim.schedule t.sim ~at:(fin +. t.prop_delay) t.landing;
+      if k = t.head then Sim.schedule t.sim ~at:(fin +. t.prop_delay) t.landing;
       true
     end
   end
@@ -458,12 +460,8 @@ let set_rate_bps t rate =
     let mask = Array.length t.w_fin - 1 in
     for k = t.dec + 1 to t.tail - 1 do
       let i = k land mask in
-      let fin =
+      t.w_fin.(i) <-
         t.w_fin.((k - 1) land mask) +. (float_of_int (t.w_size.(i) * 8) /. rate)
-      in
-      t.w_fin.(i) <- fin;
-      if t.watched then Sim.schedule t.sim ~at:fin t.decide_due;
-      Sim.schedule t.sim ~at:(fin +. t.prop_delay) t.landing
     done
   end
 

@@ -21,13 +21,15 @@
     Departures are computed in closed form, as in the fleet's wires: a
     packet sent at [now] finishes serializing at
     [fin = max(now, busy_until) + size·8/rate] and lands at
-    [fin + prop_delay]. The queue is the tail of the link's wire ring,
-    and a packet costs one simulation event, at its landing instant, when
-    nothing perturbs its arrival (no jitter, impairment or sink). The
-    packet's fate (carrier, loss and impairment draws) is decided under
-    the state the link was in at [fin]; every setter and accessor first
-    decides each packet whose serialization ended by now, so no caller
-    can tell the decision was deferred.
+    [fin + prop_delay]. The queue is the tail of the link's wire ring.
+    The wire is FIFO, so the link keeps one pending landing event, for
+    the ring's head, however long the queue; a packet costs one
+    simulation event, at its landing instant, when nothing perturbs its
+    arrival (no jitter, impairment or sink). The packet's fate (carrier,
+    loss and impairment draws) is decided under the state the link was
+    in at [fin]; every setter and accessor first decides each packet
+    whose serialization ended by now, so no caller can tell the
+    decision was deferred.
 
     A link also models {e carrier}: it starts up, and {!set_up} (driven by
     the {!Fault} injector) pulls or restores the cable. While down the
@@ -42,7 +44,6 @@ type 'a t
 
 val create :
   Sim.t ->
-  ?name:string ->
   rate_bps:float ->
   prop_delay:float ->
   ?jitter:(Rng.t -> float) ->
@@ -51,7 +52,6 @@ val create :
   ?impair:Impair.t ->
   ?corrupt:('a -> 'a option) ->
   ?txq_capacity_bytes:int ->
-  ?mtu:int ->
   ?channel:int ->
   ?sink:Stripe_obs.Sink.t ->
   deliver:('a -> unit) ->
@@ -82,14 +82,13 @@ val create :
       delivered — for modelling damage only protocol-level integrity
       checks can catch.
     - [txq_capacity_bytes]: transmit queue bound (default: unbounded).
-    - [mtu]: maximum payload size accepted; oversized sends raise
-      [Invalid_argument] (default: no limit).
     - [sink] with [channel]: observability events at simulator time —
       [Dequeue] when a packet starts serializing, [Drop] when the loss
       process takes it, [Txq_drop] on transmit-queue overflow, [Arrival]
       at delivery. [channel] tags the events (default [-1]); the payload
       is opaque here so they carry size but no sequence number. A
-      watched link also schedules an event at each packet's [fin], so
+      watched link also keeps one pending event at the [fin] of the
+      packet serializing, re-armed at the next [fin] when it fires, so
       that [Dequeue] and [Drop] carry their true times in time order;
       the landing events are scheduled the same way with or without a
       sink, so a sink never changes what is delivered when. *)
@@ -98,10 +97,12 @@ val send : 'a t -> size:int -> 'a -> bool
 (** [send t ~size payload] queues a packet for transmission: it
     finishes serializing at [fin = max(now, busy_until) + size·8/rate]
     and lands at [fin + prop_delay], where [busy_until] is when the
-    packets queued ahead of it finish. Returns [false] if the transmit
-    queue was full and the packet was dropped at the sender; [true] if
-    it was accepted (it may still be lost in flight). Raises
-    [Invalid_argument] if [size] exceeds the MTU or is not positive. *)
+    packets queued ahead of it finish. Only a packet sent onto an empty
+    wire schedules its landing; a queued one's is scheduled when its
+    predecessor lands. Returns [false] if the
+    transmit queue was full and the packet was dropped at the sender;
+    [true] if it was accepted (it may still be lost in flight). Raises
+    [Invalid_argument] if [size] is not positive. *)
 
 val rate_bps : 'a t -> float
 
@@ -110,7 +111,8 @@ val set_rate_bps : 'a t -> float -> unit
     The packet serializing keeps the departure time it started with;
     every packet queued behind it is re-timed to start when its
     predecessor ends and to serialize at the new rate, as are packets
-    sent later. *)
+    sent later. Nothing is scheduled: a queued packet's landing is
+    scheduled only once it heads the wire, after its re-timing. *)
 
 val is_up : 'a t -> bool
 (** Whether the link currently has carrier. Links are created up. *)

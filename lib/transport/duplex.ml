@@ -97,7 +97,6 @@ let make_endpoint sim ~channels ~quanta ~buffer ~marker_every ~deliver
     Array.mapi
       (fun i (spec : Socket_stripe.channel_spec) ->
         Stripe_netsim.Link.create sim
-          ~name:(Printf.sprintf "duplex%d" i)
           ~rate_bps:spec.rate_bps ~prop_delay:spec.prop_delay
           ?jitter:spec.jitter
           ~loss:(spec.loss ())

@@ -124,7 +124,6 @@ let create sim ~channels ~scheduler ?marker
     Array.mapi
       (fun i spec ->
         Stripe_netsim.Link.create sim
-          ~name:(Printf.sprintf "sock%d" i)
           ~rate_bps:spec.rate_bps ~prop_delay:spec.prop_delay
           ?jitter:spec.jitter
           ~rng:(Stripe_netsim.Rng.split master_rng)

@@ -8,15 +8,15 @@
    float per packet (2 words), which a dev bound may let through, fails
    it. Each dev bound sits between what the path costs now and what one
    broken rule costs:
-   - Link: 8.6 words/packet in dev, where the closed-form departure
+   - Link: 6.0 words/packet in dev, where the closed-form departure
      time and the clock reads box as they cross into [Sim]; a closure
-     per arrival adds 10. Sent in 100-packet bursts, 6.0: the calendar
-     keeps its ring across bursts, where rehashing on every swing of the
-     population cost 90 words/packet. In release the bursts cost 0
-     words/packet and the 100,000-packet pass 2.586, all of it the
-     calendar's: every landing event of the pass is queued at once, and
-     the calendar allocates as its population swings from 0 to 100,000
-     and back;
+     per arrival adds 10. Sent in 100-packet bursts, also 6.0. In
+     release both cost 0 words/packet: the link keeps one pending
+     landing event, for the head of its wire, so the calendar's
+     population stays at 1 however long the queue. When every queued
+     packet had an event of its own, the 100,000-packet pass cost 2.586
+     in release, all of it the calendar's, as its population swung from
+     0 to 100,000 and back;
    - Resequencer.receive without a watchdog: about 0 words/call, markers
      included, each queued as its stamp in its channel's int ring,
      beside the static [Packet.marker_sentinel]; a clock read per arrival adds 2, and a
@@ -116,11 +116,11 @@ let test_link_send_and_run () =
   send_and_run ();
   let words = words_during send_and_run in
   Alcotest.(check int) "all delivered" (2 * n) !delivered;
-  check_profiled "Link send + arrival per packet" ~dev:16.0 ~release:3.086
+  check_profiled "Link send + arrival per packet" ~dev:16.0 ~release:0.5
     (words /. float_of_int n)
 
-(* The bursts swing the calendar's population between 0 and about 100
-   events, across two powers of two. *)
+(* Each burst starts on an idle wire, so its first send schedules the
+   link's landing event afresh. *)
 let test_link_bursts () =
   let sim = Sim.create () in
   let delivered = ref 0 in

@@ -141,7 +141,6 @@ let run_stripe_vc ~loss_p ~loss_stop ~n_packets =
   vc_links :=
     Array.init 2 (fun i ->
         Link.create sim
-          ~name:(Printf.sprintf "vc%d" i)
           ~rate_bps:20e6
           ~prop_delay:(0.002 +. (0.004 *. float_of_int i))
           ~rng:(Rng.split rng)

@@ -56,7 +56,6 @@ let run_e2e disc =
   let links =
     Array.init n (fun i ->
         Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
           ~rate_bps:rates.(i) ~prop_delay:delays.(i) ~rng:(Rng.split master)
           ~deliver:(fun pkt -> ingest i pkt)
           ())

@@ -53,7 +53,7 @@ let test_down_link_drops_silently () =
   let sim = Sim.create () in
   let received = ref 0 in
   let link =
-    Link.create sim ~name:"l" ~rate_bps:1e6 ~prop_delay:0.001
+    Link.create sim ~rate_bps:1e6 ~prop_delay:0.001
       ~deliver:(fun (_ : int) -> incr received)
       ()
   in
@@ -71,7 +71,7 @@ let test_carrier_watchers () =
   let sim = Sim.create () in
   let transitions = ref [] in
   let link =
-    Link.create sim ~name:"l" ~rate_bps:1e6 ~prop_delay:0.001
+    Link.create sim ~rate_bps:1e6 ~prop_delay:0.001
       ~deliver:(fun (_ : int) -> ())
       ()
   in
@@ -86,7 +86,7 @@ let test_carrier_watchers () =
 let test_burst_loss_restores_process () =
   let sim = Sim.create () in
   let link =
-    Link.create sim ~name:"l" ~rate_bps:1e9 ~prop_delay:0.0001
+    Link.create sim ~rate_bps:1e9 ~prop_delay:0.0001
       ~deliver:(fun (_ : int) -> ())
       ()
   in
@@ -253,7 +253,6 @@ let make_rig ?(sender_aware = false) ?watchdog () =
   let links =
     Array.init 3 (fun i ->
         Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
           ~rate_bps:10e6 ~prop_delay:0.002 ~channel:i ~sink:obs_sink
           ~deliver:(fun pkt -> Resequencer.receive reseq ~channel:i pkt)
           ())

@@ -74,7 +74,7 @@ let run_link ?impair ?corrupt ~n () =
   let sim = Sim.create () in
   let arrived = ref [] in
   let link =
-    Link.create sim ~name:"l" ~rate_bps:1e6 ~prop_delay:0.001
+    Link.create sim ~rate_bps:1e6 ~prop_delay:0.001
       ~rng:(Rng.create 5) ?impair ?corrupt
       ~deliver:(fun x -> arrived := x :: !arrived)
       ()
@@ -118,7 +118,7 @@ let test_link_jitter_stays_fifo () =
   let arrived = ref [] in
   let rng = Rng.create 9 in
   let link =
-    Link.create sim ~name:"l" ~rate_bps:1e6 ~prop_delay:0.001
+    Link.create sim ~rate_bps:1e6 ~prop_delay:0.001
       ~jitter:(fun r -> Rng.float r 0.01)
       ~rng
       ~deliver:(fun x -> arrived := x :: !arrived)
@@ -157,7 +157,7 @@ let test_link_corruption_hook_mangles () =
 let test_link_set_impairments () =
   let sim = Sim.create () in
   let link =
-    Link.create sim ~name:"l" ~rate_bps:1e6 ~prop_delay:0.001
+    Link.create sim ~rate_bps:1e6 ~prop_delay:0.001
       ~deliver:(fun (_ : int) -> ())
       ()
   in
@@ -502,7 +502,6 @@ let make_rig ?(seed = 11) ?(guarded = true) ?(window = 48)
   let links =
     Array.init n (fun i ->
         Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
           ~rate_bps:10e6 ~prop_delay:0.002
           ~rng:(Rng.split master)
           ~impair

@@ -1,16 +1,14 @@
 (* Tests for the FIFO link model: serialization timing, FIFO preservation
-   under jitter, rate changes, MTU, transmit-queue overflow, and
-   counters. *)
+   under jitter, rate changes, transmit-queue overflow, counters, and
+   the one pending landing event. *)
 
 open Stripe_netsim
 
-let make_link ?jitter ?rng ?loss ?txq_capacity_bytes ?mtu ~rate_bps ~prop_delay
-    () =
+let make_link ?jitter ?rng ?loss ?txq_capacity_bytes ~rate_bps ~prop_delay () =
   let sim = Sim.create () in
   let arrivals = ref [] in
   let link =
-    Link.create sim ~name:"test" ~rate_bps ~prop_delay ?jitter ?rng ?loss
-      ?txq_capacity_bytes ?mtu
+    Link.create sim ~rate_bps ~prop_delay ?jitter ?rng ?loss ?txq_capacity_bytes
       ~deliver:(fun v -> arrivals := (Sim.now sim, v) :: !arrivals)
       ()
   in
@@ -86,12 +84,6 @@ let test_loss_counting () =
   Alcotest.(check bool) "roughly half lost" true
     (Link.lost_packets link > 400 && Link.lost_packets link < 600)
 
-let test_mtu_enforcement () =
-  let _, link, _ = make_link ~rate_bps:1e6 ~prop_delay:0.0 ~mtu:1500 () in
-  Alcotest.check_raises "oversize send raises"
-    (Invalid_argument "Link.send: size 1501 exceeds MTU 1500 on test")
-    (fun () -> ignore (Link.send link ~size:1501 ()))
-
 let test_bad_size () =
   let _, link, _ = make_link ~rate_bps:1e6 ~prop_delay:0.0 () in
   Alcotest.check_raises "zero size raises"
@@ -164,7 +156,7 @@ let impaired_run () =
   let sim = Sim.create () in
   let arrivals = ref [] in
   let link =
-    Link.create sim ~name:"pin" ~rate_bps:2e6 ~prop_delay:0.002
+    Link.create sim ~rate_bps:2e6 ~prop_delay:0.002
       ~jitter:(fun r -> Rng.float r 0.003)
       ~rng:(Rng.create 2024) ~loss:(Loss.bernoulli ~p:0.05)
       ~impair:
@@ -248,6 +240,40 @@ let test_one_event_per_packet () =
   Sim.run sim;
   Alcotest.(check int) "all delivered" 80 (List.length (arrivals ()));
   Alcotest.(check int) "one event per packet" 80 (Sim.events sim)
+
+(* A FIFO wire has one next arrival, so a backlogged link holds one
+   pending event, at its head's landing, and a watched link one more,
+   at the [fin] of the packet serializing; neither a rate change nor a
+   cable pull mid-queue schedules another. 1000 packets of 100 B at
+   1 Mbps take 0.8 ms each. *)
+let test_one_pending_event () =
+  List.iter
+    (fun (sink, expected) ->
+      let sim = Sim.create () in
+      let arrived = ref 0 in
+      let link =
+        Link.create sim ~rate_bps:1e6 ~prop_delay:0.001 ~sink
+          ~deliver:(fun (_ : int) -> incr arrived)
+          ()
+      in
+      let check what = Alcotest.(check int) what expected (Sim.pending sim) in
+      for i = 1 to 1000 do
+        ignore (Link.send link ~size:100 i)
+      done;
+      check "backlogged";
+      Sim.run_until sim 0.1005;
+      Link.set_rate_bps link 2e6;
+      check "after a rate change mid-queue";
+      Sim.run_until sim 0.2005;
+      Link.set_up link false;
+      check "after a cable pull";
+      Sim.run sim;
+      Alcotest.(check int) "drained" 0 (Sim.pending sim);
+      Alcotest.(check int) "delivered counter" !arrived
+        (Link.delivered_packets link);
+      Alcotest.(check int) "every packet delivered or downed" 1000
+        (!arrived + Link.down_drops link))
+    [ (Stripe_obs.Sink.null, 1); (Stripe_obs.Sink.collector (), 2) ]
 
 (* A rate change with one packet serializing and two queued: the packet
    on the wire keeps its departure, each queued one starts when its
@@ -388,7 +414,6 @@ let suites =
         Alcotest.test_case "fifo under jitter" `Quick test_fifo_under_jitter;
         Alcotest.test_case "rate change" `Quick test_rate_change;
         Alcotest.test_case "loss counting" `Quick test_loss_counting;
-        Alcotest.test_case "mtu" `Quick test_mtu_enforcement;
         Alcotest.test_case "bad size" `Quick test_bad_size;
         Alcotest.test_case "txq overflow" `Quick test_txq_overflow;
         Alcotest.test_case "queue accounting" `Quick test_queue_accounting;
@@ -400,6 +425,8 @@ let suites =
           test_reentrant_deliver_fifo;
         Alcotest.test_case "one event per packet" `Quick
           test_one_event_per_packet;
+        Alcotest.test_case "one pending event per link" `Quick
+          test_one_pending_event;
         Alcotest.test_case "rate change mid-queue" `Quick
           test_rate_change_mid_queue;
         Alcotest.test_case "loss change mid-queue" `Quick

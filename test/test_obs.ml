@@ -279,7 +279,6 @@ let test_theorem51_trace_check () =
   let links =
     Array.init 2 (fun i ->
         Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
           ~rate_bps:8e6 ~prop_delay:0.005 ~channel:i ~sink:trace
           ~deliver:(fun pkt ->
             let dropped =

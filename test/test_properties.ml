@@ -131,7 +131,6 @@ let run_tcp_over_striping ~seed ~loss_p =
   let links =
     Array.init 2 (fun i ->
         Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
           ~rate_bps:8e6
           ~prop_delay:(0.002 +. (0.004 *. float_of_int i))
           ~rng:(Rng.split rng)
@@ -153,7 +152,7 @@ let run_tcp_over_striping ~seed ~loss_p =
   in
   let tcp_tx = ref None in
   let ack_wire =
-    Link.create sim ~name:"acks" ~rate_bps:1e8 ~prop_delay:0.002
+    Link.create sim ~rate_bps:1e8 ~prop_delay:0.002
       ~deliver:(fun ack ->
         match !tcp_tx with
         | Some s -> Stripe_transport.Tcp_lite.Sender.on_ack s ack

@@ -15,7 +15,6 @@ let skew_rig sim ~skews ~jitter ~deliver =
     Array.mapi
       (fun i skew ->
         Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
           ~rate_bps:10e6 ~prop_delay:skew
           ?jitter:(if jitter > 0.0 then Some (fun r -> Rng.float r jitter) else None)
           ~rng:(Rng.split rng)
@@ -93,7 +92,6 @@ let test_logical_reception_same_jitter_is_fifo () =
     Array.mapi
       (fun i skew ->
         Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
           ~rate_bps:10e6 ~prop_delay:skew
           ~jitter:(fun r -> Rng.float r 0.040)
           ~rng:(Rng.split rng)

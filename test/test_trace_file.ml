@@ -93,7 +93,6 @@ let test_replay_preserves_experiment () =
     let links =
       Array.init 2 (fun i ->
           Stripe_netsim.Link.create sim
-            ~name:(Printf.sprintf "ch%d" i)
             ~rate_bps:5e6
             ~prop_delay:(0.001 +. (0.01 *. float_of_int i))
             ~deliver:(fun pkt -> Stripe_core.Resequencer.receive reseq ~channel:i pkt)
