@@ -745,33 +745,55 @@ let rec progress t =
             t.waiting <- c (* Block: logical reception waits here. *)
           end
       end
-      else begin
-          let pkt = Fifo_queue.pop_exn t.buffers.(c) in
-          if t.waiting = c && Obs.Sink.active t.sink then
-            Obs.Sink.emit t.sink
-              (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Unblock);
-          t.waiting <- -1;
-          t.wd_spin <- 0;
-          t.n_data_buffered <- t.n_data_buffered - 1;
-          t.data_bytes <- t.data_bytes - pkt.Packet.size;
-          (match t.budget with
-          | Some b when t.force_need > 0 && t.data_bytes + t.force_need <= b ->
-            (* The eviction freed enough room; resume normal blocking. *)
-            t.force_need <- 0
-          | Some _ | None -> ());
-          update_pressure t;
-          t.n_delivered <- t.n_delivered + 1;
-          if Obs.Sink.active t.sink then
-            Obs.Sink.emit t.sink
-              (Obs.Event.v ~channel:c ~round:(Deficit.round t.d)
-                 ~dc:(Deficit.dc t.d c) ~size:pkt.Packet.size
-                 ~seq:pkt.Packet.seq ~time:(t.now ()) Obs.Event.Deliver);
-          t.deliver ~channel:c pkt;
-          Deficit.consume t.d ~size:pkt.Packet.size;
-          progress t
-      end
+      else deliver_next t c (Fifo_queue.pop_exn t.buffers.(c))
     end
   end
+
+(* The scan's delivery step: [pkt] is the data packet logically due
+   next, on the channel [c] it serves, taken off [c]'s buffer or straight
+   off the wire (see [receive]). It leaves the buffered count, unblocks
+   the scan, is delivered and charged to [c]'s visit; then the scan
+   resumes. *)
+and deliver_next t c pkt =
+  if t.waiting = c && Obs.Sink.active t.sink then
+    Obs.Sink.emit t.sink
+      (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Unblock);
+  t.waiting <- -1;
+  t.wd_spin <- 0;
+  t.n_data_buffered <- t.n_data_buffered - 1;
+  t.data_bytes <- t.data_bytes - pkt.Packet.size;
+  (match t.budget with
+  | Some b when t.force_need > 0 && t.data_bytes + t.force_need <= b ->
+    (* The eviction freed enough room; resume normal blocking. *)
+    t.force_need <- 0
+  | Some _ | None -> ());
+  update_pressure t;
+  t.n_delivered <- t.n_delivered + 1;
+  if Obs.Sink.active t.sink then
+    Obs.Sink.emit t.sink
+      (Obs.Event.v ~channel:c ~round:(Deficit.round t.d)
+         ~dc:(Deficit.dc t.d c) ~size:pkt.Packet.size ~seq:pkt.Packet.seq
+         ~time:(t.now ()) Obs.Event.Deliver);
+  t.deliver ~channel:c pkt;
+  Deficit.consume t.d ~size:pkt.Packet.size;
+  progress t
+
+(* Logical reception on arrival (§4): whether the scan, run now, would
+   pop a data packet arriving on [c] straight back off [c]'s buffer [buf].
+   [c] must be the channel it serves and not parked at a barrier, with
+   no marker ahead of the arrival: [buf] is empty, so it holds no
+   sentinel, and no stamp is pending. (A pending realign is read only
+   with a stamp.) Then the scan would begin the visit, as this does, and
+   serve [c] while its DC is positive. *)
+let serves_on_arrival t c buf =
+  c = Deficit.current t.d
+  && (not t.reset_pending.(c))
+  && Fifo_queue.is_empty buf
+  && t.force_round.(c) = no_stamp
+  && begin
+       Deficit.begin_visit t.d;
+       Deficit.dc t.d c > 0
+     end
 
 (* Fallback eviction for data the scan cannot reach — e.g. buffered
    behind a reset marker whose barrier cannot complete. Pops the head of
@@ -928,17 +950,28 @@ let receive t ~channel pkt =
           fits)
     in
     if accept then begin
-      Fifo_queue.push t.buffers.(channel) ~size:pkt.Packet.size pkt;
+      let size = pkt.Packet.size in
       t.n_data_buffered <- t.n_data_buffered + 1;
-      t.data_bytes <- t.data_bytes + pkt.Packet.size;
+      t.data_bytes <- t.data_bytes + size;
       if t.data_bytes > t.max_data_bytes then t.max_data_bytes <- t.data_bytes;
       update_pressure t;
       if Obs.Sink.active t.sink then
         Obs.Sink.emit t.sink
-          (Obs.Event.v ~channel ~size:pkt.Packet.size ~seq:pkt.Packet.seq
-             ~time:(t.now ()) Obs.Event.Enqueue)
-    end;
-    progress t
+          (Obs.Event.v ~channel ~size ~seq:pkt.Packet.seq ~time:(t.now ())
+             Obs.Event.Enqueue);
+      (* The packet the scan would pop next skips the buffer: it still
+         counts in every occupancy figure, as if pushed and popped. *)
+      let buf = t.buffers.(channel) in
+      if serves_on_arrival t channel buf then begin
+        Fifo_queue.note_through buf ~size;
+        deliver_next t channel pkt
+      end
+      else begin
+        Fifo_queue.push buf ~size pkt;
+        progress t
+      end
+    end
+    else progress t
 
 let tick t =
   t.wd_spin <- 0;

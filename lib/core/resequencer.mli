@@ -128,6 +128,18 @@ val receive : t -> channel:int -> Stripe_packet.Packet.t -> unit
     marker cadence, for markers) and revives it if it was declared
     dead.
 
+    An accepted data packet is delivered within the call, without
+    waiting in its channel's buffer, when it is the packet the scan
+    serves next: it arrives on the channel the scan is on, that channel
+    is not parked at a reset barrier, its buffer is empty, no marker
+    stamp is pending on it, and its DC is positive once the visit has
+    begun. It still counts once in the buffer figures
+    ({!buffer_high_water_packets}, {!buffer_high_water_bytes},
+    {!max_buffered_bytes}, pressure), and a sink sees the [Enqueue],
+    [Unblock] and [Deliver] events the buffered path emits. Any other
+    data packet is buffered, and the scan delivers whatever has become
+    due.
+
     A marker failing its integrity check
     ({!Stripe_packet.Packet.marker_valid}) is discarded and counted in
     {!corrupt_marker_discards} rather than applied: trusting a damaged

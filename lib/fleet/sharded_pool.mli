@@ -126,8 +126,11 @@ type shard_report = {
   first_violation : (float * int * int) option;
       (** [(time, slot, seq)] with the {e global} slot id. *)
   events : int;
-      (** Sim events fired: [Sim.events] summed over groups. These are
-          the wire arrivals; an op is not an event. *)
+      (** Sim events fired: [Sim.events] summed over groups. Each is a
+          firing of the group pool's one pending landing event, at the
+          latest landing time on its wires ({!Bundle_pool}); the
+          landings an op settles, and the ops themselves, are not
+          events. *)
   wall_s : float;
   end_time : float;
       (** The latest time its sim reached: the max over its groups. *)

@@ -91,6 +91,10 @@ let high_water_packets t = t.hw_packets
 
 let high_water_bytes t = t.hw_bytes
 
+let note_through t ~size =
+  if t.len >= t.hw_packets then t.hw_packets <- t.len + 1;
+  if t.total_bytes + size > t.hw_bytes then t.hw_bytes <- t.total_bytes + size
+
 let reset_high_water t =
   t.hw_packets <- t.len;
   t.hw_bytes <- t.total_bytes

@@ -47,6 +47,13 @@ val high_water_packets : 'a t -> int
 
 val high_water_bytes : 'a t -> int
 
+val note_through : 'a t -> size:int -> unit
+(** Count, in the high-water marks, an element of [size] bytes that
+    passes through the queue without being stored: the marks move as a
+    {!push} immediately followed by its {!pop} would move them, and
+    nothing else changes. For a consumer that takes an arrival straight
+    off the wire when it is the element it would pop next. *)
+
 val clear : 'a t -> unit
 (** Drop all elements and reset byte accounting to zero. High-water
     marks are deliberately {e kept} — they record the lifetime maximum

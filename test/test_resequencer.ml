@@ -323,6 +323,145 @@ let test_buffer_high_water () =
   Alcotest.(check bool) "high water reflects skew run-ahead" true
     (Resequencer.buffer_high_water_packets reseq >= 10)
 
+(* Logical reception on arrival: a data packet landing on the channel
+   the scan is blocked on is the packet due next, so it is delivered
+   within [receive] without waiting in its buffer. Every figure reads as
+   if it had passed through the buffer. *)
+let two_channel_rx ?sink ?budget_bytes ?on_pressure () =
+  let rx = Deficit.clone_initial (Srr.create ~quanta:[| 100; 100 |] ()) in
+  let delivered = ref [] in
+  let reseq =
+    Resequencer.create ~deficit:rx ?sink ?budget_bytes ?on_pressure
+      ~deliver:(fun ~channel:_ p -> delivered := p.Packet.seq :: !delivered)
+      ()
+  in
+  (rx, reseq, delivered)
+
+let test_delivered_on_arrival () =
+  let _, reseq, delivered = two_channel_rx () in
+  Resequencer.receive reseq ~channel:0 (Packet.data ~seq:0 ~size:60 ());
+  Alcotest.(check (list int)) "delivered within receive" [ 0 ] !delivered;
+  Alcotest.(check int) "nothing pending" 0 (Resequencer.pending reseq);
+  Alcotest.(check int) "high water counts it as one packet" 1
+    (Resequencer.buffer_high_water_packets reseq);
+  Alcotest.(check int) "high water counts its bytes" 60
+    (Resequencer.buffer_high_water_bytes reseq);
+  Alcotest.(check int) "max buffered bytes counts its bytes" 60
+    (Resequencer.max_buffered_bytes reseq);
+  Alcotest.(check (option int)) "the scan stays on channel 0, 40 bytes left"
+    (Some 0) (Resequencer.blocked_on reseq)
+
+(* Each condition of the arrival path, broken on its own, sends the
+   packet through its buffer as before. Where the scan cannot serve the
+   packet's channel, the packet stays there and the scan blocks on
+   channel 1. *)
+let check_kept_buffered ~what (reseq, delivered) =
+  Alcotest.(check (list int)) (what ^ ": not delivered") [] !delivered;
+  Alcotest.(check int) (what ^ ": buffered") 1 (Resequencer.pending reseq);
+  Alcotest.(check (option int)) (what ^ ": blocked on channel 1") (Some 1)
+    (Resequencer.blocked_on reseq)
+
+let test_arrival_guards () =
+  let p () = Packet.data ~seq:0 ~size:60 () in
+  (* Another channel, even one with DC to spend: the scan stays blocked
+     on channel 0 with 40 bytes of its visit left. *)
+  (let rx, reseq, delivered = two_channel_rx () in
+   Resequencer.receive reseq ~channel:0 (p ());
+   delivered := [];
+   Deficit.set_dc rx 1 100;
+   Resequencer.receive reseq ~channel:1 (Packet.data ~seq:5 ~size:60 ());
+   Alcotest.(check (list int)) "another channel: not delivered" [] !delivered;
+   Alcotest.(check int) "another channel: buffered" 1
+     (Resequencer.pending reseq);
+   Alcotest.(check (option int)) "another channel: blocked on channel 0"
+     (Some 0) (Resequencer.blocked_on reseq));
+  (* A packet queued ahead on the channel: it leaves first. The engine
+     is moved onto channel 1 with packet 5 still buffered there. *)
+  (let rx, reseq, delivered = two_channel_rx () in
+   Resequencer.receive reseq ~channel:1 (Packet.data ~seq:5 ~size:60 ());
+   Deficit.advance rx;
+   Resequencer.receive reseq ~channel:1 (Packet.data ~seq:6 ~size:30 ());
+   Alcotest.(check (list int)) "queued ahead: delivered behind it" [ 5; 6 ]
+     (List.rev !delivered));
+  (* A pending marker stamp: a future-round marker skips channel 0 and
+     leaves its stamp; the engine is then moved back onto channel 0. *)
+  (let rx, reseq, delivered = two_channel_rx () in
+   Resequencer.receive reseq ~channel:0
+     (Packet.marker ~channel:0 ~round:7 ~dc:100 ~born:0.0 ());
+   Deficit.advance rx;
+   Resequencer.receive reseq ~channel:0 (p ());
+   check_kept_buffered ~what:"queued stamp" (reseq, delivered));
+  (* A channel parked at a reset barrier the other channel has not
+     joined. *)
+  (let rx, reseq, delivered = two_channel_rx () in
+   Resequencer.receive reseq ~channel:0
+     (Packet.marker ~channel:0 ~round:0 ~dc:100 ~reset:true ~born:0.0 ());
+   Deficit.advance rx;
+   Resequencer.receive reseq ~channel:0 (p ());
+   check_kept_buffered ~what:"parked" (reseq, delivered));
+  (* An exhausted DC: the visit begins at -400 + 100. *)
+  (let rx, reseq, delivered = two_channel_rx () in
+   Deficit.set_dc rx 0 (-500);
+   Resequencer.receive reseq ~channel:0 (p ());
+   check_kept_buffered ~what:"exhausted DC" (reseq, delivered))
+
+(* One log of sink events and pressure callbacks, in order. *)
+let logged_rx ?budget_bytes () =
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let sink =
+    Stripe_obs.Sink.of_fn (fun e ->
+        note
+          (Printf.sprintf "%s ch=%d seq=%d round=%d dc=%d"
+             (Stripe_obs.Event.kind_name e.Stripe_obs.Event.kind)
+             e.channel e.seq e.round e.dc))
+  in
+  let on_pressure ~high = note (Printf.sprintf "pressure %b" high) in
+  let _, reseq, delivered = two_channel_rx ~sink ?budget_bytes ~on_pressure () in
+  (reseq, delivered, fun () -> List.rev !log)
+
+let test_arrival_pressure () =
+  (* 80 bytes of a 100-byte budget crosses 3/4 on arrival and falls
+     below 1/2 on delivery. *)
+  let reseq, delivered, log = logged_rx ~budget_bytes:100 () in
+  Resequencer.receive reseq ~channel:0 (Packet.data ~seq:0 ~size:80 ());
+  Alcotest.(check (list int)) "delivered" [ 0 ] !delivered;
+  Alcotest.(check bool) "pressure cleared" false
+    (Resequencer.pressure_high reseq);
+  Alcotest.(check (list string)) "raised, then cleared around the delivery"
+    [
+      "pressure true";
+      "enqueue ch=0 seq=0 round=-1 dc=0";
+      "pressure false";
+      "deliver ch=0 seq=0 round=0 dc=100";
+      "block ch=0 seq=-1 round=-1 dc=0";
+    ]
+    (log ())
+
+let test_arrival_events () =
+  (* Packet 1 waits on channel 1 and leaves through the pop path; packets
+     0 and 2 land on the channel the scan is blocked on. *)
+  let reseq, delivered, log = logged_rx () in
+  Resequencer.receive reseq ~channel:1 (Packet.data ~seq:1 ~size:100 ());
+  Resequencer.receive reseq ~channel:0 (Packet.data ~seq:0 ~size:100 ());
+  Resequencer.receive reseq ~channel:0 (Packet.data ~seq:2 ~size:100 ());
+  Alcotest.(check (list int)) "in order" [ 2; 1; 0 ] !delivered;
+  Alcotest.(check (list string)) "the buffered path's events"
+    [
+      "enqueue ch=1 seq=1 round=-1 dc=0";
+      "block ch=0 seq=-1 round=-1 dc=0";
+      "enqueue ch=0 seq=0 round=-1 dc=0";
+      "unblock ch=0 seq=-1 round=-1 dc=0";
+      "deliver ch=0 seq=0 round=0 dc=100";
+      "deliver ch=1 seq=1 round=0 dc=100";
+      "block ch=0 seq=-1 round=-1 dc=0";
+      "enqueue ch=0 seq=2 round=-1 dc=0";
+      "unblock ch=0 seq=-1 round=-1 dc=0";
+      "deliver ch=0 seq=2 round=1 dc=100";
+      "block ch=1 seq=-1 round=-1 dc=0";
+    ]
+    (log ())
+
 (* State corruption of the receiver's global round [G] (§5 mentions
    snapshot-and-reset for it): markers alone repair it, with no reset
    barrier. Ahead of the sender, the next marker pins below [G] and
@@ -406,6 +545,12 @@ let suites =
           test_mid_visit_marker_correction;
         Alcotest.test_case "bad channel" `Quick test_bad_channel_rejected;
         Alcotest.test_case "buffer high water" `Quick test_buffer_high_water;
+        Alcotest.test_case "delivered on arrival" `Quick
+          test_delivered_on_arrival;
+        Alcotest.test_case "arrival guards keep buffering" `Quick
+          test_arrival_guards;
+        Alcotest.test_case "pressure on arrival" `Quick test_arrival_pressure;
+        Alcotest.test_case "events on arrival" `Quick test_arrival_events;
         Alcotest.test_case "round jumped high re-anchors" `Quick
           test_round_high_reanchors;
         Alcotest.test_case "round dropped low skips" `Quick
